@@ -252,8 +252,9 @@ driver::Step WritePipeline::Poll(driver::Context& ctx) {
           const bool sliced = spec_.payload_slice.owned();
           const std::uint64_t total =
               sliced ? spec_.payload_slice.size() : spec_.payload.size();
-          const std::uint64_t chunk =
-              spec_.chunk_bytes == 0 ? total : spec_.chunk_bytes;
+          const std::uint64_t chunk = spec_.chunk_bytes == 0
+                                          ? kReplicatedChunkBytes
+                                          : spec_.chunk_bytes;
           while (offset_ < total && rep_writes_.size() < spec_.window) {
             const std::uint64_t n = std::min(chunk, total - offset_);
             // Spec::payload stays valid until kDone, so a borrowed External

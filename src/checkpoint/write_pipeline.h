@@ -17,7 +17,8 @@
 //                  timestamp is recorded (create_done_time) so callers can
 //                  split create-phase from dump-phase time (Figure 10).
 //   kStream      — payload written in chunk_bytes pieces through a bounded
-//                  per-rank window; chunk_bytes = 0 dumps in one write.
+//                  per-rank window; chunk_bytes = 0 dumps in one write
+//                  (replicated: in kReplicatedChunkBytes chain writes).
 //   kVerify      — optional GetAttr check that the object covers the
 //                  payload (Spec::verify_attr).
 //   kDone        — result() holds the first error, or OK.
@@ -42,6 +43,12 @@ namespace lwfs::checkpoint {
 
 class WritePipeline final : public driver::LogicalClient {
  public:
+  /// Chain-write size of a replicated stream when Spec::chunk_bytes is 0.
+  /// Every chain hop holds a staging reservation for its whole payload
+  /// while it waits downstream, so a whole-rank chain write larger than a
+  /// server's staging pool would wait out its timeout instead.
+  static constexpr std::uint64_t kReplicatedChunkBytes = 1u << 20;
+
   struct Spec {
     /// Shared RPC endpoint.  Many pipelines multiplex one client; callers
     /// shard clients across carriers (driver's id % carriers contract).
@@ -71,6 +78,7 @@ class WritePipeline final : public driver::LogicalClient {
     /// the only copy.  Takes precedence over `payload` when owned().
     util::SharedSlice payload_slice{};
     std::uint64_t chunk_bytes = 0;    // 0 = whole payload in one write
+                                      // (replicated: kReplicatedChunkBytes)
     std::size_t window = 1;           // outstanding chunk writes per rank
     bool create_only = false;         // stop after kCreate (Figure 10 sweep)
     bool verify_attr = false;         // run kVerify

@@ -286,6 +286,7 @@ ServiceRuntime::RobustnessStats ServiceRuntime::TotalRobustnessStats() {
     total.rpc.served += s.served;
     total.rpc.dedup_hits += s.dedup_hits;
     total.rpc.crc_drops += s.crc_drops;
+    total.rpc.bulk_crc_failures += s.bulk_crc_failures;
   };
   for (const auto& server : storage_servers_) {
     add(server->data_rpc_stats());

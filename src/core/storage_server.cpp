@@ -866,10 +866,11 @@ Result<wire::ReplicaWriteRep> StorageServer::HandleReplicaWrite(
   if (!attr.ok()) return attr.status();
 
   // One reservation for the whole hop payload (clients chunk replicated
-  // writes, so a hop's payload is one chunk).  Blocking in Acquire is safe:
-  // this worker holds no reservation yet, and the hold-while-forwarding
-  // wait below points strictly down an acyclic chain (for factor <= 3 a
-  // forward always terminates at a non-forwarding tail).
+  // writes, WritePipeline included, so a hop's payload is one chunk).
+  // Blocking in Acquire is safe: this worker holds no reservation yet, and
+  // the hold-while-forwarding wait below points strictly down an acyclic
+  // chain (for factor <= 3 a forward always terminates at a non-forwarding
+  // tail).
   const auto n = static_cast<std::size_t>(ctx.bulk_out_size());
   LWFS_RETURN_IF_ERROR(staging_.Acquire(n));
   StagingReservation reservation(&staging_, n);
@@ -880,6 +881,10 @@ Result<wire::ReplicaWriteRep> StorageServer::HandleReplicaWrite(
   // the previous hop's wire must not propagate down the chain or reach
   // the store.
   LWFS_RETURN_IF_ERROR(ctx.VerifyPulledPayload());
+  // The verified CRC rides the slice, so the forward's request header
+  // reuses it instead of re-streaming the chunk; the next hop still checks
+  // the bytes it pulls against it.
+  chunk->SetCachedCrc(ctx.bulk_out_crc());
 
   // Forward the same slice downstream concurrently with the local apply —
   // the forwarding hop costs zero copies, and chain latency is

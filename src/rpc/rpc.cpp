@@ -543,10 +543,18 @@ Result<CallHandle> RpcClient::CallAsync(portals::Nid server, Opcode opcode,
     state->in_region = portals::RegisteredRegion(nic_, *me);
   }
 
+  // A slice's producer-cached CRC (e.g. a chain hop forwarding bytes it
+  // just verified) stands in for re-streaming the payload.
+  std::uint32_t bulk_out_crc = 0;
+  if (!options.bulk_out_slice.empty() &&
+      options.bulk_out_slice.has_cached_crc()) {
+    bulk_out_crc = options.bulk_out_slice.cached_crc();
+  } else if (!bulk_out.empty()) {
+    bulk_out_crc = Crc32(bulk_out);
+  }
   Encoder enc;
   EncodeHeader(enc, opcode, request_id, nic_->nid(), bulk_out.size(),
-               options.bulk_in.size(),
-               bulk_out.empty() ? 0 : Crc32(bulk_out));
+               options.bulk_in.size(), bulk_out_crc);
   enc.PutRaw(request);
   Buffer wire = std::move(enc).Take();
   AppendCrcTrailer(wire);
@@ -869,12 +877,13 @@ Status ServerContext::PushBulkSlice(util::SharedSlice data) {
   return OkStatus();
 }
 
-Status ServerContext::VerifyPulledPayload() const {
+Status ServerContext::VerifyPulledPayload() {
   if (bulk_out_len_ == 0) return OkStatus();
   if (!pulled_in_order_ || pulled_.bytes() != bulk_out_len_) {
     return DataLoss("bulk payload not fully pulled in order, cannot verify");
   }
   if (pulled_.value() != bulk_out_crc_) {
+    pulled_crc_failed_ = true;
     return DataLoss("bulk write payload failed checksum");
   }
   return OkStatus();
@@ -1039,6 +1048,9 @@ void RpcServer::Dispatch(const portals::Event& event) {
                       header->bulk_out_len, header->bulk_in_len,
                       header->bulk_out_crc);
     result = it->second(ctx, dec);
+    if (ctx.pulled_crc_failed()) {
+      bulk_crc_failures_.fetch_add(1, std::memory_order_relaxed);
+    }
     push_crc = ctx.pushed_crc();
     push_bytes = ctx.pushed_bytes();
     if (result.ok()) {

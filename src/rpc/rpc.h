@@ -484,7 +484,13 @@ class ServerContext {
   /// After pulling the client's entire payload: check it against the
   /// checksum the client sent in the request header.  Corruption on the
   /// bulk wire surfaces as kDataLoss (the client application retries).
-  [[nodiscard]] Status VerifyPulledPayload() const;
+  [[nodiscard]] Status VerifyPulledPayload();
+  /// The checksum the client sent for its payload; once
+  /// VerifyPulledPayload() passed, the CRC of the pulled bytes too.
+  [[nodiscard]] std::uint32_t bulk_out_crc() const { return bulk_out_crc_; }
+  /// True once VerifyPulledPayload() found the pulled bytes did not match
+  /// that checksum (ServerStats::bulk_crc_failures).
+  [[nodiscard]] bool pulled_crc_failed() const { return pulled_crc_failed_; }
 
   /// Checksum/length of everything pushed so far, in push order (0/0 when
   /// pushes were not sequential-from-zero and thus not client-verifiable).
@@ -513,6 +519,7 @@ class ServerContext {
   std::uint32_t bulk_out_crc_;
   Crc32Accumulator pulled_;
   bool pulled_in_order_ = true;
+  bool pulled_crc_failed_ = false;
   Crc32Accumulator pushed_;
   bool pushed_in_order_ = true;
   std::uint64_t total_pulled_ = 0;
@@ -557,6 +564,7 @@ struct ServerStats {
   std::uint64_t served = 0;      // requests that reached a handler
   std::uint64_t dedup_hits = 0;  // duplicate requests absorbed by the cache
   std::uint64_t crc_drops = 0;   // corrupt request frames discarded
+  std::uint64_t bulk_crc_failures = 0;  // pulled payloads that failed their CRC
 };
 
 /// Serves RPCs on a NIC.  Start() spawns workers; Stop() drains and joins.
@@ -587,7 +595,8 @@ class RpcServer {
   [[nodiscard]] ServerStats stats() const {
     return {served_.load(std::memory_order_relaxed),
             dedup_hits_.load(std::memory_order_relaxed),
-            crc_drops_.load(std::memory_order_relaxed)};
+            crc_drops_.load(std::memory_order_relaxed),
+            bulk_crc_failures_.load(std::memory_order_relaxed)};
   }
 
   /// Drop the dedup/reply cache (volatile state lost in a crash; the
@@ -619,6 +628,7 @@ class RpcServer {
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> dedup_hits_{0};
   std::atomic<std::uint64_t> crc_drops_{0};
+  std::atomic<std::uint64_t> bulk_crc_failures_{0};
   bool started_ = false;
 
   /// A cached reply plus the frame-carried bulk bytes it pins (0 for

@@ -6,6 +6,18 @@
 
 namespace lwfs::storage {
 
+namespace {
+
+// What holes and undefined extent tails read as: gathers point those ranges
+// here instead of materializing zeros.  Never written, so its pages stay the
+// kernel's shared zero page.
+const std::uint8_t* ZeroExtent() {
+  alignas(64) static std::uint8_t zeros[MemObjectStore::kExtentBytes];
+  return zeros;
+}
+
+}  // namespace
+
 MemObjectStore::MemObjectStore()
     : read_pool_(util::ReadBufferPool::Create()) {}
 
@@ -13,7 +25,7 @@ Result<ObjectId> MemObjectStore::Create(ContainerId cid) {
   if (cid == kInvalidContainer) return InvalidArgument("invalid container");
   std::lock_guard<std::mutex> lock(mutex_);
   ObjectId oid{next_id_++};
-  objects_.emplace(oid, Object{cid, {}, 0});
+  objects_.emplace(oid, Object{cid, 0, 0, {}});
   return oid;
 }
 
@@ -26,13 +38,58 @@ Status MemObjectStore::CreateWithId(ContainerId cid, ObjectId oid) {
   // letting one drag next_id_ past the bit would make plain Create() mint
   // ids that *look* replicated.
   if (!IsReplicatedOid(oid)) next_id_ = std::max(next_id_, oid.value + 1);
-  objects_.emplace(oid, Object{cid, {}, 0});
+  objects_.emplace(oid, Object{cid, 0, 0, {}});
   return OkStatus();
 }
 
 Status MemObjectStore::Remove(ObjectId oid) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return objects_.erase(oid) != 0 ? OkStatus() : NotFound("no such object");
+  auto it = objects_.find(oid);
+  if (it == objects_.end()) return NotFound("no such object");
+  ReleaseExtentsLocked(it->second, 0);
+  objects_.erase(it);
+  return OkStatus();
+}
+
+MemObjectStore::ExtentMem MemObjectStore::TakeExtentLocked() {
+  if (free_extents_.empty()) {
+    // Uninitialized on purpose: only an extent's defined prefix is read.
+    return ExtentMem(new std::uint8_t[kExtentBytes]);
+  }
+  ExtentMem mem = std::move(free_extents_.back());
+  free_extents_.pop_back();
+  return mem;
+}
+
+void MemObjectStore::ReleaseExtentsLocked(Object& obj, std::size_t first) {
+  for (std::size_t i = first; i < obj.extents.size(); ++i) {
+    if (obj.extents[i].mem && free_extents_.size() < kMaxFreeExtents) {
+      free_extents_.push_back(std::move(obj.extents[i].mem));
+    }
+  }
+  if (first < obj.extents.size()) obj.extents.resize(first);
+}
+
+std::vector<ByteSpan> MemObjectStore::GatherLocked(const Object& obj,
+                                                   std::uint64_t offset,
+                                                   std::uint64_t n) {
+  std::vector<ByteSpan> parts;
+  parts.reserve(static_cast<std::size_t>(2 * (n / kExtentBytes) + 4));
+  for (std::uint64_t pos = offset, end = offset + n; pos < end;) {
+    const auto idx = static_cast<std::size_t>(pos / kExtentBytes);
+    const auto lo = static_cast<std::size_t>(pos % kExtentBytes);
+    const auto len = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kExtentBytes - lo, end - pos));
+    std::size_t defined = 0;
+    if (idx < obj.extents.size() && obj.extents[idx].mem) {
+      const ExtentSlot& ext = obj.extents[idx];
+      defined = ext.valid > lo ? std::min(len, ext.valid - lo) : 0;
+      if (defined > 0) parts.emplace_back(ext.mem.get() + lo, defined);
+    }
+    if (defined < len) parts.emplace_back(ZeroExtent(), len - defined);
+    pos += len;
+  }
+  return parts;
 }
 
 Status MemObjectStore::Write(ObjectId oid, std::uint64_t offset,
@@ -42,12 +99,30 @@ Status MemObjectStore::Write(ObjectId oid, std::uint64_t offset,
   if (it == objects_.end()) return NotFound("no such object");
   Object& obj = it->second;
   const std::uint64_t end = offset + data.size();
-  if (obj.data.size() < end) obj.data.resize(end, 0);
   if (!data.empty()) {
+    const auto last = static_cast<std::size_t>((end - 1) / kExtentBytes);
+    if (obj.extents.size() <= last) obj.extents.resize(last + 1);
     // The store-medium copy: the write path's one budgeted copy.
     LWFS_COUNT_COPY(util::CopyKind::kStore, data.size());
-    std::memcpy(obj.data.data() + offset, data.data(), data.size());
+    const std::uint8_t* src = data.data();
+    for (std::uint64_t pos = offset; pos < end;) {
+      const auto lo = static_cast<std::size_t>(pos % kExtentBytes);
+      const auto len = static_cast<std::size_t>(
+          std::min<std::uint64_t>(kExtentBytes - lo, end - pos));
+      ExtentSlot& ext =
+          obj.extents[static_cast<std::size_t>(pos / kExtentBytes)];
+      if (!ext.mem) ext.mem = TakeExtentLocked();
+      // A gap between the defined prefix and this write must read as zero.
+      if (lo > ext.valid) {
+        std::memset(ext.mem.get() + ext.valid, 0, lo - ext.valid);
+      }
+      std::memcpy(ext.mem.get() + lo, src, len);
+      ext.valid = std::max(ext.valid, lo + len);
+      src += len;
+      pos += len;
+    }
   }
+  obj.size = std::max(obj.size, end);
   ++obj.version;
   return OkStatus();
 }
@@ -57,13 +132,17 @@ Result<Buffer> MemObjectStore::Read(ObjectId oid, std::uint64_t offset,
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = objects_.find(oid);
   if (it == objects_.end()) return NotFound("no such object");
-  const Buffer& data = it->second.data;
-  if (offset >= data.size()) return Buffer{};
-  const std::uint64_t n = std::min<std::uint64_t>(length, data.size() - offset);
+  const Object& obj = it->second;
+  if (offset >= obj.size) return Buffer{};
+  const std::uint64_t n = std::min<std::uint64_t>(length, obj.size - offset);
   // Medium -> host buffer: the read path's one budgeted copy.
   LWFS_COUNT_COPY(util::CopyKind::kStore, n);
-  return Buffer(data.begin() + static_cast<std::ptrdiff_t>(offset),
-                data.begin() + static_cast<std::ptrdiff_t>(offset + n));
+  Buffer out;
+  out.reserve(static_cast<std::size_t>(n));
+  for (ByteSpan part : GatherLocked(obj, offset, n)) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
 }
 
 Result<util::SharedSlice> MemObjectStore::ReadSlice(ObjectId oid,
@@ -72,24 +151,35 @@ Result<util::SharedSlice> MemObjectStore::ReadSlice(ObjectId oid,
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = objects_.find(oid);
   if (it == objects_.end()) return NotFound("no such object");
-  const Buffer& data = it->second.data;
+  const Object& obj = it->second;
   const std::uint64_t n =
-      offset < data.size()
-          ? std::min<std::uint64_t>(length, data.size() - offset)
-          : 0;
+      offset < obj.size ? std::min<std::uint64_t>(length, obj.size - offset)
+                        : 0;
   if (n == 0) return util::SharedSlice::FromBuffer(Buffer{});
   // Medium -> pooled host buffer: the read path's one budgeted copy.
-  return read_pool_->CopyOut(
-      ByteSpan(data.data() + offset, static_cast<std::size_t>(n)),
-      util::CopyKind::kStore);
+  return read_pool_->CopyOut(GatherLocked(obj, offset, n),
+                             util::CopyKind::kStore);
 }
 
 Status MemObjectStore::Truncate(ObjectId oid, std::uint64_t size) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = objects_.find(oid);
   if (it == objects_.end()) return NotFound("no such object");
-  it->second.data.resize(size, 0);
-  ++it->second.version;
+  Object& obj = it->second;
+  if (size < obj.size) {
+    const auto keep =
+        static_cast<std::size_t>((size + kExtentBytes - 1) / kExtentBytes);
+    ReleaseExtentsLocked(obj, keep);
+    // The cut extent's bytes past the new size leave its defined prefix, so
+    // a later grow reads zeros there.
+    if (keep > 0 && keep <= obj.extents.size()) {
+      ExtentSlot& cut = obj.extents[keep - 1];
+      cut.valid = std::min(
+          cut.valid, static_cast<std::size_t>(size - (keep - 1) * kExtentBytes));
+    }
+  }
+  obj.size = size;
+  ++obj.version;
   return OkStatus();
 }
 
@@ -97,7 +187,7 @@ Result<ObjAttr> MemObjectStore::GetAttr(ObjectId oid) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = objects_.find(oid);
   if (it == objects_.end()) return NotFound("no such object");
-  return ObjAttr{it->second.cid, it->second.data.size(), it->second.version};
+  return ObjAttr{it->second.cid, it->second.size, it->second.version};
 }
 
 Status MemObjectStore::SetVersion(ObjectId oid, std::uint64_t version) {
@@ -130,6 +220,11 @@ Result<std::vector<ObjectId>> MemObjectStore::ListAll() {
 std::uint64_t MemObjectStore::ObjectCount() {
   std::lock_guard<std::mutex> lock(mutex_);
   return objects_.size();
+}
+
+std::size_t MemObjectStore::FreeExtents() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return free_extents_.size();
 }
 
 }  // namespace lwfs::storage

@@ -6,7 +6,8 @@
 // "policy decisions vs. policy enforcement" separation of Figure 7.
 //
 // Three backends:
-//  * MemObjectStore    — flat buffers in memory (tests, benches).
+//  * MemObjectStore    — fixed-size extents in memory, recycled across
+//                        objects (tests, benches).
 //  * BlockObjectStore  — objects mapped onto a flat block device through
 //                        BlockAllocator; block-layout decisions live here,
 //                        exactly where §3.3 says an OBD makes them.
@@ -116,9 +117,23 @@ class ObjectStore {
   virtual std::uint64_t ObjectCount() = 0;
 };
 
-/// In-memory store: each object is a contiguous grow-on-write buffer.
+/// In-memory store: each object is a table of fixed-size extents, and a
+/// null extent is a hole that reads as zero.  Writing never moves bytes
+/// already stored (no regrow-and-copy) and never zero-fills a range it is
+/// about to overwrite.  Extents released by Remove/Truncate go to a bounded
+/// per-store free list, so steady-state writes (a checkpoint replacing the
+/// last one) land on pages that are already faulted in.
+///
+/// Each extent records the length of its defined prefix; bytes past it read
+/// as zero.  So a recycled extent never shows its previous owner's bytes, a
+/// shrinking Truncate only lowers the mark, and a small object touches only
+/// the pages it wrote.
 class MemObjectStore final : public ObjectStore {
  public:
+  static constexpr std::size_t kExtentBytes = 1u << 20;
+  /// Free-list bound: as much retired memory as the read pool keeps.
+  static constexpr std::size_t kMaxFreeExtents = (64u << 20) / kExtentBytes;
+
   MemObjectStore();
 
   Result<ObjectId> Create(ContainerId cid) override;
@@ -127,10 +142,10 @@ class MemObjectStore final : public ObjectStore {
   Status Write(ObjectId oid, std::uint64_t offset, ByteSpan data) override;
   Result<Buffer> Read(ObjectId oid, std::uint64_t offset,
                       std::uint64_t length) override;
-  /// Overrides the adopt-a-Read default: copies into a pooled block so
-  /// steady-state slice reads land on warm pages (see util/buffer_pool.h)
-  /// instead of paying a fresh multi-megabyte allocation per read.  Still
-  /// exactly one budgeted kStore copy.
+  /// Overrides the adopt-a-Read default: gathers the extents into a pooled
+  /// block so steady-state slice reads land on warm pages (see
+  /// util/buffer_pool.h) instead of paying a fresh multi-megabyte
+  /// allocation per read.  Still exactly one budgeted kStore copy.
   Result<util::SharedSlice> ReadSlice(ObjectId oid, std::uint64_t offset,
                                       std::uint64_t length) override;
   Status Truncate(ObjectId oid, std::uint64_t size) override;
@@ -140,16 +155,39 @@ class MemObjectStore final : public ObjectStore {
   Result<std::vector<ObjectId>> ListAll() override;
   std::uint64_t ObjectCount() override;
 
+  /// Extents on the free list — test/introspection hook.
+  [[nodiscard]] std::size_t FreeExtents();
+
  private:
+  using ExtentMem = std::unique_ptr<std::uint8_t[]>;
+
+  struct ExtentSlot {
+    ExtentMem mem;          // null: a hole
+    std::size_t valid = 0;  // bytes [0, valid) are defined; the rest read 0
+  };
+
   struct Object {
     ContainerId cid;
-    Buffer data;
+    std::uint64_t size = 0;
     std::uint64_t version = 0;
+    std::vector<ExtentSlot> extents;  // slot i: bytes [i, i+1) * kExtentBytes
   };
+
+  /// Views of [offset, offset + n) of `obj` (n within its size), in order;
+  /// holes and undefined extent tails view a shared zero extent.
+  static std::vector<ByteSpan> GatherLocked(const Object& obj,
+                                            std::uint64_t offset,
+                                            std::uint64_t n);
+  /// A fresh or recycled extent; its contents are unspecified.
+  ExtentMem TakeExtentLocked();
+  /// Drop `obj`'s extents from index `first` on, retiring them to the free
+  /// list until it is full and freeing the rest.
+  void ReleaseExtentsLocked(Object& obj, std::size_t first);
 
   std::mutex mutex_;
   std::uint64_t next_id_ = 1;
   std::unordered_map<ObjectId, Object> objects_;
+  std::vector<ExtentMem> free_extents_;  // at most kMaxFreeExtents
   std::shared_ptr<util::ReadBufferPool> read_pool_;
 };
 

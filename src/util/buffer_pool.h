@@ -14,9 +14,11 @@
 // itself alive until the last outstanding slice dies.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,16 +49,30 @@ class ReadBufferPool : public std::enable_shared_from_this<ReadBufferPool> {
   /// DRAM — the read path then touches each payload byte exactly once on
   /// the server.
   [[nodiscard]] SharedSlice CopyOut(ByteSpan src, CopyKind kind) {
+    return CopyOut(std::span<const ByteSpan>(&src, 1), kind);
+  }
+
+  /// Gather form: one slice holding the concatenation of `parts` (a store's
+  /// extents), filled by the same fused copy+CRC pass and charged as one
+  /// `kind` copy of the total.
+  [[nodiscard]] SharedSlice CopyOut(std::span<const ByteSpan> parts,
+                                    CopyKind kind) {
     (void)kind;
-    Block blk = Take(src.size());
+    std::size_t total = 0;
+    for (ByteSpan part : parts) total += part.size();
+    Block blk = Take(total);
+    std::uint8_t* dst = blk.mem.get();
     std::uint32_t crc = Crc32Init();
     constexpr std::size_t kFuseChunk = 128u << 10;  // well inside L2
-    for (std::size_t off = 0; off < src.size(); off += kFuseChunk) {
-      const std::size_t n = std::min(kFuseChunk, src.size() - off);
-      std::memcpy(blk.mem.get() + off, src.data() + off, n);
-      crc = Crc32Update(crc, blk.mem.get() + off, n);
+    for (ByteSpan part : parts) {
+      for (std::size_t off = 0; off < part.size(); off += kFuseChunk) {
+        const std::size_t n = std::min(kFuseChunk, part.size() - off);
+        std::memcpy(dst, part.data() + off, n);
+        crc = Crc32Update(crc, dst, n);
+        dst += n;
+      }
     }
-    LWFS_COUNT_COPY(kind, src.size());
+    LWFS_COUNT_COPY(kind, total);
     const std::uint8_t* data = blk.mem.get();
     auto carrier = std::make_shared<Block>(std::move(blk));
     std::shared_ptr<const void> owner(
@@ -64,8 +80,7 @@ class ReadBufferPool : public std::enable_shared_from_this<ReadBufferPool> {
         [self = shared_from_this(), carrier](const void*) {
           self->Put(std::move(*carrier));
         });
-    SharedSlice out =
-        SharedSlice::Wrap(ByteSpan(data, src.size()), std::move(owner));
+    SharedSlice out = SharedSlice::Wrap(ByteSpan(data, total), std::move(owner));
     out.SetCachedCrc(Crc32Final(crc));
     return out;
   }

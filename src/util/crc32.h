@@ -4,9 +4,10 @@
 // Every RPC frame and journal record carries a CRC so that corruption —
 // injected by the fault fabric or real in a deployment — surfaces as a
 // clean kDataLoss/retransmit instead of a garbage decode.  On x86-64 the
-// checksum uses the SSE4.2 crc32 instruction (runtime-detected), which
-// keeps the per-byte cost well under the memcpy the fabric already pays
-// per transfer; elsewhere a slicing-by-8 table fallback computes the same
+// checksum uses the SSE4.2 crc32 instruction (runtime-detected) on three
+// interleaved streams merged by table-driven shifts, which keeps the
+// per-byte cost well under the memcpy the fabric already pays per
+// transfer; elsewhere a slicing-by-8 table fallback computes the same
 // polynomial.  Checksums never leave the process (frames and journals are
 // written and read by this code), so the polynomial is an internal choice.
 #pragma once
@@ -70,31 +71,6 @@ inline std::uint32_t Crc32UpdateSw(std::uint32_t crc, const std::uint8_t* data,
   return crc;
 }
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define LWFS_CRC32_HW 1
-
-__attribute__((target("sse4.2"))) inline std::uint32_t Crc32UpdateHw(
-    std::uint32_t crc, const std::uint8_t* data, std::size_t size) {
-  std::uint64_t c = crc;
-  std::size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    std::uint64_t v;
-    std::memcpy(&v, data + i, 8);
-    c = __builtin_ia32_crc32di(c, v);
-  }
-  std::uint32_t c32 = static_cast<std::uint32_t>(c);
-  for (; i < size; ++i) {
-    c32 = __builtin_ia32_crc32qi(c32, data[i]);
-  }
-  return c32;
-}
-
-inline bool Crc32HwAvailable() {
-  static const bool ok = __builtin_cpu_supports("sse4.2");
-  return ok;
-}
-#endif  // __x86_64__ && __GNUC__
-
 /// Multiply a 32x32 GF(2) matrix (rows = images of basis vectors) by a
 /// column vector.
 inline std::uint32_t Gf2MatrixTimes(const std::uint32_t* mat,
@@ -137,6 +113,108 @@ inline const Crc32ZeroOps& Crc32Zero() {
   static const Crc32ZeroOps ops;
   return ops;
 }
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define LWFS_CRC32_HW 1
+
+/// The register advance past a fixed 2^k zero bytes, tabulated per input
+/// byte: the operator is linear, so it is the xor of its images of the
+/// register's four bytes — four lookups instead of a 32-row matrix walk.
+struct Crc32Shift {
+  std::uint32_t t[4][256];
+
+  explicit Crc32Shift(int log2_bytes) {
+    const std::uint32_t* op = Crc32Zero().op[log2_bytes];
+    for (std::uint32_t k = 0; k < 4; ++k) {
+      for (std::uint32_t b = 0; b < 256; ++b) {
+        t[k][b] = Gf2MatrixTimes(op, b << (8 * k));
+      }
+    }
+  }
+
+  [[nodiscard]] std::uint32_t operator()(std::uint64_t crc) const {
+    return t[0][crc & 0xFFu] ^ t[1][(crc >> 8) & 0xFFu] ^
+           t[2][(crc >> 16) & 0xFFu] ^ t[3][(crc >> 24) & 0xFFu];
+  }
+};
+
+// The 3-stream kernel's block sizes (powers of two, so their shifts are
+// Crc32ZeroOps entries): long blocks carry bulk payloads, short blocks
+// the sub-24 KiB remainder.
+inline constexpr int kCrc32LongLog2 = 13;   // 8 KiB
+inline constexpr int kCrc32ShortLog2 = 8;   // 256 B
+
+/// Shifts past one and two blocks of each size.
+struct Crc32StreamShifts {
+  Crc32Shift long1{kCrc32LongLog2};
+  Crc32Shift long2{kCrc32LongLog2 + 1};
+  Crc32Shift short1{kCrc32ShortLog2};
+  Crc32Shift short2{kCrc32ShortLog2 + 1};
+};
+
+inline const Crc32StreamShifts& Crc32Shifts() {
+  static const Crc32StreamShifts shifts;
+  return shifts;
+}
+
+/// Consume whole triples of adjacent `block`-byte runs A||B||C from `data`.
+/// crc32 has a 3-cycle latency but issues once per cycle, so one dependent
+/// chain leaves two thirds of the unit idle; here A continues the running
+/// register while B and C start from zero, all three interleaved.  By
+/// linearity, crc(A||B||C) = shift2(crc(A)) ^ shift1(crc0(B)) ^ crc0(C),
+/// where shiftN advances a register past N blocks of zero bytes.
+__attribute__((target("sse4.2"))) inline std::uint64_t Crc32ThreeStreams(
+    std::uint64_t c, const std::uint8_t*& data, std::size_t& size,
+    std::size_t block, const Crc32Shift& shift1, const Crc32Shift& shift2) {
+  while (size >= 3 * block) {
+    std::uint64_t c1 = 0;
+    std::uint64_t c2 = 0;
+    for (std::size_t i = 0; i < block; i += 8) {
+      std::uint64_t v0 = 0;
+      std::uint64_t v1 = 0;
+      std::uint64_t v2 = 0;
+      std::memcpy(&v0, data + i, 8);
+      std::memcpy(&v1, data + block + i, 8);
+      std::memcpy(&v2, data + 2 * block + i, 8);
+      c = __builtin_ia32_crc32di(c, v0);
+      c1 = __builtin_ia32_crc32di(c1, v1);
+      c2 = __builtin_ia32_crc32di(c2, v2);
+    }
+    c = shift2(c) ^ shift1(c1) ^ c2;
+    data += 3 * block;
+    size -= 3 * block;
+  }
+  return c;
+}
+
+__attribute__((target("sse4.2"))) inline std::uint32_t Crc32UpdateHw(
+    std::uint32_t crc, const std::uint8_t* data, std::size_t size) {
+  std::uint64_t c = crc;
+  if (size >= 3 * (std::size_t{1} << kCrc32ShortLog2)) {
+    const Crc32StreamShifts& s = Crc32Shifts();
+    c = Crc32ThreeStreams(c, data, size, std::size_t{1} << kCrc32LongLog2,
+                          s.long1, s.long2);
+    c = Crc32ThreeStreams(c, data, size, std::size_t{1} << kCrc32ShortLog2,
+                          s.short1, s.short2);
+  }
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    std::uint64_t v;
+    std::memcpy(&v, data + i, 8);
+    c = __builtin_ia32_crc32di(c, v);
+  }
+  std::uint32_t c32 = static_cast<std::uint32_t>(c);
+  for (; i < size; ++i) {
+    c32 = __builtin_ia32_crc32qi(c32, data[i]);
+  }
+  return c32;
+}
+
+inline bool Crc32HwAvailable() {
+  static const bool ok = __builtin_cpu_supports("sse4.2");
+  return ok;
+}
+#endif  // __x86_64__ && __GNUC__
 
 }  // namespace detail
 

@@ -19,9 +19,10 @@ std::vector<Buffer> MakeStates(std::uint32_t nranks, std::size_t bytes) {
 
 class LwfsCheckpointTest : public ::testing::Test {
  protected:
-  void Start(int servers = 4) {
+  void Start(int servers = 4, std::uint32_t replication_factor = 1) {
     core::RuntimeOptions options;
     options.storage_servers = servers;
+    options.replication.replication_factor = replication_factor;
     auto rt = core::ServiceRuntime::Start(options);
     ASSERT_TRUE(rt.ok());
     runtime_ = std::move(*rt);
@@ -106,6 +107,25 @@ TEST_F(LwfsCheckpointTest, FailedCheckpointLeavesNoName) {
   auto client = runtime_->MakeClient();
   EXPECT_EQ(client->LookupName("/missing-dir/run").status().code(),
             ErrorCode::kNotFound);
+}
+
+// Regression: with chunk_bytes unset, a replicated rank went out as one
+// chain write, and every hop reserved staging for the whole payload while
+// it waited downstream; past the staging pool each checkpoint sat out a
+// 30 s timeout.  Replicated streams now chain-write 1 MiB at a time.
+TEST_F(LwfsCheckpointTest, ReplicatedLargeRanksDoNotStall) {
+  Start(4, /*replication_factor=*/3);
+  config_.replication_factor = 3;
+  auto states = MakeStates(4, 16u << 20);
+  auto stats = LwfsCheckpoint::Run(*runtime_, config_, states);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_LT(stats->seconds, 5.0);
+  auto restored = LwfsCheckpoint::Restore(*runtime_, config_.cap, config_.path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(restored->size(), states.size());
+  for (std::size_t r = 0; r < states.size(); ++r) {
+    EXPECT_TRUE((*restored)[r] == states[r]) << "rank " << r;
+  }
 }
 
 TEST_F(LwfsCheckpointTest, CheckpointWithReadOnlyCapFails) {

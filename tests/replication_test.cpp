@@ -340,6 +340,44 @@ TEST_F(ReplicationTest, DeadMiddleHopIsSkippedNotSevered) {
   EXPECT_EQ(audit->stale_members, 1u);
 }
 
+// A chain hop forwards the CRC it verified instead of re-streaming the
+// chunk, and the next hop still checks the bytes it pulls against it:
+// corruption on the head -> middle link is rejected at the middle, whose
+// store never sees the bad bytes, and a clean retry lands everywhere.
+TEST_F(ReplicationTest, ForwardedCrcStillRejectsCorruptionOnTheNextHop) {
+  StartRuntime(/*servers=*/4, /*factor=*/3);
+  auto chain = client_->CreateReplicatedObject(cap_, 0, 3);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  const auto head = static_cast<int>(chain->servers[0]);
+  const auto middle = static_cast<int>(chain->servers[1]);
+  const auto tail = static_cast<int>(chain->servers[2]);
+  const core::Deployment& d = runtime_->deployment();
+  auto& injector = runtime_->fabric().injector();
+  // The middle pulls the chunk from the head; everything on that link
+  // arrives with a flipped byte.
+  const portals::Nid from = d.storage[static_cast<std::size_t>(middle)];
+  const portals::Nid to = d.storage[static_cast<std::size_t>(head)];
+  injector.SetLink(from, to, portals::FaultSpec{.corrupt = 1.0});
+
+  const Buffer data = PatternBuffer(256 << 10, 91);
+  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  EXPECT_GT(injector.LinkCounters(from, to).corruptions, 0u);
+  EXPECT_GT(runtime_->storage_server(middle).replica_rpc_stats().bulk_crc_failures,
+            0u);
+  auto untouched = runtime_->store(middle).GetAttr(chain->oid);
+  ASSERT_TRUE(untouched.ok());
+  EXPECT_EQ(untouched->size, 0u) << "corrupt bytes reached the middle's store";
+  for (int s : {head, tail}) {
+    auto held = runtime_->store(s).Read(chain->oid, 0, data.size());
+    ASSERT_TRUE(held.ok()) << "server " << s;
+    EXPECT_TRUE(*held == data) << "server " << s;
+  }
+
+  injector.ClearFaults();
+  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  ExpectAllMembersHold(*chain, data);
+}
+
 // ---------------------------------------------------------------------------
 // Hedged / failover reads
 // ---------------------------------------------------------------------------

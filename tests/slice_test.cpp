@@ -3,6 +3,7 @@
 // drop parents before touching children — ASan runs catch any slice that
 // fails to keep its bytes alive, and the concurrent test gives TSan real
 // cross-thread refcount traffic.
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -155,18 +156,44 @@ TEST(Crc32, MatchesKnownCastagnoliVector) {
 }
 
 #ifdef LWFS_CRC32_HW
+// The 3-stream kernel against the slicing-by-8 table at every length through
+// three long blocks plus a short-block tail, from every start alignment, and
+// at 1 MiB.  The table's CRC of each prefix extends the previous one by a
+// byte, so the sweep is linear in the reference.
 TEST(Crc32, HardwareAndTableFallbackAgree) {
   if (!lwfs::detail::Crc32HwAvailable()) GTEST_SKIP() << "no SSE4.2";
-  for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 63u, 4097u, 65536u}) {
-    Buffer b = MakeBytes(n, static_cast<std::uint8_t>(n * 31 + 5));
-    const std::uint32_t sw = lwfs::Crc32Final(
-        lwfs::detail::Crc32UpdateSw(lwfs::Crc32Init(), b.data(), n));
-    const std::uint32_t hw = lwfs::Crc32Final(
-        lwfs::detail::Crc32UpdateHw(lwfs::Crc32Init(), b.data(), n));
-    EXPECT_EQ(sw, hw) << "size " << n;
+  constexpr std::size_t kMaxLen = 3 * 8192 + 1024;
+  const Buffer b = PatternBuffer((1u << 20) + 8, 13);
+  for (std::size_t start = 0; start < 8; ++start) {
+    const std::uint8_t* p = b.data() + start;
+    std::uint32_t sw = lwfs::Crc32Init();
+    for (std::size_t n = 0; n <= kMaxLen; ++n) {
+      ASSERT_EQ(lwfs::detail::Crc32UpdateHw(lwfs::Crc32Init(), p, n), sw)
+          << "start " << start << " length " << n;
+      sw = lwfs::detail::Crc32UpdateSw(sw, p + n, 1);
+    }
+    EXPECT_EQ(lwfs::detail::Crc32UpdateHw(lwfs::Crc32Init(), p, 1u << 20),
+              lwfs::detail::Crc32UpdateSw(lwfs::Crc32Init(), p, 1u << 20))
+        << "start " << start << " length 1 MiB";
   }
 }
 #endif
+
+// Streaming a buffer in pieces gives the one-shot CRC whatever the split;
+// the piece sizes cross different mixes of long-block, short-block and
+// tail paths.
+TEST(Crc32, ChainedUpdatesMatchOneShotAtArbitrarySplits) {
+  const Buffer b = PatternBuffer(200000, 21);
+  const std::uint32_t whole = lwfs::Crc32(ByteSpan(b));
+  for (std::size_t step : {1u, 255u, 769u, 8191u, 24577u, 65536u, 100003u}) {
+    std::uint32_t crc = lwfs::Crc32Init();
+    for (std::size_t off = 0; off < b.size(); off += step) {
+      crc = lwfs::Crc32Update(crc, b.data() + off,
+                              std::min(step, b.size() - off));
+    }
+    EXPECT_EQ(lwfs::Crc32Final(crc), whole) << "step " << step;
+  }
+}
 
 TEST(Crc32, CombineMatchesDirectConcatenation) {
   Buffer all = MakeBytes(50000, 9);
@@ -342,6 +369,28 @@ TEST(ReadBufferPool, RetainedBytesRespectTheBound) {
   b = SharedSlice();
   // Only one block fits under the bound; the second release frees.
   EXPECT_EQ(pool->retained_bytes(), 4096u);
+}
+
+TEST(ReadBufferPool, GatherCopyOutIsOneCopyWithOneCrc) {
+  auto pool = ReadBufferPool::Create();
+  const Buffer a = MakeBytes(1000, 1);
+  const Buffer b = PatternBuffer(300000, 2);  // spans several fused chunks
+  const Buffer c = MakeBytes(7, 3);
+  const ByteSpan parts[] = {ByteSpan(a), ByteSpan(b), ByteSpan(c)};
+  const CopySnapshot before = CopyStats::Snapshot();
+  SharedSlice s = pool->CopyOut(parts, CopyKind::kStore);
+  const CopySnapshot delta = CopyStats::Snapshot().Since(before);
+  Buffer flat = a;
+  flat.insert(flat.end(), b.begin(), b.end());
+  flat.insert(flat.end(), c.begin(), c.end());
+  ASSERT_EQ(s.size(), flat.size());
+  EXPECT_TRUE(std::equal(flat.begin(), flat.end(), s.span().begin()));
+  ASSERT_TRUE(s.has_cached_crc());
+  EXPECT_EQ(s.cached_crc(), lwfs::Crc32(ByteSpan(flat)));
+  if (CopyStats::Enabled()) {
+    EXPECT_EQ(delta.copies_of(CopyKind::kStore), 1u);
+    EXPECT_EQ(delta.bytes_of(CopyKind::kStore), flat.size());
+  }
 }
 
 TEST(ReadBufferPool, CrossThreadReleaseReturnsTheBlock) {

@@ -2,12 +2,17 @@
 // through the common ObjectStore interface (parameterized).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "storage/block_allocator.h"
 #include "storage/object_store.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace lwfs::storage {
@@ -376,6 +381,200 @@ TEST(BlockObjectStoreTest, RemoveReleasesBlocksForReuse) {
   auto back = store.Read(*b, 0, 512);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ((*back)[0], 1);
+}
+
+// ---- MemObjectStore extents ------------------------------------------------------
+
+constexpr std::uint64_t kExtent = MemObjectStore::kExtentBytes;
+
+template <typename B>
+auto At(B& bytes, std::uint64_t i) {
+  return bytes.begin() + static_cast<std::ptrdiff_t>(i);
+}
+
+// [offset, offset + n) through Read and through ReadSlice: both must return
+// the same bytes, and the slice's cached CRC must be the CRC of its bytes.
+Buffer ReadBoth(MemObjectStore& store, ObjectId oid, std::uint64_t offset,
+                std::uint64_t n) {
+  auto buf = store.Read(oid, offset, n);
+  auto slice = store.ReadSlice(oid, offset, n);
+  if (!buf.ok() || !slice.ok()) {
+    ADD_FAILURE() << "read failed";
+    return {};
+  }
+  EXPECT_TRUE(std::equal(buf->begin(), buf->end(), slice->span().begin(),
+                         slice->span().end()));
+  if (!slice->empty()) {
+    EXPECT_TRUE(slice->has_cached_crc());
+    EXPECT_EQ(slice->cached_crc(), Crc32(slice->span()));
+  }
+  return std::move(*buf);
+}
+
+TEST(MemObjectStoreTest, HolesReadAsZeros) {
+  MemObjectStore store;
+  auto oid = store.Create(ContainerId{1});
+  ASSERT_TRUE(oid.ok());
+  const Buffer a = PatternBuffer(100, 1);
+  const Buffer b = PatternBuffer(100, 2);
+  ASSERT_TRUE(store.Write(*oid, 10, ByteSpan(a)).ok());
+  ASSERT_TRUE(store.Write(*oid, 3 * kExtent + 5, ByteSpan(b)).ok());
+  // Extents 1 and 2 were never written.
+  Buffer expect(3 * kExtent + 105, 0);
+  std::copy(a.begin(), a.end(), At(expect, 10));
+  std::copy(b.begin(), b.end(), At(expect, 3 * kExtent + 5));
+  EXPECT_TRUE(ReadBoth(store, *oid, 0, expect.size()) == expect);
+  EXPECT_TRUE(ReadBoth(store, *oid, kExtent + 17, kExtent) ==
+              Buffer(kExtent, 0));
+}
+
+TEST(MemObjectStoreTest, WritesStraddleExtentBoundaries) {
+  MemObjectStore store;
+  auto oid = store.Create(ContainerId{1});
+  ASSERT_TRUE(oid.ok());
+  // 2.5 extents from just short of the first boundary, then an overwrite
+  // across the second.
+  const Buffer big = PatternBuffer(5 * kExtent / 2, 3);
+  const Buffer patch = PatternBuffer(4096, 4);
+  ASSERT_TRUE(store.Write(*oid, kExtent - 1000, ByteSpan(big)).ok());
+  ASSERT_TRUE(store.Write(*oid, 2 * kExtent - 2048, ByteSpan(patch)).ok());
+  Buffer expect(kExtent - 1000 + big.size(), 0);
+  std::copy(big.begin(), big.end(), At(expect, kExtent - 1000));
+  std::copy(patch.begin(), patch.end(), At(expect, 2 * kExtent - 2048));
+  auto attr = store.GetAttr(*oid);
+  ASSERT_TRUE(attr.ok());
+  EXPECT_EQ(attr->size, expect.size());
+  EXPECT_TRUE(ReadBoth(store, *oid, 0, expect.size()) == expect);
+  // A read that starts and ends mid-extent.
+  EXPECT_TRUE(ReadBoth(store, *oid, kExtent - 7, kExtent + 14) ==
+              Buffer(At(expect, kExtent - 7), At(expect, 2 * kExtent + 7)));
+}
+
+TEST(MemObjectStoreTest, WriteFarBeyondEofLeavesAHole) {
+  MemObjectStore store;
+  auto oid = store.Create(ContainerId{1});
+  ASSERT_TRUE(oid.ok());
+  ASSERT_TRUE(store.Write(*oid, 0, ByteSpan(Buffer(64, 0x11))).ok());
+  const std::uint64_t far = 12 * kExtent + 123;
+  ASSERT_TRUE(store.Write(*oid, far, ByteSpan(Buffer(64, 0x22))).ok());
+  auto attr = store.GetAttr(*oid);
+  ASSERT_TRUE(attr.ok());
+  EXPECT_EQ(attr->size, far + 64);
+  EXPECT_TRUE(ReadBoth(store, *oid, 64, far - 64) == Buffer(far - 64, 0));
+  EXPECT_EQ(ReadBoth(store, *oid, far, 64), Buffer(64, 0x22));
+  // Only the two written extents were ever allocated.
+  ASSERT_TRUE(store.Remove(*oid).ok());
+  EXPECT_EQ(store.FreeExtents(), 2u);
+}
+
+TEST(MemObjectStoreTest, TruncateShrinkThenGrowReadsZeros) {
+  MemObjectStore store;
+  auto oid = store.Create(ContainerId{1});
+  ASSERT_TRUE(oid.ok());
+  const Buffer data = PatternBuffer(3 * kExtent, 5);
+  ASSERT_TRUE(store.Write(*oid, 0, ByteSpan(data)).ok());
+  const std::uint64_t cut = kExtent + 123;
+  ASSERT_TRUE(store.Truncate(*oid, cut).ok());
+  EXPECT_EQ(store.FreeExtents(), 1u);  // extent 2 retired, extent 1 cut
+  ASSERT_TRUE(store.Truncate(*oid, 3 * kExtent).ok());
+  Buffer expect(3 * kExtent, 0);
+  std::copy(data.begin(), At(data, cut), expect.begin());
+  EXPECT_TRUE(ReadBoth(store, *oid, 0, expect.size()) == expect);
+  // A write past the cut, inside the cut extent, leaves the gap zero.
+  ASSERT_TRUE(store.Write(*oid, cut + 1000, ByteSpan(Buffer(10, 0x33))).ok());
+  std::fill_n(At(expect, cut + 1000), 10, 0x33);
+  EXPECT_TRUE(ReadBoth(store, *oid, 0, expect.size()) == expect);
+}
+
+TEST(MemObjectStoreTest, RecycledExtentNeverLeaksPreviousBytes) {
+  MemObjectStore store;
+  auto first = store.Create(ContainerId{1});
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(store.Write(*first, 0, ByteSpan(Buffer(2 * kExtent, 0xEE))).ok());
+  ASSERT_TRUE(store.Remove(*first).ok());
+  ASSERT_EQ(store.FreeExtents(), 2u);
+
+  auto second = store.Create(ContainerId{1});
+  ASSERT_TRUE(second.ok());
+  // Partial writes into both recycled extents, with gaps on either side.
+  ASSERT_TRUE(store.Write(*second, 5000, ByteSpan(Buffer(100, 0x01))).ok());
+  ASSERT_TRUE(
+      store.Write(*second, kExtent + 7000, ByteSpan(Buffer(100, 0x02))).ok());
+  EXPECT_EQ(store.FreeExtents(), 0u);  // both came off the free list
+  ASSERT_TRUE(store.Truncate(*second, 2 * kExtent).ok());
+  Buffer expect(2 * kExtent, 0);
+  std::fill_n(At(expect, 5000), 100, 0x01);
+  std::fill_n(At(expect, kExtent + 7000), 100, 0x02);
+  EXPECT_TRUE(ReadBoth(store, *second, 0, expect.size()) == expect);
+}
+
+TEST(MemObjectStoreTest, FreeListIsBounded) {
+  MemObjectStore store;
+  auto oid = store.Create(ContainerId{1});
+  ASSERT_TRUE(oid.ok());
+  // One byte per extent allocates it while touching a single page.
+  for (std::uint64_t i = 0; i < MemObjectStore::kMaxFreeExtents + 3; ++i) {
+    ASSERT_TRUE(store.Write(*oid, i * kExtent, ByteSpan(Buffer{7})).ok());
+  }
+  ASSERT_TRUE(store.Remove(*oid).ok());
+  EXPECT_EQ(store.FreeExtents(), MemObjectStore::kMaxFreeExtents);
+}
+
+TEST(MemObjectStoreTest, GatheredReadSliceCarriesTheCrcOfItsBytes) {
+  MemObjectStore store;
+  auto oid = store.Create(ContainerId{1});
+  ASSERT_TRUE(oid.ok());
+  ASSERT_TRUE(
+      store.Write(*oid, kExtent / 2, ByteSpan(PatternBuffer(kExtent, 6))).ok());
+  ASSERT_TRUE(
+      store.Write(*oid, 3 * kExtent, ByteSpan(PatternBuffer(kExtent / 4, 7)))
+          .ok());
+  // One gather over written bytes, an undefined extent tail, a hole and a
+  // second written extent.
+  auto slice = store.ReadSlice(*oid, 1000, 3 * kExtent);
+  ASSERT_TRUE(slice.ok());
+  ASSERT_EQ(slice->size(), 3 * kExtent);
+  ASSERT_TRUE(slice->has_cached_crc());
+  EXPECT_EQ(slice->cached_crc(), Crc32(slice->span()));
+}
+
+// Readers gather across extents while another thread churns objects through
+// the free list; under TSan this checks that the store mutex guards both.
+TEST(MemObjectStoreTest, ConcurrentGathersAndRecyclingAreRaceFree) {
+  MemObjectStore store;
+  auto oid = store.Create(ContainerId{1});
+  ASSERT_TRUE(oid.ok());
+  const Buffer data = PatternBuffer(3 * kExtent, 8);
+  ASSERT_TRUE(store.Write(*oid, 0, ByteSpan(data)).ok());
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 10; ++i) {
+        const auto offset =
+            static_cast<std::uint64_t>(t * 7919 + i * 65537) % kExtent;
+        auto slice = store.ReadSlice(*oid, offset, 2 * kExtent);
+        if (!slice.ok() || slice->size() != 2 * kExtent ||
+            !std::equal(slice->span().begin(), slice->span().end(),
+                        At(data, offset)) ||
+            slice->cached_crc() != Crc32(slice->span())) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    const Buffer fill(2 * kExtent + 100, 0x5A);
+    for (int i = 0; i < 10; ++i) {
+      auto other = store.Create(ContainerId{2});
+      if (!other.ok() || !store.Write(*other, 0, ByteSpan(fill)).ok() ||
+          !store.Remove(*other).ok()) {
+        failures.fetch_add(1);
+      }
+    }
+  });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(FileObjectStoreTest, PersistsAcrossReopen) {
