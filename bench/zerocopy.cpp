@@ -1,18 +1,20 @@
-// Zero-copy data path A/B: ref-counted slice writes (client registers an
-// owned slice, server pulls sub-slices and hands them to the store) against
-// the legacy staged path (server pulls every chunk into a staging buffer
-// before the store copy).  Same deployment, same flow control — the only
-// difference is StorageServerOptions::zero_copy plus which client write
-// API the workload uses.
+// Zero-copy data path A/B: the slice API against the span API, over the
+// storage server's one data path.  A slice write registers an owned slice
+// the server pulls by reference and hands to the store; a span write
+// registers raw caller memory, so the fabric stages the bytes once on the
+// pull.  A slice read returns the store-owned reply slice; a span read is
+// the same slice read plus one copy into the caller's span.  Same
+// deployment, same server path — the only difference is which client API
+// the workload uses.
 //
-// Reports, per payload size: bytes-copied-per-byte-written (the CopyStats
-// budget: staging + store copies), per-kind copy bytes, and end-to-end
-// write/read throughput.  Emits BENCH_zerocopy.json.
+// Reports, per payload size: bytes-copied-per-byte (the CopyStats budget:
+// staging + store copies) in each direction, per-kind copy bytes, and
+// end-to-end write/read throughput.  Emits BENCH_zerocopy.json.
 //
 // `--smoke` shrinks the workload to sanitizer-CI scale and doubles as the
-// bench-regression gate: the process exits nonzero if the zero-copy write
-// path's copies-per-byte exceeds kWriteCopyBudget (a copy snuck back into
-// the data path) or if the legacy path stops costing measurably more.
+// bench-regression gate: the process exits nonzero if a slice path's
+// copies-per-byte exceeds its budget (a copy snuck back into the data
+// path) or if the span path stops costing measurably more.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -28,8 +30,8 @@ namespace {
 
 using namespace lwfs;
 
-// The zero-copy write path performs exactly one budgeted copy per byte
-// (the store-medium copy); allow headroom for control-plane writes.
+// The slice write path performs exactly one budgeted copy per byte (the
+// store-medium copy); allow headroom for control-plane writes.
 constexpr double kWriteCopyBudget = 1.25;
 // Same bound on the read side: the slice read's only budgeted copy is the
 // medium-store one; the reply frame hands the same bytes to the client.
@@ -39,7 +41,7 @@ struct SizeResult {
   std::size_t payload_bytes = 0;
   int iters = 0;
   // Per mode: copies-per-byte on each path, throughputs, copy bytes.
-  double write_cpb[2] = {0, 0};    // [0]=legacy, [1]=zerocopy
+  double write_cpb[2] = {0, 0};    // [0]=span, [1]=slice
   double read_cpb[2] = {0, 0};
   double write_mb_s[2] = {0, 0};
   double read_mb_s[2] = {0, 0};
@@ -51,9 +53,9 @@ struct SizeResult {
 
 struct ModeSetup {
   const char* name;
-  bool zero_copy;
+  bool slice_api;
 };
-constexpr ModeSetup kModes[2] = {{"legacy", false}, {"zerocopy", true}};
+constexpr ModeSetup kModes[2] = {{"span", false}, {"slice", true}};
 
 Result<SizeResult> RunSize(std::size_t payload_bytes, int iters) {
   SizeResult r;
@@ -63,7 +65,6 @@ Result<SizeResult> RunSize(std::size_t payload_bytes, int iters) {
   for (int mode = 0; mode < 2; ++mode) {
     core::RuntimeOptions options;
     options.storage_servers = 1;
-    options.storage.zero_copy = kModes[mode].zero_copy;
     auto runtime = core::ServiceRuntime::Start(options);
     if (!runtime.ok()) return runtime.status();
     (*runtime)->AddUser("bench", "pw", 1);
@@ -87,7 +88,7 @@ Result<SizeResult> RunSize(std::size_t payload_bytes, int iters) {
     const auto w0 = wall.Now();
     for (int i = 0; i < iters; ++i) {
       Status written =
-          kModes[mode].zero_copy
+          kModes[mode].slice_api
               ? client->WriteObjectSlice(0, *cap, *oid, 0, slice)
               : client->WriteObject(0, *cap, *oid, 0, ByteSpan(pattern));
       if (!written.ok()) return written;
@@ -102,17 +103,16 @@ Result<SizeResult> RunSize(std::size_t payload_bytes, int iters) {
     r.stage_bytes[mode] = wd.bytes_of(util::CopyKind::kStage);
     r.store_bytes[mode] = wd.bytes_of(util::CopyKind::kStore);
 
-    // Read phase A/B: the legacy mode reads through the span API (the
-    // server stages the payload before pushing it), the zero-copy mode
-    // through the slice API (the reply frame carries the store's own
-    // slice end to end).
+    // Read phase A/B: both modes issue the same slice read; the span mode
+    // then copies the reply slice into its buffer, while the slice mode
+    // keeps the store's own slice end to end.
     Buffer out(payload_bytes);
     // Untimed warmup (identical for both modes): lets the reply cache and
     // the store's recycled read buffers reach steady state, so the timed
     // loop measures the data path, not allocator cold-start.
     const int warmup = std::min(iters / 4, 48);
     for (int i = 0; i < warmup; ++i) {
-      if (kModes[mode].zero_copy) {
+      if (kModes[mode].slice_api) {
         auto got = client->ReadObjectSlice(0, *cap, *oid, 0, payload_bytes);
         if (!got.ok()) return got.status();
       } else {
@@ -123,7 +123,7 @@ Result<SizeResult> RunSize(std::size_t payload_bytes, int iters) {
     const util::CopySnapshot rbefore = util::CopyStats::Snapshot();
     const auto r0 = wall.Now();
     for (int i = 0; i < iters; ++i) {
-      if (kModes[mode].zero_copy) {
+      if (kModes[mode].slice_api) {
         auto got = client->ReadObjectSlice(0, *cap, *oid, 0, payload_bytes);
         if (!got.ok()) return got.status();
         if (got->size() != payload_bytes) return Internal("short read in bench");
@@ -145,7 +145,7 @@ Result<SizeResult> RunSize(std::size_t payload_bytes, int iters) {
     r.read_mb_s[mode] = total / 1e6 / read_s;
     r.read_stage_bytes[mode] = rd.bytes_of(util::CopyKind::kStage);
     r.read_store_bytes[mode] = rd.bytes_of(util::CopyKind::kStore);
-    if (!kModes[mode].zero_copy && out != pattern) {
+    if (!kModes[mode].slice_api && out != pattern) {
       return DataLoss("bench read back wrong bytes");
     }
   }
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "Zero-copy data path: staged (legacy) vs ref-counted slices");
+      "Zero-copy data path: span API vs slice API, one server path");
   std::printf("%10s %10s | %-8s %11s %11s %11s %11s\n", "payload", "iters",
               "mode", "w copies/B", "write MB/s", "r copies/B", "read MB/s");
 
@@ -252,15 +252,15 @@ int main(int argc, char** argv) {
   }
   DumpJson(results, smoke);
 
-  // Regression gate (CI runs `zerocopy --smoke`): the zero-copy write path
-  // must stay within the copy budget, and the legacy path must still cost
-  // more copies than the zero-copy path (i.e. the knob still does
-  // something).  Only meaningful when the build counts copies.
+  // Regression gate (CI runs `zerocopy --smoke`): the slice paths must stay
+  // within the copy budget, and the span paths must still cost more copies
+  // than the slice paths (i.e. the slice API still saves its copy).  Only
+  // meaningful when the build counts copies.
   if (util::CopyStats::Enabled()) {
     for (const SizeResult& r : results) {
       if (r.write_cpb[1] > kWriteCopyBudget) {
         std::fprintf(stderr,
-                     "FAIL: zero-copy write path copies %.3f bytes per byte "
+                     "FAIL: slice write path copies %.3f bytes per byte "
                      "written at %zu B payloads (budget %.2f) — an extra "
                      "copy crept into the data path\n",
                      r.write_cpb[1], r.payload_bytes, kWriteCopyBudget);
@@ -268,9 +268,9 @@ int main(int argc, char** argv) {
       }
       if (r.write_cpb[0] <= r.write_cpb[1]) {
         std::fprintf(stderr,
-                     "FAIL: legacy path (%.3f copies/B) no longer costs more "
-                     "than zero-copy (%.3f copies/B) at %zu B — the A/B knob "
-                     "is broken\n",
+                     "FAIL: span write path (%.3f copies/B) no longer costs "
+                     "more than the slice write (%.3f copies/B) at %zu B — "
+                     "the A/B is broken\n",
                      r.write_cpb[0], r.write_cpb[1], r.payload_bytes);
         return 1;
       }
@@ -284,15 +284,15 @@ int main(int argc, char** argv) {
       }
       if (r.read_cpb[0] <= r.read_cpb[1]) {
         std::fprintf(stderr,
-                     "FAIL: staged read path (%.3f copies/B) no longer costs "
+                     "FAIL: span read path (%.3f copies/B) no longer costs "
                      "more than the slice read (%.3f copies/B) at %zu B — "
-                     "the A/B knob is broken\n",
+                     "the A/B is broken\n",
                      r.read_cpb[0], r.read_cpb[1], r.payload_bytes);
         return 1;
       }
     }
     std::printf(
-        "copy budget check: zero-copy write within %.2f and slice read "
+        "copy budget check: slice write within %.2f and slice read "
         "within %.2f copies/byte\n",
         kWriteCopyBudget, kReadCopyBudget);
   }

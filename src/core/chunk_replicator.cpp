@@ -84,8 +84,6 @@ void ChunkReplicator::ScanRegistry(naming::ReplicaMap* registry,
     for (const wire::ReplicaProbe& p : rep->probes) probed[s][p.oid] = p;
   }
 
-  Buffer chunk(std::max<std::size_t>(options_.repair_chunk_bytes, 1), 0);
-
   for (const auto& entry : snapshot) {
     auto probe_of = [&](std::uint32_t m) -> const wire::ReplicaProbe* {
       if (m >= probed.size()) return nullptr;
@@ -128,7 +126,7 @@ void ChunkReplicator::ScanRegistry(naming::ReplicaMap* registry,
         continue;
       }
       Status repaired = RepairMember(entry.oid, entry.cid, m, source,
-                                     source_size, source_version, chunk, &sum);
+                                     source_size, source_version, &sum);
       if (repaired.ok()) {
         ++sum.repaired;
         (void)registry->MarkRepaired(entry.oid, m, source_version);
@@ -144,31 +142,39 @@ Status ChunkReplicator::RepairMember(storage::ObjectId oid,
                                      std::uint32_t member, std::uint32_t source,
                                      std::uint64_t source_size,
                                      std::uint64_t source_version,
-                                     Buffer& chunk, RepairScanSummary* sum) {
+                                     RepairScanSummary* sum) {
   rpc::CallOptions control;
   control.request_portal = rpc::kControlPortal;
   util::Clock* clock = rpc_.clock();
+  const std::uint64_t chunk_bytes =
+      std::max<std::size_t>(options_.repair_chunk_bytes, 1);
   std::uint64_t offset = 0;
   std::uint64_t size = source_size;
   std::uint64_t version = source_version;
   do {
-    const std::uint64_t want =
-        std::min<std::uint64_t>(chunk.size(), size - offset);
-    std::uint64_t moved = 0;
+    const std::uint64_t want = std::min<std::uint64_t>(chunk_bytes,
+                                                       size - offset);
+    util::SharedSlice bytes;
     if (want > 0) {
-      rpc::CallOptions read = control;
-      read.bulk_in = MutableByteSpan(chunk.data(), want);
-      auto rrep = rpc::CallTyped<wire::RepairReadRep>(
+      auto read = rpc::CallTypedAsync(
           rpc_, storage_nids_[source], kOpRepairRead,
-          wire::RepairReadReq{oid.value, offset, want}, read);
+          wire::RepairReadReq{oid.value, offset, want}, control);
+      if (!read.ok()) return read.status();
+      auto rrep = rpc::ResolveTyped<wire::RepairReadRep>(read->Await());
       if (!rrep.ok()) return rrep.status();
-      moved = rrep->moved;
+      bytes = read->ReplyBulk();
+      if (bytes.size() != rrep->moved) {
+        return DataLoss("repair read bulk does not match reported byte count");
+      }
       version = std::max(version, rrep->version);
       size = std::max(size, rrep->size);
     }
+    const std::uint64_t moved = bytes.size();
     const bool last = offset + moved >= size;
+    // The survivor's reply slice is the repair write's payload: the member
+    // pulls the very bytes that arrived, with no copy here.
     rpc::CallOptions write = control;
-    write.bulk_out = ByteSpan(chunk.data(), moved);
+    write.bulk_out_slice = std::move(bytes);
     auto wrep = rpc::CallTyped<wire::RepairWriteRep>(
         rpc_, storage_nids_[member], kOpRepairWrite,
         wire::RepairWriteReq{oid.value, cid.value, offset,

@@ -16,8 +16,10 @@
 //   3. re-replicates every reachable member that is missing the object or
 //      behind the target, chunk by chunk, from a member that holds the
 //      target version (RepairRead from the survivor, RepairWrite to the
-//      stale member; the final chunk carries the source's version so the
-//      rebuilt member's version catches up — see wire::RepairWriteReq);
+//      stale member — the survivor's reply slice is forwarded as the write
+//      payload, so the replicator copies nothing; the final chunk carries
+//      the source's version so the rebuilt member's version catches up —
+//      see wire::RepairWriteReq);
 //   4. clears the registry's stale marks for every member it verified or
 //      repaired.
 //
@@ -85,7 +87,7 @@ class ChunkReplicator {
   Status RepairMember(storage::ObjectId oid, storage::ContainerId cid,
                       std::uint32_t member, std::uint32_t source,
                       std::uint64_t source_size, std::uint64_t source_version,
-                      Buffer& chunk, RepairScanSummary* sum);
+                      RepairScanSummary* sum);
 
   std::vector<naming::ReplicaMap*> registries_;
   std::vector<portals::Nid> storage_nids_;

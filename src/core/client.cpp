@@ -27,43 +27,25 @@ bool FailoverWorthy(const Status& status) {
   }
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// PendingIo / PendingCreate / Batch
-// ---------------------------------------------------------------------------
-
-Result<std::uint64_t> PendingIo::Resolve(Result<Buffer> reply,
-                                         bool decode_reply,
-                                         std::uint64_t nominal) {
-  if (!decode_reply) {
-    if (!reply.ok()) return reply.status();
-    return nominal;
+/// Registers `data` for the server's pull: an owned slice by reference (no
+/// staging anywhere), a borrowed (External) one as a raw span — the portals
+/// layer only exposes owned slices by reference, so the fabric stages
+/// those bytes once.
+void SetBulkOut(rpc::CallOptions& options, const util::SharedSlice& data) {
+  if (data.owned()) {
+    options.bulk_out_slice = data;
+  } else {
+    options.bulk_out = data.span();
   }
+}
+
+/// A read reply's bytes: the count comes from the body, the bytes from the
+/// bulk that rode the reply frame.
+Result<util::SharedSlice> ResolveSliceRead(const rpc::CallHandle& handle,
+                                           Result<Buffer> reply) {
   auto moved = rpc::ResolveTyped<wire::IoMovedRep>(std::move(reply));
   if (!moved.ok()) return moved.status();
-  return moved->moved;
-}
-
-Result<std::uint64_t> PendingIo::Await() {
-  if (!handle_.valid()) {
-    return FailedPrecondition("awaiting an empty io handle");
-  }
-  return Resolve(handle_.Await(), decode_reply_, nominal_);
-}
-
-bool PendingIo::TryAwait(Result<std::uint64_t>* out) {
-  if (!handle_.valid()) return false;
-  Result<Buffer> reply = Buffer{};
-  if (!handle_.TryAwait(&reply)) return false;
-  if (out != nullptr) *out = Resolve(std::move(reply), decode_reply_, nominal_);
-  return true;
-}
-
-Result<util::SharedSlice> PendingSliceIo::Resolve(Result<Buffer> reply) {
-  auto moved = rpc::ResolveTyped<wire::IoMovedRep>(std::move(reply));
-  if (!moved.ok()) return moved.status();
-  util::SharedSlice bulk = handle_.ReplyBulk();
+  util::SharedSlice bulk = handle.ReplyBulk();
   if (bulk.size() != moved->moved) {
     // The frame CRC already vouches for the bytes; a mismatch here means
     // the reply body and its bulk parts disagree — treat it like any other
@@ -73,18 +55,59 @@ Result<util::SharedSlice> PendingSliceIo::Resolve(Result<Buffer> reply) {
   return bulk;
 }
 
-Result<util::SharedSlice> PendingSliceIo::Await() {
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// PendingIo / PendingCreate / Batch
+// ---------------------------------------------------------------------------
+
+Result<std::uint64_t> PendingIo::Resolve(Result<Buffer> reply) {
+  if (!is_read_) {
+    if (!reply.ok()) return reply.status();
+    return written_;
+  }
+  auto slice = ResolveSliceRead(handle_, std::move(reply));
+  if (!slice.ok()) return slice.status();
+  if (slice->size() > out_.size()) {
+    return DataLoss("read returned more bytes than asked for");
+  }
+  // The span adapter's one copy: the reply slice into the caller's span,
+  // counted as staging — span reads cost what they always have.
+  if (!slice->empty()) {
+    std::memcpy(out_.data(), slice->data(), slice->size());
+    LWFS_COUNT_COPY(util::CopyKind::kStage, slice->size());
+  }
+  return slice->size();
+}
+
+Result<std::uint64_t> PendingIo::Await() {
   if (!handle_.valid()) {
     return FailedPrecondition("awaiting an empty io handle");
   }
   return Resolve(handle_.Await());
 }
 
+bool PendingIo::TryAwait(Result<std::uint64_t>* out) {
+  if (!handle_.valid()) return false;
+  Result<Buffer> reply = Buffer{};
+  if (!handle_.TryAwait(&reply)) return false;
+  Result<std::uint64_t> n = Resolve(std::move(reply));
+  if (out != nullptr) *out = std::move(n);
+  return true;
+}
+
+Result<util::SharedSlice> PendingSliceIo::Await() {
+  if (!handle_.valid()) {
+    return FailedPrecondition("awaiting an empty io handle");
+  }
+  return ResolveSliceRead(handle_, handle_.Await());
+}
+
 bool PendingSliceIo::TryAwait(Result<util::SharedSlice>* out) {
   if (!handle_.valid()) return false;
   Result<Buffer> reply = Buffer{};
   if (!handle_.TryAwait(&reply)) return false;
-  if (out != nullptr) *out = Resolve(std::move(reply));
+  if (out != nullptr) *out = ResolveSliceRead(handle_, std::move(reply));
   return true;
 }
 
@@ -133,74 +156,60 @@ Status Batch::RetireOldest() {
   return OkStatus();
 }
 
-Status Batch::Write(std::uint32_t server, const security::Capability& cap,
-                    storage::ObjectId oid, std::uint64_t offset,
-                    ByteSpan data) {
+template <typename IssueFn>
+Status Batch::Issue(IssueFn&& fn) {
   if (!first_error_.ok()) return first_error_;
   while (inflight_.size() >= window_) (void)RetireOldest();
   if (!first_error_.ok()) return first_error_;
-  auto io = client_->WriteObjectAsync(server, cap, oid, offset, data);
-  if (!io.ok()) {
-    if (first_error_.ok()) first_error_ = io.status();
-    return io.status();
-  }
   Op op;
-  op.io = std::move(*io);
+  Status issued = fn(op);
+  if (!issued.ok()) {
+    if (first_error_.ok()) first_error_ = issued;
+    return issued;
+  }
   inflight_.push_back(std::move(op));
   return OkStatus();
+}
+
+Status Batch::Write(std::uint32_t server, const security::Capability& cap,
+                    storage::ObjectId oid, std::uint64_t offset,
+                    ByteSpan data) {
+  return WriteSlice(server, cap, oid, offset, util::SharedSlice::External(data));
 }
 
 Status Batch::WriteSlice(std::uint32_t server, const security::Capability& cap,
                          storage::ObjectId oid, std::uint64_t offset,
                          const util::SharedSlice& data) {
-  if (!first_error_.ok()) return first_error_;
-  while (inflight_.size() >= window_) (void)RetireOldest();
-  if (!first_error_.ok()) return first_error_;
-  auto io = client_->WriteObjectSliceAsync(server, cap, oid, offset, data);
-  if (!io.ok()) {
-    if (first_error_.ok()) first_error_ = io.status();
-    return io.status();
-  }
-  Op op;
-  op.io = std::move(*io);
-  inflight_.push_back(std::move(op));
-  return OkStatus();
+  return Issue([&](Op& op) -> Status {
+    auto io = client_->WriteObjectSliceAsync(server, cap, oid, offset, data);
+    if (!io.ok()) return io.status();
+    op.io = std::move(*io);
+    return OkStatus();
+  });
 }
 
 Status Batch::Read(std::uint32_t server, const security::Capability& cap,
                    storage::ObjectId oid, std::uint64_t offset,
                    MutableByteSpan out, std::uint64_t* bytes_read) {
-  if (!first_error_.ok()) return first_error_;
-  while (inflight_.size() >= window_) (void)RetireOldest();
-  if (!first_error_.ok()) return first_error_;
-  auto io = client_->ReadObjectAsync(server, cap, oid, offset, out);
-  if (!io.ok()) {
-    if (first_error_.ok()) first_error_ = io.status();
-    return io.status();
-  }
-  Op op;
-  op.io = std::move(*io);
-  op.bytes_read = bytes_read;
-  inflight_.push_back(std::move(op));
-  return OkStatus();
+  return Issue([&](Op& op) -> Status {
+    auto io = client_->ReadObjectAsync(server, cap, oid, offset, out);
+    if (!io.ok()) return io.status();
+    op.io = std::move(*io);
+    op.bytes_read = bytes_read;
+    return OkStatus();
+  });
 }
 
 Status Batch::ReadSlice(std::uint32_t server, const security::Capability& cap,
                         storage::ObjectId oid, std::uint64_t offset,
                         std::uint64_t length, util::SharedSlice* out) {
-  if (!first_error_.ok()) return first_error_;
-  while (inflight_.size() >= window_) (void)RetireOldest();
-  if (!first_error_.ok()) return first_error_;
-  auto io = client_->ReadObjectSliceAsync(server, cap, oid, offset, length);
-  if (!io.ok()) {
-    if (first_error_.ok()) first_error_ = io.status();
-    return io.status();
-  }
-  Op op;
-  op.slice_io = std::move(*io);
-  op.slice_out = out;
-  inflight_.push_back(std::move(op));
-  return OkStatus();
+  return Issue([&](Op& op) -> Status {
+    auto io = client_->ReadObjectSliceAsync(server, cap, oid, offset, length);
+    if (!io.ok()) return io.status();
+    op.slice_io = std::move(*io);
+    op.slice_out = out;
+    return OkStatus();
+  });
 }
 
 Status Batch::Drain() {
@@ -237,15 +246,11 @@ Status PendingReplicatedWrite::Issue() {
       if (!nid.ok()) return nid.status();
       req.chain.push_back(wire::ReplicaHop{members_[i], *nid});
     }
+    // An owned slice is one registration the head forwards; a borrowed
+    // one stays pinned by `data_` until the call (and any failover
+    // reissue) completes.
     rpc::CallOptions options;
-    if (data_.owned()) {
-      options.bulk_out_slice = data_;  // one registration; head forwards it
-    } else {
-      // Borrowed (External) slices take the staged span path — the portals
-      // layer only exposes owned slices by reference.  `data_` pins the span
-      // until the call (and any failover reissue) completes.
-      options.bulk_out = data_.span();
-    }
+    SetBulkOut(options, data_);
     auto handle = rpc::CallTypedAsync(client_->rpc_, *head, kOpReplicaWrite,
                                       req, options);
     if (handle.ok()) {
@@ -647,10 +652,9 @@ Status Client::WriteObject(std::uint32_t server,
                            const security::Capability& cap,
                            storage::ObjectId oid, std::uint64_t offset,
                            ByteSpan data) {
-  auto io = WriteObjectAsync(server, cap, oid, offset, data);
-  if (!io.ok()) return io.status();
-  auto n = io->Await();
-  return n.ok() ? OkStatus() : n.status();
+  // Borrowed view is safe here: the span outlives the synchronous Await.
+  return WriteObjectSlice(server, cap, oid, offset,
+                          util::SharedSlice::External(data));
 }
 
 Result<PendingIo> Client::WriteObjectAsync(std::uint32_t server,
@@ -658,15 +662,8 @@ Result<PendingIo> Client::WriteObjectAsync(std::uint32_t server,
                                            storage::ObjectId oid,
                                            std::uint64_t offset,
                                            ByteSpan data) {
-  auto nid = StorageNid(server);
-  if (!nid.ok()) return nid.status();
-  rpc::CallOptions options;
-  options.bulk_out = data;  // registered for the server to pull
-  auto handle = rpc::CallTypedAsync(
-      rpc_, *nid, kOpObjWrite, wire::ObjWriteReq{cap, oid.value, offset},
-      options);
-  if (!handle.ok()) return handle.status();
-  return PendingIo(std::move(*handle), /*decode_reply=*/false, data.size());
+  return WriteObjectSliceAsync(server, cap, oid, offset,
+                               util::SharedSlice::External(data));
 }
 
 Result<PendingIo> Client::WriteObjectSliceAsync(std::uint32_t server,
@@ -676,15 +673,16 @@ Result<PendingIo> Client::WriteObjectSliceAsync(std::uint32_t server,
                                                 const util::SharedSlice& data) {
   auto nid = StorageNid(server);
   if (!nid.ok()) return nid.status();
+  // An owned slice is registered by reference; the NIC match entry holds a
+  // ref until the call completes, so the bytes survive even if the caller
+  // drops the slice.
   rpc::CallOptions options;
-  // Registered by reference; the NIC match entry holds a ref until the call
-  // completes, so the bytes survive even if the caller drops the slice.
-  options.bulk_out_slice = data;
+  SetBulkOut(options, data);
   auto handle = rpc::CallTypedAsync(
       rpc_, *nid, kOpObjWrite, wire::ObjWriteReq{cap, oid.value, offset},
       options);
   if (!handle.ok()) return handle.status();
-  return PendingIo(std::move(*handle), /*decode_reply=*/false, data.size());
+  return PendingIo(std::move(*handle), data.size());
 }
 
 Status Client::WriteObjectSlice(std::uint32_t server,
@@ -712,15 +710,9 @@ Result<PendingIo> Client::ReadObjectAsync(std::uint32_t server,
                                           storage::ObjectId oid,
                                           std::uint64_t offset,
                                           MutableByteSpan out) {
-  auto nid = StorageNid(server);
-  if (!nid.ok()) return nid.status();
-  rpc::CallOptions options;
-  options.bulk_in = out;  // registered for the server to push
-  auto handle = rpc::CallTypedAsync(
-      rpc_, *nid, kOpObjRead,
-      wire::ObjReadReq{cap, oid.value, offset, out.size()}, options);
-  if (!handle.ok()) return handle.status();
-  return PendingIo(std::move(*handle), /*decode_reply=*/true, out.size());
+  auto io = ReadObjectSliceAsync(server, cap, oid, offset, out.size());
+  if (!io.ok()) return io.status();
+  return PendingIo(std::move(io->handle()), out);
 }
 
 Result<PendingSliceIo> Client::ReadObjectSliceAsync(
@@ -732,7 +724,7 @@ Result<PendingSliceIo> Client::ReadObjectSliceAsync(
   // slices and surfaces through PendingSliceIo::Await as a ref-counted
   // alias of the received bytes.
   auto handle = rpc::CallTypedAsync(
-      rpc_, *nid, kOpObjReadSlice,
+      rpc_, *nid, kOpObjRead,
       wire::ObjReadReq{cap, oid.value, offset, length});
   if (!handle.ok()) return handle.status();
   return PendingSliceIo(std::move(*handle));
@@ -753,11 +745,10 @@ Result<Buffer> Client::ReadObjectAlloc(std::uint32_t server,
                                        storage::ObjectId oid,
                                        std::uint64_t offset,
                                        std::uint64_t length) {
-  Buffer out(length, 0);
-  auto n = ReadObject(server, cap, oid, offset, MutableByteSpan(out));
-  if (!n.ok()) return n.status();
-  out.resize(static_cast<std::size_t>(*n));
-  return out;
+  auto slice = ReadObjectSlice(server, cap, oid, offset, length);
+  if (!slice.ok()) return slice.status();
+  // Same single staging copy as a span read, sized to the bytes read.
+  return slice->ToBuffer(util::CopyKind::kStage);
 }
 
 Status Client::RemoveObject(std::uint32_t server,

@@ -57,8 +57,11 @@ class Client;
 
 /// Completion handle for an asynchronous object read or write (issued via
 /// Client::WriteObjectAsync / ReadObjectAsync).  The data span handed in at
-/// issue time stays registered with the fabric until the completion event,
-/// so it must remain valid until Await()/TryAwait() reports completion.
+/// issue time must remain valid until Await()/TryAwait() reports
+/// completion: a write's span stays registered with the fabric until the
+/// completion event, and a read's span receives the reply slice's bytes
+/// when the read resolves — one counted staging copy, the only difference
+/// from a slice read.
 class PendingIo {
  public:
   PendingIo() = default;
@@ -78,16 +81,18 @@ class PendingIo {
 
  private:
   friend class Client;
-  PendingIo(rpc::CallHandle handle, bool decode_reply, std::uint64_t nominal)
-      : handle_(std::move(handle)),
-        decode_reply_(decode_reply),
-        nominal_(nominal) {}
-  static Result<std::uint64_t> Resolve(Result<Buffer> reply, bool decode_reply,
-                                       std::uint64_t nominal);
+  /// A write of `written` payload bytes.
+  PendingIo(rpc::CallHandle handle, std::uint64_t written)
+      : handle_(std::move(handle)), written_(written) {}
+  /// A slice read whose bytes are copied into `out` when it resolves.
+  PendingIo(rpc::CallHandle handle, MutableByteSpan out)
+      : handle_(std::move(handle)), is_read_(true), out_(out) {}
+  Result<std::uint64_t> Resolve(Result<Buffer> reply);
 
   rpc::CallHandle handle_;
-  bool decode_reply_ = false;  // reply body carries a u64 byte count (reads)
-  std::uint64_t nominal_ = 0;  // write payload size
+  bool is_read_ = false;
+  MutableByteSpan out_{};      // reads: the caller's landing span
+  std::uint64_t written_ = 0;  // writes: payload size
 };
 
 /// Completion handle for a zero-copy object read (issued via
@@ -114,7 +119,6 @@ class PendingSliceIo {
   friend class Client;
   explicit PendingSliceIo(rpc::CallHandle handle)
       : handle_(std::move(handle)) {}
-  Result<util::SharedSlice> Resolve(Result<Buffer> reply);
 
   rpc::CallHandle handle_;
 };
@@ -237,10 +241,11 @@ class Batch {
   Batch(const Batch&) = delete;
   Batch& operator=(const Batch&) = delete;
 
+  /// Span write: the span must stay valid until the op retires.
   Status Write(std::uint32_t server, const security::Capability& cap,
                storage::ObjectId oid, std::uint64_t offset, ByteSpan data);
-  /// Zero-copy variant: the slice keeps the payload alive until the op
-  /// retires, so the caller needs no span-lifetime discipline.
+  /// Zero-copy variant: an owned slice keeps the payload alive until the
+  /// op retires, so the caller needs no span-lifetime discipline.
   Status WriteSlice(std::uint32_t server, const security::Capability& cap,
                     storage::ObjectId oid, std::uint64_t offset,
                     const util::SharedSlice& data);
@@ -264,6 +269,11 @@ class Batch {
 
  private:
   Status RetireOldest();
+  /// Window bookkeeping shared by every issue call: retire down to the
+  /// window, then issue through `fn` (which fills `op`) unless an error is
+  /// already sticky.
+  template <typename IssueFn>
+  Status Issue(IssueFn&& fn);
 
   struct Op {
     PendingIo io;
@@ -403,8 +413,11 @@ class Client {
 
   // ---- Object storage (direct to storage servers) -------------------------
   // The *Async variants issue the small request and return a completion
-  // handle immediately; the registered data span must stay valid until the
-  // handle resolves.  The synchronous calls are thin issue+Await wrappers.
+  // handle immediately; a data span must stay valid until the handle
+  // resolves.  The synchronous calls are thin issue+Await wrappers.  There
+  // is one server data path per direction: span writes and slice writes
+  // are the same pull, span reads are slice reads plus one copy into the
+  // caller's span.
   Result<storage::ObjectId> CreateObject(std::uint32_t server,
                                          const security::Capability& cap,
                                          txn::TxnId txid = 0);
@@ -421,7 +434,9 @@ class Client {
   /// Zero-copy write: registers an owned ref-counted slice for the server's
   /// pull, so the payload is never staged on either side (the store-medium
   /// copy at the server is the only copy) and stays alive until the call
-  /// retires even if the caller drops its reference.
+  /// retires even if the caller drops its reference.  A borrowed
+  /// (External) slice registers as a span instead — the fabric stages
+  /// those bytes once, exactly like WriteObjectAsync.
   Result<PendingIo> WriteObjectSliceAsync(std::uint32_t server,
                                           const security::Capability& cap,
                                           storage::ObjectId oid,
@@ -430,6 +445,8 @@ class Client {
   Status WriteObjectSlice(std::uint32_t server, const security::Capability& cap,
                           storage::ObjectId oid, std::uint64_t offset,
                           const util::SharedSlice& data);
+  /// Slice read of out.size() bytes, copied into `out` when the handle
+  /// resolves.
   Result<PendingIo> ReadObjectAsync(std::uint32_t server,
                                     const security::Capability& cap,
                                     storage::ObjectId oid,
@@ -439,14 +456,16 @@ class Client {
                                    const security::Capability& cap,
                                    storage::ObjectId oid, std::uint64_t offset,
                                    MutableByteSpan out);
+  /// Slice read plus one copy of the bytes actually read (short at EOF,
+  /// empty past it) — `length` is an upper bound, not an allocation size.
   Result<Buffer> ReadObjectAlloc(std::uint32_t server,
                                  const security::Capability& cap,
                                  storage::ObjectId oid, std::uint64_t offset,
                                  std::uint64_t length);
-  /// Zero-copy read: the reply frame carries the payload as store-owned
-  /// slices, so the bytes land exactly once (the store's medium copy) and
-  /// arrive as a ref-counted alias — no registered region, no push, no
-  /// client-side landing buffer.
+  /// Zero-copy read — the primitive every read API adapts: the reply frame
+  /// carries the payload as store-owned slices, so the bytes land exactly
+  /// once (the store's medium copy) and arrive as a ref-counted alias — no
+  /// registered region, no push, no client-side landing buffer.
   Result<PendingSliceIo> ReadObjectSliceAsync(std::uint32_t server,
                                               const security::Capability& cap,
                                               storage::ObjectId oid,

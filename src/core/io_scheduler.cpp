@@ -6,7 +6,18 @@
 
 namespace lwfs::core {
 
-std::vector<MergedRun> PlanRuns(std::span<const PendingExtent> batch) {
+std::vector<MergedRun> PlanRuns(std::span<const PendingExtent> batch,
+                                bool coalesce) {
+  std::vector<MergedRun> runs;
+  if (!coalesce) {
+    runs.reserve(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const PendingExtent& e = batch[i];
+      runs.push_back(
+          MergedRun{e.oid, e.is_write, e.offset, e.offset + e.length, {i}});
+    }
+    return runs;
+  }
   std::vector<std::size_t> order(batch.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   // Elevator order: one pass per object, offsets ascending; reads and
@@ -20,7 +31,6 @@ std::vector<MergedRun> PlanRuns(std::span<const PendingExtent> batch) {
     return a < b;
   });
 
-  std::vector<MergedRun> runs;
   for (std::size_t idx : order) {
     const PendingExtent& e = batch[idx];
     const std::uint64_t end = e.offset + e.length;
@@ -118,36 +128,27 @@ std::shared_ptr<IoTicket> IoScheduler::Submit(storage::ObjectId oid,
                                               std::uint64_t offset,
                                               std::uint64_t length,
                                               ServiceFn fn) {
-  auto ticket = std::make_shared<IoTicket>();
-  ticket->clock_ = clock_;
-  std::size_t depth = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!running_ || stopping_) {
-      Complete(*ticket, Unavailable("io scheduler stopped"));
-      return ticket;
-    }
-    queue_.push_back(
-        QueuedIo{PendingExtent{oid, is_write, offset, length}, std::move(fn),
-                 nullptr, ticket});
-    depth = queue_.size();
+  if (!is_write) {
+    auto ticket = std::make_shared<IoTicket>();
+    Complete(*ticket, InvalidArgument("reads go through SubmitSliceRead"));
+    return ticket;
   }
-  clock_->NotifyAll(cv_);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests;
-    stats_.queue_depth_hwm = std::max<std::uint64_t>(stats_.queue_depth_hwm,
-                                                     depth);
-  }
-  return ticket;
+  return Enqueue(QueuedIo{PendingExtent{oid, true, offset, length},
+                          std::move(fn), nullptr, nullptr});
 }
 
 std::shared_ptr<IoTicket> IoScheduler::SubmitSliceRead(storage::ObjectId oid,
                                                        std::uint64_t offset,
                                                        std::uint64_t length,
                                                        SliceReadFn reader) {
+  return Enqueue(QueuedIo{PendingExtent{oid, false, offset, length}, nullptr,
+                          std::move(reader), nullptr});
+}
+
+std::shared_ptr<IoTicket> IoScheduler::Enqueue(QueuedIo io) {
   auto ticket = std::make_shared<IoTicket>();
   ticket->clock_ = clock_;
+  io.ticket = ticket;
   std::size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -155,9 +156,7 @@ std::shared_ptr<IoTicket> IoScheduler::SubmitSliceRead(storage::ObjectId oid,
       Complete(*ticket, Unavailable("io scheduler stopped"));
       return ticket;
     }
-    queue_.push_back(QueuedIo{PendingExtent{oid, /*is_write=*/false, offset,
-                                            length},
-                              nullptr, std::move(reader), ticket});
+    queue_.push_back(std::move(io));
     depth = queue_.size();
   }
   clock_->NotifyAll(cv_);
@@ -185,6 +184,9 @@ void IoScheduler::Loop() {
     std::vector<QueuedIo> batch;
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      // Nothing queued: the medium goes idle, and the next run's charge
+      // starts from whenever that run arrives.
+      if (queue_.empty()) medium_idle_ = true;
       clock_->Wait(cv_, lock, [&] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping and drained
       batch.swap(queue_);
@@ -199,16 +201,10 @@ void IoScheduler::ServiceBatch(std::vector<QueuedIo> batch) {
   std::vector<PendingExtent> extents;
   extents.reserve(batch.size());
   for (const QueuedIo& io : batch) extents.push_back(io.extent);
-  std::vector<MergedRun> runs = PlanRuns(extents);
+  std::vector<MergedRun> runs = PlanRuns(extents, options_.coalesce);
 
   for (const MergedRun& run : runs) {
     ChargeRun(run.bytes());
-    const bool slice_run =
-        !run.is_write &&
-        std::all_of(run.members.begin(), run.members.end(),
-                    [&](std::size_t idx) {
-                      return static_cast<bool>(batch[idx].slice_fn);
-                    });
     {
       // Account the run before completing its members, so a caller that
       // has awaited every ticket observes fully up-to-date counters.
@@ -218,50 +214,36 @@ void IoScheduler::ServiceBatch(std::vector<QueuedIo> batch) {
         stats_.merges += run.members.size() - 1;
         stats_.coalesced_bytes += run.bytes();
       }
-      if (slice_run) ++stats_.slice_runs;
     }
-    if (slice_run) {
-      // One store access for the whole run; members fan back out as O(1)
-      // sub-slices of the run slice (refcount bumps, no staging copy).
-      // Slice() clamps, so a short run read (EOF inside the run) yields
-      // short or empty member slices — the same EOF signal the staged
-      // path derives from a short chunk.
-      auto run_slice =
-          batch[run.members.front()].slice_fn(run.offset, run.bytes());
+    if (run.is_write) {
       for (std::size_t idx : run.members) {
         QueuedIo& io = batch[idx];
-        if (run_slice.ok()) {
-          util::SharedSlice sub = run_slice->Slice(
-              io.extent.offset - run.offset, io.extent.length);
-          {
-            std::lock_guard<std::mutex> lock(io.ticket->mutex_);
-            io.ticket->slice_ = std::move(sub);
-          }
-          Complete(*io.ticket, OkStatus());
-        } else {
-          Complete(*io.ticket, run_slice.status());
-        }
-        io.slice_fn = nullptr;
+        Status status = io.fn ? io.fn() : OkStatus();
+        io.fn = nullptr;  // release pulled chunks and reservations promptly
+        Complete(*io.ticket, std::move(status));
       }
       continue;
     }
+    // One store access for the whole read run; members fan back out as
+    // O(1) sub-slices of the run slice (refcount bumps, no staging copy).
+    // Slice() clamps, so a short run read (EOF inside the run) yields short
+    // or empty member slices.
+    auto run_slice =
+        batch[run.members.front()].slice_fn(run.offset, run.bytes());
     for (std::size_t idx : run.members) {
       QueuedIo& io = batch[idx];
-      if (io.slice_fn) {
-        // Slice read merged into a run with legacy extents: no shared run
-        // slice to carve from, so read just this extent.
-        auto got = io.slice_fn(io.extent.offset, io.extent.length);
-        if (got.ok()) {
+      if (run_slice.ok()) {
+        util::SharedSlice sub = run_slice->Slice(
+            io.extent.offset - run.offset, io.extent.length);
+        {
           std::lock_guard<std::mutex> lock(io.ticket->mutex_);
-          io.ticket->slice_ = std::move(*got);
+          io.ticket->slice_ = std::move(sub);
         }
-        io.slice_fn = nullptr;
-        Complete(*io.ticket, got.ok() ? OkStatus() : got.status());
-        continue;
+        Complete(*io.ticket, OkStatus());
+      } else {
+        Complete(*io.ticket, run_slice.status());
       }
-      Status status = io.fn ? io.fn() : OkStatus();
-      io.fn = nullptr;  // release staged buffers promptly
-      Complete(*io.ticket, std::move(status));
+      io.slice_fn = nullptr;
     }
   }
 }
@@ -273,7 +255,15 @@ void IoScheduler::ChargeRun(std::uint64_t bytes) {
     us += static_cast<double>(bytes) / options_.modeled_disk_mb_s;
   }
   if (us <= 0) return;
-  clock_->SleepFor(std::chrono::microseconds(static_cast<std::int64_t>(us)));
+  // Back-to-back runs are charged from where the previous run was due to
+  // end, not from when this thread woke up, so the host's sleep overshoot
+  // never accumulates into modeled medium time.
+  if (medium_idle_) {
+    medium_free_at_ = clock_->Now();
+    medium_idle_ = false;
+  }
+  medium_free_at_ += std::chrono::microseconds(static_cast<std::int64_t>(us));
+  clock_->SleepUntil(medium_free_at_);
 }
 
 void IoScheduler::Complete(IoTicket& ticket, Status status) {

@@ -1,30 +1,34 @@
 // Server-side I/O scheduler (§3.2: the server *directs* data movement).
 //
 // The storage server's data plane runs several RPC workers; each worker
-// stages its bulk bytes and then queues an extent here instead of touching
-// the modeled medium directly.  A single scheduler thread drains the queue
-// in batches, merges adjacent/overlapping extents on the same object into
-// contiguous *runs*, services each object's runs in ascending offset order
-// (an elevator pass), and charges the modeled medium once per run —
-// one seek/op cost (`modeled_op_latency_us`) plus the run's bytes at
-// `modeled_disk_mb_s`.  Merging queued small strided accesses into large
-// contiguous ones is the dominant server-side win the noncontiguous-I/O
-// literature reports, and it is only possible because requests queue at the
-// server rather than being pushed through it in arrival order.
+// queues its extents here instead of touching the modeled medium directly,
+// and every medium access of the server — client, chain-replica and repair
+// traffic alike — runs on this one executor.  A single scheduler thread
+// drains the queue in batches, merges adjacent/overlapping extents on the
+// same object into contiguous *runs*, services each object's runs in
+// ascending offset order (an elevator pass), and charges the modeled medium
+// once per run — one seek/op cost (`modeled_op_latency_us`) plus the run's
+// bytes at `modeled_disk_mb_s`.  Merging queued small strided accesses into
+// large contiguous ones is the dominant server-side win the
+// noncontiguous-I/O literature reports, and it is only possible because
+// requests queue at the server rather than being pushed through it in
+// arrival order.  With `coalesce` off the same executor services every
+// extent as its own run in arrival order — the per-request FIFO baseline.
 //
 // Staging memory is bounded by a StagingPool: a worker cannot pull bulk
-// bytes from a client until it has reserved pool space, so the server's
-// buffer footprint stays fixed no matter how many clients burst at once.
-// When the pool is full, workers stall, the bounded request portal fills,
-// and new requests are rejected with kResourceExhausted — the same
-// back-pressure path the protocol already has.
+// bytes from a client (or materialize a read) until it has reserved pool
+// space, so the server's buffer footprint stays fixed no matter how many
+// clients burst at once.  When the pool is full, workers stall, the bounded
+// request portal fills, and new requests are rejected with
+// kResourceExhausted — the same back-pressure path the protocol already
+// has.
 //
 // Two invariants keep the pool deadlock- and hang-free:
 //   1. No thread ever blocks in Acquire while holding a reservation.  The
-//      scheduler thread never acquires at all; a data worker that cannot
-//      TryAcquire first retires (and so releases) everything its request
-//      holds, then waits owning nothing — so every held reservation
-//      belongs to a thread that is making progress toward Release.
+//      scheduler thread never acquires at all; a write worker's pipelined
+//      reservations are owned by its queued service fns (which the
+//      scheduler releases), and a read worker holds exactly one
+//      reservation, taken while it held none.
 //   2. Close() wakes every blocked Acquire with kUnavailable, so shutdown
 //      can never hang on a waiter (StorageServer::Stop closes the pool
 //      before joining its data workers).
@@ -71,9 +75,11 @@ struct MergedRun {
 /// Pure merge planner: groups `batch` by (object, direction), orders each
 /// group by offset, and merges extents that touch or overlap
 /// (next.offset <= run.end) into runs.  Runs come back sorted by
-/// (object, offset) — the elevator service order.  Exposed separately from
+/// (object, offset) — the elevator service order.  With `coalesce` false
+/// every extent is its own run, in arrival order.  Exposed separately from
 /// the scheduler so tests can pin the merge logic without threads.
-std::vector<MergedRun> PlanRuns(std::span<const PendingExtent> batch);
+std::vector<MergedRun> PlanRuns(std::span<const PendingExtent> batch,
+                                bool coalesce = true);
 
 /// Completion handle for one submitted extent.  The scheduler publishes the
 /// service status; the submitting worker blocks in Await.
@@ -81,10 +87,10 @@ class IoTicket {
  public:
   Status Await();
 
-  /// Slice-read submissions only: the extent's bytes as a ref-counted
-  /// sub-slice of the run's single store read.  Valid (possibly shorter
-  /// than asked — EOF — or empty) once Await returned OkStatus; moves the
-  /// slice out, so call it once.
+  /// Read submissions only: the extent's bytes as a ref-counted sub-slice
+  /// of the run's single store read.  Valid (possibly shorter than asked —
+  /// EOF — or empty) once Await returned OkStatus; moves the slice out, so
+  /// call it once.
   [[nodiscard]] util::SharedSlice TakeSlice();
 
  private:
@@ -102,9 +108,9 @@ class IoTicket {
 /// the caller (chunking already bounds per-reservation size).
 ///
 /// A caller must never block in Acquire while it still holds a
-/// reservation (see the deadlock invariant in the file comment): use
-/// TryAcquire on the fast path and release everything held before falling
-/// back to the blocking Acquire.
+/// reservation (see the deadlock invariant in the file comment); a caller
+/// that already holds one can only take more with the non-blocking
+/// TryAcquire.
 class StagingPool {
  public:
   explicit StagingPool(std::size_t capacity, util::Clock* clock = nullptr)
@@ -160,8 +166,11 @@ struct IoSchedulerOptions {
   /// Modeled medium bandwidth in MB/s; 0 disables the byte charge.
   double modeled_disk_mb_s = 0;
   /// Modeled per-access (seek/op) cost in microseconds, charged once per
-  /// merged run; 0 disables it.  This is what makes coalescing pay.
+  /// run; 0 disables it.  This is what makes coalescing pay.
   double modeled_op_latency_us = 0;
+  /// Merge queued extents into runs and service them in elevator order.
+  /// Off: every extent is its own run, serviced in arrival order.
+  bool coalesce = true;
   /// Time source for medium charges and all waits (nullptr = real time).
   util::Clock* clock = nullptr;
 };
@@ -173,12 +182,11 @@ struct IoSchedulerStats {
   std::uint64_t merges = 0;          ///< extents absorbed into a larger run
   std::uint64_t coalesced_bytes = 0; ///< bytes serviced via multi-extent runs
   std::uint64_t queue_depth_hwm = 0; ///< max extents queued at once
-  std::uint64_t slice_runs = 0;      ///< read runs serviced by one slice read
 };
 
 class IoScheduler {
  public:
-  /// Performs the actual store access for one extent once the scheduler has
+  /// Performs the store write for one extent once the scheduler has
   /// charged the medium for its run.
   using ServiceFn = std::function<Status()>;
   /// Reads an arbitrary span of the submitted object as a store-owned
@@ -202,17 +210,17 @@ class IoScheduler {
   /// submitted after Stop fail with kUnavailable.
   void Stop();
 
-  /// Queue one extent; `fn` runs on the scheduler thread in elevator order.
-  /// The returned ticket resolves to fn's status.
+  /// Queue one WRITE extent; `fn` runs on the scheduler thread in elevator
+  /// order and the returned ticket resolves to its status.  Reads go
+  /// through SubmitSliceRead: a read submitted here fails with
+  /// kInvalidArgument.
   std::shared_ptr<IoTicket> Submit(storage::ObjectId oid, bool is_write,
                                    std::uint64_t offset, std::uint64_t length,
                                    ServiceFn fn);
 
-  /// Queue one READ extent whose result is a store-owned slice.  When a
-  /// whole merged run consists of slice reads, `reader` runs once for the
-  /// run and each member's ticket receives its clamped sub-slice
-  /// (TakeSlice); a run mixed with legacy extents falls back to one
-  /// reader call per member.  A short run read (EOF inside the run)
+  /// Queue one READ extent whose result is a store-owned slice.  `reader`
+  /// runs once per merged run and each member's ticket receives its
+  /// clamped sub-slice (TakeSlice).  A short run read (EOF inside the run)
   /// yields correspondingly short or empty member slices.
   std::shared_ptr<IoTicket> SubmitSliceRead(storage::ObjectId oid,
                                             std::uint64_t offset,
@@ -227,14 +235,15 @@ class IoScheduler {
  private:
   struct QueuedIo {
     PendingExtent extent;
-    ServiceFn fn;
-    SliceReadFn slice_fn;  // set instead of fn for slice-read extents
+    ServiceFn fn;          // writes
+    SliceReadFn slice_fn;  // reads
     std::shared_ptr<IoTicket> ticket;
   };
 
+  std::shared_ptr<IoTicket> Enqueue(QueuedIo io);
   void Loop();
   void ServiceBatch(std::vector<QueuedIo> batch);
-  /// Sleep for one run's modeled medium time.
+  /// Sleep out one run's modeled medium time.
   void ChargeRun(std::uint64_t bytes);
   static void Complete(IoTicket& ticket, Status status);
 
@@ -247,6 +256,9 @@ class IoScheduler {
   bool running_ = false;
   bool stopping_ = false;
   std::thread thread_;
+  /// The modeled medium's busy horizon; scheduler thread only.
+  util::Clock::TimePoint medium_free_at_{};
+  bool medium_idle_ = true;
 
   mutable std::mutex stats_mutex_;
   IoSchedulerStats stats_;

@@ -2,8 +2,9 @@
 //
 // One opcode space shared by every service; each service only registers the
 // handlers it owns.  Request/reply bodies are Encoder/Decoder-framed; bulk
-// object data never travels in a request — it moves through the
-// server-directed bulk path (rpc::ServerContext::PullBulk/PushBulk).
+// object data never travels in a request — writes move through the
+// server-directed pull (rpc::ServerContext::PullBulkSlice) and reads ride
+// the reply frame (rpc::ServerContext::PushBulkSlice).
 #pragma once
 
 #include <cstdint>
@@ -57,11 +58,6 @@ enum Op : rpc::Opcode {
   kOpRepairProbe = 41,
   kOpRepairRead = 42,
   kOpRepairWrite = 43,
-
-  // Storage service (data plane, cont.): slice read — the reply frame
-  // itself carries the payload as store-owned slices (no client-registered
-  // bulk-in region, no server push, no staging copy).
-  kOpObjReadSlice = 44,
 
   // Two-phase-commit participant ops (storage and naming services).
   kOpTxnPrepare = 50,
@@ -120,7 +116,6 @@ static_assert(rpc::kCoreOpcodeRange.Contains(kOpLogin) &&
                   rpc::kCoreOpcodeRange.Contains(kOpRepairProbe) &&
                   rpc::kCoreOpcodeRange.Contains(kOpRepairRead) &&
                   rpc::kCoreOpcodeRange.Contains(kOpRepairWrite) &&
-                  rpc::kCoreOpcodeRange.Contains(kOpObjReadSlice) &&
                   rpc::kCoreOpcodeRange.Contains(kOpTxnPrepare) &&
                   rpc::kCoreOpcodeRange.Contains(kOpTxnCommit) &&
                   rpc::kCoreOpcodeRange.Contains(kOpTxnAbort) &&

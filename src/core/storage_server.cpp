@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <deque>
+#include <limits>
 
 #include "core/wire.h"
 #include "util/logging.h"
@@ -31,8 +31,8 @@ rpc::ServerOptions DataOptions(const StorageServerOptions& options) {
     data.worker_threads = options.worker_threads;
   } else if (data.worker_threads <= 1) {
     // Neither knob set (rpc still at its single-worker default): the data
-    // portal needs concurrency for pull/push of request N+1 to overlap
-    // medium service of request N.
+    // portal needs concurrency for the network transfer of request N+1 to
+    // overlap medium service of request N.
     data.worker_threads = kDefaultDataWorkers;
   }
   if (data.clock == nullptr) data.clock = options.clock;
@@ -53,8 +53,8 @@ rpc::ServerOptions ReplicaOptions(const StorageServerOptions& options) {
   return replica;
 }
 
-/// Chunks of one request kept in flight past the current pull/push.  Depth
-/// 2 overlaps the network move of chunk N+1 with medium service of chunk N
+/// Chunks of one write kept in flight past the current pull.  Depth 2
+/// overlaps the network pull of chunk N+1 with medium service of chunk N
 /// while bounding per-request staging at 2 chunks — which is why the pool
 /// is clamped to at least that much.
 constexpr std::size_t kRequestPipelineDepth = 2;
@@ -63,8 +63,18 @@ IoSchedulerOptions SchedulerOptions(const StorageServerOptions& options) {
   IoSchedulerOptions sched;
   sched.modeled_disk_mb_s = options.modeled_disk_mb_s;
   sched.modeled_op_latency_us = options.modeled_op_latency_us;
+  sched.coalesce = options.scheduler;
   sched.clock = options.clock;
   return sched;
+}
+
+/// An extent whose end does not fit in 64 bits would wrap inside the store
+/// and the scheduler's run planner: reject it before it gets that far.
+Status CheckExtent(std::uint64_t offset, std::uint64_t length) {
+  if (length > std::numeric_limits<std::uint64_t>::max() - offset) {
+    return InvalidArgument("extent end overflows the object offset space");
+  }
+  return OkStatus();
 }
 }  // namespace
 
@@ -89,10 +99,8 @@ StorageServer::StorageServer(std::shared_ptr<portals::Nic> nic,
       replica_ops_(&replica_server_, "storage_rep"),
       staging_(std::max(options.staging_bytes,
                         kRequestPipelineDepth * options.bulk_chunk_bytes),
-               options.clock) {
-  if (options_.scheduler) {
-    scheduler_ = std::make_unique<IoScheduler>(SchedulerOptions(options_));
-  }
+               options.clock),
+      scheduler_(SchedulerOptions(options)) {
   // Every capability-gated data op authorizes against the container the
   // capability itself names; the middleware runs this before any handler.
   data_ops_.SetAuthorizer([this](rpc::ServerContext&,
@@ -117,7 +125,7 @@ Status StorageServer::Start() {
   LWFS_RETURN_IF_ERROR(data_ops_.init_status());
   LWFS_RETURN_IF_ERROR(control_ops_.init_status());
   LWFS_RETURN_IF_ERROR(replica_ops_.init_status());
-  if (scheduler_) scheduler_->Start();
+  scheduler_.Start();
   LWFS_RETURN_IF_ERROR(data_server_.Start());
   LWFS_RETURN_IF_ERROR(replica_server_.Start());
   return control_server_.Start();
@@ -136,7 +144,7 @@ void StorageServer::Stop() {
   data_server_.Stop();
   replica_server_.Stop();
   control_server_.Stop();
-  if (scheduler_) scheduler_->Stop();
+  scheduler_.Stop();
 }
 
 void StorageServer::Restart() {
@@ -218,15 +226,6 @@ Result<storage::ObjAttr> StorageServer::CheckObject(
   return attr;
 }
 
-void StorageServer::ChargeMediumTime(std::uint64_t bytes, bool charge_op) {
-  double us = charge_op ? options_.modeled_op_latency_us : 0;
-  if (options_.modeled_disk_mb_s > 0 && bytes > 0) {
-    // bytes / (MB/s * 1e6 B/MB) seconds == bytes / (MB/s) microseconds.
-    us += static_cast<double>(bytes) / options_.modeled_disk_mb_s;
-  }
-  ChargeModeledUs(us);
-}
-
 void StorageServer::ChargeModeledUs(double us) {
   if (us <= 0) return;
   // One disk arm: extend the arm's committed-busy horizon under the lock,
@@ -275,34 +274,20 @@ Result<std::uint64_t> StorageServer::ScheduledWrite(rpc::ServerContext& ctx,
     }
     auto reservation = std::make_shared<StagingReservation>(&staging_, n);
     const std::uint64_t at = offset + moved;
-    if (options_.zero_copy) {
-      // Zero-copy pull: the slice references the client's registered
-      // payload (kept alive by its refcount); the store's WriteSlice is
-      // the write path's only copy.
-      auto pulled = ctx.PullBulkSlice(n, moved);
-      if (!pulled.ok()) {
-        if (first_error.ok()) first_error = pulled.status();
-        break;
-      }
-      pipeline.push_back(scheduler_->Submit(
-          oid, /*is_write=*/true, at, n,
-          [store = store_, oid, at, chunk = std::move(*pulled),
-           reservation]() -> Status {
-            return store->WriteSlice(oid, at, chunk);
-          }));
-    } else {
-      auto chunk = std::make_shared<Buffer>(n);
-      Status pulled = ctx.PullBulk(MutableByteSpan(*chunk), moved);
-      if (!pulled.ok()) {
-        if (first_error.ok()) first_error = std::move(pulled);
-        break;
-      }
-      pipeline.push_back(scheduler_->Submit(
-          oid, /*is_write=*/true, at, n,
-          [store = store_, oid, at, chunk, reservation]() -> Status {
-            return store->Write(oid, at, ByteSpan(*chunk));
-          }));
+    // The slice references the client's registered payload (kept alive by
+    // its refcount) when the client registered an owned slice; the store's
+    // WriteSlice is then the write path's only copy.
+    auto pulled = ctx.PullBulkSlice(n, moved);
+    if (!pulled.ok()) {
+      if (first_error.ok()) first_error = pulled.status();
+      break;
     }
+    pipeline.push_back(scheduler_.Submit(
+        oid, /*is_write=*/true, at, n,
+        [store = store_, oid, at, chunk = std::move(*pulled),
+         reservation]() -> Status {
+          return store->WriteSlice(oid, at, chunk);
+        }));
     moved += n;
     while (pipeline.size() >= kRequestPipelineDepth && first_error.ok()) {
       retire_oldest();
@@ -314,95 +299,14 @@ Result<std::uint64_t> StorageServer::ScheduledWrite(rpc::ServerContext& ctx,
   return moved;
 }
 
-Result<std::uint64_t> StorageServer::ScheduledRead(rpc::ServerContext& ctx,
-                                                   storage::ObjectId oid,
-                                                   std::uint64_t offset,
-                                                   std::uint64_t want) {
-  struct PendingChunk {
-    std::shared_ptr<IoTicket> ticket;
-    std::shared_ptr<Buffer> data;  // resized by the service fn to bytes read
-    std::shared_ptr<StagingReservation> reservation;
-    std::uint64_t at = 0;  // client-side offset
-    std::uint64_t asked = 0;
-  };
-  std::deque<PendingChunk> pipeline;
-  Status first_error = OkStatus();
-  std::uint64_t moved = 0;
-  bool eof = false;
-
-  // Retire the oldest chunk: rendezvous with the scheduler, push the bytes
-  // to the client's registered region, release the staging space.  Chunks
-  // after a short (EOF) chunk are discarded so `moved` stays the length of
-  // the contiguous prefix actually delivered.
-  auto retire_oldest = [&] {
-    PendingChunk chunk = std::move(pipeline.front());
-    pipeline.pop_front();
-    Status s = chunk.ticket->Await();
-    if (!s.ok()) {
-      if (first_error.ok()) first_error = std::move(s);
-      return;
-    }
-    if (eof || !first_error.ok() || chunk.data->empty()) {
-      eof = true;
-      return;
-    }
-    Status pushed = ctx.PushBulk(ByteSpan(*chunk.data), chunk.at);
-    if (!pushed.ok()) {
-      if (first_error.ok()) first_error = std::move(pushed);
-      return;
-    }
-    moved += chunk.data->size();
-    if (chunk.data->size() < chunk.asked) eof = true;  // short read: EOF
-  };
-
-  std::uint64_t issued = 0;
-  while (issued < want && !eof && first_error.ok()) {
-    const std::uint64_t n =
-        std::min<std::uint64_t>(options_.bulk_chunk_bytes, want - issued);
-    // A read chunk's reservation outlives the scheduler's service fn (the
-    // staged bytes are pushed to the client afterwards), so this worker is
-    // the one holding it — and it must never also *block* for the next
-    // chunk's space, or W readers each holding one chunk could all wait
-    // for a second and deadlock the pool.  Fast path: take free space
-    // without blocking.  Slow path: retire (and so release) everything
-    // this request holds, then wait owning nothing.
-    if (!staging_.TryAcquire(static_cast<std::size_t>(n))) {
-      while (!pipeline.empty()) retire_oldest();
-      if (eof || !first_error.ok()) break;
-      Status acquired = staging_.Acquire(static_cast<std::size_t>(n));
-      if (!acquired.ok()) {
-        if (first_error.ok()) first_error = std::move(acquired);
-        break;
-      }
-    }
-    PendingChunk chunk;
-    chunk.reservation = std::make_shared<StagingReservation>(
-        &staging_, static_cast<std::size_t>(n));
-    chunk.data = std::make_shared<Buffer>();
-    chunk.at = issued;
-    chunk.asked = n;
-    const std::uint64_t from = offset + issued;
-    chunk.ticket = scheduler_->Submit(
-        oid, /*is_write=*/false, from, n,
-        [store = store_, oid, from, n, data = chunk.data]() -> Status {
-          auto read = store->Read(oid, from, n);
-          if (!read.ok()) return read.status();
-          *data = std::move(*read);
-          return OkStatus();
-        });
-    pipeline.push_back(std::move(chunk));
-    issued += n;
-    while (pipeline.size() >= kRequestPipelineDepth && first_error.ok()) {
-      retire_oldest();
-    }
-  }
-  while (!pipeline.empty()) retire_oldest();
-  if (!first_error.ok()) return first_error;
-  return moved;
-}
-
-Result<util::SharedSlice> StorageServer::ScheduledReadSlice(
-    storage::ObjectId oid, std::uint64_t offset, std::uint64_t want) {
+Result<std::uint64_t> StorageServer::ScheduledReadSlice(
+    rpc::ServerContext& ctx, storage::ObjectId oid, std::uint64_t offset,
+    std::uint64_t length, std::uint64_t size) {
+  // Only the bytes the object holds are materialized, so only those are
+  // reserved: a read into an oversized buffer must not hold the pool.
+  const std::uint64_t want =
+      offset >= size ? 0 : std::min<std::uint64_t>(length, size - offset);
+  if (want == 0) return std::uint64_t{0};
   // Flow control: reserve staging for the materialized read (Acquire
   // clamps oversized requests to pool capacity) while the medium services
   // it.  Blocking here is safe — this worker holds no reservation yet.
@@ -410,55 +314,17 @@ Result<util::SharedSlice> StorageServer::ScheduledReadSlice(
   // and reply cache is bounded by the cache's eviction, not the pool.
   LWFS_RETURN_IF_ERROR(staging_.Acquire(static_cast<std::size_t>(want)));
   StagingReservation reservation(&staging_, static_cast<std::size_t>(want));
-  auto ticket = scheduler_->SubmitSliceRead(
+  auto ticket = scheduler_.SubmitSliceRead(
       oid, offset, want,
       [store = store_, oid](std::uint64_t off,
                             std::uint64_t len) -> Result<util::SharedSlice> {
         return store->ReadSlice(oid, off, len);
       });
   LWFS_RETURN_IF_ERROR(ticket->Await());
-  return ticket->TakeSlice();
-}
-
-Result<util::SharedSlice> StorageServer::StagedReadSlice(
-    storage::ObjectId oid, std::uint64_t offset, std::uint64_t want) {
-  Buffer staged(static_cast<std::size_t>(want));
-  std::uint64_t moved = 0;
-  while (moved < want) {
-    const std::uint64_t n =
-        std::min<std::uint64_t>(options_.bulk_chunk_bytes, want - moved);
-    // Per-chunk reservation, released each iteration — never held across
-    // the next Acquire, so the pool invariant holds.
-    LWFS_RETURN_IF_ERROR(staging_.Acquire(static_cast<std::size_t>(n)));
-    StagingReservation reservation(&staging_, static_cast<std::size_t>(n));
-    auto data = std::make_shared<Buffer>();
-    const std::uint64_t from = offset + moved;
-    if (scheduler_) {
-      auto ticket = scheduler_->Submit(
-          oid, /*is_write=*/false, from, n,
-          [store = store_, oid, from, n, data]() -> Status {
-            auto read = store->Read(oid, from, n);
-            if (!read.ok()) return read.status();
-            *data = std::move(*read);
-            return OkStatus();
-          });
-      LWFS_RETURN_IF_ERROR(ticket->Await());
-    } else {
-      auto read = store_->Read(oid, from, n);
-      if (!read.ok()) return read.status();
-      ChargeMediumTime(read->size(), /*charge_op=*/moved == 0);
-      *data = std::move(*read);
-    }
-    if (data->empty()) break;  // EOF
-    // The staging copy the zero-copy path exists to avoid: assemble the
-    // chunk into the reply buffer and charge it against the budget.
-    std::memcpy(staged.data() + moved, data->data(), data->size());
-    LWFS_COUNT_COPY(util::CopyKind::kStage, data->size());
-    moved += data->size();
-    if (data->size() < n) break;  // short read: EOF
-  }
-  staged.resize(static_cast<std::size_t>(moved));
-  return util::SharedSlice::FromBuffer(std::move(staged));
+  util::SharedSlice slice = ticket->TakeSlice();
+  const std::uint64_t moved = slice.size();
+  if (moved > 0) LWFS_RETURN_IF_ERROR(ctx.PushBulkSlice(std::move(slice)));
+  return moved;
 }
 
 void StorageServer::RegisterDataHandlers() {
@@ -489,118 +355,36 @@ void StorageServer::RegisterDataHandlers() {
              wire::ObjWriteReq& req) -> Result<wire::IoMovedRep> {
         auto attr = CheckObject(req.cap, storage::ObjectId{req.oid});
         if (!attr.ok()) return attr.status();
+        const std::uint64_t total = ctx.bulk_out_size();
+        LWFS_RETURN_IF_ERROR(CheckExtent(req.offset, total));
 
         // Server-directed pull, one bounded chunk at a time (Figure 6).
-        const std::uint64_t total = ctx.bulk_out_size();
-        std::uint64_t moved = 0;
-        if (scheduler_) {
-          auto scheduled = ScheduledWrite(ctx, storage::ObjectId{req.oid},
-                                          req.offset, total);
-          if (!scheduled.ok()) return scheduled.status();
-          moved = *scheduled;
-        } else if (options_.zero_copy) {
-          while (moved < total) {
-            const std::size_t n =
-                static_cast<std::size_t>(std::min<std::uint64_t>(
-                    options_.bulk_chunk_bytes, total - moved));
-            auto chunk = ctx.PullBulkSlice(n, moved);
-            if (!chunk.ok()) return chunk.status();
-            LWFS_RETURN_IF_ERROR(store_->WriteSlice(storage::ObjectId{req.oid},
-                                                    req.offset + moved,
-                                                    *chunk));
-            ChargeMediumTime(n, /*charge_op=*/moved == 0);
-            moved += n;
-          }
-        } else {
-          Buffer chunk;
-          while (moved < total) {
-            const std::size_t n =
-                static_cast<std::size_t>(std::min<std::uint64_t>(
-                    options_.bulk_chunk_bytes, total - moved));
-            chunk.resize(n);
-            LWFS_RETURN_IF_ERROR(ctx.PullBulk(MutableByteSpan(chunk), moved));
-            LWFS_RETURN_IF_ERROR(store_->Write(storage::ObjectId{req.oid},
-                                               req.offset + moved,
-                                               ByteSpan(chunk)));
-            ChargeMediumTime(n, /*charge_op=*/moved == 0);
-            moved += n;
-          }
-        }
+        auto moved = ScheduledWrite(ctx, storage::ObjectId{req.oid},
+                                    req.offset, total);
+        if (!moved.ok()) return moved.status();
         // End-to-end integrity: the pulled payload must match the checksum
         // the client put in the request header.  On mismatch the client
         // sees kDataLoss and retries the whole write, overwriting whatever
         // corrupt bytes already landed.
         LWFS_RETURN_IF_ERROR(ctx.VerifyPulledPayload());
-        return wire::IoMovedRep{moved};
+        return wire::IoMovedRep{*moved};
       });
 
+  // The read: no client-registered bulk-in region and no server push — the
+  // store-owned slice is appended to the reply frame itself
+  // (PushBulkSlice) and fans out to the client as refcount bumps.  The
+  // store's medium copy is the path's only copy.
   data_ops_.On<wire::ObjReadReq, wire::IoMovedRep>(
       wire::kObjReadOp,
       [this](rpc::ServerContext& ctx,
              wire::ObjReadReq& req) -> Result<wire::IoMovedRep> {
         auto attr = CheckObject(req.cap, storage::ObjectId{req.oid});
         if (!attr.ok()) return attr.status();
-
-        const std::uint64_t want =
-            std::min<std::uint64_t>(req.length, ctx.bulk_in_size());
-        std::uint64_t moved = 0;
-        if (scheduler_) {
-          auto scheduled = ScheduledRead(ctx, storage::ObjectId{req.oid},
-                                         req.offset, want);
-          if (!scheduled.ok()) return scheduled.status();
-          moved = *scheduled;
-        } else {
-          while (moved < want) {
-            const std::uint64_t n = std::min<std::uint64_t>(
-                options_.bulk_chunk_bytes, want - moved);
-            auto data =
-                store_->Read(storage::ObjectId{req.oid}, req.offset + moved, n);
-            if (!data.ok()) return data.status();
-            if (data->empty()) break;  // EOF
-            ChargeMediumTime(data->size(), /*charge_op=*/moved == 0);
-            // Server-directed push into the client's registered region.
-            LWFS_RETURN_IF_ERROR(ctx.PushBulk(ByteSpan(*data), moved));
-            moved += data->size();
-            if (data->size() < n) break;  // short read: EOF
-          }
-        }
-        return wire::IoMovedRep{moved};
-      });
-
-  // Slice read: the zero-copy read path.  No client-registered bulk-in
-  // region and no server push — the store-owned slice is appended to the
-  // reply frame itself (PushBulkSlice) and fans out to the client as
-  // refcount bumps.  The store's medium copy is the path's only copy.
-  data_ops_.On<wire::ObjReadReq, wire::IoMovedRep>(
-      wire::kObjReadSliceOp,
-      [this](rpc::ServerContext& ctx,
-             wire::ObjReadReq& req) -> Result<wire::IoMovedRep> {
-        auto attr = CheckObject(req.cap, storage::ObjectId{req.oid});
-        if (!attr.ok()) return attr.status();
-        const storage::ObjectId oid{req.oid};
-        util::SharedSlice slice;
-        if (!options_.zero_copy) {
-          // A/B baseline: synthesize the reply slice through the legacy
-          // staged copy so the zerocopy bench can isolate what the
-          // slice path saves.
-          auto staged = StagedReadSlice(oid, req.offset, req.length);
-          if (!staged.ok()) return staged.status();
-          slice = std::move(*staged);
-        } else if (scheduler_) {
-          auto got = ScheduledReadSlice(oid, req.offset, req.length);
-          if (!got.ok()) return got.status();
-          slice = std::move(*got);
-        } else {
-          auto got = store_->ReadSlice(oid, req.offset, req.length);
-          if (!got.ok()) return got.status();
-          ChargeMediumTime(got->size(), /*charge_op=*/true);
-          slice = std::move(*got);
-        }
-        const std::uint64_t moved = slice.size();
-        if (moved > 0) {
-          LWFS_RETURN_IF_ERROR(ctx.PushBulkSlice(std::move(slice)));
-        }
-        return wire::IoMovedRep{moved};
+        LWFS_RETURN_IF_ERROR(CheckExtent(req.offset, req.length));
+        auto moved = ScheduledReadSlice(ctx, storage::ObjectId{req.oid},
+                                        req.offset, req.length, attr->size);
+        if (!moved.ok()) return moved.status();
+        return wire::IoMovedRep{*moved};
       });
 
   data_ops_.On<wire::ObjRemoveReq, rpc::Void>(
@@ -746,40 +530,23 @@ void StorageServer::RegisterControlHandlers() {
         return rep;
       });
 
+  // Repair reads compete for the medium through the same elevator as
+  // client traffic — rate limiting happens replicator-side, and what does
+  // get through is scheduled, not priority traffic.  The survivor's bytes
+  // ride the reply frame, and the replicator forwards that very slice as
+  // the repair write's payload.
   control_ops_.On<wire::RepairReadReq, wire::RepairReadRep>(
       wire::kRepairReadOp,
       [this](rpc::ServerContext& ctx,
              wire::RepairReadReq& req) -> Result<wire::RepairReadRep> {
         const storage::ObjectId oid{req.oid};
-        const std::uint64_t want =
-            std::min<std::uint64_t>(req.length, ctx.bulk_in_size());
-        auto data = std::make_shared<Buffer>();
-        if (scheduler_) {
-          // Repair competes for the medium through the same elevator as
-          // client traffic — rate limiting happens replicator-side, and
-          // what does get through is scheduled, not priority traffic.
-          auto ticket = scheduler_->Submit(
-              oid, /*is_write=*/false, req.offset, want,
-              [store = store_, oid, from = req.offset, want,
-               data]() -> Status {
-                auto read = store->Read(oid, from, want);
-                if (!read.ok()) return read.status();
-                *data = std::move(*read);
-                return OkStatus();
-              });
-          LWFS_RETURN_IF_ERROR(ticket->Await());
-        } else {
-          auto read = store_->Read(oid, req.offset, want);
-          if (!read.ok()) return read.status();
-          ChargeMediumTime(read->size(), /*charge_op=*/true);
-          *data = std::move(*read);
-        }
-        if (!data->empty()) {
-          LWFS_RETURN_IF_ERROR(ctx.PushBulk(ByteSpan(*data), 0));
-        }
+        LWFS_RETURN_IF_ERROR(CheckExtent(req.offset, req.length));
         auto attr = store_->GetAttr(oid);
         if (!attr.ok()) return attr.status();
-        return wire::RepairReadRep{data->size(), attr->version, attr->size};
+        auto moved =
+            ScheduledReadSlice(ctx, oid, req.offset, req.length, attr->size);
+        if (!moved.ok()) return moved.status();
+        return wire::RepairReadRep{*moved, attr->version, attr->size};
       });
 
   control_ops_.On<wire::RepairWriteReq, wire::RepairWriteRep>(
@@ -797,6 +564,7 @@ void StorageServer::RegisterControlHandlers() {
           return created;
         }
         const auto n = static_cast<std::size_t>(ctx.bulk_out_size());
+        LWFS_RETURN_IF_ERROR(CheckExtent(req.offset, n));
         if (n > 0) {
           auto chunk = ctx.PullBulkSlice(n, 0);
           if (!chunk.ok()) return chunk.status();
@@ -846,17 +614,12 @@ Result<rpc::Void> StorageServer::HandleObjCreateAt(wire::ObjCreateAtReq& req) {
 Status StorageServer::ApplyChunk(storage::ObjectId oid, std::uint64_t offset,
                                  util::SharedSlice chunk) {
   const std::size_t n = chunk.size();
-  if (scheduler_) {
-    auto ticket = scheduler_->Submit(
-        oid, /*is_write=*/true, offset, n,
-        [store = store_, oid, offset, chunk = std::move(chunk)]() -> Status {
-          return store->WriteSlice(oid, offset, chunk);
-        });
-    return ticket->Await();
-  }
-  Status written = store_->WriteSlice(oid, offset, chunk);
-  if (written.ok()) ChargeMediumTime(n, /*charge_op=*/true);
-  return written;
+  auto ticket = scheduler_.Submit(
+      oid, /*is_write=*/true, offset, n,
+      [store = store_, oid, offset, chunk = std::move(chunk)]() -> Status {
+        return store->WriteSlice(oid, offset, chunk);
+      });
+  return ticket->Await();
 }
 
 Result<wire::ReplicaWriteRep> StorageServer::HandleReplicaWrite(
@@ -864,6 +627,8 @@ Result<wire::ReplicaWriteRep> StorageServer::HandleReplicaWrite(
   const storage::ObjectId oid{req.oid};
   auto attr = CheckObject(req.cap, oid);
   if (!attr.ok()) return attr.status();
+  const auto n = static_cast<std::size_t>(ctx.bulk_out_size());
+  LWFS_RETURN_IF_ERROR(CheckExtent(req.offset, n));
 
   // One reservation for the whole hop payload (clients chunk replicated
   // writes, WritePipeline included, so a hop's payload is one chunk).
@@ -871,7 +636,6 @@ Result<wire::ReplicaWriteRep> StorageServer::HandleReplicaWrite(
   // the hold-while-forwarding wait below points strictly down an acyclic
   // chain (for factor <= 3 a forward always terminates at a non-forwarding
   // tail).
-  const auto n = static_cast<std::size_t>(ctx.bulk_out_size());
   LWFS_RETURN_IF_ERROR(staging_.Acquire(n));
   StagingReservation reservation(&staging_, n);
 

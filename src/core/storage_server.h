@@ -4,8 +4,9 @@
 // decides — access policy (Figure 7): every data operation carries a
 // capability, checked against the local verified-capability cache and, on a
 // miss, against the authorization service (Figure 4-b).  Bulk data moves
-// under server control: writes pull from the client, reads push to it
-// (Figure 6).
+// under server control (Figure 6): writes pull from the client, reads
+// return store-owned slices in the reply frame, and every medium access
+// runs through the server's one IoScheduler.
 //
 // The server is also a two-phase-commit participant: object creations
 // inside a transaction are applied eagerly (fresh objects are invisible
@@ -63,9 +64,10 @@ struct StorageServerOptions {
   /// the scheduler never sees more than one queued extent, so the derived
   /// default is >1.
   int worker_threads = 0;
-  /// Server pulls/pushes bulk data in chunks of this size, which bounds its
-  /// per-request buffer footprint no matter how large the client's I/O is
-  /// (the essence of server-directed flow control).
+  /// Server pulls write payloads in chunks of this size, which bounds a
+  /// write's buffer footprint no matter how large the client's I/O is (the
+  /// essence of server-directed flow control).  A read is one extent,
+  /// materialized under a staging reservation clamped to the pool.
   std::size_t bulk_chunk_bytes = 1 << 20;
   VerifyMode verify_mode = VerifyMode::kAuthzWithCache;
   /// kSharedKey only: the authorization service's signing key.
@@ -79,34 +81,29 @@ struct StorageServerOptions {
   /// component rather than the host's memory bus.
   double modeled_disk_mb_s = 0;
   /// Modeled per-access (seek/op) cost in microseconds, charged once per
-  /// request extent when the scheduler is off and once per *merged run*
-  /// when it is on — the physical payoff of coalescing.  0 disables it.
+  /// scheduler run: per *merged run* when the scheduler is on — the
+  /// physical payoff of coalescing — and per extent when it is off (a
+  /// write chunk of at most bulk_chunk_bytes, or one read request).  0
+  /// disables it.
   double modeled_op_latency_us = 0;
-  /// Modeled cost of an object create in microseconds, charged through the
-  /// same serialized medium arm as data transfers.  Without it creates are
+  /// Modeled cost of an object create in microseconds, charged through a
+  /// serialized per-server create arm.  Without it creates are
   /// free on virtual time and a Fig 10-style create-throughput measurement
   /// is meaningless.  EXPERIMENTS.md calibrates the paper's storage server
   /// at ~0.25 ms (≈4k creates/s per server).  0 disables it.
   double modeled_create_latency_us = 0;
-  /// Route READ/WRITE extents through the IoScheduler (merge + elevator +
-  /// per-run medium charge).  Off reproduces the old per-request FIFO
-  /// data path, which the server_sched bench uses as its baseline.
+  /// Merge queued READ/WRITE extents into runs and service them in
+  /// elevator order.  Off services each extent as its own run in arrival
+  /// order — the per-request FIFO baseline of the server_sched bench.
+  /// Either way the one IoScheduler is the only data-path executor.
   bool scheduler = true;
-  /// Pull write payloads as ref-counted slices (PullBulkSlice/WriteSlice):
-  /// when the client registered an owned slice the server never stages the
-  /// bytes — the store's medium copy is the only copy on the write path.
-  /// Off restores the legacy staged-chunk pull (the zerocopy bench's
-  /// baseline).  Flow control is unchanged either way: chunks still
-  /// reserve staging-pool space.
-  bool zero_copy = true;
   /// Bound on total staging memory for in-flight bulk chunks; workers
   /// block for pool space before pulling from clients, so a burst of
   /// concurrent writes cannot overrun the I/O node (§3.2 flow control).
   /// Clamped up to 2 * bulk_chunk_bytes so a request can pipeline two
   /// chunks when the pool is otherwise idle.  Any number of concurrent
-  /// requests make progress at any capacity: a worker that must wait for
-  /// pool space first retires (and so releases) everything its request
-  /// holds, so waiters never hold staging.
+  /// requests make progress at any capacity: no worker ever waits for pool
+  /// space while it holds a reservation (see io_scheduler.h).
   std::size_t staging_bytes = 16 << 20;
   /// Time source for the medium model, schedulers, and both RPC planes
   /// (nullptr = real time).  Also fans into rpc/client_options when those
@@ -160,16 +157,14 @@ class StorageServer {
     return remote_verifies_.load(std::memory_order_relaxed);
   }
 
-  /// Scheduler counters (all zero when options.scheduler is off).
+  /// Scheduler counters.
   [[nodiscard]] IoSchedulerStats sched_stats() const {
-    return scheduler_ ? scheduler_->stats() : IoSchedulerStats{};
+    return scheduler_.stats();
   }
 
   /// Zero the scheduler counters (including queue_depth_hwm, which is
   /// otherwise monotonic) so callers can scope stats to one workload phase.
-  void ResetSchedStats() {
-    if (scheduler_) scheduler_->ResetStats();
-  }
+  void ResetSchedStats() { scheduler_.ResetStats(); }
 
   /// Times a data worker stalled waiting for staging memory.
   [[nodiscard]] std::uint64_t staging_waits() const {
@@ -227,8 +222,7 @@ class StorageServer {
   /// create of the same oid in the same container succeeds.
   Result<rpc::Void> HandleObjCreateAt(wire::ObjCreateAtReq& req);
 
-  /// Apply one already-pulled chunk to the store through the scheduler
-  /// when it is on, or directly (with the medium charge) when off.
+  /// Apply one already-pulled chunk to the store through the scheduler.
   Status ApplyChunk(storage::ObjectId oid, std::uint64_t offset,
                     util::SharedSlice chunk);
 
@@ -242,40 +236,28 @@ class StorageServer {
   Result<storage::ObjAttr> CheckObject(const security::Capability& cap,
                                        storage::ObjectId oid);
 
-  /// Charge `bytes` (plus one op cost when `charge_op`) against the
-  /// modeled medium (no-op when the model is off).  Serialized by
-  /// `medium_mu_`: one disk arm per server.  Scheduler-off path only; with
-  /// the scheduler on, the scheduler thread owns the medium and charges
-  /// once per merged run.
-  void ChargeMediumTime(std::uint64_t bytes, bool charge_op);
-  /// Extend the single arm's busy horizon by `us` and sleep out the slot
-  /// (outside the lock).  Creates charge modeled_create_latency_us here.
+  /// Charge `us` of modeled create cost: extend the create arm's busy
+  /// horizon and sleep out the slot (outside the lock).
   void ChargeModeledUs(double us);
 
-  /// The scheduler-on write/read data paths: stage chunks through the
-  /// pool, submit extents, retire a bounded in-request pipeline.
+  /// The write data path: pull chunks as slices under staging
+  /// reservations, submit one extent per chunk, retire a bounded
+  /// in-request pipeline.
   Result<std::uint64_t> ScheduledWrite(rpc::ServerContext& ctx,
                                        storage::ObjectId oid,
                                        std::uint64_t offset,
                                        std::uint64_t total);
-  Result<std::uint64_t> ScheduledRead(rpc::ServerContext& ctx,
-                                      storage::ObjectId oid,
-                                      std::uint64_t offset,
-                                      std::uint64_t want);
 
-  /// Scheduler-on slice read: submits ONE extent for the whole request;
-  /// the scheduler services the merged run containing it with a single
-  /// store ReadSlice and hands back this request's sub-slice.  The store's
-  /// medium copy is the only copy — the slice then rides the reply frame.
-  Result<util::SharedSlice> ScheduledReadSlice(storage::ObjectId oid,
-                                               std::uint64_t offset,
-                                               std::uint64_t want);
-  /// Legacy-staged slice synthesis (options.zero_copy off): chunked medium
-  /// reads assembled into one buffer through a counted staging copy — the
-  /// A/B baseline that shows what the slice path saves.
-  Result<util::SharedSlice> StagedReadSlice(storage::ObjectId oid,
-                                            std::uint64_t offset,
-                                            std::uint64_t want);
+  /// The read data path: submits ONE extent for the request, clamped to
+  /// the object's `size`; the scheduler services the run containing it
+  /// with a single store ReadSlice and hands back this request's
+  /// sub-slice, which rides the reply frame (PushBulkSlice).  The store's
+  /// medium copy is the only copy.  Returns the bytes read.
+  Result<std::uint64_t> ScheduledReadSlice(rpc::ServerContext& ctx,
+                                           storage::ObjectId oid,
+                                           std::uint64_t offset,
+                                           std::uint64_t length,
+                                           std::uint64_t size);
 
   const std::uint32_t server_id_;
   util::Clock* const clock_;
@@ -297,11 +279,11 @@ class StorageServer {
   rpc::Service replica_ops_;
   std::atomic<std::uint64_t> remote_verifies_{0};
   std::mutex medium_mu_;
-  /// Modeled disk arm: the horizon up to which the medium is committed.
-  /// Guarded by medium_mu_; the sleep itself happens outside the lock.
+  /// Modeled create arm: the horizon up to which it is committed.  Guarded
+  /// by medium_mu_; the sleep itself happens outside the lock.
   util::Clock::TimePoint medium_busy_until_{};
   StagingPool staging_;
-  std::unique_ptr<IoScheduler> scheduler_;
+  IoScheduler scheduler_;
 };
 
 }  // namespace lwfs::core

@@ -468,8 +468,11 @@ inline constexpr rpc::OpDef kObjCreateOp{kOpObjCreate, "obj_create",
 inline constexpr rpc::OpDef kObjWriteOp{kOpObjWrite, "obj_write",
                                         security::kOpWrite,
                                         rpc::BulkDir::kPull};
+/// The payload travels as store-owned slices in the reply frame itself
+/// (BulkDir::kReply), so the client registers no bulk-in region.
 inline constexpr rpc::OpDef kObjReadOp{kOpObjRead, "obj_read",
-                                       security::kOpRead, rpc::BulkDir::kPush};
+                                       security::kOpRead,
+                                       rpc::BulkDir::kReply};
 inline constexpr rpc::OpDef kObjRemoveOp{kOpObjRemove, "obj_remove",
                                          security::kOpRemove};
 inline constexpr rpc::OpDef kObjGetAttrOp{kOpObjGetAttr, "obj_getattr",
@@ -481,12 +484,6 @@ inline constexpr rpc::OpDef kObjFilterOp{kOpObjFilter, "obj_filter",
                                          rpc::BulkDir::kPush};
 inline constexpr rpc::OpDef kObjTruncateOp{kOpObjTruncate, "obj_truncate",
                                            security::kOpWrite};
-/// Slice read shares ObjReadReq/IoMovedRep with the legacy read; the
-/// payload travels as store-owned slices in the reply frame itself
-/// (BulkDir::kReply), so the client registers no bulk-in region.
-inline constexpr rpc::OpDef kObjReadSliceOp{kOpObjReadSlice, "obj_read_slice",
-                                            security::kOpRead,
-                                            rpc::BulkDir::kReply};
 
 // ---------------------------------------------------------------------------
 // Replication (storage data plane)
@@ -745,7 +742,8 @@ struct RepairProbeRep {
   }
 };
 
-/// Read survivor bytes for repair (bulk push to the replicator).
+/// Read survivor bytes for repair (they ride the reply frame to the
+/// replicator).
 struct RepairReadReq {
   std::uint64_t oid = 0;
   std::uint64_t offset = 0;
@@ -831,7 +829,7 @@ struct RepairWriteRep {
 
 inline constexpr rpc::OpDef kRepairProbeOp{kOpRepairProbe, "repair_probe"};
 inline constexpr rpc::OpDef kRepairReadOp{kOpRepairRead, "repair_read", 0,
-                                          rpc::BulkDir::kPush};
+                                          rpc::BulkDir::kReply};
 inline constexpr rpc::OpDef kRepairWriteOp{kOpRepairWrite, "repair_write", 0,
                                            rpc::BulkDir::kPull};
 

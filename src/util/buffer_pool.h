@@ -103,11 +103,13 @@ class ReadBufferPool : public std::enable_shared_from_this<ReadBufferPool> {
   Block Take(std::size_t n) {
     if (n > 0) {
       std::lock_guard<std::mutex> lock(mutex_);
-      // Smallest retained block that fits, so one huge block does not get
-      // pinned under a stream of small reads.
+      // Smallest retained block that fits and is at most twice the
+      // request: a small read never takes a block sized for a bulk read,
+      // which its slice could then pin (in a reply cache, say) while the
+      // next bulk read has to fault in fresh pages.
       std::size_t best = free_.size();
       for (std::size_t i = 0; i < free_.size(); ++i) {
-        if (free_[i].cap >= n &&
+        if (free_[i].cap >= n && free_[i].cap / 2 <= n &&
             (best == free_.size() || free_[i].cap < free_[best].cap)) {
           best = i;
         }
@@ -127,9 +129,21 @@ class ReadBufferPool : public std::enable_shared_from_this<ReadBufferPool> {
   }
 
   void Put(Block blk) {
-    if (blk.cap == 0) return;
+    if (blk.cap == 0 || blk.cap > max_retained_) return;
     std::lock_guard<std::mutex> lock(mutex_);
-    if (retained_ + blk.cap > max_retained_) return;  // over bound: free it
+    // Over the bound, a block makes room by evicting smaller retained
+    // blocks, oldest first: small blocks are cheap to allocate again, a
+    // bulk read's pages are not.  Otherwise it is freed.
+    for (std::size_t i = 0;
+         retained_ + blk.cap > max_retained_ && i < free_.size();) {
+      if (free_[i].cap < blk.cap) {
+        retained_ -= free_[i].cap;
+        free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+    if (retained_ + blk.cap > max_retained_) return;
     retained_ += blk.cap;
     free_.push_back(std::move(blk));
   }

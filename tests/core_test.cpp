@@ -554,6 +554,93 @@ TEST_F(CoreTest, AsyncHandlesRetireInAnyOrder) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Span reads: slice reads plus one copy into the caller's span
+// ---------------------------------------------------------------------------
+
+class SpanReadTest : public CoreTest {
+ protected:
+  void SetUp() override {
+    StartRuntime();
+    SetupAliceWorkspace();
+    auto oid = client_->CreateObject(0, cap_);
+    ASSERT_TRUE(oid.ok());
+    oid_ = *oid;
+    data_ = PatternBuffer(10000, 21);
+    ASSERT_TRUE(client_->WriteObject(0, cap_, oid_, 0, ByteSpan(data_)).ok());
+  }
+
+  storage::ObjectId oid_;
+  Buffer data_;
+};
+
+TEST_F(SpanReadTest, ShortReadAtEofFillsOnlyTheBytesHeld) {
+  Buffer out(4000, 0xEE);
+  auto n = client_->ReadObject(0, cap_, oid_, 8000, MutableByteSpan(out));
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  ASSERT_EQ(*n, 2000u);
+  EXPECT_TRUE(std::equal(out.begin(), out.begin() + 2000, data_.begin() + 8000));
+  // Bytes past the short read are the caller's, untouched.
+  EXPECT_TRUE(std::all_of(out.begin() + 2000, out.end(),
+                          [](std::uint8_t b) { return b == 0xEE; }));
+}
+
+TEST_F(SpanReadTest, ReadPastEofReturnsZero) {
+  Buffer out(100, 0xEE);
+  auto n = client_->ReadObject(0, cap_, oid_, 20000, MutableByteSpan(out));
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(*n, 0u);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                          [](std::uint8_t b) { return b == 0xEE; }));
+}
+
+TEST_F(SpanReadTest, BufferLargerThanTheObjectGetsTheWholeObject) {
+  Buffer out(1 << 20, 0);
+  auto n = client_->ReadObject(0, cap_, oid_, 0, MutableByteSpan(out));
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  ASSERT_EQ(*n, data_.size());
+  EXPECT_TRUE(std::equal(data_.begin(), data_.end(), out.begin()));
+}
+
+TEST_F(SpanReadTest, AllocWithOversizedLengthReturnsExactlyTheObject) {
+  auto back = client_->ReadObjectAlloc(0, cap_, oid_, 0, 64 << 20);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, data_);
+  auto tail = client_->ReadObjectAlloc(0, cap_, oid_, 9990, 64 << 20);
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(*tail, Buffer(data_.begin() + 9990, data_.end()));
+}
+
+TEST_F(SpanReadTest, BatchInterleavesSpanAndSliceReads) {
+  constexpr std::size_t kPiece = 1000;
+  std::vector<Buffer> spans(5, Buffer(kPiece, 0));
+  std::vector<std::uint64_t> span_n(5, 0);
+  std::vector<util::SharedSlice> slices(5);
+  {
+    Batch batch(client_.get(), 3);
+    for (std::size_t i = 0; i < 5; ++i) {
+      const std::uint64_t at = 2 * i * kPiece;
+      ASSERT_TRUE(batch
+                      .Read(0, cap_, oid_, at, MutableByteSpan(spans[i]),
+                            &span_n[i])
+                      .ok());
+      ASSERT_TRUE(
+          batch.ReadSlice(0, cap_, oid_, at + kPiece, kPiece, &slices[i])
+              .ok());
+    }
+    ASSERT_TRUE(batch.Drain().ok());
+  }
+  for (std::size_t i = 0; i < 5; ++i) {
+    const auto at = static_cast<std::ptrdiff_t>(2 * i * kPiece);
+    EXPECT_EQ(span_n[i], kPiece);
+    EXPECT_TRUE(std::equal(spans[i].begin(), spans[i].end(),
+                           data_.begin() + at));
+    ASSERT_EQ(slices[i].size(), kPiece);
+    EXPECT_TRUE(std::equal(slices[i].span().begin(), slices[i].span().end(),
+                           data_.begin() + at + static_cast<std::ptrdiff_t>(kPiece)));
+  }
+}
+
 TEST_F(CoreTest, RevokedCredentialStopsAuthzOperations) {
   StartRuntime();
   SetupAliceWorkspace();

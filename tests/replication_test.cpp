@@ -259,6 +259,51 @@ TEST_F(ReplicationTest, RepairRestoresReplicaLostAcrossRestart) {
   EXPECT_EQ(audit.stale_members, 0u);
 }
 
+// Repair moves survivor bytes without staging them anywhere: the survivor's
+// reply slice is forwarded as the repair write's payload, so the only
+// budgeted copies are the two store copies (survivor read, member write).
+TEST_F(ReplicationTest, RepairScanStagesNoBytes) {
+  if (!util::CopyStats::Enabled()) {
+    GTEST_SKIP() << "built without LWFS_COUNT_COPIES";
+  }
+  StartRuntime(/*servers=*/4, /*factor=*/3);
+  auto chain = client_->CreateReplicatedObject(cap_, 1, 3);
+  ASSERT_TRUE(chain.ok());
+  Buffer data = PatternBuffer(192 << 10, 12);
+  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  const auto victim = static_cast<int>(chain->servers.back());
+  ASSERT_TRUE(runtime_->store(victim).Remove(chain->oid).ok());
+  runtime_->storage_server(victim).Restart();
+
+  const util::CopySnapshot base = util::CopyStats::Snapshot();
+  auto scan = runtime_->replicator().RunScan();
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  const util::CopySnapshot d = util::CopyStats::Snapshot().Since(base);
+  EXPECT_EQ(scan->repaired, 1u);
+  EXPECT_EQ(scan->bytes_copied, data.size());
+  EXPECT_EQ(d.bytes_of(util::CopyKind::kStage), 0u);
+  EXPECT_EQ(d.bytes_of(util::CopyKind::kStore), 2 * data.size());
+  ExpectAllMembersHold(*chain, data);
+}
+
+// A chain write whose end wraps past 2^64 is refused at the head, before
+// any member's store or scheduler sees it.
+TEST_F(ReplicationTest, WrappingChainWriteIsRejected) {
+  StartRuntime(/*servers=*/4, /*factor=*/3);
+  auto chain = client_->CreateReplicatedObject(cap_, 0, 3);
+  ASSERT_TRUE(chain.ok());
+  Buffer data = PatternBuffer(64 << 10, 13);
+  const std::uint64_t wrapping = ~std::uint64_t{0} - 100;
+  EXPECT_EQ(
+      client_->WriteReplicated(cap_, *chain, wrapping, ByteSpan(data)).code(),
+      ErrorCode::kInvalidArgument);
+  for (std::uint32_t s : chain->servers) {
+    auto attr = runtime_->store(static_cast<int>(s)).GetAttr(chain->oid);
+    ASSERT_TRUE(attr.ok());
+    EXPECT_EQ(attr->size, 0u) << "server " << s;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Degraded writes and version catch-up
 // ---------------------------------------------------------------------------

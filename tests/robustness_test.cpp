@@ -4,6 +4,8 @@
 // clients; one buggy client must not take it down.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/protocol.h"
 #include "core/runtime.h"
 #include "pfs/pfs_runtime.h"
@@ -46,6 +48,38 @@ TEST_F(RobustnessTest, EmptyRequestBodiesRejectedCleanly) {
     auto reply = rpc_->Call(storage_nid(), op, {});
     EXPECT_FALSE(reply.ok()) << "opcode " << op;
   }
+}
+
+// An extent whose end wraps past 2^64 is refused before it reaches the
+// store or the scheduler.  (Regression: a 64 KiB write at 2^64 - 101 used
+// to return OK, store nothing, and leave the size at the wrapped end.)
+TEST_F(RobustnessTest, WrappingExtentsAreRejected) {
+  auto oid = client_->CreateObject(0, cap_).value();
+  const Buffer head = PatternBuffer(100, 1);
+  ASSERT_TRUE(client_->WriteObject(0, cap_, oid, 0, ByteSpan(head)).ok());
+  const std::uint64_t wrapping = std::numeric_limits<std::uint64_t>::max() - 100;
+
+  const Buffer payload = PatternBuffer(64 << 10, 2);
+  EXPECT_EQ(client_->WriteObject(0, cap_, oid, wrapping, ByteSpan(payload))
+                .code(),
+            ErrorCode::kInvalidArgument);
+  auto attr = client_->GetAttr(0, cap_, oid);
+  ASSERT_TRUE(attr.ok());
+  EXPECT_EQ(attr->size, head.size());
+
+  Buffer out(64 << 10);
+  EXPECT_EQ(client_->ReadObject(0, cap_, oid, wrapping, MutableByteSpan(out))
+                .status()
+                .code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(client_->ReadObjectSlice(0, cap_, oid, wrapping, 64 << 10)
+                .status()
+                .code(),
+            ErrorCode::kInvalidArgument);
+  // The object is intact.
+  auto back = client_->ReadObjectAlloc(0, cap_, oid, 0, 1 << 20);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, head);
 }
 
 TEST_F(RobustnessTest, RandomGarbageRequestsNeverKillTheServer) {

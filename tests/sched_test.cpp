@@ -90,6 +90,18 @@ TEST(PlanRunsTest, ReadsAndWritesOnTheSameBytesStaySeparateRuns) {
   EXPECT_NE(runs[0].is_write, runs[1].is_write);
 }
 
+TEST(PlanRunsTest, CoalesceOffKeepsArrivalOrderOneRunPerExtent) {
+  const std::vector<PendingExtent> batch = {
+      Write(1, 8192, 4096), Write(1, 0, 4096), Write(1, 4096, 4096)};
+  auto runs = PlanRuns(batch, /*coalesce=*/false);
+  ASSERT_EQ(runs.size(), 3u);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].offset, batch[i].offset);
+    EXPECT_EQ(runs[i].bytes(), 4096u);
+    EXPECT_EQ(runs[i].members, std::vector<std::size_t>{i});
+  }
+}
+
 // The remote_verifies_-style pin for merging: stall the scheduler inside a
 // first batch, queue strided extents behind it, and check the counters —
 // the medium is charged exactly `runs` times, never once per extent, and
@@ -291,8 +303,9 @@ TEST(SchedServerTest, ConcurrentStridedWritesRoundTripThroughScheduler) {
   EXPECT_GE(stats.queue_depth_hwm, 2u);  // concurrency actually queued
 }
 
-// The scheduler-off path must stay intact: it is the bench baseline and
-// the fallback configuration.
+// The scheduler-off configuration is the server_sched bench's per-request
+// FIFO baseline: the one scheduler services every extent as its own run in
+// arrival order, so adjacent extents that queue together never merge.
 TEST(SchedServerTest, SchedulerOffPathStillRoundTrips) {
   core::RuntimeOptions options;
   options.storage_servers = 1;
@@ -306,12 +319,29 @@ TEST(SchedServerTest, SchedulerOffPathStillRoundTrips) {
   auto cap = client->GetCap(cred, cid, security::kOpAll).value();
   auto oid = client->CreateObject(0, cap).value();
 
-  const Buffer payload = PatternBuffer(10000, 42);
-  ASSERT_TRUE(client->WriteObject(0, cap, oid, 0, ByteSpan(payload)).ok());
+  // Sixteen touching 4 KiB writes, eight in flight at a time: with
+  // coalescing on, the ones that queue together would merge.
+  constexpr std::size_t kExtent = 4096;
+  const Buffer payload = PatternBuffer(16 * kExtent, 42);
+  {
+    core::Batch batch(client.get(), 8);
+    for (std::size_t at = 0; at < payload.size(); at += kExtent) {
+      ASSERT_TRUE(batch
+                      .Write(0, cap, oid, at,
+                             ByteSpan(payload.data() + at, kExtent))
+                      .ok());
+    }
+    ASSERT_TRUE(batch.Drain().ok());
+  }
   auto back = client->ReadObjectAlloc(0, cap, oid, 0, payload.size());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, payload);
-  EXPECT_EQ(runtime->storage_server(0).sched_stats().requests, 0u);
+
+  const core::IoSchedulerStats stats = runtime->storage_server(0).sched_stats();
+  EXPECT_EQ(stats.requests, 17u);  // 16 write extents + 1 read
+  EXPECT_EQ(stats.runs, stats.requests);
+  EXPECT_EQ(stats.merges, 0u);
+  EXPECT_EQ(stats.coalesced_bytes, 0u);
 }
 
 // Multi-chunk requests squeeze through a staging pool clamped to the

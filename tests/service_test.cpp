@@ -296,8 +296,9 @@ void ExerciseCopyBudget(util::Clock* clock) {
   EXPECT_EQ(slice_read->ToBuffer(util::CopyKind::kDeliver),
             payload.ToBuffer(util::CopyKind::kDeliver));
 
-  // Legacy span read for contrast: the server stages the payload into the
-  // push buffer before the wire transfer, doubling the budget.
+  // Span read for contrast: the same slice read, plus the client adapter's
+  // one copy of the reply slice into the caller's span, doubling the
+  // budget.
   Buffer out(n);
   base = util::CopyStats::Snapshot();
   auto read = client->ReadObject(0, *cap, *oid, 0, MutableByteSpan(out));
@@ -309,7 +310,8 @@ void ExerciseCopyBudget(util::Clock* clock) {
   EXPECT_EQ(d.budget_bytes(), 2 * n);
   EXPECT_EQ(out, payload.ToBuffer(util::CopyKind::kDeliver));
 
-  // Legacy span write for contrast: staging doubles the budget.
+  // Span write for contrast: the fabric stages the raw span on the pull,
+  // doubling the budget.
   base = util::CopyStats::Snapshot();
   Buffer legacy = PatternBuffer(n, 43);
   ASSERT_TRUE(client->WriteObject(0, *cap, *oid, 0, ByteSpan(legacy)).ok());

@@ -371,6 +371,31 @@ TEST(ReadBufferPool, RetainedBytesRespectTheBound) {
   EXPECT_EQ(pool->retained_bytes(), 4096u);
 }
 
+TEST(ReadBufferPool, SmallReadLeavesALargeBlockForTheNextLargeRead) {
+  auto pool = ReadBufferPool::Create();
+  const Buffer big = PatternBuffer(1 << 20, 6);
+  (void)pool->CopyOut(ByteSpan(big), CopyKind::kStore);  // retire 1 MiB
+  ASSERT_EQ(pool->retained_bytes(), std::size_t{1} << 20);
+  const Buffer small = PatternBuffer(100, 7);
+  SharedSlice tiny = pool->CopyOut(ByteSpan(small), CopyKind::kStore);
+  EXPECT_EQ(pool->retained_bytes(), std::size_t{1} << 20);  // not taken
+  SharedSlice again = pool->CopyOut(ByteSpan(big), CopyKind::kStore);
+  EXPECT_EQ(pool->retained_bytes(), 0u);  // the bulk read reuses it
+  EXPECT_EQ(again.ToBuffer(CopyKind::kDeliver), big);
+}
+
+TEST(ReadBufferPool, LargeReleaseEvictsSmallerRetainedBlocks) {
+  auto pool = ReadBufferPool::Create(/*max_retained_bytes=*/4096);
+  const Buffer small = MakeBytes(100, 8);
+  const Buffer big = MakeBytes(4096, 9);
+  SharedSlice s = pool->CopyOut(ByteSpan(small), CopyKind::kStore);
+  SharedSlice b = pool->CopyOut(ByteSpan(big), CopyKind::kStore);
+  s = SharedSlice();
+  EXPECT_EQ(pool->retained_bytes(), 100u);
+  b = SharedSlice();  // evicts the small block to make room
+  EXPECT_EQ(pool->retained_bytes(), 4096u);
+}
+
 TEST(ReadBufferPool, GatherCopyOutIsOneCopyWithOneCrc) {
   auto pool = ReadBufferPool::Create();
   const Buffer a = MakeBytes(1000, 1);
