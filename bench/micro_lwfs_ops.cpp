@@ -171,8 +171,8 @@ BENCHMARK(BM_TransactionalCreateAndName);
 
 // PFS baseline comparison points on the identical substrate.
 void BM_PfsCreate(benchmark::State& state) {
-  static portals::Fabric fabric;
-  static auto runtime = pfs::PfsRuntime::Start(&fabric, {}).value();
+  static auto core = core::ServiceRuntime::Start({}).value();
+  static auto runtime = pfs::PfsRuntime::Start(core.get(), {}).value();
   auto client = runtime->MakeClient();
   static std::atomic<int> counter{0};
   for (auto _ : state) {

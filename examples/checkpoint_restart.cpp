@@ -120,13 +120,11 @@ int main(int argc, char** argv) {
   }
   std::printf("recovered %zu ranks, state match: %s\n\n", restored->size(),
               match ? "yes" : "NO");
-  std::filesystem::remove_all(durable_root);
 
   // --- The same checkpoint through a traditional PFS ------------------------
-  portals::Fabric pfs_fabric;
-  pfs::PfsRuntimeOptions pfs_options;
-  pfs_options.ost_count = 4;
-  auto pfs_runtime = pfs::PfsRuntime::Start(&pfs_fabric, pfs_options).value();
+  // Its MDS runs over the same storage servers: only the metadata and
+  // consistency layer differs.
+  auto pfs_runtime = pfs::PfsRuntime::Start(runtime.get(), {}).value();
 
   checkpoint::PfsFilePerProcess::Config fpp{"/ckpt-fpp", 1};
   auto fpp_stats =
@@ -148,5 +146,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\n(cluster-scale timing comparisons are the job of the simulator:\n"
       " see bench/fig9_dump_throughput and bench/fig10_create_throughput)\n");
+  std::filesystem::remove_all(durable_root);
   return match ? 0 : 1;
 }

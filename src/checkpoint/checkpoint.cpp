@@ -422,7 +422,7 @@ Result<CheckpointStats> PfsFilePerProcess::Run(
     if (!n.ok()) errors.Record(n.status());
   };
   for (std::uint32_t r = 0; r < nranks; ++r) {
-    while (writes.size() >= pfs::PfsClient::kDefaultOstWindow) retire();
+    while (writes.size() >= pfs::kIoWindow) retire();
     auto io = client->WriteAsync(files[r], 0, ByteSpan(states[r]));
     if (!io.ok()) {
       errors.Record(io.status());
@@ -475,7 +475,7 @@ Result<std::vector<Buffer>> PfsFilePerProcess::Restore(
     states[r].resize(static_cast<std::size_t>(*n));
   };
   for (std::uint32_t r = 0; r < nranks; ++r) {
-    while (reads.size() >= pfs::PfsClient::kDefaultOstWindow) retire();
+    while (reads.size() >= pfs::kIoWindow) retire();
     auto io = client->ReadAsync(files[r], 0, MutableByteSpan(states[r]));
     if (!io.ok()) {
       errors.Record(io.status());
@@ -532,7 +532,7 @@ Result<CheckpointStats> PfsSharedFile::Run(pfs::PfsRuntime& runtime,
     if (!n.ok()) errors.Record(n.status());
   };
   for (std::uint32_t r = 0; r < nranks; ++r) {
-    while (writes.size() >= pfs::PfsClient::kDefaultOstWindow) retire();
+    while (writes.size() >= pfs::kIoWindow) retire();
     auto io = clients[r]->WriteAsync(*file, offsets[r], ByteSpan(states[r]));
     if (!io.ok()) {
       errors.Record(io.status());

@@ -121,7 +121,7 @@ class PfsSharedFile {
  public:
   struct Config {
     std::string path;
-    std::uint32_t stripe_count = 0;  // 0 = stripe over all OSTs
+    std::uint32_t stripe_count = 0;  // 0 = stripe over all storage servers
     pfs::ConsistencyMode mode = pfs::ConsistencyMode::kPosixLocking;
   };
 

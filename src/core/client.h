@@ -645,6 +645,9 @@ class Client {
   [[nodiscard]] portals::Nid nid() const { return rpc_.nid(); }
   [[nodiscard]] const Deployment& deployment() const { return deployment_; }
   [[nodiscard]] rpc::ClientStats rpc_stats() const { return rpc_.stats(); }
+  /// This endpoint's RPC engine, for libraries layered over the core that
+  /// speak their own protocol from the same NIC (the pfs MDS calls).
+  [[nodiscard]] rpc::RpcClient& rpc() { return rpc_; }
   /// Per-opcode issue/error tallies of this client's RPC engine.
   [[nodiscard]] std::map<rpc::Opcode, rpc::ClientOpTally> rpc_op_tallies()
       const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <limits>
 
 #include "core/wire.h"
 #include "util/logging.h"
@@ -68,11 +67,14 @@ IoSchedulerOptions SchedulerOptions(const StorageServerOptions& options) {
   return sched;
 }
 
-/// An extent whose end does not fit in 64 bits would wrap inside the store
-/// and the scheduler's run planner: reject it before it gets that far.
+/// An extent must end inside the object offset space, [0,
+/// kMaxObjectBytes]: a larger end would make the store materialize a table
+/// for it (or wrap inside the store and the scheduler's run planner).
+/// Reject it before it gets that far.
 Status CheckExtent(std::uint64_t offset, std::uint64_t length) {
-  if (length > std::numeric_limits<std::uint64_t>::max() - offset) {
-    return InvalidArgument("extent end overflows the object offset space");
+  if (offset > storage::kMaxObjectBytes ||
+      length > storage::kMaxObjectBytes - offset) {
+    return InvalidArgument("extent ends past the largest object size");
   }
   return OkStatus();
 }
@@ -455,6 +457,7 @@ void StorageServer::RegisterDataHandlers() {
              wire::ObjTruncateReq& req) -> Result<rpc::Void> {
         auto attr = CheckObject(req.cap, storage::ObjectId{req.oid});
         if (!attr.ok()) return attr.status();
+        LWFS_RETURN_IF_ERROR(CheckExtent(0, req.size));
         LWFS_RETURN_IF_ERROR(
             store_->Truncate(storage::ObjectId{req.oid}, req.size));
         return rpc::Void{};

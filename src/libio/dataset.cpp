@@ -205,7 +205,7 @@ Result<Buffer> Dataset::ReadSlab(std::span<const std::uint64_t> start,
     if (!n.ok() && error.ok()) error = n.status();
   };
   while (error.ok() && next < runs->size()) {
-    if (inflight.size() >= fs_->options().io_window) {
+    if (inflight.size() >= pfs::kIoWindow) {
       retire();
       continue;
     }

@@ -1,7 +1,6 @@
 #include "lwfsfs/lwfsfs.h"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <set>
 
@@ -36,120 +35,6 @@ std::uint64_t StripeObjectSize(std::uint64_t size, std::uint32_t stripe_size,
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// FileIo
-// ---------------------------------------------------------------------------
-
-struct FileIo::State {
-  LwfsFs* fs = nullptr;
-  FileHandle* file = nullptr;  // must outlive the handle
-  bool is_read = false;
-  std::uint64_t offset = 0;
-  ByteSpan data{};          // write payload
-  // Ref-counted write payload (WriteSliceAsync): chunks register O(1)
-  // sub-slices of this for the server pull instead of raw spans, and the
-  // slice keeps the payload alive past caller scope.
-  util::SharedSlice data_slice{};
-  MutableByteSpan out{};    // read destination
-
-  // kPosix: the byte-range lock is acquired lazily in Await() so a driver
-  // pipelining several FileIo handles cannot deadlock against locks held
-  // by its own not-yet-retired handles.
-  bool need_lock = false;
-  std::optional<txn::LockId> lock;
-
-  struct Chunk {
-    std::uint32_t server = 0;
-    storage::ObjectId oid;
-    std::uint64_t object_offset = 0;
-    std::uint64_t length = 0;
-    std::size_t span_offset = 0;  // into `data` / `out`
-  };
-  std::vector<Chunk> chunks;
-  std::size_t next_chunk = 0;
-  bool planned = false;  // reads plan under the lock, inside Await()
-  std::uint64_t want = 0;  // read extent after clamping to the file size
-
-  struct Issued {
-    core::PendingIo io;
-    MutableByteSpan span{};  // read chunk destination, for hole zero-fill
-    std::uint64_t length = 0;
-  };
-  std::deque<Issued> inflight;
-
-  bool completed = false;
-  Result<std::uint64_t> result = std::uint64_t{0};
-};
-
-FileIo::FileIo() = default;
-FileIo::FileIo(FileIo&&) noexcept = default;
-FileIo& FileIo::operator=(FileIo&&) noexcept = default;
-
-FileIo::~FileIo() {
-  // Drain so the caller's span is quiescent before it can be freed.
-  if (state_ && !state_->completed) (void)Await();
-}
-
-Result<std::uint64_t> FileIo::Await() {
-  if (!state_) return FailedPrecondition("awaiting an empty file io handle");
-  State& s = *state_;
-  if (s.completed) return s.result;
-  LwfsFs& fs = *s.fs;
-
-  if (s.need_lock && !s.lock) {
-    const std::uint64_t len = s.is_read ? s.out.size() : s.data.size();
-    auto id = fs.client_->LockBlocking(
-        FileLockKey(fs.cap_, s.file->inode), {s.offset, s.offset + len},
-        s.is_read ? txn::LockMode::kShared : txn::LockMode::kExclusive);
-    if (!id.ok()) {
-      s.completed = true;
-      s.result = id.status();
-      return s.result;
-    }
-    s.lock = *id;
-  }
-
-  Status error = OkStatus();
-  if (s.is_read && !s.planned) error = fs.PlanRead(s);
-
-  for (;;) {
-    while (error.ok() && s.inflight.size() < fs.options_.io_window &&
-           s.next_chunk < s.chunks.size()) {
-      Status issued = fs.IssueFileChunk(s);
-      if (!issued.ok()) error = issued;
-    }
-    if (s.inflight.empty()) break;
-    State::Issued op = std::move(s.inflight.front());
-    s.inflight.pop_front();
-    auto n = op.io.Await();
-    if (!n.ok()) {
-      if (error.ok()) error = n.status();
-      continue;
-    }
-    if (s.is_read && error.ok() && *n < op.length) {
-      // Hole within the file extent (sparse writes): reads as zero.
-      std::fill(op.span.begin() + static_cast<std::ptrdiff_t>(*n),
-                op.span.end(), 0);
-    }
-  }
-
-  if (error.ok() && !s.is_read) {
-    s.file->size = std::max(s.file->size, s.offset + s.data.size());
-  }
-  if (s.lock) {
-    Status unlocked = fs.client_->Unlock(*s.lock);
-    if (error.ok()) error = unlocked;
-    s.lock.reset();
-  }
-  s.completed = true;
-  if (!error.ok()) {
-    s.result = error;
-  } else {
-    s.result = s.is_read ? s.want : static_cast<std::uint64_t>(s.data.size());
-  }
-  return s.result;
-}
 
 Result<std::unique_ptr<LwfsFs>> LwfsFs::Mount(core::Client* client,
                                               security::Capability cap,
@@ -339,93 +224,44 @@ Result<std::uint64_t> LwfsFs::Read(FileHandle& file, std::uint64_t offset,
   return io->Await();
 }
 
-Status LwfsFs::PlanRead(FileIo::State& s) {
-  s.planned = true;
-  auto size = Size(*s.file);
-  if (!size.ok()) return size.status();
-  if (s.offset >= *size) {
-    s.want = 0;
-    return OkStatus();
-  }
-  s.want = std::min<std::uint64_t>(s.out.size(), *size - s.offset);
-  const auto chunks = pfs::MapExtent(
-      s.file->stripe_size, static_cast<std::uint32_t>(s.file->stripes.size()),
-      s.offset, s.want);
-  s.chunks.reserve(chunks.size());
-  for (const pfs::StripeChunk& chunk : chunks) {
-    const pfs::StripeTarget& target = s.file->stripes[chunk.stripe_index];
-    s.chunks.push_back(FileIo::State::Chunk{
-        target.ost_index, target.oid, chunk.object_offset, chunk.length,
-        static_cast<std::size_t>(chunk.file_offset - s.offset)});
-  }
-  return OkStatus();
+pfs::StripedFile LwfsFs::Striped(const FileHandle& file) const {
+  return pfs::StripedFile{client_, cap_, file.stripe_size, file.stripes};
 }
 
-Status LwfsFs::IssueFileChunk(FileIo::State& s) {
-  const FileIo::State::Chunk& chunk = s.chunks[s.next_chunk++];
-  if (s.is_read) {
-    auto span = s.out.subspan(chunk.span_offset,
-                              static_cast<std::size_t>(chunk.length));
-    auto io = client_->ReadObjectAsync(chunk.server, cap_, chunk.oid,
-                                       chunk.object_offset, span);
-    if (!io.ok()) return io.status();
-    s.inflight.push_back(
-        FileIo::State::Issued{std::move(*io), span, chunk.length});
-  } else {
-    Result<core::PendingIo> io = InvalidArgument("unplanned chunk");
-    if (s.data_slice.owned()) {
-      io = client_->WriteObjectSliceAsync(
-          chunk.server, cap_, chunk.oid, chunk.object_offset,
-          s.data_slice.Slice(chunk.span_offset,
-                             static_cast<std::size_t>(chunk.length)));
-    } else {
-      io = client_->WriteObjectAsync(
-          chunk.server, cap_, chunk.oid, chunk.object_offset,
-          s.data.subspan(chunk.span_offset,
-                         static_cast<std::size_t>(chunk.length)));
-    }
-    if (!io.ok()) return io.status();
-    s.inflight.push_back(
-        FileIo::State::Issued{std::move(*io), MutableByteSpan{},
-                              chunk.length});
+pfs::StripedPolicy LwfsFs::Policy(FileHandle& file, std::uint64_t offset,
+                                  std::uint64_t length, bool is_read) {
+  pfs::StripedPolicy policy;
+  if (options_.consistency == FsConsistency::kPosix) {
+    const auto mode =
+        is_read ? txn::LockMode::kShared : txn::LockMode::kExclusive;
+    policy.lock = [this, &file, offset, length, mode] {
+      return client_->LockBlocking(FileLockKey(cap_, file.inode),
+                                   {offset, offset + length}, mode);
+    };
+    policy.unlock = [this](txn::LockId id) { return client_->Unlock(id); };
   }
-  return OkStatus();
+  if (is_read) {
+    // Reads end at the file size (observed under the shared lock in
+    // kPosix); a short chunk inside that extent is a hole.
+    policy.read_extent = [this, &file,
+                          offset](std::uint64_t n) -> Result<std::uint64_t> {
+      auto size = Size(file);
+      if (!size.ok()) return size.status();
+      return offset >= *size ? 0 : std::min(n, *size - offset);
+    };
+    policy.end = [](std::uint64_t moved, std::uint64_t) { return moved; };
+  } else {
+    policy.end = [&file, offset](std::uint64_t moved, std::uint64_t) {
+      file.size = std::max(file.size, offset + moved);
+      return moved;
+    };
+  }
+  return policy;
 }
 
 Result<FileIo> LwfsFs::WriteAsync(FileHandle& file, std::uint64_t offset,
                                   ByteSpan data) {
-  FileIo io;
-  io.state_ = std::make_unique<FileIo::State>();
-  FileIo::State& s = *io.state_;
-  s.fs = this;
-  s.file = &file;
-  s.is_read = false;
-  s.offset = offset;
-  s.data = data;
-  s.need_lock = options_.consistency == FsConsistency::kPosix;
-
-  const auto chunks = pfs::MapExtent(
-      file.stripe_size, static_cast<std::uint32_t>(file.stripes.size()),
-      offset, data.size());
-  s.chunks.reserve(chunks.size());
-  for (const pfs::StripeChunk& chunk : chunks) {
-    const pfs::StripeTarget& target = file.stripes[chunk.stripe_index];
-    s.chunks.push_back(FileIo::State::Chunk{
-        target.ost_index, target.oid, chunk.object_offset, chunk.length,
-        static_cast<std::size_t>(chunk.file_offset - offset)});
-  }
-
-  // No chunk may go out before the lock is held; kPosix defers issuance
-  // to Await().  Otherwise prime the window now for overlap.
-  while (!s.need_lock && s.inflight.size() < options_.io_window &&
-         s.next_chunk < s.chunks.size()) {
-    Status issued = IssueFileChunk(s);
-    if (!issued.ok()) {
-      (void)io.Await();  // drain before reporting
-      return issued;
-    }
-  }
-  return io;
+  return WriteSliceAsync(file, offset, util::SharedSlice::External(data));
 }
 
 Status LwfsFs::WriteSlice(FileHandle& file, std::uint64_t offset,
@@ -438,154 +274,23 @@ Status LwfsFs::WriteSlice(FileHandle& file, std::uint64_t offset,
 
 Result<FileIo> LwfsFs::WriteSliceAsync(FileHandle& file, std::uint64_t offset,
                                        const util::SharedSlice& data) {
-  FileIo io;
-  io.state_ = std::make_unique<FileIo::State>();
-  FileIo::State& s = *io.state_;
-  s.fs = this;
-  s.file = &file;
-  s.is_read = false;
-  s.offset = offset;
-  s.data = data.span();
-  s.data_slice = data;  // before priming: every chunk rides the slice path
-  s.need_lock = options_.consistency == FsConsistency::kPosix;
-
-  const auto chunks = pfs::MapExtent(
-      file.stripe_size, static_cast<std::uint32_t>(file.stripes.size()),
-      offset, data.size());
-  s.chunks.reserve(chunks.size());
-  for (const pfs::StripeChunk& chunk : chunks) {
-    const pfs::StripeTarget& target = file.stripes[chunk.stripe_index];
-    s.chunks.push_back(FileIo::State::Chunk{
-        target.ost_index, target.oid, chunk.object_offset, chunk.length,
-        static_cast<std::size_t>(chunk.file_offset - offset)});
-  }
-
-  while (!s.need_lock && s.inflight.size() < options_.io_window &&
-         s.next_chunk < s.chunks.size()) {
-    Status issued = IssueFileChunk(s);
-    if (!issued.ok()) {
-      (void)io.Await();  // drain before reporting
-      return issued;
-    }
-  }
-  return io;
+  return pfs::StripedIo::Write(Striped(file), offset, data,
+                               Policy(file, offset, data.size(), false));
 }
 
 Result<FileIo> LwfsFs::ReadAsync(FileHandle& file, std::uint64_t offset,
                                  MutableByteSpan out) {
-  FileIo io;
-  io.state_ = std::make_unique<FileIo::State>();
-  FileIo::State& s = *io.state_;
-  s.fs = this;
-  s.file = &file;
-  s.is_read = true;
-  s.offset = offset;
-  s.out = out;
-  s.need_lock = options_.consistency == FsConsistency::kPosix;
-
-  // Reads clamp against the current size, which under kPosix must be
-  // observed with the shared lock held — so planning happens in Await().
-  // Relaxed mode plans and primes now for overlap.
-  if (!s.need_lock) {
-    Status planned = PlanRead(s);
-    if (!planned.ok()) return planned;
-    while (s.inflight.size() < options_.io_window &&
-           s.next_chunk < s.chunks.size()) {
-      Status issued = IssueFileChunk(s);
-      if (!issued.ok()) {
-        (void)io.Await();
-        return issued;
-      }
-    }
-  }
-  return io;
+  return pfs::StripedIo::Read(Striped(file), offset, out,
+                              Policy(file, offset, out.size(), true));
 }
 
 Result<util::SharedSlice> LwfsFs::ReadSlice(FileHandle& file,
                                             std::uint64_t offset,
                                             std::uint64_t length) {
-  // kPosix: shared byte-range lock over the extent, exactly like Read.
-  std::optional<txn::LockId> lock;
-  if (options_.consistency == FsConsistency::kPosix) {
-    auto id = client_->LockBlocking(FileLockKey(cap_, file.inode),
-                                    {offset, offset + length},
-                                    txn::LockMode::kShared);
-    if (!id.ok()) return id.status();
-    lock = *id;
-  }
-  auto unlock = [&](Result<util::SharedSlice> r) -> Result<util::SharedSlice> {
-    if (lock) {
-      Status unlocked = client_->Unlock(*lock);
-      if (r.ok() && !unlocked.ok()) return unlocked;
-    }
-    return r;
-  };
-
-  auto size = Size(file);
-  if (!size.ok()) return unlock(size.status());
-  if (offset >= *size) return unlock(util::SharedSlice());
-  const std::uint64_t want = std::min<std::uint64_t>(length, *size - offset);
-  const auto chunks = pfs::MapExtent(
-      file.stripe_size, static_cast<std::uint32_t>(file.stripes.size()),
-      offset, want);
-
-  // Fast path: the extent lives in one stripe object — hand the server's
-  // store-owned slice straight through.  A short slice here is a hole
-  // inside the file extent; pad it below like the span path zero-fills.
-  if (chunks.size() == 1) {
-    const pfs::StripeTarget& target = file.stripes[chunks[0].stripe_index];
-    auto got = client_->ReadObjectSlice(target.ost_index, cap_, target.oid,
-                                        chunks[0].object_offset, want);
-    if (!got.ok()) return unlock(got.status());
-    if (got->size() == want) return unlock(std::move(*got));
-    Buffer padded(static_cast<std::size_t>(want), std::uint8_t{0});
-    std::copy(got->span().begin(), got->span().end(), padded.begin());
-    LWFS_COUNT_COPY(util::CopyKind::kDeliver, got->size());
-    return unlock(util::SharedSlice::FromBuffer(std::move(padded)));
-  }
-
-  // Gather path: per-stripe slices flow through the bounded window and are
-  // copied once (kDeliver — final delivery, outside the staging budget)
-  // into a single freshly allocated slice.  Holes stay zero.
-  Buffer out(static_cast<std::size_t>(want), std::uint8_t{0});
-  struct Issued {
-    core::PendingSliceIo io;
-    std::size_t span_offset = 0;
-  };
-  std::deque<Issued> inflight;
-  Status error = OkStatus();
-  std::size_t next = 0;
-  auto retire = [&] {
-    Issued op = std::move(inflight.front());
-    inflight.pop_front();
-    auto got = op.io.Await();
-    if (!got.ok()) {
-      if (error.ok()) error = got.status();
-      return;
-    }
-    std::copy(got->span().begin(), got->span().end(),
-              out.begin() + static_cast<std::ptrdiff_t>(op.span_offset));
-    LWFS_COUNT_COPY(util::CopyKind::kDeliver, got->size());
-  };
-  while (error.ok() && next < chunks.size()) {
-    if (inflight.size() >= options_.io_window) {
-      retire();
-      continue;
-    }
-    const pfs::StripeChunk& chunk = chunks[next++];
-    const pfs::StripeTarget& target = file.stripes[chunk.stripe_index];
-    auto io = client_->ReadObjectSliceAsync(target.ost_index, cap_, target.oid,
-                                            chunk.object_offset, chunk.length);
-    if (!io.ok()) {
-      error = io.status();
-      break;
-    }
-    inflight.push_back(Issued{
-        std::move(*io), static_cast<std::size_t>(chunk.file_offset - offset)});
-  }
-  while (!inflight.empty()) retire();
-  if (!error.ok()) return unlock(error);
-  return unlock(util::SharedSlice::FromBuffer(std::move(out)));
+  auto io = pfs::StripedIo::ReadSlice(Striped(file), offset, length,
+                                      Policy(file, offset, length, true));
+  if (!io.ok()) return io.status();
+  return io->AwaitSlice();
 }
 
 Status LwfsFs::Truncate(FileHandle& file, std::uint64_t size) {

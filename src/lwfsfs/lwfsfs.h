@@ -28,6 +28,7 @@
 
 #include "core/client.h"
 #include "pfs/layout.h"
+#include "pfs/striped_io.h"
 #include "security/types.h"
 #include "util/status.h"
 
@@ -40,8 +41,6 @@ struct FsOptions {
   /// 0 = stripe over all storage servers.
   std::uint32_t default_stripe_count = 0;
   FsConsistency consistency = FsConsistency::kPosix;
-  /// Outstanding per-stripe object calls within one Read/Write.
-  std::size_t io_window = 8;
 };
 
 /// An open file: the decoded inode plus cached layout.
@@ -53,34 +52,15 @@ struct FileHandle {
   std::uint64_t size = 0;       // as of open/last flush
 };
 
-class LwfsFs;
-
-/// A pending file write or read.  Per-stripe object calls are issued
-/// through a bounded in-flight window (FsOptions::io_window) and overlap;
-/// Await() drives the remaining issuance and retires every chunk.  Under
-/// kPosix the byte-range lock is acquired inside Await() before any chunk
-/// goes out and released after the drain, so a caller pipelining several
-/// FileIo handles never deadlocks against its own window.  The FileHandle
-/// and the data span must stay valid until Await() returns (the destructor
-/// drains as a backstop).
-class FileIo {
- public:
-  FileIo();
-  FileIo(FileIo&&) noexcept;
-  FileIo& operator=(FileIo&&) noexcept;
-  ~FileIo();
-
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
-
-  /// Writes resolve to bytes written; reads to bytes read (short at EOF,
-  /// holes zero-filled).
-  Result<std::uint64_t> Await();
-
- private:
-  friend class LwfsFs;
-  struct State;
-  std::unique_ptr<State> state_;
-};
+/// A pending file write or read on the shared striped engine (window of
+/// pfs::kIoWindow object calls).  Under kPosix the byte-range lock is
+/// acquired inside Await() before any chunk goes out and released after
+/// the drain, so a caller pipelining several FileIo handles never
+/// deadlocks against its own window.  Writes resolve to bytes written;
+/// reads to bytes read (clamped to the file size, holes zero-filled).  The
+/// FileHandle and the data span must stay valid until Await() returns (the
+/// destructor drains as a backstop).
+using FileIo = pfs::StripedIo;
 
 /// One mounted LwfsFs instance.  Bind one per client thread (the underlying
 /// Client is thread-compatible, not thread-safe for shared handles).
@@ -119,7 +99,7 @@ class LwfsFs {
   Result<std::uint64_t> Read(FileHandle& file, std::uint64_t offset,
                              MutableByteSpan out);
   /// Asynchronous striped I/O: per-stripe object calls flow through a
-  /// window of FsOptions::io_window outstanding requests.  Under kPosix,
+  /// window of pfs::kIoWindow outstanding requests.  Under kPosix,
   /// issuance is deferred to FileIo::Await(), which takes the byte-range
   /// lock first.
   Result<FileIo> WriteAsync(FileHandle& file, std::uint64_t offset,
@@ -173,8 +153,6 @@ class LwfsFs {
   Result<FsckReport> Fsck(bool remove_orphans = false);
 
  private:
-  friend class FileIo;
-
   LwfsFs(core::Client* client, security::Capability cap, std::string root,
          FsOptions options)
       : client_(client),
@@ -189,11 +167,12 @@ class LwfsFs {
   /// Derived size: max over stripes of the byte the stripe's extent maps
   /// back to in file space.
   Result<std::uint64_t> DerivedSize(const FileHandle& file);
-  /// Resolve the read extent against the current size and plan chunks
-  /// (runs under the shared lock in kPosix mode).
-  Status PlanRead(FileIo::State& s);
-  /// Issue the next planned chunk of `s` asynchronously.
-  Status IssueFileChunk(FileIo::State& s);
+  [[nodiscard]] pfs::StripedFile Striped(const FileHandle& file) const;
+  /// kPosix byte-range locking (shared for reads); reads clamp to the size
+  /// seen under the lock and read holes as zero, writes grow `file.size`.
+  [[nodiscard]] pfs::StripedPolicy Policy(FileHandle& file,
+                                          std::uint64_t offset,
+                                          std::uint64_t length, bool is_read);
 
   core::Client* client_;
   security::Capability cap_;

@@ -1,276 +1,12 @@
 #include "pfs/client.h"
 
-#include <algorithm>
-#include <deque>
-#include <optional>
+#include <chrono>
 
 #include "pfs/wire.h"
 #include "rpc/service.h"
 #include "txn/lock_retry.h"
 
 namespace lwfs::pfs {
-
-// ---------------------------------------------------------------------------
-// PfsIo
-// ---------------------------------------------------------------------------
-
-/// One planned OST transfer (a StripeChunk resolved against the layout).
-struct PfsIo::State {
-  PfsClient* client = nullptr;
-  bool is_read = false;
-  std::size_t window = PfsClient::kDefaultOstWindow;
-
-  // kPosixLocking: the extent lock is acquired lazily in Await(), not at
-  // issue time.  A driver pipelining many PfsIo handles would otherwise
-  // deadlock against itself — the DLM rounds ranges to its granularity, so
-  // disjoint-but-nearby extents conflict, and a blocking acquire at issue
-  // time would wait on a lock held by a not-yet-retired handle in the same
-  // window.  The cost is the paper's point: locking serializes the I/O.
-  bool need_lock = false;
-  Ino lock_ino = 0;
-  std::uint64_t lock_start = 0;
-  std::uint64_t lock_end = 0;
-  std::optional<txn::LockId> lock;
-
-  struct Chunk {
-    portals::Nid ost = portals::kInvalidNid;
-    std::uint64_t oid = 0;
-    std::uint64_t object_offset = 0;
-    std::uint64_t length = 0;
-    std::size_t span_offset = 0;  // into `data` / `out`
-  };
-  std::vector<Chunk> chunks;
-  std::size_t next_chunk = 0;
-  ByteSpan data{};          // write payload
-  // Ref-counted write payload (WriteSliceAsync): chunks register O(1)
-  // sub-slices of this for the OST pull instead of raw spans, and the
-  // slice keeps the payload alive past caller scope.
-  util::SharedSlice data_slice{};
-  MutableByteSpan out{};    // read destination
-
-  struct Issued {
-    rpc::CallHandle handle;
-    std::uint64_t length = 0;
-  };
-  std::deque<Issued> inflight;
-
-  bool completed = false;
-  Result<std::uint64_t> result = std::uint64_t{0};
-};
-
-PfsIo::PfsIo() = default;
-PfsIo::PfsIo(PfsIo&&) noexcept = default;
-PfsIo& PfsIo::operator=(PfsIo&&) noexcept = default;
-
-PfsIo::~PfsIo() {
-  // Drain so the caller's span is quiescent before it can be freed.
-  if (state_ && !state_->completed) (void)Await();
-}
-
-Result<std::uint64_t> PfsIo::Await() {
-  if (!state_) return FailedPrecondition("awaiting an empty pfs io handle");
-  State& s = *state_;
-  if (s.completed) return s.result;
-
-  if (s.need_lock && !s.lock) {
-    auto id = s.client->LockExtent(s.lock_ino, s.lock_start, s.lock_end);
-    if (!id.ok()) {
-      s.completed = true;
-      s.result = id.status();
-      return s.result;
-    }
-    s.lock = *id;
-  }
-
-  Status error = OkStatus();
-  std::uint64_t total = 0;
-  bool eof = false;  // a short chunk read: later chunk counts are ignored
-  for (;;) {
-    while (error.ok() && !eof && s.inflight.size() < s.window &&
-           s.next_chunk < s.chunks.size()) {
-      Status issued = s.client->IssueChunk(s);
-      if (!issued.ok()) error = issued;
-    }
-    if (s.inflight.empty()) break;
-    State::Issued op = std::move(s.inflight.front());
-    s.inflight.pop_front();
-    auto reply = op.handle.Await();
-    if (!reply.ok()) {
-      if (error.ok()) error = reply.status();
-      continue;
-    }
-    if (!s.is_read || eof || !error.ok()) continue;
-    auto moved = rpc::ResolveTyped<wire::OstMovedRep>(std::move(reply));
-    if (!moved.ok()) {
-      error = moved.status();
-      continue;
-    }
-    total += moved->moved;
-    if (moved->moved < op.length) eof = true;  // EOF within this stripe object
-  }
-
-  if (s.lock) {
-    Status unlock = s.client->UnlockExtent(*s.lock);
-    if (error.ok()) error = unlock;
-    s.lock.reset();
-  }
-  s.completed = true;
-  if (!error.ok()) {
-    s.result = error;
-  } else {
-    s.result = s.is_read ? total : static_cast<std::uint64_t>(s.data.size());
-  }
-  return s.result;
-}
-
-// ---------------------------------------------------------------------------
-// PfsSliceIo
-// ---------------------------------------------------------------------------
-
-struct PfsSliceIo::State {
-  PfsClient* client = nullptr;
-  std::size_t window = PfsClient::kDefaultOstWindow;
-
-  // Same deferred-lock discipline as PfsIo (see the comment there).
-  bool need_lock = false;
-  Ino lock_ino = 0;
-  std::uint64_t lock_start = 0;
-  std::uint64_t lock_end = 0;
-  std::optional<txn::LockId> lock;
-
-  struct Chunk {
-    portals::Nid ost = portals::kInvalidNid;
-    std::uint64_t oid = 0;
-    std::uint64_t object_offset = 0;
-    std::uint64_t length = 0;
-    std::size_t span_offset = 0;  // into the gathered extent
-  };
-  std::vector<Chunk> chunks;
-  std::size_t next_chunk = 0;
-
-  struct Issued {
-    rpc::CallHandle handle;
-    std::uint64_t length = 0;
-    std::size_t span_offset = 0;
-  };
-  std::deque<Issued> inflight;
-
-  bool completed = false;
-  Result<util::SharedSlice> result = util::SharedSlice();
-};
-
-PfsSliceIo::PfsSliceIo() = default;
-PfsSliceIo::PfsSliceIo(PfsSliceIo&&) noexcept = default;
-PfsSliceIo& PfsSliceIo::operator=(PfsSliceIo&&) noexcept = default;
-
-PfsSliceIo::~PfsSliceIo() {
-  if (state_ && !state_->completed) (void)Await();
-}
-
-Result<util::SharedSlice> PfsSliceIo::Await() {
-  if (!state_) return FailedPrecondition("awaiting an empty pfs slice handle");
-  State& s = *state_;
-  if (s.completed) return s.result;
-
-  if (s.need_lock && !s.lock) {
-    auto id = s.client->LockExtent(s.lock_ino, s.lock_start, s.lock_end);
-    if (!id.ok()) {
-      s.completed = true;
-      s.result = id.status();
-      return s.result;
-    }
-    s.lock = *id;
-  }
-
-  // Retired per-stripe slices in chunk order; assembled after the drain.
-  struct Piece {
-    util::SharedSlice slice;
-    std::uint64_t length = 0;      // what the chunk asked for
-    std::size_t span_offset = 0;
-  };
-  std::vector<Piece> pieces;
-  pieces.reserve(s.chunks.size());
-  Status error = OkStatus();
-  bool eof = false;
-  for (;;) {
-    while (error.ok() && !eof && s.inflight.size() < s.window &&
-           s.next_chunk < s.chunks.size()) {
-      const State::Chunk& chunk = s.chunks[s.next_chunk++];
-      auto handle = rpc::CallTypedAsync(
-          s.client->rpc_, chunk.ost, kOstReadSlice,
-          wire::OstReadReq{chunk.oid, chunk.object_offset, chunk.length});
-      if (!handle.ok()) {
-        error = handle.status();
-        break;
-      }
-      s.inflight.push_back(
-          State::Issued{std::move(*handle), chunk.length, chunk.span_offset});
-    }
-    if (s.inflight.empty()) break;
-    State::Issued op = std::move(s.inflight.front());
-    s.inflight.pop_front();
-    auto reply = op.handle.Await();
-    if (!reply.ok()) {
-      if (error.ok()) error = reply.status();
-      continue;
-    }
-    if (eof || !error.ok()) continue;
-    auto moved = rpc::ResolveTyped<wire::OstMovedRep>(std::move(reply));
-    if (!moved.ok()) {
-      error = moved.status();
-      continue;
-    }
-    util::SharedSlice bulk = op.handle.ReplyBulk();
-    if (bulk.size() != moved->moved) {
-      error = DataLoss("ost slice read bulk does not match reported count");
-      continue;
-    }
-    if (moved->moved < op.length) eof = true;  // EOF within this stripe object
-    pieces.push_back(Piece{std::move(bulk), op.length, op.span_offset});
-  }
-
-  if (s.lock) {
-    Status unlock = s.client->UnlockExtent(*s.lock);
-    if (error.ok()) error = unlock;
-    s.lock.reset();
-  }
-  s.completed = true;
-  if (!error.ok()) {
-    s.result = error;
-    return s.result;
-  }
-
-  // Fast path: one stripe chunk — hand the OST's slice straight through
-  // (short at EOF by construction).
-  if (pieces.size() == 1 && pieces[0].span_offset == 0) {
-    s.result = std::move(pieces[0].slice);
-    return s.result;
-  }
-
-  // Gather: the extent ends at the first short chunk (retired in chunk
-  // order).  One delivery copy per byte — final delivery, outside the
-  // staging budget.
-  std::uint64_t total = 0;
-  for (const Piece& p : pieces) {
-    total = p.span_offset + p.slice.size();
-    if (p.slice.size() < p.length) break;
-  }
-  Buffer out(static_cast<std::size_t>(total), std::uint8_t{0});
-  for (const Piece& p : pieces) {
-    if (p.span_offset >= total) break;
-    const std::size_t n = std::min<std::size_t>(
-        p.slice.size(), static_cast<std::size_t>(total) - p.span_offset);
-    std::copy_n(p.slice.span().begin(), n,
-                out.begin() + static_cast<std::ptrdiff_t>(p.span_offset));
-    LWFS_COUNT_COPY(util::CopyKind::kDeliver, n);
-  }
-  s.result = util::SharedSlice::FromBuffer(std::move(out));
-  return s.result;
-}
-
-// ---------------------------------------------------------------------------
-// PfsClient
-// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -283,23 +19,22 @@ bool MdsFailoverWorthy(ErrorCode code) {
 
 }  // namespace
 
-PfsClient::PfsClient(std::shared_ptr<portals::Nic> nic,
-                     PfsDeployment deployment, ConsistencyMode mode,
-                     rpc::ClientOptions client_options)
-    : deployment_(std::move(deployment)),
+PfsClient::PfsClient(std::unique_ptr<core::Client> core,
+                     PfsDeployment deployment, ConsistencyMode mode)
+    : core_(std::move(core)),
+      deployment_(deployment),
       mode_(mode),
-      rpc_(std::move(nic), client_options),
       active_mds_(deployment_.mds) {}
 
 template <typename Rep, typename Req>
 Result<Rep> PfsClient::CallMds(rpc::Opcode op, const Req& req) {
   const portals::Nid first = active_mds_.load();
-  auto rep = rpc::CallTyped<Rep>(rpc_, first, op, req);
+  auto rep = rpc::CallTyped<Rep>(core_->rpc(), first, op, req);
   if (rep.ok() || !MdsFailoverWorthy(rep.status().code())) return rep;
   const portals::Nid other =
       first == deployment_.mds ? deployment_.mds_standby : deployment_.mds;
   if (other == portals::kInvalidNid || other == first) return rep;
-  auto retry = rpc::CallTyped<Rep>(rpc_, other, op, req);
+  auto retry = rpc::CallTyped<Rep>(core_->rpc(), other, op, req);
   if (retry.ok() || !MdsFailoverWorthy(retry.status().code())) {
     active_mds_.store(other);  // stick with the endpoint that answered
     ++mds_failovers_;
@@ -312,13 +47,13 @@ Result<OpenFile> PfsClient::Create(const std::string& path,
   auto attr = CallMds<wire::FileAttrRep>(kPfsCreate,
                                          wire::PfsCreateReq{path, stripe_count});
   if (!attr.ok()) return attr.status();
-  return OpenFile{path, std::move(attr->attr)};
+  return OpenFile{path, std::move(attr->attr), std::move(attr->cap)};
 }
 
 Result<OpenFile> PfsClient::Open(const std::string& path) {
   auto attr = CallMds<wire::FileAttrRep>(kPfsOpen, wire::PfsPathReq{path});
   if (!attr.ok()) return attr.status();
-  return OpenFile{path, std::move(attr->attr)};
+  return OpenFile{path, std::move(attr->attr), std::move(attr->cap)};
 }
 
 Status PfsClient::Unlink(const std::string& path) {
@@ -337,11 +72,12 @@ Result<txn::LockId> PfsClient::LockExtent(Ino ino, std::uint64_t start,
   // over RPC.  The schedule is deadline-bounded (one RPC default_timeout of
   // polling) so a holder that died without releasing cannot park this
   // thread forever — the caller gets kTimeout and decides whether to retry.
-  util::Clock* clock = rpc_.clock();
+  rpc::RpcClient& rpc = core_->rpc();
+  util::Clock* clock = rpc.clock();
   txn::LockRetrySchedule retry(
       clock->Now(),
       std::chrono::duration_cast<std::chrono::milliseconds>(
-          rpc_.options().default_timeout));
+          rpc.options().default_timeout));
   for (;;) {
     auto rep = CallMds<wire::PfsLockIdRep>(
         kPfsLockTry, wire::PfsLockTryReq{ino, start, end, /*exclusive=*/true});
@@ -378,178 +114,47 @@ Result<std::uint64_t> PfsClient::Read(const OpenFile& file,
   return io->Await();
 }
 
-Result<PfsIo> PfsClient::PlanIo(const OpenFile& file, std::uint64_t offset,
-                                std::uint64_t length, bool is_read,
-                                std::size_t window) {
-  PfsIo io;
-  io.state_ = std::make_unique<PfsIo::State>();
-  PfsIo::State& s = *io.state_;
-  s.client = this;
-  s.is_read = is_read;
-  s.window = window == 0 ? 1 : window;
-
-  const auto chunks = MapExtent(
-      file.attr.layout.stripe_size,
-      static_cast<std::uint32_t>(file.attr.layout.stripes.size()), offset,
-      length);
-  s.chunks.reserve(chunks.size());
-  for (const StripeChunk& chunk : chunks) {
-    const StripeTarget& target = file.attr.layout.stripes[chunk.stripe_index];
-    if (target.ost_index >= deployment_.osts.size()) {
-      return Internal("layout names unknown OST");
-    }
-    PfsIo::State::Chunk planned;
-    planned.ost = deployment_.osts[target.ost_index];
-    planned.oid = target.oid.value;
-    planned.object_offset = chunk.object_offset;
-    planned.length = chunk.length;
-    planned.span_offset = static_cast<std::size_t>(chunk.file_offset - offset);
-    s.chunks.push_back(planned);
-  }
-
-  if (mode_ == ConsistencyMode::kPosixLocking) {
-    s.need_lock = true;
-    s.lock_ino = file.attr.ino;
-    s.lock_start = offset;
-    s.lock_end = offset + length;
-  }
-  return io;
+StripedFile PfsClient::Striped(const OpenFile& file) const {
+  return StripedFile{core_.get(), file.cap, file.attr.layout.stripe_size,
+                     file.attr.layout.stripes};
 }
 
-Status PfsClient::IssueChunk(PfsIo::State& s) {
-  const PfsIo::State::Chunk& chunk = s.chunks[s.next_chunk++];
-  rpc::CallOptions options;
-  Result<rpc::CallHandle> handle = InvalidArgument("unplanned chunk");
-  if (s.is_read) {
-    options.bulk_in = s.out.subspan(chunk.span_offset,
-                                    static_cast<std::size_t>(chunk.length));
-    handle = rpc::CallTypedAsync(
-        rpc_, chunk.ost, kOstRead,
-        wire::OstReadReq{chunk.oid, chunk.object_offset, chunk.length},
-        options);
-  } else {
-    if (s.data_slice.owned()) {
-      options.bulk_out_slice = s.data_slice.Slice(
-          chunk.span_offset, static_cast<std::size_t>(chunk.length));
-    } else {
-      options.bulk_out = s.data.subspan(
-          chunk.span_offset, static_cast<std::size_t>(chunk.length));
-    }
-    handle = rpc::CallTypedAsync(rpc_, chunk.ost, kOstWrite,
-                                 wire::OstWriteReq{chunk.oid,
-                                                   chunk.object_offset},
-                                 options);
+StripedPolicy PfsClient::Policy(const OpenFile& file, std::uint64_t offset,
+                                std::uint64_t length) {
+  StripedPolicy policy;
+  if (mode_ == ConsistencyMode::kPosixLocking) {
+    policy.lock = [this, ino = file.attr.ino, offset, length] {
+      return LockExtent(ino, offset, offset + length);
+    };
+    policy.unlock = [this](txn::LockId id) { return UnlockExtent(id); };
   }
-  if (!handle.ok()) return handle.status();
-  s.inflight.push_back(
-      PfsIo::State::Issued{std::move(*handle), chunk.length});
-  return OkStatus();
+  // The MDS learns sizes only at Sync, so a short stripe chunk is EOF.
+  policy.end = [](std::uint64_t, std::uint64_t first_short) {
+    return first_short;
+  };
+  return policy;
 }
 
 Result<PfsIo> PfsClient::WriteAsync(const OpenFile& file, std::uint64_t offset,
-                                    ByteSpan data, std::size_t window) {
-  auto io = PlanIo(file, offset, data.size(), /*is_read=*/false, window);
-  if (!io.ok()) return io;
-  io->state_->data = data;
-  // Prime the window; Await() keeps it full as chunks retire.  When an
-  // extent lock is required no chunk may go out before it is held, so the
-  // whole issue is deferred to Await() (which takes the lock first).
-  PfsIo::State& s = *io->state_;
-  while (!s.need_lock && s.inflight.size() < s.window &&
-         s.next_chunk < s.chunks.size()) {
-    Status issued = IssueChunk(s);
-    if (!issued.ok()) {
-      (void)io->Await();  // drain + unlock before reporting
-      return issued;
-    }
-  }
-  return io;
-}
-
-Result<PfsIo> PfsClient::WriteSliceAsync(const OpenFile& file,
-                                         std::uint64_t offset,
-                                         const util::SharedSlice& data,
-                                         std::size_t window) {
-  auto io = PlanIo(file, offset, data.size(), /*is_read=*/false, window);
-  if (!io.ok()) return io;
-  io->state_->data = data.span();
-  io->state_->data_slice = data;
-  PfsIo::State& s = *io->state_;
-  while (!s.need_lock && s.inflight.size() < s.window &&
-         s.next_chunk < s.chunks.size()) {
-    Status issued = IssueChunk(s);
-    if (!issued.ok()) {
-      (void)io->Await();  // drain + unlock before reporting
-      return issued;
-    }
-  }
-  return io;
+                                    ByteSpan data) {
+  return StripedIo::Write(Striped(file), offset,
+                          util::SharedSlice::External(data),
+                          Policy(file, offset, data.size()));
 }
 
 Result<PfsIo> PfsClient::ReadAsync(const OpenFile& file, std::uint64_t offset,
-                                   MutableByteSpan out, std::size_t window) {
-  auto io = PlanIo(file, offset, out.size(), /*is_read=*/true, window);
-  if (!io.ok()) return io;
-  io->state_->out = out;
-  PfsIo::State& s = *io->state_;
-  while (!s.need_lock && s.inflight.size() < s.window &&
-         s.next_chunk < s.chunks.size()) {
-    Status issued = IssueChunk(s);
-    if (!issued.ok()) {
-      (void)io->Await();
-      return issued;
-    }
-  }
-  return io;
+                                   MutableByteSpan out) {
+  return StripedIo::Read(Striped(file), offset, out,
+                         Policy(file, offset, out.size()));
 }
 
 Result<util::SharedSlice> PfsClient::ReadSlice(const OpenFile& file,
                                                std::uint64_t offset,
                                                std::uint64_t length) {
-  auto io = ReadSliceAsync(file, offset, length);
+  auto io = StripedIo::ReadSlice(Striped(file), offset, length,
+                                 Policy(file, offset, length));
   if (!io.ok()) return io.status();
-  return io->Await();
-}
-
-Result<PfsSliceIo> PfsClient::ReadSliceAsync(const OpenFile& file,
-                                             std::uint64_t offset,
-                                             std::uint64_t length,
-                                             std::size_t window) {
-  PfsSliceIo io;
-  io.state_ = std::make_unique<PfsSliceIo::State>();
-  PfsSliceIo::State& s = *io.state_;
-  s.client = this;
-  s.window = window == 0 ? 1 : window;
-
-  const auto chunks = MapExtent(
-      file.attr.layout.stripe_size,
-      static_cast<std::uint32_t>(file.attr.layout.stripes.size()), offset,
-      length);
-  s.chunks.reserve(chunks.size());
-  for (const StripeChunk& chunk : chunks) {
-    const StripeTarget& target = file.attr.layout.stripes[chunk.stripe_index];
-    if (target.ost_index >= deployment_.osts.size()) {
-      return Internal("layout names unknown OST");
-    }
-    PfsSliceIo::State::Chunk planned;
-    planned.ost = deployment_.osts[target.ost_index];
-    planned.oid = target.oid.value;
-    planned.object_offset = chunk.object_offset;
-    planned.length = chunk.length;
-    planned.span_offset = static_cast<std::size_t>(chunk.file_offset - offset);
-    s.chunks.push_back(planned);
-  }
-
-  if (mode_ == ConsistencyMode::kPosixLocking) {
-    s.need_lock = true;
-    s.lock_ino = file.attr.ino;
-    s.lock_start = offset;
-    s.lock_end = offset + length;
-  }
-  // Issuance happens inside Await() for both modes: kPosixLocking must
-  // take the extent lock first, and the slice path has no caller-owned
-  // landing span to protect, so there is nothing to gain from priming.
-  return io;
+  return io->AwaitSlice();
 }
 
 Status PfsClient::Sync(const OpenFile& file, std::uint64_t size_hint) {

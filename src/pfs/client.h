@@ -2,21 +2,24 @@
 //
 // Provides the POSIX-ish file model the paper's alternative checkpoint
 // implementations use: open/create a striped file, write/read byte extents,
-// close.  In kPosixLocking mode every write takes an exclusive extent lock
-// at the MDS first — the consistency machinery that halves shared-file
-// checkpoint throughput in Figure 9.
+// close.  Metadata and extent locks go to the MDS; file bytes go straight
+// to the LWFS storage servers through a core::Client on the same NIC, under
+// the capability the MDS handed out with the file.  In kPosixLocking mode
+// every write takes an exclusive extent lock at the MDS first — the
+// consistency machinery that halves shared-file checkpoint throughput in
+// Figure 9.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "core/client.h"
 #include "pfs/mds.h"
 #include "pfs/protocol.h"
+#include "pfs/striped_io.h"
 #include "rpc/rpc.h"
 #include "txn/lock_table.h"
 #include "util/shared_buffer.h"
@@ -38,121 +41,66 @@ struct PfsDeployment {
   /// failure of the active MDS (timeout / unavailable) the client retries
   /// the op against the other endpoint and sticks with whichever answered.
   portals::Nid mds_standby = portals::kInvalidNid;
-  std::vector<portals::Nid> osts;
 };
 
 struct OpenFile {
   std::string path;
   FileAttr attr;
+  /// The MDS's capability over the stripe objects: a traditional PFS
+  /// decides access at open, and the storage servers enforce it.
+  security::Capability cap;
 };
 
-class PfsClient;
-
-/// A pending striped file write or read.  The per-stripe OST calls are
-/// issued through a bounded in-flight window and overlap each other;
-/// Await() drives the remaining issuance and retires every chunk.  In
-/// kPosixLocking mode the extent lock is acquired inside Await() (before
-/// any chunk goes out) and released after the drain — deferring the lock
-/// keeps a driver that pipelines many handles from deadlocking against
-/// its own window, at the price of serializing locked I/O, which is the
-/// consistency cost the paper measures.  The data span handed to
-/// WriteAsync/ReadAsync must stay valid until Await() returns (the
-/// destructor drains as a backstop).
-class PfsIo {
- public:
-  PfsIo();
-  PfsIo(PfsIo&&) noexcept;
-  PfsIo& operator=(PfsIo&&) noexcept;
-  ~PfsIo();
-
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
-
-  /// Writes resolve to bytes written; reads to bytes read (short at EOF).
-  Result<std::uint64_t> Await();
-
- private:
-  friend class PfsClient;
-  struct State;
-  std::unique_ptr<State> state_;
-};
-
-/// A pending zero-copy striped read.  Per-stripe OST calls register no
-/// bulk-in region: each reply arrives as store-owned slices in the reply
-/// frame.  A single-stripe extent resolves to that slice unchanged; a
-/// multi-stripe extent gathers the per-stripe slices into one freshly
-/// allocated slice.  Short at EOF (first short stripe chunk ends the
-/// extent, matching PfsIo's read accounting).
-class PfsSliceIo {
- public:
-  PfsSliceIo();
-  PfsSliceIo(PfsSliceIo&&) noexcept;
-  PfsSliceIo& operator=(PfsSliceIo&&) noexcept;
-  ~PfsSliceIo();
-
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
-
-  Result<util::SharedSlice> Await();
-
- private:
-  friend class PfsClient;
-  struct State;
-  std::unique_ptr<State> state_;
-};
+/// A pending striped file write or read.  In kPosixLocking mode the
+/// extent lock is acquired inside Await() (before any chunk goes out) and
+/// released after the drain — deferring the lock keeps a driver that
+/// pipelines many handles from deadlocking against its own window, at the
+/// price of serializing locked I/O, which is the consistency cost the
+/// paper measures.  Reads end short at the first short stripe chunk.  The
+/// PfsClient must outlive the handle.
+using PfsIo = StripedIo;
 
 class PfsClient {
  public:
-  /// Default bound on overlapped per-stripe OST calls within one PfsIo.
-  static constexpr std::size_t kDefaultOstWindow = 8;
-
-  PfsClient(std::shared_ptr<portals::Nic> nic, PfsDeployment deployment,
-            ConsistencyMode mode = ConsistencyMode::kPosixLocking,
-            rpc::ClientOptions client_options = {});
+  /// `core` is this endpoint's client of the LWFS core: file bytes move
+  /// through it, and MDS calls share its RPC engine.
+  PfsClient(std::unique_ptr<core::Client> core, PfsDeployment deployment,
+            ConsistencyMode mode = ConsistencyMode::kPosixLocking);
 
   Result<OpenFile> Create(const std::string& path, std::uint32_t stripe_count);
   Result<OpenFile> Open(const std::string& path);
   Status Unlink(const std::string& path);
   Result<FileAttr> GetAttr(const std::string& path);
 
-  /// Write `data` at `offset`, striping across OSTs.  Takes/releases the
-  /// extent lock in kPosixLocking mode.  Thin WriteAsync+Await wrapper.
+  /// Write `data` at `offset`, striping across storage servers.
+  /// Takes/releases the extent lock in kPosixLocking mode.  Thin
+  /// WriteAsync+Await wrapper.
   Status Write(const OpenFile& file, std::uint64_t offset, ByteSpan data);
 
   /// Read into `out`; returns bytes read.  Thin ReadAsync+Await wrapper.
   Result<std::uint64_t> Read(const OpenFile& file, std::uint64_t offset,
                              MutableByteSpan out);
 
-  /// Asynchronous striped I/O: plans the per-stripe chunks and starts
-  /// issuing OST calls through a window of `window` outstanding requests.
+  /// Asynchronous striped I/O through a window of kIoWindow object calls.
   /// In kPosixLocking mode issuance is deferred to PfsIo::Await(), which
   /// takes the extent lock first.
   Result<PfsIo> WriteAsync(const OpenFile& file, std::uint64_t offset,
-                           ByteSpan data,
-                           std::size_t window = kDefaultOstWindow);
-  /// Zero-copy write: each per-stripe chunk registers an O(1) sub-slice of
-  /// `data` for the OST's server-directed pull, so the payload is never
-  /// staged on either side — the slice must be owned() (ref-counted).
-  /// Non-owned slices fall back to the span path at the OST.
-  Result<PfsIo> WriteSliceAsync(const OpenFile& file, std::uint64_t offset,
-                                const util::SharedSlice& data,
-                                std::size_t window = kDefaultOstWindow);
+                           ByteSpan data);
   Result<PfsIo> ReadAsync(const OpenFile& file, std::uint64_t offset,
-                          MutableByteSpan out,
-                          std::size_t window = kDefaultOstWindow);
+                          MutableByteSpan out);
   /// Zero-copy read: no client landing buffer is registered; the payload
-  /// arrives as store-owned slices in the OST reply frames.  Thin
-  /// ReadSliceAsync+Await wrapper.
+  /// arrives as store-owned slices in the storage servers' reply frames.
   Result<util::SharedSlice> ReadSlice(const OpenFile& file,
                                       std::uint64_t offset,
                                       std::uint64_t length);
-  Result<PfsSliceIo> ReadSliceAsync(const OpenFile& file, std::uint64_t offset,
-                                    std::uint64_t length,
-                                    std::size_t window = kDefaultOstWindow);
 
   /// Publish the file size to the MDS (close/sync semantics).
   Status Sync(const OpenFile& file, std::uint64_t size_hint);
 
   [[nodiscard]] ConsistencyMode mode() const { return mode_; }
-  [[nodiscard]] rpc::ClientStats rpc_stats() const { return rpc_.stats(); }
+  [[nodiscard]] rpc::ClientStats rpc_stats() const {
+    return core_->rpc_stats();
+  }
 
   /// Times a metadata op was retried against the other MDS endpoint.
   [[nodiscard]] std::uint64_t mds_failovers() const {
@@ -162,13 +110,10 @@ class PfsClient {
   /// Per-opcode call/error tallies of the underlying RPC client.
   [[nodiscard]] std::map<rpc::Opcode, rpc::ClientOpTally> rpc_op_tallies()
       const {
-    return rpc_.OpTallies();
+    return core_->rpc_op_tallies();
   }
 
  private:
-  friend class PfsIo;
-  friend class PfsSliceIo;
-
   /// One MDS metadata round trip with standby failover: call the active
   /// endpoint; on timeout/unavailable try the other one and remember
   /// whichever answers.  Defined in client.cpp (all uses are local).
@@ -178,15 +123,15 @@ class PfsClient {
   Result<txn::LockId> LockExtent(Ino ino, std::uint64_t start,
                                  std::uint64_t end);
   Status UnlockExtent(txn::LockId id);
-  /// Plan the per-stripe chunks shared by WriteAsync/ReadAsync.
-  Result<PfsIo> PlanIo(const OpenFile& file, std::uint64_t offset,
-                       std::uint64_t length, bool is_read, std::size_t window);
-  /// Issue the next planned chunk of `s` asynchronously.
-  Status IssueChunk(PfsIo::State& s);
+  [[nodiscard]] StripedFile Striped(const OpenFile& file) const;
+  /// The extent lock in kPosixLocking mode; a short chunk is EOF.
+  [[nodiscard]] StripedPolicy Policy(const OpenFile& file,
+                                     std::uint64_t offset,
+                                     std::uint64_t length);
 
+  std::unique_ptr<core::Client> core_;
   PfsDeployment deployment_;
   ConsistencyMode mode_;
-  rpc::RpcClient rpc_;
   std::atomic<portals::Nid> active_mds_;
   std::atomic<std::uint64_t> mds_failovers_{0};
 };

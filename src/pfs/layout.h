@@ -1,9 +1,10 @@
 // Striping arithmetic for the traditional-PFS baseline.
 //
 // A file is striped round-robin in `stripe_size` units across N stripe
-// objects, one per OST — the classic Lustre/PVFS layout the paper's
-// baseline uses.  MapExtent decomposes a byte extent into per-stripe-object
-// chunks; it is pure and exhaustively property-tested.
+// objects, one per storage server — the classic Lustre/PVFS layout the
+// paper's baseline uses (lwfsfs reuses it).  MapExtent decomposes a byte
+// extent into per-stripe-object chunks; it is pure and exhaustively
+// property-tested.  StripedIo (striped_io.h) is its one I/O caller.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,7 @@ namespace lwfs::pfs {
 
 /// One stripe object of a file.
 struct StripeTarget {
-  std::uint32_t ost_index = 0;
+  std::uint32_t ost_index = 0;  // index of the storage server holding it
   storage::ObjectId oid;
 };
 

@@ -4,11 +4,12 @@
 
 namespace lwfs::pfs {
 
-MdsService::MdsService(std::uint32_t ost_count, OstCreateFn ost_create,
-                       OstRemoveFn ost_remove, MdsOptions options)
-    : ost_count_(ost_count),
-      ost_create_(std::move(ost_create)),
-      ost_remove_(std::move(ost_remove)),
+MdsService::MdsService(std::uint32_t server_count,
+                       StripeCreateFn create_stripe,
+                       StripeRemoveFn remove_stripe, MdsOptions options)
+    : server_count_(server_count),
+      create_stripe_(std::move(create_stripe)),
+      remove_stripe_(std::move(remove_stripe)),
       options_(std::move(options)) {}
 
 Result<FileAttr> MdsService::Create(const std::string& path,
@@ -16,8 +17,8 @@ Result<FileAttr> MdsService::Create(const std::string& path,
   if (path.empty() || path.front() != '/') {
     return InvalidArgument("path must be absolute");
   }
-  if (stripe_count == 0 || stripe_count > ost_count_) {
-    stripe_count = ost_count_;
+  if (stripe_count == 0 || stripe_count > server_count_) {
+    stripe_count = server_count_;
   }
 
   // The whole create — namespace insert plus every stripe-object create —
@@ -33,17 +34,17 @@ Result<FileAttr> MdsService::Create(const std::string& path,
   attr.layout.stripe_size = options_.default_stripe_size;
   attr.layout.stripes.reserve(stripe_count);
   for (std::uint32_t i = 0; i < stripe_count; ++i) {
-    const std::uint32_t ost = next_ost_;
-    next_ost_ = (next_ost_ + 1) % ost_count_;
-    auto oid = ost_create_(ost);
+    const std::uint32_t server = next_server_;
+    next_server_ = (next_server_ + 1) % server_count_;
+    auto oid = create_stripe_(server);
     if (!oid.ok()) {
       // Roll back already-created stripe objects.
       for (const StripeTarget& t : attr.layout.stripes) {
-        (void)ost_remove_(t.ost_index, t.oid);
+        (void)remove_stripe_(t.ost_index, t.oid);
       }
       return oid.status();
     }
-    attr.layout.stripes.push_back(StripeTarget{ost, *oid});
+    attr.layout.stripes.push_back(StripeTarget{server, *oid});
   }
   files_[path] = attr;
   ++creates_;
@@ -71,7 +72,7 @@ Status MdsService::Unlink(const std::string& path) {
   auto it = files_.find(path);
   if (it == files_.end()) return NotFound("no such file");
   for (const StripeTarget& t : it->second.layout.stripes) {
-    (void)ost_remove_(t.ost_index, t.oid);
+    (void)remove_stripe_(t.ost_index, t.oid);
   }
   files_.erase(it);
   if (options_.oplog != nullptr) {
@@ -108,13 +109,13 @@ Status MdsService::Replay(const MdsOpRecord& record) {
   switch (record.kind) {
     case MdsOpRecord::Kind::kCreate: {
       // Install the logged attr verbatim; the stripe objects already exist
-      // on the OSTs.  Advance the mint cursors so post-takeover creates
-      // continue the primary's sequences.
+      // on the storage servers.  Advance the mint cursors so post-takeover
+      // creates continue the primary's sequences.
       files_[record.path] = record.attr;
       next_ino_ = std::max(next_ino_, record.attr.ino + 1);
-      if (!record.attr.layout.stripes.empty() && ost_count_ > 0) {
-        next_ost_ =
-            (record.attr.layout.stripes.back().ost_index + 1) % ost_count_;
+      if (!record.attr.layout.stripes.empty() && server_count_ > 0) {
+        next_server_ =
+            (record.attr.layout.stripes.back().ost_index + 1) % server_count_;
       }
       return OkStatus();
     }

@@ -31,7 +31,7 @@ struct FileAttr {
 
 /// One committed MDS mutation, as logged for the warm standby.  kCreate
 /// carries the full resulting attr (ino + layout), so replay installs the
-/// file without re-running the OST creates — the stripe objects already
+/// file without re-running the stripe-object creates — the objects already
 /// exist.
 struct MdsOpRecord {
   enum class Kind : std::uint8_t { kCreate, kSetSize, kUnlink };
@@ -79,21 +79,21 @@ struct MdsOptions {
   MdsLog* oplog = nullptr;
 };
 
-/// Creates stripe objects on an OST; the MDS is wired to the OST servers
-/// through this (RPC in production, direct store calls in tests).
-using OstCreateFn =
-    std::function<Result<storage::ObjectId>(std::uint32_t ost_index)>;
-using OstRemoveFn =
-    std::function<Status(std::uint32_t ost_index, storage::ObjectId oid)>;
+/// Creates / removes a stripe object on storage server `server`; the MDS
+/// server wires these to its core::Client, tests to plain lambdas.
+using StripeCreateFn =
+    std::function<Result<storage::ObjectId>(std::uint32_t server)>;
+using StripeRemoveFn =
+    std::function<Status(std::uint32_t server, storage::ObjectId oid)>;
 
 /// Pure metadata logic; thread-safe.  All namespace and layout decisions —
 /// the "policy decisions" box of Figure 7-a — are centralized here.
 class MdsService {
  public:
-  MdsService(std::uint32_t ost_count, OstCreateFn ost_create,
-             OstRemoveFn ost_remove, MdsOptions options = {});
+  MdsService(std::uint32_t server_count, StripeCreateFn create_stripe,
+             StripeRemoveFn remove_stripe, MdsOptions options = {});
 
-  /// Create a file striped over `stripe_count` OSTs (0 = all).  The MDS
+  /// Create a file striped over `stripe_count` servers (0 = all).  The MDS
   /// performs the object creates itself, serially.
   Result<FileAttr> Create(const std::string& path, std::uint32_t stripe_count);
 
@@ -114,19 +114,19 @@ class MdsService {
   [[nodiscard]] std::uint64_t metadata_ops() const;
 
   /// Apply one logged mutation (standby takeover).  kCreate installs the
-  /// logged attr without touching the OSTs; kUnlink drops the namespace
+  /// logged attr without touching the storage servers; kUnlink drops the namespace
   /// entry only (the primary already removed the stripe objects).
   Status Replay(const MdsOpRecord& record);
 
  private:
-  const std::uint32_t ost_count_;
-  OstCreateFn ost_create_;
-  OstRemoveFn ost_remove_;
+  const std::uint32_t server_count_;
+  StripeCreateFn create_stripe_;
+  StripeRemoveFn remove_stripe_;
   MdsOptions options_;
 
   mutable std::mutex mutex_;
   Ino next_ino_ = 1;
-  std::uint32_t next_ost_ = 0;  // round-robin stripe placement cursor
+  std::uint32_t next_server_ = 0;  // round-robin stripe placement cursor
   std::map<std::string, FileAttr> files_;
   std::uint64_t creates_ = 0;
   mutable std::uint64_t ops_ = 0;

@@ -6,33 +6,23 @@
 namespace lwfs::pfs {
 
 MdsServer::MdsServer(std::shared_ptr<portals::Nic> nic,
-                     std::vector<portals::Nid> ost_nids,
-                     MdsOptions mds_options, rpc::ServerOptions rpc_options,
-                     rpc::ClientOptions ost_client_options,
-                     MdsStandbyConfig standby)
-    : ost_nids_(std::move(ost_nids)),
-      ost_client_(nic, ost_client_options),
+                     std::unique_ptr<core::Client> storage,
+                     security::Capability cap, MdsOptions mds_options,
+                     rpc::ServerOptions rpc_options, MdsStandbyConfig standby)
+    : storage_(std::move(storage)),
+      cap_(std::move(cap)),
       server_(std::move(nic), rpc_options),
       ops_(&server_, "mds"),
       standby_cfg_(std::move(standby)) {
-  auto create_on_ost =
-      [this](std::uint32_t ost) -> Result<storage::ObjectId> {
-    if (ost >= ost_nids_.size()) return InvalidArgument("bad ost index");
-    auto rep = rpc::CallTyped<wire::OstCreateRep>(ost_client_, ost_nids_[ost],
-                                                  kOstCreate, rpc::Void{});
-    if (!rep.ok()) return rep.status();
-    return storage::ObjectId{rep->oid};
-  };
-  auto remove_on_ost = [this](std::uint32_t ost,
-                              storage::ObjectId oid) -> Status {
-    if (ost >= ost_nids_.size()) return InvalidArgument("bad ost index");
-    return rpc::CallTyped<rpc::Void>(ost_client_, ost_nids_[ost], kOstRemove,
-                                     wire::OstOidReq{oid.value})
-        .status();
-  };
   service_ = std::make_unique<MdsService>(
-      static_cast<std::uint32_t>(ost_nids_.size()), create_on_ost,
-      remove_on_ost, mds_options);
+      static_cast<std::uint32_t>(storage_->storage_server_count()),
+      [this](std::uint32_t server) {
+        return storage_->CreateObject(server, cap_);
+      },
+      [this](std::uint32_t server, storage::ObjectId oid) {
+        return storage_->RemoveObject(server, cap_, oid);
+      },
+      mds_options);
 
   ops_.On<wire::PfsCreateReq, wire::FileAttrRep>(
       wire::kPfsCreateOp,
@@ -41,7 +31,7 @@ MdsServer::MdsServer(std::shared_ptr<portals::Nic> nic,
         LWFS_RETURN_IF_ERROR(Admit());
         auto attr = service_->Create(req.path, req.stripes);
         if (!attr.ok()) return attr.status();
-        return wire::FileAttrRep{std::move(*attr)};
+        return wire::FileAttrRep{std::move(*attr), cap_};
       });
 
   ops_.On<wire::PfsPathReq, wire::FileAttrRep>(
@@ -51,7 +41,7 @@ MdsServer::MdsServer(std::shared_ptr<portals::Nic> nic,
         LWFS_RETURN_IF_ERROR(Admit());
         auto attr = service_->Open(req.path);
         if (!attr.ok()) return attr.status();
-        return wire::FileAttrRep{std::move(*attr)};
+        return wire::FileAttrRep{std::move(*attr), cap_};
       });
 
   ops_.On<wire::PfsPathReq, wire::FileAttrRep>(
@@ -61,7 +51,7 @@ MdsServer::MdsServer(std::shared_ptr<portals::Nic> nic,
         LWFS_RETURN_IF_ERROR(Admit());
         auto attr = service_->GetAttr(req.path);
         if (!attr.ok()) return attr.status();
-        return wire::FileAttrRep{std::move(*attr)};
+        return wire::FileAttrRep{std::move(*attr), cap_};
       });
 
   ops_.On<wire::PfsPathReq, rpc::Void>(
@@ -143,6 +133,9 @@ Status MdsServer::Takeover() {
 
 Status MdsServer::Start() {
   LWFS_RETURN_IF_ERROR(ops_.init_status());
+  for (std::uint32_t s = 0; s < storage_->storage_server_count(); ++s) {
+    LWFS_RETURN_IF_ERROR(storage_->ListObjects(s, cap_).status());
+  }
   return server_.Start();
 }
 

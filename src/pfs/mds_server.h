@@ -1,9 +1,11 @@
 // RPC binding of the PFS metadata server.
 //
-// The MDS creates stripe objects on the OSTs itself (over RPC), so every
-// file create costs one client->MDS round trip plus `stripe_count`
-// MDS->OST round trips, all serialized at the MDS — the Figure 10 create
-// bottleneck.
+// The MDS creates stripe objects on the LWFS storage servers itself,
+// through its own core::Client and under its own capability, so every file
+// create costs one client->MDS round trip plus `stripe_count` MDS->storage
+// round trips, all serialized at the MDS — the Figure 10 create
+// bottleneck.  Create, open and getattr replies carry that capability: the
+// MDS is where a traditional PFS decides access.
 #pragma once
 
 #include <atomic>
@@ -12,6 +14,7 @@
 #include <mutex>
 #include <vector>
 
+#include "core/client.h"
 #include "pfs/mds.h"
 #include "pfs/protocol.h"
 #include "rpc/rpc.h"
@@ -34,13 +37,15 @@ struct MdsStandbyConfig {
 
 class MdsServer {
  public:
-  /// `ost_nids[i]` is the OST for stripe placement index i.
+  /// Serves on `nic`; stripe objects are created on `storage`'s servers in
+  /// the container `cap` (kOpAll) authorizes.
   MdsServer(std::shared_ptr<portals::Nic> nic,
-            std::vector<portals::Nid> ost_nids, MdsOptions mds_options = {},
-            rpc::ServerOptions rpc_options = {},
-            rpc::ClientOptions ost_client_options = {},
+            std::unique_ptr<core::Client> storage, security::Capability cap,
+            MdsOptions mds_options = {}, rpc::ServerOptions rpc_options = {},
             MdsStandbyConfig standby = {});
 
+  /// Warms every storage server's capability cache with a read-only op (so
+  /// creates carry no verify round trip), then starts serving.
   Status Start();
   void Stop() { server_.Stop(); }
 
@@ -71,8 +76,8 @@ class MdsServer {
   Status Admit();
   Status Takeover();
 
-  std::vector<portals::Nid> ost_nids_;
-  rpc::RpcClient ost_client_;
+  std::unique_ptr<core::Client> storage_;
+  security::Capability cap_;
   std::unique_ptr<MdsService> service_;
   rpc::RpcServer server_;
   rpc::Service ops_;

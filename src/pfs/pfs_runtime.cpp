@@ -2,30 +2,30 @@
 
 namespace lwfs::pfs {
 
-Result<std::unique_ptr<PfsRuntime>> PfsRuntime::Start(
-    portals::Fabric* fabric, PfsRuntimeOptions options) {
-  auto rt = std::unique_ptr<PfsRuntime>(new PfsRuntime());
-  rt->fabric_ = fabric;
-  if (options.clock != nullptr) {
-    if (options.mds_rpc.clock == nullptr) options.mds_rpc.clock = options.clock;
-    if (options.ost.rpc.clock == nullptr) options.ost.rpc.clock = options.clock;
-    if (options.client_options.clock == nullptr) {
-      options.client_options.clock = options.clock;
-    }
-  }
-  rt->clock_ = util::OrReal(options.clock);
-  rt->client_options_ = options.client_options;
+namespace {
 
-  std::vector<portals::Nid> ost_nids;
-  for (int i = 0; i < options.ost_count; ++i) {
-    rt->stores_.push_back(std::make_unique<storage::MemObjectStore>());
-    auto ost = std::make_unique<OstServer>(fabric->CreateNic(),
-                                           rt->stores_.back().get(),
-                                           options.ost);
-    LWFS_RETURN_IF_ERROR(ost->Start());
-    ost_nids.push_back(ost->nid());
-    rt->ost_servers_.push_back(std::move(ost));
-  }
+// The MDS's own principal in the core's authentication service.
+constexpr char kMdsPrincipal[] = "pfs-mds";
+constexpr char kMdsSecret[] = "pfs-mds-secret";
+constexpr security::Uid kMdsUid = 0x70667300;  // "pfs\0"
+
+}  // namespace
+
+Result<std::unique_ptr<PfsRuntime>> PfsRuntime::Start(
+    core::ServiceRuntime* core, PfsRuntimeOptions options) {
+  auto rt = std::unique_ptr<PfsRuntime>(new PfsRuntime());
+  rt->core_ = core;
+  if (options.mds_rpc.clock == nullptr) options.mds_rpc.clock = core->clock();
+
+  // The MDS's access to the stripe objects: one container, one capability.
+  core->AddUser(kMdsPrincipal, kMdsSecret, kMdsUid);
+  auto storage = core->MakeClient();
+  auto cred = storage->Login(kMdsPrincipal, kMdsSecret);
+  if (!cred.ok()) return cred.status();
+  auto cid = storage->CreateContainer(*cred);
+  if (!cid.ok()) return cid.status();
+  auto cap = storage->GetCap(*cred, *cid, security::kOpAll);
+  if (!cap.ok()) return cap.status();
 
   MdsStandbyConfig primary_cfg;
   MdsOptions primary_options = options.mds;
@@ -36,8 +36,8 @@ Result<std::unique_ptr<PfsRuntime>> PfsRuntime::Start(
     primary_cfg.self = 0;
   }
   rt->mds_server_ = std::make_unique<MdsServer>(
-      fabric->CreateNic(), ost_nids, primary_options, options.mds_rpc,
-      options.client_options, primary_cfg);
+      core->fabric().CreateNic(), std::move(storage), *cap, primary_options,
+      options.mds_rpc, primary_cfg);
   LWFS_RETURN_IF_ERROR(rt->mds_server_->Start());
 
   if (options.mds_standby) {
@@ -50,26 +50,23 @@ Result<std::unique_ptr<PfsRuntime>> PfsRuntime::Start(
     standby_cfg.active = primary_cfg.active;
     standby_cfg.self = 1;
     rt->mds_standby_server_ = std::make_unique<MdsServer>(
-        fabric->CreateNic(), ost_nids, options.mds, options.mds_rpc,
-        options.client_options, standby_cfg);
+        core->fabric().CreateNic(), core->MakeClient(), *cap, options.mds,
+        options.mds_rpc, standby_cfg);
     LWFS_RETURN_IF_ERROR(rt->mds_standby_server_->Start());
     rt->deployment_.mds_standby = rt->mds_standby_server_->nid();
   }
 
   rt->deployment_.mds = rt->mds_server_->nid();
-  rt->deployment_.osts = std::move(ost_nids);
   return rt;
 }
 
 PfsRuntime::~PfsRuntime() {
   if (mds_standby_server_) mds_standby_server_->Stop();
   if (mds_server_) mds_server_->Stop();
-  for (auto& ost : ost_servers_) ost->Stop();
 }
 
 std::unique_ptr<PfsClient> PfsRuntime::MakeClient(ConsistencyMode mode) {
-  return std::make_unique<PfsClient>(fabric_->CreateNic(), deployment_, mode,
-                                     client_options_);
+  return std::make_unique<PfsClient>(core_->MakeClient(), deployment_, mode);
 }
 
 }  // namespace lwfs::pfs

@@ -1,40 +1,35 @@
-// In-process deployment of the traditional-PFS baseline: one MDS, m OSTs.
+// In-process deployment of the traditional-PFS baseline: an MDS (plus an
+// optional warm standby) layered over an LWFS core deployment, whose
+// storage servers hold every stripe object.
 #pragma once
 
 #include <memory>
-#include <vector>
 
+#include "core/runtime.h"
 #include "pfs/client.h"
 #include "pfs/mds_server.h"
-#include "pfs/ost_server.h"
-#include "portals/portals.h"
-#include "storage/object_store.h"
 
 namespace lwfs::pfs {
 
 struct PfsRuntimeOptions {
-  int ost_count = 4;
   /// Start a warm-standby MDS next to the primary.  The pair shares a
   /// commit-before-ack MdsLog; the standby replays it and claims the
   /// namespace when a failed-over client first reaches it.
   bool mds_standby = false;
   MdsOptions mds;
-  OstOptions ost;
+  /// RPC server options of the MDS endpoints (clock defaults to the
+  /// core's).
   rpc::ServerOptions mds_rpc;
-  /// RPC client options for MakeClient() endpoints and the MDS's outbound
-  /// OST client.
-  rpc::ClientOptions client_options;
-  /// Time source for every server and client in the deployment (nullptr =
-  /// real time).  The shared fabric's clock is the ServiceRuntime's (or
-  /// caller's) concern — set it there when co-hosting.
-  util::Clock* clock = nullptr;
 };
 
 class PfsRuntime {
  public:
-  /// `fabric` must outlive the runtime (share one fabric with an LWFS
-  /// ServiceRuntime to host both stacks side by side).
-  static Result<std::unique_ptr<PfsRuntime>> Start(portals::Fabric* fabric,
+  /// Start the MDS on `core`'s fabric.  The core's storage servers are the
+  /// stripe targets; server count, clock and client options all come from
+  /// it.  At start the MDS logs in as its own principal, creates one
+  /// container and takes one kOpAll capability over it, shared by primary
+  /// and standby.  `core` must outlive the runtime.
+  static Result<std::unique_ptr<PfsRuntime>> Start(core::ServiceRuntime* core,
                                                    PfsRuntimeOptions options);
 
   ~PfsRuntime();
@@ -45,32 +40,19 @@ class PfsRuntime {
       ConsistencyMode mode = ConsistencyMode::kPosixLocking);
 
   [[nodiscard]] const PfsDeployment& deployment() const { return deployment_; }
-  [[nodiscard]] util::Clock* clock() const { return clock_; }
+  [[nodiscard]] util::Clock* clock() const { return core_->clock(); }
   [[nodiscard]] MdsService& mds() { return mds_server_->service(); }
   [[nodiscard]] MdsServer& mds_server() { return *mds_server_; }
   /// nullptr unless started with mds_standby.
   [[nodiscard]] MdsServer* mds_standby_server() {
     return mds_standby_server_.get();
   }
-  [[nodiscard]] OstServer& ost_server(int i) {
-    return *ost_servers_[static_cast<std::size_t>(i)];
-  }
-  [[nodiscard]] int ost_count() const {
-    return static_cast<int>(ost_servers_.size());
-  }
-  [[nodiscard]] storage::ObjectStore& ost_store(int i) {
-    return *stores_[static_cast<std::size_t>(i)];
-  }
 
  private:
   PfsRuntime() = default;
 
-  util::Clock* clock_ = util::RealClockInstance();
-  portals::Fabric* fabric_ = nullptr;
-  rpc::ClientOptions client_options_;
+  core::ServiceRuntime* core_ = nullptr;
   PfsDeployment deployment_;
-  std::vector<std::unique_ptr<storage::ObjectStore>> stores_;
-  std::vector<std::unique_ptr<OstServer>> ost_servers_;
   std::unique_ptr<MdsLog> mds_log_;  // shared primary -> standby
   std::unique_ptr<MdsServer> mds_server_;
   std::unique_ptr<MdsServer> mds_standby_server_;

@@ -1,7 +1,8 @@
-// Wire protocol of the traditional-PFS baseline.
+// Wire protocol of the traditional-PFS baseline's metadata server.
 //
-// Opcode space is disjoint from the LWFS core's so a process could host
-// both stacks on one NIC without ambiguity.
+// File bytes travel the LWFS core's own storage protocol; only the MDS
+// speaks this one.  Its opcode space is disjoint from the core's so both
+// stacks share one fabric (and a client NIC) without ambiguity.
 #pragma once
 
 #include <cstdint>
@@ -24,15 +25,6 @@ enum PfsOp : rpc::Opcode {
   kPfsLockTry = 105,
   kPfsLockRelease = 106,
   kPfsList = 107,
-
-  // Object storage targets (no capability checks: the baseline trusts
-  // clients, which §5 calls out as the PVFS/Lustre trust model).
-  kOstCreate = 120,
-  kOstWrite = 121,
-  kOstRead = 122,
-  kOstRemove = 123,
-  kOstGetAttr = 124,
-  kOstReadSlice = 125,  // read whose payload rides the reply frame as slices
 };
 
 // Every pfs opcode must live inside the pfs protocol family's range so the
@@ -45,13 +37,7 @@ static_assert(rpc::kPfsOpcodeRange.Contains(kPfsCreate) &&
                   rpc::kPfsOpcodeRange.Contains(kPfsSetSize) &&
                   rpc::kPfsOpcodeRange.Contains(kPfsLockTry) &&
                   rpc::kPfsOpcodeRange.Contains(kPfsLockRelease) &&
-                  rpc::kPfsOpcodeRange.Contains(kPfsList) &&
-                  rpc::kPfsOpcodeRange.Contains(kOstCreate) &&
-                  rpc::kPfsOpcodeRange.Contains(kOstWrite) &&
-                  rpc::kPfsOpcodeRange.Contains(kOstRead) &&
-                  rpc::kPfsOpcodeRange.Contains(kOstRemove) &&
-                  rpc::kPfsOpcodeRange.Contains(kOstGetAttr) &&
-                  rpc::kPfsOpcodeRange.Contains(kOstReadSlice),
+                  rpc::kPfsOpcodeRange.Contains(kPfsList),
               "pfs opcode outside the pfs protocol family's range");
 
 inline void EncodeLayout(Encoder& enc, const Layout& layout) {

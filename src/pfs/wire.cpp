@@ -12,6 +12,11 @@ std::vector<rpc::CodecCase> PfsWireCases() {
   attr.attr.ino = 9001;
   attr.attr.size = 1 << 20;
   attr.attr.layout = layout;
+  attr.cap.cap_id = 7;
+  attr.cap.cid = storage::ContainerId{3};
+  attr.cap.ops = security::kOpAll;
+  attr.cap.uid = 42;
+  attr.cap.expires_us = 1 << 30;
 
   std::vector<rpc::CodecCase> cases;
   // Metadata server.
@@ -28,14 +33,6 @@ std::vector<rpc::CodecCase> PfsWireCases() {
   cases.push_back(rpc::MakeCodecCase("pfs_lock_id_rep", PfsLockIdRep{41}));
   cases.push_back(
       rpc::MakeCodecCase("pfs_lock_release_req", PfsLockReleaseReq{41}));
-  // OSTs.
-  cases.push_back(rpc::MakeCodecCase("ost_create_rep", OstCreateRep{11}));
-  cases.push_back(rpc::MakeCodecCase("ost_write_req", OstWriteReq{11, 4096}));
-  cases.push_back(
-      rpc::MakeCodecCase("ost_read_req", OstReadReq{11, 0, 65536}));
-  cases.push_back(rpc::MakeCodecCase("ost_moved_rep", OstMovedRep{65536}));
-  cases.push_back(rpc::MakeCodecCase("ost_oid_req", OstOidReq{11}));
-  cases.push_back(rpc::MakeCodecCase("ost_attr_rep", OstAttrRep{65536, 3}));
   return cases;
 }
 

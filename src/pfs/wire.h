@@ -1,9 +1,10 @@
 // Typed wire messages for the traditional-PFS baseline ops.
 //
 // Same shape as core/wire.h: each request/reply carries its own codec and an
-// OpDef names the opcode, metric name, and bulk direction.  No op requires
-// capability bits — the baseline trusts any client on the network, which is
-// exactly the trust model §5 criticizes.
+// OpDef names the opcode, metric name, and bulk direction.  No MDS op
+// requires capability bits — the MDS trusts any client on the network and
+// hands every opener its own capability over the stripe objects, the
+// traditional-PFS trust model §5 criticizes.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include "pfs/mds.h"
 #include "pfs/protocol.h"
 #include "rpc/service.h"
+#include "security/types.h"
 #include "util/bytes.h"
 #include "util/status.h"
 
@@ -55,13 +57,17 @@ struct PfsPathReq {
   }
 };
 
+/// Create, open and getattr reply: the file plus the MDS's capability over
+/// its stripe objects.
 struct FileAttrRep {
   FileAttr attr;
+  security::Capability cap;
 
   void Encode(Encoder& enc) const {
     enc.PutU64(attr.ino);
     enc.PutU64(attr.size);
     EncodeLayout(enc, attr.layout);
+    cap.Encode(enc);
   }
   static Result<FileAttrRep> Decode(Decoder& dec) {
     auto ino = dec.GetU64();
@@ -70,10 +76,13 @@ struct FileAttrRep {
     if (!ino.ok() || !size.ok() || !layout.ok()) {
       return InvalidArgument("malformed attr fields");
     }
+    auto cap = security::Capability::Decode(dec);
+    if (!cap.ok()) return cap.status();
     FileAttrRep rep;
     rep.attr.ino = *ino;
     rep.attr.size = *size;
     rep.attr.layout = std::move(*layout);
+    rep.cap = std::move(*cap);
     return rep;
   }
 };
@@ -175,115 +184,6 @@ inline constexpr rpc::OpDef kPfsLockTryOp{kPfsLockTry, "pfs_lock_try"};
 inline constexpr rpc::OpDef kPfsLockReleaseOp{kPfsLockRelease,
                                               "pfs_lock_release"};
 inline constexpr rpc::OpDef kPfsListOp{kPfsList, "pfs_list"};
-
-// ---------------------------------------------------------------------------
-// Object storage targets
-// ---------------------------------------------------------------------------
-
-struct OstCreateRep {
-  std::uint64_t oid = 0;
-
-  void Encode(Encoder& enc) const { enc.PutU64(oid); }
-  static Result<OstCreateRep> Decode(Decoder& dec) {
-    auto oid = dec.GetU64();
-    if (!oid.ok()) return oid.status();
-    return OstCreateRep{*oid};
-  }
-};
-
-struct OstWriteReq {
-  std::uint64_t oid = 0;
-  std::uint64_t offset = 0;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(oid);
-    enc.PutU64(offset);
-  }
-  static Result<OstWriteReq> Decode(Decoder& dec) {
-    auto oid = dec.GetU64();
-    auto offset = dec.GetU64();
-    if (!oid.ok() || !offset.ok()) {
-      return InvalidArgument("malformed ost-write fields");
-    }
-    return OstWriteReq{*oid, *offset};
-  }
-};
-
-struct OstReadReq {
-  std::uint64_t oid = 0;
-  std::uint64_t offset = 0;
-  std::uint64_t length = 0;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(oid);
-    enc.PutU64(offset);
-    enc.PutU64(length);
-  }
-  static Result<OstReadReq> Decode(Decoder& dec) {
-    auto oid = dec.GetU64();
-    auto offset = dec.GetU64();
-    auto length = dec.GetU64();
-    if (!oid.ok() || !offset.ok() || !length.ok()) {
-      return InvalidArgument("malformed ost-read fields");
-    }
-    return OstReadReq{*oid, *offset, *length};
-  }
-};
-
-/// Bytes actually moved through the bulk path (OST reads and writes).
-struct OstMovedRep {
-  std::uint64_t moved = 0;
-
-  void Encode(Encoder& enc) const { enc.PutU64(moved); }
-  static Result<OstMovedRep> Decode(Decoder& dec) {
-    auto moved = dec.GetU64();
-    if (!moved.ok()) return moved.status();
-    return OstMovedRep{*moved};
-  }
-};
-
-/// Remove and getattr requests are just an object id.
-struct OstOidReq {
-  std::uint64_t oid = 0;
-
-  void Encode(Encoder& enc) const { enc.PutU64(oid); }
-  static Result<OstOidReq> Decode(Decoder& dec) {
-    auto oid = dec.GetU64();
-    if (!oid.ok()) return oid.status();
-    return OstOidReq{*oid};
-  }
-};
-
-struct OstAttrRep {
-  std::uint64_t size = 0;
-  std::uint64_t version = 0;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(size);
-    enc.PutU64(version);
-  }
-  static Result<OstAttrRep> Decode(Decoder& dec) {
-    auto size = dec.GetU64();
-    auto version = dec.GetU64();
-    if (!size.ok() || !version.ok()) {
-      return InvalidArgument("malformed ost-attr fields");
-    }
-    return OstAttrRep{*size, *version};
-  }
-};
-
-inline constexpr rpc::OpDef kOstCreateOp{kOstCreate, "ost_create"};
-inline constexpr rpc::OpDef kOstWriteOp{kOstWrite, "ost_write", 0,
-                                        rpc::BulkDir::kPull};
-inline constexpr rpc::OpDef kOstReadOp{kOstRead, "ost_read", 0,
-                                       rpc::BulkDir::kPush};
-inline constexpr rpc::OpDef kOstRemoveOp{kOstRemove, "ost_remove"};
-inline constexpr rpc::OpDef kOstGetAttrOp{kOstGetAttr, "ost_getattr"};
-/// Slice read shares OstReadReq/OstMovedRep with the legacy read; the
-/// payload travels as store-owned slices in the reply frame itself
-/// (BulkDir::kReply), so the client registers no bulk-in region.
-inline constexpr rpc::OpDef kOstReadSliceOp{kOstReadSlice, "ost_read_slice", 0,
-                                            rpc::BulkDir::kReply};
 
 // ---------------------------------------------------------------------------
 // Codec registry for table-driven tests

@@ -35,6 +35,11 @@ class ReadBufferPool;
 
 namespace lwfs::storage {
 
+/// Largest object a storage server accepts: no write, read or truncate may
+/// reach past this offset.  Backends size per-object tables by the highest
+/// offset touched, so one tiny request far past EOF must not get to them.
+inline constexpr std::uint64_t kMaxObjectBytes = 1ull << 40;  // 1 TiB
+
 /// Per-object attributes.
 struct ObjAttr {
   ContainerId cid;

@@ -144,16 +144,20 @@ TEST_F(LwfsCheckpointTest, CheckpointWithReadOnlyCapFails) {
 
 class PfsCheckpointTest : public ::testing::Test {
  protected:
-  void Start(int osts = 4) {
+  void Start(int servers = 4) {
+    core::RuntimeOptions core_options;
+    core_options.storage_servers = servers;
+    auto core = core::ServiceRuntime::Start(core_options);
+    ASSERT_TRUE(core.ok());
+    core_ = std::move(*core);
     pfs::PfsRuntimeOptions options;
-    options.ost_count = osts;
     options.mds.default_stripe_size = 4096;
-    auto rt = pfs::PfsRuntime::Start(&fabric_, options);
+    auto rt = pfs::PfsRuntime::Start(core_.get(), options);
     ASSERT_TRUE(rt.ok());
     runtime_ = std::move(*rt);
   }
 
-  portals::Fabric fabric_;
+  std::unique_ptr<core::ServiceRuntime> core_;
   std::unique_ptr<pfs::PfsRuntime> runtime_;
 };
 
@@ -248,8 +252,7 @@ TEST(CheckpointEquivalenceTest, AllThreeImplementationsPreserveState) {
   ASSERT_TRUE(LwfsCheckpoint::Run(**lwfs_rt, lwfs_config, states).ok());
   auto lwfs_states = LwfsCheckpoint::Restore(**lwfs_rt, *cap, "/ckpt/eq");
 
-  portals::Fabric fabric;
-  auto pfs_rt = pfs::PfsRuntime::Start(&fabric, {});
+  auto pfs_rt = pfs::PfsRuntime::Start(lwfs_rt->get(), {});
   ASSERT_TRUE(pfs_rt.ok());
   PfsFilePerProcess::Config fpp_config{"/eq", 1};
   ASSERT_TRUE(PfsFilePerProcess::Run(**pfs_rt, fpp_config, states).ok());

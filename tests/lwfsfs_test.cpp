@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <thread>
 
 #include "core/runtime.h"
@@ -145,6 +146,26 @@ TEST_F(LwfsFsTest, ReadSliceFillsHolesWithZeros) {
   for (std::size_t i = 0; i < 5000; ++i) ASSERT_EQ(got->span()[i], 0) << i;
   EXPECT_EQ(got->span()[5000], 1);
   EXPECT_EQ(got->span()[5002], 3);
+}
+
+// Regression: a 200-byte write at 2^64 - 100 returned kInvalidArgument but
+// its wrapped part had already overwritten the file's first 100 bytes.  The
+// striped engine refuses the extent before issuing anything.
+TEST_F(LwfsFsTest, WrappingWriteLeavesTheFileUntouched) {
+  Mount(FsConsistency::kRelaxed, 512);
+  auto file = fs_->Create("/wrap").value();
+  const Buffer head = PatternBuffer(100, 1);
+  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(head)).ok());
+  const Buffer payload = PatternBuffer(200, 2);
+  EXPECT_EQ(fs_->Write(file, std::numeric_limits<std::uint64_t>::max() - 99,
+                       ByteSpan(payload))
+                .code(),
+            ErrorCode::kInvalidArgument);
+  Buffer back(head.size(), 0);
+  auto n = fs_->Read(file, 0, MutableByteSpan(back));
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, head.size());
+  EXPECT_EQ(back, head);
 }
 
 TEST_F(LwfsFsTest, SparseWriteReadsZeros) {

@@ -1,14 +1,18 @@
 // Tests for the traditional-PFS baseline: striping math, MDS behaviour,
-// and the full client/MDS/OST stack.
+// and the full client/MDS stack over the LWFS core's storage servers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <thread>
 
+#include "core/runtime.h"
 #include "pfs/layout.h"
 #include "pfs/pfs_runtime.h"
+#include "util/clock.h"
 #include "util/rng.h"
 
 namespace lwfs::pfs {
@@ -102,12 +106,15 @@ INSTANTIATE_TEST_SUITE_P(
 class PfsTest : public ::testing::Test {
  protected:
   void StartRuntime(PfsRuntimeOptions options = {}) {
-    auto rt = PfsRuntime::Start(&fabric_, options);
+    auto core = core::ServiceRuntime::Start({});
+    ASSERT_TRUE(core.ok()) << core.status().ToString();
+    core_ = std::move(*core);
+    auto rt = PfsRuntime::Start(core_.get(), options);
     ASSERT_TRUE(rt.ok()) << rt.status().ToString();
     runtime_ = std::move(*rt);
   }
 
-  portals::Fabric fabric_;
+  std::unique_ptr<core::ServiceRuntime> core_;
   std::unique_ptr<PfsRuntime> runtime_;
 };
 
@@ -119,7 +126,7 @@ TEST_F(PfsTest, CreateAllocatesStripeObjectsOnOsts) {
   EXPECT_EQ(file->attr.layout.stripes.size(), 4u);
   // One stripe object on each OST.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(runtime_->ost_store(i).ObjectCount(), 1u);
+    EXPECT_EQ(core_->store(i).ObjectCount(), 1u);
   }
   EXPECT_EQ(runtime_->mds().creates_served(), 1u);
 }
@@ -152,7 +159,6 @@ class PfsStripingTest
 
 TEST_P(PfsStripingTest, WriteReadRoundTripAcrossStripes) {
   PfsRuntimeOptions options;
-  options.ost_count = 4;
   options.mds.default_stripe_size = 4096;
   StartRuntime(options);
   auto [stripe_count, total_bytes] = GetParam();
@@ -194,7 +200,6 @@ TEST_F(PfsTest, WriteAtOffsetAndSparseRead) {
 
 TEST_F(PfsTest, ReadSliceRoundTripsAndClampsAtEof) {
   PfsRuntimeOptions options;
-  options.ost_count = 4;
   options.mds.default_stripe_size = 4096;
   StartRuntime(options);
   // Default (POSIX-locking) client: the slice read takes and releases the
@@ -243,8 +248,8 @@ TEST_F(PfsTest, UnlinkRemovesStripeObjects) {
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE(client->Unlink("/gone").ok());
   EXPECT_EQ(client->Open("/gone").status().code(), ErrorCode::kNotFound);
-  for (int i = 0; i < runtime_->ost_count(); ++i) {
-    EXPECT_EQ(runtime_->ost_store(i).ObjectCount(), 0u);
+  for (int i = 0; i < core_->storage_count(); ++i) {
+    EXPECT_EQ(core_->store(i).ObjectCount(), 0u);
   }
 }
 
@@ -331,6 +336,120 @@ TEST_F(PfsTest, EveryCreateHitsTheMds) {
   auto names = runtime_->mds().List();
   ASSERT_TRUE(names.ok());
   EXPECT_EQ(names->size(), static_cast<std::size_t>(kClients));
+}
+
+// Regression: a write whose end wraps past 2^64 mapped its wrapped part
+// onto the file's first bytes (and, on the old OST, aborted the process).
+// The striped engine refuses it before locking or sending anything.
+TEST_F(PfsTest, WrappingWriteLeavesTheFileUntouched) {
+  StartRuntime();
+  auto client = runtime_->MakeClient(ConsistencyMode::kRelaxed);
+  auto file = client->Create("/wrap", 4);
+  ASSERT_TRUE(file.ok());
+  const Buffer head = PatternBuffer(100, 1);
+  ASSERT_TRUE(client->Write(*file, 0, ByteSpan(head)).ok());
+  const Buffer payload = PatternBuffer(200, 2);
+  EXPECT_EQ(client
+                ->Write(*file, std::numeric_limits<std::uint64_t>::max() - 99,
+                        ByteSpan(payload))
+                .code(),
+            ErrorCode::kInvalidArgument);
+  Buffer back(head.size(), 0);
+  auto n = client->Read(*file, 0, MutableByteSpan(back));
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, head.size());
+  EXPECT_EQ(back, head);
+}
+
+// ---- pfs over the LWFS core ---------------------------------------------------
+
+// Stripe objects live in the MDS's container: the capability the MDS hands
+// out with the file reads them, a capability for any other container does
+// not.
+TEST_F(PfsTest, StripeObjectsAreProtectedByTheMdsCapability) {
+  PfsRuntimeOptions options;
+  options.mds.default_stripe_size = 4096;
+  StartRuntime(options);
+  auto client = runtime_->MakeClient(ConsistencyMode::kRelaxed);
+  auto file = client->Create("/guarded", 2);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(client->Write(*file, 0, ByteSpan(Buffer(5000, 9))).ok());
+
+  core_->AddUser("other", "pw", 7);
+  auto other = core_->MakeClient();
+  auto cred = other->Login("other", "pw");
+  ASSERT_TRUE(cred.ok());
+  auto cid = other->CreateContainer(*cred);
+  ASSERT_TRUE(cid.ok());
+  auto cap = other->GetCap(*cred, *cid, security::kOpAll);
+  ASSERT_TRUE(cap.ok());
+  ASSERT_NE(cap->cid, file->cap.cid);
+  for (const StripeTarget& stripe : file->attr.layout.stripes) {
+    auto attr = core_->store(static_cast<int>(stripe.ost_index))
+                    .GetAttr(stripe.oid);
+    ASSERT_TRUE(attr.ok());
+    EXPECT_EQ(attr->cid, file->cap.cid);
+    EXPECT_FALSE(
+        other->ReadObjectSlice(stripe.ost_index, *cap, stripe.oid, 0, 100)
+            .ok());
+    auto granted = other->ReadObjectSlice(stripe.ost_index, file->cap,
+                                          stripe.oid, 0, 100);
+    ASSERT_TRUE(granted.ok()) << granted.status().ToString();
+    EXPECT_EQ(granted->size(), 100u);
+  }
+}
+
+// A relaxed pfs write is an LWFS object write: the same server scheduler
+// work, and on the modeled medium the same virtual time.
+TEST(PfsOverCoreTest, RelaxedWriteCostsWhatAnLwfsWriteCosts) {
+  util::VirtualClock clock;
+  util::Clock::ThreadGuard guard(&clock);
+  core::RuntimeOptions options;
+  options.storage_servers = 1;
+  options.clock = &clock;
+  options.storage.modeled_disk_mb_s = 100;
+  options.storage.modeled_op_latency_us = 50;
+  auto core = core::ServiceRuntime::Start(options);
+  ASSERT_TRUE(core.ok()) << core.status().ToString();
+  auto pfs = PfsRuntime::Start(core->get(), {});
+  ASSERT_TRUE(pfs.ok()) << pfs.status().ToString();
+
+  (*core)->AddUser("u", "p", 1);
+  auto lwfs = (*core)->MakeClient();
+  auto cred = lwfs->Login("u", "p");
+  ASSERT_TRUE(cred.ok());
+  auto cid = lwfs->CreateContainer(*cred);
+  ASSERT_TRUE(cid.ok());
+  auto cap = lwfs->GetCap(*cred, *cid, security::kOpAll);
+  ASSERT_TRUE(cap.ok());
+  auto oid = lwfs->CreateObject(0, *cap);
+  ASSERT_TRUE(oid.ok());
+  auto client = (*pfs)->MakeClient(ConsistencyMode::kRelaxed);
+  auto file = client->Create("/same", 1);
+  ASSERT_TRUE(file.ok());
+
+  const Buffer data = PatternBuffer(256 << 10, 4);
+  auto measure = [&](const std::function<Status()>& write) {
+    (*core)->ResetSchedStats();
+    const util::Clock::TimePoint start = clock.Now();
+    EXPECT_TRUE(write().ok());
+    return std::make_pair((*core)->storage_server(0).sched_stats(),
+                          clock.Now() - start);
+  };
+  const auto [lwfs_stats, lwfs_time] = measure([&] {
+    return lwfs->WriteObject(0, *cap, *oid, 0, ByteSpan(data));
+  });
+  const auto [pfs_stats, pfs_time] =
+      measure([&] { return client->Write(*file, 0, ByteSpan(data)); });
+
+  EXPECT_EQ(lwfs_stats.requests, 1u);
+  EXPECT_EQ(pfs_stats.requests, lwfs_stats.requests);
+  EXPECT_EQ(pfs_stats.runs, lwfs_stats.runs);
+  EXPECT_EQ(pfs_stats.merges, lwfs_stats.merges);
+  EXPECT_EQ(pfs_stats.coalesced_bytes, lwfs_stats.coalesced_bytes);
+  EXPECT_EQ(pfs_stats.queue_depth_hwm, lwfs_stats.queue_depth_hwm);
+  EXPECT_GT(lwfs_time.count(), 0);
+  EXPECT_EQ(pfs_time, lwfs_time);
 }
 
 }  // namespace

@@ -92,10 +92,7 @@ TEST(ServiceRegistrationTest, OpcodeFamiliesAreDisjoint) {
   options.storage_servers = 1;
   auto runtime = core::ServiceRuntime::Start(options);
   ASSERT_TRUE(runtime.ok());
-  pfs::PfsRuntimeOptions pfs_options;
-  pfs_options.ost_count = 1;
-  auto pfs_runtime =
-      pfs::PfsRuntime::Start(&(*runtime)->fabric(), pfs_options);
+  auto pfs_runtime = pfs::PfsRuntime::Start(runtime->get(), {});
   ASSERT_TRUE(pfs_runtime.ok());
 
   auto in_range = [](const std::vector<rpc::Opcode>& ops,
@@ -118,8 +115,6 @@ TEST(ServiceRegistrationTest, OpcodeFamiliesAreDisjoint) {
       in_range((*runtime)->storage_server(0).registered_control_opcodes(),
                rpc::kCoreOpcodeRange));
   EXPECT_TRUE(in_range((*pfs_runtime)->mds_server().registered_opcodes(),
-                       rpc::kPfsOpcodeRange));
-  EXPECT_TRUE(in_range((*pfs_runtime)->ost_server(0).registered_opcodes(),
                        rpc::kPfsOpcodeRange));
 }
 

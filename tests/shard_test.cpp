@@ -480,15 +480,17 @@ TEST(ShardFailoverTest, SameSeedFailoverRunsAreBitDeterministic) {
 TEST(MdsFailoverTest, StandbyServesCommittedNamespaceAfterPrimaryDeath) {
   util::VirtualClock clock;
   util::Clock::ThreadGuard guard(&clock);
-  portals::Fabric fabric;
-  fabric.SetClock(&clock);
+  core::RuntimeOptions core_options;
+  core_options.storage_servers = 2;
+  core_options.clock = &clock;
+  core_options.client_options.default_timeout = std::chrono::milliseconds(50);
+  core_options.client_options.max_retransmits = 2;
+  auto core = core::ServiceRuntime::Start(core_options);
+  ASSERT_TRUE(core.ok()) << core.status().ToString();
+  portals::Fabric& fabric = (*core)->fabric();
   pfs::PfsRuntimeOptions options;
-  options.ost_count = 2;
   options.mds_standby = true;
-  options.clock = &clock;
-  options.client_options.default_timeout = std::chrono::milliseconds(50);
-  options.client_options.max_retransmits = 2;
-  auto rt = pfs::PfsRuntime::Start(&fabric, options);
+  auto rt = pfs::PfsRuntime::Start(core->get(), options);
   ASSERT_TRUE(rt.ok()) << rt.status().ToString();
   pfs::PfsRuntime& runtime = **rt;
   ASSERT_NE(runtime.deployment().mds_standby, portals::kInvalidNid);

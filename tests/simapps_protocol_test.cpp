@@ -107,15 +107,18 @@ TEST_F(LwfsProtocolTest, ReadReturnsPayloadInOneReplyFrame) {
 
 class PfsProtocolTest : public ::testing::Test {
  protected:
+  PfsProtocolTest()
+      : core_(core::ServiceRuntime::Start({}).value()),
+        fabric_(core_->fabric()) {}
+
   void SetUp() override {
-    pfs::PfsRuntimeOptions options;
-    options.ost_count = 4;
-    auto rt = pfs::PfsRuntime::Start(&fabric_, options);
+    auto rt = pfs::PfsRuntime::Start(core_.get(), {});
     ASSERT_TRUE(rt.ok());
     runtime_ = std::move(*rt);
   }
 
-  portals::Fabric fabric_;
+  std::unique_ptr<core::ServiceRuntime> core_;
+  portals::Fabric& fabric_;
   std::unique_ptr<pfs::PfsRuntime> runtime_;
 };
 

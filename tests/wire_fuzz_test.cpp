@@ -154,10 +154,7 @@ TEST(WireFuzzTest, LiveDispatchSurvivesRandomRequestBodies) {
   options.storage_servers = 1;
   auto runtime = core::ServiceRuntime::Start(options);
   ASSERT_TRUE(runtime.ok());
-  pfs::PfsRuntimeOptions pfs_options;
-  pfs_options.ost_count = 1;
-  auto pfs_runtime =
-      pfs::PfsRuntime::Start(&(*runtime)->fabric(), pfs_options);
+  auto pfs_runtime = pfs::PfsRuntime::Start(runtime->get(), {});
   ASSERT_TRUE(pfs_runtime.ok());
 
   const core::Deployment& dep = (*runtime)->deployment();
@@ -181,8 +178,6 @@ TEST(WireFuzzTest, LiveDispatchSurvivesRandomRequestBodies) {
   const pfs::PfsDeployment& pfs_dep = (*pfs_runtime)->deployment();
   endpoints.push_back({"mds", pfs_dep.mds,
                        (*pfs_runtime)->mds_server().registered_opcodes()});
-  endpoints.push_back({"ost", pfs_dep.osts[0],
-                       (*pfs_runtime)->ost_server(0).registered_opcodes()});
 
   rpc::RpcClient raw((*runtime)->fabric().CreateNic());
   Rng rng(8);
