@@ -34,7 +34,7 @@ Result<MeHandle> Nic::Attach(PortalIndex portal, MatchBits match_bits,
   MeHandle handle = next_handle_++;
   portal_table_[portal].push_back(MatchEntry{handle, match_bits, ignore_bits,
                                              region, options, eq, user_data,
-                                             util::SharedSlice{}});
+                                             util::SharedSlice{}, nullptr});
   return handle;
 }
 
@@ -55,7 +55,27 @@ Result<MeHandle> Nic::AttachSlice(PortalIndex portal, MatchBits match_bits,
   MeHandle handle = next_handle_++;
   portal_table_[portal].push_back(MatchEntry{handle, match_bits, ignore_bits,
                                              region, options, eq, user_data,
-                                             std::move(slice)});
+                                             std::move(slice), nullptr});
+  return handle;
+}
+
+Result<MeHandle> Nic::AttachInline(PortalIndex portal, MatchBits match_bits,
+                                   MatchBits ignore_bits,
+                                   const MeOptions& options,
+                                   std::shared_ptr<const EventHandler> handler,
+                                   std::uint64_t user_data) {
+  if (!options.message_mode || !options.unlink_on_use || !options.allow_put) {
+    return InvalidArgument("inline entry must be a single-use message put");
+  }
+  if (!handler || !*handler) {
+    return InvalidArgument("inline entry needs a handler");
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  MeHandle handle = next_handle_++;
+  portal_table_[portal].push_back(MatchEntry{handle, match_bits, ignore_bits,
+                                             {}, options, nullptr, user_data,
+                                             util::SharedSlice{},
+                                             std::move(handler)});
   return handle;
 }
 
@@ -73,12 +93,15 @@ Status Nic::Detach(MeHandle handle) {
 }
 
 Nic::MatchEntry* Nic::FindLocked(PortalIndex portal, MatchBits bits,
-                                 bool want_put) {
+                                 bool want_put, Nid initiator) {
   auto it = portal_table_.find(portal);
   if (it == portal_table_.end()) return nullptr;
   for (MatchEntry& e : it->second) {
     const bool op_ok = want_put ? e.options.allow_put : e.options.allow_get;
     if (!op_ok) continue;
+    if (e.options.source != kInvalidNid && e.options.source != initiator) {
+      continue;
+    }
     if ((e.match_bits & ~e.ignore_bits) == (bits & ~e.ignore_bits)) return &e;
   }
   return nullptr;
@@ -257,8 +280,9 @@ Status Nic::AcceptPut(Nid initiator, PortalIndex portal, MatchBits match_bits,
                       std::span<const util::SharedSlice> parts,
                       std::size_t total, std::size_t offset,
                       std::uint64_t hdr_data) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  MatchEntry* me = FindLocked(portal, match_bits, /*want_put=*/true);
+  std::unique_lock<std::mutex> lock(mutex_);
+  MatchEntry* me =
+      FindLocked(portal, match_bits, /*want_put=*/true, initiator);
   if (me == nullptr) {
     return ResourceExhausted("no matching put entry");
   }
@@ -273,6 +297,7 @@ Status Nic::AcceptPut(Nid initiator, PortalIndex portal, MatchBits match_bits,
   ev.length = total;
   ev.user_data = me->user_data;
 
+  std::shared_ptr<const EventHandler> handler;
   if (me->options.message_mode) {
     const bool all_owned =
         std::all_of(parts.begin(), parts.end(),
@@ -297,7 +322,11 @@ Status Nic::AcceptPut(Nid initiator, PortalIndex portal, MatchBits match_bits,
       LWFS_COUNT_COPY(util::CopyKind::kDeliver, total);
       ev.payload = util::SharedSlice::FromBuffer(std::move(flat));
     }
-    if (!me->eq->Deliver(std::move(ev))) {
+    if (me->handler) {
+      // Single-use (AttachInline checked): the entry unlinks below, so
+      // take its reference instead of copying it.
+      handler = std::move(me->handler);
+    } else if (!me->eq->Deliver(std::move(ev))) {
       // Bounded event queue full: the I/O node's request buffer overflowed.
       return ResourceExhausted("event queue full");
     }
@@ -319,13 +348,18 @@ Status Nic::AcceptPut(Nid initiator, PortalIndex portal, MatchBits match_bits,
     }
   }
   if (me->options.unlink_on_use) UnlinkLocked(portal, me->handle);
+  // Outside the NIC lock: the handler may re-enter this NIC (Detach,
+  // Attach), and a slow handler must not stall unrelated deliveries.
+  lock.unlock();
+  if (handler) (*handler)(std::move(ev));
   return OkStatus();
 }
 
 Status Nic::AcceptGet(Nid initiator, PortalIndex portal, MatchBits match_bits,
                       MutableByteSpan out, std::size_t offset) {
   std::lock_guard<std::mutex> lock(mutex_);
-  MatchEntry* me = FindLocked(portal, match_bits, /*want_put=*/false);
+  MatchEntry* me =
+      FindLocked(portal, match_bits, /*want_put=*/false, initiator);
   if (me == nullptr) {
     return ResourceExhausted("no matching get entry");
   }
@@ -359,7 +393,8 @@ Result<util::SharedSlice> Nic::AcceptGetSlice(Nid initiator,
                                               std::size_t length,
                                               std::size_t offset) {
   std::lock_guard<std::mutex> lock(mutex_);
-  MatchEntry* me = FindLocked(portal, match_bits, /*want_put=*/false);
+  MatchEntry* me =
+      FindLocked(portal, match_bits, /*want_put=*/false, initiator);
   if (me == nullptr) {
     return ResourceExhausted("no matching get entry");
   }

@@ -14,11 +14,14 @@
 //
 // Delivery is via in-memory queues between threads; a transfer is a memcpy
 // performed by the initiating thread while holding the target NIC lock,
-// which also models the serialization a real NIC DMA engine imposes.
+// which also models the serialization a real NIC DMA engine imposes.  A
+// single-use entry may instead carry an inline handler, which the
+// initiating thread runs once the NIC lock is released (RPC replies).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,7 +55,6 @@ enum class EventType : std::uint8_t {
   kPut,    // data arrived in an attached region / message entry (target side)
   kGet,    // data was read out of an attached region (target side)
   kReply,  // initiator-side completion of a Get
-  kAck,    // initiator-side completion of a Put
 };
 
 /// Completion/delivery event.  For message-mode match entries the payload
@@ -95,10 +97,6 @@ class EventQueue {
   /// Non-blocking poll.
   std::optional<Event> Poll() { return queue_.TryPop(); }
 
-  /// Inject a locally generated event (e.g. an RPC engine wake-up).  This
-  /// is not fabric traffic: it bypasses match lists and FabricStats.
-  bool Inject(Event e) { return queue_.TryPush(std::move(e)); }
-
   void Close() { queue_.Close(); }
   [[nodiscard]] std::size_t Size() const { return queue_.Size(); }
 
@@ -108,6 +106,12 @@ class EventQueue {
 
   SyncQueue<Event> queue_;
 };
+
+/// Inline delivery target of a match entry (Nic::AttachInline).  Runs on
+/// the *initiator's* thread, with no NIC lock held, so it may call back into
+/// the NIC (e.g. Detach).  It delays the initiator until it returns, so it
+/// must not block.
+using EventHandler = std::function<void(Event)>;
 
 /// Behaviour of an attached match entry.
 struct MeOptions {
@@ -125,6 +129,9 @@ struct MeOptions {
   /// boundaries; this is how reply frames carry bulk read slices without a
   /// delivery copy.
   bool deliver_parts = false;
+  /// Accept Puts and Gets only from this initiator (Portals' match id);
+  /// kInvalidNid accepts any.  A non-matching initiator finds no entry.
+  Nid source = kInvalidNid;
 };
 
 /// Handle to an attached match entry; pass to Detach().
@@ -158,6 +165,18 @@ class Nic {
                                MatchBits ignore_bits, util::SharedSlice slice,
                                EventQueue* eq = nullptr,
                                std::uint64_t user_data = 0);
+
+  /// Register a single-use message-mode entry (`options` must set
+  /// allow_put, message_mode and unlink_on_use) whose delivery runs
+  /// `handler` instead of queueing an event.  AcceptPut unlinks the entry,
+  /// releases the NIC lock, and only then runs the handler on the
+  /// initiator's thread — the Put returns after the handler does.  The
+  /// entry holds a reference to the handler, and so does a delivery in
+  /// progress.
+  Result<MeHandle> AttachInline(PortalIndex portal, MatchBits match_bits,
+                                MatchBits ignore_bits, const MeOptions& options,
+                                std::shared_ptr<const EventHandler> handler,
+                                std::uint64_t user_data = 0);
 
   /// Remove a match entry.  Succeeds (idempotently) even if the entry
   /// already auto-unlinked.
@@ -216,6 +235,8 @@ class Nic {
     std::uint64_t user_data;
     /// Set by AttachSlice: the ref that makes zero-copy GetSlice safe.
     util::SharedSlice slice;
+    /// Set by AttachInline: delivery runs this instead of queueing to `eq`.
+    std::shared_ptr<const EventHandler> handler;
   };
 
   /// Common initiator-side Put path over a part list (fault plan, counters,
@@ -235,8 +256,10 @@ class Nic {
                                            std::size_t length,
                                            std::size_t offset);
 
-  /// Finds the first live entry matching (portal, bits); nullptr if none.
-  MatchEntry* FindLocked(PortalIndex portal, MatchBits bits, bool want_put);
+  /// Finds the first live entry matching (portal, bits) that accepts
+  /// `initiator`; nullptr if none.
+  MatchEntry* FindLocked(PortalIndex portal, MatchBits bits, bool want_put,
+                         Nid initiator);
   void UnlinkLocked(PortalIndex portal, MeHandle handle);
 
   Fabric* const fabric_;

@@ -296,12 +296,43 @@ void CallHandle::OnComplete(std::function<void(const Result<Buffer>&)> fn) {
 // RpcClient
 // ---------------------------------------------------------------------------
 
+RpcClient::RpcClient(std::shared_ptr<portals::Nic> nic, ClientOptions options)
+    : nic_(std::move(nic)),
+      options_(options),
+      clock_(util::OrReal(options.clock)),
+      gate_(std::make_shared<detail::ReplyGate>()) {
+  gate_->client = this;
+  gate_->clock = clock_;
+  reply_handler_ = std::make_shared<const portals::EventHandler>(
+      [gate = gate_](portals::Event event) {
+        RpcClient* client = nullptr;
+        {
+          std::lock_guard<std::mutex> lock(gate->mutex);
+          client = gate->client;
+          if (client == nullptr) return;  // client shutting down: drop
+          ++gate->running;
+        }
+        client->CompleteReply(std::move(event));
+        std::lock_guard<std::mutex> lock(gate->mutex);
+        if (--gate->running == 0 && gate->client == nullptr) {
+          gate->clock->NotifyAll(gate->idle);
+        }
+      });
+}
+
 RpcClient::~RpcClient() {
+  // Close the reply gate first: a reply may be completing inline on a
+  // server thread right now, and it uses this client until it leaves.
+  {
+    std::unique_lock<std::mutex> lock(gate_->mutex);
+    gate_->client = nullptr;
+    clock_->Wait(gate_->idle, lock, [&] { return gate_->running == 0; });
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
-  WakeEngine();
+  clock_->NotifyAll(engine_cv_);
   if (engine_.joinable()) clock_->Join(engine_);
   // Fail whatever was still in flight.  Regions detach before waiters wake,
   // so a late server push or reply hits no registered memory.
@@ -324,10 +355,11 @@ void RpcClient::EnsureEngineLocked() {
   engine_ = clock_->SpawnThread([this] { EngineLoop(); });
 }
 
-void RpcClient::WakeEngine() {
-  portals::Event wake;
-  wake.type = portals::EventType::kAck;  // replies arrive as kPut
-  completions_.Inject(std::move(wake));
+bool RpcClient::KickEngineLocked(util::Clock::TimePoint due) {
+  if (engine_parked_ && due >= engine_wake_at_) return false;
+  const bool notify = engine_parked_ && !engine_kick_;
+  engine_kick_ = true;
+  return notify;
 }
 
 bool RpcClient::PerformSend(const std::shared_ptr<detail::CallState>& state,
@@ -351,41 +383,49 @@ bool RpcClient::PerformSend(const std::shared_ptr<detail::CallState>& state,
     // A corrupt reply raced back during this Put and already scheduled the
     // retransmit (accepted=false, next_send=now): keep that schedule
     // instead of re-arming the reply deadline for a reply that was
-    // consumed.  The caller's WakeEngine() makes the timer pass send it.
+    // consumed.
     state->retransmit_pending = false;
-    return true;
-  }
-  if (s.ok()) {
+  } else if (s.ok()) {
     state->accepted = true;
     state->deadline = now + state->timeout;
-    return true;
-  }
-  if (s.code() != ErrorCode::kResourceExhausted) {
+  } else if (s.code() != ErrorCode::kResourceExhausted) {
     *failure = std::move(s);
     inflight_.erase(it);
     return false;
-  }
-  if (++state->resend_attempts > state->max_resends) {
+  } else if (++state->resend_attempts > state->max_resends) {
     *failure =
         ResourceExhausted("server request queue full, resends exhausted");
     inflight_.erase(it);
     return false;
+  } else {
+    resends_.fetch_add(1, std::memory_order_relaxed);
+    state->next_send =
+        now + std::chrono::microseconds(state->backoff.NextUs());
   }
-  resends_.fetch_add(1, std::memory_order_relaxed);
-  state->next_send = now + std::chrono::microseconds(state->backoff.NextUs());
+  // The engine skips a call while it is sending — and a pass that skipped
+  // it may have consumed the kick of a corrupt reply that rescheduled it —
+  // so the sender plans the call's next due time with the engine.
+  if (KickEngineLocked(state->accepted ? state->deadline : state->next_send)) {
+    clock_->NotifyOne(engine_cv_);
+  }
   return true;
 }
 
-Status RpcClient::ReattachReplySlot(detail::CallState& state) {
+Status RpcClient::ArmReplySlot(detail::CallState& state) {
   portals::MeOptions reply_opts;
   reply_opts.allow_put = true;
   reply_opts.message_mode = true;
   reply_opts.unlink_on_use = true;
-  reply_opts.deliver_parts = true;  // frame-carried bulk arrives zero-copy
-  auto me = nic_->Attach(kReplyPortal, state.request_id, 0, {}, reply_opts,
-                         &completions_);
+  // A reply frame carrying a bulk slice arrives as the sender's part list
+  // by reference — the zero-copy read delivery.
+  reply_opts.deliver_parts = true;
+  // Only the called server may complete the call: a Put from any other
+  // node finds no entry, so it can neither forge nor consume the reply.
+  reply_opts.source = state.server;
+  auto me = nic_->AttachInline(kReplyPortal, state.request_id, 0, reply_opts,
+                               reply_handler_);
   if (!me.ok()) return me.status();
-  // Move-assign releases the consumed entry (Detach is idempotent for
+  // Move-assign releases a consumed entry (Detach is idempotent for
   // already-unlinked handles).
   state.reply_region = portals::RegisteredRegion(nic_, *me);
   return OkStatus();
@@ -497,23 +537,13 @@ Result<CallHandle> RpcClient::CallAsync(portals::Nid server, Opcode opcode,
   state->backoff =
       Backoff((static_cast<std::uint64_t>(nic_->nid()) << 32) ^ request_id);
 
-  // Reply slot: one message-mode entry matched by request id, delivering
-  // into the client-wide completion queue.  deliver_parts lets a reply
-  // frame carrying a bulk slice arrive as the sender's part list by
-  // reference — the zero-copy read delivery.
-  portals::MeOptions reply_opts;
-  reply_opts.allow_put = true;
-  reply_opts.message_mode = true;
-  reply_opts.unlink_on_use = true;
-  reply_opts.deliver_parts = true;
-  auto reply_me = nic_->Attach(kReplyPortal, request_id, 0, {}, reply_opts,
-                               &completions_);
-  if (!reply_me.ok()) return reply_me.status();
-  state->reply_region = portals::RegisteredRegion(nic_, *reply_me);
+  // Reply slot: the server's reply Put completes the call inline.
+  Status armed = ArmReplySlot(*state);
+  if (!armed.ok()) return armed;
 
   // Bulk registrations.  The server may move data in chunks at its own
-  // pace, so the entries persist until the completion event (the engine
-  // detaches them in FinishCall).  An owned bulk_out_slice registers as a
+  // pace, so the entries persist until the call completes (FinishCall
+  // detaches them).  An owned bulk_out_slice registers as a
   // slice-backed entry: server pulls become zero-copy sub-slices and the
   // NIC's reference keeps the payload alive past client-side timeout.
   const ByteSpan bulk_out = options.bulk_out_slice.empty()
@@ -597,9 +627,6 @@ Result<CallHandle> RpcClient::CallAsync(portals::Nid server, Opcode opcode,
     }
     return send_failure;
   }
-  // The engine may be sleeping toward a far-off deadline; make it take
-  // this call's deadline/resend schedule into account.
-  WakeEngine();
   return CallHandle(state);
 }
 
@@ -661,7 +688,71 @@ Result<Buffer> RpcClient::ResolveReply(
   return std::move(*body);
 }
 
+void RpcClient::CompleteReply(portals::Event event) {
+  // Verify frame integrity, then route the reply to its call by request id
+  // (a reply for a call that already finished finds no entry and is
+  // dropped).  The frame arrives either as a referenced part list
+  // (deliver_parts — zero-copy) or as one gathered/corruption-flattened
+  // payload; both verify through the streaming multi-part path.
+  std::vector<util::SharedSlice> reply_parts;
+  if (!event.parts.empty()) {
+    reply_parts = std::move(event.parts);
+  } else {
+    reply_parts.push_back(std::move(event.payload));
+  }
+  const bool frame_ok = VerifyAndStripCrcParts(reply_parts);
+  std::shared_ptr<detail::CallState> state;
+  Status corrupt_failure = OkStatus();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = inflight_.find(event.match_bits);
+    if (it == inflight_.end()) return;
+    if (frame_ok) {
+      state = std::move(it->second);
+      inflight_.erase(it);
+    } else {
+      // Corrupt reply.  The delivery consumed the single-use reply slot, so
+      // re-arm it and retransmit within budget; the server's reply cache
+      // will re-send the intact frame.
+      crc_rejects_.fetch_add(1, std::memory_order_relaxed);
+      detail::CallState& s = *it->second;
+      Status rearmed = ArmReplySlot(s);
+      if (rearmed.ok() && s.retransmits_used < s.max_retransmits) {
+        ++s.retransmits_used;
+        retransmits_.fetch_add(1, std::memory_order_relaxed);
+        s.accepted = false;
+        s.next_send = clock_->Now();
+        // The corrupt reply can beat the sender's own Put-return (the
+        // fabric delivers synchronously): flag the reschedule so
+        // PerformSend does not overwrite it with accepted=true.
+        if (s.sending) s.retransmit_pending = true;
+        // The engine performs the Put: this thread is the server's, and
+        // sends never run under mutex_.
+        if (KickEngineLocked(s.next_send)) clock_->NotifyOne(engine_cv_);
+        return;
+      }
+      state = std::move(it->second);
+      inflight_.erase(it);
+      corrupt_failure = rearmed.ok()
+                            ? DataLoss("corrupt reply, retransmits exhausted")
+                            : std::move(rearmed);
+    }
+  }
+  if (frame_ok) {
+    FinishCall(state, ResolveReply(*state, reply_parts), Contact::kReplied);
+  } else {
+    // Something did arrive, so the server is alive — but the call is out
+    // of retransmit budget (or the slot could not be re-armed).
+    FinishCall(state, std::move(corrupt_failure), Contact::kReplied);
+  }
+}
+
 void RpcClient::EngineLoop() {
+  // Replies never pass through here: the engine only runs timers.  It
+  // parks until the earliest resend or reply deadline it saw, and is kicked
+  // only for a call due before that (KickEngineLocked), so after sleeping
+  // through calls that completed it wakes once, at a stale deadline, and
+  // re-plans.
   for (;;) {
     // Timer pass: mark rejected sends whose backoff expired and calls whose
     // reply deadline passed for (re)transmission, fail calls out of budget,
@@ -673,6 +764,9 @@ void RpcClient::EngineLoop() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_) return;
+      // This pass sees every call issued so far; one issued or rescheduled
+      // from here until the engine parks kicks it again.
+      engine_kick_ = false;
       const auto now = clock_->Now();
       for (auto it = inflight_.begin(); it != inflight_.end();) {
         detail::CallState& state = *it->second;
@@ -725,79 +819,16 @@ void RpcClient::EngineLoop() {
     // Sends moved deadlines; recompute the wake-up before sleeping.
     if (!to_send.empty()) continue;
 
-    std::optional<portals::Event> event;
-    const auto now = clock_->Now();
+    std::unique_lock<std::mutex> lock(mutex_);
     if (next_wake == util::Clock::TimePoint::max()) {
-      // Nothing in flight: sleep until a new call wakes us.
-      event = completions_.WaitFor(std::chrono::hours(1));
-    } else if (next_wake > now) {
-      event = completions_.WaitFor(next_wake - now);
-    } else {
-      event = completions_.Poll();
+      // Nothing in flight: re-check hourly (a new call kicks us first).
+      next_wake = clock_->Now() + std::chrono::hours(1);
     }
-    if (!event) continue;                                  // timer due
-    if (event->type != portals::EventType::kPut) continue;  // wake-up ping
-
-    // A reply: verify frame integrity, then route it to its call by request
-    // id (completions for calls that already finished find no entry and are
-    // dropped).  The frame arrives either as a referenced part list
-    // (deliver_parts — zero-copy) or as one gathered/corruption-flattened
-    // payload; both verify through the streaming multi-part path.
-    std::vector<util::SharedSlice> reply_parts;
-    if (!event->parts.empty()) {
-      reply_parts = std::move(event->parts);
-    } else {
-      reply_parts.push_back(event->payload);
-    }
-    const bool frame_ok = VerifyAndStripCrcParts(reply_parts);
-    std::shared_ptr<detail::CallState> state;
-    Status corrupt_failure = OkStatus();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = inflight_.find(event->match_bits);
-      if (it != inflight_.end()) {
-        if (frame_ok) {
-          state = std::move(it->second);
-          inflight_.erase(it);
-        } else {
-          // Corrupt reply.  The delivery consumed the unlink_on_use reply
-          // slot, so re-arm it and retransmit within budget; the server's
-          // reply cache will re-send the intact frame.
-          crc_rejects_.fetch_add(1, std::memory_order_relaxed);
-          detail::CallState& s = *it->second;
-          Status reattach = ReattachReplySlot(s);
-          if (reattach.ok() && s.retransmits_used < s.max_retransmits) {
-            ++s.retransmits_used;
-            retransmits_.fetch_add(1, std::memory_order_relaxed);
-            s.accepted = false;
-            s.next_send = clock_->Now();
-            // The corrupt reply can beat the sender's own Put-return (the
-            // fabric delivers synchronously): flag the reschedule so
-            // PerformSend does not overwrite it with accepted=true.
-            if (s.sending) s.retransmit_pending = true;
-            // The next timer pass performs the Put (sends never run under
-            // mutex_).
-          } else {
-            state = std::move(it->second);
-            inflight_.erase(it);
-            corrupt_failure =
-                reattach.ok()
-                    ? DataLoss("corrupt reply, retransmits exhausted")
-                    : std::move(reattach);
-          }
-        }
-      }
-    }
-    if (state) {
-      if (frame_ok) {
-        FinishCall(state, ResolveReply(*state, reply_parts),
-                   Contact::kReplied);
-      } else {
-        // Something did arrive, so the server is alive — but the call is
-        // out of retransmit budget (or the slot could not be re-armed).
-        FinishCall(state, std::move(corrupt_failure), Contact::kReplied);
-      }
-    }
+    engine_parked_ = true;
+    engine_wake_at_ = next_wake;
+    clock_->WaitUntil(engine_cv_, lock, next_wake,
+                      [&] { return stopping_ || engine_kick_; });
+    engine_parked_ = false;
   }
 }
 
@@ -988,6 +1019,14 @@ void RpcServer::Dispatch(const portals::Event& event) {
   auto header = DecodeHeader(dec);
   if (!header.ok()) {
     LWFS_WARN << "dropping malformed request from nid " << event.initiator;
+    return;
+  }
+  if (header->client != event.initiator) {
+    // The header names a node other than the sender.  Honouring it would
+    // aim the reply, the dedup key and every bulk Get/Put at that node —
+    // a forged frame could complete or poison another client's call.
+    LWFS_WARN << "dropping request from nid " << event.initiator
+              << " that claims nid " << header->client;
     return;
   }
 

@@ -13,13 +13,18 @@
 // instead of the bulk payload.
 //
 // The client side is an asynchronous completion engine: CallAsync() issues
-// the small request and returns a CallHandle immediately; a single engine
-// thread per RpcClient drains a shared completion queue, tracks per-call
-// deadlines, and retries rejected sends with decorrelated-jitter backoff.
-// That lets any number of caller threads keep a *bounded window* of
-// requests in flight — the "outstanding requests" knob Figure 6's
-// flow-control argument is about — without one OS thread per request.
-// Call() remains as a thin CallAsync+Await wrapper.
+// the small request and returns a CallHandle immediately.  A reply
+// completes its call on the thread that delivers it: each call's reply
+// slot is an inline portals entry, so the server's Put verifies, routes
+// and resolves the reply and wakes the caller, with no client thread in
+// between.  One engine thread per RpcClient keeps only the timers —
+// resend backoff after a rejected send (decorrelated jitter), reply
+// deadlines, retransmits, and the failures they produce — and is woken
+// only when a new call is due before its planned wake-up.  That lets any
+// number of caller threads keep a *bounded window* of requests in flight
+// — the "outstanding requests" knob Figure 6's flow-control argument is
+// about — without one OS thread per request.  Call() remains as a thin
+// CallAsync+Await wrapper.
 //
 // Robustness (PR 3): every request/reply frame carries a CRC32 trailer and
 // the request header carries a checksum of the registered write payload, so
@@ -177,12 +182,14 @@ struct CallOptions {
   portals::PortalIndex request_portal = kRequestPortal;
 };
 
+class RpcClient;
+
 namespace detail {
 
 /// Shared state of one in-flight call.  The awaiting thread and the
-/// client's engine thread both hold references; the registered reply/bulk
+/// client's in-flight table both hold references; the registered reply/bulk
 /// entries live here so the caller's memory stays attached to the fabric
-/// until the completion event — never longer, never shorter.
+/// until the call completes — never longer, never shorter.
 struct CallState {
   // Immutable after issue.
   std::uint64_t request_id = 0;
@@ -200,13 +207,13 @@ struct CallState {
   /// Bulk payload that rode the reply frame itself (slice read path).  When
   /// the fabric delivered the frame's parts by reference this aliases the
   /// server-side bytes — store-owned memory on a first execution, the reply
-  /// cache's frame on a retransmit.  Written by the engine before `done` is
-  /// published; read through CallHandle::ReplyBulk() afterwards.
+  /// cache's frame on a retransmit.  Written by the completing thread before
+  /// `done` is published; read through CallHandle::ReplyBulk() afterwards.
   util::SharedSlice reply_bulk;
 
   util::Clock* clock = nullptr;  // set at issue, used by Await/FinishCall
 
-  // Engine bookkeeping; guarded by the owning RpcClient's mutex.
+  // Send and timer bookkeeping; guarded by the owning RpcClient's mutex.
   bool accepted = false;  // the server's request portal took the Put
   bool sending = false;   // a Put is in flight outside the client mutex
   // A corrupt reply raced back and rescheduled a retransmit while the Put
@@ -222,7 +229,7 @@ struct CallState {
   portals::RegisteredRegion in_region;
 
   // Completion; guarded by `mutex` below (not the client's mutex, so
-  // waiters never contend with the engine's send path).
+  // waiters never contend with the send and timer paths).
   std::mutex mutex;
   std::condition_variable cv;
   bool done = false;
@@ -233,11 +240,24 @@ struct CallState {
   std::function<void(const Result<Buffer>&)> on_complete;
 };
 
+/// Lifetime latch between an RpcClient and the replies its reply entries
+/// run inline on delivering threads.  The reply handler holds a reference,
+/// so a delivery that already left the NIC can still find the gate after
+/// the client is gone: it enters only while `client` is set, and the
+/// client's destructor clears it and waits for `running` to drain.
+struct ReplyGate {
+  std::mutex mutex;
+  std::condition_variable idle;
+  RpcClient* client = nullptr;  // null once closed
+  util::Clock* clock = nullptr;
+  int running = 0;  // deliveries inside the client
+};
+
 }  // namespace detail
 
 /// Completion handle for an asynchronous call.  Cheap to copy (shared
-/// state) and safe to drop before completion — the engine keeps the call
-/// alive until its completion event — but the memory behind
+/// state) and safe to drop before completion — the client keeps the call
+/// alive until it completes — but the memory behind
 /// CallOptions::bulk_out / bulk_in must stay valid until the call
 /// completes.
 class CallHandle {
@@ -261,14 +281,18 @@ class CallHandle {
   /// call in Await().
   ///
   /// Contract:
-  ///  - If the call is already done, `fn` runs immediately on the calling
-  ///    thread; otherwise it runs on the client's engine thread, after
-  ///    `done` is set and before waiters blocked in Await() are released.
+  ///  - `fn` runs after `done` is set and before waiters blocked in
+  ///    Await() are released, on one of three threads:
+  ///     * the thread that delivered the reply (in-process, the server's
+  ///       RPC worker that sent it);
+  ///     * the client's engine thread, for timeouts and transport
+  ///       failures;
+  ///     * the calling thread, inline, if the call is already done.
   ///    Either way, TryAwait() inside (or after) the callback succeeds.
   ///  - `fn` must be fast and must not block or issue blocking calls: it
-  ///    runs on the completion engine, so a slow callback delays every
-  ///    other in-flight call on the same client.  Typical use is "flip a
-  ///    flag under a mutex and Notify a condition variable".
+  ///    delays the replying server's worker or every timer of the client.
+  ///    Typical use is "flip a flag under a mutex and Notify a condition
+  ///    variable" or "bump an atomic".
   ///  - At most one callback per call; a second OnComplete replaces an
   ///    unfired predecessor.
   void OnComplete(std::function<void(const Result<Buffer>&)> fn);
@@ -289,16 +313,13 @@ class CallHandle {
 };
 
 /// Issues calls from one client endpoint.  Thread-safe: any number of
-/// threads may issue sync or async calls on one RpcClient; one lazily
-/// started engine thread handles completions, deadlines, and resends.
+/// threads may issue sync or async calls on one RpcClient.  Replies
+/// complete on the delivering thread; one lazily started engine thread
+/// handles deadlines, retransmits, and resends.
 class RpcClient {
  public:
   explicit RpcClient(std::shared_ptr<portals::Nic> nic,
-                     ClientOptions options = {})
-      : nic_(std::move(nic)),
-        options_(options),
-        clock_(util::OrReal(options.clock)),
-        completions_(0, clock_) {}
+                     ClientOptions options = {});
   ~RpcClient();
 
   RpcClient(const RpcClient&) = delete;
@@ -348,21 +369,31 @@ class RpcClient {
 
   void EngineLoop();
   void EnsureEngineLocked();
-  void WakeEngine();
+  /// Note that a call is due at `due`.  Returns true when the engine is
+  /// parked past `due` and must be notified; an engine mid-pass is flagged
+  /// to re-plan before it parks.
+  bool KickEngineLocked(util::Clock::TimePoint due);
+  /// The inline reply handler (ReplyGate entered): verify the frame, route
+  /// it to its call, and either finish the call or, for a corrupt frame,
+  /// re-arm the slot and schedule a retransmit.
+  void CompleteReply(portals::Event event);
   /// Perform the Put for `state` — *outside* mutex_, because an injected
   /// fabric delay may sleep inside Put and the engine must never sleep
   /// holding the client lock — then reacquire it to apply the outcome.
   /// The caller marked `state.sending` under mutex_ first.  Returns false
   /// when the call failed terminally: the state has been removed from
-  /// inflight_ and the caller must complete it with `*failure`.
+  /// inflight_ and the caller must complete it with `*failure`.  Wakes the
+  /// engine if the call's new deadline or resend time needs it.
   bool PerformSend(const std::shared_ptr<detail::CallState>& state,
                    Status* failure);
   /// Detach regions, record stats and breaker health, publish the result,
   /// wake waiters.
   void FinishCall(const std::shared_ptr<detail::CallState>& state,
                   Result<Buffer> result, Contact contact);
-  /// Re-arm the (unlink_on_use) reply slot after a corrupt reply consumed it.
-  Status ReattachReplySlot(detail::CallState& state);
+  /// Attach the call's single-use inline reply slot (matched by request
+  /// id, accepting only the call's server); re-arms it after a corrupt
+  /// reply consumed it.
+  Status ArmReplySlot(detail::CallState& state);
   /// Decode a CRC-verified reply frame, delivered as one or more parts (the
   /// CRC trailer already stripped).  Region-push reads verify the pushed
   /// bulk payload against the checksum the server reported; a frame-carried
@@ -377,14 +408,21 @@ class RpcClient {
   std::shared_ptr<portals::Nic> nic_;
   ClientOptions options_;
   util::Clock* clock_;
-  /// Shared completion queue: every reply match entry delivers here
-  /// (unbounded — local completions, not a modeled NIC resource).
-  portals::EventQueue completions_;
+  std::shared_ptr<detail::ReplyGate> gate_;
+  /// Shared by every reply entry; runs CompleteReply through gate_.
+  std::shared_ptr<const portals::EventHandler> reply_handler_;
 
   mutable std::mutex mutex_;
   bool engine_running_ = false;
   bool stopping_ = false;
   std::thread engine_;
+  /// Engine timer state (guarded by mutex_).  While parked the engine
+  /// sleeps on engine_cv_ until engine_wake_at_; engine_kick_ makes it
+  /// re-plan (set by a call due earlier, or during a pass).
+  std::condition_variable engine_cv_;
+  bool engine_parked_ = false;
+  bool engine_kick_ = false;
+  util::Clock::TimePoint engine_wake_at_{};
   std::unordered_map<std::uint64_t, std::shared_ptr<detail::CallState>>
       inflight_;
 

@@ -176,6 +176,85 @@ TEST_F(PortalsTest, UnlinkOnUseConsumesEntry) {
             ErrorCode::kResourceExhausted);
 }
 
+TEST_F(PortalsTest, InlineEntryRunsHandlerOnInitiatorWithoutNicLock) {
+  auto src = fabric_.CreateNic();
+  auto dst = fabric_.CreateNic();
+  MeOptions opts;
+  opts.allow_put = true;
+  opts.message_mode = true;
+  opts.unlink_on_use = true;
+  const Buffer data = {4, 5, 6};
+  std::thread::id ran_on;
+  Buffer got;
+  Status reentrant_put = OkStatus();
+  auto handler = std::make_shared<const EventHandler>([&](Event ev) {
+    ran_on = std::this_thread::get_id();
+    got = ev.payload.ToBuffer(util::CopyKind::kDeliver);
+    EXPECT_EQ(ev.initiator, src->nid());
+    EXPECT_EQ(ev.user_data, 9u);
+    // The target NIC's lock is already released (a second Put takes it),
+    // and the single-use entry is already unlinked (that Put finds none).
+    reentrant_put = src->Put(dst->nid(), 0, 6, ByteSpan(data));
+  });
+  ASSERT_TRUE(dst->AttachInline(0, 6, 0, opts, handler, 9).ok());
+
+  ASSERT_TRUE(src->Put(dst->nid(), 0, 6, ByteSpan(data)).ok());
+  // The Put returned after the handler ran, on this very thread.
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(got, data);
+  EXPECT_EQ(reentrant_put.code(), ErrorCode::kResourceExhausted);
+}
+
+TEST_F(PortalsTest, InlineEntryMustBeSingleUseMessagePut) {
+  auto dst = fabric_.CreateNic();
+  auto handler = std::make_shared<const EventHandler>([](Event) {});
+  MeOptions opts;
+  opts.allow_put = true;
+  opts.message_mode = true;
+  EXPECT_EQ(dst->AttachInline(0, 1, 0, opts, handler).status().code(),
+            ErrorCode::kInvalidArgument);  // not unlink_on_use
+  opts.unlink_on_use = true;
+  EXPECT_EQ(dst->AttachInline(0, 1, 0, opts, nullptr).status().code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(dst->AttachInline(0, 1, 0, opts, handler).ok());
+}
+
+TEST_F(PortalsTest, SourceFilteredEntryIgnoresOtherInitiators) {
+  auto trusted = fabric_.CreateNic();
+  auto other = fabric_.CreateNic();
+  auto dst = fabric_.CreateNic();
+  EventQueue eq;
+  MeOptions opts;
+  opts.allow_put = true;
+  opts.message_mode = true;
+  opts.unlink_on_use = true;
+  opts.source = trusted->nid();
+  ASSERT_TRUE(dst->Attach(0, 3, 0, {}, opts, &eq).ok());
+
+  Buffer data = {1, 2};
+  // Another node finds no entry — and, crucially, does not consume it.
+  EXPECT_EQ(other->Put(dst->nid(), 0, 3, ByteSpan(data)).code(),
+            ErrorCode::kResourceExhausted);
+  EXPECT_FALSE(eq.Poll().has_value());
+  ASSERT_TRUE(trusted->Put(dst->nid(), 0, 3, ByteSpan(data)).ok());
+  auto ev = eq.Poll();
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->initiator, trusted->nid());
+
+  // Gets are filtered the same way.
+  Buffer region = {9, 8, 7};
+  MeOptions get_opts;
+  get_opts.allow_get = true;
+  get_opts.source = trusted->nid();
+  ASSERT_TRUE(
+      dst->Attach(2, 4, 0, MutableByteSpan(region), get_opts, nullptr).ok());
+  Buffer out(3, 0);
+  EXPECT_EQ(other->Get(dst->nid(), 2, 4, MutableByteSpan(out)).code(),
+            ErrorCode::kResourceExhausted);
+  ASSERT_TRUE(trusted->Get(dst->nid(), 2, 4, MutableByteSpan(out)).ok());
+  EXPECT_EQ(out, region);
+}
+
 TEST_F(PortalsTest, PutBeyondRegionFails) {
   auto src = fabric_.CreateNic();
   auto dst = fabric_.CreateNic();

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <future>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -885,6 +886,329 @@ TEST_F(RpcTest, OpTalliesAggregateAcrossConcurrentIssuers) {
             static_cast<std::uint64_t>(kThreads) * kFailPerThread);
   EXPECT_EQ(client.stats().calls,
             static_cast<std::uint64_t>(kThreads) * (kOkPerThread + kFailPerThread));
+}
+
+// ---------------------------------------------------------------------------
+// Replies complete on the delivering thread; the engine keeps only timers
+// ---------------------------------------------------------------------------
+
+TEST_F(RpcTest, ReplyCompletesOnTheServerHandlersThread) {
+  ServerOptions options;
+  options.worker_threads = 2;
+  auto nic = fabric_.CreateNic();
+  RpcServer server(nic, options);
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::promise<std::thread::id> handler_thread;
+  server.RegisterHandler(
+      kGated,
+      [gate, &handler_thread](ServerContext&, Decoder&) -> Result<Buffer> {
+        gate.wait();
+        handler_thread.set_value(std::this_thread::get_id());
+        return Buffer{};
+      });
+  ASSERT_TRUE(server.Start().ok());
+
+  RpcClient client(fabric_.CreateNic());
+  auto handle = client.CallAsync(nic->nid(), kGated, {});
+  ASSERT_TRUE(handle.ok());
+  std::promise<std::thread::id> callback_thread;
+  handle->OnComplete([&](const Result<Buffer>& result) {
+    EXPECT_TRUE(result.ok());
+    callback_thread.set_value(std::this_thread::get_id());
+  });
+  release.set_value();
+  ASSERT_TRUE(handle->Await().ok());
+  // The worker that ran the handler sent the reply, and its Put ran the
+  // completion: no client thread in between.
+  const std::thread::id completed_on = callback_thread.get_future().get();
+  EXPECT_EQ(completed_on, handler_thread.get_future().get());
+  EXPECT_NE(completed_on, std::this_thread::get_id());
+  server.Stop();
+}
+
+TEST(RpcVirtualClockTest, ShortCallBehindLongOneTimesOutOnItsOwnDeadline) {
+  // The engine parks until the earliest deadline it has seen.  A call due
+  // sooner must wake it: with every request dropped, a 50 ms call issued
+  // while the engine sleeps toward a 5 s deadline fails after exactly
+  // (1 + retransmits) x 50 ms of virtual time, not at the 5 s wake-up.
+  util::VirtualClock vclock;
+  util::Clock::ThreadGuard guard(&vclock);
+  portals::Fabric fabric;
+  fabric.SetClock(&vclock);
+  auto nic = fabric.CreateNic();
+  ServerOptions sopts;
+  sopts.clock = &vclock;
+  RpcServer server(nic, sopts);
+  server.RegisterHandler(kEcho, [](ServerContext&, Decoder&) -> Result<Buffer> {
+    return Buffer{};
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  ClientOptions copts;
+  copts.clock = &vclock;
+  copts.default_timeout = std::chrono::seconds(5);
+  copts.max_retransmits = 2;
+  copts.breaker_threshold = 0;
+  RpcClient client(fabric.CreateNic(), copts);
+  fabric.injector().SetLink(client.nid(), nic->nid(), {.drop = 1.0});
+
+  const util::Clock::TimePoint start = vclock.Now();
+  auto slow = client.CallAsync(nic->nid(), kEcho, {});
+  ASSERT_TRUE(slow.ok());
+  // Let the engine run its pass and park toward the 5 s deadline.
+  vclock.SleepFor(std::chrono::milliseconds(1));
+
+  CallOptions fast_options;
+  fast_options.timeout = std::chrono::milliseconds(50);
+  const util::Clock::TimePoint issued = vclock.Now();
+  auto fast = client.CallAsync(nic->nid(), kEcho, {}, fast_options);
+  ASSERT_TRUE(fast.ok());
+  EXPECT_EQ(fast->Await().status().code(), ErrorCode::kTimeout);
+  EXPECT_EQ(vclock.Now() - issued, 3 * std::chrono::milliseconds(50));
+  EXPECT_EQ(client.stats().retransmits, 2u);
+  EXPECT_FALSE(slow->TryAwait(nullptr));
+
+  EXPECT_EQ(slow->Await().status().code(), ErrorCode::kTimeout);
+  EXPECT_EQ(vclock.Now() - start, 3 * std::chrono::seconds(5));
+  EXPECT_EQ(client.stats().retransmits, 4u);
+  server.Stop();
+}
+
+TEST_F(RpcTest, CorruptRepliesRacingTheirOwnSendNeverStrandACall) {
+  // A corrupt reply can land while its call's Put is still returning, and
+  // an engine pass can run in that window and skip the (sending) call.
+  // Whoever finishes the Put must then plan the retransmit with the
+  // engine, or the call waits for the engine's idle wake-up.  Many callers
+  // on one client make those windows overlap; every call must still fail
+  // cleanly, well inside a bound that an idle wake-up would blow.
+  ServerOptions options;
+  options.worker_threads = 4;
+  StartServer(options);
+  ClientOptions copts;
+  copts.max_retransmits = 2;
+  copts.breaker_threshold = 0;
+  RpcClient client(fabric_.CreateNic(), copts);
+  fabric_.injector().SetLink(server_->nid(), client.nid(), {.corrupt = 1.0});
+
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 200;
+  util::Clock* clock = util::RealClockInstance();
+  std::atomic<int> data_loss{0};
+  std::atomic<int> stranded{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        auto h = client.CallAsync(server_->nid(), kEcho, {});
+        ASSERT_TRUE(h.ok());
+        const auto give_up = clock->Now() + std::chrono::seconds(20);
+        Result<Buffer> result = Buffer{};
+        while (!h->TryAwait(&result)) {
+          if (clock->Now() > give_up) {
+            ++stranded;
+            return;
+          }
+          clock->SleepFor(std::chrono::microseconds(200));
+        }
+        if (result.status().code() == ErrorCode::kDataLoss) ++data_loss;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(stranded.load(), 0);
+  EXPECT_EQ(data_loss.load(), kThreads * kCallsPerThread);
+  EXPECT_EQ(client.stats().crc_rejects,
+            3u * static_cast<std::uint64_t>(kThreads * kCallsPerThread));
+}
+
+TEST_F(RpcTest, ClientsDestroyedWhileRepliesLandCompleteEveryCallOnce) {
+  // Short-lived clients die with calls in flight while multi-worker
+  // servers' replies land on them.  Each call completes exactly once —
+  // by its reply or by the destructor's abort — and a reply already
+  // completing inside a client keeps that client alive until it leaves
+  // (ASan and TSan check the rest).
+  ServerOptions options;
+  options.worker_threads = 4;
+  StartServer(options);
+  RpcServer second(fabric_.CreateNic(), options);
+  second.RegisterHandler(kEcho, [](ServerContext&, Decoder&) -> Result<Buffer> {
+    return Buffer{};
+  });
+  ASSERT_TRUE(second.Start().ok());
+
+  constexpr int kThreads = 4;
+  constexpr int kClientsPerThread = 40;
+  constexpr int kCallsPerClient = 8;
+  std::atomic<int> issued{0};
+  std::atomic<int> completed{0};
+  std::atomic<int> replied{0};
+  std::atomic<int> aborted{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      Encoder req;
+      req.PutString("short-lived");
+      for (int c = 0; c < kClientsPerThread; ++c) {
+        RpcClient client(fabric_.CreateNic());
+        for (int i = 0; i < kCallsPerClient; ++i) {
+          const portals::Nid target =
+              i % 2 == 0 ? server_->nid() : second.nid();
+          auto h = client.CallAsync(target, kEcho, ByteSpan(req.buffer()));
+          if (!h.ok()) continue;
+          ++issued;
+          h->OnComplete([&](const Result<Buffer>& result) {
+            ++completed;
+            if (result.ok()) {
+              ++replied;
+            } else if (result.status().code() == ErrorCode::kAborted) {
+              ++aborted;
+            }
+          });
+        }
+        // `client` goes out of scope here, racing the replies.
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(issued.load(), kThreads * kClientsPerThread * kCallsPerClient);
+  EXPECT_EQ(completed.load(), issued.load());
+  EXPECT_EQ(replied.load() + aborted.load(), issued.load());
+
+  // The servers are unharmed by replies to vanished clients.
+  RpcClient survivor(fabric_.CreateNic());
+  Encoder req;
+  req.PutString("after");
+  EXPECT_TRUE(
+      survivor.Call(server_->nid(), kEcho, ByteSpan(req.buffer())).ok());
+  EXPECT_TRUE(survivor.Call(second.nid(), kEcho, {}).ok());
+  second.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Forged client nids: the fabric's initiator, not the header, names a caller
+// ---------------------------------------------------------------------------
+
+/// A CRC-correct request frame whose header names `claimed` as the client.
+/// The header layout is no secret, so any node on the fabric can build one.
+Buffer ForgeRequest(Opcode opcode, std::uint64_t request_id,
+                    portals::Nid claimed, const std::string& text) {
+  Encoder enc;
+  enc.PutU32(opcode);
+  enc.PutU64(request_id);
+  enc.PutU32(claimed);
+  enc.PutU64(0);  // bulk out length
+  enc.PutU64(0);  // bulk in length
+  enc.PutU32(0);  // bulk out checksum
+  enc.PutString(text);
+  const std::uint32_t crc = Crc32(ByteSpan(enc.buffer()));
+  enc.PutU32(crc);
+  return std::move(enc).Take();
+}
+
+/// A CRC-correct OK reply frame whose body is the string `text`.
+Buffer ForgeReply(const std::string& text) {
+  Encoder body;
+  body.PutString(text);
+  Encoder enc;
+  enc.PutU32(static_cast<std::uint32_t>(ErrorCode::kOk));
+  enc.PutString("");
+  enc.PutBytes(ByteSpan(body.buffer()));
+  enc.PutU64(0);  // frame-carried bulk length
+  enc.PutU32(0);  // pushed checksum
+  enc.PutU64(0);  // pushed bytes
+  const std::uint32_t crc = Crc32(ByteSpan(enc.buffer()));
+  enc.PutU32(crc);
+  return std::move(enc).Take();
+}
+
+/// Once this returns, every request queued at `server` before it has been
+/// dispatched (the server must run one worker, which serves in order).
+void FlushSingleWorker(portals::Fabric& fabric, portals::Nid server) {
+  RpcClient bystander(fabric.CreateNic());
+  Encoder req;
+  req.PutString("flush");
+  ASSERT_TRUE(bystander.Call(server, kEcho, ByteSpan(req.buffer())).ok());
+}
+
+TEST_F(RpcTest, ForgedClientNidCannotHijackAnotherClientsCall) {
+  StartServer();  // the echo server, one worker
+  auto gated_nic = fabric_.CreateNic();
+  RpcServer gated(gated_nic);
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  gated.RegisterHandler(kGated,
+                        [gate](ServerContext&, Decoder&) -> Result<Buffer> {
+                          gate.wait();
+                          Encoder reply;
+                          reply.PutString("gated:genuine");
+                          return std::move(reply).Take();
+                        });
+  ASSERT_TRUE(gated.Start().ok());
+
+  RpcClient victim(fabric_.CreateNic());
+  auto call = victim.CallAsync(gated_nic->nid(), kGated, {});
+  ASSERT_TRUE(call.ok());
+
+  // A third node asks the echo server to answer the victim's pending call,
+  // by naming the victim's nid and request id in its header...
+  auto attacker = fabric_.CreateNic();
+  const Buffer forged =
+      ForgeRequest(kEcho, call->request_id(), victim.nid(), "forged");
+  ASSERT_TRUE(
+      attacker->Put(server_->nid(), kRequestPortal, 0, ByteSpan(forged)).ok());
+  FlushSingleWorker(fabric_, server_->nid());
+  EXPECT_EQ(server_->stats().served, 1u);  // only the flush reached a handler
+  // ...and answers it itself.  The reply slot accepts only the called
+  // server, so the forged reply finds no entry and consumes nothing.
+  const Buffer fake = ForgeReply("echo:forged");
+  EXPECT_EQ(attacker
+                ->Put(victim.nid(), kReplyPortal, call->request_id(),
+                      ByteSpan(fake))
+                .code(),
+            ErrorCode::kResourceExhausted);
+  EXPECT_FALSE(call->TryAwait(nullptr));
+
+  release.set_value();
+  auto reply = call->Await();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  Decoder dec(*reply);
+  EXPECT_EQ(*dec.GetString(), "gated:genuine");
+  gated.Stop();
+}
+
+TEST_F(RpcTest, ForgedClientNidCannotPoisonTheDedupCache) {
+  StartServer();  // the echo server, one worker, dedup on
+  RpcClient victim(fabric_.CreateNic());
+  Encoder first;
+  first.PutString("first");
+  auto warm = victim.CallAsync(server_->nid(), kEcho, ByteSpan(first.buffer()));
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(warm->Await().ok());
+  const std::uint64_t next_id = warm->request_id() + 1;
+
+  // Pre-empt the victim's next request id under the victim's nid: had the
+  // server run it, the cached reply would be replayed to the real request.
+  auto attacker = fabric_.CreateNic();
+  const Buffer forged = ForgeRequest(kEcho, next_id, victim.nid(), "poison");
+  ASSERT_TRUE(
+      attacker->Put(server_->nid(), kRequestPortal, 0, ByteSpan(forged)).ok());
+  FlushSingleWorker(fabric_, server_->nid());
+
+  Encoder real;
+  real.PutString("real");
+  auto call = victim.CallAsync(server_->nid(), kEcho, ByteSpan(real.buffer()));
+  ASSERT_TRUE(call.ok());
+  ASSERT_EQ(call->request_id(), next_id);
+  auto reply = call->Await();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  Decoder dec(*reply);
+  EXPECT_EQ(*dec.GetString(), "echo:real");
+  EXPECT_EQ(server_->stats().dedup_hits, 0u);
+  EXPECT_EQ(server_->stats().served, 3u);  // first, flush, real
 }
 
 }  // namespace
