@@ -118,10 +118,10 @@ int main() {
   for (const pfs::StripeTarget& stripe : ds.file().stripes) {
     core::FilterSpec fspec;
     fspec.kind = core::FilterKind::kMinMaxSumCount;
-    auto attr = client->GetAttr(stripe.ost_index, cap, stripe.oid).value();
+    auto attr = client->GetAttr(stripe.server, cap, stripe.oid).value();
     if (attr.size == 0) continue;
     auto result = client
-                      ->FilterObjectAlloc(stripe.ost_index, cap, stripe.oid, 0,
+                      ->FilterObjectAlloc(stripe.server, cap, stripe.oid, 0,
                                           attr.size, fspec)
                       .value();
     double part[4];

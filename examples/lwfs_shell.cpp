@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
                   (unsigned long long)size, file->stripe_size,
                   file->stripes.size());
       for (const auto& stripe : file->stripes) {
-        std::printf(" %u", stripe.ost_index);
+        std::printf(" %u", stripe.server);
       }
       std::printf(")\n");
     } else if (cmd == "rm" && (in >> path)) {

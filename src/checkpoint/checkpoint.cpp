@@ -143,11 +143,7 @@ Result<CheckpointStats> LwfsCheckpoint::Run(
   caps.reserve(nranks);
   for (std::uint32_t r = 0; r < nranks; ++r) {
     Buffer cap_wire;
-    if (r == 0) {
-      Encoder enc;
-      config.cap.Encode(enc);
-      cap_wire = std::move(enc).Take();
-    }
+    if (r == 0) cap_wire = codec::Encode(config.cap);
     Status distributed = comms[r]->Bcast(0, kCapTag, cap_wire);
     if (!distributed.ok()) return distributed;
     Decoder cap_dec(cap_wire);
@@ -210,21 +206,20 @@ Result<CheckpointStats> LwfsCheckpoint::Run(
   errors.Record(engine_status);  // carrier-level failures (stalled machine)
   const double create_phase_s = Seconds(t_start, t_creates_done);
 
-  // Metadata gather (Figure 8 line 7): each rank contributes (ref, size),
-  // or an empty piece if its dump failed.  The gather tree is driven in
-  // decreasing rank order — children are always higher-ranked than their
-  // parent, so their bundles are in flight before the parent Recvs.
+  // Metadata gather (Figure 8 line 7): each rank contributes its
+  // CheckpointEntry, or an empty piece if its dump failed.  The gather tree
+  // is driven in decreasing rank order — children are always higher-ranked
+  // than their parent, so their bundles are in flight before the parent
+  // Recvs.
   std::vector<Buffer> gathered;
   for (std::uint32_t i = nranks; i-- > 0;) {
-    Encoder contribution;
-    ByteSpan piece{};
+    Buffer piece;
     if (dumped[i]) {
-      core::EncodeObjectRef(
-          contribution, storage::ObjectRef{config.cid, heads[i], oids[i]});
-      contribution.PutU64(states[i].size());
-      piece = ByteSpan(contribution.buffer());
+      piece = codec::Encode(CheckpointEntry{
+          storage::ObjectRef{config.cid, heads[i], oids[i]},
+          states[i].size()});
     }
-    auto result = comms[i]->Gather(0, kMetaTag, piece);
+    auto result = comms[i]->Gather(0, kMetaTag, ByteSpan(piece));
     if (!result.ok()) return result.status();
     if (i == 0) gathered = std::move(*result);
   }
@@ -233,17 +228,18 @@ Result<CheckpointStats> LwfsCheckpoint::Run(
   // it, and stage the checkpoint name — skipped if anything already failed
   // so the first error (e.g. a denied create) is what the caller sees.
   if (errors.first().ok()) {
-    Encoder metadata;
-    metadata.PutU32(nranks);
+    CheckpointMetadata md;
     bool complete = true;
-    for (const Buffer& entry : gathered) {
-      if (entry.empty()) {
+    for (const Buffer& piece : gathered) {
+      auto entry = rpc::DecodeMessage<CheckpointEntry>(ByteSpan(piece));
+      if (!entry.ok()) {  // an empty piece: that rank's dump failed
         errors.Record(Aborted("a rank failed to dump"));
         complete = false;
         break;
       }
-      metadata.PutRaw(ByteSpan(entry));
+      md.entries.push_back(*entry);
     }
+    const Buffer metadata = codec::Encode(md);
     if (complete && replicated) {
       // The metadata object is replicated too — losing it would orphan the
       // whole checkpoint.  LinkName is the commit: nothing written above is
@@ -255,7 +251,7 @@ Result<CheckpointStats> LwfsCheckpoint::Run(
       } else {
         ++created;
         Status md_written = clients[0]->WriteReplicated(
-            caps[0], *mdchain, 0, ByteSpan(metadata.buffer()));
+            caps[0], *mdchain, 0, ByteSpan(metadata));
         if (!md_written.ok()) {
           errors.Record(md_written);
         } else {
@@ -273,7 +269,7 @@ Result<CheckpointStats> LwfsCheckpoint::Run(
       } else {
         ++created;
         Status md_written = clients[0]->WriteObject(
-            md_server, caps[0], *mdobj, 0, ByteSpan(metadata.buffer()));
+            md_server, caps[0], *mdobj, 0, ByteSpan(metadata));
         if (!md_written.ok()) {
           errors.Record(md_written);
         } else {
@@ -336,35 +332,19 @@ Result<std::vector<util::SharedSlice>> LwfsCheckpoint::RestoreSlices(
   }
   if (!metadata.ok()) return metadata.status();
 
-  Decoder dec(*metadata);
-  auto nranks = dec.GetU32();
-  if (!nranks.ok()) return nranks.status();
-  struct Entry {
-    storage::ObjectRef ref;
-    std::uint64_t size;
-  };
-  // Each entry occupies 28 metadata bytes; a corrupt count must not drive
-  // allocation.
-  if (*nranks > dec.remaining() / 28) {
-    return DataLoss("corrupt checkpoint metadata (rank count)");
-  }
-  std::vector<Entry> entries;
-  entries.reserve(*nranks);
-  for (std::uint32_t r = 0; r < *nranks; ++r) {
-    auto ref = core::DecodeObjectRef(dec);
-    auto size = dec.GetU64();
-    if (!ref.ok() || !size.ok()) return DataLoss("corrupt checkpoint metadata");
-    entries.push_back(Entry{*ref, *size});
-  }
+  auto md = rpc::DecodeMessage<CheckpointMetadata>(ByteSpan(*metadata));
+  if (!md.ok()) return DataLoss("corrupt checkpoint metadata");
+  const std::vector<CheckpointEntry>& entries = md->entries;
+  const auto nranks = static_cast<std::uint32_t>(entries.size());
 
   // Rank-state reads flow through one windowed batch over one client; the
   // RPC engine overlaps the per-server transfers, and every rank's payload
   // lands as the reply frame's store-owned slice — no per-rank landing
   // buffer is allocated here.
-  std::vector<util::SharedSlice> states(*nranks);
+  std::vector<util::SharedSlice> states(nranks);
   core::Batch batch(client.get());
   std::vector<std::uint32_t> replicated_ranks;
-  for (std::uint32_t r = 0; r < *nranks; ++r) {
+  for (std::uint32_t r = 0; r < nranks; ++r) {
     if (storage::IsReplicatedOid(entries[r].ref.oid)) {
       replicated_ranks.push_back(r);
       continue;

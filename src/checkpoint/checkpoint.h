@@ -31,6 +31,7 @@
 #include "pfs/client.h"
 #include "pfs/pfs_runtime.h"
 #include "util/bytes.h"
+#include "util/codec.h"
 #include "util/shared_buffer.h"
 #include "util/status.h"
 
@@ -50,6 +51,21 @@ struct CheckpointStats {
 // ---------------------------------------------------------------------------
 // LWFS lightweight checkpoint
 // ---------------------------------------------------------------------------
+
+/// One rank's entry in an LWFS checkpoint's metadata object: where its
+/// state object lives and how many bytes it holds.
+struct CheckpointEntry {
+  storage::ObjectRef ref;
+  std::uint64_t size = 0;
+  LWFS_CODEC(CheckpointEntry, ref, size)
+};
+
+/// The metadata object rank 0 writes and names: one entry per rank, in
+/// rank order.
+struct CheckpointMetadata {
+  std::vector<CheckpointEntry> entries;
+  LWFS_CODEC(CheckpointMetadata, entries)
+};
 
 class LwfsCheckpoint {
  public:

@@ -7,25 +7,6 @@
 
 namespace lwfs::checkpoint {
 
-namespace {
-
-// Errors worth retrying on a different replica: the member (or the path to
-// it) failed.  Authorization/argument errors would fail identically on every
-// member, so failing over on them only hides bugs.
-bool FailoverWorthy(const Status& status) {
-  switch (status.code()) {
-    case ErrorCode::kTimeout:
-    case ErrorCode::kUnavailable:
-    case ErrorCode::kNotFound:
-    case ErrorCode::kDataLoss:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 driver::Step WritePipeline::Fail(Status status) {
   result_ = std::move(status);
   stage_ = Stage::kDone;
@@ -73,7 +54,7 @@ driver::Step WritePipeline::Issue(driver::Context& ctx, Stage stage) {
         }
         // Replicated verify fails over through the chain on issue-time
         // unreachability, same as on an errored reply.
-        if (replicated() && FailoverWorthy(handle.status()) &&
+        if (replicated() && core::FailoverWorthy(handle.status()) &&
             verify_member_ + 1 < chain_.servers.size()) {
           ++verify_member_;
           continue;
@@ -326,7 +307,7 @@ driver::Step WritePipeline::Poll(driver::Context& ctx) {
         if (!attr.ok()) {
           // Replicated verify fails over through the chain: any surviving
           // member can vouch for the committed bytes.
-          if (replicated() && FailoverWorthy(attr.status()) &&
+          if (replicated() && core::FailoverWorthy(attr.status()) &&
               verify_member_ + 1 < chain_.servers.size()) {
             ++verify_member_;
             return Issue(ctx, Stage::kVerify);

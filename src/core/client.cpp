@@ -10,11 +10,6 @@
 
 namespace lwfs::core {
 
-namespace {
-
-/// Errors worth retrying on another chain member: the member is gone,
-/// unreachable, lost the object, or corrupted the transfer.  Authorization
-/// and argument errors would fail identically everywhere.
 bool FailoverWorthy(const Status& status) {
   switch (status.code()) {
     case ErrorCode::kTimeout:
@@ -26,6 +21,8 @@ bool FailoverWorthy(const Status& status) {
       return false;
   }
 }
+
+namespace {
 
 /// Registers `data` for the server's pull: an owned slice by reference (no
 /// staging anywhere), a borrowed (External) one as a raw span — the portals
@@ -477,11 +474,12 @@ Status Client::RefreshShardRoute() {
     }
     std::lock_guard<std::mutex> lock(route_mutex_);
     if (rep->epoch >= route_.epoch &&
-        rep->primaries.size() == route_.primaries.size()) {
+        rep->shards.size() == route_.primaries.size()) {
       route_.epoch = rep->epoch;
-      route_.primaries.assign(rep->primaries.begin(), rep->primaries.end());
-      route_.standbys.assign(rep->standbys.begin(), rep->standbys.end());
-      route_.standbys.resize(route_.primaries.size(), portals::kInvalidNid);
+      for (std::size_t i = 0; i < rep->shards.size(); ++i) {
+        route_.primaries[i] = rep->shards[i].first;
+        route_.standbys[i] = rep->shards[i].second;
+      }
     }
     return OkStatus();
   }

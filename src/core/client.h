@@ -55,6 +55,12 @@ struct Deployment {
 
 class Client;
 
+/// Errors worth retrying on another replica-chain member: the member is
+/// gone, unreachable, lost the object, or corrupted the transfer.
+/// Authorization and argument errors would fail identically on every
+/// member, so failing over on them only hides bugs.
+bool FailoverWorthy(const Status& status);
+
 /// Completion handle for an asynchronous object read or write (issued via
 /// Client::WriteObjectAsync / ReadObjectAsync).  The data span handed in at
 /// issue time must remain valid until Await()/TryAwait() reports

@@ -8,37 +8,6 @@
 
 namespace lwfs::core {
 
-void FilterSpec::Encode(Encoder& enc) const {
-  enc.PutU32(static_cast<std::uint32_t>(kind));
-  enc.PutU64(stride);
-  enc.PutDouble(threshold);
-  enc.PutDouble(lo);
-  enc.PutDouble(hi);
-  enc.PutU32(bins);
-}
-
-Result<FilterSpec> FilterSpec::Decode(Decoder& dec) {
-  FilterSpec spec;
-  auto kind = dec.GetU32();
-  auto stride = dec.GetU64();
-  auto threshold = dec.GetDouble();
-  auto lo = dec.GetDouble();
-  auto hi = dec.GetDouble();
-  auto bins = dec.GetU32();
-  if (!kind.ok() || !stride.ok() || !threshold.ok() || !lo.ok() || !hi.ok() ||
-      !bins.ok()) {
-    return InvalidArgument("malformed filter spec");
-  }
-  if (*kind < 1 || *kind > 4) return InvalidArgument("unknown filter kind");
-  spec.kind = static_cast<FilterKind>(*kind);
-  spec.stride = *stride;
-  spec.threshold = *threshold;
-  spec.lo = *lo;
-  spec.hi = *hi;
-  spec.bins = *bins;
-  return spec;
-}
-
 namespace {
 
 double LoadF64(const std::uint8_t* p) {

@@ -13,8 +13,10 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "util/bytes.h"
+#include "util/codec.h"
 #include "util/status.h"
 
 namespace lwfs::core {
@@ -30,15 +32,18 @@ enum class FilterKind : std::uint32_t {
   kHistogram = 4,
 };
 
+/// Valid FilterKind values, for the codec's range check.
+constexpr std::pair<FilterKind, FilterKind> CodecEnumBounds(FilterKind) {
+  return {FilterKind::kMinMaxSumCount, FilterKind::kHistogram};
+}
+
 struct FilterSpec {
   FilterKind kind = FilterKind::kMinMaxSumCount;
   std::uint64_t stride = 1;   // kSubsample
   double threshold = 0;       // kSelectGreater
   double lo = 0, hi = 1;      // kHistogram range
   std::uint32_t bins = 16;    // kHistogram
-
-  void Encode(Encoder& enc) const;
-  static Result<FilterSpec> Decode(Decoder& dec);
+  LWFS_CODEC(FilterSpec, kind, stride, threshold, lo, hi, bins)
 };
 
 /// Apply `spec` to `data` interpreted as float64 little-endian.  `data`

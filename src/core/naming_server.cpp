@@ -120,17 +120,14 @@ NamingServer::NamingServer(std::shared_ptr<portals::Nic> nic,
         wire::ShardMapRep rep;
         if (shard_.shard_map == nullptr) {
           rep.epoch = 1;
-          rep.primaries = {nid()};
-          rep.standbys = {portals::kInvalidNid};
+          rep.shards = {{nid(), portals::kInvalidNid}};
           return rep;
         }
         const naming::ShardMap::Snapshot snap = shard_.shard_map->snapshot();
         rep.epoch = snap.epoch;
-        rep.primaries.reserve(snap.shards.size());
-        rep.standbys.reserve(snap.shards.size());
+        rep.shards.reserve(snap.shards.size());
         for (const naming::ShardMap::Shard& s : snap.shards) {
-          rep.primaries.push_back(s.primary);
-          rep.standbys.push_back(s.standby);
+          rep.shards.emplace_back(s.primary, s.standby);
         }
         return rep;
       });

@@ -137,39 +137,4 @@ static_assert(rpc::kCoreOpcodeRange.Contains(kOpLogin) &&
                   rpc::kCoreOpcodeRange.Contains(kOpLockRelease),
               "core opcode outside the core protocol family's range");
 
-// ---- Shared encode/decode helpers -----------------------------------------
-
-inline void EncodeObjAttr(Encoder& enc, const storage::ObjAttr& attr) {
-  enc.PutU64(attr.cid.value);
-  enc.PutU64(attr.size);
-  enc.PutU64(attr.version);
-}
-
-inline Result<storage::ObjAttr> DecodeObjAttr(Decoder& dec) {
-  auto cid = dec.GetU64();
-  auto size = dec.GetU64();
-  auto version = dec.GetU64();
-  if (!cid.ok() || !size.ok() || !version.ok()) {
-    return InvalidArgument("malformed object attributes");
-  }
-  return storage::ObjAttr{storage::ContainerId{*cid}, *size, *version};
-}
-
-inline void EncodeObjectRef(Encoder& enc, const storage::ObjectRef& ref) {
-  enc.PutU64(ref.cid.value);
-  enc.PutU32(ref.server_index);
-  enc.PutU64(ref.oid.value);
-}
-
-inline Result<storage::ObjectRef> DecodeObjectRef(Decoder& dec) {
-  auto cid = dec.GetU64();
-  auto server = dec.GetU32();
-  auto oid = dec.GetU64();
-  if (!cid.ok() || !server.ok() || !oid.ok()) {
-    return InvalidArgument("malformed object reference");
-  }
-  return storage::ObjectRef{storage::ContainerId{*cid}, *server,
-                            storage::ObjectId{*oid}};
-}
-
 }  // namespace lwfs::core

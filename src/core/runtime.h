@@ -121,6 +121,9 @@ class ServiceRuntime {
 
   [[nodiscard]] const Deployment& deployment() const { return deployment_; }
   [[nodiscard]] portals::Fabric& fabric() { return fabric_; }
+  /// The options the deployment runs with, after Start() filled in
+  /// defaults (e.g. the authn/authz NowFns of a virtual-clock deployment).
+  [[nodiscard]] const RuntimeOptions& options() const { return options_; }
   /// The deployment's time source (RealClockInstance() when none was set).
   [[nodiscard]] util::Clock* clock() const { return clock_; }
   [[nodiscard]] security::AuthnService& authn() { return *authn_service_; }

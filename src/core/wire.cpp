@@ -149,8 +149,7 @@ std::vector<rpc::CodecCase> CoreWireCases() {
                                      StageUnlinkReq{555, "/a/b/file"}));
   ShardMapRep shard_map;
   shard_map.epoch = 9;
-  shard_map.primaries = {3, 4, 5, 6};
-  shard_map.standbys = {7, 8, 0, 0};
+  shard_map.shards = {{3, 7}, {4, 8}, {5, 0}, {6, 0}};
   cases.push_back(rpc::MakeCodecCase("shard_map_rep", shard_map));
   // Replica registry.
   cases.push_back(

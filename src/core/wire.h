@@ -1,10 +1,11 @@
 // Typed wire messages for every LWFS-core op.
 //
-// Each request/reply is a plain struct with its own codec (Encode/Decode),
-// satisfying rpc::WireMessage; the op-spec framework (rpc/service.h) and the
-// typed client stubs (rpc::CallTyped) are the only users of these codecs, so
-// framing for an op lives in exactly one place.  Field order is the wire
-// format — append-only, never reorder.
+// Each request/reply is a plain struct that lists its fields once with
+// LWFS_CODEC (util/codec.h), which derives the rpc::WireMessage codec; the
+// op-spec framework (rpc/service.h) and the typed client stubs
+// (rpc::CallTyped) are the only users of these codecs, so framing for an op
+// lives in exactly one place.  Field order is the wire format — append-only,
+// never reorder.
 //
 // The OpDef constants beside the messages declare each op's opcode, metric
 // name, required security::OpMask bits, and bulk direction; servers register
@@ -23,8 +24,7 @@
 #include "security/types.h"
 #include "storage/ids.h"
 #include "storage/object_store.h"
-#include "util/bytes.h"
-#include "util/status.h"
+#include "util/codec.h"
 
 namespace lwfs::core::wire {
 
@@ -37,41 +37,17 @@ using rpc::Void;
 struct LoginReq {
   std::string principal;
   std::string secret;
-
-  void Encode(Encoder& enc) const {
-    enc.PutString(principal);
-    enc.PutString(secret);
-  }
-  static Result<LoginReq> Decode(Decoder& dec) {
-    auto principal = dec.GetString();
-    auto secret = dec.GetString();
-    if (!principal.ok() || !secret.ok()) {
-      return InvalidArgument("malformed login fields");
-    }
-    return LoginReq{std::move(*principal), std::move(*secret)};
-  }
+  LWFS_CODEC(LoginReq, principal, secret)
 };
 
 struct CredentialRep {
   security::Credential cred;
-
-  void Encode(Encoder& enc) const { cred.Encode(enc); }
-  static Result<CredentialRep> Decode(Decoder& dec) {
-    auto cred = security::Credential::Decode(dec);
-    if (!cred.ok()) return cred.status();
-    return CredentialRep{*cred};
-  }
+  LWFS_CODEC(CredentialRep, cred)
 };
 
 struct RevokeCredReq {
   std::uint64_t cred_id = 0;
-
-  void Encode(Encoder& enc) const { enc.PutU64(cred_id); }
-  static Result<RevokeCredReq> Decode(Decoder& dec) {
-    auto cred_id = dec.GetU64();
-    if (!cred_id.ok()) return cred_id.status();
-    return RevokeCredReq{*cred_id};
-  }
+  LWFS_CODEC(RevokeCredReq, cred_id)
 };
 
 inline constexpr rpc::OpDef kLoginOp{kOpLogin, "login"};
@@ -83,74 +59,30 @@ inline constexpr rpc::OpDef kRevokeCredOp{kOpRevokeCred, "revoke_cred"};
 
 struct CreateContainerReq {
   security::Credential cred;
-
-  void Encode(Encoder& enc) const { cred.Encode(enc); }
-  static Result<CreateContainerReq> Decode(Decoder& dec) {
-    auto cred = security::Credential::Decode(dec);
-    if (!cred.ok()) return cred.status();
-    return CreateContainerReq{*cred};
-  }
+  LWFS_CODEC(CreateContainerReq, cred)
 };
 
 struct CreateContainerRep {
   std::uint64_t cid = 0;
-
-  void Encode(Encoder& enc) const { enc.PutU64(cid); }
-  static Result<CreateContainerRep> Decode(Decoder& dec) {
-    auto cid = dec.GetU64();
-    if (!cid.ok()) return cid.status();
-    return CreateContainerRep{*cid};
-  }
+  LWFS_CODEC(CreateContainerRep, cid)
 };
 
 struct GetCapReq {
   security::Credential cred;
   std::uint64_t cid = 0;
   std::uint32_t ops = 0;
-
-  void Encode(Encoder& enc) const {
-    cred.Encode(enc);
-    enc.PutU64(cid);
-    enc.PutU32(ops);
-  }
-  static Result<GetCapReq> Decode(Decoder& dec) {
-    auto cred = security::Credential::Decode(dec);
-    auto cid = dec.GetU64();
-    auto ops = dec.GetU32();
-    if (!cred.ok() || !cid.ok() || !ops.ok()) {
-      return InvalidArgument("malformed getcap fields");
-    }
-    return GetCapReq{*cred, *cid, *ops};
-  }
+  LWFS_CODEC(GetCapReq, cred, cid, ops)
 };
 
 struct CapabilityRep {
   security::Capability cap;
-
-  void Encode(Encoder& enc) const { cap.Encode(enc); }
-  static Result<CapabilityRep> Decode(Decoder& dec) {
-    auto cap = security::Capability::Decode(dec);
-    if (!cap.ok()) return cap.status();
-    return CapabilityRep{*cap};
-  }
+  LWFS_CODEC(CapabilityRep, cap)
 };
 
 struct VerifyCapReq {
   std::uint32_t server_id = 0;
   security::Capability cap;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU32(server_id);
-    cap.Encode(enc);
-  }
-  static Result<VerifyCapReq> Decode(Decoder& dec) {
-    auto server_id = dec.GetU32();
-    auto cap = security::Capability::Decode(dec);
-    if (!server_id.ok() || !cap.ok()) {
-      return InvalidArgument("malformed verify fields");
-    }
-    return VerifyCapReq{*server_id, *cap};
-  }
+  LWFS_CODEC(VerifyCapReq, server_id, cap)
 };
 
 struct SetGrantReq {
@@ -158,59 +90,19 @@ struct SetGrantReq {
   std::uint64_t cid = 0;
   std::uint64_t grantee = 0;
   std::uint32_t ops = 0;
-
-  void Encode(Encoder& enc) const {
-    cred.Encode(enc);
-    enc.PutU64(cid);
-    enc.PutU64(grantee);
-    enc.PutU32(ops);
-  }
-  static Result<SetGrantReq> Decode(Decoder& dec) {
-    auto cred = security::Credential::Decode(dec);
-    auto cid = dec.GetU64();
-    auto grantee = dec.GetU64();
-    auto ops = dec.GetU32();
-    if (!cred.ok() || !cid.ok() || !grantee.ok() || !ops.ok()) {
-      return InvalidArgument("malformed setgrant fields");
-    }
-    return SetGrantReq{*cred, *cid, *grantee, *ops};
-  }
+  LWFS_CODEC(SetGrantReq, cred, cid, grantee, ops)
 };
 
 struct RevokeCapReq {
   security::Credential cred;
   std::uint64_t cap_id = 0;
-
-  void Encode(Encoder& enc) const {
-    cred.Encode(enc);
-    enc.PutU64(cap_id);
-  }
-  static Result<RevokeCapReq> Decode(Decoder& dec) {
-    auto cred = security::Credential::Decode(dec);
-    auto cap_id = dec.GetU64();
-    if (!cred.ok() || !cap_id.ok()) {
-      return InvalidArgument("malformed revoke fields");
-    }
-    return RevokeCapReq{*cred, *cap_id};
-  }
+  LWFS_CODEC(RevokeCapReq, cred, cap_id)
 };
 
 struct RefreshCapReq {
   security::Credential cred;
   security::Capability cap;
-
-  void Encode(Encoder& enc) const {
-    cred.Encode(enc);
-    cap.Encode(enc);
-  }
-  static Result<RefreshCapReq> Decode(Decoder& dec) {
-    auto cred = security::Credential::Decode(dec);
-    auto cap = security::Capability::Decode(dec);
-    if (!cred.ok() || !cap.ok()) {
-      return InvalidArgument("malformed refresh fields");
-    }
-    return RefreshCapReq{*cred, *cap};
-  }
+  LWFS_CODEC(RefreshCapReq, cred, cap)
 };
 
 inline constexpr rpc::OpDef kCreateContainerOp{kOpCreateContainer,
@@ -229,63 +121,25 @@ inline constexpr rpc::OpDef kRefreshCapOp{kOpRefreshCap, "refresh_cap"};
 struct ObjCreateReq {
   security::Capability cap;
   std::uint64_t txid = 0;
-
-  void Encode(Encoder& enc) const {
-    cap.Encode(enc);
-    enc.PutU64(txid);
-  }
-  static Result<ObjCreateReq> Decode(Decoder& dec) {
-    auto cap = security::Capability::Decode(dec);
-    auto txid = dec.GetU64();
-    if (!cap.ok() || !txid.ok()) {
-      return InvalidArgument("malformed create fields");
-    }
-    return ObjCreateReq{*cap, *txid};
-  }
+  LWFS_CODEC(ObjCreateReq, cap, txid)
 };
 
 struct ObjCreateRep {
   std::uint64_t oid = 0;
-
-  void Encode(Encoder& enc) const { enc.PutU64(oid); }
-  static Result<ObjCreateRep> Decode(Decoder& dec) {
-    auto oid = dec.GetU64();
-    if (!oid.ok()) return oid.status();
-    return ObjCreateRep{*oid};
-  }
+  LWFS_CODEC(ObjCreateRep, oid)
 };
 
 struct ObjWriteReq {
   security::Capability cap;
   std::uint64_t oid = 0;
   std::uint64_t offset = 0;
-
-  void Encode(Encoder& enc) const {
-    cap.Encode(enc);
-    enc.PutU64(oid);
-    enc.PutU64(offset);
-  }
-  static Result<ObjWriteReq> Decode(Decoder& dec) {
-    auto cap = security::Capability::Decode(dec);
-    auto oid = dec.GetU64();
-    auto offset = dec.GetU64();
-    if (!cap.ok() || !oid.ok() || !offset.ok()) {
-      return InvalidArgument("malformed write fields");
-    }
-    return ObjWriteReq{*cap, *oid, *offset};
-  }
+  LWFS_CODEC(ObjWriteReq, cap, oid, offset)
 };
 
 /// Bytes actually moved through the bulk path (writes and reads).
 struct IoMovedRep {
   std::uint64_t moved = 0;
-
-  void Encode(Encoder& enc) const { enc.PutU64(moved); }
-  static Result<IoMovedRep> Decode(Decoder& dec) {
-    auto moved = dec.GetU64();
-    if (!moved.ok()) return moved.status();
-    return IoMovedRep{*moved};
-  }
+  LWFS_CODEC(IoMovedRep, moved)
 };
 
 struct ObjReadReq {
@@ -293,108 +147,35 @@ struct ObjReadReq {
   std::uint64_t oid = 0;
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
-
-  void Encode(Encoder& enc) const {
-    cap.Encode(enc);
-    enc.PutU64(oid);
-    enc.PutU64(offset);
-    enc.PutU64(length);
-  }
-  static Result<ObjReadReq> Decode(Decoder& dec) {
-    auto cap = security::Capability::Decode(dec);
-    auto oid = dec.GetU64();
-    auto offset = dec.GetU64();
-    auto length = dec.GetU64();
-    if (!cap.ok() || !oid.ok() || !offset.ok() || !length.ok()) {
-      return InvalidArgument("malformed read fields");
-    }
-    return ObjReadReq{*cap, *oid, *offset, *length};
-  }
+  LWFS_CODEC(ObjReadReq, cap, oid, offset, length)
 };
 
 struct ObjRemoveReq {
   security::Capability cap;
   std::uint64_t oid = 0;
   std::uint64_t txid = 0;
-
-  void Encode(Encoder& enc) const {
-    cap.Encode(enc);
-    enc.PutU64(oid);
-    enc.PutU64(txid);
-  }
-  static Result<ObjRemoveReq> Decode(Decoder& dec) {
-    auto cap = security::Capability::Decode(dec);
-    auto oid = dec.GetU64();
-    auto txid = dec.GetU64();
-    if (!cap.ok() || !oid.ok() || !txid.ok()) {
-      return InvalidArgument("malformed remove fields");
-    }
-    return ObjRemoveReq{*cap, *oid, *txid};
-  }
+  LWFS_CODEC(ObjRemoveReq, cap, oid, txid)
 };
 
 struct ObjGetAttrReq {
   security::Capability cap;
   std::uint64_t oid = 0;
-
-  void Encode(Encoder& enc) const {
-    cap.Encode(enc);
-    enc.PutU64(oid);
-  }
-  static Result<ObjGetAttrReq> Decode(Decoder& dec) {
-    auto cap = security::Capability::Decode(dec);
-    auto oid = dec.GetU64();
-    if (!cap.ok() || !oid.ok()) {
-      return InvalidArgument("malformed getattr fields");
-    }
-    return ObjGetAttrReq{*cap, *oid};
-  }
+  LWFS_CODEC(ObjGetAttrReq, cap, oid)
 };
 
 struct ObjAttrRep {
   storage::ObjAttr attr;
-
-  void Encode(Encoder& enc) const { EncodeObjAttr(enc, attr); }
-  static Result<ObjAttrRep> Decode(Decoder& dec) {
-    auto attr = DecodeObjAttr(dec);
-    if (!attr.ok()) return attr.status();
-    return ObjAttrRep{*attr};
-  }
+  LWFS_CODEC(ObjAttrRep, attr)
 };
 
 struct ObjListReq {
   security::Capability cap;
-
-  void Encode(Encoder& enc) const { cap.Encode(enc); }
-  static Result<ObjListReq> Decode(Decoder& dec) {
-    auto cap = security::Capability::Decode(dec);
-    if (!cap.ok()) return cap.status();
-    return ObjListReq{*cap};
-  }
+  LWFS_CODEC(ObjListReq, cap)
 };
 
 struct ObjListRep {
   std::vector<std::uint64_t> oids;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU32(static_cast<std::uint32_t>(oids.size()));
-    for (std::uint64_t oid : oids) enc.PutU64(oid);
-  }
-  static Result<ObjListRep> Decode(Decoder& dec) {
-    auto count = dec.GetU32();
-    if (!count.ok()) return count.status();
-    if (*count > dec.remaining() / 8) {
-      return InvalidArgument("object count exceeds payload");
-    }
-    ObjListRep rep;
-    rep.oids.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto oid = dec.GetU64();
-      if (!oid.ok()) return oid.status();
-      rep.oids.push_back(*oid);
-    }
-    return rep;
-  }
+  LWFS_CODEC(ObjListRep, oids)
 };
 
 struct ObjFilterReq {
@@ -403,64 +184,20 @@ struct ObjFilterReq {
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
   FilterSpec spec;
-
-  void Encode(Encoder& enc) const {
-    cap.Encode(enc);
-    enc.PutU64(oid);
-    enc.PutU64(offset);
-    enc.PutU64(length);
-    spec.Encode(enc);
-  }
-  static Result<ObjFilterReq> Decode(Decoder& dec) {
-    auto cap = security::Capability::Decode(dec);
-    auto oid = dec.GetU64();
-    auto offset = dec.GetU64();
-    auto length = dec.GetU64();
-    auto spec = FilterSpec::Decode(dec);
-    if (!cap.ok() || !oid.ok() || !offset.ok() || !length.ok() || !spec.ok()) {
-      return InvalidArgument("malformed filter fields");
-    }
-    return ObjFilterReq{*cap, *oid, *offset, *length, *spec};
-  }
+  LWFS_CODEC(ObjFilterReq, cap, oid, offset, length, spec)
 };
 
 struct ObjFilterRep {
   std::uint64_t result_bytes = 0;
   std::uint64_t input_bytes = 0;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(result_bytes);
-    enc.PutU64(input_bytes);
-  }
-  static Result<ObjFilterRep> Decode(Decoder& dec) {
-    auto result_bytes = dec.GetU64();
-    auto input_bytes = dec.GetU64();
-    if (!result_bytes.ok() || !input_bytes.ok()) {
-      return InvalidArgument("malformed filter outcome");
-    }
-    return ObjFilterRep{*result_bytes, *input_bytes};
-  }
+  LWFS_CODEC(ObjFilterRep, result_bytes, input_bytes)
 };
 
 struct ObjTruncateReq {
   security::Capability cap;
   std::uint64_t oid = 0;
   std::uint64_t size = 0;
-
-  void Encode(Encoder& enc) const {
-    cap.Encode(enc);
-    enc.PutU64(oid);
-    enc.PutU64(size);
-  }
-  static Result<ObjTruncateReq> Decode(Decoder& dec) {
-    auto cap = security::Capability::Decode(dec);
-    auto oid = dec.GetU64();
-    auto size = dec.GetU64();
-    if (!cap.ok() || !oid.ok() || !size.ok()) {
-      return InvalidArgument("malformed truncate fields");
-    }
-    return ObjTruncateReq{*cap, *oid, *size};
-  }
+  LWFS_CODEC(ObjTruncateReq, cap, oid, size)
 };
 
 inline constexpr rpc::OpDef kObjCreateOp{kOpObjCreate, "obj_create",
@@ -496,21 +233,7 @@ struct ObjCreateAtReq {
   security::Capability cap;
   std::uint64_t oid = 0;
   std::uint64_t txid = 0;
-
-  void Encode(Encoder& enc) const {
-    cap.Encode(enc);
-    enc.PutU64(oid);
-    enc.PutU64(txid);
-  }
-  static Result<ObjCreateAtReq> Decode(Decoder& dec) {
-    auto cap = security::Capability::Decode(dec);
-    auto oid = dec.GetU64();
-    auto txid = dec.GetU64();
-    if (!cap.ok() || !oid.ok() || !txid.ok()) {
-      return InvalidArgument("malformed create-at fields");
-    }
-    return ObjCreateAtReq{*cap, *oid, *txid};
-  }
+  LWFS_CODEC(ObjCreateAtReq, cap, oid, txid)
 };
 
 /// One downstream member of a replica chain: the deployment index (for
@@ -520,6 +243,7 @@ struct ReplicaHop {
   std::uint32_t index = 0;
   std::uint64_t nid = 0;
   auto operator<=>(const ReplicaHop&) const = default;
+  LWFS_CODEC(ReplicaHop, index, nid)
 };
 
 /// One chain-replicated write hop.  The receiving server pulls the chunk,
@@ -531,40 +255,7 @@ struct ReplicaWriteReq {
   std::uint64_t oid = 0;
   std::uint64_t offset = 0;
   std::vector<ReplicaHop> chain;
-
-  void Encode(Encoder& enc) const {
-    cap.Encode(enc);
-    enc.PutU64(oid);
-    enc.PutU64(offset);
-    enc.PutU32(static_cast<std::uint32_t>(chain.size()));
-    for (const ReplicaHop& hop : chain) {
-      enc.PutU32(hop.index);
-      enc.PutU64(hop.nid);
-    }
-  }
-  static Result<ReplicaWriteReq> Decode(Decoder& dec) {
-    auto cap = security::Capability::Decode(dec);
-    auto oid = dec.GetU64();
-    auto offset = dec.GetU64();
-    auto count = dec.GetU32();
-    if (!cap.ok() || !oid.ok() || !offset.ok() || !count.ok()) {
-      return InvalidArgument("malformed replica-write fields");
-    }
-    if (*count > dec.remaining() / 12) {
-      return InvalidArgument("replica chain exceeds payload");
-    }
-    ReplicaWriteReq req{*cap, *oid, *offset, {}};
-    req.chain.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto index = dec.GetU32();
-      auto nid = dec.GetU64();
-      if (!index.ok() || !nid.ok()) {
-        return InvalidArgument("malformed replica hop");
-      }
-      req.chain.push_back(ReplicaHop{*index, *nid});
-    }
-    return req;
-  }
+  LWFS_CODEC(ReplicaWriteReq, cap, oid, offset, chain)
 };
 
 /// Which chain members applied the write (receiver + everything downstream
@@ -574,30 +265,7 @@ struct ReplicaWriteReq {
 struct ReplicaWriteRep {
   std::vector<std::uint32_t> applied;
   std::uint64_t version = 0;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU32(static_cast<std::uint32_t>(applied.size()));
-    for (std::uint32_t index : applied) enc.PutU32(index);
-    enc.PutU64(version);
-  }
-  static Result<ReplicaWriteRep> Decode(Decoder& dec) {
-    auto count = dec.GetU32();
-    if (!count.ok()) return count.status();
-    if (*count > dec.remaining() / 4) {
-      return InvalidArgument("applied count exceeds payload");
-    }
-    ReplicaWriteRep rep;
-    rep.applied.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto index = dec.GetU32();
-      if (!index.ok()) return index.status();
-      rep.applied.push_back(*index);
-    }
-    auto version = dec.GetU64();
-    if (!version.ok()) return version.status();
-    rep.version = *version;
-    return rep;
-  }
+  LWFS_CODEC(ReplicaWriteRep, applied, version)
 };
 
 inline constexpr rpc::OpDef kObjCreateAtOp{kOpObjCreateAt, "obj_create_at",
@@ -612,24 +280,12 @@ inline constexpr rpc::OpDef kReplicaWriteOp{kOpReplicaWrite, "replica_write",
 
 struct TxnReq {
   std::uint64_t txid = 0;
-
-  void Encode(Encoder& enc) const { enc.PutU64(txid); }
-  static Result<TxnReq> Decode(Decoder& dec) {
-    auto txid = dec.GetU64();
-    if (!txid.ok()) return txid.status();
-    return TxnReq{*txid};
-  }
+  LWFS_CODEC(TxnReq, txid)
 };
 
 struct TxnVoteRep {
   bool vote = false;
-
-  void Encode(Encoder& enc) const { enc.PutBool(vote); }
-  static Result<TxnVoteRep> Decode(Decoder& dec) {
-    auto vote = dec.GetBool();
-    if (!vote.ok()) return vote.status();
-    return TxnVoteRep{*vote};
-  }
+  LWFS_CODEC(TxnVoteRep, vote)
 };
 
 inline constexpr rpc::OpDef kTxnPrepareOp{kOpTxnPrepare, "txn_prepare"};
@@ -642,26 +298,7 @@ inline constexpr rpc::OpDef kTxnAbortOp{kOpTxnAbort, "txn_abort"};
 
 struct InvalidateCapsReq {
   std::vector<std::uint64_t> cap_ids;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU32(static_cast<std::uint32_t>(cap_ids.size()));
-    for (std::uint64_t id : cap_ids) enc.PutU64(id);
-  }
-  static Result<InvalidateCapsReq> Decode(Decoder& dec) {
-    auto count = dec.GetU32();
-    if (!count.ok()) return count.status();
-    if (*count > dec.remaining() / 8) {
-      return InvalidArgument("cap count exceeds payload");
-    }
-    InvalidateCapsReq req;
-    req.cap_ids.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto id = dec.GetU64();
-      if (!id.ok()) return id.status();
-      req.cap_ids.push_back(*id);
-    }
-    return req;
-  }
+  LWFS_CODEC(InvalidateCapsReq, cap_ids)
 };
 
 inline constexpr rpc::OpDef kInvalidateCapsOp{kOpInvalidateCaps,
@@ -678,26 +315,7 @@ inline constexpr rpc::OpDef kInvalidateCapsOp{kOpInvalidateCaps,
 /// Which of these objects do you hold, and at what version?
 struct RepairProbeReq {
   std::vector<std::uint64_t> oids;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU32(static_cast<std::uint32_t>(oids.size()));
-    for (std::uint64_t oid : oids) enc.PutU64(oid);
-  }
-  static Result<RepairProbeReq> Decode(Decoder& dec) {
-    auto count = dec.GetU32();
-    if (!count.ok()) return count.status();
-    if (*count > dec.remaining() / 8) {
-      return InvalidArgument("probe count exceeds payload");
-    }
-    RepairProbeReq req;
-    req.oids.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto oid = dec.GetU64();
-      if (!oid.ok()) return oid.status();
-      req.oids.push_back(*oid);
-    }
-    return req;
-  }
+  LWFS_CODEC(RepairProbeReq, oids)
 };
 
 struct ReplicaProbe {
@@ -706,40 +324,12 @@ struct ReplicaProbe {
   std::uint64_t version = 0;
   std::uint64_t size = 0;
   auto operator<=>(const ReplicaProbe&) const = default;
+  LWFS_CODEC(ReplicaProbe, oid, held, version, size)
 };
 
 struct RepairProbeRep {
   std::vector<ReplicaProbe> probes;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU32(static_cast<std::uint32_t>(probes.size()));
-    for (const ReplicaProbe& p : probes) {
-      enc.PutU64(p.oid);
-      enc.PutBool(p.held);
-      enc.PutU64(p.version);
-      enc.PutU64(p.size);
-    }
-  }
-  static Result<RepairProbeRep> Decode(Decoder& dec) {
-    auto count = dec.GetU32();
-    if (!count.ok()) return count.status();
-    if (*count > dec.remaining() / 25) {
-      return InvalidArgument("probe count exceeds payload");
-    }
-    RepairProbeRep rep;
-    rep.probes.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto oid = dec.GetU64();
-      auto held = dec.GetBool();
-      auto version = dec.GetU64();
-      auto size = dec.GetU64();
-      if (!oid.ok() || !held.ok() || !version.ok() || !size.ok()) {
-        return InvalidArgument("malformed replica probe");
-      }
-      rep.probes.push_back(ReplicaProbe{*oid, *held, *version, *size});
-    }
-    return rep;
-  }
+  LWFS_CODEC(RepairProbeRep, probes)
 };
 
 /// Read survivor bytes for repair (they ride the reply frame to the
@@ -748,42 +338,14 @@ struct RepairReadReq {
   std::uint64_t oid = 0;
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(oid);
-    enc.PutU64(offset);
-    enc.PutU64(length);
-  }
-  static Result<RepairReadReq> Decode(Decoder& dec) {
-    auto oid = dec.GetU64();
-    auto offset = dec.GetU64();
-    auto length = dec.GetU64();
-    if (!oid.ok() || !offset.ok() || !length.ok()) {
-      return InvalidArgument("malformed repair-read fields");
-    }
-    return RepairReadReq{*oid, *offset, *length};
-  }
+  LWFS_CODEC(RepairReadReq, oid, offset, length)
 };
 
 struct RepairReadRep {
   std::uint64_t moved = 0;
   std::uint64_t version = 0;
   std::uint64_t size = 0;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(moved);
-    enc.PutU64(version);
-    enc.PutU64(size);
-  }
-  static Result<RepairReadRep> Decode(Decoder& dec) {
-    auto moved = dec.GetU64();
-    auto version = dec.GetU64();
-    auto size = dec.GetU64();
-    if (!moved.ok() || !version.ok() || !size.ok()) {
-      return InvalidArgument("malformed repair-read outcome");
-    }
-    return RepairReadRep{*moved, *version, *size};
-  }
+  LWFS_CODEC(RepairReadRep, moved, version, size)
 };
 
 /// Write repaired bytes onto a stale member (bulk pull from the
@@ -797,34 +359,12 @@ struct RepairWriteReq {
   std::uint64_t cid = 0;
   std::uint64_t offset = 0;
   std::uint64_t target_version = 0;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(oid);
-    enc.PutU64(cid);
-    enc.PutU64(offset);
-    enc.PutU64(target_version);
-  }
-  static Result<RepairWriteReq> Decode(Decoder& dec) {
-    auto oid = dec.GetU64();
-    auto cid = dec.GetU64();
-    auto offset = dec.GetU64();
-    auto target_version = dec.GetU64();
-    if (!oid.ok() || !cid.ok() || !offset.ok() || !target_version.ok()) {
-      return InvalidArgument("malformed repair-write fields");
-    }
-    return RepairWriteReq{*oid, *cid, *offset, *target_version};
-  }
+  LWFS_CODEC(RepairWriteReq, oid, cid, offset, target_version)
 };
 
 struct RepairWriteRep {
   std::uint64_t version = 0;
-
-  void Encode(Encoder& enc) const { enc.PutU64(version); }
-  static Result<RepairWriteRep> Decode(Decoder& dec) {
-    auto version = dec.GetU64();
-    if (!version.ok()) return version.status();
-    return RepairWriteRep{*version};
-  }
+  LWFS_CODEC(RepairWriteRep, version)
 };
 
 inline constexpr rpc::OpDef kRepairProbeOp{kOpRepairProbe, "repair_probe"};
@@ -840,158 +380,48 @@ inline constexpr rpc::OpDef kRepairWriteOp{kOpRepairWrite, "repair_write", 0,
 struct MkdirReq {
   std::string path;
   bool recursive = false;
-
-  void Encode(Encoder& enc) const {
-    enc.PutString(path);
-    enc.PutBool(recursive);
-  }
-  static Result<MkdirReq> Decode(Decoder& dec) {
-    auto path = dec.GetString();
-    auto recursive = dec.GetBool();
-    if (!path.ok() || !recursive.ok()) {
-      return InvalidArgument("malformed mkdir fields");
-    }
-    return MkdirReq{std::move(*path), *recursive};
-  }
+  LWFS_CODEC(MkdirReq, path, recursive)
 };
 
 struct LinkReq {
   std::string path;
   storage::ObjectRef ref;
-
-  void Encode(Encoder& enc) const {
-    enc.PutString(path);
-    EncodeObjectRef(enc, ref);
-  }
-  static Result<LinkReq> Decode(Decoder& dec) {
-    auto path = dec.GetString();
-    auto ref = DecodeObjectRef(dec);
-    if (!path.ok() || !ref.ok()) {
-      return InvalidArgument("malformed link fields");
-    }
-    return LinkReq{std::move(*path), *ref};
-  }
+  LWFS_CODEC(LinkReq, path, ref)
 };
 
 struct StageLinkReq {
   std::uint64_t txid = 0;
   std::string path;
   storage::ObjectRef ref;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(txid);
-    enc.PutString(path);
-    EncodeObjectRef(enc, ref);
-  }
-  static Result<StageLinkReq> Decode(Decoder& dec) {
-    auto txid = dec.GetU64();
-    auto path = dec.GetString();
-    auto ref = DecodeObjectRef(dec);
-    if (!txid.ok() || !path.ok() || !ref.ok()) {
-      return InvalidArgument("malformed staged-link fields");
-    }
-    return StageLinkReq{*txid, std::move(*path), *ref};
-  }
+  LWFS_CODEC(StageLinkReq, txid, path, ref)
 };
 
 struct StageUnlinkReq {
   std::uint64_t txid = 0;
   std::string path;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(txid);
-    enc.PutString(path);
-  }
-  static Result<StageUnlinkReq> Decode(Decoder& dec) {
-    auto txid = dec.GetU64();
-    auto path = dec.GetString();
-    if (!txid.ok() || !path.ok()) {
-      return InvalidArgument("malformed staged-unlink fields");
-    }
-    return StageUnlinkReq{*txid, std::move(*path)};
-  }
+  LWFS_CODEC(StageUnlinkReq, txid, path)
 };
 
 /// Lookup, unlink, rmdir, and list requests are all just a path.
 struct PathReq {
   std::string path;
-
-  void Encode(Encoder& enc) const { enc.PutString(path); }
-  static Result<PathReq> Decode(Decoder& dec) {
-    auto path = dec.GetString();
-    if (!path.ok()) return path.status();
-    return PathReq{std::move(*path)};
-  }
+  LWFS_CODEC(PathReq, path)
 };
 
 struct ObjectRefRep {
   storage::ObjectRef ref;
-
-  void Encode(Encoder& enc) const { EncodeObjectRef(enc, ref); }
-  static Result<ObjectRefRep> Decode(Decoder& dec) {
-    auto ref = DecodeObjectRef(dec);
-    if (!ref.ok()) return ref.status();
-    return ObjectRefRep{*ref};
-  }
+  LWFS_CODEC(ObjectRefRep, ref)
 };
 
 struct RenameReq {
   std::string from;
   std::string to;
-
-  void Encode(Encoder& enc) const {
-    enc.PutString(from);
-    enc.PutString(to);
-  }
-  static Result<RenameReq> Decode(Decoder& dec) {
-    auto from = dec.GetString();
-    auto to = dec.GetString();
-    if (!from.ok() || !to.ok()) {
-      return InvalidArgument("malformed rename fields");
-    }
-    return RenameReq{std::move(*from), std::move(*to)};
-  }
+  LWFS_CODEC(RenameReq, from, to)
 };
 
 struct ListNamesRep {
   std::vector<naming::DirEntry> entries;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU32(static_cast<std::uint32_t>(entries.size()));
-    for (const naming::DirEntry& e : entries) {
-      enc.PutString(e.name);
-      enc.PutBool(e.is_directory);
-      enc.PutBool(e.ref.has_value());
-      if (e.ref) EncodeObjectRef(enc, *e.ref);
-    }
-  }
-  static Result<ListNamesRep> Decode(Decoder& dec) {
-    auto count = dec.GetU32();
-    if (!count.ok()) return count.status();
-    if (*count > dec.remaining()) {
-      return InvalidArgument("entry count exceeds payload");
-    }
-    ListNamesRep rep;
-    rep.entries.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      naming::DirEntry entry;
-      auto name = dec.GetString();
-      auto is_dir = dec.GetBool();
-      auto has_ref = dec.GetBool();
-      if (!name.ok() || !is_dir.ok() || !has_ref.ok()) {
-        return InvalidArgument("malformed directory entry");
-      }
-      entry.name = std::move(*name);
-      entry.is_directory = *is_dir;
-      if (*has_ref) {
-        auto ref = DecodeObjectRef(dec);
-        if (!ref.ok()) return ref.status();
-        entry.ref = *ref;
-      }
-      rep.entries.push_back(std::move(entry));
-    }
-    return rep;
-  }
+  LWFS_CODEC(ListNamesRep, entries)
 };
 
 /// Epoch-stamped shard-map snapshot: which nid is the active primary (and
@@ -999,41 +429,10 @@ struct ListNamesRep {
 /// clients refresh after a kWrongShard rejection and compare epochs.
 struct ShardMapRep {
   std::uint64_t epoch = 0;
-  std::vector<std::uint32_t> primaries;  // nid per shard
-  std::vector<std::uint32_t> standbys;   // kInvalidNid when absent
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(epoch);
-    enc.PutU32(static_cast<std::uint32_t>(primaries.size()));
-    for (std::size_t i = 0; i < primaries.size(); ++i) {
-      enc.PutU32(primaries[i]);
-      enc.PutU32(i < standbys.size() ? standbys[i] : 0);
-    }
-  }
-  static Result<ShardMapRep> Decode(Decoder& dec) {
-    auto epoch = dec.GetU64();
-    auto count = dec.GetU32();
-    if (!epoch.ok() || !count.ok()) {
-      return InvalidArgument("malformed shard-map fields");
-    }
-    if (*count > dec.remaining() / 8) {
-      return InvalidArgument("shard count exceeds payload");
-    }
-    ShardMapRep rep;
-    rep.epoch = *epoch;
-    rep.primaries.reserve(*count);
-    rep.standbys.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto primary = dec.GetU32();
-      auto standby = dec.GetU32();
-      if (!primary.ok() || !standby.ok()) {
-        return InvalidArgument("malformed shard entry");
-      }
-      rep.primaries.push_back(*primary);
-      rep.standbys.push_back(*standby);
-    }
-    return rep;
-  }
+  /// (primary nid, standby nid) per shard; the standby is kInvalidNid when
+  /// absent.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> shards;
+  LWFS_CODEC(ShardMapRep, epoch, shards)
 };
 
 inline constexpr rpc::OpDef kNameMkdirOp{kOpNameMkdir, "name_mkdir"};
@@ -1062,21 +461,7 @@ struct ReplicaPlaceReq {
   std::uint64_t cid = 0;
   std::uint32_t preferred = 0;
   std::uint32_t factor = 0;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(cid);
-    enc.PutU32(preferred);
-    enc.PutU32(factor);
-  }
-  static Result<ReplicaPlaceReq> Decode(Decoder& dec) {
-    auto cid = dec.GetU64();
-    auto preferred = dec.GetU32();
-    auto factor = dec.GetU32();
-    if (!cid.ok() || !preferred.ok() || !factor.ok()) {
-      return InvalidArgument("malformed place fields");
-    }
-    return ReplicaPlaceReq{*cid, *preferred, *factor};
-  }
+  LWFS_CODEC(ReplicaPlaceReq, cid, preferred, factor)
 };
 
 /// A replica chain: ordered storage-server indices, head first.  Reply to
@@ -1085,43 +470,12 @@ struct ReplicaChainRep {
   std::uint64_t oid = 0;
   std::uint64_t cid = 0;
   std::vector<std::uint32_t> servers;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(oid);
-    enc.PutU64(cid);
-    enc.PutU32(static_cast<std::uint32_t>(servers.size()));
-    for (std::uint32_t s : servers) enc.PutU32(s);
-  }
-  static Result<ReplicaChainRep> Decode(Decoder& dec) {
-    auto oid = dec.GetU64();
-    auto cid = dec.GetU64();
-    auto count = dec.GetU32();
-    if (!oid.ok() || !cid.ok() || !count.ok()) {
-      return InvalidArgument("malformed chain fields");
-    }
-    if (*count > dec.remaining() / 4) {
-      return InvalidArgument("chain length exceeds payload");
-    }
-    ReplicaChainRep rep{*oid, *cid, {}};
-    rep.servers.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto s = dec.GetU32();
-      if (!s.ok()) return s.status();
-      rep.servers.push_back(*s);
-    }
-    return rep;
-  }
+  LWFS_CODEC(ReplicaChainRep, oid, cid, servers)
 };
 
 struct ReplicaLookupReq {
   std::uint64_t oid = 0;
-
-  void Encode(Encoder& enc) const { enc.PutU64(oid); }
-  static Result<ReplicaLookupReq> Decode(Decoder& dec) {
-    auto oid = dec.GetU64();
-    if (!oid.ok()) return oid.status();
-    return ReplicaLookupReq{*oid};
-  }
+  LWFS_CODEC(ReplicaLookupReq, oid)
 };
 
 /// Degraded-write report: `stale` members missed a write that committed at
@@ -1131,32 +485,7 @@ struct ReplicaReportReq {
   std::uint64_t oid = 0;
   std::uint64_t version = 0;
   std::vector<std::uint32_t> stale;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(oid);
-    enc.PutU64(version);
-    enc.PutU32(static_cast<std::uint32_t>(stale.size()));
-    for (std::uint32_t s : stale) enc.PutU32(s);
-  }
-  static Result<ReplicaReportReq> Decode(Decoder& dec) {
-    auto oid = dec.GetU64();
-    auto version = dec.GetU64();
-    auto count = dec.GetU32();
-    if (!oid.ok() || !version.ok() || !count.ok()) {
-      return InvalidArgument("malformed report fields");
-    }
-    if (*count > dec.remaining() / 4) {
-      return InvalidArgument("stale count exceeds payload");
-    }
-    ReplicaReportReq req{*oid, *version, {}};
-    req.stale.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto s = dec.GetU32();
-      if (!s.ok()) return s.status();
-      req.stale.push_back(*s);
-    }
-    return req;
-  }
+  LWFS_CODEC(ReplicaReportReq, oid, version, stale)
 };
 
 /// Replica-count audit over every registry entry.
@@ -1165,23 +494,8 @@ struct ReplicaAuditRep {
   std::uint64_t fully_replicated = 0;
   std::uint64_t under_replicated = 0;
   std::uint64_t stale_members = 0;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(objects);
-    enc.PutU64(fully_replicated);
-    enc.PutU64(under_replicated);
-    enc.PutU64(stale_members);
-  }
-  static Result<ReplicaAuditRep> Decode(Decoder& dec) {
-    auto objects = dec.GetU64();
-    auto full = dec.GetU64();
-    auto under = dec.GetU64();
-    auto stale = dec.GetU64();
-    if (!objects.ok() || !full.ok() || !under.ok() || !stale.ok()) {
-      return InvalidArgument("malformed audit counters");
-    }
-    return ReplicaAuditRep{*objects, *full, *under, *stale};
-  }
+  LWFS_CODEC(ReplicaAuditRep, objects, fully_replicated, under_replicated,
+             stale_members)
 };
 
 inline constexpr rpc::OpDef kReplicaPlaceOp{kOpReplicaPlace, "replica_place"};
@@ -1201,48 +515,17 @@ struct LockTryReq {
   std::uint64_t start = 0;
   std::uint64_t end = 0;
   bool exclusive = false;
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(container);
-    enc.PutU64(resource);
-    enc.PutU64(start);
-    enc.PutU64(end);
-    enc.PutBool(exclusive);
-  }
-  static Result<LockTryReq> Decode(Decoder& dec) {
-    auto container = dec.GetU64();
-    auto resource = dec.GetU64();
-    auto start = dec.GetU64();
-    auto end = dec.GetU64();
-    auto exclusive = dec.GetBool();
-    if (!container.ok() || !resource.ok() || !start.ok() || !end.ok() ||
-        !exclusive.ok()) {
-      return InvalidArgument("malformed lock fields");
-    }
-    return LockTryReq{*container, *resource, *start, *end, *exclusive};
-  }
+  LWFS_CODEC(LockTryReq, container, resource, start, end, exclusive)
 };
 
 struct LockIdRep {
   std::uint64_t id = 0;
-
-  void Encode(Encoder& enc) const { enc.PutU64(id); }
-  static Result<LockIdRep> Decode(Decoder& dec) {
-    auto id = dec.GetU64();
-    if (!id.ok()) return id.status();
-    return LockIdRep{*id};
-  }
+  LWFS_CODEC(LockIdRep, id)
 };
 
 struct LockReleaseReq {
   std::uint64_t id = 0;
-
-  void Encode(Encoder& enc) const { enc.PutU64(id); }
-  static Result<LockReleaseReq> Decode(Decoder& dec) {
-    auto id = dec.GetU64();
-    if (!id.ok()) return id.status();
-    return LockReleaseReq{*id};
-  }
+  LWFS_CODEC(LockReleaseReq, id)
 };
 
 inline constexpr rpc::OpDef kLockTryOp{kOpLockTry, "lock_try"};

@@ -5,10 +5,6 @@
 
 namespace lwfs::io {
 
-namespace {
-constexpr std::uint32_t kHeaderMagic = 0x4C444154;  // "LDAT"
-}  // namespace
-
 Result<std::vector<SlabRun>> MapHyperslab(const DatasetSpec& spec,
                                           std::span<const std::uint64_t> start,
                                           std::span<const std::uint64_t> count) {
@@ -81,19 +77,12 @@ Result<Dataset> Dataset::Create(fs::LwfsFs* fs, const std::string& path,
   ds.attributes_ = std::move(attributes);
 
   // Header file.
-  Encoder enc;
-  enc.PutU32(kHeaderMagic);
-  enc.PutU32(ds.spec_.elem_size);
-  enc.PutU32(static_cast<std::uint32_t>(ds.spec_.dims.size()));
-  for (std::uint64_t d : ds.spec_.dims) enc.PutU64(d);
-  enc.PutU32(static_cast<std::uint32_t>(ds.attributes_.size()));
-  for (const auto& [key, value] : ds.attributes_) {
-    enc.PutString(key);
-    enc.PutString(value);
-  }
+  const Buffer bytes = codec::Encode(DatasetHeader{
+      kDatasetMagic, ds.spec_.elem_size, ds.spec_.dims,
+      {ds.attributes_.begin(), ds.attributes_.end()}});
   auto header = fs->Create(HeaderPath(path));
   if (!header.ok()) return header.status();
-  LWFS_RETURN_IF_ERROR(fs->Write(*header, 0, ByteSpan(enc.buffer())));
+  LWFS_RETURN_IF_ERROR(fs->Write(*header, 0, ByteSpan(bytes)));
   LWFS_RETURN_IF_ERROR(fs->Flush(*header));
 
   auto file = fs->Create(path);
@@ -113,27 +102,14 @@ Result<Dataset> Dataset::Open(fs::LwfsFs* fs, const std::string& path) {
   if (!n.ok()) return n.status();
 
   Decoder dec(raw);
-  auto magic = dec.GetU32();
-  if (!magic.ok() || *magic != kHeaderMagic) {
+  auto h = DatasetHeader::Decode(dec);
+  if (!h.ok()) return DataLoss("corrupt dataset header for " + path);
+  if (h->magic != kDatasetMagic) {
     return DataLoss("bad dataset header for " + path);
   }
-  auto elem_size = dec.GetU32();
-  auto ndims = dec.GetU32();
-  if (!elem_size.ok() || !ndims.ok()) return DataLoss("truncated header");
-  ds.spec_.elem_size = *elem_size;
-  for (std::uint32_t d = 0; d < *ndims; ++d) {
-    auto dim = dec.GetU64();
-    if (!dim.ok()) return DataLoss("truncated dims");
-    ds.spec_.dims.push_back(*dim);
-  }
-  auto nattrs = dec.GetU32();
-  if (!nattrs.ok()) return DataLoss("truncated attributes");
-  for (std::uint32_t a = 0; a < *nattrs; ++a) {
-    auto key = dec.GetString();
-    auto value = dec.GetString();
-    if (!key.ok() || !value.ok()) return DataLoss("truncated attribute");
-    ds.attributes_.emplace(std::move(*key), std::move(*value));
-  }
+  ds.spec_.elem_size = h->elem_size;
+  ds.spec_.dims = std::move(h->dims);
+  ds.attributes_.insert(h->attributes.begin(), h->attributes.end());
 
   auto file = fs->Open(path);
   if (!file.ok()) return file.status();

@@ -12,9 +12,11 @@
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lwfsfs/lwfsfs.h"
+#include "util/codec.h"
 #include "util/status.h"
 
 namespace lwfs::io {
@@ -31,6 +33,18 @@ struct DatasetSpec {
   [[nodiscard]] std::uint64_t ByteSize() const {
     return ElementCount() * elem_size;
   }
+};
+
+inline constexpr std::uint32_t kDatasetMagic = 0x4C444154;  // "LDAT"
+
+/// What a dataset's header file holds: a magic, the element size, the
+/// dimensions and the (key, value) attributes in key order.
+struct DatasetHeader {
+  std::uint32_t magic = kDatasetMagic;
+  std::uint32_t elem_size = 1;
+  std::vector<std::uint64_t> dims;
+  std::vector<std::pair<std::string, std::string>> attributes;
+  LWFS_CODEC(DatasetHeader, magic, elem_size, dims, attributes)
 };
 
 /// A contiguous run of a hyperslab in file space.

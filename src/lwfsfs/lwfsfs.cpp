@@ -10,8 +10,6 @@ namespace lwfs::fs {
 
 namespace {
 
-constexpr std::uint32_t kInodeMagic = 0x4C46494E;  // "LFIN"
-
 txn::LockKey FileLockKey(const security::Capability& cap,
                          const storage::ObjectRef& inode) {
   return txn::LockKey{cap.cid.value, inode.oid.value};
@@ -77,17 +75,10 @@ bool LwfsFs::Exists(const std::string& path) {
 }
 
 Status LwfsFs::WriteInode(const FileHandle& file) {
-  Encoder enc;
-  enc.PutU32(kInodeMagic);
-  enc.PutU32(file.stripe_size);
-  enc.PutU32(static_cast<std::uint32_t>(file.stripes.size()));
-  for (const pfs::StripeTarget& t : file.stripes) {
-    enc.PutU32(t.ost_index);
-    enc.PutU64(t.oid.value);
-  }
-  enc.PutU64(file.size);
+  const Buffer inode = codec::Encode(Inode{
+      kInodeMagic, pfs::Layout{file.stripe_size, file.stripes}, file.size});
   return client_->WriteObject(file.inode.server_index, cap_, file.inode.oid,
-                              0, ByteSpan(enc.buffer()));
+                              0, ByteSpan(inode));
 }
 
 Result<FileHandle> LwfsFs::DecodeInode(const std::string& path,
@@ -98,28 +89,17 @@ Result<FileHandle> LwfsFs::DecodeInode(const std::string& path,
                                       attr->size);
   if (!raw.ok()) return raw.status();
   Decoder dec(*raw);
-  auto magic = dec.GetU32();
-  if (!magic.ok() || *magic != kInodeMagic) {
+  auto inode = Inode::Decode(dec);
+  if (!inode.ok()) return DataLoss("corrupt inode for " + path);
+  if (inode->magic != kInodeMagic) {
     return DataLoss("bad inode magic for " + path);
   }
   FileHandle file;
   file.path = path;
   file.inode = ref;
-  auto stripe_size = dec.GetU32();
-  auto count = dec.GetU32();
-  if (!stripe_size.ok() || !count.ok()) return DataLoss("truncated inode");
-  file.stripe_size = *stripe_size;
-  file.stripes.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto server = dec.GetU32();
-    auto oid = dec.GetU64();
-    if (!server.ok() || !oid.ok()) return DataLoss("truncated inode stripes");
-    file.stripes.push_back(
-        pfs::StripeTarget{*server, storage::ObjectId{*oid}});
-  }
-  auto size = dec.GetU64();
-  if (!size.ok()) return DataLoss("truncated inode size");
-  file.size = *size;
+  file.stripe_size = inode->layout.stripe_size;
+  file.stripes = std::move(inode->layout.stripes);
+  file.size = inode->size;
   return file;
 }
 
@@ -157,7 +137,7 @@ Result<FileHandle> LwfsFs::CreateWithPlacement(
   // metadata server anywhere on this path.
   auto cleanup = [&] {
     for (const pfs::StripeTarget& t : file.stripes) {
-      (void)client_->RemoveObject(t.ost_index, cap_, t.oid);
+      (void)client_->RemoveObject(t.server, cap_, t.oid);
     }
     if (file.inode.oid != storage::kInvalidObject) {
       (void)client_->RemoveObject(file.inode.server_index, cap_,
@@ -204,7 +184,7 @@ Status LwfsFs::Remove(const std::string& path) {
   if (!file.ok()) return file.status();
   LWFS_RETURN_IF_ERROR(client_->UnlinkName(Absolute(path)));
   for (const pfs::StripeTarget& t : file->stripes) {
-    (void)client_->RemoveObject(t.ost_index, cap_, t.oid);
+    (void)client_->RemoveObject(t.server, cap_, t.oid);
   }
   return client_->RemoveObject(file->inode.server_index, cap_,
                                file->inode.oid);
@@ -306,7 +286,7 @@ Status LwfsFs::Truncate(FileHandle& file, std::uint64_t size) {
   const auto count = static_cast<std::uint32_t>(file.stripes.size());
   for (std::uint32_t i = 0; i < count && result.ok(); ++i) {
     result = client_->TruncateObject(
-        file.stripes[i].ost_index, cap_, file.stripes[i].oid,
+        file.stripes[i].server, cap_, file.stripes[i].oid,
         StripeObjectSize(size, file.stripe_size, count, i));
   }
   if (result.ok()) {
@@ -340,7 +320,7 @@ Result<std::uint64_t> LwfsFs::DerivedSize(const FileHandle& file) {
   const auto count = static_cast<std::uint32_t>(file.stripes.size());
   std::uint64_t size = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
-    auto attr = client_->GetAttr(file.stripes[i].ost_index, cap_,
+    auto attr = client_->GetAttr(file.stripes[i].server, cap_,
                                  file.stripes[i].oid);
     if (!attr.ok()) return attr.status();
     if (attr->size == 0) continue;
@@ -383,7 +363,7 @@ Result<LwfsFs::FsckReport> LwfsFs::Fsck(bool remove_orphans) {
       ++report.files;
       reachable.emplace(entry.ref->server_index, entry.ref->oid.value);
       for (const pfs::StripeTarget& t : file->stripes) {
-        reachable.emplace(t.ost_index, t.oid.value);
+        reachable.emplace(t.server, t.oid.value);
       }
     }
   }

@@ -30,6 +30,7 @@
 #include "pfs/layout.h"
 #include "pfs/striped_io.h"
 #include "security/types.h"
+#include "util/codec.h"
 #include "util/status.h"
 
 namespace lwfs::fs {
@@ -41,6 +42,17 @@ struct FsOptions {
   /// 0 = stripe over all storage servers.
   std::uint32_t default_stripe_count = 0;
   FsConsistency consistency = FsConsistency::kPosix;
+};
+
+inline constexpr std::uint32_t kInodeMagic = 0x4C46494E;  // "LFIN"
+
+/// What a file's inode object holds: a magic, the file's stripe layout (the
+/// pfs Layout record) and its size as of the last flush.
+struct Inode {
+  std::uint32_t magic = kInodeMagic;
+  pfs::Layout layout;
+  std::uint64_t size = 0;
+  LWFS_CODEC(Inode, magic, layout, size)
 };
 
 /// An open file: the decoded inode plus cached layout.

@@ -284,27 +284,13 @@ namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x4C4E414D;  // "LNAM"
 
-// Pre-order encoding: each node is (name, is_directory, [ref]), directories
-// followed by their child count.
-void EncodeNode(Encoder& enc, const std::string& name, bool is_directory,
-                const std::optional<storage::ObjectRef>& ref) {
-  enc.PutString(name);
-  enc.PutBool(is_directory);
-  enc.PutBool(ref.has_value());
-  if (ref) {
-    enc.PutU64(ref->cid.value);
-    enc.PutU32(ref->server_index);
-    enc.PutU64(ref->oid.value);
-  }
-}
-
 }  // namespace
 
 Buffer NamingService::Serialize() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Encoder enc;
-  enc.PutU32(kSnapshotMagic);
-  // Iterative pre-order walk; each frame emits one node + child count.
+  codec::Put(enc, kSnapshotMagic);
+  // Iterative pre-order walk; each frame emits one SnapshotNode.
   struct Frame {
     const Node* node;
     std::string name;
@@ -314,8 +300,11 @@ Buffer NamingService::Serialize() const {
   while (!stack.empty()) {
     Frame frame = std::move(stack.back());
     stack.pop_back();
-    EncodeNode(enc, frame.name, frame.node->is_directory, frame.node->ref);
-    enc.PutU32(static_cast<std::uint32_t>(frame.node->children.size()));
+    SnapshotNode{
+        DirEntry{std::move(frame.name), frame.node->is_directory,
+                 frame.node->ref},
+        static_cast<std::uint32_t>(frame.node->children.size())}
+        .Encode(enc);
     // Reverse order so children pop in forward order (cosmetic).
     for (auto it = frame.node->children.rbegin();
          it != frame.node->children.rend(); ++it) {
@@ -327,7 +316,7 @@ Buffer NamingService::Serialize() const {
 
 Status NamingService::Restore(ByteSpan snapshot) {
   Decoder dec(snapshot);
-  auto magic = dec.GetU32();
+  auto magic = codec::Decode<std::uint32_t>(dec);
   if (!magic.ok() || *magic != kSnapshotMagic) {
     return InvalidArgument("bad namespace snapshot");
   }
@@ -342,17 +331,11 @@ Status NamingService::Restore(ByteSpan snapshot) {
   std::uint64_t links = 0;
   std::vector<Pending> stack;
 
-  // Root frame.
-  auto root_name = dec.GetString();
-  auto root_is_dir = dec.GetBool();
-  auto root_has_ref = dec.GetBool();
-  if (!root_name.ok() || !root_is_dir.ok() || !root_has_ref.ok() ||
-      *root_has_ref) {
+  auto root = SnapshotNode::Decode(dec);
+  if (!root.ok() || root->entry.ref) {
     return InvalidArgument("corrupt snapshot root");
   }
-  auto root_children = dec.GetU32();
-  if (!root_children.ok()) return InvalidArgument("corrupt snapshot root");
-  stack.push_back(Pending{new_root.get(), *root_children});
+  stack.push_back(Pending{new_root.get(), root->children});
 
   while (!stack.empty()) {
     if (stack.back().children_left == 0) {
@@ -362,33 +345,20 @@ Status NamingService::Restore(ByteSpan snapshot) {
     --stack.back().children_left;
     Node* parent = stack.back().node;
 
-    auto name = dec.GetString();
-    auto is_dir = dec.GetBool();
-    auto has_ref = dec.GetBool();
-    if (!name.ok() || !is_dir.ok() || !has_ref.ok() || name->empty()) {
+    auto node = SnapshotNode::Decode(dec);
+    if (!node.ok() || node->entry.name.empty()) {
       return InvalidArgument("corrupt snapshot node");
     }
     auto child = std::make_unique<Node>();
-    child->is_directory = *is_dir;
-    if (*has_ref) {
-      auto cid = dec.GetU64();
-      auto server = dec.GetU32();
-      auto oid = dec.GetU64();
-      if (!cid.ok() || !server.ok() || !oid.ok()) {
-        return InvalidArgument("corrupt snapshot ref");
-      }
-      child->ref = storage::ObjectRef{storage::ContainerId{*cid}, *server,
-                                      storage::ObjectId{*oid}};
-      ++links;
-    }
-    auto children = dec.GetU32();
-    if (!children.ok()) return InvalidArgument("corrupt snapshot count");
+    child->is_directory = node->entry.is_directory;
+    child->ref = node->entry.ref;
+    if (child->ref) ++links;
     Node* raw = child.get();
-    if (parent->children.contains(*name)) {
+    if (parent->children.contains(node->entry.name)) {
       return InvalidArgument("duplicate name in snapshot");
     }
-    parent->children.emplace(std::move(*name), std::move(child));
-    stack.push_back(Pending{raw, *children});
+    parent->children.emplace(std::move(node->entry.name), std::move(child));
+    stack.push_back(Pending{raw, node->children});
   }
   if (!dec.exhausted()) return InvalidArgument("trailing snapshot bytes");
 

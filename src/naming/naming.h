@@ -23,6 +23,7 @@
 #include "storage/ids.h"
 #include "txn/two_phase.h"
 #include "util/bytes.h"
+#include "util/codec.h"
 #include "util/status.h"
 
 namespace lwfs::naming {
@@ -35,6 +36,15 @@ struct DirEntry {
   std::string name;
   bool is_directory = false;
   std::optional<storage::ObjectRef> ref;  // set for links
+  LWFS_CODEC(DirEntry, name, is_directory, ref)
+};
+
+/// One node of a NamingService snapshot, in pre-order: its entry (the root's
+/// name is empty), then how many child nodes follow.
+struct SnapshotNode {
+  DirEntry entry;
+  std::uint32_t children = 0;
+  LWFS_CODEC(SnapshotNode, entry, children)
 };
 
 class NamingService {

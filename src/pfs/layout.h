@@ -11,18 +11,22 @@
 #include <vector>
 
 #include "storage/ids.h"
+#include "util/codec.h"
 
 namespace lwfs::pfs {
 
 /// One stripe object of a file.
 struct StripeTarget {
-  std::uint32_t ost_index = 0;  // index of the storage server holding it
+  std::uint32_t server = 0;  // index of the storage server holding it
   storage::ObjectId oid;
+  LWFS_CODEC(StripeTarget, server, oid)
 };
 
+/// Also lwfsfs's stored inode layout: both encode it through this record.
 struct Layout {
   std::uint32_t stripe_size = 1 << 20;
   std::vector<StripeTarget> stripes;
+  LWFS_CODEC(Layout, stripe_size, stripes)
 };
 
 /// A piece of a file extent that lands in one stripe object.

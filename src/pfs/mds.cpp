@@ -40,7 +40,7 @@ Result<FileAttr> MdsService::Create(const std::string& path,
     if (!oid.ok()) {
       // Roll back already-created stripe objects.
       for (const StripeTarget& t : attr.layout.stripes) {
-        (void)remove_stripe_(t.ost_index, t.oid);
+        (void)remove_stripe_(t.server, t.oid);
       }
       return oid.status();
     }
@@ -72,7 +72,7 @@ Status MdsService::Unlink(const std::string& path) {
   auto it = files_.find(path);
   if (it == files_.end()) return NotFound("no such file");
   for (const StripeTarget& t : it->second.layout.stripes) {
-    (void)remove_stripe_(t.ost_index, t.oid);
+    (void)remove_stripe_(t.server, t.oid);
   }
   files_.erase(it);
   if (options_.oplog != nullptr) {
@@ -115,7 +115,7 @@ Status MdsService::Replay(const MdsOpRecord& record) {
       next_ino_ = std::max(next_ino_, record.attr.ino + 1);
       if (!record.attr.layout.stripes.empty() && server_count_ > 0) {
         next_server_ =
-            (record.attr.layout.stripes.back().ost_index + 1) % server_count_;
+            (record.attr.layout.stripes.back().server + 1) % server_count_;
       }
       return OkStatus();
     }

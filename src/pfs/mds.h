@@ -27,6 +27,7 @@ struct FileAttr {
   Ino ino = 0;
   std::uint64_t size = 0;
   Layout layout;
+  LWFS_CODEC(FileAttr, ino, size, layout)
 };
 
 /// One committed MDS mutation, as logged for the warm standby.  kCreate

@@ -7,20 +7,25 @@ namespace lwfs::pfs {
 
 MdsServer::MdsServer(std::shared_ptr<portals::Nic> nic,
                      std::unique_ptr<core::Client> storage,
-                     security::Capability cap, MdsOptions mds_options,
+                     security::Credential cred, security::Capability cap,
+                     security::NowFn now, MdsOptions mds_options,
                      rpc::ServerOptions rpc_options, MdsStandbyConfig standby)
     : storage_(std::move(storage)),
-      cap_(std::move(cap)),
+      caps_(storage_.get(), std::move(cred), std::move(cap), std::move(now)),
       server_(std::move(nic), rpc_options),
       ops_(&server_, "mds"),
       standby_cfg_(std::move(standby)) {
   service_ = std::make_unique<MdsService>(
       static_cast<std::uint32_t>(storage_->storage_server_count()),
-      [this](std::uint32_t server) {
-        return storage_->CreateObject(server, cap_);
+      [this](std::uint32_t server) -> Result<storage::ObjectId> {
+        auto cap = caps_.Get();
+        if (!cap.ok()) return cap.status();
+        return storage_->CreateObject(server, *cap);
       },
       [this](std::uint32_t server, storage::ObjectId oid) {
-        return storage_->RemoveObject(server, cap_, oid);
+        auto cap = caps_.Get();
+        if (!cap.ok()) return cap.status();
+        return storage_->RemoveObject(server, *cap, oid);
       },
       mds_options);
 
@@ -29,9 +34,7 @@ MdsServer::MdsServer(std::shared_ptr<portals::Nic> nic,
       [this](rpc::ServerContext&,
              wire::PfsCreateReq& req) -> Result<wire::FileAttrRep> {
         LWFS_RETURN_IF_ERROR(Admit());
-        auto attr = service_->Create(req.path, req.stripes);
-        if (!attr.ok()) return attr.status();
-        return wire::FileAttrRep{std::move(*attr), cap_};
+        return AttrReply(service_->Create(req.path, req.stripes));
       });
 
   ops_.On<wire::PfsPathReq, wire::FileAttrRep>(
@@ -39,9 +42,7 @@ MdsServer::MdsServer(std::shared_ptr<portals::Nic> nic,
       [this](rpc::ServerContext&,
              wire::PfsPathReq& req) -> Result<wire::FileAttrRep> {
         LWFS_RETURN_IF_ERROR(Admit());
-        auto attr = service_->Open(req.path);
-        if (!attr.ok()) return attr.status();
-        return wire::FileAttrRep{std::move(*attr), cap_};
+        return AttrReply(service_->Open(req.path));
       });
 
   ops_.On<wire::PfsPathReq, wire::FileAttrRep>(
@@ -49,9 +50,7 @@ MdsServer::MdsServer(std::shared_ptr<portals::Nic> nic,
       [this](rpc::ServerContext&,
              wire::PfsPathReq& req) -> Result<wire::FileAttrRep> {
         LWFS_RETURN_IF_ERROR(Admit());
-        auto attr = service_->GetAttr(req.path);
-        if (!attr.ok()) return attr.status();
-        return wire::FileAttrRep{std::move(*attr), cap_};
+        return AttrReply(service_->GetAttr(req.path));
       });
 
   ops_.On<wire::PfsPathReq, rpc::Void>(
@@ -103,6 +102,13 @@ MdsServer::MdsServer(std::shared_ptr<portals::Nic> nic,
       });
 }
 
+Result<wire::FileAttrRep> MdsServer::AttrReply(Result<FileAttr> attr) {
+  if (!attr.ok()) return attr.status();
+  auto cap = caps_.Get();
+  if (!cap.ok()) return cap.status();
+  return wire::FileAttrRep{std::move(*attr), std::move(*cap)};
+}
+
 Status MdsServer::Admit() {
   if (!standby_cfg_.active) return OkStatus();  // standalone MDS
   if (standby_cfg_.active->load() == standby_cfg_.self) return OkStatus();
@@ -133,8 +139,10 @@ Status MdsServer::Takeover() {
 
 Status MdsServer::Start() {
   LWFS_RETURN_IF_ERROR(ops_.init_status());
+  auto cap = caps_.Get();
+  if (!cap.ok()) return cap.status();
   for (std::uint32_t s = 0; s < storage_->storage_server_count(); ++s) {
-    LWFS_RETURN_IF_ERROR(storage_->ListObjects(s, cap_).status());
+    LWFS_RETURN_IF_ERROR(storage_->ListObjects(s, *cap).status());
   }
   return server_.Start();
 }

@@ -5,7 +5,9 @@
 // create costs one client->MDS round trip plus `stripe_count` MDS->storage
 // round trips, all serialized at the MDS — the Figure 10 create
 // bottleneck.  Create, open and getattr replies carry that capability: the
-// MDS is where a traditional PFS decides access.
+// MDS is where a traditional PFS decides access.  The MDS renews it (through
+// a core::CapHolder) shortly before it expires, so a deployment outlives
+// the capability TTL.
 #pragma once
 
 #include <atomic>
@@ -14,9 +16,11 @@
 #include <mutex>
 #include <vector>
 
+#include "core/cap_holder.h"
 #include "core/client.h"
 #include "pfs/mds.h"
 #include "pfs/protocol.h"
+#include "pfs/wire.h"
 #include "rpc/rpc.h"
 #include "rpc/service.h"
 
@@ -38,9 +42,11 @@ struct MdsStandbyConfig {
 class MdsServer {
  public:
   /// Serves on `nic`; stripe objects are created on `storage`'s servers in
-  /// the container `cap` (kOpAll) authorizes.
+  /// the container `cap` (kOpAll) authorizes.  `cred` renews `cap` before
+  /// it expires on the authorization service's clock `now`.
   MdsServer(std::shared_ptr<portals::Nic> nic,
-            std::unique_ptr<core::Client> storage, security::Capability cap,
+            std::unique_ptr<core::Client> storage, security::Credential cred,
+            security::Capability cap, security::NowFn now,
             MdsOptions mds_options = {}, rpc::ServerOptions rpc_options = {},
             MdsStandbyConfig standby = {});
 
@@ -75,9 +81,11 @@ class MdsServer {
   /// primary: kUnavailable (fencing).
   Status Admit();
   Status Takeover();
+  /// Create/open/getattr reply: `attr` plus the current capability.
+  Result<wire::FileAttrRep> AttrReply(Result<FileAttr> attr);
 
   std::unique_ptr<core::Client> storage_;
-  security::Capability cap_;
+  core::CapHolder caps_;
   std::unique_ptr<MdsService> service_;
   rpc::RpcServer server_;
   rpc::Service ops_;

@@ -17,7 +17,8 @@ Result<std::unique_ptr<PfsRuntime>> PfsRuntime::Start(
   rt->core_ = core;
   if (options.mds_rpc.clock == nullptr) options.mds_rpc.clock = core->clock();
 
-  // The MDS's access to the stripe objects: one container, one capability.
+  // The MDS's access to the stripe objects: one container, one capability
+  // (each MDS server renews its own copy).
   core->AddUser(kMdsPrincipal, kMdsSecret, kMdsUid);
   auto storage = core->MakeClient();
   auto cred = storage->Login(kMdsPrincipal, kMdsSecret);
@@ -35,9 +36,10 @@ Result<std::unique_ptr<PfsRuntime>> PfsRuntime::Start(
     primary_cfg.active = std::make_shared<std::atomic<int>>(0);
     primary_cfg.self = 0;
   }
+  const security::NowFn authz_now = core->options().authz.now;
   rt->mds_server_ = std::make_unique<MdsServer>(
-      core->fabric().CreateNic(), std::move(storage), *cap, primary_options,
-      options.mds_rpc, primary_cfg);
+      core->fabric().CreateNic(), std::move(storage), *cred, *cap, authz_now,
+      primary_options, options.mds_rpc, primary_cfg);
   LWFS_RETURN_IF_ERROR(rt->mds_server_->Start());
 
   if (options.mds_standby) {
@@ -50,8 +52,8 @@ Result<std::unique_ptr<PfsRuntime>> PfsRuntime::Start(
     standby_cfg.active = primary_cfg.active;
     standby_cfg.self = 1;
     rt->mds_standby_server_ = std::make_unique<MdsServer>(
-        core->fabric().CreateNic(), core->MakeClient(), *cap, options.mds,
-        options.mds_rpc, standby_cfg);
+        core->fabric().CreateNic(), core->MakeClient(), *cred, *cap,
+        authz_now, options.mds, options.mds_rpc, standby_cfg);
     LWFS_RETURN_IF_ERROR(rt->mds_standby_server_->Start());
     rt->deployment_.mds_standby = rt->mds_standby_server_->nid();
   }

@@ -40,36 +40,4 @@ static_assert(rpc::kPfsOpcodeRange.Contains(kPfsCreate) &&
                   rpc::kPfsOpcodeRange.Contains(kPfsList),
               "pfs opcode outside the pfs protocol family's range");
 
-inline void EncodeLayout(Encoder& enc, const Layout& layout) {
-  enc.PutU32(layout.stripe_size);
-  enc.PutU32(static_cast<std::uint32_t>(layout.stripes.size()));
-  for (const StripeTarget& t : layout.stripes) {
-    enc.PutU32(t.ost_index);
-    enc.PutU64(t.oid.value);
-  }
-}
-
-inline Result<Layout> DecodeLayout(Decoder& dec) {
-  Layout layout;
-  auto stripe_size = dec.GetU32();
-  auto count = dec.GetU32();
-  if (!stripe_size.ok() || !count.ok()) {
-    return InvalidArgument("malformed layout");
-  }
-  layout.stripe_size = *stripe_size;
-  // Adversarial counts must not drive allocation: each stripe entry needs
-  // 12 wire bytes, so anything beyond remaining()/12 cannot parse anyway.
-  if (*count > dec.remaining() / 12) {
-    return InvalidArgument("layout stripe count exceeds payload");
-  }
-  layout.stripes.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto ost = dec.GetU32();
-    auto oid = dec.GetU64();
-    if (!ost.ok() || !oid.ok()) return InvalidArgument("malformed layout");
-    layout.stripes.push_back(StripeTarget{*ost, storage::ObjectId{*oid}});
-  }
-  return layout;
-}
-
 }  // namespace lwfs::pfs

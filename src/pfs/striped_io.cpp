@@ -77,16 +77,16 @@ Status StripedIo::State::IssueNext() {
   const auto length = static_cast<std::size_t>(c.length);
   Issued issued{index, {}, {}};
   if (op == Op::kReadSlice) {
-    auto io = client->ReadObjectSliceAsync(target.ost_index, cap, target.oid,
+    auto io = client->ReadObjectSliceAsync(target.server, cap, target.oid,
                                            c.object_offset, c.length);
     if (!io.ok()) return io.status();
     issued.slice_io = std::move(*io);
   } else {
     auto io = op == Op::kWrite
-                  ? client->WriteObjectSliceAsync(target.ost_index, cap,
+                  ? client->WriteObjectSliceAsync(target.server, cap,
                                                   target.oid, c.object_offset,
                                                   data.Slice(at, length))
-                  : client->ReadObjectAsync(target.ost_index, cap, target.oid,
+                  : client->ReadObjectAsync(target.server, cap, target.oid,
                                             c.object_offset,
                                             out.subspan(at, length));
     if (!io.ok()) return io.status();

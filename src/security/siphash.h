@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "util/bytes.h"
+#include "util/codec.h"
 
 namespace lwfs::security {
 
@@ -31,6 +32,7 @@ struct Tag128 {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
   auto operator<=>(const Tag128&) const = default;
+  LWFS_CODEC(Tag128, lo, hi)
 };
 
 Tag128 SipTag(const SipKey& key, ByteSpan data);

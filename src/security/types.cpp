@@ -12,88 +12,20 @@ std::string OpMaskToString(std::uint32_t ops) {
   return s;
 }
 
-void Credential::Encode(Encoder& enc) const {
-  enc.PutU64(cred_id);
-  enc.PutU64(uid);
-  enc.PutU64(instance);
-  enc.PutI64(expires_us);
-  enc.PutU64(tag.lo);
-  enc.PutU64(tag.hi);
+namespace {
+
+/// A record's encoding minus its trailing tag: what the tag signs.
+template <typename T>
+Buffer EncodingWithoutTag(const T& record) {
+  Buffer bytes = codec::Encode(record);
+  bytes.resize(bytes.size() - codec::MinSize<Tag128>());
+  return bytes;
 }
 
-Result<Credential> Credential::Decode(Decoder& dec) {
-  Credential c;
-  auto cred_id = dec.GetU64();
-  auto uid = dec.GetU64();
-  auto instance = dec.GetU64();
-  auto expires = dec.GetI64();
-  auto lo = dec.GetU64();
-  auto hi = dec.GetU64();
-  if (!cred_id.ok() || !uid.ok() || !instance.ok() || !expires.ok() ||
-      !lo.ok() || !hi.ok()) {
-    return InvalidArgument("malformed credential");
-  }
-  c.cred_id = *cred_id;
-  c.uid = *uid;
-  c.instance = *instance;
-  c.expires_us = *expires;
-  c.tag = Tag128{*lo, *hi};
-  return c;
-}
+}  // namespace
 
-Buffer Credential::SignedBytes() const {
-  Encoder enc;
-  enc.PutU64(cred_id);
-  enc.PutU64(uid);
-  enc.PutU64(instance);
-  enc.PutI64(expires_us);
-  return std::move(enc).Take();
-}
+Buffer Credential::SignedBytes() const { return EncodingWithoutTag(*this); }
 
-void Capability::Encode(Encoder& enc) const {
-  enc.PutU64(cap_id);
-  enc.PutU64(cid.value);
-  enc.PutU32(ops);
-  enc.PutU64(uid);
-  enc.PutU64(instance);
-  enc.PutI64(expires_us);
-  enc.PutU64(tag.lo);
-  enc.PutU64(tag.hi);
-}
-
-Result<Capability> Capability::Decode(Decoder& dec) {
-  Capability c;
-  auto cap_id = dec.GetU64();
-  auto cid = dec.GetU64();
-  auto ops = dec.GetU32();
-  auto uid = dec.GetU64();
-  auto instance = dec.GetU64();
-  auto expires = dec.GetI64();
-  auto lo = dec.GetU64();
-  auto hi = dec.GetU64();
-  if (!cap_id.ok() || !cid.ok() || !ops.ok() || !uid.ok() || !instance.ok() ||
-      !expires.ok() || !lo.ok() || !hi.ok()) {
-    return InvalidArgument("malformed capability");
-  }
-  c.cap_id = *cap_id;
-  c.cid = storage::ContainerId{*cid};
-  c.ops = *ops;
-  c.uid = *uid;
-  c.instance = *instance;
-  c.expires_us = *expires;
-  c.tag = Tag128{*lo, *hi};
-  return c;
-}
-
-Buffer Capability::SignedBytes() const {
-  Encoder enc;
-  enc.PutU64(cap_id);
-  enc.PutU64(cid.value);
-  enc.PutU32(ops);
-  enc.PutU64(uid);
-  enc.PutU64(instance);
-  enc.PutI64(expires_us);
-  return std::move(enc).Take();
-}
+Buffer Capability::SignedBytes() const { return EncodingWithoutTag(*this); }
 
 }  // namespace lwfs::security

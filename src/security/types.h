@@ -17,7 +17,7 @@
 
 #include "security/siphash.h"
 #include "storage/ids.h"
-#include "util/bytes.h"
+#include "util/codec.h"
 #include "util/status.h"
 
 namespace lwfs::security {
@@ -47,12 +47,11 @@ struct Credential {
   Uid uid = kInvalidUid;       // authenticated principal
   std::uint64_t instance = 0;  // issuing service instance (epoch)
   std::int64_t expires_us = 0; // absolute expiry, microseconds
-  Tag128 tag;
+  Tag128 tag;  // last: SignedBytes() is the encoding without it
 
-  void Encode(Encoder& enc) const;
-  static Result<Credential> Decode(Decoder& dec);
   /// The bytes covered by the tag (everything except the tag itself).
   [[nodiscard]] Buffer SignedBytes() const;
+  LWFS_CODEC(Credential, cred_id, uid, instance, expires_us, tag)
 };
 
 /// Proof of authorization for `ops` on container `cid`.
@@ -63,11 +62,10 @@ struct Capability {
   Uid uid = kInvalidUid;       // principal it was issued to (informational)
   std::uint64_t instance = 0;  // issuing authorization-service instance
   std::int64_t expires_us = 0;
-  Tag128 tag;
+  Tag128 tag;  // last: SignedBytes() is the encoding without it
 
-  void Encode(Encoder& enc) const;
-  static Result<Capability> Decode(Decoder& dec);
   [[nodiscard]] Buffer SignedBytes() const;
+  LWFS_CODEC(Capability, cap_id, cid, ops, uid, instance, expires_us, tag)
 };
 
 }  // namespace lwfs::security

@@ -40,32 +40,24 @@ Status FileObjectStore::LoadExisting() {
     Buffer raw((std::istreambuf_iterator<char>(in)),
                std::istreambuf_iterator<char>());
     Decoder dec(raw);
-    auto oid_v = dec.GetU64();
-    auto cid_v = dec.GetU64();
-    auto size = dec.GetU64();
-    auto version = dec.GetU64();
-    if (!oid_v.ok() || !cid_v.ok() || !size.ok() || !version.ok()) {
+    auto meta = ObjectMeta::Decode(dec);
+    if (!meta.ok()) {
       LWFS_WARN << "skipping corrupt meta file " << entry.path().string();
       continue;
     }
-    ObjectId oid{*oid_v};
-    attrs_[oid] = ObjAttr{ContainerId{*cid_v}, *size, *version};
-    next_id_ = std::max(next_id_, oid.value + 1);
+    attrs_[meta->oid] = meta->attr;
+    next_id_ = std::max(next_id_, meta->oid.value + 1);
   }
   if (ec) return Internal("cannot scan store directory: " + ec.message());
   return OkStatus();
 }
 
 Status FileObjectStore::WriteMetaLocked(ObjectId oid, const ObjAttr& attr) {
-  Encoder enc;
-  enc.PutU64(oid.value);
-  enc.PutU64(attr.cid.value);
-  enc.PutU64(attr.size);
-  enc.PutU64(attr.version);
+  const Buffer meta = codec::Encode(ObjectMeta{oid, attr});
   std::ofstream out(MetaPath(oid), std::ios::binary | std::ios::trunc);
   if (!out) return Internal("cannot write meta file");
-  out.write(reinterpret_cast<const char*>(enc.buffer().data()),
-            static_cast<std::streamsize>(enc.size()));
+  out.write(reinterpret_cast<const char*>(meta.data()),
+            static_cast<std::streamsize>(meta.size()));
   return out ? OkStatus() : Internal("meta write failed");
 }
 

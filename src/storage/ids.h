@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <functional>
 
+#include "util/codec.h"
+
 namespace lwfs::storage {
 
 struct ContainerId {
@@ -43,6 +45,7 @@ struct ObjectRef {
   std::uint32_t server_index = 0;  // which storage server holds the object
   ObjectId oid;
   auto operator<=>(const ObjectRef&) const = default;
+  LWFS_CODEC(ObjectRef, cid, server_index, oid)
 };
 
 }  // namespace lwfs::storage

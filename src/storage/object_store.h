@@ -26,6 +26,7 @@
 #include "storage/block_allocator.h"
 #include "storage/ids.h"
 #include "util/bytes.h"
+#include "util/codec.h"
 #include "util/shared_buffer.h"
 #include "util/status.h"
 
@@ -45,6 +46,7 @@ struct ObjAttr {
   ContainerId cid;
   std::uint64_t size = 0;     // highest byte written + 1
   std::uint64_t version = 0;  // bumped on every write/truncate
+  LWFS_CODEC(ObjAttr, cid, size, version)
 };
 
 /// Abstract object store.  All implementations are thread-safe.
@@ -272,6 +274,13 @@ class BlockObjectStore final : public ObjectStore {
   Buffer device_;  // the flat device image
   std::uint64_t next_id_ = 1;
   std::unordered_map<ObjectId, Object> objects_;
+};
+
+/// The record a FileObjectStore keeps in each <oid>.meta file.
+struct ObjectMeta {
+  ObjectId oid;
+  ObjAttr attr;
+  LWFS_CODEC(ObjectMeta, oid, attr)
 };
 
 /// Directory-backed store: object <oid>.obj holds data, <oid>.meta holds

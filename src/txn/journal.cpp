@@ -22,11 +22,10 @@ Result<Journal> Journal::Create(storage::ObjectStore* store,
 
 Status Journal::Append(const JournalRecord& record) {
   Encoder enc;
-  enc.PutU32(static_cast<std::uint32_t>(record.type));
-  enc.PutU64(record.txid);
-  enc.PutBytes(ByteSpan(record.payload));
-  // Per-record CRC32 over the encoded fields: media corruption surfaces as
-  // kDataLoss at recovery instead of a silently wrong decision replay.
+  record.Encode(enc);
+  // Per-record CRC32 trailer over the encoded fields: media corruption
+  // surfaces as kDataLoss at recovery instead of a silently wrong decision
+  // replay.
   enc.PutU32(Crc32(ByteSpan(enc.buffer())));
   auto attr = store_->GetAttr(oid_);
   if (!attr.ok()) return attr.status();
@@ -59,14 +58,16 @@ Result<std::vector<JournalRecord>> Journal::ReadAll() const {
   std::vector<JournalRecord> records;
   while (!dec.exhausted()) {
     const std::size_t record_start = raw->size() - dec.remaining();
-    auto type = dec.GetU32();
-    auto txid = dec.GetU64();
-    auto payload = dec.GetBytes();
-    if (!type.ok() || !txid.ok() || !payload.ok()) {
-      break;  // torn tail record from a crash mid-append: ignore
+    auto record = JournalRecord::Decode(dec);
+    if (!record.ok()) {
+      // Input that ends mid-record is a torn tail from a crash mid-append:
+      // ignore it.  A complete record that still fails (its type is out of
+      // range) is corruption.
+      if (dec.truncated()) break;
+      return DataLoss("corrupt journal record type");
     }
     const std::size_t record_end = raw->size() - dec.remaining();
-    auto crc = dec.GetU32();
+    auto crc = dec.GetU32();  // the CRC trailer is framing, not a field
     if (!crc.ok()) {
       break;  // crash between record and its checksum: torn tail
     }
@@ -76,12 +77,7 @@ Result<std::vector<JournalRecord>> Journal::ReadAll() const {
       // not a torn append — refuse to trust anything decoded from it.
       return DataLoss("journal record failed checksum");
     }
-    if (*type < static_cast<std::uint32_t>(RecordType::kBegin) ||
-        *type > static_cast<std::uint32_t>(RecordType::kEnd)) {
-      return DataLoss("corrupt journal record type");
-    }
-    records.push_back(JournalRecord{static_cast<RecordType>(*type), *txid,
-                                    std::move(*payload)});
+    records.push_back(std::move(*record));
   }
   return records;
 }

@@ -7,10 +7,13 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/object_store.h"
 #include "util/bytes.h"
+#include "util/codec.h"
 #include "util/status.h"
 
 namespace lwfs::txn {
@@ -25,10 +28,25 @@ enum class RecordType : std::uint32_t {
   kEnd = 5,       // all participants acknowledged the decision
 };
 
+/// Valid RecordType values, for the codec's range check.
+constexpr std::pair<RecordType, RecordType> CodecEnumBounds(RecordType) {
+  return {RecordType::kBegin, RecordType::kEnd};
+}
+
+/// One journal entry.  On the medium each record is followed by a CRC32 of
+/// its encoding.
 struct JournalRecord {
   RecordType type;
   TxnId txid;
   Buffer payload;
+  LWFS_CODEC(JournalRecord, type, txid, payload)
+};
+
+/// The payload of a kBegin record: the participants' names, which recovery
+/// needs to drive an in-doubt transaction to its decision.
+struct BeginPayload {
+  std::vector<std::string> participants;
+  LWFS_CODEC(BeginPayload, participants)
 };
 
 /// A transaction's fate as derivable from the journal.

@@ -110,11 +110,11 @@ Result<TxnId> Coordinator::Begin(std::vector<Participant*> participants) {
     txid = (NextTxnBase() << 16) | (next_txid_++ & 0xFFFF);
     active_[txid] = participants;
   }
-  Encoder payload;
-  payload.PutU32(static_cast<std::uint32_t>(participants.size()));
-  for (Participant* p : participants) payload.PutString(p->name());
+  BeginPayload begin;
+  begin.participants.reserve(participants.size());
+  for (Participant* p : participants) begin.participants.push_back(p->name());
   LWFS_RETURN_IF_ERROR(journal_->Append(
-      JournalRecord{RecordType::kBegin, txid, std::move(payload).Take()}));
+      JournalRecord{RecordType::kBegin, txid, codec::Encode(begin)}));
   return txid;
 }
 
@@ -212,14 +212,8 @@ Status Coordinator::Recover(
       case RecordType::kBegin: {
         st.outcome = TxnOutcome::kInDoubt;
         Decoder dec(r.payload);
-        auto count = dec.GetU32();
-        if (count.ok()) {
-          for (std::uint32_t i = 0; i < *count; ++i) {
-            auto name = dec.GetString();
-            if (!name.ok()) break;
-            st.participants.push_back(std::move(*name));
-          }
-        }
+        auto begin = BeginPayload::Decode(dec);
+        if (begin.ok()) st.participants = std::move(begin->participants);
         break;
       }
       case RecordType::kPrepared:

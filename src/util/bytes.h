@@ -101,6 +101,9 @@ class Decoder {
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool exhausted() const { return remaining() == 0; }
+  /// True once a read has failed for want of bytes — what tells a torn
+  /// tail (the input ends mid-record) from a malformed complete record.
+  [[nodiscard]] bool truncated() const { return truncated_; }
 
   Result<std::uint8_t> GetU8() { return GetLe<std::uint8_t>(); }
   Result<std::uint16_t> GetU16() { return GetLe<std::uint16_t>(); }
@@ -128,7 +131,7 @@ class Decoder {
   Result<Buffer> GetBytes() {
     auto len = GetU32();
     if (!len.ok()) return len.status();
-    if (remaining() < *len) return InvalidArgument("truncated byte string");
+    if (remaining() < *len) return Truncated("truncated byte string");
     Buffer out(data_.begin() + pos_, data_.begin() + pos_ + *len);
     pos_ += *len;
     return out;
@@ -151,16 +154,21 @@ class Decoder {
 
   /// Consume `n` raw bytes.
   Result<ByteSpan> GetRaw(std::size_t n) {
-    if (remaining() < n) return InvalidArgument("truncated raw bytes");
+    if (remaining() < n) return Truncated("truncated raw bytes");
     ByteSpan out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
   }
 
  private:
+  Status Truncated(std::string what) {
+    truncated_ = true;
+    return InvalidArgument(std::move(what));
+  }
+
   template <typename T>
   Result<T> GetLe() {
-    if (remaining() < sizeof(T)) return InvalidArgument("truncated integer");
+    if (remaining() < sizeof(T)) return Truncated("truncated integer");
     T v = 0;
     for (std::size_t i = 0; i < sizeof(T); ++i) {
       v = static_cast<T>(v | (static_cast<T>(data_[pos_ + i]) << (8 * i)));
@@ -171,6 +179,7 @@ class Decoder {
 
   ByteSpan data_;
   std::size_t pos_ = 0;
+  bool truncated_ = false;
   /// Keeps the decoded frame alive when constructed from a SharedSlice,
   /// and lets TakeSlice() hand out aliasing sub-slices.
   std::shared_ptr<const void> owner_;

@@ -145,12 +145,12 @@ TEST_F(PlacementTest, ExplicitPlacementIsHonoured) {
   const std::uint32_t placement[] = {3, 1, 3};
   auto file = fs_->CreateWithPlacement("/placed", placement).value();
   ASSERT_EQ(file.stripes.size(), 3u);
-  EXPECT_EQ(file.stripes[0].ost_index, 3u);
-  EXPECT_EQ(file.stripes[1].ost_index, 1u);
-  EXPECT_EQ(file.stripes[2].ost_index, 3u);
+  EXPECT_EQ(file.stripes[0].server, 3u);
+  EXPECT_EQ(file.stripes[1].server, 1u);
+  EXPECT_EQ(file.stripes[2].server, 3u);
   // Round-trip through the inode.
   auto reopened = fs_->Open("/placed").value();
-  EXPECT_EQ(reopened.stripes[2].ost_index, 3u);
+  EXPECT_EQ(reopened.stripes[2].server, 3u);
   // I/O still works with repeated servers in the layout.
   Buffer data = PatternBuffer(50000, 1);
   ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(data)).ok());

@@ -385,18 +385,48 @@ TEST_F(PfsTest, StripeObjectsAreProtectedByTheMdsCapability) {
   ASSERT_TRUE(cap.ok());
   ASSERT_NE(cap->cid, file->cap.cid);
   for (const StripeTarget& stripe : file->attr.layout.stripes) {
-    auto attr = core_->store(static_cast<int>(stripe.ost_index))
+    auto attr = core_->store(static_cast<int>(stripe.server))
                     .GetAttr(stripe.oid);
     ASSERT_TRUE(attr.ok());
     EXPECT_EQ(attr->cid, file->cap.cid);
     EXPECT_FALSE(
-        other->ReadObjectSlice(stripe.ost_index, *cap, stripe.oid, 0, 100)
+        other->ReadObjectSlice(stripe.server, *cap, stripe.oid, 0, 100)
             .ok());
-    auto granted = other->ReadObjectSlice(stripe.ost_index, file->cap,
+    auto granted = other->ReadObjectSlice(stripe.server, file->cap,
                                           stripe.oid, 0, 100);
     ASSERT_TRUE(granted.ok()) << granted.status().ToString();
     EXPECT_EQ(granted->size(), 100u);
   }
+}
+
+// The MDS renews its stripe capability, so a deployment older than the
+// capability TTL still creates and writes files.
+TEST(PfsCapabilityTest, MdsRenewsItsCapabilityPastTheTtl) {
+  std::atomic<std::int64_t> now_us{0};
+  core::RuntimeOptions options;
+  options.authn.now = [&now_us] { return now_us.load(); };
+  options.authn.credential_ttl_us = 1000LL * 3600 * 1000 * 1000;
+  options.authz.now = [&now_us] { return now_us.load(); };
+  auto core = core::ServiceRuntime::Start(options);
+  ASSERT_TRUE(core.ok()) << core.status().ToString();
+  auto pfs = PfsRuntime::Start(core->get(), {});
+  ASSERT_TRUE(pfs.ok()) << pfs.status().ToString();
+  auto client = (*pfs)->MakeClient();
+  const Buffer data = PatternBuffer(10000, 5);
+  auto before = client->Create("/before", 2);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(client->Write(*before, 0, ByteSpan(data)).ok());
+
+  now_us = options.authz.capability_ttl_us + 1;
+  auto after = client->Create("/after", 2);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_GT(after->cap.expires_us, now_us.load());
+  Status wrote = client->Write(*after, 0, ByteSpan(data));
+  ASSERT_TRUE(wrote.ok()) << wrote.ToString();
+  Buffer back(data.size());
+  auto read = client->Read(*after, 0, MutableByteSpan(back));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(back, data);
 }
 
 // A relaxed pfs write is an LWFS object write: the same server scheduler

@@ -1,32 +1,246 @@
 // Tests for the typed op-spec service framework (rpc/service.h): codec
-// round-trips and truncation rejection for every registered wire message,
-// duplicate-registration fail-fast, opcode-family hygiene, middleware
+// round-trips, truncation rejection and pinned bytes for every registered
+// wire message and stored record, duplicate-registration fail-fast, opcode-family hygiene, middleware
 // metrics, and authorization-before-handler ordering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
+
+#include "checkpoint/checkpoint.h"
 
 #include "core/protocol.h"
 #include "core/runtime.h"
 #include "core/wire.h"
+#include "libio/dataset.h"
+#include "lwfsfs/lwfsfs.h"
+#include "naming/naming.h"
 #include "pfs/pfs_runtime.h"
 #include "pfs/wire.h"
 #include "rpc/rpc.h"
 #include "rpc/service.h"
+#include "storage/object_store.h"
+#include "txn/journal.h"
 #include "util/clock.h"
 #include "util/shared_buffer.h"
 
 namespace lwfs {
 namespace {
 
+/// The records the system stores rather than sends: each is read back from
+/// bytes an earlier process (or another holder of the container's write
+/// capability) wrote.
+std::vector<rpc::CodecCase> StoredRecordCases() {
+  const storage::ObjectRef ref{storage::ContainerId{11}, 2,
+                               storage::ObjectId{907}};
+  std::vector<rpc::CodecCase> cases;
+  cases.push_back(rpc::MakeCodecCase(
+      "pfs_layout",
+      pfs::Layout{1u << 20,
+                  {pfs::StripeTarget{0, storage::ObjectId{11}},
+                   pfs::StripeTarget{3, storage::ObjectId{12}}}}));
+  cases.push_back(rpc::MakeCodecCase(
+      "lwfsfs_inode",
+      fs::Inode{fs::kInodeMagic,
+                pfs::Layout{65536,
+                            {pfs::StripeTarget{1, storage::ObjectId{907}},
+                             pfs::StripeTarget{2, storage::ObjectId{908}}}},
+                123456}));
+  cases.push_back(rpc::MakeCodecCase(
+      "snapshot_node",
+      naming::SnapshotNode{naming::DirEntry{"file", false, ref}, 0}));
+  cases.push_back(rpc::MakeCodecCase(
+      "checkpoint_metadata",
+      checkpoint::CheckpointMetadata{
+          {checkpoint::CheckpointEntry{ref, 65536},
+           checkpoint::CheckpointEntry{
+               storage::ObjectRef{storage::ContainerId{11}, 3,
+                                  storage::ObjectId{908}},
+               4096}}}));
+  cases.push_back(rpc::MakeCodecCase(
+      "object_meta",
+      storage::ObjectMeta{storage::ObjectId{907},
+                          storage::ObjAttr{storage::ContainerId{31337},
+                                           65536, 3}}));
+  cases.push_back(rpc::MakeCodecCase(
+      "journal_record",
+      txn::JournalRecord{txn::RecordType::kCommit, 555, Buffer{1, 2, 3}}));
+  cases.push_back(rpc::MakeCodecCase(
+      "journal_participants",
+      txn::BeginPayload{{"naming", "storage.0"}}));
+  cases.push_back(rpc::MakeCodecCase(
+      "dataset_header",
+      io::DatasetHeader{io::kDatasetMagic, 8, {4, 16},
+                        {{"units", "K"}, {"var", "temp"}}}));
+  return cases;
+}
+
 std::vector<rpc::CodecCase> AllCases() {
   std::vector<rpc::CodecCase> cases = core::wire::CoreWireCases();
-  std::vector<rpc::CodecCase> pfs_cases = pfs::wire::PfsWireCases();
-  cases.insert(cases.end(), std::make_move_iterator(pfs_cases.begin()),
-               std::make_move_iterator(pfs_cases.end()));
+  for (const auto& more : {pfs::wire::PfsWireCases(), StoredRecordCases()}) {
+    cases.insert(cases.end(), more.begin(), more.end());
+  }
   return cases;
+}
+
+/// Every case's encoding, in hex, as the hand-written codecs produced it
+/// before the declarative codec (util/codec.h) replaced them.  A change
+/// here is a wire or storage format change: old peers and old stored
+/// records would no longer parse.
+const std::map<std::string, std::string>& PinnedHex() {
+  static const auto* pins = new std::map<std::string, std::string>{
+      {"login_req",
+       "05000000616c69636506000000733363726574"},
+      {"credential_rep",
+       "88776655443322119210000000000000070000000000000000401e18240a06000df0fecaefbeaddeefcdab8967452301"},
+      {"revoke_cred_req",
+       "8877665544332211"},
+      {"create_container_req",
+       "88776655443322119210000000000000070000000000000000401e18240a06000df0fecaefbeaddeefcdab8967452301"},
+      {"create_container_rep",
+       "4d00000000000000"},
+      {"get_cap_req",
+       "88776655443322119210000000000000070000000000000000401e18240a06000df0fecaefbeaddeefcdab89674523014d000000000000001f000000"},
+      {"capability_rep",
+       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a"},
+      {"verify_cap_req",
+       "0900000000ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a"},
+      {"set_grant_req",
+       "88776655443322119210000000000000070000000000000000401e18240a06000df0fecaefbeaddeefcdab89674523014d000000000000001f1400000000000001000000"},
+      {"revoke_cap_req",
+       "88776655443322119210000000000000070000000000000000401e18240a06000df0fecaefbeaddeefcdab896745230100ffeeddccbbaa99"},
+      {"refresh_cap_req",
+       "88776655443322119210000000000000070000000000000000401e18240a06000df0fecaefbeaddeefcdab896745230100ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a"},
+      {"obj_create_req",
+       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a0c00000000000000"},
+      {"obj_create_rep",
+       "8b03000000000000"},
+      {"obj_write_req",
+       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a8b030000000000000010000000000000"},
+      {"io_moved_rep",
+       "0000010000000000"},
+      {"obj_read_req",
+       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a8b0300000000000000000000000000000000010000000000"},
+      {"obj_remove_req",
+       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a8b030000000000000000000000000000"},
+      {"obj_getattr_req",
+       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a8b03000000000000"},
+      {"obj_attr_rep",
+       "697a00000000000000000100000000000300000000000000"},
+      {"obj_list_req",
+       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a"},
+      {"obj_list_rep",
+       "040000000100000000000000020000000000000003000000000000008b03000000000000"},
+      {"obj_filter_req",
+       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a8b0300000000000000000000000000000000010000000000040000000400000000000000000000000000e03f000000000000f0bf000000000000f03f20000000"},
+      {"obj_filter_rep",
+       "00010000000000000000010000000000"},
+      {"obj_truncate_req",
+       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a8b030000000000000004000000000000"},
+      {"obj_create_at_req",
+       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a11000000000000402b02000000000000"},
+      {"replica_write_req",
+       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a1100000000000040001000000000000002000000010000000110000000000000020000000210000000000000"},
+      {"replica_write_rep",
+       "030000000000000001000000020000000900000000000000"},
+      {"txn_req",
+       "2b02000000000000"},
+      {"txn_vote_rep",
+       "01"},
+      {"invalidate_caps_req",
+       "0300000000ffeeddccbbaa9901000000000000000200000000000000"},
+      {"repair_probe_req",
+       "0200000011000000000000401200000000000040"},
+      {"repair_probe_rep",
+       "020000001100000000000040010400000000000000000001000000000012000000000000400000000000000000000000000000000000"},
+      {"repair_read_req",
+       "110000000000004000000000000000000000010000000000"},
+      {"repair_read_rep",
+       "000001000000000004000000000000000000020000000000"},
+      {"repair_write_req",
+       "1100000000000040697a00000000000000000100000000000400000000000000"},
+      {"repair_write_rep",
+       "0500000000000000"},
+      {"mkdir_req",
+       "060000002f612f622f6301"},
+      {"link_req",
+       "090000002f612f622f66696c650b00000000000000020000008b03000000000000"},
+      {"stage_link_req",
+       "2b02000000000000090000002f612f622f66696c650b00000000000000020000008b03000000000000"},
+      {"path_req",
+       "090000002f612f622f66696c65"},
+      {"object_ref_rep",
+       "0b00000000000000020000008b03000000000000"},
+      {"rename_req",
+       "090000002f612f622f66696c65040000002f612f63"},
+      {"list_names_rep",
+       "020000000300000064697201000400000066696c6500010b00000000000000020000008b03000000000000"},
+      {"stage_unlink_req",
+       "2b02000000000000090000002f612f622f66696c65"},
+      {"shard_map_rep",
+       "0900000000000000040000000300000007000000040000000800000005000000000000000600000000000000"},
+      {"replica_place_req",
+       "697a0000000000000100000003000000"},
+      {"replica_chain_rep",
+       "1100000000000040697a00000000000003000000010000000200000000000000"},
+      {"replica_lookup_req",
+       "1100000000000040"},
+      {"replica_report_req",
+       "110000000000004004000000000000000100000002000000"},
+      {"replica_audit_rep",
+       "0800000000000000060000000000000002000000000000000300000000000000"},
+      {"lock_try_req",
+       "0b000000000000008b030000000000000000000000000000001000000000000001"},
+      {"lock_id_rep",
+       "4200000000000000"},
+      {"lock_release_req",
+       "4200000000000000"},
+      {"pfs_create_req",
+       "0a0000002f646174612f72756e3102000000"},
+      {"pfs_path_req",
+       "0a0000002f646174612f72756e31"},
+      {"file_attr_rep",
+       "292300000000000000001000000000000000010002000000000000000b00000000000000010000000c00000000000000070000000000000003000000000000001f0000002a000000000000000000000000000000000000400000000000000000000000000000000000000000"},
+      {"pfs_set_size_req",
+       "0a0000002f646174612f72756e310000100000000000"},
+      {"pfs_list_rep",
+       "030000000400000072756e310400000072756e3204000000636b7074"},
+      {"pfs_lock_try_req",
+       "29230000000000000000000000000000000001000000000001"},
+      {"pfs_lock_id_rep",
+       "2900000000000000"},
+      {"pfs_lock_release_req",
+       "2900000000000000"},
+      {"pfs_layout",
+       "0000100002000000000000000b00000000000000030000000c00000000000000"},
+      {"lwfsfs_inode",
+       "4e49464c0000010002000000010000008b03000000000000020000008c0300000000000040e2010000000000"},
+      {"snapshot_node",
+       "0400000066696c6500010b00000000000000020000008b0300000000000000000000"},
+      {"checkpoint_metadata",
+       "020000000b00000000000000020000008b0300000000000000000100000000000b00000000000000030000008c030000000000000010000000000000"},
+      {"object_meta",
+       "8b03000000000000697a00000000000000000100000000000300000000000000"},
+      {"journal_record",
+       "030000002b0200000000000003000000010203"},
+      {"journal_participants",
+       "02000000060000006e616d696e670900000073746f726167652e30"},
+      {"dataset_header",
+       "5441444c0800000002000000040000000000000010000000000000000200000005000000756e697473010000004b030000007661720400000074656d70"}
+  };
+  return *pins;
+}
+
+std::string Hex(const Buffer& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (std::uint8_t b : bytes) {
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  return hex;
 }
 
 // ---------------------------------------------------------------------------
@@ -52,6 +266,16 @@ TEST(ServiceCodecTest, EveryTruncationIsRejectedAsInvalidArgument) {
       EXPECT_EQ(decoded.status().code(), ErrorCode::kInvalidArgument)
           << c.name << " at " << len << ": " << decoded.status().ToString();
     }
+  }
+}
+
+TEST(ServiceCodecTest, EveryEncodingMatchesItsPinnedBytes) {
+  const std::vector<rpc::CodecCase> cases = AllCases();
+  EXPECT_EQ(cases.size(), PinnedHex().size()) << "a pin without a case";
+  for (const rpc::CodecCase& c : cases) {
+    auto pin = PinnedHex().find(c.name);
+    ASSERT_NE(pin, PinnedHex().end()) << c.name << " has no pinned bytes";
+    EXPECT_EQ(Hex(c.encoded), pin->second) << c.name;
   }
 }
 

@@ -151,6 +151,25 @@ TEST_F(FsckTest, DetectsBrokenInode) {
   EXPECT_FALSE(report.orphans.empty());
 }
 
+TEST_F(FsckTest, HugeInodeStripeCountIsDataLossNotAnAllocation) {
+  // Any holder of the container's write capability can overwrite an inode.
+  // A stripe count of 0xFFFFFFFF (64 GiB of stripe targets) must be
+  // rejected against the bytes that follow it, never reserved.
+  auto file = fs_->Create("/victim").value();
+  Encoder forged;
+  forged.PutU32(fs::kInodeMagic);
+  forged.PutU32(1 << 20);     // stripe size
+  forged.PutU32(0xFFFFFFFF);  // stripe count
+  ASSERT_TRUE(client_
+                  ->WriteObject(file.inode.server_index, cap_, file.inode.oid,
+                                0, ByteSpan(forged.buffer()))
+                  .ok());
+  EXPECT_EQ(fs_->Open("/victim").status().code(), ErrorCode::kDataLoss);
+  auto report = fs_->Fsck().value();
+  ASSERT_EQ(report.broken_files.size(), 1u);
+  EXPECT_EQ(report.broken_files[0], "/victim");
+}
+
 TEST_F(FsckTest, AbortedTransactionLeavesNothingForFsck) {
   // The paper's transactional checkpoint never leaks: create objects in a
   // txn, abort, fsck finds no orphans.

@@ -205,6 +205,19 @@ TEST_F(JournalTest, DetectsCorruptRecord) {
   EXPECT_EQ(records.status().code(), ErrorCode::kDataLoss);
 }
 
+TEST_F(JournalTest, DetectsOutOfRangeRecordType) {
+  auto journal = Journal::Create(&store_, storage::ContainerId{1});
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE(journal->Append({RecordType::kBegin, 1, {}}).ok());
+  ASSERT_TRUE(journal->Append({RecordType::kCommit, 1, {}}).ok());
+  // A type byte flipped out of range on a complete record is corruption,
+  // not a torn tail: the rest of the journal must not be silently dropped.
+  Buffer flip = {0xFF};
+  ASSERT_TRUE(store_.Write(journal->oid(), 0, ByteSpan(flip)).ok());
+  auto records = journal->ReadAll();
+  EXPECT_EQ(records.status().code(), ErrorCode::kDataLoss);
+}
+
 TEST_F(JournalTest, ToleratesTruncatedChecksum) {
   auto journal = Journal::Create(&store_, storage::ContainerId{1});
   ASSERT_TRUE(journal.ok());

@@ -73,16 +73,16 @@ TEST(WireFuzzTest, FilterSpecDecoder) {
 TEST(WireFuzzTest, ObjectRefAndAttrDecoders) {
   for (const Buffer& raw : FuzzCases(4, 20)) {
     Decoder d1(raw);
-    (void)core::DecodeObjectRef(d1);
+    (void)storage::ObjectRef::Decode(d1);
     Decoder d2(raw);
-    (void)core::DecodeObjAttr(d2);
+    (void)storage::ObjAttr::Decode(d2);
   }
 }
 
 TEST(WireFuzzTest, PfsLayoutDecoder) {
   for (const Buffer& raw : FuzzCases(5, 32)) {
     Decoder dec(raw);
-    auto layout = pfs::DecodeLayout(dec);
+    auto layout = pfs::Layout::Decode(dec);
     if (layout.ok()) {
       // A "valid" random layout must still have a sane stripe count (the
       // count field is bounds-checked against the remaining bytes).
