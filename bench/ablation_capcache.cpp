@@ -58,7 +58,8 @@ void BM_CreateObject(benchmark::State& state) {
     if (!oid.ok()) state.SkipWithError("create failed");
   }
   state.counters["remote_verifies"] = static_cast<double>(
-      stack.runtime->storage_server(0).remote_verifies());
+      stack.runtime->storage_server(0).metrics()->Snapshot().Get(
+          "remote_verifies"));
   state.SetLabel(ModeLabel(state.range(0)));
 }
 BENCHMARK(BM_CreateObject)->Arg(1)->Arg(0)->Arg(2);

@@ -71,19 +71,21 @@ void CollectiveAblation(World& world) {
                                  std::to_string(frag) +
                                  (collective ? "c" : "i"))
                         .value();
-        world.runtime->fabric().ResetStats();
+        world.runtime->fabric().metrics()->Reset();
         const auto t0 = util::RealClockInstance()->Now();
         auto stats =
             collective
                 ? io::CollectiveWrite(*world.fs, file, per_rank).value()
                 : io::IndependentWrite(*world.fs, file, per_rank).value();
         const double dt = Seconds(t0, util::RealClockInstance()->Now());
-        auto wire = world.runtime->fabric().Stats();
+        metrics::Snapshot wire = world.runtime->fabric().metrics()->Snapshot();
         std::printf("%8d %7lluB %14s %12llu %12llu %8.4fs\n", ranks,
                     static_cast<unsigned long long>(frag),
                     collective ? "two-phase" : "independent",
                     static_cast<unsigned long long>(stats.writes_issued),
-                    static_cast<unsigned long long>(wire.puts + wire.gets), dt);
+                    static_cast<unsigned long long>(wire.Get("puts") +
+                                                    wire.Get("gets")),
+                    dt);
       }
     }
   }
@@ -150,24 +152,30 @@ void FilterAblation(World& world) {
     spec.hi = 1;
     spec.bins = 16;
 
-    world.runtime->fabric().ResetStats();
+    world.runtime->fabric().metrics()->Reset();
     auto t0 = util::RealClockInstance()->Now();
     auto remote = world.client->FilterObjectAlloc(0, world.cap, oid, 0,
                                                   data.size(), spec);
     double dt = Seconds(t0, util::RealClockInstance()->Now());
-    auto wire = world.runtime->fabric().Stats();
+    metrics::Snapshot wire = world.runtime->fabric().metrics()->Snapshot();
     std::printf("%16s %14s %13.1fKB %8.4fs\n", name, "at-server",
-                static_cast<double>(wire.put_bytes + wire.get_bytes) / 1e3, dt);
+                static_cast<double>(wire.Get("put_bytes") +
+                                    wire.Get("get_bytes")) /
+                    1e3,
+                dt);
     if (!remote.ok()) std::printf("  ERROR: %s\n", remote.status().ToString().c_str());
 
-    world.runtime->fabric().ResetStats();
+    world.runtime->fabric().metrics()->Reset();
     t0 = util::RealClockInstance()->Now();
     auto raw = world.client->ReadObjectAlloc(0, world.cap, oid, 0, data.size());
     if (raw.ok()) (void)core::ApplyFilter(spec, ByteSpan(*raw));
     dt = Seconds(t0, util::RealClockInstance()->Now());
-    wire = world.runtime->fabric().Stats();
+    wire = world.runtime->fabric().metrics()->Snapshot();
     std::printf("%16s %14s %13.1fKB %8.4fs\n", name, "read+local",
-                static_cast<double>(wire.put_bytes + wire.get_bytes) / 1e3, dt);
+                static_cast<double>(wire.Get("put_bytes") +
+                                    wire.Get("get_bytes")) /
+                    1e3,
+                dt);
   }
 }
 
@@ -184,7 +192,7 @@ void PrefetchAblation(World& world) {
   Buffer chunk(8192, 0);
 
   // Unbuffered: one FS read per 8 KiB chunk.
-  world.runtime->fabric().ResetStats();
+  world.runtime->fabric().metrics()->Reset();
   auto t0 = util::RealClockInstance()->Now();
   std::uint64_t reads = 0;
   for (std::uint64_t off = 0; off < data.size(); off += chunk.size()) {
@@ -192,27 +200,31 @@ void PrefetchAblation(World& world) {
     ++reads;
   }
   double dt = Seconds(t0, util::RealClockInstance()->Now());
-  auto wire = world.runtime->fabric().Stats();
+  metrics::Snapshot wire = world.runtime->fabric().metrics()->Snapshot();
   std::printf("%12s %12llu %12llu %8.4fs\n", "unbuffered",
               static_cast<unsigned long long>(reads),
-              static_cast<unsigned long long>(wire.puts + wire.gets), dt);
+              static_cast<unsigned long long>(wire.Get("puts") +
+                                              wire.Get("gets")),
+              dt);
 
   // Prefetched: same access stream through the read-ahead window.
   io::PrefetchOptions options;
   options.window_bytes = 2 << 20;
   io::PrefetchReader reader(world.fs.get(), world.fs->Open("/prefetch").value(),
                             options);
-  world.runtime->fabric().ResetStats();
+  world.runtime->fabric().metrics()->Reset();
   t0 = util::RealClockInstance()->Now();
   for (std::uint64_t off = 0; off < data.size(); off += chunk.size()) {
     (void)reader.Read(off, MutableByteSpan(chunk));
   }
   dt = Seconds(t0, util::RealClockInstance()->Now());
-  wire = world.runtime->fabric().Stats();
+  wire = world.runtime->fabric().metrics()->Snapshot();
   std::printf("%12s %12llu %12llu %8.4fs   (%llu window fetches)\n",
               "prefetched",
               static_cast<unsigned long long>(reader.stats().reads),
-              static_cast<unsigned long long>(wire.puts + wire.gets), dt,
+              static_cast<unsigned long long>(wire.Get("puts") +
+                                              wire.Get("gets")),
+              dt,
               static_cast<unsigned long long>(reader.stats().fetches));
 }
 

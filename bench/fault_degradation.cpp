@@ -87,7 +87,7 @@ Result<Point> RunPoint(core::ServiceRuntime& runtime, double drop_rate) {
   if (!cap.ok()) return cap.status();
 
   const Buffer payload = PatternBuffer(kObjectBytes, 0xFA17);
-  const auto before = runtime.TotalRobustnessStats();
+  const metrics::Snapshot before = runtime.metrics()->Snapshot();
 
   RunningStats stats;
   for (std::uint64_t trial = 1; trial <= bench::kTrials; ++trial) {
@@ -131,18 +131,21 @@ Result<Point> RunPoint(core::ServiceRuntime& runtime, double drop_rate) {
     }
   }
 
-  const auto after = runtime.TotalRobustnessStats();
-  const auto rpc = client->rpc_stats();
+  const metrics::Snapshot after = runtime.metrics()->Snapshot();
+  auto delta = [&](std::string_view cell) {
+    return after.Sum(cell) - before.Sum(cell);
+  };
+  const metrics::Snapshot rpc = client->metrics()->Snapshot();
   point.mean_mb_s = stats.mean();
   point.sd = stats.stddev();
-  point.calls = rpc.calls;
-  point.retransmits = rpc.retransmits;
-  point.crc_rejects = rpc.crc_rejects;
-  point.bulk_crc_failures = rpc.bulk_crc_failures;
-  point.served = after.rpc.served - before.rpc.served;
-  point.dedup_hits = after.rpc.dedup_hits - before.rpc.dedup_hits;
-  point.crc_drops = after.rpc.crc_drops - before.rpc.crc_drops;
-  point.injected_drops = after.faults.drops - before.faults.drops;
+  point.calls = rpc.Get("rpc.calls");
+  point.retransmits = rpc.Get("rpc.retransmits");
+  point.crc_rejects = rpc.Get("rpc.crc_rejects");
+  point.bulk_crc_failures = rpc.Get("rpc.bulk_crc_failures");
+  point.served = delta("**.rpc.**.served");
+  point.dedup_hits = delta("**.rpc.**.dedup_hits");
+  point.crc_drops = delta("**.rpc.**.crc_drops");
+  point.injected_drops = delta("fabric.faults.drops");
   return point;
 }
 
@@ -156,7 +159,8 @@ struct ReplicatedReport {
   double degraded_relative = 0;
   double healthy_read_p99_us = 0;
   double degraded_read_p99_us = 0;
-  core::ReplicationStats client_stats;
+  metrics::Snapshot client_metrics;  // after the degraded phase
+  metrics::Snapshot deployment_metrics;  // after heal and repair
   core::RepairScanSummary repair;
   naming::ReplicaAuditCounts audit;
   std::uint64_t integrity_failures = 0;
@@ -253,7 +257,7 @@ Result<ReplicatedReport> RunReplicated() {
   rep.degraded_read_p99_us = P99(degraded_reads);
   rep.degraded_relative =
       rep.healthy_mb_s > 0 ? rep.degraded_mb_s / rep.healthy_mb_s : 0;
-  rep.client_stats = client->replication_stats();
+  rep.client_metrics = client->metrics()->Snapshot();
 
   // Heal and repair: restart re-registers the survivor's holdings, the scan
   // re-replicates everything the outage missed, and the audit must come back
@@ -264,6 +268,7 @@ Result<ReplicatedReport> RunReplicated() {
   if (!scan.ok()) return scan.status();
   rep.repair = *scan;
   rep.audit = runtime.replica_map().Audit();
+  rep.deployment_metrics = runtime.metrics()->Snapshot();
   return rep;
 }
 
@@ -277,16 +282,14 @@ void PrintReplicated(const ReplicatedReport& r) {
               r.healthy_sd, 1.0, r.healthy_read_p99_us);
   std::printf("%10s  %12.1f %8.1f %9.3f %14.0f\n", "degraded", r.degraded_mb_s,
               r.degraded_sd, r.degraded_relative, r.degraded_read_p99_us);
-  std::printf(
-      "\nwrites=%llu failovers=%llu degraded=%llu stale_reports=%llu "
-      "hedged=%llu hedge_wins=%llu read_failovers=%llu\n",
-      static_cast<unsigned long long>(r.client_stats.replicated_writes),
-      static_cast<unsigned long long>(r.client_stats.write_failovers),
-      static_cast<unsigned long long>(r.client_stats.degraded_writes),
-      static_cast<unsigned long long>(r.client_stats.stale_reports),
-      static_cast<unsigned long long>(r.client_stats.hedged_reads),
-      static_cast<unsigned long long>(r.client_stats.hedge_wins),
-      static_cast<unsigned long long>(r.client_stats.read_failovers));
+  std::printf("\nclient:");
+  for (const auto& [name, value] : r.client_metrics.cells()) {
+    if (metrics::Matches("replication.*", name)) {
+      std::printf(" %s=%llu", name.c_str() + std::strlen("replication."),
+                  static_cast<unsigned long long>(value.value));
+    }
+  }
+  std::printf("\n");
   std::printf(
       "repair: stale=%llu repaired=%llu failed=%llu copied=%llu bytes; "
       "audit: %llu/%llu fully replicated, under=%llu stale=%llu\n",
@@ -348,26 +351,17 @@ void DumpJson(const std::vector<Point>& points, const ReplicatedReport* rep) {
         "    \"degraded_mb_s\": %.2f, \"degraded_sd\": %.2f, "
         "\"degraded_relative\": %.3f,\n"
         "    \"healthy_read_p99_us\": %.1f, \"degraded_read_p99_us\": %.1f,\n"
-        "    \"replicated_writes\": %llu, \"write_failovers\": %llu, "
-        "\"degraded_writes\": %llu, \"stale_reports\": %llu,\n"
-        "    \"hedged_reads\": %llu, \"hedge_wins\": %llu, "
-        "\"read_failovers\": %llu,\n"
         "    \"repair\": {\"stale\": %llu, \"repaired\": %llu, "
         "\"failed\": %llu, \"bytes_copied\": %llu},\n"
         "    \"audit\": {\"objects\": %llu, \"fully_replicated\": %llu, "
         "\"under_replicated\": %llu, \"stale_members\": %llu},\n"
-        "    \"integrity_failures\": %llu\n"
+        "    \"integrity_failures\": %llu,\n"
+        "    \"client_metrics\": %s,\n"
+        "    \"metrics\": %s\n"
         "  }\n",
         rep->healthy_mb_s, rep->healthy_sd, rep->degraded_mb_s,
         rep->degraded_sd, rep->degraded_relative, rep->healthy_read_p99_us,
         rep->degraded_read_p99_us,
-        static_cast<unsigned long long>(rep->client_stats.replicated_writes),
-        static_cast<unsigned long long>(rep->client_stats.write_failovers),
-        static_cast<unsigned long long>(rep->client_stats.degraded_writes),
-        static_cast<unsigned long long>(rep->client_stats.stale_reports),
-        static_cast<unsigned long long>(rep->client_stats.hedged_reads),
-        static_cast<unsigned long long>(rep->client_stats.hedge_wins),
-        static_cast<unsigned long long>(rep->client_stats.read_failovers),
         static_cast<unsigned long long>(rep->repair.stale_members),
         static_cast<unsigned long long>(rep->repair.repaired),
         static_cast<unsigned long long>(rep->repair.failed),
@@ -376,7 +370,9 @@ void DumpJson(const std::vector<Point>& points, const ReplicatedReport* rep) {
         static_cast<unsigned long long>(rep->audit.fully_replicated),
         static_cast<unsigned long long>(rep->audit.under_replicated),
         static_cast<unsigned long long>(rep->audit.stale_members),
-        static_cast<unsigned long long>(rep->integrity_failures));
+        static_cast<unsigned long long>(rep->integrity_failures),
+        rep->client_metrics.Json().c_str(),
+        rep->deployment_metrics.Json().c_str());
   }
   std::fprintf(out, "}\n");
   std::fclose(out);

@@ -137,7 +137,8 @@ Result<ShardResult> RunShardCount(std::uint32_t shards, std::uint64_t creates) {
   r.makespan_ms = max_us / 1e3;
   r.ops_per_sec = static_cast<double>(creates) / (max_us / 1e6);
   r.balance = total_us / static_cast<double>(shards) / max_us;
-  r.wrong_shard_retries = client->wrong_shard_retries();
+  r.wrong_shard_retries =
+      client->metrics()->Snapshot().Get("wrong_shard_retries");
   return r;
 }
 

@@ -77,11 +77,50 @@ struct SweepPoint {
 
 struct SweepResult {
   std::vector<SweepPoint> points;
-  // Per-op middleware metrics over the whole sweep (warm-up included):
-  // every dispatch the deployment served, keyed "<service>.<op>", with
-  // error/reject/deny counts, latency, and bulk bytes (DESIGN.md §11).
-  std::vector<rpc::OpStats> op_stats;
+  // The deployment's metrics over the whole sweep (warm-up included); the
+  // per-op rows below read every dispatch it served (DESIGN.md §11).
+  metrics::Snapshot metrics;
 };
+
+/// One op's cells summed over every endpoint of one service.
+struct OpRow {
+  std::string name;  // "<service>.<op>", or "<service>.<plane>.<op>"
+  std::uint64_t calls = 0, errors = 0, rejected = 0, denied = 0;
+  std::uint64_t bulk_bytes = 0;
+  metrics::Distribution latency_us;
+};
+
+/// Every op of the snapshot, found by its latency histogram
+/// (`<service>[.<index>].<plane>.<op>.latency_us`), in name order.
+std::vector<OpRow> OpRows(const metrics::Snapshot& snap) {
+  std::map<std::string, OpRow> rows;
+  for (const auto& [name, value] : snap.cells()) {
+    if (value.kind != metrics::Kind::kHistogram) continue;
+    std::vector<std::string> seg;
+    for (std::size_t at = 0, dot; at <= name.size(); at = dot + 1) {
+      dot = std::min(name.find('.', at), name.size());
+      seg.push_back(name.substr(at, dot - at));
+    }
+    if (seg.size() < 4 || seg.back() != "latency_us") continue;
+    const std::string& plane = seg[seg.size() - 3];
+    const std::string& op = seg[seg.size() - 2];
+    const std::string key =
+        seg[0] + "." + (plane == "op" ? "" : plane + ".") + op;
+    if (rows.contains(key)) continue;
+    const std::string cells = seg[0] + ".**." + plane + "." + op + ".";
+    OpRow& row = rows[key];
+    row.name = key;
+    row.calls = snap.Sum(cells + "calls");
+    row.errors = snap.Sum(cells + "errors");
+    row.rejected = snap.Sum(cells + "rejected");
+    row.denied = snap.Sum(cells + "denied");
+    row.bulk_bytes = snap.Sum(cells + "bulk_bytes");
+    row.latency_us = snap.Total(cells + "latency_us").dist;
+  }
+  std::vector<OpRow> out;
+  for (auto& [key, row] : rows) out.push_back(std::move(row));
+  return out;
+}
 
 /// Sweep Config::window on the live in-process stack: 64 ranks of 512 KiB
 /// each on 4 storage servers whose data path is charged the modeled
@@ -142,8 +181,7 @@ SweepResult RunWindowSweep(util::Clock* clock = nullptr, int trials = 5) {
       config.cid = *cid;
       config.cap = *cap;
       config.window = kWindows[w];
-      const core::IoSchedulerStats before = (*runtime)->TotalSchedStats();
-      const auto robust_before = (*runtime)->TotalRobustnessStats();
+      const metrics::Snapshot before = (*runtime)->metrics()->Snapshot();
       auto run = checkpoint::LwfsCheckpoint::Run(**runtime, config, states);
       if (!run.ok()) {
         std::fprintf(stderr, "checkpoint failed: %s\n",
@@ -151,18 +189,18 @@ SweepResult RunWindowSweep(util::Clock* clock = nullptr, int trials = 5) {
         return {};
       }
       stats[w].Add(run->throughput_mb_s());
-      const core::IoSchedulerStats after = (*runtime)->TotalSchedStats();
-      points[w].sched_requests += after.requests - before.requests;
-      points[w].sched_runs += after.runs - before.runs;
-      points[w].sched_merges += after.merges - before.merges;
+      const metrics::Snapshot after = (*runtime)->metrics()->Snapshot();
+      auto delta = [&](std::string_view cell) {
+        return after.Sum(cell) - before.Sum(cell);
+      };
+      points[w].sched_requests += delta("storage.*.sched.requests");
+      points[w].sched_runs += delta("storage.*.sched.runs");
+      points[w].sched_merges += delta("storage.*.sched.merges");
       points[w].sched_coalesced_bytes +=
-          after.coalesced_bytes - before.coalesced_bytes;
-      const auto robust_after = (*runtime)->TotalRobustnessStats();
-      points[w].rpc_served += robust_after.rpc.served - robust_before.rpc.served;
-      points[w].rpc_dedup_hits +=
-          robust_after.rpc.dedup_hits - robust_before.rpc.dedup_hits;
-      points[w].rpc_crc_drops +=
-          robust_after.rpc.crc_drops - robust_before.rpc.crc_drops;
+          delta("storage.*.sched.coalesced_bytes");
+      points[w].rpc_served += delta("**.rpc.**.served");
+      points[w].rpc_dedup_hits += delta("**.rpc.**.dedup_hits");
+      points[w].rpc_crc_drops += delta("**.rpc.**.crc_drops");
     }
   }
   for (std::size_t w = 0; w < kNumWindows; ++w) {
@@ -170,7 +208,7 @@ SweepResult RunWindowSweep(util::Clock* clock = nullptr, int trials = 5) {
     points[w].mean_mb_s = stats[w].mean();
     points[w].sd = stats[w].stddev();
   }
-  return SweepResult{std::move(points), (*runtime)->TotalOpStats()};
+  return SweepResult{std::move(points), (*runtime)->metrics()->Snapshot()};
 }
 
 void PrintAndDumpSweep(const SweepResult& sweep,
@@ -223,39 +261,47 @@ void PrintAndDumpSweep(const SweepResult& sweep,
         static_cast<unsigned long long>(points[i].rpc_crc_drops),
         i + 1 < points.size() ? "," : "");
   }
+  const std::vector<OpRow> ops = OpRows(sweep.metrics);
   std::fprintf(out, "  ],\n  \"op_stats\": [\n");
-  for (std::size_t i = 0; i < sweep.op_stats.size(); ++i) {
-    const rpc::OpStats& s = sweep.op_stats[i];
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const OpRow& s = ops[i];
     std::fprintf(
         out,
-        "    {\"op\": \"%s\", \"opcode\": %u, \"calls\": %llu, "
-        "\"errors\": %llu, \"rejected\": %llu, \"denied\": %llu, "
-        "\"latency_us_total\": %llu, \"latency_us_max\": %llu, "
+        "    {\"op\": \"%s\", \"calls\": %llu, \"errors\": %llu, "
+        "\"rejected\": %llu, \"denied\": %llu, \"latency_us_total\": %llu, "
+        "\"latency_us_max\": %llu, \"latency_us_p50\": %llu, "
+        "\"latency_us_p99\": %llu, \"latency_us_p999\": %llu, "
         "\"bulk_bytes\": %llu}%s\n",
-        s.name.c_str(), s.opcode, static_cast<unsigned long long>(s.calls),
+        s.name.c_str(), static_cast<unsigned long long>(s.calls),
         static_cast<unsigned long long>(s.errors),
         static_cast<unsigned long long>(s.rejected),
         static_cast<unsigned long long>(s.denied),
-        static_cast<unsigned long long>(s.latency_us_total),
-        static_cast<unsigned long long>(s.latency_us_max),
+        static_cast<unsigned long long>(s.latency_us.sum),
+        static_cast<unsigned long long>(s.latency_us.max),
+        static_cast<unsigned long long>(s.latency_us.Quantile(0.50)),
+        static_cast<unsigned long long>(s.latency_us.Quantile(0.99)),
+        static_cast<unsigned long long>(s.latency_us.Quantile(0.999)),
         static_cast<unsigned long long>(s.bulk_bytes),
-        i + 1 < sweep.op_stats.size() ? "," : "");
+        i + 1 < ops.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", json_path);
 
   bench::PrintHeader("Per-op service metrics (whole sweep)");
-  std::printf("%-28s %10s %8s %10s %12s\n", "op", "calls", "errors",
-              "avg_us", "bulk_bytes");
-  for (const rpc::OpStats& s : sweep.op_stats) {
+  std::printf("%-28s %10s %8s %10s %8s %8s %8s %12s\n", "op", "calls",
+              "errors", "avg_us", "p50_us", "p99_us", "p999_us", "bulk_bytes");
+  for (const OpRow& s : ops) {
     const double avg_us =
-        s.calls > 0 ? static_cast<double>(s.latency_us_total) /
+        s.calls > 0 ? static_cast<double>(s.latency_us.sum) /
                           static_cast<double>(s.calls)
                     : 0.0;
-    std::printf("%-28s %10llu %8llu %10.1f %12llu\n", s.name.c_str(),
-                static_cast<unsigned long long>(s.calls),
+    std::printf("%-28s %10llu %8llu %10.1f %8llu %8llu %8llu %12llu\n",
+                s.name.c_str(), static_cast<unsigned long long>(s.calls),
                 static_cast<unsigned long long>(s.errors), avg_us,
+                static_cast<unsigned long long>(s.latency_us.Quantile(0.50)),
+                static_cast<unsigned long long>(s.latency_us.Quantile(0.99)),
+                static_cast<unsigned long long>(s.latency_us.Quantile(0.999)),
                 static_cast<unsigned long long>(s.bulk_bytes));
   }
 }

@@ -45,7 +45,18 @@ struct Params {
 
 struct WorkloadResult {
   double mb_s = 0;
-  core::IoSchedulerStats sched;
+  metrics::Snapshot metrics;  // the deployment's, at the end of the run
+};
+
+/// The storage servers' scheduler cells of a deployment snapshot.
+struct SchedCells {
+  explicit SchedCells(const metrics::Snapshot& snap)
+      : requests(snap.Sum("storage.*.sched.requests")),
+        runs(snap.Sum("storage.*.sched.runs")),
+        merges(snap.Sum("storage.*.sched.merges")),
+        coalesced_bytes(snap.Sum("storage.*.sched.coalesced_bytes")),
+        queue_depth_hwm(snap.Total("storage.*.sched.queue_depth").high_water) {}
+  unsigned long long requests, runs, merges, coalesced_bytes, queue_depth_hwm;
 };
 
 core::RuntimeOptions MakeOptions(bool scheduler_on, const Params& p) {
@@ -98,7 +109,7 @@ WorkloadResult RunStridedWrite(bool scheduler_on, const Params& p) {
   const double total_mb = static_cast<double>(p.threads) *
                           p.extents_per_thread * p.extent_bytes / 1e6;
   result.mb_s = total_mb / elapsed.count();
-  result.sched = runtime->TotalSchedStats();
+  result.metrics = runtime->metrics()->Snapshot();
   return result;
 }
 
@@ -114,8 +125,9 @@ WorkloadResult RunInterleavedRead(bool scheduler_on, const Params& p) {
   auto oid = client->CreateObject(0, cap).value();
 
   // Populate with large sequential writes (cheap in modeled op cost), then
-  // zero the scheduler counters so every stat — including the otherwise
-  // monotonic queue_depth_hwm — reflects only the measured read phase.
+  // zero the deployment's metrics so every cell — including the otherwise
+  // monotonic queue-depth high-water mark — reflects only the measured read
+  // phase.
   const std::uint64_t total_bytes = static_cast<std::uint64_t>(p.threads) *
                                     p.extents_per_thread * p.extent_bytes;
   {
@@ -131,7 +143,7 @@ WorkloadResult RunInterleavedRead(bool scheduler_on, const Params& p) {
       }
     }
   }
-  runtime->ResetSchedStats();
+  runtime->metrics()->Reset();
 
   util::Clock* clk = util::OrReal(p.clock);
   const util::Clock::TimePoint start = clk->Now();
@@ -157,7 +169,7 @@ WorkloadResult RunInterleavedRead(bool scheduler_on, const Params& p) {
 
   WorkloadResult result;
   result.mb_s = static_cast<double>(total_bytes) / 1e6 / elapsed.count();
-  result.sched = runtime->TotalSchedStats();
+  result.metrics = runtime->metrics()->Snapshot();
   return result;
 }
 
@@ -165,7 +177,7 @@ struct Comparison {
   const char* name;
   double off_mb_s = 0;
   double on_mb_s = 0;
-  core::IoSchedulerStats sched;  // scheduler-on counters, last trial
+  metrics::Snapshot metrics;  // scheduler-on deployment, last trial
 
   [[nodiscard]] double speedup() const {
     return off_mb_s > 0 ? on_mb_s / off_mb_s : 0;
@@ -181,7 +193,7 @@ Comparison Compare(const char* name, Fn workload, const Params& p) {
     off_stats.Add(workload(false, p).mb_s);
     WorkloadResult on = workload(true, p);
     on_stats.Add(on.mb_s);
-    c.sched = on.sched;
+    c.metrics = std::move(on.metrics);
   }
   c.off_mb_s = off_stats.mean();
   c.on_mb_s = on_stats.mean();
@@ -189,18 +201,16 @@ Comparison Compare(const char* name, Fn workload, const Params& p) {
 }
 
 void PrintComparison(const Comparison& c) {
+  const SchedCells sched(c.metrics);
   bench::PrintHeader(c.name);
   std::printf("%16s %12.1f MB/s\n", "scheduler off", c.off_mb_s);
   std::printf("%16s %12.1f MB/s\n", "scheduler on", c.on_mb_s);
   std::printf("%16s %12.2fx\n", "speedup", c.speedup());
   std::printf("%16s %12llu extents -> %llu runs (%llu merges, %.1f MB "
               "coalesced, queue hwm %llu)\n",
-              "on-run stats",
-              static_cast<unsigned long long>(c.sched.requests),
-              static_cast<unsigned long long>(c.sched.runs),
-              static_cast<unsigned long long>(c.sched.merges),
-              static_cast<double>(c.sched.coalesced_bytes) / 1e6,
-              static_cast<unsigned long long>(c.sched.queue_depth_hwm));
+              "on-run stats", sched.requests, sched.runs, sched.merges,
+              static_cast<double>(sched.coalesced_bytes) / 1e6,
+              sched.queue_depth_hwm);
 }
 
 void DumpJson(const Params& p, const std::vector<Comparison>& comparisons) {
@@ -223,19 +233,16 @@ void DumpJson(const Params& p, const std::vector<Comparison>& comparisons) {
                p.disk_mb_s, p.op_latency_us);
   for (std::size_t i = 0; i < comparisons.size(); ++i) {
     const Comparison& c = comparisons[i];
+    const SchedCells sched(c.metrics);
     std::fprintf(
         out,
         "    {\"name\": \"%s\", \"off_mb_s\": %.2f, \"on_mb_s\": %.2f, "
         "\"speedup\": %.3f, \"requests\": %llu, \"runs\": %llu, "
         "\"merges\": %llu, \"coalesced_bytes\": %llu, "
-        "\"queue_depth_hwm\": %llu}%s\n",
-        c.name, c.off_mb_s, c.on_mb_s, c.speedup(),
-        static_cast<unsigned long long>(c.sched.requests),
-        static_cast<unsigned long long>(c.sched.runs),
-        static_cast<unsigned long long>(c.sched.merges),
-        static_cast<unsigned long long>(c.sched.coalesced_bytes),
-        static_cast<unsigned long long>(c.sched.queue_depth_hwm),
-        i + 1 < comparisons.size() ? "," : "");
+        "\"queue_depth_hwm\": %llu,\n     \"metrics\": %s}%s\n",
+        c.name, c.off_mb_s, c.on_mb_s, c.speedup(), sched.requests,
+        sched.runs, sched.merges, sched.coalesced_bytes, sched.queue_depth_hwm,
+        c.metrics.Json().c_str(), i + 1 < comparisons.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
@@ -254,7 +261,7 @@ Comparison RunPairOnce(const Params& p) {
   c.off_mb_s = RunStridedWrite(false, p).mb_s;
   WorkloadResult on = RunStridedWrite(true, p);
   c.on_mb_s = on.mb_s;
-  c.sched = on.sched;
+  c.metrics = std::move(on.metrics);
   return c;
 }
 
@@ -298,15 +305,10 @@ int RunVirtualMode(Params p) {
   }
 
   // Modeled time is deterministic: both virtual runs must agree on every
-  // derived number, bit for bit.
-  const bool deterministic =
-      virt[0].off_mb_s == virt[1].off_mb_s &&
-      virt[0].on_mb_s == virt[1].on_mb_s &&
-      virt[0].sched.requests == virt[1].sched.requests &&
-      virt[0].sched.runs == virt[1].sched.runs &&
-      virt[0].sched.merges == virt[1].sched.merges &&
-      virt[0].sched.coalesced_bytes == virt[1].sched.coalesced_bytes &&
-      virt[0].sched.queue_depth_hwm == virt[1].sched.queue_depth_hwm;
+  // derived number and every metrics cell, bit for bit.
+  const bool deterministic = virt[0].off_mb_s == virt[1].off_mb_s &&
+                             virt[0].on_mb_s == virt[1].on_mb_s &&
+                             virt[0].metrics.Json() == virt[1].metrics.Json();
   const double slowest_virtual =
       virt_wall_s[0] > virt_wall_s[1] ? virt_wall_s[0] : virt_wall_s[1];
   const double wall_speedup =
@@ -337,15 +339,14 @@ int RunVirtualMode(Params p) {
                p.threads, p.extents_per_thread, p.extent_bytes, p.disk_mb_s,
                p.op_latency_us, real_wall_s, real.off_mb_s, real.on_mb_s);
   for (int rep = 0; rep < 2; ++rep) {
+    const SchedCells sched(virt[rep].metrics);
     std::fprintf(out,
                  "    {\"wall_s\": %.4f, \"off_mb_s\": %.2f, "
                  "\"on_mb_s\": %.2f, \"requests\": %llu, \"runs\": %llu, "
-                 "\"merges\": %llu}%s\n",
+                 "\"merges\": %llu,\n     \"metrics\": %s}%s\n",
                  virt_wall_s[rep], virt[rep].off_mb_s, virt[rep].on_mb_s,
-                 static_cast<unsigned long long>(virt[rep].sched.requests),
-                 static_cast<unsigned long long>(virt[rep].sched.runs),
-                 static_cast<unsigned long long>(virt[rep].sched.merges),
-                 rep == 0 ? "," : "");
+                 sched.requests, sched.runs, sched.merges,
+                 virt[rep].metrics.Json().c_str(), rep == 0 ? "," : "");
   }
   std::fprintf(out,
                "  ],\n"

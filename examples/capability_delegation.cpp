@@ -71,7 +71,8 @@ int main() {
   auto& server = runtime->storage_server(0);
   std::printf("\nstorage server 0: remote verifies so far = %llu "
               "(each cap verified once, then cached)\n",
-              static_cast<unsigned long long>(server.remote_verifies()));
+              static_cast<unsigned long long>(
+                  server.metrics()->Snapshot().Get("remote_verifies")));
 
   // --- Immediate partial revocation ("chmod", §3.1.4) -------------------------
   std::printf("\nalice revokes bob's WRITE access (keeps read):\n");

@@ -114,7 +114,7 @@ int main() {
   // The dataset's bytes live in stripe objects; reduce each stripe at its
   // server and combine, moving only a few dozen bytes per server.
   double mn = 1e300, mx = -1e300, sum = 0, n = 0;
-  runtime->fabric().ResetStats();
+  runtime->fabric().metrics()->Reset();
   for (const pfs::StripeTarget& stripe : ds.file().stripes) {
     core::FilterSpec fspec;
     fspec.kind = core::FilterKind::kMinMaxSumCount;
@@ -131,11 +131,12 @@ int main() {
     sum += part[2];
     n += part[3];
   }
-  auto wire = runtime->fabric().Stats();
+  const metrics::Snapshot wire = runtime->fabric().metrics()->Snapshot();
   std::printf("\nglobal stats via active storage: min=%.1fK max=%.1fK "
               "mean=%.1fK  (%llu bytes on the wire for a %.1f MB dataset)\n",
               mn, mx, sum / n,
-              (unsigned long long)(wire.put_bytes + wire.get_bytes),
+              (unsigned long long)(wire.Get("put_bytes") +
+                                   wire.Get("get_bytes")),
               spec.ByteSize() / 1e6);
 
   const bool sane = mn > 200 && mx < 350 && n == spec.ElementCount();

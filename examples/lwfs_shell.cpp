@@ -10,7 +10,12 @@
 //   hello-world
 //
 // Commands: mkdir <dir> | ls <dir> | put <file> <text> | get <file> |
-//           stat <file> | rm <file> | mv <from> <to> | fsck | help
+//           stat <file> | rm <file> | mv <from> <to> | fsck |
+//           stats [pattern] | help
+//
+// `stats` prints the deployment's metrics snapshot as JSON; a pattern
+// (`*` = one dotted segment, `**` = any number) keeps the matching cells,
+// e.g. `stats storage.*.op.obj_write.*`.
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -34,6 +39,7 @@ void Help() {
       "  rm <file>           remove a file\n"
       "  mv <from> <to>      rename\n"
       "  fsck                check the file system\n"
+      "  stats [pattern]     deployment metrics as JSON (pattern: a.*.b, **)\n"
       "  help                this text\n");
 }
 
@@ -74,6 +80,15 @@ int main(int argc, char** argv) {
       Help();
     } else if (cmd == "quit" || cmd == "exit") {
       break;
+    } else if (cmd == "stats") {
+      std::string pattern = "**";
+      in >> pattern;
+      const metrics::Snapshot all = (*runtime)->metrics()->Snapshot();
+      metrics::Snapshot shown;
+      for (const auto& [name, value] : all.cells()) {
+        if (metrics::Matches(pattern, name)) shown.Add(name, value);
+      }
+      std::printf("%s\n", shown.Json().c_str());
     } else if (cmd == "fsck") {
       auto report = fs->Fsck();
       if (!report.ok()) {

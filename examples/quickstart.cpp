@@ -67,7 +67,8 @@ int main() {
   for (int i = 0; i < 10; ++i) (void)client->CreateObject(server, cap);
   auto& ss = (*runtime)->storage_server(static_cast<int>(server));
   std::printf("server %u: %llu remote verifies, %llu cap-cache hits\n", server,
-              static_cast<unsigned long long>(ss.remote_verifies()),
+              static_cast<unsigned long long>(
+                  ss.metrics()->Snapshot().Get("remote_verifies")),
               static_cast<unsigned long long>(ss.cap_cache().hits()));
   return back == data ? 0 : 1;
 }

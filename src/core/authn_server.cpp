@@ -10,6 +10,8 @@ AuthnServer::AuthnServer(std::shared_ptr<portals::Nic> nic,
     : service_(service),
       server_(std::move(nic), options),
       ops_(&server_, "authn") {
+  metrics_->Attach("rpc", server_.metrics());
+  metrics_->Attach("op", ops_.metrics());
   ops_.On<wire::LoginReq, wire::CredentialRep>(
       wire::kLoginOp,
       [this](rpc::ServerContext&,

@@ -11,7 +11,7 @@
 
 namespace lwfs::core {
 
-class AuthnServer {
+class AuthnServer : public metrics::Instrumented {
  public:
   AuthnServer(std::shared_ptr<portals::Nic> nic,
               security::AuthnService* service,
@@ -25,10 +25,6 @@ class AuthnServer {
 
   [[nodiscard]] portals::Nid nid() const { return server_.nid(); }
   [[nodiscard]] security::AuthnService* service() { return service_; }
-  [[nodiscard]] rpc::ServerStats rpc_stats() const { return server_.stats(); }
-  [[nodiscard]] std::vector<rpc::OpStats> op_stats() const {
-    return ops_.Stats();
-  }
   [[nodiscard]] std::vector<rpc::Opcode> registered_opcodes() const {
     return server_.RegisteredOpcodes();
   }

@@ -14,6 +14,9 @@ AuthzServer::AuthzServer(std::shared_ptr<portals::Nic> nic,
       server_(nic, options),
       control_client_(std::move(nic)),
       ops_(&server_, "authz") {
+  metrics_->Attach("rpc", server_.metrics());
+  metrics_->Attach("op", ops_.metrics());
+  metrics_->Attach("control_client", control_client_.metrics());
   service_->SetRevocationSink(this);
 
   ops_.On<wire::CreateContainerReq, wire::CreateContainerRep>(

@@ -18,7 +18,8 @@
 
 namespace lwfs::core {
 
-class AuthzServer : public security::RevocationSink {
+class AuthzServer : public security::RevocationSink,
+                    public metrics::Instrumented {
  public:
   AuthzServer(std::shared_ptr<portals::Nic> nic,
               security::AuthzService* service,
@@ -35,10 +36,6 @@ class AuthzServer : public security::RevocationSink {
 
   [[nodiscard]] portals::Nid nid() const { return server_.nid(); }
   [[nodiscard]] security::AuthzService* service() { return service_; }
-  [[nodiscard]] rpc::ServerStats rpc_stats() const { return server_.stats(); }
-  [[nodiscard]] std::vector<rpc::OpStats> op_stats() const {
-    return ops_.Stats();
-  }
   [[nodiscard]] std::vector<rpc::Opcode> registered_opcodes() const {
     return server_.RegisteredOpcodes();
   }

@@ -262,7 +262,7 @@ Status PendingReplicatedWrite::Issue() {
       return handle.status();
     }
     members_.erase(members_.begin());
-    client_->write_failovers_.fetch_add(1, std::memory_order_relaxed);
+    client_->write_failovers_.Add();
   }
 }
 
@@ -273,7 +273,7 @@ bool PendingReplicatedWrite::Advance(Result<Buffer> reply,
     // member is accounted for in Finish() — it will be absent from the
     // applied set, so it gets reported stale like any missed hop.
     members_.erase(members_.begin());
-    client_->write_failovers_.fetch_add(1, std::memory_order_relaxed);
+    client_->write_failovers_.Add();
     if (Issue().ok()) return false;
   }
   final_ = Finish(std::move(reply));
@@ -298,7 +298,7 @@ Result<std::uint64_t> PendingReplicatedWrite::Finish(Result<Buffer> reply) {
     }
   }
   if (!stale.empty()) {
-    client_->degraded_writes_.fetch_add(1, std::memory_order_relaxed);
+    client_->degraded_writes_.Add();
     (void)client_->ReportStaleReplicas(chain_.oid, version_, stale);
   }
   return data_.size();
@@ -404,6 +404,7 @@ Result<std::vector<storage::ObjectId>> RemoteObjectStore::List(
 Client::Client(std::shared_ptr<portals::Nic> nic, Deployment deployment,
                rpc::ClientOptions rpc_options)
     : nic_(nic), deployment_(std::move(deployment)), rpc_(nic, rpc_options) {
+  metrics_->Attach("rpc", rpc_.metrics());
   route_.epoch = 1;
   route_.primaries = deployment_.naming_shards.empty()
                          ? std::vector<portals::Nid>{deployment_.naming}
@@ -512,7 +513,7 @@ Result<Rep> Client::NamingCall(std::uint32_t shard, rpc::Opcode op,
     if (last.code() == ErrorCode::kWrongShard) {
       // Stale route (shard moved under us, or a deposed primary fenced the
       // call): refresh the epoch-stamped map and retry.
-      wrong_shard_retries_.fetch_add(1, std::memory_order_relaxed);
+      wrong_shard_retries_.Add();
       (void)RefreshShardRoute();
       continue;
     }
@@ -522,7 +523,7 @@ Result<Rep> Client::NamingCall(std::uint32_t shard, rpc::Opcode op,
     // Primary unreachable: the standby's first admitted op triggers its
     // takeover (log replay + promote).  Refresh afterwards so subsequent
     // calls route straight to the new primary.
-    naming_failovers_.fetch_add(1, std::memory_order_relaxed);
+    naming_failovers_.Add();
     auto retry = rpc::CallTyped<Rep>(rpc_, standby, op, req);
     if (retry.ok()) {
       (void)RefreshShardRoute();
@@ -530,7 +531,7 @@ Result<Rep> Client::NamingCall(std::uint32_t shard, rpc::Opcode op,
     }
     last = retry.status();
     if (last.code() == ErrorCode::kWrongShard) {
-      wrong_shard_retries_.fetch_add(1, std::memory_order_relaxed);
+      wrong_shard_retries_.Add();
       (void)RefreshShardRoute();
       continue;
     }
@@ -884,7 +885,7 @@ Result<ReplicaChain> Client::LookupReplicas(storage::ObjectId oid) {
 Status Client::ReportStaleReplicas(storage::ObjectId oid,
                                    std::uint64_t version,
                                    const std::vector<std::uint32_t>& stale) {
-  stale_reports_.fetch_add(1, std::memory_order_relaxed);
+  stale_reports_.Add();
   return NamingCall<rpc::Void>(ShardForOidRoute(oid), kOpReplicaReport,
                                wire::ReplicaReportReq{oid.value, version,
                                                       stale})
@@ -952,7 +953,7 @@ Result<PendingReplicatedWrite> Client::WriteReplicatedSliceAsync(
     const security::Capability& cap, const ReplicaChain& chain,
     std::uint64_t offset, const util::SharedSlice& data) {
   if (chain.servers.empty()) return InvalidArgument("empty replica chain");
-  replicated_writes_.fetch_add(1, std::memory_order_relaxed);
+  replicated_writes_.Add();
   ReplicaChain ordered = chain;
   // Prefer a head whose breaker is closed: a tripped head only fails fast
   // and forces a failover reissue.  Rotating (not reordering) preserves the
@@ -1018,7 +1019,7 @@ Result<util::SharedSlice> Client::ReadReplicatedSlice(
       if (got.ok()) return got;
       last = got.status();
       if (!FailoverWorthy(last)) return last;
-      read_failovers_.fetch_add(1, std::memory_order_relaxed);
+      read_failovers_.Add();
     }
     return last;
   }
@@ -1047,7 +1048,7 @@ Result<util::SharedSlice> Client::ReadReplicatedSlice(
         if (!FailoverWorthy(last)) return false;
         // Unreachable at issue time (down node, open breaker): fail over
         // straight to the next member.
-        read_failovers_.fetch_add(1, std::memory_order_relaxed);
+        read_failovers_.Add();
         continue;
       }
       Attempt a;
@@ -1065,9 +1066,10 @@ Result<util::SharedSlice> Client::ReadReplicatedSlice(
   // — at which point the loser's bulk slice is released too.
   auto abandon = [this](Attempt& a) {
     rpc::CallHandle h = a.io.handle();
-    auto tally = hedge_loser_bytes_;
-    h.OnComplete([h, tally](const Result<Buffer>&) {
-      tally->fetch_add(h.ReplyBulk().size(), std::memory_order_relaxed);
+    // `keep` holds the counter's registry: the call may outlive the client.
+    h.OnComplete([h, keep = metrics_, tally = hedge_loser_bytes_](
+                     const Result<Buffer>&) {
+      tally.Add(h.ReplyBulk().size());
     });
   };
 
@@ -1080,7 +1082,7 @@ Result<util::SharedSlice> Client::ReadReplicatedSlice(
     auto primary = StorageNid(chain.servers[0]);
     if (primary.ok() && rpc_.BreakerOpen(*primary)) {
       if (issue(/*is_hedge=*/true)) {
-        hedged_reads_.fetch_add(1, std::memory_order_relaxed);
+        hedged_reads_.Add();
       }
       hedge_fired = true;
     }
@@ -1102,37 +1104,24 @@ Result<util::SharedSlice> Client::ReadReplicatedSlice(
         for (Attempt& b : attempts) {
           if (&b != &a && !b.dead) abandon(b);
         }
-        if (a.is_hedge) hedge_wins_.fetch_add(1, std::memory_order_relaxed);
+        if (a.is_hedge) hedge_wins_.Add();
         return std::move(*got);
       }
       a.dead = true;
       last = got.status();
       if (!FailoverWorthy(last)) return last;
-      read_failovers_.fetch_add(1, std::memory_order_relaxed);
+      read_failovers_.Add();
       if (issue(a.is_hedge)) ++live;  // replace the dead attempt
     }
     if (live == 0) return last;
     if (!hedge_fired && clock->Now() >= hedge_at) {
       hedge_fired = true;
       if (issue(/*is_hedge=*/true)) {
-        hedged_reads_.fetch_add(1, std::memory_order_relaxed);
+        hedged_reads_.Add();
       }
     }
     clock->SleepFor(kPollStep);
   }
-}
-
-ReplicationStats Client::replication_stats() const {
-  ReplicationStats s;
-  s.replicated_writes = replicated_writes_.load(std::memory_order_relaxed);
-  s.write_failovers = write_failovers_.load(std::memory_order_relaxed);
-  s.degraded_writes = degraded_writes_.load(std::memory_order_relaxed);
-  s.stale_reports = stale_reports_.load(std::memory_order_relaxed);
-  s.hedged_reads = hedged_reads_.load(std::memory_order_relaxed);
-  s.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
-  s.read_failovers = read_failovers_.load(std::memory_order_relaxed);
-  s.hedge_loser_bytes = hedge_loser_bytes_->load(std::memory_order_relaxed);
-  return s;
 }
 
 // ---- Naming ----------------------------------------------------------------

@@ -10,10 +10,8 @@
 // core policy (§3.1.1).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -151,22 +149,6 @@ struct ReplicaChain {
   storage::ObjectId oid = storage::kInvalidObject;
   storage::ContainerId cid = storage::kInvalidContainer;
   std::vector<std::uint32_t> servers;
-};
-
-/// Client-side replication counters (knobs and semantics in DESIGN.md §15).
-struct ReplicationStats {
-  std::uint64_t replicated_writes = 0;  // chain writes issued
-  std::uint64_t write_failovers = 0;    // head reissues after transport failure
-  std::uint64_t degraded_writes = 0;    // commits that missed >= 1 member
-  std::uint64_t stale_reports = 0;      // ReplicaReport ops sent to naming
-  std::uint64_t hedged_reads = 0;       // second read requests fired
-  std::uint64_t hedge_wins = 0;         // hedge finished before the primary
-  std::uint64_t read_failovers = 0;     // reads reissued on another member
-  /// Payload bytes that arrived on losing hedge attempts and were released
-  /// on the spot (a refcount drop).  Under the old per-attempt pinned
-  /// buffer scheme each of these was a full-size allocation held until the
-  /// losing call completed.
-  std::uint64_t hedge_loser_bytes = 0;
 };
 
 /// Completion handle for a chain-replicated write.  One RPC carries the whole
@@ -373,7 +355,7 @@ struct TxnParticipants {
   std::vector<std::uint32_t> naming_shards;
 };
 
-class Client {
+class Client : public metrics::Instrumented {
  public:
   Client(std::shared_ptr<portals::Nic> nic, Deployment deployment,
          rpc::ClientOptions rpc_options = {});
@@ -584,7 +566,6 @@ class Client {
   /// Hedged-read latency knob, microseconds; 0 disables hedging.
   void SetHedgeAfterUs(std::uint64_t us) { hedge_after_us_ = us; }
   [[nodiscard]] std::uint64_t hedge_after_us() const { return hedge_after_us_; }
-  [[nodiscard]] ReplicationStats replication_stats() const;
 
   // ---- Naming --------------------------------------------------------------
   // All naming ops route by shard when the deployment is sharded: leaf ops
@@ -620,14 +601,6 @@ class Client {
   Status RefreshShardRoute();
   [[nodiscard]] std::uint32_t naming_shard_count() const;
   [[nodiscard]] std::uint64_t shard_route_epoch() const;
-  /// kWrongShard rejections that forced a map refresh + retry.
-  [[nodiscard]] std::uint64_t wrong_shard_retries() const {
-    return wrong_shard_retries_.load(std::memory_order_relaxed);
-  }
-  /// Naming ops retried on a shard's warm standby after the primary died.
-  [[nodiscard]] std::uint64_t naming_failovers() const {
-    return naming_failovers_.load(std::memory_order_relaxed);
-  }
 
   // ---- Locks ----------------------------------------------------------------
   Result<txn::LockId> TryLock(const txn::LockKey& key,
@@ -650,15 +623,9 @@ class Client {
   // ---- Introspection ---------------------------------------------------------
   [[nodiscard]] portals::Nid nid() const { return rpc_.nid(); }
   [[nodiscard]] const Deployment& deployment() const { return deployment_; }
-  [[nodiscard]] rpc::ClientStats rpc_stats() const { return rpc_.stats(); }
   /// This endpoint's RPC engine, for libraries layered over the core that
   /// speak their own protocol from the same NIC (the pfs MDS calls).
   [[nodiscard]] rpc::RpcClient& rpc() { return rpc_; }
-  /// Per-opcode issue/error tallies of this client's RPC engine.
-  [[nodiscard]] std::map<rpc::Opcode, rpc::ClientOpTally> rpc_op_tallies()
-      const {
-    return rpc_.OpTallies();
-  }
   /// True while `server_nid`'s circuit breaker holds calls back.
   [[nodiscard]] bool BreakerOpen(portals::Nid server_nid) {
     return rpc_.BreakerOpen(server_nid);
@@ -695,22 +662,26 @@ class Client {
 
   mutable std::mutex route_mutex_;
   ShardRoute route_;  // guarded by route_mutex_
-  std::atomic<std::uint64_t> wrong_shard_retries_{0};
-  std::atomic<std::uint64_t> naming_failovers_{0};
-
   std::uint64_t hedge_after_us_ = 0;  // 0 = hedging off
-  std::atomic<std::uint64_t> replicated_writes_{0};
-  std::atomic<std::uint64_t> write_failovers_{0};
-  std::atomic<std::uint64_t> degraded_writes_{0};
-  std::atomic<std::uint64_t> stale_reports_{0};
-  std::atomic<std::uint64_t> hedged_reads_{0};
-  std::atomic<std::uint64_t> hedge_wins_{0};
-  std::atomic<std::uint64_t> read_failovers_{0};
-  /// Shared (not a plain member) so a losing attempt's completion callback
-  /// can tally its released payload even if this client is torn down while
-  /// the abandoned call is still in flight.
-  std::shared_ptr<std::atomic<std::uint64_t>> hedge_loser_bytes_ =
-      std::make_shared<std::atomic<std::uint64_t>>(0);
+
+  metrics::Counter wrong_shard_retries_ =
+      metrics_->counter("wrong_shard_retries");
+  metrics::Counter naming_failovers_ = metrics_->counter("naming_failovers");
+  metrics::Counter replicated_writes_ =
+      metrics_->counter("replication.replicated_writes");
+  metrics::Counter write_failovers_ =
+      metrics_->counter("replication.write_failovers");
+  metrics::Counter degraded_writes_ =
+      metrics_->counter("replication.degraded_writes");
+  metrics::Counter stale_reports_ =
+      metrics_->counter("replication.stale_reports");
+  metrics::Counter hedged_reads_ =
+      metrics_->counter("replication.hedged_reads");
+  metrics::Counter hedge_wins_ = metrics_->counter("replication.hedge_wins");
+  metrics::Counter read_failovers_ =
+      metrics_->counter("replication.read_failovers");
+  metrics::Counter hedge_loser_bytes_ =
+      metrics_->counter("replication.hedge_loser_bytes");
 };
 
 }  // namespace lwfs::core

@@ -149,7 +149,6 @@ std::shared_ptr<IoTicket> IoScheduler::Enqueue(QueuedIo io) {
   auto ticket = std::make_shared<IoTicket>();
   ticket->clock_ = clock_;
   io.ticket = ticket;
-  std::size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!running_ || stopping_) {
@@ -157,26 +156,11 @@ std::shared_ptr<IoTicket> IoScheduler::Enqueue(QueuedIo io) {
       return ticket;
     }
     queue_.push_back(std::move(io));
-    depth = queue_.size();
+    requests_.Add();
+    queue_depth_.Set(queue_.size());
   }
   clock_->NotifyAll(cv_);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests;
-    stats_.queue_depth_hwm = std::max<std::uint64_t>(stats_.queue_depth_hwm,
-                                                     depth);
-  }
   return ticket;
-}
-
-IoSchedulerStats IoScheduler::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
-}
-
-void IoScheduler::ResetStats() {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_ = IoSchedulerStats{};
 }
 
 void IoScheduler::Loop() {
@@ -190,6 +174,7 @@ void IoScheduler::Loop() {
       clock_->Wait(cv_, lock, [&] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping and drained
       batch.swap(queue_);
+      queue_depth_.Set(0);
     }
     // Everything that queued while the previous batch held the medium is
     // planned together — that accumulation is where coalescing comes from.
@@ -208,11 +193,10 @@ void IoScheduler::ServiceBatch(std::vector<QueuedIo> batch) {
     {
       // Account the run before completing its members, so a caller that
       // has awaited every ticket observes fully up-to-date counters.
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.runs;
+      runs_.Add();
       if (run.members.size() > 1) {
-        stats_.merges += run.members.size() - 1;
-        stats_.coalesced_bytes += run.bytes();
+        merges_.Add(run.members.size() - 1);
+        coalesced_bytes_.Add(run.bytes());
       }
     }
     if (run.is_write) {

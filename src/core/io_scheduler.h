@@ -46,6 +46,7 @@
 
 #include "storage/ids.h"
 #include "util/clock.h"
+#include "util/metrics.h"
 #include "util/shared_buffer.h"
 #include "util/status.h"
 
@@ -175,16 +176,7 @@ struct IoSchedulerOptions {
   util::Clock* clock = nullptr;
 };
 
-/// Counters exposed through StorageServer::sched_stats().
-struct IoSchedulerStats {
-  std::uint64_t requests = 0;        ///< extents submitted
-  std::uint64_t runs = 0;            ///< merged runs serviced = medium ops
-  std::uint64_t merges = 0;          ///< extents absorbed into a larger run
-  std::uint64_t coalesced_bytes = 0; ///< bytes serviced via multi-extent runs
-  std::uint64_t queue_depth_hwm = 0; ///< max extents queued at once
-};
-
-class IoScheduler {
+class IoScheduler : public metrics::Instrumented {
  public:
   /// Performs the store write for one extent once the scheduler has
   /// charged the medium for its run.
@@ -227,11 +219,6 @@ class IoScheduler {
                                             std::uint64_t length,
                                             SliceReadFn reader);
 
-  [[nodiscard]] IoSchedulerStats stats() const;
-  /// Zero all counters (including the queue-depth high-water mark) so a
-  /// caller can scope measurements to one phase of a workload.
-  void ResetStats();
-
  private:
   struct QueuedIo {
     PendingExtent extent;
@@ -260,8 +247,11 @@ class IoScheduler {
   util::Clock::TimePoint medium_free_at_{};
   bool medium_idle_ = true;
 
-  mutable std::mutex stats_mutex_;
-  IoSchedulerStats stats_;
+  metrics::Counter requests_ = metrics_->counter("requests");
+  metrics::Counter runs_ = metrics_->counter("runs");
+  metrics::Counter merges_ = metrics_->counter("merges");
+  metrics::Counter coalesced_bytes_ = metrics_->counter("coalesced_bytes");
+  metrics::Gauge queue_depth_ = metrics_->gauge("queue_depth");
 };
 
 }  // namespace lwfs::core

@@ -7,6 +7,8 @@ namespace lwfs::core {
 LockServer::LockServer(std::shared_ptr<portals::Nic> nic,
                        txn::LockTable* table, rpc::ServerOptions options)
     : table_(table), server_(std::move(nic), options), ops_(&server_, "lock") {
+  metrics_->Attach("rpc", server_.metrics());
+  metrics_->Attach("op", ops_.metrics());
   ops_.On<wire::LockTryReq, wire::LockIdRep>(
       wire::kLockTryOp,
       [this](rpc::ServerContext& ctx,

@@ -15,7 +15,7 @@
 
 namespace lwfs::core {
 
-class LockServer {
+class LockServer : public metrics::Instrumented {
  public:
   LockServer(std::shared_ptr<portals::Nic> nic, txn::LockTable* table,
              rpc::ServerOptions options = {});
@@ -28,10 +28,6 @@ class LockServer {
 
   [[nodiscard]] portals::Nid nid() const { return server_.nid(); }
   [[nodiscard]] txn::LockTable* table() { return table_; }
-  [[nodiscard]] rpc::ServerStats rpc_stats() const { return server_.stats(); }
-  [[nodiscard]] std::vector<rpc::OpStats> op_stats() const {
-    return ops_.Stats();
-  }
   [[nodiscard]] std::vector<rpc::Opcode> registered_opcodes() const {
     return server_.RegisteredOpcodes();
   }

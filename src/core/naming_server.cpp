@@ -18,6 +18,8 @@ NamingServer::NamingServer(std::shared_ptr<portals::Nic> nic,
       server_(std::move(nic), options),
       ops_(&server_, "naming"),
       active_(!shard_.standby) {
+  metrics_->Attach("rpc", server_.metrics());
+  metrics_->Attach("op", ops_.metrics());
   ops_.On<wire::MkdirReq, rpc::Void>(
       wire::kNameMkdirOp,
       [this](rpc::ServerContext&, wire::MkdirReq& req) -> Result<rpc::Void> {
@@ -281,7 +283,7 @@ Status NamingServer::EnsureActiveLocked() {
       if (applied.ok()) {
         ++replayed;
       } else {
-        ++takeover_replay_errors_;
+        replay_errors_.Add();
       }
     }
     // From here on this server is the shard's writer: continue the log so
@@ -293,25 +295,10 @@ Status NamingServer::EnsureActiveLocked() {
   if (shard_.reregister_holdings && replicas_ != nullptr) {
     shard_.reregister_holdings(replicas_);
   }
-  ++takeovers_;
-  takeover_replayed_ += replayed;
+  takeovers_.Add();
+  replayed_.Add(replayed);
   active_ = true;
   return OkStatus();
-}
-
-std::uint64_t NamingServer::takeovers() const {
-  std::lock_guard<std::mutex> lock(takeover_mutex_);
-  return takeovers_;
-}
-
-std::uint64_t NamingServer::takeover_replayed() const {
-  std::lock_guard<std::mutex> lock(takeover_mutex_);
-  return takeover_replayed_;
-}
-
-std::uint64_t NamingServer::takeover_replay_errors() const {
-  std::lock_guard<std::mutex> lock(takeover_mutex_);
-  return takeover_replay_errors_;
 }
 
 }  // namespace lwfs::core

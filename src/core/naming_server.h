@@ -52,7 +52,7 @@ struct NamingShardConfig {
   std::function<void()> op_delay;
 };
 
-class NamingServer {
+class NamingServer : public metrics::Instrumented {
  public:
   /// `replicas` (optional) attaches the replica-placement registry; when
   /// set, the replica place/lookup/report/audit ops are served too.  The
@@ -83,10 +83,6 @@ class NamingServer {
 
   [[nodiscard]] portals::Nid nid() const { return server_.nid(); }
   [[nodiscard]] naming::NamingService* service() { return service_; }
-  [[nodiscard]] rpc::ServerStats rpc_stats() const { return server_.stats(); }
-  [[nodiscard]] std::vector<rpc::OpStats> op_stats() const {
-    return ops_.Stats();
-  }
   [[nodiscard]] std::vector<rpc::Opcode> registered_opcodes() const {
     return server_.RegisteredOpcodes();
   }
@@ -94,11 +90,6 @@ class NamingServer {
   [[nodiscard]] static std::string participant_name() { return "naming"; }
 
   [[nodiscard]] naming::ReplicaMap* replicas() { return replicas_; }
-
-  /// Takeover telemetry (standby role).
-  [[nodiscard]] std::uint64_t takeovers() const;
-  [[nodiscard]] std::uint64_t takeover_replayed() const;
-  [[nodiscard]] std::uint64_t takeover_replay_errors() const;
 
  private:
   /// Route/role gate run by every handler.  Unsharded: no-op.  Sharded:
@@ -120,11 +111,11 @@ class NamingServer {
   rpc::RpcServer server_;
   rpc::Service ops_;
 
-  mutable std::mutex takeover_mutex_;
+  std::mutex takeover_mutex_;
   bool active_ = true;  // standbys start passive; set under takeover_mutex_
-  std::uint64_t takeovers_ = 0;
-  std::uint64_t takeover_replayed_ = 0;
-  std::uint64_t takeover_replay_errors_ = 0;
+  metrics::Counter takeovers_ = metrics_->counter("takeovers");
+  metrics::Counter replayed_ = metrics_->counter("replayed");
+  metrics::Counter replay_errors_ = metrics_->counter("replay_errors");
 };
 
 }  // namespace lwfs::core

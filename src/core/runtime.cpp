@@ -227,6 +227,27 @@ Result<std::unique_ptr<ServiceRuntime>> ServiceRuntime::Start(
     }
   }
 
+  // The deployment's metrics tree (DESIGN.md §19).  Clients are not
+  // mounted: the tree must not grow per client.
+  metrics::Registry& tree = *rt->metrics_;
+  tree.Attach("fabric", rt->fabric_.metrics());
+  tree.Attach("authn", rt->authn_server_->metrics());
+  tree.Attach("authz", rt->authz_server_->metrics());
+  tree.Attach("authz", rt->authz_service_->metrics());
+  tree.Attach("locks", rt->lock_server_->metrics());
+  for (std::uint32_t i = 0; i < rt->naming_servers_.size(); ++i) {
+    tree.Attach("naming." + std::to_string(i),
+                rt->naming_servers_[i]->metrics());
+  }
+  for (std::uint32_t i = 0; i < rt->standby_servers_.size(); ++i) {
+    tree.Attach("naming_standby." + std::to_string(i),
+                rt->standby_servers_[i]->metrics());
+  }
+  for (std::size_t i = 0; i < rt->storage_servers_.size(); ++i) {
+    tree.Attach("storage." + std::to_string(i),
+                rt->storage_servers_[i]->metrics());
+  }
+
   rt->deployment_.authn = rt->authn_server_->nid();
   rt->deployment_.authz = rt->authz_server_->nid();
   rt->deployment_.naming = rt->naming_servers_[0]->nid();
@@ -256,78 +277,11 @@ void ServiceRuntime::AddUser(const std::string& name, const std::string& secret,
   users_.AddPrincipal(name, secret, uid);
 }
 
-IoSchedulerStats ServiceRuntime::TotalSchedStats() const {
-  IoSchedulerStats total;
-  for (const auto& server : storage_servers_) {
-    const IoSchedulerStats s = server->sched_stats();
-    total.requests += s.requests;
-    total.runs += s.runs;
-    total.merges += s.merges;
-    total.coalesced_bytes += s.coalesced_bytes;
-    total.queue_depth_hwm = std::max(total.queue_depth_hwm, s.queue_depth_hwm);
-  }
-  return total;
-}
-
-void ServiceRuntime::ResetSchedStats() {
-  for (const auto& server : storage_servers_) server->ResetSchedStats();
-}
-
 std::unique_ptr<Client> ServiceRuntime::MakeClient() {
   auto client = std::make_unique<Client>(fabric_.CreateNic(), deployment_,
                                          options_.client_options);
   client->SetHedgeAfterUs(options_.replication.hedge_after_us);
   return client;
-}
-
-ServiceRuntime::RobustnessStats ServiceRuntime::TotalRobustnessStats() {
-  RobustnessStats total;
-  auto add = [&total](const rpc::ServerStats& s) {
-    total.rpc.served += s.served;
-    total.rpc.dedup_hits += s.dedup_hits;
-    total.rpc.crc_drops += s.crc_drops;
-    total.rpc.bulk_crc_failures += s.bulk_crc_failures;
-  };
-  for (const auto& server : storage_servers_) {
-    add(server->data_rpc_stats());
-    add(server->control_rpc_stats());
-  }
-  add(authn_server_->rpc_stats());
-  add(authz_server_->rpc_stats());
-  for (const auto& server : naming_servers_) add(server->rpc_stats());
-  for (const auto& server : standby_servers_) add(server->rpc_stats());
-  add(lock_server_->rpc_stats());
-  total.faults = fabric_.injector().TotalCounters();
-  return total;
-}
-
-ServiceRuntime::TakeoverStats ServiceRuntime::TotalTakeoverStats() const {
-  TakeoverStats total;
-  auto add = [&total](const NamingServer& server) {
-    total.takeovers += server.takeovers();
-    total.replayed += server.takeover_replayed();
-    total.replay_errors += server.takeover_replay_errors();
-  };
-  for (const auto& server : naming_servers_) add(*server);
-  for (const auto& server : standby_servers_) add(*server);
-  return total;
-}
-
-std::vector<rpc::OpStats> ServiceRuntime::TotalOpStats() const {
-  std::vector<rpc::OpStats> total;
-  for (const auto& server : storage_servers_) {
-    rpc::MergeOpStats(total, server->op_stats());
-  }
-  rpc::MergeOpStats(total, authn_server_->op_stats());
-  rpc::MergeOpStats(total, authz_server_->op_stats());
-  for (const auto& server : naming_servers_) {
-    rpc::MergeOpStats(total, server->op_stats());
-  }
-  for (const auto& server : standby_servers_) {
-    rpc::MergeOpStats(total, server->op_stats());
-  }
-  rpc::MergeOpStats(total, lock_server_->op_stats());
-  return total;
 }
 
 Status ServiceRuntime::SaveNamingSnapshot() {

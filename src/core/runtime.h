@@ -100,7 +100,7 @@ struct RuntimeOptions {
   util::Clock* clock = nullptr;
 };
 
-class ServiceRuntime {
+class ServiceRuntime : public metrics::Instrumented {
  public:
   /// Build and start everything.  The runtime owns all services.
   static Result<std::unique_ptr<ServiceRuntime>> Start(RuntimeOptions options);
@@ -157,37 +157,11 @@ class ServiceRuntime {
   [[nodiscard]] naming::ReplicaMap& replica_map(std::uint32_t shard) {
     return *replica_maps_[shard];
   }
-  /// Standby takeover counters summed over every naming endpoint.
-  struct TakeoverStats {
-    std::uint64_t takeovers = 0;
-    std::uint64_t replayed = 0;
-    std::uint64_t replay_errors = 0;
-  };
-  [[nodiscard]] TakeoverStats TotalTakeoverStats() const;
   /// The background chunk replicator; drive it with RunScan().
   [[nodiscard]] ChunkReplicator& replicator() { return *replicator_; }
   [[nodiscard]] AuthnServer& authn_server() { return *authn_server_; }
   [[nodiscard]] AuthzServer& authz_server() { return *authz_server_; }
   [[nodiscard]] LockServer& lock_server() { return *lock_server_; }
-  /// I/O-scheduler counters summed over every storage server.
-  [[nodiscard]] IoSchedulerStats TotalSchedStats() const;
-  /// Robustness counters aggregated across the deployment: RPC dedup/CRC
-  /// activity of every server endpoint plus the fabric's fault-injection
-  /// totals.  Benches record these next to throughput so a run's fault
-  /// exposure is part of its result.
-  struct RobustnessStats {
-    rpc::ServerStats rpc;               // summed over every RPC endpoint
-    portals::FaultCounters faults;      // injected by the fabric
-  };
-  [[nodiscard]] RobustnessStats TotalRobustnessStats();
-  /// Per-op middleware metrics (calls, errors, rejects, denials, latency,
-  /// bulk bytes) merged across every service endpoint in the deployment.
-  /// Entries are keyed "<service>.<op>"; the fig9 bench records them next
-  /// to throughput.
-  [[nodiscard]] std::vector<rpc::OpStats> TotalOpStats() const;
-  /// Zero every server's scheduler counters (queue_depth_hwm included) so
-  /// benches can scope measurement to one phase.
-  void ResetSchedStats();
   [[nodiscard]] storage::ObjectStore& store(int i) {
     return *stores_[static_cast<std::size_t>(i)];
   }

@@ -103,6 +103,14 @@ StorageServer::StorageServer(std::shared_ptr<portals::Nic> nic,
                         kRequestPipelineDepth * options.bulk_chunk_bytes),
                options.clock),
       scheduler_(SchedulerOptions(options)) {
+  metrics_->Attach("rpc.data", data_server_.metrics());
+  metrics_->Attach("rpc.control", control_server_.metrics());
+  metrics_->Attach("rpc.replica", replica_server_.metrics());
+  metrics_->Attach("authz_client", authz_client_.metrics());
+  metrics_->Attach("op", data_ops_.metrics());
+  metrics_->Attach("op", control_ops_.metrics());
+  metrics_->Attach("replica_op", replica_ops_.metrics());
+  metrics_->Attach("sched", scheduler_.metrics());
   // Every capability-gated data op authorizes against the container the
   // capability itself names; the middleware runs this before any handler.
   data_ops_.SetAuthorizer([this](rpc::ServerContext&,
@@ -206,7 +214,7 @@ Status StorageServer::Authorize(const security::Capability& cap,
   }
   // Miss: one verify round trip to the authorization service, which also
   // records the back pointer for revocation.
-  remote_verifies_.fetch_add(1, std::memory_order_relaxed);
+  remote_verifies_.Add();
   auto reply = rpc::CallTyped<rpc::Void>(authz_client_, authz_nid_,
                                          kOpVerifyCap,
                                          wire::VerifyCapReq{server_id_, cap});

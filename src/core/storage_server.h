@@ -13,7 +13,6 @@
 // until named) with a compensating remove staged for abort.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -125,7 +124,7 @@ struct StorageServerOptions {
       restart_report;
 };
 
-class StorageServer {
+class StorageServer : public metrics::Instrumented {
  public:
   /// `server_id` is this server's index in the deployment (used as the
   /// back-pointer identity at the authorization service).
@@ -152,47 +151,11 @@ class StorageServer {
   [[nodiscard]] txn::StagedParticipant& participant() { return participant_; }
   [[nodiscard]] storage::ObjectStore* store() { return store_; }
 
-  /// Remote verifications performed (cache misses that went to authz).
-  [[nodiscard]] std::uint64_t remote_verifies() const {
-    return remote_verifies_.load(std::memory_order_relaxed);
-  }
-
-  /// Scheduler counters.
-  [[nodiscard]] IoSchedulerStats sched_stats() const {
-    return scheduler_.stats();
-  }
-
-  /// Zero the scheduler counters (including queue_depth_hwm, which is
-  /// otherwise monotonic) so callers can scope stats to one workload phase.
-  void ResetSchedStats() { scheduler_.ResetStats(); }
-
   /// Times a data worker stalled waiting for staging memory.
   [[nodiscard]] std::uint64_t staging_waits() const {
     return staging_.waits();
   }
 
-  /// Robustness counters of the data/control RPC endpoints and of the
-  /// outbound authorization client.
-  [[nodiscard]] rpc::ServerStats data_rpc_stats() const {
-    return data_server_.stats();
-  }
-  [[nodiscard]] rpc::ServerStats control_rpc_stats() const {
-    return control_server_.stats();
-  }
-  [[nodiscard]] rpc::ServerStats replica_rpc_stats() const {
-    return replica_server_.stats();
-  }
-  [[nodiscard]] rpc::ClientStats authz_client_stats() const {
-    return authz_client_.stats();
-  }
-
-  /// Per-op middleware metrics for all planes (data, control, replica).
-  [[nodiscard]] std::vector<rpc::OpStats> op_stats() const {
-    std::vector<rpc::OpStats> out = data_ops_.Stats();
-    rpc::MergeOpStats(out, control_ops_.Stats());
-    rpc::MergeOpStats(out, replica_ops_.Stats());
-    return out;
-  }
   [[nodiscard]] std::vector<rpc::Opcode> registered_data_opcodes() const {
     return data_server_.RegisteredOpcodes();
   }
@@ -277,7 +240,7 @@ class StorageServer {
   rpc::Service data_ops_;
   rpc::Service control_ops_;
   rpc::Service replica_ops_;
-  std::atomic<std::uint64_t> remote_verifies_{0};
+  metrics::Counter remote_verifies_ = metrics_->counter("remote_verifies");
   std::mutex medium_mu_;
   /// Modeled create arm: the horizon up to which it is committed.  Guarded
   /// by medium_mu_; the sleep itself happens outside the lock.

@@ -37,7 +37,7 @@ Result<Rep> PfsClient::CallMds(rpc::Opcode op, const Req& req) {
   auto retry = rpc::CallTyped<Rep>(core_->rpc(), other, op, req);
   if (retry.ok() || !MdsFailoverWorthy(retry.status().code())) {
     active_mds_.store(other);  // stick with the endpoint that answered
-    ++mds_failovers_;
+    mds_failovers_.Add();
   }
   return retry;
 }

@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -98,19 +97,10 @@ class PfsClient {
   Status Sync(const OpenFile& file, std::uint64_t size_hint);
 
   [[nodiscard]] ConsistencyMode mode() const { return mode_; }
-  [[nodiscard]] rpc::ClientStats rpc_stats() const {
-    return core_->rpc_stats();
-  }
-
-  /// Times a metadata op was retried against the other MDS endpoint.
-  [[nodiscard]] std::uint64_t mds_failovers() const {
-    return mds_failovers_.load();
-  }
-
-  /// Per-opcode call/error tallies of the underlying RPC client.
-  [[nodiscard]] std::map<rpc::Opcode, rpc::ClientOpTally> rpc_op_tallies()
-      const {
-    return core_->rpc_op_tallies();
+  /// The underlying core client's registry (core::Client::metrics), plus
+  /// mds_failovers: metadata ops retried against the other MDS endpoint.
+  [[nodiscard]] const std::shared_ptr<metrics::Registry>& metrics() const {
+    return core_->metrics();
   }
 
  private:
@@ -133,7 +123,7 @@ class PfsClient {
   PfsDeployment deployment_;
   ConsistencyMode mode_;
   std::atomic<portals::Nid> active_mds_;
-  std::atomic<std::uint64_t> mds_failovers_{0};
+  metrics::Counter mds_failovers_ = core_->metrics()->counter("mds_failovers");
 };
 
 }  // namespace lwfs::pfs

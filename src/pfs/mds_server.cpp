@@ -8,13 +8,18 @@ namespace lwfs::pfs {
 MdsServer::MdsServer(std::shared_ptr<portals::Nic> nic,
                      std::unique_ptr<core::Client> storage,
                      security::Credential cred, security::Capability cap,
-                     security::NowFn now, MdsOptions mds_options,
-                     rpc::ServerOptions rpc_options, MdsStandbyConfig standby)
+                     security::NowFn now, core::CapHolder::LoginFn login,
+                     MdsOptions mds_options, rpc::ServerOptions rpc_options,
+                     MdsStandbyConfig standby)
     : storage_(std::move(storage)),
-      caps_(storage_.get(), std::move(cred), std::move(cap), std::move(now)),
+      caps_(storage_.get(), std::move(cred), std::move(cap), std::move(now),
+            std::move(login)),
       server_(std::move(nic), rpc_options),
       ops_(&server_, "mds"),
       standby_cfg_(std::move(standby)) {
+  metrics_->Attach("rpc", server_.metrics());
+  metrics_->Attach("op", ops_.metrics());
+  metrics_->Attach("caps", caps_.metrics());
   service_ = std::make_unique<MdsService>(
       static_cast<std::uint32_t>(storage_->storage_server_count()),
       [this](std::uint32_t server) -> Result<storage::ObjectId> {
@@ -126,14 +131,14 @@ Status MdsServer::Takeover() {
   if (standby_cfg_.log != nullptr) {
     for (const MdsOpRecord& rec : standby_cfg_.log->ReadFrom(0)) {
       if (service_->Replay(rec).ok()) {
-        ++takeover_replayed_;
+        replayed_.Add();
       } else {
-        ++takeover_replay_errors_;
+        replay_errors_.Add();
       }
     }
   }
   standby_cfg_.active->store(standby_cfg_.self);
-  ++takeovers_;
+  takeovers_.Add();
   return OkStatus();
 }
 

@@ -39,16 +39,17 @@ struct MdsStandbyConfig {
   int self = 0;          ///< this server's index in `active`
 };
 
-class MdsServer {
+class MdsServer : public metrics::Instrumented {
  public:
   /// Serves on `nic`; stripe objects are created on `storage`'s servers in
   /// the container `cap` (kOpAll) authorizes.  `cred` renews `cap` before
-  /// it expires on the authorization service's clock `now`.
+  /// it expires on the authorization service's clock `now`, and `login`
+  /// renews `cred` before it expires in turn.
   MdsServer(std::shared_ptr<portals::Nic> nic,
             std::unique_ptr<core::Client> storage, security::Credential cred,
             security::Capability cap, security::NowFn now,
-            MdsOptions mds_options = {}, rpc::ServerOptions rpc_options = {},
-            MdsStandbyConfig standby = {});
+            core::CapHolder::LoginFn login, MdsOptions mds_options = {},
+            rpc::ServerOptions rpc_options = {}, MdsStandbyConfig standby = {});
 
   /// Warms every storage server's capability cache with a read-only op (so
   /// creates carry no verify round trip), then starts serving.
@@ -58,21 +59,8 @@ class MdsServer {
   [[nodiscard]] portals::Nid nid() const { return server_.nid(); }
   [[nodiscard]] MdsService& service() { return *service_; }
 
-  /// Per-op middleware metrics.
-  [[nodiscard]] std::vector<rpc::OpStats> op_stats() const {
-    return ops_.Stats();
-  }
   [[nodiscard]] std::vector<rpc::Opcode> registered_opcodes() const {
     return server_.RegisteredOpcodes();
-  }
-
-  /// Standby takeover stats (0 on a standalone or never-promoted server).
-  [[nodiscard]] std::uint64_t takeovers() const { return takeovers_; }
-  [[nodiscard]] std::uint64_t takeover_replayed() const {
-    return takeover_replayed_;
-  }
-  [[nodiscard]] std::uint64_t takeover_replay_errors() const {
-    return takeover_replay_errors_;
   }
 
  private:
@@ -92,9 +80,9 @@ class MdsServer {
 
   MdsStandbyConfig standby_cfg_;
   std::mutex takeover_mutex_;
-  std::atomic<std::uint64_t> takeovers_{0};
-  std::atomic<std::uint64_t> takeover_replayed_{0};
-  std::atomic<std::uint64_t> takeover_replay_errors_{0};
+  metrics::Counter takeovers_ = metrics_->counter("takeovers");
+  metrics::Counter replayed_ = metrics_->counter("replayed");
+  metrics::Counter replay_errors_ = metrics_->counter("replay_errors");
 };
 
 }  // namespace lwfs::pfs

@@ -37,9 +37,12 @@ Result<std::unique_ptr<PfsRuntime>> PfsRuntime::Start(
     primary_cfg.self = 0;
   }
   const security::NowFn authz_now = core->options().authz.now;
+  const core::CapHolder::LoginFn login = [](core::Client& client) {
+    return client.Login(kMdsPrincipal, kMdsSecret);
+  };
   rt->mds_server_ = std::make_unique<MdsServer>(
       core->fabric().CreateNic(), std::move(storage), *cred, *cap, authz_now,
-      primary_options, options.mds_rpc, primary_cfg);
+      login, primary_options, options.mds_rpc, primary_cfg);
   LWFS_RETURN_IF_ERROR(rt->mds_server_->Start());
 
   if (options.mds_standby) {
@@ -53,7 +56,7 @@ Result<std::unique_ptr<PfsRuntime>> PfsRuntime::Start(
     standby_cfg.self = 1;
     rt->mds_standby_server_ = std::make_unique<MdsServer>(
         core->fabric().CreateNic(), core->MakeClient(), *cred, *cap,
-        authz_now, options.mds, options.mds_rpc, standby_cfg);
+        authz_now, login, options.mds, options.mds_rpc, standby_cfg);
     LWFS_RETURN_IF_ERROR(rt->mds_standby_server_->Start());
     rt->deployment_.mds_standby = rt->mds_standby_server_->nid();
   }

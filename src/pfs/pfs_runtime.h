@@ -27,9 +27,9 @@ class PfsRuntime {
   /// Start the MDS on `core`'s fabric.  The core's storage servers are the
   /// stripe targets; server count, clock and client options all come from
   /// it.  At start the MDS logs in as its own principal, creates one
-  /// container and takes one kOpAll capability over it, which primary and
-  /// standby each renew before it expires.  `core` must outlive the
-  /// runtime.
+  /// container and takes one kOpAll capability over it.  Primary and
+  /// standby each renew that capability, and log in again, before either
+  /// expires.  `core` must outlive the runtime.
   static Result<std::unique_ptr<PfsRuntime>> Start(core::ServiceRuntime* core,
                                                    PfsRuntimeOptions options);
 

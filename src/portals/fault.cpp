@@ -59,19 +59,6 @@ void FaultInjector::CrashAfterDelivery(Nid target) {
   RecomputeEnabledLocked();
 }
 
-FaultCounters FaultInjector::LinkCounters(Nid src, Nid dst) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(LinkKey(src, dst));
-  return it == counters_.end() ? FaultCounters{} : it->second;
-}
-
-FaultCounters FaultInjector::TotalCounters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  FaultCounters total;
-  for (const auto& [key, c] : counters_) total += c;
-  return total;
-}
-
 void FaultInjector::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   has_default_ = false;
@@ -81,7 +68,7 @@ void FaultInjector::Reset() {
   partitions_.clear();
   crash_before_.clear();
   crash_after_.clear();
-  counters_.clear();
+  metrics_->Reset();
   RecomputeEnabledLocked();
 }
 
@@ -107,25 +94,24 @@ FaultInjector::Plan FaultInjector::PlanOp(Nid src, Nid dst, bool is_put) {
   if (!enabled_.load(std::memory_order_relaxed)) return {};
   std::lock_guard<std::mutex> lock(mutex_);
   Plan plan;
-  FaultCounters& counters = counters_[LinkKey(src, dst)];
 
   // Crash triggers fire regardless of link spec: they model the node dying,
   // not the wire misbehaving.
   if (crash_before_.erase(dst) > 0) {
     plan.crash_before = true;
-    ++counters.crashes;
+    crashes_.Add();
     RecomputeEnabledLocked();
     return plan;
   }
   if (crash_after_.erase(dst) > 0) {
     plan.crash_after = true;
-    ++counters.crashes;
+    crashes_.Add();
     RecomputeEnabledLocked();
   }
 
   if (partitions_.contains(PairKey(src, dst))) {
     plan.drop = true;
-    ++counters.partition_drops;
+    partition_drops_.Add();
     return plan;
   }
 
@@ -133,20 +119,20 @@ FaultInjector::Plan FaultInjector::PlanOp(Nid src, Nid dst, bool is_put) {
   if (spec == nullptr) return plan;
   if (spec->delay > 0 && rng_.NextDouble() < spec->delay) {
     plan.delay_us = spec->delay_us;
-    ++counters.delays;
+    delays_.Add();
   }
   if (spec->drop > 0 && rng_.NextDouble() < spec->drop) {
     plan.drop = true;
-    ++counters.drops;
+    drops_.Add();
     return plan;  // a lost message can't also be duplicated or corrupted
   }
   if (is_put && spec->duplicate > 0 && rng_.NextDouble() < spec->duplicate) {
     plan.duplicate = true;
-    ++counters.duplicates;
+    duplicates_.Add();
   }
   if (spec->corrupt > 0 && rng_.NextDouble() < spec->corrupt) {
     plan.corrupt = true;
-    ++counters.corruptions;
+    corruptions_.Add();
   }
   return plan;
 }

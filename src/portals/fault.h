@@ -26,13 +26,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "util/bytes.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace lwfs::portals {
@@ -53,27 +53,7 @@ struct FaultSpec {
   }
 };
 
-/// What the injector did, per link and in total.
-struct FaultCounters {
-  std::uint64_t drops = 0;
-  std::uint64_t duplicates = 0;
-  std::uint64_t corruptions = 0;
-  std::uint64_t delays = 0;
-  std::uint64_t partition_drops = 0;
-  std::uint64_t crashes = 0;
-
-  FaultCounters& operator+=(const FaultCounters& o) {
-    drops += o.drops;
-    duplicates += o.duplicates;
-    corruptions += o.corruptions;
-    delays += o.delays;
-    partition_drops += o.partition_drops;
-    crashes += o.crashes;
-    return *this;
-  }
-};
-
-class FaultInjector {
+class FaultInjector : public metrics::Instrumented {
  public:
   FaultInjector() = default;
   FaultInjector(const FaultInjector&) = delete;
@@ -111,9 +91,6 @@ class FaultInjector {
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
   }
-
-  [[nodiscard]] FaultCounters LinkCounters(Nid src, Nid dst) const;
-  [[nodiscard]] FaultCounters TotalCounters() const;
 
   /// Back to pass-through: clears specs, partitions, crash triggers, and
   /// counters.
@@ -156,7 +133,12 @@ class FaultInjector {
   std::unordered_set<std::uint64_t> partitions_;
   std::unordered_set<Nid> crash_before_;
   std::unordered_set<Nid> crash_after_;
-  std::map<std::uint64_t, FaultCounters> counters_;  // by LinkKey
+  metrics::Counter drops_ = metrics_->counter("drops");
+  metrics::Counter duplicates_ = metrics_->counter("duplicates");
+  metrics::Counter corruptions_ = metrics_->counter("corruptions");
+  metrics::Counter delays_ = metrics_->counter("delays");
+  metrics::Counter partition_drops_ = metrics_->counter("partition_drops");
+  metrics::Counter crashes_ = metrics_->counter("crashes");
 };
 
 }  // namespace lwfs::portals

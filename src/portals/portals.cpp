@@ -181,19 +181,25 @@ Status Nic::PutParts(Nid target, PortalIndex portal, MatchBits match_bits,
     parts = {&corrupted, 1};
   }
   // Count optimistically before delivery: the receiver may wake up on the
-  // event and inspect fabric stats before this thread runs again, so the
+  // event and inspect fabric metrics before this thread runs again, so the
   // count must already be visible.  Undone on failure.
-  fabric_->CountPut(total);
+  fabric_->puts_.Add();
+  fabric_->put_bytes_.Add(total);
   Status s = dest->AcceptPut(nid_, portal, match_bits, parts, total,
                              remote_offset, hdr_data);
   if (!s.ok()) {
-    fabric_->UncountPut(total);
-    if (s.code() == ErrorCode::kResourceExhausted) fabric_->CountRejected();
+    fabric_->puts_.Sub(1);
+    fabric_->put_bytes_.Sub(total);
+    if (s.code() == ErrorCode::kResourceExhausted) fabric_->rejected_.Add();
   } else if (plan.duplicate) {
-    fabric_->CountPut(total);
+    fabric_->puts_.Add();
+    fabric_->put_bytes_.Add(total);
     Status dup = dest->AcceptPut(nid_, portal, match_bits, parts, total,
                                  remote_offset, hdr_data);
-    if (!dup.ok()) fabric_->UncountPut(total);
+    if (!dup.ok()) {
+      fabric_->puts_.Sub(1);
+      fabric_->put_bytes_.Sub(total);
+    }
   }
   if (plan.crash_after) fabric_->SetNodeDown(target, true);
   return s;
@@ -220,11 +226,13 @@ Status Nic::Get(Nid target, PortalIndex portal, MatchBits match_bits,
   }
   std::shared_ptr<Nic> dest = fabric_->Route(target);
   if (!dest) return Unavailable("no such node");
-  fabric_->CountGet(out.size());
+  fabric_->gets_.Add();
+  fabric_->get_bytes_.Add(out.size());
   Status s = dest->AcceptGet(nid_, portal, match_bits, out, remote_offset);
   if (!s.ok()) {
-    fabric_->UncountGet(out.size());
-    if (s.code() == ErrorCode::kResourceExhausted) fabric_->CountRejected();
+    fabric_->gets_.Sub(1);
+    fabric_->get_bytes_.Sub(out.size());
+    if (s.code() == ErrorCode::kResourceExhausted) fabric_->rejected_.Add();
   } else if (plan.corrupt) {
     // `out` is the initiator's private destination copy, so flipping it in
     // place mutates nothing shared.
@@ -255,13 +263,15 @@ Result<util::SharedSlice> Nic::GetSlice(Nid target, PortalIndex portal,
   }
   std::shared_ptr<Nic> dest = fabric_->Route(target);
   if (!dest) return Unavailable("no such node");
-  fabric_->CountGet(length);
+  fabric_->gets_.Add();
+  fabric_->get_bytes_.Add(length);
   Result<util::SharedSlice> got =
       dest->AcceptGetSlice(nid_, portal, match_bits, length, remote_offset);
   if (!got.ok()) {
-    fabric_->UncountGet(length);
+    fabric_->gets_.Sub(1);
+    fabric_->get_bytes_.Sub(length);
     if (got.status().code() == ErrorCode::kResourceExhausted) {
-      fabric_->CountRejected();
+      fabric_->rejected_.Add();
     }
     return got;
   }
@@ -468,41 +478,5 @@ bool Fabric::IsNodeDown(Nid nid) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return down_.contains(nid);
 }
-
-FabricStats Fabric::Stats() const {
-  FabricStats s;
-  s.puts = puts_.load(std::memory_order_relaxed);
-  s.gets = gets_.load(std::memory_order_relaxed);
-  s.put_bytes = put_bytes_.load(std::memory_order_relaxed);
-  s.get_bytes = get_bytes_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void Fabric::ResetStats() {
-  puts_.store(0);
-  gets_.store(0);
-  put_bytes_.store(0);
-  get_bytes_.store(0);
-  rejected_.store(0);
-}
-
-void Fabric::CountPut(std::size_t bytes) {
-  puts_.fetch_add(1, std::memory_order_relaxed);
-  put_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-}
-void Fabric::UncountPut(std::size_t bytes) {
-  puts_.fetch_sub(1, std::memory_order_relaxed);
-  put_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-}
-void Fabric::CountGet(std::size_t bytes) {
-  gets_.fetch_add(1, std::memory_order_relaxed);
-  get_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-}
-void Fabric::UncountGet(std::size_t bytes) {
-  gets_.fetch_sub(1, std::memory_order_relaxed);
-  get_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-}
-void Fabric::CountRejected() { rejected_.fetch_add(1, std::memory_order_relaxed); }
 
 }  // namespace lwfs::portals

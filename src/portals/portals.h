@@ -19,7 +19,6 @@
 // initiating thread runs once the NIC lock is released (RPC replies).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -32,6 +31,7 @@
 
 #include "portals/fault.h"
 #include "util/bytes.h"
+#include "util/metrics.h"
 #include "util/shared_buffer.h"
 #include "util/status.h"
 #include "util/sync_queue.h"
@@ -269,20 +269,11 @@ class Nic {
   std::map<PortalIndex, std::vector<MatchEntry>> portal_table_;
 };
 
-/// Fabric statistics; used by tests that pin protocol message counts.
-struct FabricStats {
-  std::uint64_t puts = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t put_bytes = 0;
-  std::uint64_t get_bytes = 0;
-  std::uint64_t rejected = 0;  // Put/Get refused for lack of resources
-};
-
 /// The in-memory network.  Owns nothing but the routing table; NICs are
 /// owned by their services via shared_ptr.
-class Fabric {
+class Fabric : public metrics::Instrumented {
  public:
-  Fabric() = default;
+  Fabric() { metrics_->Attach("faults", injector_.metrics()); }
 
   /// Create a NIC with a fresh Nid.
   std::shared_ptr<Nic> CreateNic();
@@ -302,18 +293,10 @@ class Fabric {
   void SetClock(util::Clock* clock) { clock_ = util::OrReal(clock); }
   [[nodiscard]] util::Clock* clock() const { return clock_; }
 
-  [[nodiscard]] FabricStats Stats() const;
-  void ResetStats();
-
  private:
   friend class Nic;
   std::shared_ptr<Nic> Route(Nid nid) const;
   void Unregister(Nid nid);
-  void CountPut(std::size_t bytes);
-  void UncountPut(std::size_t bytes);
-  void CountGet(std::size_t bytes);
-  void UncountGet(std::size_t bytes);
-  void CountRejected();
 
   util::Clock* clock_ = util::RealClockInstance();
   mutable std::mutex mutex_;
@@ -322,11 +305,11 @@ class Fabric {
   std::unordered_set<Nid> down_;
   FaultInjector injector_;
 
-  std::atomic<std::uint64_t> puts_{0};
-  std::atomic<std::uint64_t> gets_{0};
-  std::atomic<std::uint64_t> put_bytes_{0};
-  std::atomic<std::uint64_t> get_bytes_{0};
-  std::atomic<std::uint64_t> rejected_{0};
+  metrics::Counter puts_ = metrics_->counter("puts");
+  metrics::Counter gets_ = metrics_->counter("gets");
+  metrics::Counter put_bytes_ = metrics_->counter("put_bytes");
+  metrics::Counter get_bytes_ = metrics_->counter("get_bytes");
+  metrics::Counter rejected_ = metrics_->counter("rejected");
 };
 
 /// RAII wrapper that detaches a match entry on destruction.  Used for

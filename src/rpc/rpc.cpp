@@ -398,7 +398,7 @@ bool RpcClient::PerformSend(const std::shared_ptr<detail::CallState>& state,
     inflight_.erase(it);
     return false;
   } else {
-    resends_.fetch_add(1, std::memory_order_relaxed);
+    resends_.Add();
     state->next_send =
         now + std::chrono::microseconds(state->backoff.NextUs());
   }
@@ -441,7 +441,7 @@ Status RpcClient::AdmitLocked(portals::Nid server) {
     b.probing = true;
     return OkStatus();
   }
-  breaker_fast_fails_.fetch_add(1, std::memory_order_relaxed);
+  breaker_fast_fails_.Add();
   return Unavailable("circuit breaker open for server " +
                      std::to_string(server));
 }
@@ -462,7 +462,7 @@ void RpcClient::RecordContactLocked(portals::Nid server, Contact contact) {
     b.open = true;
     b.probing = false;
     b.open_until = clock_->Now() + options_.breaker_cooldown;
-    breaker_opens_.fetch_add(1, std::memory_order_relaxed);
+    breaker_opens_.Add();
   }
 }
 
@@ -479,11 +479,11 @@ void RpcClient::FinishCall(const std::shared_ptr<detail::CallState>& state,
   state->reply_region.Release();
   state->out_region.Release();
   state->in_region.Release();
-  if (!result.ok()) failures_.fetch_add(1, std::memory_order_relaxed);
+  if (!result.ok()) failures_.Add();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     RecordContactLocked(state->server, contact);
-    if (!result.ok()) ++op_tallies_[state->opcode].errors;
+    if (!result.ok()) OpTallyLocked(state->opcode).second.Add();
   }
   std::function<void(const Result<Buffer>&)> on_complete;
   {
@@ -507,15 +507,15 @@ Result<CallHandle> RpcClient::CallAsync(portals::Nid server, Opcode opcode,
     std::lock_guard<std::mutex> lock(mutex_);
     Status admitted = AdmitLocked(server);
     if (!admitted.ok()) {
-      failures_.fetch_add(1, std::memory_order_relaxed);
+      failures_.Add();
       return admitted;
     }
   }
-  calls_.fetch_add(1, std::memory_order_relaxed);
+  calls_.Add();
   std::uint64_t request_id = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++op_tallies_[opcode].calls;
+    OpTallyLocked(opcode).first.Add();
     request_id = next_request_id_++;
   }
 
@@ -617,22 +617,30 @@ Result<CallHandle> RpcClient::CallAsync(portals::Nid server, Opcode opcode,
     state->reply_region.Release();
     state->out_region.Release();
     state->in_region.Release();
-    failures_.fetch_add(1, std::memory_order_relaxed);
+    failures_.Add();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       RecordContactLocked(server, send_failure.code() == ErrorCode::kAborted
                                       ? Contact::kNeutral
                                       : Contact::kTransportFailure);
-      ++op_tallies_[opcode].errors;
+      OpTallyLocked(opcode).second.Add();
     }
     return send_failure;
   }
   return CallHandle(state);
 }
 
-std::map<Opcode, ClientOpTally> RpcClient::OpTallies() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return op_tallies_;
+std::pair<metrics::Counter, metrics::Counter>& RpcClient::OpTallyLocked(
+    Opcode opcode) {
+  auto it = op_tallies_.find(opcode);
+  if (it == op_tallies_.end()) {
+    const std::string op = "op." + std::to_string(opcode);
+    it = op_tallies_
+             .emplace(opcode, std::pair(metrics_->counter(op + ".calls"),
+                                        metrics_->counter(op + ".errors")))
+             .first;
+  }
+  return it->second;
 }
 
 Result<Buffer> RpcClient::Call(portals::Nid server, Opcode opcode,
@@ -675,13 +683,13 @@ Result<Buffer> RpcClient::ResolveReply(
     // replayed (dedup-cached) reply carries the original push checksum, so
     // this also covers "bulk landed earlier, reply was retransmitted".
     if (*push_bytes > state.bulk_in.size()) {
-      bulk_crc_failures_.fetch_add(1, std::memory_order_relaxed);
+      bulk_crc_failures_.Add();
       return DataLoss("reply claims more pushed bytes than registered");
     }
     const std::uint32_t got =
         Crc32(ByteSpan(state.bulk_in.data(), *push_bytes));
     if (got != *push_crc) {
-      bulk_crc_failures_.fetch_add(1, std::memory_order_relaxed);
+      bulk_crc_failures_.Add();
       return DataLoss("bulk read payload failed checksum");
     }
   }
@@ -714,12 +722,12 @@ void RpcClient::CompleteReply(portals::Event event) {
       // Corrupt reply.  The delivery consumed the single-use reply slot, so
       // re-arm it and retransmit within budget; the server's reply cache
       // will re-send the intact frame.
-      crc_rejects_.fetch_add(1, std::memory_order_relaxed);
+      crc_rejects_.Add();
       detail::CallState& s = *it->second;
       Status rearmed = ArmReplySlot(s);
       if (rearmed.ok() && s.retransmits_used < s.max_retransmits) {
         ++s.retransmits_used;
-        retransmits_.fetch_add(1, std::memory_order_relaxed);
+        retransmits_.Add();
         s.accepted = false;
         s.next_send = clock_->Now();
         // The corrupt reply can beat the sender's own Put-return (the
@@ -789,7 +797,7 @@ void RpcClient::EngineLoop() {
             // the server's dedup cache absorbs re-execution; the reply
             // slot is still attached (nothing consumed it).
             ++state.retransmits_used;
-            retransmits_.fetch_add(1, std::memory_order_relaxed);
+            retransmits_.Add();
             state.accepted = false;
             state.next_send = now;
             state.sending = true;
@@ -1010,7 +1018,7 @@ void RpcServer::Dispatch(const portals::Event& event) {
   if (!VerifyAndStripCrc(event.payload, &frame)) {
     // Corrupt on the wire: drop silently and let the client's retransmit
     // deliver an intact copy.
-    crc_drops_.fetch_add(1, std::memory_order_relaxed);
+    crc_drops_.Add();
     LWFS_DEBUG << "dropping corrupt request frame from nid "
                << event.initiator;
     return;
@@ -1053,12 +1061,12 @@ void RpcServer::Dispatch(const portals::Event& event) {
       } else if (!in_progress_.insert(key).second) {
         // The original delivery is still executing; drop the duplicate —
         // the client's next retransmit will find the cached reply.
-        dedup_hits_.fetch_add(1, std::memory_order_relaxed);
+        dedup_hits_.Add();
         return;
       }
     }
     if (have_cached) {
-      dedup_hits_.fetch_add(1, std::memory_order_relaxed);
+      dedup_hits_.Add();
       Status resent = nic_->PutFrame(header->client, kReplyPortal,
                                      header->request_id, cached_reply);
       if (!resent.ok()) {
@@ -1072,7 +1080,7 @@ void RpcServer::Dispatch(const portals::Event& event) {
   // Only requests that reach a handler count as served: retransmits the
   // dedup cache absorbed and corrupt frames do not inflate the count, so
   // tests can pin served == unique requests even when timeouts retransmit.
-  served_.fetch_add(1, std::memory_order_relaxed);
+  served_.Add();
 
   Result<Buffer> result = Buffer{};
   std::uint32_t push_crc = 0;
@@ -1088,7 +1096,7 @@ void RpcServer::Dispatch(const portals::Event& event) {
                       header->bulk_out_crc);
     result = it->second(ctx, dec);
     if (ctx.pulled_crc_failed()) {
-      bulk_crc_failures_.fetch_add(1, std::memory_order_relaxed);
+      bulk_crc_failures_.Add();
     }
     push_crc = ctx.pushed_crc();
     push_bytes = ctx.pushed_bytes();

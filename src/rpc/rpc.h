@@ -42,7 +42,6 @@
 //   portal 2 — bulk regions  (region mode, matched by request id)
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -61,6 +60,7 @@
 #include "util/bytes.h"
 #include "util/clock.h"
 #include "util/crc32.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -81,25 +81,6 @@ inline constexpr portals::PortalIndex kControlPortal = 3;
 /// data workers all block awaiting each other's replies; the dedicated
 /// portal (with its own workers) breaks the cycle for the forwarding hop.
 inline constexpr portals::PortalIndex kReplicaPortal = 4;
-
-/// Client-side statistics (retries are the §3.2 resend overhead).
-struct ClientStats {
-  std::uint64_t calls = 0;
-  std::uint64_t resends = 0;  // request portal rejected the Put
-  std::uint64_t failures = 0;
-  std::uint64_t retransmits = 0;         // full re-sends after a lost reply
-  std::uint64_t crc_rejects = 0;         // corrupt reply frames discarded
-  std::uint64_t bulk_crc_failures = 0;   // pushed bulk payload failed its CRC
-  std::uint64_t breaker_opens = 0;       // circuit transitions closed -> open
-  std::uint64_t breaker_fast_fails = 0;  // calls refused while a breaker open
-};
-
-/// Per-opcode client-side tally: calls issued and calls that completed with
-/// a non-OK status (transport failures and server error replies alike).
-struct ClientOpTally {
-  std::uint64_t calls = 0;
-  std::uint64_t errors = 0;
-};
 
 /// Client-wide defaults and health-tracking knobs.  Per-call CallOptions
 /// override the deadline/retransmit budget.
@@ -316,7 +297,7 @@ class CallHandle {
 /// threads may issue sync or async calls on one RpcClient.  Replies
 /// complete on the delivering thread; one lazily started engine thread
 /// handles deadlines, retransmits, and resends.
-class RpcClient {
+class RpcClient : public metrics::Instrumented {
  public:
   explicit RpcClient(std::shared_ptr<portals::Nic> nic,
                      ClientOptions options = {});
@@ -340,18 +321,6 @@ class RpcClient {
 
   [[nodiscard]] portals::Nid nid() const { return nic_->nid(); }
   [[nodiscard]] const ClientOptions& options() const { return options_; }
-  [[nodiscard]] ClientStats stats() const {
-    return {calls_.load(),          resends_.load(),
-            failures_.load(),       retransmits_.load(),
-            crc_rejects_.load(),    bulk_crc_failures_.load(),
-            breaker_opens_.load(),  breaker_fast_fails_.load()};
-  }
-
-  /// Per-opcode issue/error tallies, keyed by opcode.  Mirrors the server's
-  /// per-op metrics so a stub that silently eats errors shows up on the
-  /// client side of the ledger too.
-  [[nodiscard]] std::map<Opcode, ClientOpTally> OpTallies() const;
-
   /// True while `server`'s circuit breaker is open (calls fail fast).
   [[nodiscard]] bool BreakerOpen(portals::Nid server);
 
@@ -436,18 +405,20 @@ class RpcClient {
     util::Clock::TimePoint open_until{};
   };
   std::unordered_map<portals::Nid, Breaker> breakers_;
-  /// Per-opcode tallies (guarded by mutex_; std::map so snapshots come out
-  /// opcode-ordered).
-  std::map<Opcode, ClientOpTally> op_tallies_;
-
-  std::atomic<std::uint64_t> calls_{0};
-  std::atomic<std::uint64_t> resends_{0};
-  std::atomic<std::uint64_t> failures_{0};
-  std::atomic<std::uint64_t> retransmits_{0};
-  std::atomic<std::uint64_t> crc_rejects_{0};
-  std::atomic<std::uint64_t> bulk_crc_failures_{0};
-  std::atomic<std::uint64_t> breaker_opens_{0};
-  std::atomic<std::uint64_t> breaker_fast_fails_{0};
+  metrics::Counter calls_ = metrics_->counter("calls");
+  metrics::Counter resends_ = metrics_->counter("resends");
+  metrics::Counter failures_ = metrics_->counter("failures");
+  metrics::Counter retransmits_ = metrics_->counter("retransmits");
+  metrics::Counter crc_rejects_ = metrics_->counter("crc_rejects");
+  metrics::Counter bulk_crc_failures_ = metrics_->counter("bulk_crc_failures");
+  metrics::Counter breaker_opens_ = metrics_->counter("breaker_opens");
+  metrics::Counter breaker_fast_fails_ =
+      metrics_->counter("breaker_fast_fails");
+  /// Per-opcode (calls, errors), resolved on an opcode's first call
+  /// (guarded by mutex_).
+  std::unordered_map<Opcode, std::pair<metrics::Counter, metrics::Counter>>
+      op_tallies_;
+  std::pair<metrics::Counter, metrics::Counter>& OpTallyLocked(Opcode opcode);
   /// Per-client (guarded by mutex_), not process-global: ids — and the
   /// backoff jitter seeded from them — must depend only on this client's
   /// own call sequence for virtual-time runs to be reproducible.  Replies
@@ -527,7 +498,7 @@ class ServerContext {
   /// VerifyPulledPayload() passed, the CRC of the pulled bytes too.
   [[nodiscard]] std::uint32_t bulk_out_crc() const { return bulk_out_crc_; }
   /// True once VerifyPulledPayload() found the pulled bytes did not match
-  /// that checksum (ServerStats::bulk_crc_failures).
+  /// that checksum (the server's bulk_crc_failures).
   [[nodiscard]] bool pulled_crc_failed() const { return pulled_crc_failed_; }
 
   /// Checksum/length of everything pushed so far, in push order (0/0 when
@@ -597,16 +568,8 @@ struct ServerOptions {
   util::Clock* clock = nullptr;
 };
 
-/// Server-side robustness counters.
-struct ServerStats {
-  std::uint64_t served = 0;      // requests that reached a handler
-  std::uint64_t dedup_hits = 0;  // duplicate requests absorbed by the cache
-  std::uint64_t crc_drops = 0;   // corrupt request frames discarded
-  std::uint64_t bulk_crc_failures = 0;  // pulled payloads that failed their CRC
-};
-
 /// Serves RPCs on a NIC.  Start() spawns workers; Stop() drains and joins.
-class RpcServer {
+class RpcServer : public metrics::Instrumented {
  public:
   RpcServer(std::shared_ptr<portals::Nic> nic, ServerOptions options = {});
   ~RpcServer();
@@ -627,16 +590,6 @@ class RpcServer {
   void Stop();
 
   [[nodiscard]] portals::Nid nid() const { return nic_->nid(); }
-  [[nodiscard]] std::uint64_t requests_served() const {
-    return served_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] ServerStats stats() const {
-    return {served_.load(std::memory_order_relaxed),
-            dedup_hits_.load(std::memory_order_relaxed),
-            crc_drops_.load(std::memory_order_relaxed),
-            bulk_crc_failures_.load(std::memory_order_relaxed)};
-  }
-
   /// Drop the dedup/reply cache (volatile state lost in a crash; the
   /// Restart() paths call this).
   void ResetReplyCache();
@@ -663,10 +616,10 @@ class RpcServer {
   std::unordered_map<Opcode, Handler> handlers_;
   Status registration_error_ = OkStatus();  // first duplicate, sticky
   std::vector<std::thread> workers_;
-  std::atomic<std::uint64_t> served_{0};
-  std::atomic<std::uint64_t> dedup_hits_{0};
-  std::atomic<std::uint64_t> crc_drops_{0};
-  std::atomic<std::uint64_t> bulk_crc_failures_{0};
+  metrics::Counter served_ = metrics_->counter("served");
+  metrics::Counter dedup_hits_ = metrics_->counter("dedup_hits");
+  metrics::Counter crc_drops_ = metrics_->counter("crc_drops");
+  metrics::Counter bulk_crc_failures_ = metrics_->counter("bulk_crc_failures");
   bool started_ = false;
 
   /// A cached reply plus the frame-carried bulk bytes it pins (0 for

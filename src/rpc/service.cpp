@@ -1,7 +1,5 @@
 #include "rpc/service.h"
 
-#include <algorithm>
-
 namespace lwfs::rpc {
 
 std::string_view BulkDirName(BulkDir dir) {
@@ -12,25 +10,6 @@ std::string_view BulkDirName(BulkDir dir) {
     case BulkDir::kReply: return "reply";
   }
   return "unknown";
-}
-
-void MergeOpStats(std::vector<OpStats>& into, const std::vector<OpStats>& add) {
-  for (const OpStats& s : add) {
-    auto it = std::find_if(into.begin(), into.end(), [&](const OpStats& have) {
-      return have.name == s.name;
-    });
-    if (it == into.end()) {
-      into.push_back(s);
-      continue;
-    }
-    it->calls += s.calls;
-    it->errors += s.errors;
-    it->rejected += s.rejected;
-    it->denied += s.denied;
-    it->latency_us_total += s.latency_us_total;
-    it->latency_us_max = std::max(it->latency_us_max, s.latency_us_max);
-    it->bulk_bytes += s.bulk_bytes;
-  }
 }
 
 }  // namespace lwfs::rpc

@@ -16,7 +16,7 @@
 //   3. execute     — the typed handler: Result<Rep>(ServerContext&, Req&).
 //   4. encode      — the reply struct is encoded by its own codec.
 //   5. account     — per-op metrics: calls, errors, malformed rejections,
-//                    authorization denials, latency µs (total and max), and
+//                    authorization denials, a latency histogram (µs), and
 //                    bulk bytes moved through the ServerContext.
 //
 // The client side reuses the same codecs via CallTyped<Rep>(…, request) /
@@ -26,7 +26,6 @@
 // every message round-trips and every codec rejects truncated input.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <concepts>
 #include <cstdint>
@@ -35,11 +34,11 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "rpc/rpc.h"
 #include "security/types.h"
 #include "util/bytes.h"
+#include "util/metrics.h"
 #include "util/status.h"
 
 namespace lwfs::rpc {
@@ -142,73 +141,34 @@ struct OpDef {
   BulkDir bulk = BulkDir::kNone;
 };
 
-/// Snapshot of one op's server-side metrics.
-struct OpStats {
-  Opcode opcode = 0;
-  std::string name;
-  std::uint64_t calls = 0;     // dispatches that entered the middleware
-  std::uint64_t errors = 0;    // non-OK outcomes (rejects/denials included)
-  std::uint64_t rejected = 0;  // malformed requests refused before the body
-  std::uint64_t denied = 0;    // capability authorization failures
-  std::uint64_t latency_us_total = 0;  // wall time inside dispatch, summed
-  std::uint64_t latency_us_max = 0;
-  std::uint64_t bulk_bytes = 0;  // pulled + pushed through the ServerContext
-};
-
 /// Human-readable bulk direction ("none" / "pull" / "push").
 std::string_view BulkDirName(BulkDir dir);
 
-/// Merge per-op snapshots into an aggregate keyed by op name: counters sum,
-/// latency maxima take the max.  Order of first appearance is preserved, so
-/// aggregating several servers' Stats() yields a stable report.
-void MergeOpStats(std::vector<OpStats>& into, const std::vector<OpStats>& add);
-
 namespace detail {
 
-/// Lock-free per-op counters.  Dispatch lambdas hold these by shared_ptr so
-/// accounting stays valid regardless of Service lifetime.
-struct OpCounters {
-  OpCounters(Opcode op, std::string op_name)
-      : opcode(op), name(std::move(op_name)) {}
+/// One op's cells in its service's registry (`<op>.calls`, ...; DESIGN.md
+/// §19).  Errors include malformed rejections and capability denials.
+struct OpCells {
+  OpCells(metrics::Registry& registry, std::string_view op)
+      : calls(registry.counter(std::string(op) + ".calls")),
+        errors(registry.counter(std::string(op) + ".errors")),
+        rejected(registry.counter(std::string(op) + ".rejected")),
+        denied(registry.counter(std::string(op) + ".denied")),
+        bulk_bytes(registry.counter(std::string(op) + ".bulk_bytes")),
+        latency_us(registry.histogram(std::string(op) + ".latency_us")) {}
 
   void Record(bool ok, bool was_rejected, bool was_denied,
-              std::uint64_t latency_us, std::uint64_t bulk) {
-    calls.fetch_add(1, std::memory_order_relaxed);
-    if (!ok) errors.fetch_add(1, std::memory_order_relaxed);
-    if (was_rejected) rejected.fetch_add(1, std::memory_order_relaxed);
-    if (was_denied) denied.fetch_add(1, std::memory_order_relaxed);
-    latency_us_total.fetch_add(latency_us, std::memory_order_relaxed);
-    std::uint64_t prev = latency_us_max.load(std::memory_order_relaxed);
-    while (prev < latency_us && !latency_us_max.compare_exchange_weak(
-                                    prev, latency_us,
-                                    std::memory_order_relaxed)) {
-    }
-    if (bulk > 0) bulk_bytes.fetch_add(bulk, std::memory_order_relaxed);
+              std::uint64_t latency, std::uint64_t bulk) const {
+    calls.Add();
+    if (!ok) errors.Add();
+    if (was_rejected) rejected.Add();
+    if (was_denied) denied.Add();
+    if (bulk > 0) bulk_bytes.Add(bulk);
+    latency_us.Record(latency);
   }
 
-  [[nodiscard]] OpStats Snapshot() const {
-    OpStats s;
-    s.opcode = opcode;
-    s.name = name;
-    s.calls = calls.load(std::memory_order_relaxed);
-    s.errors = errors.load(std::memory_order_relaxed);
-    s.rejected = rejected.load(std::memory_order_relaxed);
-    s.denied = denied.load(std::memory_order_relaxed);
-    s.latency_us_total = latency_us_total.load(std::memory_order_relaxed);
-    s.latency_us_max = latency_us_max.load(std::memory_order_relaxed);
-    s.bulk_bytes = bulk_bytes.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  const Opcode opcode;
-  const std::string name;
-  std::atomic<std::uint64_t> calls{0};
-  std::atomic<std::uint64_t> errors{0};
-  std::atomic<std::uint64_t> rejected{0};
-  std::atomic<std::uint64_t> denied{0};
-  std::atomic<std::uint64_t> latency_us_total{0};
-  std::atomic<std::uint64_t> latency_us_max{0};
-  std::atomic<std::uint64_t> bulk_bytes{0};
+  metrics::Counter calls, errors, rejected, denied, bulk_bytes;
+  metrics::Histogram latency_us;
 };
 
 }  // namespace detail
@@ -230,7 +190,7 @@ using Authorizer = std::function<Status(ServerContext& ctx,
 /// Registration failures (duplicate opcode, an op that requires capability
 /// bits but whose request type carries no capability) are sticky and
 /// surfaced by init_status(); callers check it once before Start().
-class Service {
+class Service : public metrics::Instrumented {
  public:
   Service(RpcServer* server, std::string name)
       : server_(server), name_(std::move(name)) {}
@@ -255,12 +215,10 @@ class Service {
         return;
       }
     }
-    auto counters = std::make_shared<detail::OpCounters>(
-        def.opcode, name_ + "." + std::string(def.name));
-    counters_.push_back(counters);
     Note(server_->RegisterHandler(
         def.opcode,
-        MakeHandler<Req, Rep>(std::move(counters), def.required_ops,
+        MakeHandler<Req, Rep>(detail::OpCells(*metrics_, def.name),
+                              def.required_ops,
                               "malformed " + std::string(def.name) +
                                   " request",
                               std::move(handler))));
@@ -270,14 +228,6 @@ class Service {
   /// which also refuses to run after a duplicate registration).
   [[nodiscard]] Status init_status() const { return init_status_; }
 
-  /// Snapshot of every registered op's metrics, registration order.
-  [[nodiscard]] std::vector<OpStats> Stats() const {
-    std::vector<OpStats> out;
-    out.reserve(counters_.size());
-    for (const auto& c : counters_) out.push_back(c->Snapshot());
-    return out;
-  }
-
   [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
@@ -285,16 +235,15 @@ class Service {
     if (!status.ok() && init_status_.ok()) init_status_ = std::move(status);
   }
 
-  /// The middleware chain.  Captures everything by value (shared_ptrs for
-  /// the counters and the authorizer slot) so the returned Handler outlives
+  /// The middleware chain.  Captures everything by value (the registry and
+  /// the authorizer slot by shared_ptr) so the returned Handler outlives
   /// this Service: dispatch never touches `this`.
   template <WireMessage Req, WireMessage Rep, typename Fn>
-  Handler MakeHandler(std::shared_ptr<detail::OpCounters> counters,
-                      std::uint32_t required_ops, std::string malformed,
-                      Fn handler) const {
+  Handler MakeHandler(detail::OpCells cells, std::uint32_t required_ops,
+                      std::string malformed, Fn handler) const {
     auto authorizer = authorizer_;
     util::Clock* clk = server_->clock();  // latency stamps follow the server
-    return [counters = std::move(counters), authorizer = std::move(authorizer),
+    return [registry = metrics_, cells, authorizer = std::move(authorizer),
             required_ops, malformed = std::move(malformed), clk,
             handler = std::move(handler)](ServerContext& ctx,
                                           Decoder& request) -> Result<Buffer> {
@@ -302,9 +251,9 @@ class Service {
       auto account = [&](Result<Buffer> outcome, bool was_rejected,
                          bool was_denied) -> Result<Buffer> {
         const auto us = clk->NowUs() - start_us;
-        counters->Record(outcome.ok(), was_rejected, was_denied,
-                         static_cast<std::uint64_t>(us),
-                         ctx.total_pulled_bytes() + ctx.total_pushed_bytes());
+        cells.Record(outcome.ok(), was_rejected, was_denied,
+                     static_cast<std::uint64_t>(us),
+                     ctx.total_pulled_bytes() + ctx.total_pushed_bytes());
         return outcome;
       };
 
@@ -345,7 +294,6 @@ class Service {
   /// Shared slot so handlers observe an authorizer installed after On()
   /// and so dispatch holds it independently of the Service's lifetime.
   std::shared_ptr<Authorizer> authorizer_ = std::make_shared<Authorizer>();
-  std::vector<std::shared_ptr<detail::OpCounters>> counters_;
   Status init_status_ = OkStatus();
 };
 

@@ -36,7 +36,7 @@ Result<Uid> AuthzService::CheckCredLocked(const Credential& cred) {
   }
   // First sighting: one round trip to the authentication service (§3.1.2,
   // Figure 4-a step 2).
-  ++authn_roundtrips_;
+  authn_roundtrips_.Add();
   auto uid = authn_->Verify(cred);
   if (!uid.ok()) return uid.status();
   verified_creds_[cred.cred_id] = *uid;
@@ -137,7 +137,7 @@ Result<Capability> AuthzService::GetCap(const Credential& cred,
   cap.expires_us = options_.now() + options_.capability_ttl_us;
   cap.tag = SipTag(key_, ByteSpan(cap.SignedBytes()));
   issued_.emplace(cap.cap_id, IssuedCap{cid, ops, *uid, {}});
-  ++caps_issued_;
+  caps_issued_.Add();
   return cap;
 }
 
@@ -163,7 +163,7 @@ Result<Capability> AuthzService::RefreshCap(const Credential& cred,
 
 Status AuthzService::VerifyForServer(ServerId server, const Capability& cap) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++verify_count_;
+  verify_count_.Add();
   if (cap.instance != instance_) {
     return PermissionDenied("capability from another instance");
   }
@@ -220,7 +220,7 @@ void AuthzService::RevokeLocked(
     }
     issued_.erase(it);
     revoked_caps_.insert(cap_id);
-    ++caps_revoked_;
+    caps_revoked_.Add();
   }
   for (auto& [server, ids] : by_server) {
     notifications->emplace_back(server, std::move(ids));
@@ -230,23 +230,6 @@ void AuthzService::RevokeLocked(
 void AuthzService::ForgetCredential(std::uint64_t cred_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   verified_creds_.erase(cred_id);
-}
-
-std::uint64_t AuthzService::verify_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return verify_count_;
-}
-std::uint64_t AuthzService::authn_roundtrips() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return authn_roundtrips_;
-}
-std::uint64_t AuthzService::caps_issued() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return caps_issued_;
-}
-std::uint64_t AuthzService::caps_revoked() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return caps_revoked_;
 }
 
 }  // namespace lwfs::security

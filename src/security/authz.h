@@ -23,6 +23,7 @@
 #include "security/authn.h"
 #include "security/types.h"
 #include "storage/ids.h"
+#include "util/metrics.h"
 #include "util/status.h"
 
 namespace lwfs::security {
@@ -52,7 +53,7 @@ struct ContainerPolicy {
   std::unordered_map<Uid, std::uint32_t> grants;
 };
 
-class AuthzService {
+class AuthzService : public metrics::Instrumented {
  public:
   /// `authn` is consulted to verify credentials (and the result cached, so
   /// one authentication round trip amortizes over many getcap calls).
@@ -99,10 +100,6 @@ class AuthzService {
 
   // ---- Introspection (tests/benches) -------------------------------------
   [[nodiscard]] std::uint64_t instance() const { return instance_; }
-  [[nodiscard]] std::uint64_t verify_count() const;
-  [[nodiscard]] std::uint64_t authn_roundtrips() const;
-  [[nodiscard]] std::uint64_t caps_issued() const;
-  [[nodiscard]] std::uint64_t caps_revoked() const;
 
  private:
   /// Verify `cred`, using the verified-credential cache (lock held).
@@ -130,10 +127,10 @@ class AuthzService {
   RevocationSink* sink_ = nullptr;
   std::uint64_t next_container_id_ = 1;
   std::uint64_t next_cap_id_ = 1;
-  std::uint64_t verify_count_ = 0;
-  std::uint64_t authn_roundtrips_ = 0;
-  std::uint64_t caps_issued_ = 0;
-  std::uint64_t caps_revoked_ = 0;
+  metrics::Counter verify_count_ = metrics_->counter("verifies");
+  metrics::Counter authn_roundtrips_ = metrics_->counter("authn_roundtrips");
+  metrics::Counter caps_issued_ = metrics_->counter("caps_issued");
+  metrics::Counter caps_revoked_ = metrics_->counter("caps_revoked");
   std::unordered_map<storage::ContainerId, ContainerPolicy> containers_;
   std::unordered_map<std::uint64_t, IssuedCap> issued_;  // live caps
   std::unordered_set<std::uint64_t> revoked_caps_;

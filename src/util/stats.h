@@ -1,14 +1,13 @@
 // Summary statistics used by the benchmark harnesses.
 //
 // The paper reports "the average and standard deviation over a minimum of 5
-// trials"; RunningStats provides exactly that (Welford's algorithm), and
-// Percentiles supports latency-distribution reporting for the ablations.
+// trials"; RunningStats provides exactly that (Welford's algorithm).
+// Latency distributions are metrics::Histogram's (util/metrics.h).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace lwfs {
 
@@ -45,24 +44,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Stores samples and answers percentile queries.  Suitable for the bench
-/// harness sample counts (thousands), not for unbounded telemetry.
-class Percentiles {
- public:
-  void Add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-
-  /// p in [0,100].  Nearest-rank on the sorted samples; returns 0 when empty.
-  [[nodiscard]] double Get(double p) const;
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
 };
 
 }  // namespace lwfs

@@ -155,9 +155,9 @@ TEST_F(ChaosTest, CheckpointSoakUnderLossAndCorruption) {
     EXPECT_GE(succeeded, kEpochsPerSeed * 3 / 4);
 
     // The fabric really was hostile, and the recovery machinery really ran.
-    auto robustness = runtime_->TotalRobustnessStats();
-    EXPECT_GT(robustness.faults.drops, 0u);
-    EXPECT_GT(robustness.rpc.served, 0u);
+    const metrics::Snapshot robustness = runtime_->metrics()->Snapshot();
+    EXPECT_GT(robustness.Get("fabric.faults.drops"), 0u);
+    EXPECT_GT(robustness.Sum("**.rpc.**.served"), 0u);
 
     // System is not wedged: with faults cleared, one more checkpoint runs
     // end to end.
@@ -374,9 +374,9 @@ TEST_F(ChaosTest, TwoPhaseCommitSoakAppliesExactlyOnce) {
 
     // Dedup absorbed duplicated requests somewhere in the soak (at 1% drop
     // across thousands of messages, retransmission is a certainty).
-    auto robustness = runtime_->TotalRobustnessStats();
-    EXPECT_GT(robustness.faults.drops, 0u);
-    EXPECT_GT(robustness.rpc.dedup_hits, 0u);
+    const metrics::Snapshot robustness = runtime_->metrics()->Snapshot();
+    EXPECT_GT(robustness.Get("fabric.faults.drops"), 0u);
+    EXPECT_GT(robustness.Sum("**.rpc.**.dedup_hits"), 0u);
   }
 }
 
@@ -422,7 +422,7 @@ TEST_F(ChaosTest, StorageCrashMidTxnRecoversViaJournalReplay) {
   EXPECT_TRUE(client.BreakerOpen(victim));
   EXPECT_EQ(client.GetAttr(1, cap_, *oid).status().code(),
             ErrorCode::kUnavailable);
-  EXPECT_GT(client.rpc_stats().breaker_fast_fails, 0u);
+  EXPECT_GT(client.metrics()->Snapshot().Get("rpc.breaker_fast_fails"), 0u);
 
   // Crash recovery: bring the node back, rebuild its volatile state, and
   // replay the coordinator journal.  No COMMIT record was written, so
@@ -580,7 +580,8 @@ TEST_F(ChaosTest, ReplicatedCheckpointSurvivesReplicaKillMidEpoch) {
         EXPECT_EQ(audit.fully_replicated, audit.objects);
       }
       // The matrix really killed nodes.
-      EXPECT_GT(runtime_->TotalRobustnessStats().faults.crashes, 0u);
+      EXPECT_GT(runtime_->metrics()->Snapshot().Get("fabric.faults.crashes"),
+                0u);
     }
   }
 }
@@ -591,8 +592,8 @@ TEST_F(ChaosTest, ReplicatedCheckpointSurvivesReplicaKillMidEpoch) {
 
 // One reduced chaos soak on a fresh deployment driven entirely by a
 // VirtualClock, returning a trace of everything observable about the run:
-// per-epoch checkpoint outcomes, virtual timestamps, robustness and
-// scheduler counters, and a CRC digest of every object left in every store.
+// per-epoch checkpoint outcomes, virtual timestamps, the deployment's
+// metrics snapshot, and a CRC digest of every object left in every store.
 // Two traces are equal iff the two runs were indistinguishable.
 std::string VirtualSoakTrace(std::uint64_t seed) {
   constexpr int kEpochs = 8;
@@ -649,21 +650,7 @@ std::string VirtualSoakTrace(std::uint64_t seed) {
       trace << " t_us=" << clock.NowUs() << "\n";
     }
 
-    auto rob = runtime.TotalRobustnessStats();
-    trace << "rpc served=" << rob.rpc.served
-          << " dedup=" << rob.rpc.dedup_hits
-          << " crc_drops=" << rob.rpc.crc_drops << "\n";
-    trace << "faults drops=" << rob.faults.drops
-          << " dup=" << rob.faults.duplicates
-          << " corrupt=" << rob.faults.corruptions
-          << " delays=" << rob.faults.delays
-          << " partition=" << rob.faults.partition_drops
-          << " crashes=" << rob.faults.crashes << "\n";
-    auto sched = runtime.TotalSchedStats();
-    trace << "sched requests=" << sched.requests << " runs=" << sched.runs
-          << " merges=" << sched.merges
-          << " coalesced=" << sched.coalesced_bytes
-          << " hwm=" << sched.queue_depth_hwm << "\n";
+    trace << "metrics " << runtime.metrics()->Snapshot().Json() << "\n";
 
     for (int i = 0; i < runtime.storage_count(); ++i) {
       auto oids = runtime.store(i).List(*cid);
@@ -790,16 +777,8 @@ std::string VirtualReplicatedSoakTrace(std::uint64_t seed) {
       trace << " t_us=" << clock.NowUs() << "\n";
     }
 
-    const auto rep = client->replication_stats();
-    trace << "replication writes=" << rep.replicated_writes
-          << " wfail=" << rep.write_failovers
-          << " degraded=" << rep.degraded_writes
-          << " reports=" << rep.stale_reports
-          << " rfail=" << rep.read_failovers << "\n";
-    auto rob = runtime.TotalRobustnessStats();
-    trace << "faults drops=" << rob.faults.drops
-          << " crashes=" << rob.faults.crashes
-          << " dedup=" << rob.rpc.dedup_hits << "\n";
+    trace << "client " << client->metrics()->Snapshot().Json() << "\n";
+    trace << "metrics " << runtime.metrics()->Snapshot().Json() << "\n";
 
     for (int i = 0; i < runtime.storage_count(); ++i) {
       auto oids = runtime.store(i).List(*cid);

@@ -150,7 +150,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CommSizeTest, ::testing::Values(1, 2, 3, 5, 8));
 
 TEST(CommTest, BcastUsesExactlyNMinusOneMessages) {
   Group group(8);
-  group.fabric.ResetStats();
+  group.fabric.metrics()->Reset();
   Buffer data = PatternBuffer(100, 1);
   ASSERT_EQ(0, group.RunAll([&](int rank) {
     Buffer local = rank == 0 ? data : Buffer{};
@@ -158,7 +158,7 @@ TEST(CommTest, BcastUsesExactlyNMinusOneMessages) {
   }));
   // A binomial broadcast moves exactly n-1 messages (the "logarithmic"
   // refers to rounds, not messages).
-  EXPECT_EQ(group.fabric.Stats().puts, 7u);
+  EXPECT_EQ(group.fabric.metrics()->Snapshot().Get("puts"), 7u);
 }
 
 TEST(CommTest, RecvTimesOutCleanly) {

@@ -146,12 +146,13 @@ TEST_F(CoreTest, CapCacheEliminatesRepeatVerifies) {
   StartRuntime();
   SetupAliceWorkspace();
   auto& server = runtime_->storage_server(0);
-  const std::uint64_t before = server.remote_verifies();
+  const std::uint64_t before =
+      server.metrics()->Snapshot().Get("remote_verifies");
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(client_->CreateObject(0, cap_).ok());
   }
   // One miss (first use), nine hits (Figure 4-b caching).
-  EXPECT_EQ(server.remote_verifies(), before + 1);
+  EXPECT_EQ(server.metrics()->Snapshot().Get("remote_verifies"), before + 1);
   EXPECT_GE(server.cap_cache().hits(), 9u);
 }
 
@@ -161,11 +162,12 @@ TEST_F(CoreTest, CapCacheDisabledVerifiesEveryRequest) {
   StartRuntime(options);
   SetupAliceWorkspace();
   auto& server = runtime_->storage_server(0);
-  const std::uint64_t before = server.remote_verifies();
+  const std::uint64_t before =
+      server.metrics()->Snapshot().Get("remote_verifies");
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(client_->CreateObject(0, cap_).ok());
   }
-  EXPECT_EQ(server.remote_verifies(), before + 10);
+  EXPECT_EQ(server.metrics()->Snapshot().Get("remote_verifies"), before + 10);
 }
 
 TEST_F(CoreTest, ChmodRevokesImmediatelyAcrossTheWire) {

@@ -184,13 +184,13 @@ TEST_F(ActiveFilterTest, RemoteReductionMatchesLocal) {
 TEST_F(ActiveFilterTest, OnlyTheResultCrossesTheWire) {
   FilterSpec spec;
   spec.kind = FilterKind::kMinMaxSumCount;
-  runtime_->fabric().ResetStats();
+  runtime_->fabric().metrics()->Reset();
   auto result =
       client_->FilterObjectAlloc(0, read_cap_, oid_, 0, values_.size() * 8, spec);
   ASSERT_TRUE(result.ok());
-  auto stats = runtime_->fabric().Stats();
+  const metrics::Snapshot stats = runtime_->fabric().metrics()->Snapshot();
   // 800 KB reduced to 32 bytes: total wire traffic stays tiny.
-  EXPECT_LT(stats.put_bytes + stats.get_bytes, 2000u);
+  EXPECT_LT(stats.Get("put_bytes") + stats.Get("get_bytes"), 2000u);
 }
 
 TEST_F(ActiveFilterTest, SubsampleOverRangeWindow) {

@@ -58,12 +58,12 @@ TEST_F(LwfsFsTest, CreateNeedsNoMetadataServer) {
   // Warm the capability caches so steady-state counts carry no verify
   // round trips.
   ASSERT_TRUE(fs_->Create("/warm").ok());
-  runtime_->fabric().ResetStats();
+  runtime_->fabric().metrics()->Reset();
   ASSERT_TRUE(fs_->Create("/scalable").ok());
   // 4 stripe creates + 1 inode create + 1 inode write + 1 name link, each
   // a small round trip (the inode write adds one bulk get).
-  auto stats = runtime_->fabric().Stats();
-  EXPECT_LE(stats.puts, 2u * 7u);
+  const metrics::Snapshot stats = runtime_->fabric().metrics()->Snapshot();
+  EXPECT_LE(stats.Get("puts"), 2u * 7u);
 }
 
 TEST_F(LwfsFsTest, WriteReadAcrossStripes) {

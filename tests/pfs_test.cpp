@@ -429,6 +429,36 @@ TEST(PfsCapabilityTest, MdsRenewsItsCapabilityPastTheTtl) {
   EXPECT_EQ(back, data);
 }
 
+// The MDS also renews its credential: with default TTLs, a deployment older
+// than twice the credential TTL still creates, writes and reads files.
+TEST(PfsCapabilityTest, MdsRenewsItsCredentialPastTheTtl) {
+  std::atomic<std::int64_t> now_us{0};
+  core::RuntimeOptions options;
+  options.authn.now = [&now_us] { return now_us.load(); };
+  options.authz.now = [&now_us] { return now_us.load(); };
+  auto core = core::ServiceRuntime::Start(options);
+  ASSERT_TRUE(core.ok()) << core.status().ToString();
+  auto pfs = PfsRuntime::Start(core->get(), {});
+  ASSERT_TRUE(pfs.ok()) << pfs.status().ToString();
+  auto client = (*pfs)->MakeClient();
+  const Buffer data = PatternBuffer(10000, 6);
+  auto before = client->Create("/before", 2);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(client->Write(*before, 0, ByteSpan(data)).ok());
+
+  now_us = 2 * options.authn.credential_ttl_us;
+  auto after = client->Create("/after", 2);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  Status wrote = client->Write(*after, 0, ByteSpan(data));
+  ASSERT_TRUE(wrote.ok()) << wrote.ToString();
+  Buffer back(data.size());
+  auto read = client->Read(*after, 0, MutableByteSpan(back));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(
+      (*pfs)->mds_server().metrics()->Snapshot().Get("caps.relogins"), 1u);
+}
+
 // A relaxed pfs write is an LWFS object write: the same server scheduler
 // work, and on the modeled medium the same virtual time.
 TEST(PfsOverCoreTest, RelaxedWriteCostsWhatAnLwfsWriteCosts) {
@@ -460,10 +490,10 @@ TEST(PfsOverCoreTest, RelaxedWriteCostsWhatAnLwfsWriteCosts) {
 
   const Buffer data = PatternBuffer(256 << 10, 4);
   auto measure = [&](const std::function<Status()>& write) {
-    (*core)->ResetSchedStats();
+    (*core)->metrics()->Reset();
     const util::Clock::TimePoint start = clock.Now();
     EXPECT_TRUE(write().ok());
-    return std::make_pair((*core)->storage_server(0).sched_stats(),
+    return std::make_pair((*core)->storage_server(0).metrics()->Snapshot(),
                           clock.Now() - start);
   };
   const auto [lwfs_stats, lwfs_time] = measure([&] {
@@ -472,12 +502,13 @@ TEST(PfsOverCoreTest, RelaxedWriteCostsWhatAnLwfsWriteCosts) {
   const auto [pfs_stats, pfs_time] =
       measure([&] { return client->Write(*file, 0, ByteSpan(data)); });
 
-  EXPECT_EQ(lwfs_stats.requests, 1u);
-  EXPECT_EQ(pfs_stats.requests, lwfs_stats.requests);
-  EXPECT_EQ(pfs_stats.runs, lwfs_stats.runs);
-  EXPECT_EQ(pfs_stats.merges, lwfs_stats.merges);
-  EXPECT_EQ(pfs_stats.coalesced_bytes, lwfs_stats.coalesced_bytes);
-  EXPECT_EQ(pfs_stats.queue_depth_hwm, lwfs_stats.queue_depth_hwm);
+  EXPECT_EQ(lwfs_stats.Get("sched.requests"), 1u);
+  for (const char* cell : {"sched.requests", "sched.runs", "sched.merges",
+                           "sched.coalesced_bytes"}) {
+    EXPECT_EQ(pfs_stats.Get(cell), lwfs_stats.Get(cell)) << cell;
+  }
+  EXPECT_EQ(pfs_stats.Total("sched.queue_depth").high_water,
+            lwfs_stats.Total("sched.queue_depth").high_water);
   EXPECT_GT(lwfs_time.count(), 0);
   EXPECT_EQ(pfs_time, lwfs_time);
 }

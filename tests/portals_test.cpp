@@ -156,7 +156,7 @@ TEST_F(PortalsTest, BoundedEventQueueRejectsOverflow) {
   EXPECT_TRUE(src->Put(dst->nid(), 0, 1, ByteSpan(data)).ok());
   Status s = src->Put(dst->nid(), 0, 1, ByteSpan(data));
   EXPECT_EQ(s.code(), ErrorCode::kResourceExhausted);
-  EXPECT_EQ(fabric_.Stats().rejected, 1u);
+  EXPECT_EQ(fabric_.metrics()->Snapshot().Get("rejected"), 1u);
   // Draining makes room again: the resend would now succeed.
   eq.Poll();
   EXPECT_TRUE(src->Put(dst->nid(), 0, 1, ByteSpan(data)).ok());
@@ -314,7 +314,7 @@ TEST_F(PortalsTest, UnknownNidIsUnavailable) {
 }
 
 TEST_F(PortalsTest, StatsCountTrafficAndBytes) {
-  fabric_.ResetStats();
+  fabric_.metrics()->Reset();
   auto src = fabric_.CreateNic();
   auto dst = fabric_.CreateNic();
   Buffer region(64, 0);
@@ -326,11 +326,11 @@ TEST_F(PortalsTest, StatsCountTrafficAndBytes) {
   ASSERT_TRUE(src->Put(dst->nid(), 0, 5, ByteSpan(data)).ok());
   Buffer out(6, 0);
   ASSERT_TRUE(src->Get(dst->nid(), 0, 5, MutableByteSpan(out)).ok());
-  FabricStats stats = fabric_.Stats();
-  EXPECT_EQ(stats.puts, 1u);
-  EXPECT_EQ(stats.gets, 1u);
-  EXPECT_EQ(stats.put_bytes, 10u);
-  EXPECT_EQ(stats.get_bytes, 6u);
+  const metrics::Snapshot stats = fabric_.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("puts"), 1u);
+  EXPECT_EQ(stats.Get("gets"), 1u);
+  EXPECT_EQ(stats.Get("put_bytes"), 10u);
+  EXPECT_EQ(stats.Get("get_bytes"), 6u);
 }
 
 TEST_F(PortalsTest, RegisteredRegionDetachesOnDestruction) {
@@ -419,7 +419,7 @@ TEST_F(FaultInjectorTest, DroppedPutIsSilentlyLost) {
   // The initiator sees success — only a reply timeout can reveal the loss.
   EXPECT_TRUE(src->Put(dst->nid(), 0, 1, ByteSpan(data)).ok());
   EXPECT_EQ(region[0], 0);
-  EXPECT_EQ(fabric_.injector().LinkCounters(src->nid(), dst->nid()).drops, 1u);
+  EXPECT_EQ(fabric_.injector().metrics()->Snapshot().Get("drops"), 1u);
 }
 
 TEST_F(FaultInjectorTest, DroppedGetTimesOut) {
@@ -448,7 +448,7 @@ TEST_F(FaultInjectorTest, CorruptionFlipsExactlyOneByte) {
     if (region[i] != data[i]) ++differing;
   }
   EXPECT_EQ(differing, 1);
-  EXPECT_EQ(fabric_.injector().TotalCounters().corruptions, 1u);
+  EXPECT_EQ(fabric_.injector().metrics()->Snapshot().Get("corruptions"), 1u);
 }
 
 TEST_F(FaultInjectorTest, CorruptedSlicePutNeverMutatesSenderBytes) {
@@ -523,7 +523,7 @@ TEST_F(FaultInjectorTest, DuplicatedPutDeliversTwice) {
   EXPECT_TRUE(eq.Poll().has_value());
   EXPECT_TRUE(eq.Poll().has_value());  // the duplicate
   EXPECT_FALSE(eq.Poll().has_value());
-  EXPECT_EQ(fabric_.injector().TotalCounters().duplicates, 1u);
+  EXPECT_EQ(fabric_.injector().metrics()->Snapshot().Get("duplicates"), 1u);
 }
 
 TEST_F(FaultInjectorTest, PartitionIsSymmetricAndHealable) {
@@ -537,7 +537,8 @@ TEST_F(FaultInjectorTest, PartitionIsSymmetricAndHealable) {
   Buffer out(1, 0);
   EXPECT_EQ(b->Get(a->nid(), 0, 1, MutableByteSpan(out)).code(),
             ErrorCode::kTimeout);  // other direction blocked too
-  EXPECT_EQ(fabric_.injector().TotalCounters().partition_drops, 2u);
+  EXPECT_EQ(fabric_.injector().metrics()->Snapshot().Get("partition_drops"),
+            2u);
 
   fabric_.injector().Partition(a->nid(), b->nid(), false);
   EXPECT_TRUE(a->Put(b->nid(), 0, 1, ByteSpan(data)).ok());
@@ -555,7 +556,7 @@ TEST_F(FaultInjectorTest, CrashBeforeDeliveryLosesMessageAndDownsNode) {
   EXPECT_TRUE(fabric_.IsNodeDown(dst->nid()));
   EXPECT_EQ(src->Put(dst->nid(), 0, 1, ByteSpan(data)).code(),
             ErrorCode::kUnavailable);
-  EXPECT_EQ(fabric_.injector().TotalCounters().crashes, 1u);
+  EXPECT_EQ(fabric_.injector().metrics()->Snapshot().Get("crashes"), 1u);
 
   // The trigger is one-shot: after a restart the node works again.
   fabric_.SetNodeDown(dst->nid(), false);
@@ -613,7 +614,7 @@ TEST_F(FaultInjectorTest, ResetRestoresPassThrough) {
   Buffer data = {8};
   ASSERT_TRUE(src->Put(dst->nid(), 0, 1, ByteSpan(data)).ok());
   EXPECT_EQ(region[0], 8);
-  EXPECT_EQ(fabric_.injector().TotalCounters().drops, 0u);
+  EXPECT_EQ(fabric_.injector().metrics()->Snapshot().Get("drops"), 0u);
 }
 
 TEST_F(FaultInjectorTest, SameSeedSameFaultSequence) {

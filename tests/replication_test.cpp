@@ -189,9 +189,11 @@ TEST_F(ReplicationTest, ChainWritesApplyOnceUnderDuplicateDelivery) {
   EXPECT_EQ(again->failed, 0u);
   ExpectAllMembersHold(*chain, whole);
 
-  const auto robustness = runtime_->TotalRobustnessStats();
-  EXPECT_GT(robustness.faults.duplicates, 0u) << "fabric was not hostile";
-  EXPECT_GT(robustness.rpc.dedup_hits, 0u) << "reply cache never engaged";
+  const metrics::Snapshot robustness = runtime_->metrics()->Snapshot();
+  EXPECT_GT(robustness.Get("fabric.faults.duplicates"), 0u)
+      << "fabric was not hostile";
+  EXPECT_GT(robustness.Sum("**.rpc.**.dedup_hits"), 0u)
+      << "reply cache never engaged";
 }
 
 // ---------------------------------------------------------------------------
@@ -324,9 +326,9 @@ TEST_F(ReplicationTest, DegradedWriteReportsStaleAndRepairCatchesUp) {
   ASSERT_TRUE(
       client_->WriteReplicated(cap_, *chain, first.size(), ByteSpan(second))
           .ok());
-  const auto stats = client_->replication_stats();
-  EXPECT_GT(stats.degraded_writes, 0u);
-  EXPECT_GT(stats.stale_reports, 0u);
+  const metrics::Snapshot stats = client_->metrics()->Snapshot();
+  EXPECT_GT(stats.Get("replication.degraded_writes"), 0u);
+  EXPECT_GT(stats.Get("replication.stale_reports"), 0u);
   auto audit = client_->AuditReplicas();
   ASSERT_TRUE(audit.ok());
   EXPECT_EQ(audit->under_replicated, 1u);
@@ -385,6 +387,28 @@ TEST_F(ReplicationTest, DeadMiddleHopIsSkippedNotSevered) {
   EXPECT_EQ(audit->stale_members, 1u);
 }
 
+// A deployment total is a sum by name over every endpoint, so the replica
+// portal's CRC failures count: the corrupt pull lands on the middle's
+// chain-forwarding endpoint, not its data or control endpoint.
+TEST_F(ReplicationTest, DeploymentTotalsCoverTheReplicaEndpoint) {
+  StartRuntime(/*servers=*/4, /*factor=*/3);
+  auto chain = client_->CreateReplicatedObject(cap_, 0, 3);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  const auto head = static_cast<std::size_t>(chain->servers[0]);
+  const auto middle = static_cast<std::size_t>(chain->servers[1]);
+  const core::Deployment& d = runtime_->deployment();
+  runtime_->fabric().injector().SetLink(d.storage[middle], d.storage[head],
+                                        portals::FaultSpec{.corrupt = 1.0});
+
+  const Buffer data = PatternBuffer(256 << 10, 92);
+  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  const metrics::Snapshot snap = runtime_->metrics()->Snapshot();
+  const std::uint64_t at_replica = snap.Get(
+      "storage." + std::to_string(middle) + ".rpc.replica.bulk_crc_failures");
+  EXPECT_GT(at_replica, 0u);
+  EXPECT_GE(snap.Sum("**.rpc.**.bulk_crc_failures"), at_replica);
+}
+
 // A chain hop forwards the CRC it verified instead of re-streaming the
 // chunk, and the next hop still checks the bytes it pulls against it:
 // corruption on the head -> middle link is rejected at the middle, whose
@@ -406,8 +430,9 @@ TEST_F(ReplicationTest, ForwardedCrcStillRejectsCorruptionOnTheNextHop) {
 
   const Buffer data = PatternBuffer(256 << 10, 91);
   ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
-  EXPECT_GT(injector.LinkCounters(from, to).corruptions, 0u);
-  EXPECT_GT(runtime_->storage_server(middle).replica_rpc_stats().bulk_crc_failures,
+  EXPECT_GT(injector.metrics()->Snapshot().Get("corruptions"), 0u);
+  EXPECT_GT(runtime_->storage_server(middle).metrics()->Snapshot().Get(
+                "rpc.replica.bulk_crc_failures"),
             0u);
   auto untouched = runtime_->store(middle).GetAttr(chain->oid);
   ASSERT_TRUE(untouched.ok());
@@ -447,9 +472,9 @@ TEST_F(ReplicationTest, ReadsSurviveDownHeadViaFailoverAndHedging) {
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(*n, data.size());
   EXPECT_EQ(out, data);
-  auto stats = client_->replication_stats();
-  EXPECT_GT(stats.hedged_reads, 0u);
-  EXPECT_GT(stats.hedge_wins, 0u);
+  metrics::Snapshot stats = client_->metrics()->Snapshot();
+  EXPECT_GT(stats.Get("replication.hedged_reads"), 0u);
+  EXPECT_GT(stats.Get("replication.hedge_wins"), 0u);
   runtime_->fabric().injector().Reset();
 
   // Dead head: the read fails over to a surviving member.
@@ -458,8 +483,8 @@ TEST_F(ReplicationTest, ReadsSurviveDownHeadViaFailoverAndHedging) {
   n = client_->ReadReplicated(cap_, *chain, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(out, data);
-  stats = client_->replication_stats();
-  EXPECT_GT(stats.read_failovers, 0u);
+  stats = client_->metrics()->Snapshot();
+  EXPECT_GT(stats.Get("replication.read_failovers"), 0u);
 
   // Tripped breaker: the hedge fires immediately at issue time instead of
   // waiting out hedge_after_us.
@@ -467,13 +492,13 @@ TEST_F(ReplicationTest, ReadsSurviveDownHeadViaFailoverAndHedging) {
     (void)client_->GetAttr(head, cap_, chain->oid);
   }
   ASSERT_TRUE(client_->BreakerOpen(head_nid));
-  const std::uint64_t hedged_before = stats.hedged_reads;
+  const std::uint64_t hedged_before = stats.Get("replication.hedged_reads");
   std::fill(out.begin(), out.end(), 0);
   n = client_->ReadReplicated(cap_, *chain, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(out, data);
-  stats = client_->replication_stats();
-  EXPECT_GT(stats.hedged_reads, hedged_before);
+  stats = client_->metrics()->Snapshot();
+  EXPECT_GT(stats.Get("replication.hedged_reads"), hedged_before);
 }
 
 // Satellite regression: a losing hedge must not strand its payload.  Before
@@ -499,15 +524,16 @@ TEST_F(ReplicationTest, LosingHedgeReplyIsTalliedAndReleased) {
   ASSERT_TRUE(slice.ok()) << slice.status().ToString();
   ASSERT_EQ(slice->size(), data.size());
   EXPECT_TRUE(std::equal(data.begin(), data.end(), slice->span().begin()));
-  auto stats = client_->replication_stats();
-  EXPECT_GT(stats.hedged_reads, 0u);
-  EXPECT_GT(stats.hedge_wins, 0u);
+  metrics::Snapshot stats = client_->metrics()->Snapshot();
+  EXPECT_GT(stats.Get("replication.hedged_reads"), 0u);
+  EXPECT_GT(stats.Get("replication.hedge_wins"), 0u);
 
   // The loser's late reply carries the whole object; poll until the tally
   // proves it was received, counted, and released rather than stranded.
   std::uint64_t tallied = 0;
   for (int i = 0; i < 500 && tallied < data.size(); ++i) {
-    tallied = client_->replication_stats().hedge_loser_bytes;
+    tallied =
+        client_->metrics()->Snapshot().Get("replication.hedge_loser_bytes");
     util::RealClockInstance()->SleepFor(std::chrono::milliseconds(1));
   }
   EXPECT_GE(tallied, data.size())

@@ -74,8 +74,8 @@ TEST_F(RpcTest, EchoRoundTrip) {
   ASSERT_TRUE(reply.ok());
   Decoder dec(*reply);
   EXPECT_EQ(*dec.GetString(), "echo:hi");
-  EXPECT_EQ(client.stats().calls, 1u);
-  EXPECT_EQ(client.stats().failures, 0u);
+  EXPECT_EQ(client.metrics()->Snapshot().Get("calls"), 1u);
+  EXPECT_EQ(client.metrics()->Snapshot().Get("failures"), 0u);
 }
 
 TEST_F(RpcTest, ServerErrorPropagatesCodeAndMessage) {
@@ -143,8 +143,8 @@ TEST_F(RpcTest, ConcurrentClients) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(ok.load(), kClients * kCallsEach);
-  EXPECT_EQ(server_->requests_served(), static_cast<std::uint64_t>(kClients) *
-                                            kCallsEach);
+  EXPECT_EQ(server_->metrics()->Snapshot().Get("served"),
+            static_cast<std::uint64_t>(kClients) * kCallsEach);
 }
 
 TEST_F(RpcTest, FullRequestQueueForcesResends) {
@@ -165,7 +165,7 @@ TEST_F(RpcTest, FullRequestQueueForcesResends) {
         auto reply = client.Call(server_->nid(), kSlow, {});
         if (reply.ok()) ok.fetch_add(1);
       }
-      resends.fetch_add(client.stats().resends);
+      resends.fetch_add(client.metrics()->Snapshot().Get("resends"));
     });
   }
   for (auto& t : threads) t.join();
@@ -284,8 +284,8 @@ TEST_F(RpcTest, OutOfOrderCompletions) {
   ASSERT_TRUE(slow_reply.ok());
   Decoder dec2(*slow_reply);
   EXPECT_EQ(*dec2.GetString(), "slow");
-  EXPECT_EQ(client.stats().calls, 2u);
-  EXPECT_EQ(client.stats().failures, 0u);
+  EXPECT_EQ(client.metrics()->Snapshot().Get("calls"), 2u);
+  EXPECT_EQ(client.metrics()->Snapshot().Get("failures"), 0u);
   server.Stop();
 }
 
@@ -388,8 +388,8 @@ TEST_F(RpcTest, RetransmitRecoversLostReplyWithoutDoubleExecution) {
 
   ASSERT_TRUE(handle->Await().ok());
   EXPECT_EQ(executed.load(), 1);  // dedup absorbed every duplicate request
-  EXPECT_GE(client.stats().retransmits, 1u);
-  EXPECT_GE(server.stats().dedup_hits, 1u);
+  EXPECT_GE(client.metrics()->Snapshot().Get("retransmits"), 1u);
+  EXPECT_GE(server.metrics()->Snapshot().Get("dedup_hits"), 1u);
   server.Stop();
 }
 
@@ -404,8 +404,9 @@ TEST_F(RpcTest, RetransmitBudgetExhaustedIsTimeout) {
   fabric_.injector().SetLink(client.nid(), server_->nid(), {.drop = 1.0});
   auto reply = client.Call(server_->nid(), kEcho, {});
   EXPECT_EQ(reply.status().code(), ErrorCode::kTimeout);
-  EXPECT_EQ(client.stats().retransmits, 2u);  // full budget spent
-  EXPECT_EQ(server_->requests_served(), 0u);
+  // The full retransmit budget was spent.
+  EXPECT_EQ(client.metrics()->Snapshot().Get("retransmits"), 2u);
+  EXPECT_EQ(server_->metrics()->Snapshot().Get("served"), 0u);
 }
 
 TEST_F(RpcTest, CorruptRequestIsDroppedServerSide) {
@@ -420,8 +421,8 @@ TEST_F(RpcTest, CorruptRequestIsDroppedServerSide) {
   // A corrupt request frame never reaches a handler; to the client the loss
   // looks like any other timeout.
   EXPECT_EQ(reply.status().code(), ErrorCode::kTimeout);
-  EXPECT_GE(server_->stats().crc_drops, 1u);
-  EXPECT_EQ(server_->requests_served(), 0u);
+  EXPECT_GE(server_->metrics()->Snapshot().Get("crc_drops"), 1u);
+  EXPECT_EQ(server_->metrics()->Snapshot().Get("served"), 0u);
 }
 
 TEST_F(RpcTest, CorruptReplySurfacesAsDataLossAfterRetries) {
@@ -436,10 +437,11 @@ TEST_F(RpcTest, CorruptReplySurfacesAsDataLossAfterRetries) {
   EXPECT_EQ(reply.status().code(), ErrorCode::kDataLoss);
   // Initial attempt + every retransmitted (deduped, replayed) reply was
   // rejected by the frame checksum.
-  EXPECT_EQ(client.stats().crc_rejects, 3u);
-  EXPECT_EQ(client.stats().retransmits, 2u);
-  EXPECT_GE(server_->stats().dedup_hits, 2u);
-  EXPECT_EQ(server_->requests_served(), 1u);  // handler ran exactly once
+  EXPECT_EQ(client.metrics()->Snapshot().Get("crc_rejects"), 3u);
+  EXPECT_EQ(client.metrics()->Snapshot().Get("retransmits"), 2u);
+  EXPECT_GE(server_->metrics()->Snapshot().Get("dedup_hits"), 2u);
+  // The handler ran exactly once.
+  EXPECT_EQ(server_->metrics()->Snapshot().Get("served"), 1u);
 }
 
 TEST_F(RpcTest, CorruptedBulkDataIsNeverSilentlyAccepted) {
@@ -468,8 +470,8 @@ TEST_F(RpcTest, CorruptedBulkDataIsNeverSilentlyAccepted) {
     }
   }
   EXPECT_GT(ok_replies, 0);  // retransmission recovered at least some calls
-  const ClientStats stats = client.stats();
-  EXPECT_GE(stats.bulk_crc_failures + stats.crc_rejects, 1u);
+  const metrics::Snapshot stats = client.metrics()->Snapshot();
+  EXPECT_GE(stats.Get("bulk_crc_failures") + stats.Get("crc_rejects"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -536,7 +538,7 @@ TEST_F(RpcTest, ReplayedSliceReplyServesTheSameCachedSlice) {
 
   ASSERT_TRUE(handle->Await().ok());
   EXPECT_EQ(executed.load(), 1);  // dedup absorbed the duplicate requests
-  EXPECT_GE(server.stats().dedup_hits, 1u);
+  EXPECT_GE(server.metrics()->Snapshot().Get("dedup_hits"), 1u);
   // The duplicate delivery aliases the one cached slice — same bytes, same
   // allocation.  However many times the reply crossed the wire, there is
   // exactly one payload in the process.
@@ -604,12 +606,12 @@ TEST_F(RpcTest, BreakerOpensFastFailsAndRecoversViaProbe) {
   EXPECT_FALSE(client.Call(server_->nid(), kEcho, body).ok());
   EXPECT_FALSE(client.Call(server_->nid(), kEcho, body).ok());
   EXPECT_TRUE(client.BreakerOpen(server_->nid()));
-  EXPECT_EQ(client.stats().breaker_opens, 1u);
+  EXPECT_EQ(client.metrics()->Snapshot().Get("breaker_opens"), 1u);
 
   // While open, calls are refused without touching the fabric.
   auto fast = client.Call(server_->nid(), kEcho, body);
   EXPECT_EQ(fast.status().code(), ErrorCode::kUnavailable);
-  EXPECT_GE(client.stats().breaker_fast_fails, 1u);
+  EXPECT_GE(client.metrics()->Snapshot().Get("breaker_fast_fails"), 1u);
 
   // A failed half-open probe keeps the breaker open.
   util::RealClockInstance()->SleepFor(std::chrono::milliseconds(60));
@@ -637,7 +639,7 @@ TEST_F(RpcTest, ErrorRepliesDoNotTripBreaker) {
               ErrorCode::kPermissionDenied);
   }
   EXPECT_FALSE(client.BreakerOpen(server_->nid()));
-  EXPECT_EQ(client.stats().breaker_opens, 0u);
+  EXPECT_EQ(client.metrics()->Snapshot().Get("breaker_opens"), 0u);
 }
 
 TEST(BackoffTest, DecorrelatedJitterStaysInEnvelope) {
@@ -758,7 +760,7 @@ TEST_F(RpcTest, OnCompleteFiresOnRetransmitExhaustion) {
   // result through the same completion path as replies.
   EXPECT_EQ(seen.get_future().get(), ErrorCode::kTimeout);
   EXPECT_EQ(handle->Await().status().code(), ErrorCode::kTimeout);
-  EXPECT_EQ(client.stats().retransmits, 2u);
+  EXPECT_EQ(client.metrics()->Snapshot().Get("retransmits"), 2u);
 }
 
 TEST_F(RpcTest, SecondOnCompleteReplacesUnfiredFirst) {
@@ -874,17 +876,19 @@ TEST_F(RpcTest, OpTalliesAggregateAcrossConcurrentIssuers) {
   }
   for (auto& t : threads) t.join();
 
-  const auto tallies = client.OpTallies();
-  ASSERT_TRUE(tallies.contains(kEcho));
-  ASSERT_TRUE(tallies.contains(kFail));
-  EXPECT_EQ(tallies.at(kEcho).calls,
+  const metrics::Snapshot tallies = client.metrics()->Snapshot();
+  const std::string echo = "op." + std::to_string(kEcho);
+  const std::string fail = "op." + std::to_string(kFail);
+  ASSERT_TRUE(tallies.cells().contains(echo + ".calls"));
+  ASSERT_TRUE(tallies.cells().contains(fail + ".calls"));
+  EXPECT_EQ(tallies.Get(echo + ".calls"),
             static_cast<std::uint64_t>(kThreads) * kOkPerThread);
-  EXPECT_EQ(tallies.at(kEcho).errors, 0u);
-  EXPECT_EQ(tallies.at(kFail).calls,
+  EXPECT_EQ(tallies.Get(echo + ".errors"), 0u);
+  EXPECT_EQ(tallies.Get(fail + ".calls"),
             static_cast<std::uint64_t>(kThreads) * kFailPerThread);
-  EXPECT_EQ(tallies.at(kFail).errors,
+  EXPECT_EQ(tallies.Get(fail + ".errors"),
             static_cast<std::uint64_t>(kThreads) * kFailPerThread);
-  EXPECT_EQ(client.stats().calls,
+  EXPECT_EQ(tallies.Get("calls"),
             static_cast<std::uint64_t>(kThreads) * (kOkPerThread + kFailPerThread));
 }
 
@@ -966,12 +970,12 @@ TEST(RpcVirtualClockTest, ShortCallBehindLongOneTimesOutOnItsOwnDeadline) {
   ASSERT_TRUE(fast.ok());
   EXPECT_EQ(fast->Await().status().code(), ErrorCode::kTimeout);
   EXPECT_EQ(vclock.Now() - issued, 3 * std::chrono::milliseconds(50));
-  EXPECT_EQ(client.stats().retransmits, 2u);
+  EXPECT_EQ(client.metrics()->Snapshot().Get("retransmits"), 2u);
   EXPECT_FALSE(slow->TryAwait(nullptr));
 
   EXPECT_EQ(slow->Await().status().code(), ErrorCode::kTimeout);
   EXPECT_EQ(vclock.Now() - start, 3 * std::chrono::seconds(5));
-  EXPECT_EQ(client.stats().retransmits, 4u);
+  EXPECT_EQ(client.metrics()->Snapshot().Get("retransmits"), 4u);
   server.Stop();
 }
 
@@ -1019,7 +1023,7 @@ TEST_F(RpcTest, CorruptRepliesRacingTheirOwnSendNeverStrandACall) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(stranded.load(), 0);
   EXPECT_EQ(data_loss.load(), kThreads * kCallsPerThread);
-  EXPECT_EQ(client.stats().crc_rejects,
+  EXPECT_EQ(client.metrics()->Snapshot().Get("crc_rejects"),
             3u * static_cast<std::uint64_t>(kThreads * kCallsPerThread));
 }
 
@@ -1161,7 +1165,8 @@ TEST_F(RpcTest, ForgedClientNidCannotHijackAnotherClientsCall) {
   ASSERT_TRUE(
       attacker->Put(server_->nid(), kRequestPortal, 0, ByteSpan(forged)).ok());
   FlushSingleWorker(fabric_, server_->nid());
-  EXPECT_EQ(server_->stats().served, 1u);  // only the flush reached a handler
+  // Only the flush reached a handler.
+  EXPECT_EQ(server_->metrics()->Snapshot().Get("served"), 1u);
   // ...and answers it itself.  The reply slot accepts only the called
   // server, so the forged reply finds no entry and consumes nothing.
   const Buffer fake = ForgeReply("echo:forged");
@@ -1207,8 +1212,9 @@ TEST_F(RpcTest, ForgedClientNidCannotPoisonTheDedupCache) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   Decoder dec(*reply);
   EXPECT_EQ(*dec.GetString(), "echo:real");
-  EXPECT_EQ(server_->stats().dedup_hits, 0u);
-  EXPECT_EQ(server_->stats().served, 3u);  // first, flush, real
+  EXPECT_EQ(server_->metrics()->Snapshot().Get("dedup_hits"), 0u);
+  // The first call, the flush and the real call.
+  EXPECT_EQ(server_->metrics()->Snapshot().Get("served"), 3u);
 }
 
 }  // namespace

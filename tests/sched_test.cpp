@@ -143,12 +143,14 @@ TEST(IoSchedulerTest, ChargesMediumOncePerMergedRun) {
   EXPECT_TRUE(c->Await().ok());
   EXPECT_TRUE(d->Await().ok());
 
-  const auto stats = sched.stats();
-  EXPECT_EQ(stats.requests, 5u);
-  EXPECT_EQ(stats.runs, 3u);    // batch 1, the merged object-2 run, object 3
-  EXPECT_EQ(stats.merges, 2u);  // two extents absorbed into the object-2 run
-  EXPECT_EQ(stats.coalesced_bytes, 12288u);
-  EXPECT_GE(stats.queue_depth_hwm, 4u);
+  const metrics::Snapshot stats = sched.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("requests"), 5u);
+  // Batch 1, the merged object-2 run, object 3.
+  EXPECT_EQ(stats.Get("runs"), 3u);
+  // Two extents absorbed into the object-2 run.
+  EXPECT_EQ(stats.Get("merges"), 2u);
+  EXPECT_EQ(stats.Get("coalesced_bytes"), 12288u);
+  EXPECT_GE(stats.Total("queue_depth").high_water, 4u);
   {
     std::lock_guard<std::mutex> lock(order_mutex);
     ASSERT_EQ(service_order.size(), 4u);
@@ -166,13 +168,13 @@ TEST(IoSchedulerTest, ResetStatsZeroesCountersIncludingHighWaterMark) {
   auto ticket = sched.Submit(storage::ObjectId{1}, true, 0, 10,
                              [] { return OkStatus(); });
   EXPECT_TRUE(ticket->Await().ok());
-  EXPECT_GT(sched.stats().requests, 0u);
-  EXPECT_GE(sched.stats().queue_depth_hwm, 1u);
-  sched.ResetStats();
-  const auto stats = sched.stats();
-  EXPECT_EQ(stats.requests, 0u);
-  EXPECT_EQ(stats.runs, 0u);
-  EXPECT_EQ(stats.queue_depth_hwm, 0u);
+  EXPECT_GT(sched.metrics()->Snapshot().Get("requests"), 0u);
+  EXPECT_GE(sched.metrics()->Snapshot().Total("queue_depth").high_water, 1u);
+  sched.metrics()->Reset();
+  const metrics::Snapshot stats = sched.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("requests"), 0u);
+  EXPECT_EQ(stats.Get("runs"), 0u);
+  EXPECT_EQ(stats.Total("queue_depth").high_water, 0u);
   sched.Stop();
 }
 
@@ -296,11 +298,14 @@ TEST(SchedServerTest, ConcurrentStridedWritesRoundTripThroughScheduler) {
     }
   }
 
-  const auto stats = runtime->storage_server(0).sched_stats();
-  EXPECT_GE(stats.requests, kThreads * kPerThread);  // plus the reads
-  EXPECT_GT(stats.runs, 0u);
-  EXPECT_LE(stats.runs, stats.requests);
-  EXPECT_GE(stats.queue_depth_hwm, 2u);  // concurrency actually queued
+  const metrics::Snapshot stats =
+      runtime->storage_server(0).metrics()->Snapshot();
+  // The writes, plus the reads.
+  EXPECT_GE(stats.Get("sched.requests"), kThreads * kPerThread);
+  EXPECT_GT(stats.Get("sched.runs"), 0u);
+  EXPECT_LE(stats.Get("sched.runs"), stats.Get("sched.requests"));
+  // Concurrency actually queued.
+  EXPECT_GE(stats.Total("sched.queue_depth").high_water, 2u);
 }
 
 // The scheduler-off configuration is the server_sched bench's per-request
@@ -337,11 +342,12 @@ TEST(SchedServerTest, SchedulerOffPathStillRoundTrips) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, payload);
 
-  const core::IoSchedulerStats stats = runtime->storage_server(0).sched_stats();
-  EXPECT_EQ(stats.requests, 17u);  // 16 write extents + 1 read
-  EXPECT_EQ(stats.runs, stats.requests);
-  EXPECT_EQ(stats.merges, 0u);
-  EXPECT_EQ(stats.coalesced_bytes, 0u);
+  const metrics::Snapshot stats =
+      runtime->storage_server(0).metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("sched.requests"), 17u);  // 16 write extents + 1 read
+  EXPECT_EQ(stats.Get("sched.runs"), stats.Get("sched.requests"));
+  EXPECT_EQ(stats.Get("sched.merges"), 0u);
+  EXPECT_EQ(stats.Get("sched.coalesced_bytes"), 0u);
 }
 
 // Multi-chunk requests squeeze through a staging pool clamped to the

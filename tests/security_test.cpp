@@ -254,13 +254,14 @@ TEST_F(SecurityTest, CredentialVerificationIsCachedAtAuthz) {
   auto alice = authn_.Login("alice", "pw-a");
   auto cid = authz_.CreateContainer(*alice);
   ASSERT_TRUE(cid.ok());
-  const auto trips_before = authz_.authn_roundtrips();
+  const auto trips_before =
+      authz_.metrics()->Snapshot().Get("authn_roundtrips");
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(authz_.GetCap(*alice, *cid, kOpRead).ok());
   }
   // One container create + five getcaps, but only the first call paid an
   // authentication round trip (Figure 4-a).
-  EXPECT_EQ(authz_.authn_roundtrips(), trips_before);
+  EXPECT_EQ(authz_.metrics()->Snapshot().Get("authn_roundtrips"), trips_before);
 }
 
 TEST_F(SecurityTest, CredRevocationDropsAuthzCache) {
@@ -344,7 +345,7 @@ TEST_F(SecurityTest, RevokeCapByHolderAndOwner) {
   // The container owner may revoke bob's cap.
   ASSERT_TRUE(authz_.RevokeCap(*alice, cap->cap_id).ok());
   EXPECT_FALSE(authz_.VerifyForServer(1, *cap).ok());
-  EXPECT_EQ(authz_.caps_revoked(), 1u);
+  EXPECT_EQ(authz_.metrics()->Snapshot().Get("caps_revoked"), 1u);
 }
 
 TEST_F(SecurityTest, StrangerCannotRevokeCap) {

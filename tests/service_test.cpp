@@ -364,12 +364,14 @@ class ServiceMiddlewareTest : public ::testing::Test {
     cid_ = *cid;
   }
 
-  rpc::OpStats FindOp(const std::string& name) {
-    for (const rpc::OpStats& s : runtime_->TotalOpStats()) {
-      if (s.name == name) return s;
-    }
-    ADD_FAILURE() << "op " << name << " not in TotalOpStats()";
-    return {};
+  /// Deployment-wide total of one op cell, e.g. Op("storage",
+  /// "obj_write", "calls") sums storage.<i>.op.obj_write.calls.
+  std::uint64_t Op(const std::string& service, const std::string& op,
+                   const std::string& cell) {
+    const metrics::Snapshot snap = runtime_->metrics()->Snapshot();
+    const std::string name = service + ".**.op." + op + "." + cell;
+    EXPECT_TRUE(snap.Total(name).kind == metrics::Kind::kCounter) << name;
+    return snap.Sum(name);
   }
 
   std::unique_ptr<core::ServiceRuntime> runtime_;
@@ -389,22 +391,24 @@ TEST_F(ServiceMiddlewareTest, PerOpMetricsCountCallsLatencyAndBulk) {
   auto n = client_->ReadObject(0, *cap, *oid, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok());
 
-  const rpc::OpStats create = FindOp("storage.obj_create");
-  EXPECT_EQ(create.calls, 1u);
-  EXPECT_EQ(create.errors, 0u);
-  const rpc::OpStats write = FindOp("storage.obj_write");
-  EXPECT_EQ(write.calls, 1u);
-  EXPECT_EQ(write.bulk_bytes, data.size());
-  const rpc::OpStats read = FindOp("storage.obj_read");
-  EXPECT_EQ(read.calls, 1u);
-  EXPECT_EQ(read.bulk_bytes, data.size());
-  const rpc::OpStats login = FindOp("authn.login");
-  EXPECT_EQ(login.calls, 1u);
+  EXPECT_EQ(Op("storage", "obj_create", "calls"), 1u);
+  EXPECT_EQ(Op("storage", "obj_create", "errors"), 0u);
+  EXPECT_EQ(Op("storage", "obj_write", "calls"), 1u);
+  EXPECT_EQ(Op("storage", "obj_write", "bulk_bytes"), data.size());
+  EXPECT_EQ(Op("storage", "obj_read", "calls"), 1u);
+  EXPECT_EQ(Op("storage", "obj_read", "bulk_bytes"), data.size());
+  EXPECT_EQ(Op("authn", "login", "calls"), 1u);
+  // Every call landed in its op's latency histogram.
+  const metrics::Value latency = runtime_->metrics()->Snapshot().Total(
+      "storage.*.op.obj_write.latency_us");
+  EXPECT_EQ(latency.dist.count, 1u);
+  EXPECT_LE(latency.dist.Quantile(0.5), latency.dist.max);
   // Client-side mirror: the instrumented stubs tally the same traffic.
-  const auto tallies = client_->rpc_op_tallies();
-  ASSERT_TRUE(tallies.count(core::kOpObjWrite));
-  EXPECT_EQ(tallies.at(core::kOpObjWrite).calls, 1u);
-  EXPECT_EQ(tallies.at(core::kOpObjWrite).errors, 0u);
+  const metrics::Snapshot tallies = client_->metrics()->Snapshot();
+  const std::string write_op = "rpc.op." + std::to_string(core::kOpObjWrite);
+  ASSERT_TRUE(tallies.cells().contains(write_op + ".calls"));
+  EXPECT_EQ(tallies.Get(write_op + ".calls"), 1u);
+  EXPECT_EQ(tallies.Get(write_op + ".errors"), 0u);
 }
 
 TEST_F(ServiceMiddlewareTest, MalformedRequestIsRejectedUniformly) {
@@ -418,10 +422,9 @@ TEST_F(ServiceMiddlewareTest, MalformedRequestIsRejectedUniformly) {
   EXPECT_EQ(reply.status().code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(reply.status().message(), "malformed name_mkdir request");
 
-  const rpc::OpStats mkdir = FindOp("naming.name_mkdir");
-  EXPECT_EQ(mkdir.calls, 1u);
-  EXPECT_EQ(mkdir.rejected, 1u);
-  EXPECT_EQ(mkdir.errors, 1u);
+  EXPECT_EQ(Op("naming", "name_mkdir", "calls"), 1u);
+  EXPECT_EQ(Op("naming", "name_mkdir", "rejected"), 1u);
+  EXPECT_EQ(Op("naming", "name_mkdir", "errors"), 1u);
 }
 
 TEST_F(ServiceMiddlewareTest, AuthorizationRunsBeforeHandlerBody) {
@@ -434,33 +437,37 @@ TEST_F(ServiceMiddlewareTest, AuthorizationRunsBeforeHandlerBody) {
   // The handler body never ran: no object appeared.
   EXPECT_EQ(runtime_->store(0).ObjectCount(), before);
 
-  const rpc::OpStats create = FindOp("storage.obj_create");
-  EXPECT_EQ(create.calls, 1u);
-  EXPECT_EQ(create.denied, 1u);
-  EXPECT_EQ(create.errors, 1u);
+  EXPECT_EQ(Op("storage", "obj_create", "calls"), 1u);
+  EXPECT_EQ(Op("storage", "obj_create", "denied"), 1u);
+  EXPECT_EQ(Op("storage", "obj_create", "errors"), 1u);
 }
 
-TEST(ServiceStatsTest, MergeOpStatsSumsCountersAndTakesLatencyMax) {
-  std::vector<rpc::OpStats> total;
-  rpc::OpStats a;
-  a.opcode = 7;
-  a.name = "svc.op";
-  a.calls = 2;
-  a.errors = 1;
-  a.latency_us_total = 100;
-  a.latency_us_max = 80;
-  a.bulk_bytes = 10;
-  rpc::OpStats b = a;
-  b.calls = 3;
-  b.latency_us_max = 40;
-  rpc::MergeOpStats(total, {a});
-  rpc::MergeOpStats(total, {b});
-  ASSERT_EQ(total.size(), 1u);
-  EXPECT_EQ(total[0].calls, 5u);
-  EXPECT_EQ(total[0].errors, 2u);
-  EXPECT_EQ(total[0].latency_us_total, 200u);
-  EXPECT_EQ(total[0].latency_us_max, 80u);
-  EXPECT_EQ(total[0].bulk_bytes, 20u);
+// Two endpoints' cells for one op read as one deployment total: counters
+// sum, latency distributions merge (their max is the larger max).
+TEST(ServiceStatsTest, SnapshotTotalSumsCountersAndMergesLatency) {
+  auto a = std::make_shared<metrics::Registry>();
+  auto b = std::make_shared<metrics::Registry>();
+  metrics::Registry deployment;
+  deployment.Attach("svc.0.op", a);
+  deployment.Attach("svc.1.op", b);
+  a->counter("op.calls").Add(2);
+  a->counter("op.errors").Add(1);
+  a->counter("op.bulk_bytes").Add(10);
+  a->histogram("op.latency_us").Record(20);
+  a->histogram("op.latency_us").Record(80);
+  b->counter("op.calls").Add(3);
+  b->counter("op.errors").Add(1);
+  b->counter("op.bulk_bytes").Add(10);
+  b->histogram("op.latency_us").Record(40);
+  const metrics::Snapshot snap = deployment.Snapshot();
+  EXPECT_EQ(snap.Sum("svc.*.op.op.calls"), 5u);
+  EXPECT_EQ(snap.Sum("svc.*.op.op.errors"), 2u);
+  EXPECT_EQ(snap.Sum("svc.*.op.op.bulk_bytes"), 20u);
+  const metrics::Distribution latency =
+      snap.Total("svc.*.op.op.latency_us").dist;
+  EXPECT_EQ(latency.count, 3u);
+  EXPECT_EQ(latency.sum, 140u);
+  EXPECT_EQ(latency.max, 80u);
 }
 
 // ---------------------------------------------------------------------------

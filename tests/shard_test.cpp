@@ -228,7 +228,8 @@ TEST_F(ShardedRuntimeTest, NamespaceOpsRouteAcrossFourShards) {
   for (int i = 0; i < kFiles; ++i) {
     EXPECT_TRUE(client_->LookupName("/data/f" + std::to_string(i)).ok());
   }
-  EXPECT_EQ(client_->wrong_shard_retries(), 0u);  // the cached map was right
+  // The cached map was right.
+  EXPECT_EQ(client_->metrics()->Snapshot().Get("wrong_shard_retries"), 0u);
 
   // List merges the per-shard partitions into one sorted directory.
   auto listed = client_->ListNames("/data");
@@ -442,11 +443,14 @@ std::string FailoverTrace(std::uint64_t seed) {
     }
     trace << "\n";
   }
-  auto takeovers = runtime.TotalTakeoverStats();
-  trace << "committed=" << committed.size() << " takeovers="
-        << takeovers.takeovers << " replayed=" << takeovers.replayed
-        << " replay_errors=" << takeovers.replay_errors
-        << " failovers=" << client->naming_failovers()
+  // Summed over every naming endpoint, primaries and standbys.
+  const metrics::Snapshot snap = runtime.metrics()->Snapshot();
+  trace << "committed=" << committed.size()
+        << " takeovers=" << snap.Sum("*.*.takeovers")
+        << " replayed=" << snap.Sum("*.*.replayed")
+        << " replay_errors=" << snap.Sum("*.*.replay_errors")
+        << " failovers="
+        << client->metrics()->Snapshot().Get("naming_failovers")
         << " epoch=" << runtime.shard_map()->epoch()
         << " t_us=" << clock.NowUs() << "\n";
   return trace.str();
@@ -519,11 +523,13 @@ TEST(MdsFailoverTest, StandbyServesCommittedNamespaceAfterPrimaryDeath) {
       EXPECT_EQ(attr->size, payload.size());  // SetSize replayed
     }
   }
-  EXPECT_GT(client->mds_failovers(), 0u);
+  EXPECT_GT(client->metrics()->Snapshot().Get("mds_failovers"), 0u);
   ASSERT_NE(runtime.mds_standby_server(), nullptr);
-  EXPECT_EQ(runtime.mds_standby_server()->takeovers(), 1u);
-  EXPECT_GT(runtime.mds_standby_server()->takeover_replayed(), 0u);
-  EXPECT_EQ(runtime.mds_standby_server()->takeover_replay_errors(), 0u);
+  const metrics::Snapshot standby =
+      runtime.mds_standby_server()->metrics()->Snapshot();
+  EXPECT_EQ(standby.Get("takeovers"), 1u);
+  EXPECT_GT(standby.Get("replayed"), 0u);
+  EXPECT_EQ(standby.Get("replay_errors"), 0u);
 
   // The promoted standby serves new work: creates keep striping over the
   // OSTs, and the data written before the failover reads back byte-exact.

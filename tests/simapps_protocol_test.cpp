@@ -47,23 +47,23 @@ class LwfsProtocolTest : public ::testing::Test {
 };
 
 TEST_F(LwfsProtocolTest, SteadyStateCreateIsOneRoundTripToTheStorageServer) {
-  runtime_->fabric().ResetStats();
+  runtime_->fabric().metrics()->Reset();
   ASSERT_TRUE(client_->CreateObject(0, cap_).ok());
-  auto stats = runtime_->fabric().Stats();
+  const metrics::Snapshot stats = runtime_->fabric().metrics()->Snapshot();
   // Request + reply; no metadata server, no authorization traffic.
-  EXPECT_EQ(stats.puts, 2u);
-  EXPECT_EQ(stats.gets, 0u);
+  EXPECT_EQ(stats.Get("puts"), 2u);
+  EXPECT_EQ(stats.Get("gets"), 0u);
 }
 
 TEST_F(LwfsProtocolTest, FirstUseOfACapabilityAddsExactlyOneVerifyRoundTrip) {
   auto cap2 = client_->GetCap(client_->Login("u", "p").value(), cid_,
                               security::kOpCreate);
   ASSERT_TRUE(cap2.ok());
-  runtime_->fabric().ResetStats();
+  runtime_->fabric().metrics()->Reset();
   ASSERT_TRUE(client_->CreateObject(0, *cap2).ok());
-  auto stats = runtime_->fabric().Stats();
+  const metrics::Snapshot stats = runtime_->fabric().metrics()->Snapshot();
   // create req/reply + verify req/reply (Figure 4-b).
-  EXPECT_EQ(stats.puts, 4u);
+  EXPECT_EQ(stats.Get("puts"), 4u);
 }
 
 TEST_F(LwfsProtocolTest, WritePullsExactlyCeilChunks) {
@@ -71,15 +71,15 @@ TEST_F(LwfsProtocolTest, WritePullsExactlyCeilChunks) {
   ASSERT_TRUE(oid.ok());
   const std::size_t bytes = 3 * kChunk + 100;  // -> 4 pulls
   Buffer data = PatternBuffer(bytes, 1);
-  runtime_->fabric().ResetStats();
+  runtime_->fabric().metrics()->Reset();
   ASSERT_TRUE(client_->WriteObject(0, cap_, *oid, 0, ByteSpan(data)).ok());
-  auto stats = runtime_->fabric().Stats();
-  EXPECT_EQ(stats.puts, 2u);  // small request + small reply only
-  EXPECT_EQ(stats.gets, 4u);  // server-directed pulls
-  EXPECT_EQ(stats.get_bytes, bytes);
+  const metrics::Snapshot stats = runtime_->fabric().metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("puts"), 2u);  // small request + small reply only
+  EXPECT_EQ(stats.Get("gets"), 4u);  // server-directed pulls
+  EXPECT_EQ(stats.Get("get_bytes"), bytes);
   // The requests really are small: the paper's whole point is that bulk
   // data never rides the request channel.
-  EXPECT_LT(stats.put_bytes, 1000u);
+  EXPECT_LT(stats.Get("put_bytes"), 1000u);
 }
 
 // A read is one request and one reply, whatever its size: the server
@@ -92,17 +92,17 @@ TEST_F(LwfsProtocolTest, ReadReturnsPayloadInOneReplyFrame) {
   const std::size_t bytes = 2 * kChunk + 1;
   Buffer data = PatternBuffer(bytes, 2);
   ASSERT_TRUE(client_->WriteObject(0, cap_, *oid, 0, ByteSpan(data)).ok());
-  runtime_->fabric().ResetStats();
+  runtime_->fabric().metrics()->Reset();
   auto back = client_->ReadObjectAlloc(0, cap_, *oid, 0, bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, data);
-  auto stats = runtime_->fabric().Stats();
-  EXPECT_EQ(stats.gets, 0u);
+  const metrics::Snapshot stats = runtime_->fabric().metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("gets"), 0u);
   // Small request + the reply carrying the payload; only request/reply
   // framing on top of the payload bytes.
-  EXPECT_EQ(stats.puts, 2u);
-  EXPECT_GE(stats.put_bytes, bytes);
-  EXPECT_LT(stats.put_bytes, bytes + 1000);
+  EXPECT_EQ(stats.Get("puts"), 2u);
+  EXPECT_GE(stats.Get("put_bytes"), bytes);
+  EXPECT_LT(stats.Get("put_bytes"), bytes + 1000);
 }
 
 class PfsProtocolTest : public ::testing::Test {
@@ -124,17 +124,17 @@ class PfsProtocolTest : public ::testing::Test {
 
 TEST_F(PfsProtocolTest, CreateCostsClientMdsPlusMdsOstRoundTrips) {
   auto client = runtime_->MakeClient();
-  fabric_.ResetStats();
+  fabric_.metrics()->Reset();
   ASSERT_TRUE(client->Create("/one-stripe", 1).ok());
-  auto stats = fabric_.Stats();
+  metrics::Snapshot stats = fabric_.metrics()->Snapshot();
   // client->MDS req/reply + MDS->OST create req/reply: the serialized MDS
   // path the simulator charges mds_create_time + stripe time for.
-  EXPECT_EQ(stats.puts, 4u);
+  EXPECT_EQ(stats.Get("puts"), 4u);
 
-  fabric_.ResetStats();
+  fabric_.metrics()->Reset();
   ASSERT_TRUE(client->Create("/four-stripes", 4).ok());
-  stats = fabric_.Stats();
-  EXPECT_EQ(stats.puts, 2u + 2u * 4u);  // one OST round trip per stripe
+  stats = fabric_.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("puts"), 2u + 2u * 4u);  // one OST round trip per stripe
 }
 
 TEST_F(PfsProtocolTest, RelaxedWriteTouchesOnlyOsts) {
@@ -142,11 +142,11 @@ TEST_F(PfsProtocolTest, RelaxedWriteTouchesOnlyOsts) {
   auto file = client->Create("/f", 1);
   ASSERT_TRUE(file.ok());
   Buffer data = PatternBuffer(100000, 1);
-  fabric_.ResetStats();
+  fabric_.metrics()->Reset();
   ASSERT_TRUE(client->Write(*file, 0, ByteSpan(data)).ok());
-  auto stats = fabric_.Stats();
-  EXPECT_EQ(stats.puts, 2u);  // OST req/reply
-  EXPECT_EQ(stats.gets, 1u);  // one pull (single chunk)
+  const metrics::Snapshot stats = fabric_.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("puts"), 2u);  // OST req/reply
+  EXPECT_EQ(stats.Get("gets"), 1u);  // one pull (single chunk)
 }
 
 TEST_F(PfsProtocolTest, PosixWriteAddsTwoMdsLockRoundTrips) {
@@ -154,12 +154,12 @@ TEST_F(PfsProtocolTest, PosixWriteAddsTwoMdsLockRoundTrips) {
   auto file = client->Create("/locked", 1);
   ASSERT_TRUE(file.ok());
   Buffer data = PatternBuffer(1000, 1);
-  fabric_.ResetStats();
+  fabric_.metrics()->Reset();
   ASSERT_TRUE(client->Write(*file, 0, ByteSpan(data)).ok());
-  auto stats = fabric_.Stats();
+  const metrics::Snapshot stats = fabric_.metrics()->Snapshot();
   // lock try + reply, OST write + reply, unlock + reply — the 2-extra-MDS-
   // round-trips-per-write the simulator charges the shared-file model.
-  EXPECT_EQ(stats.puts, 6u);
+  EXPECT_EQ(stats.Get("puts"), 6u);
 }
 
 }  // namespace

@@ -217,7 +217,7 @@ TEST(StressTest, WindowedWriteBurstWireCountsAreExact) {
   }
 
   const Buffer payload = PatternBuffer(kBytes, 77);
-  runtime->fabric().ResetStats();
+  runtime->fabric().metrics()->Reset();
   {
     core::Batch batch(client.get(), /*window=*/8);
     for (const auto& [server, oid] : objects) {
@@ -225,11 +225,11 @@ TEST(StressTest, WindowedWriteBurstWireCountsAreExact) {
     }
     ASSERT_TRUE(batch.Drain().ok()) << batch.first_error().ToString();
   }
-  const auto stats = runtime->fabric().Stats();
-  EXPECT_EQ(stats.puts, 2u * kWrites);  // request + reply per write
-  EXPECT_EQ(stats.gets, 1u * kWrites);  // one server-directed pull each
-  EXPECT_EQ(stats.get_bytes, kWrites * kBytes);
-  EXPECT_LT(stats.put_bytes, kWrites * 1000u);  // requests stay small
+  const metrics::Snapshot stats = runtime->fabric().metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("puts"), 2u * kWrites);  // request + reply per write
+  EXPECT_EQ(stats.Get("gets"), 1u * kWrites);  // one server-directed pull each
+  EXPECT_EQ(stats.Get("get_bytes"), kWrites * kBytes);
+  EXPECT_LT(stats.Get("put_bytes"), kWrites * 1000u);  // requests stay small
 
   // And the data really landed.
   for (std::uint32_t i = 0; i < kWrites; ++i) {

@@ -40,7 +40,7 @@ TEST_F(CapHolderTest, NoRefreshWhileFresh) {
   auto cap = holder.Get();
   ASSERT_TRUE(cap.ok());
   EXPECT_EQ(cap->cap_id, cap_.cap_id);
-  EXPECT_EQ(holder.refreshes(), 0u);
+  EXPECT_EQ(holder.metrics()->Snapshot().Get("refreshes"), 0u);
 }
 
 TEST_F(CapHolderTest, RefreshesNearExpiry) {
@@ -51,7 +51,7 @@ TEST_F(CapHolderTest, RefreshesNearExpiry) {
   ASSERT_TRUE(cap.ok()) << cap.status().ToString();
   EXPECT_NE(cap->cap_id, cap_.cap_id);  // a new issuance
   EXPECT_GT(cap->expires_us, cap_.expires_us);
-  EXPECT_EQ(holder.refreshes(), 1u);
+  EXPECT_EQ(holder.metrics()->Snapshot().Get("refreshes"), 1u);
   // The refreshed capability actually works at the storage server.
   EXPECT_TRUE(client_->CreateObject(0, *cap).ok());
 }
@@ -67,7 +67,7 @@ TEST_F(CapHolderTest, CheckpointGapSurvivesManyExpiries) {
     ASSERT_TRUE(cap.ok()) << "burst " << burst;
     ASSERT_TRUE(client_->CreateObject(0, *cap).ok()) << "burst " << burst;
   }
-  EXPECT_EQ(holder.refreshes(), 5u);
+  EXPECT_EQ(holder.metrics()->Snapshot().Get("refreshes"), 5u);
 }
 
 TEST_F(CapHolderTest, RefreshDeniedAfterPolicyChangeSurfacesCleanly) {

@@ -221,17 +221,6 @@ TEST(StatsTest, MergeMatchesSequential) {
   EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
 }
 
-TEST(StatsTest, PercentilesSorted) {
-  Percentiles p;
-  for (int i = 100; i >= 1; --i) p.Add(i);
-  EXPECT_DOUBLE_EQ(p.Get(0), 1.0);
-  EXPECT_DOUBLE_EQ(p.Get(100), 100.0);
-  EXPECT_NEAR(p.Get(50), 50.5, 1e-9);
-  // Adding after a query keeps results correct.
-  p.Add(1000);
-  EXPECT_DOUBLE_EQ(p.Get(100), 1000.0);
-}
-
 // ---- SyncQueue -----------------------------------------------------------------
 
 TEST(SyncQueueTest, FifoOrder) {
