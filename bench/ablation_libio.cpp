@@ -97,7 +97,8 @@ void SieveAblation(World& world) {
               "bytes moved", "overhead");
   auto file = world.fs->Create("/sieve").value();
   Buffer data = PatternBuffer(4 << 20, 1);
-  (void)world.fs->Write(file, 0, ByteSpan(data));
+  (void)core::Await(
+      world.fs->WriteAsync(file, {{0, util::SharedSlice::External(data)}}));
   (void)world.fs->Flush(file);
 
   struct Pattern {
@@ -167,8 +168,9 @@ void FilterAblation(World& world) {
 
     world.runtime->fabric().metrics()->Reset();
     t0 = util::RealClockInstance()->Now();
-    auto raw = world.client->ReadObjectAlloc(0, world.cap, oid, 0, data.size());
-    if (raw.ok()) (void)core::ApplyFilter(spec, ByteSpan(*raw));
+    auto raw = core::Await(
+        world.client->ReadObjectAsync(0, world.cap, oid, {{0, data.size()}}));
+    if (raw.ok()) (void)core::ApplyFilter(spec, raw->slices.front().span());
     dt = Seconds(t0, util::RealClockInstance()->Now());
     wire = world.runtime->fabric().metrics()->Snapshot();
     std::printf("%16s %14s %13.1fKB %8.4fs\n", name, "read+local",
@@ -184,7 +186,8 @@ void PrefetchAblation(World& world) {
       "Sequential read-ahead vs. unbuffered small reads (real stack)");
   auto file = world.fs->Create("/prefetch").value();
   Buffer data = PatternBuffer(16 << 20, 2);
-  (void)world.fs->Write(file, 0, ByteSpan(data));
+  (void)core::Await(
+      world.fs->WriteAsync(file, {{0, util::SharedSlice::External(data)}}));
   (void)world.fs->Flush(file);
 
   std::printf("%12s %12s %12s %10s\n", "mode", "reads", "I/O requests",
@@ -196,7 +199,8 @@ void PrefetchAblation(World& world) {
   auto t0 = util::RealClockInstance()->Now();
   std::uint64_t reads = 0;
   for (std::uint64_t off = 0; off < data.size(); off += chunk.size()) {
-    (void)world.fs->Read(file, off, MutableByteSpan(chunk));
+    (void)core::Await(world.fs->ReadAsync(
+        file, {{off, chunk.size(), MutableByteSpan(chunk)}}));
     ++reads;
   }
   double dt = Seconds(t0, util::RealClockInstance()->Now());

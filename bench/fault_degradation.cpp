@@ -122,12 +122,13 @@ Result<Point> RunPoint(core::ServiceRuntime& runtime, double drop_rate) {
     // (kDataLoss, kTimeout) retry cleanly; *wrong accepted bytes* are the
     // one unforgivable outcome.
     for (const auto& [server, oid] : objects) {
-      auto back = client->ReadObjectAlloc(server, *cap, oid, 0, payload.size());
-      for (int a = 1; a < kWriteAttempts && !back.ok(); ++a) {
-        back = client->ReadObjectAlloc(server, *cap, oid, 0, payload.size());
+      Buffer back(payload.size(), 0);
+      auto n = client->ReadObject(server, *cap, oid, 0, MutableByteSpan(back));
+      for (int a = 1; a < kWriteAttempts && !n.ok(); ++a) {
+        n = client->ReadObject(server, *cap, oid, 0, MutableByteSpan(back));
       }
-      if (!back.ok()) return back.status();
-      if (*back != payload) ++point.integrity_failures;
+      if (!n.ok()) return n.status();
+      if (*n != payload.size() || back != payload) ++point.integrity_failures;
     }
   }
 
@@ -213,23 +214,22 @@ Result<ReplicatedReport> RunReplicated() {
       }
       const auto start = util::RealClockInstance()->Now();
       for (const auto& chain : chains) {
-        LWFS_RETURN_IF_ERROR(
-            client->WriteReplicated(*cap, chain, 0, ByteSpan(payload)));
+        LWFS_RETURN_IF_ERROR(client->WriteReplicatedSlice(
+            *cap, chain, 0, util::SharedSlice::External(payload)));
       }
       const std::chrono::duration<double> elapsed =
           util::RealClockInstance()->Now() - start;
       const double mb = double(kObjectsPerTrial) * double(kObjectBytes) / 1e6;
       write_stats.Add(mb / elapsed.count());
 
-      Buffer back(payload.size(), 0);
       for (const auto& chain : chains) {
         const auto r0 = util::RealClockInstance()->Now();
-        auto n = client->ReadReplicated(*cap, chain, 0, MutableByteSpan(back));
+        auto back = client->ReadReplicatedSlice(*cap, chain, 0, payload.size());
         const std::chrono::duration<double, std::micro> lat =
             util::RealClockInstance()->Now() - r0;
-        if (!n.ok()) return n.status();
+        if (!back.ok()) return back.status();
         read_us.push_back(lat.count());
-        if (*n != payload.size() || back != payload) {
+        if (!std::ranges::equal(back->span(), payload)) {
           ++rep.integrity_failures;
         }
       }

@@ -115,7 +115,7 @@ bool RunPoint(const Options& opt, core::ServiceRuntime& runtime,
     spec.client = shards[c % shards.size()].get();
     spec.server = static_cast<std::uint32_t>(c % opt.servers);
     spec.cap = cap;
-    spec.payload = payload;
+    spec.payload = util::SharedSlice::External(payload);
     spec.chunk_bytes = opt.chunk_bytes;
     spec.window = window == 0 ? 1 : window;
     spec.create_only = window == 0;

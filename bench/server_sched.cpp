@@ -97,7 +97,11 @@ WorkloadResult RunStridedWrite(bool scheduler_on, const Params& p) {
       for (std::uint32_t i = 0; i < p.extents_per_thread; ++i) {
         const std::uint64_t offset =
             (static_cast<std::uint64_t>(i) * p.threads + t) * p.extent_bytes;
-        if (!batch.Write(0, cap, oid, offset, ByteSpan(payload)).ok()) return;
+        if (!batch.Write(0, cap, oid,
+                         {{offset, util::SharedSlice::External(payload)}})
+                 .ok()) {
+          return;
+        }
       }
       (void)batch.Drain();
     }));
@@ -157,7 +161,9 @@ WorkloadResult RunInterleavedRead(bool scheduler_on, const Params& p) {
         const std::uint64_t offset =
             (static_cast<std::uint64_t>(i) * p.threads + t) * p.extent_bytes;
         Buffer& slot = slots[i % p.window];
-        if (!batch.Read(0, cap, oid, offset, MutableByteSpan(slot)).ok()) {
+        if (!batch.Read(0, cap, oid,
+                        {{offset, slot.size(), MutableByteSpan(slot)}})
+                 .ok()) {
           return;
         }
       }

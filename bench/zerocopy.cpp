@@ -89,7 +89,9 @@ Result<SizeResult> RunSize(std::size_t payload_bytes, int iters) {
     for (int i = 0; i < iters; ++i) {
       Status written =
           kModes[mode].slice_api
-              ? client->WriteObjectSlice(0, *cap, *oid, 0, slice)
+              ? core::Await(client->WriteObjectAsync(0, *cap, *oid,
+                                                     {{0, slice}}))
+                    .status()
               : client->WriteObject(0, *cap, *oid, 0, ByteSpan(pattern));
       if (!written.ok()) return written;
     }
@@ -113,7 +115,8 @@ Result<SizeResult> RunSize(std::size_t payload_bytes, int iters) {
     const int warmup = std::min(iters / 4, 48);
     for (int i = 0; i < warmup; ++i) {
       if (kModes[mode].slice_api) {
-        auto got = client->ReadObjectSlice(0, *cap, *oid, 0, payload_bytes);
+        auto got = core::Await(
+            client->ReadObjectAsync(0, *cap, *oid, {{0, payload_bytes}}));
         if (!got.ok()) return got.status();
       } else {
         auto n = client->ReadObject(0, *cap, *oid, 0, MutableByteSpan(out));
@@ -124,12 +127,15 @@ Result<SizeResult> RunSize(std::size_t payload_bytes, int iters) {
     const auto r0 = wall.Now();
     for (int i = 0; i < iters; ++i) {
       if (kModes[mode].slice_api) {
-        auto got = client->ReadObjectSlice(0, *cap, *oid, 0, payload_bytes);
+        auto got = core::Await(
+            client->ReadObjectAsync(0, *cap, *oid, {{0, payload_bytes}}));
         if (!got.ok()) return got.status();
-        if (got->size() != payload_bytes) return Internal("short read in bench");
-        if (i == 0 &&
-            !std::equal(got->span().begin(), got->span().end(),
-                        pattern.begin())) {
+        const ByteSpan bytes = got->slices.front().span();
+        if (bytes.size() != payload_bytes) {
+          return Internal("short read in bench");
+        }
+        if (i == 0 && !std::equal(bytes.begin(), bytes.end(),
+                                  pattern.begin())) {
           return DataLoss("bench slice read back wrong bytes");
         }
       } else {

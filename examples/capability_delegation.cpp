@@ -50,7 +50,7 @@ int main() {
               security::OpMaskToString(bob_write.ops).c_str());
 
   Show("bob reads the dataset",
-       bob->ReadObjectAlloc(0, bob_read, oid, 0, 16).status());
+       core::Await(bob->ReadObjectAsync(0, bob_read, oid, {{0, 16}})).status());
   Show("bob writes the dataset",
        bob->WriteObject(0, bob_write, oid, 0, ByteSpan(data)));
   Show("bob tries to create (not granted)",
@@ -65,7 +65,8 @@ int main() {
   auto transferred = security::Capability::Decode(dec).value();
   auto third = runtime->MakeClient();
   Show("a third process uses bob's transferred cap",
-       third->ReadObjectAlloc(0, transferred, oid, 0, 16).status());
+       core::Await(third->ReadObjectAsync(0, transferred, oid, {{0, 16}}))
+           .status());
 
   // --- Caching ---------------------------------------------------------------
   auto& server = runtime->storage_server(0);
@@ -80,7 +81,7 @@ int main() {
   Show("bob writes after chmod (cached cap invalidated)",
        bob->WriteObject(0, bob_write, oid, 0, ByteSpan(data)));
   Show("bob still reads after chmod",
-       bob->ReadObjectAlloc(0, bob_read, oid, 0, 16).status());
+       core::Await(bob->ReadObjectAsync(0, bob_read, oid, {{0, 16}})).status());
 
   // --- Forgery resistance -------------------------------------------------------
   std::printf("\nforgery attempts:\n");
@@ -91,7 +92,7 @@ int main() {
   forged = bob_read;
   forged.expires_us += 3600LL * 1000 * 1000;  // extend lifetime
   Show("bob extends his cap's lifetime",
-       bob->ReadObjectAlloc(0, forged, oid, 0, 16).status());
+       core::Await(bob->ReadObjectAsync(0, forged, oid, {{0, 16}})).status());
 
   // --- Credential revocation (application exit) ----------------------------------
   std::printf("\nalice's application exits; its credential is revoked:\n");

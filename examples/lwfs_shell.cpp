@@ -120,10 +120,13 @@ int main(int argc, char** argv) {
         std::printf("put: %s\n", file.status().ToString().c_str());
         continue;
       }
-      Status s = fs->Write(*file, 0,
-                           ByteSpan(reinterpret_cast<const std::uint8_t*>(
-                                        text.data()),
-                                    text.size()));
+      Status s = core::Await(
+                     fs->WriteAsync(
+                         *file, {{0, util::SharedSlice::External(ByteSpan(
+                                         reinterpret_cast<const std::uint8_t*>(
+                                             text.data()),
+                                         text.size()))}}))
+                     .status();
       if (s.ok()) s = fs->Truncate(*file, text.size());
       if (s.ok()) s = fs->Flush(*file);
       if (!s.ok()) std::printf("put: %s\n", s.ToString().c_str());
@@ -134,13 +137,13 @@ int main(int argc, char** argv) {
         continue;
       }
       auto size = fs->Size(*file).value_or(0);
-      Buffer out(static_cast<std::size_t>(size), 0);
-      auto n = fs->Read(*file, 0, MutableByteSpan(out));
-      if (!n.ok()) {
-        std::printf("get: %s\n", n.status().ToString().c_str());
+      auto got = core::Await(fs->ReadAsync(*file, {{0, size}}));
+      if (!got.ok()) {
+        std::printf("get: %s\n", got.status().ToString().c_str());
         continue;
       }
-      fwrite(out.data(), 1, static_cast<std::size_t>(*n), stdout);
+      const ByteSpan bytes = got->slices.front().span();
+      fwrite(bytes.data(), 1, bytes.size(), stdout);
       std::printf("\n");
     } else if (cmd == "stat" && (in >> path)) {
       auto file = fs->Open(path);

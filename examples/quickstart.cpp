@@ -50,9 +50,11 @@ int main() {
               static_cast<unsigned long long>(oid.value), server,
               written.ToString().c_str());
 
-  auto back = client->ReadObjectAlloc(server, cap, oid, 0, data.size()).value();
-  std::printf("read back %zu bytes, match=%s\n", back.size(),
-              back == data ? "yes" : "NO");
+  Buffer back(data.size(), 0);
+  const std::uint64_t n =
+      client->ReadObject(server, cap, oid, 0, MutableByteSpan(back)).value();
+  std::printf("read back %llu bytes, match=%s\n",
+              static_cast<unsigned long long>(n), back == data ? "yes" : "NO");
 
   // 5. Optionally give the object a name through the naming service.
   (void)client->Mkdir("/demo", true);

@@ -90,11 +90,12 @@ int main() {
   std::uint64_t a_reads = 0;
   for (std::uint32_t shot = 0; shot < kShots; ++shot) {
     const auto& ref = shot_objects[shot];
-    auto trace = client
-                     ->ReadObjectAlloc(ref.server_index, cap, ref.oid,
-                                       static_cast<std::uint64_t>(want_offset) * kTraceBytes,
-                                       kTraceBytes)
-                     .value();
+    Buffer trace(kTraceBytes, 0);
+    (void)client
+        ->ReadObject(ref.server_index, cap, ref.oid,
+                     static_cast<std::uint64_t>(want_offset) * kTraceBytes,
+                     MutableByteSpan(trace))
+        .value();
     ++a_reads;
     if (trace != MakeTrace(shot, want_offset)) {
       std::fprintf(stderr, "policy A verify failed\n");
@@ -133,15 +134,18 @@ int main() {
   // Common-offset read under policy B: one sequential read of one object.
   t0 = std::chrono::steady_clock::now();
   const auto& ref = offset_objects[want_offset];
-  auto klass = client
-                   ->ReadObjectAlloc(ref.server_index, cap, ref.oid, 0,
-                                     static_cast<std::uint64_t>(kShots) * kTraceBytes)
-                   .value();
+  const util::SharedSlice klass =
+      core::Await(client->ReadObjectAsync(
+                      ref.server_index, cap, ref.oid,
+                      {{0, static_cast<std::uint64_t>(kShots) * kTraceBytes}}))
+          .value()
+          .slices.front();
   const double read_b = Seconds(t0, std::chrono::steady_clock::now());
   for (std::uint32_t shot = 0; shot < kShots; ++shot) {
     Buffer expect = MakeTrace(shot, want_offset);
     if (!std::equal(expect.begin(), expect.end(),
-                    klass.begin() + static_cast<std::ptrdiff_t>(shot) * kTraceBytes)) {
+                    klass.span().begin() +
+                        static_cast<std::ptrdiff_t>(shot) * kTraceBytes)) {
       std::fprintf(stderr, "policy B verify failed\n");
       return 1;
     }

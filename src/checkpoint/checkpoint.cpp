@@ -34,9 +34,9 @@ class ErrorCollector {
 /// Read a whole replicated object: resolve its chain, size it via the first
 /// member that answers GetAttr, then read-from-any (hedged when the client
 /// has hedging enabled).
-Result<Buffer> ReadReplicatedAlloc(core::Client& client,
-                                   const security::Capability& cap,
-                                   storage::ObjectId oid) {
+Result<util::SharedSlice> ReadReplicatedWhole(core::Client& client,
+                                              const security::Capability& cap,
+                                              storage::ObjectId oid) {
   auto chain = client.LookupReplicas(oid);
   if (!chain.ok()) return chain.status();
   std::optional<storage::ObjAttr> attr;
@@ -50,11 +50,7 @@ Result<Buffer> ReadReplicatedAlloc(core::Client& client,
     last = got.status();
   }
   if (!attr.has_value()) return last;
-  Buffer data(attr->size, 0);
-  auto n = client.ReadReplicated(cap, *chain, 0, MutableByteSpan(data));
-  if (!n.ok()) return n.status();
-  data.resize(static_cast<std::size_t>(*n));
-  return data;
+  return client.ReadReplicatedSlice(cap, *chain, 0, attr->size);
 }
 
 }  // namespace
@@ -177,11 +173,7 @@ Result<CheckpointStats> LwfsCheckpoint::Run(
     spec.cap = caps[r];
     spec.txid = txid;
     spec.replication_factor = config.replication_factor;
-    if (states[r].owned()) {
-      spec.payload_slice = states[r];
-    } else {
-      spec.payload = states[r].span();
-    }
+    spec.payload = states[r];
     auto machine = std::make_unique<WritePipeline>(std::move(spec));
     machines.push_back(machine.get());
     engine.Add(std::move(machine));
@@ -250,8 +242,8 @@ Result<CheckpointStats> LwfsCheckpoint::Run(
         errors.Record(mdchain.status());
       } else {
         ++created;
-        Status md_written = clients[0]->WriteReplicated(
-            caps[0], *mdchain, 0, ByteSpan(metadata));
+        Status md_written = clients[0]->WriteReplicatedSlice(
+            caps[0], *mdchain, 0, util::SharedSlice::External(metadata));
         if (!md_written.ok()) {
           errors.Record(md_written);
         } else {
@@ -321,18 +313,20 @@ Result<std::vector<util::SharedSlice>> LwfsCheckpoint::RestoreSlices(
 
   // The replicated bit in the oid says how the object was written; a
   // replicated metadata object survives the loss of its ref's head server.
-  Result<Buffer> metadata = Buffer{};
+  Result<util::SharedSlice> metadata = util::SharedSlice{};
   if (storage::IsReplicatedOid(md_ref->oid)) {
-    metadata = ReadReplicatedAlloc(*client, cap, md_ref->oid);
+    metadata = ReadReplicatedWhole(*client, cap, md_ref->oid);
   } else {
     auto md_attr = client->GetAttr(md_ref->server_index, cap, md_ref->oid);
     if (!md_attr.ok()) return md_attr.status();
-    metadata = client->ReadObjectAlloc(md_ref->server_index, cap, md_ref->oid,
-                                       0, md_attr->size);
+    auto done = core::Await(client->ReadObjectAsync(
+        md_ref->server_index, cap, md_ref->oid, {{0, md_attr->size}}));
+    if (!done.ok()) return done.status();
+    metadata = std::move(done->slices.front());
   }
   if (!metadata.ok()) return metadata.status();
 
-  auto md = rpc::DecodeMessage<CheckpointMetadata>(ByteSpan(*metadata));
+  auto md = rpc::DecodeMessage<CheckpointMetadata>(metadata->span());
   if (!md.ok()) return DataLoss("corrupt checkpoint metadata");
   const std::vector<CheckpointEntry>& entries = md->entries;
   const auto nranks = static_cast<std::uint32_t>(entries.size());
@@ -342,6 +336,7 @@ Result<std::vector<util::SharedSlice>> LwfsCheckpoint::RestoreSlices(
   // lands as the reply frame's store-owned slice — no per-rank landing
   // buffer is allocated here.
   std::vector<util::SharedSlice> states(nranks);
+  std::vector<core::IoResult> reads(nranks);
   core::Batch batch(client.get());
   std::vector<std::uint32_t> replicated_ranks;
   for (std::uint32_t r = 0; r < nranks; ++r) {
@@ -349,12 +344,15 @@ Result<std::vector<util::SharedSlice>> LwfsCheckpoint::RestoreSlices(
       replicated_ranks.push_back(r);
       continue;
     }
-    Status issued =
-        batch.ReadSlice(entries[r].ref.server_index, cap, entries[r].ref.oid,
-                        0, entries[r].size, &states[r]);
+    Status issued = batch.Read(entries[r].ref.server_index, cap,
+                               entries[r].ref.oid, {{0, entries[r].size}},
+                               &reads[r]);
     if (!issued.ok()) break;
   }
   LWFS_RETURN_IF_ERROR(batch.Drain());
+  for (std::uint32_t r = 0; r < nranks; ++r) {
+    if (!reads[r].slices.empty()) states[r] = std::move(reads[r].slices[0]);
+  }
   // Replicated rank objects read from any chain member — hedged when the
   // client has hedging enabled, with failover if a member is down.
   for (std::uint32_t r : replicated_ranks) {
@@ -403,7 +401,8 @@ Result<CheckpointStats> PfsFilePerProcess::Run(
   };
   for (std::uint32_t r = 0; r < nranks; ++r) {
     while (writes.size() >= pfs::kIoWindow) retire();
-    auto io = client->WriteAsync(files[r], 0, ByteSpan(states[r]));
+    auto io = client->WriteAsync(
+        files[r], {{0, util::SharedSlice::External(states[r])}});
     if (!io.ok()) {
       errors.Record(io.status());
       continue;
@@ -452,11 +451,12 @@ Result<std::vector<Buffer>> PfsFilePerProcess::Restore(
       errors.Record(n.status());
       return;
     }
-    states[r].resize(static_cast<std::size_t>(*n));
+    states[r].resize(static_cast<std::size_t>(n->bytes));
   };
   for (std::uint32_t r = 0; r < nranks; ++r) {
     while (reads.size() >= pfs::kIoWindow) retire();
-    auto io = client->ReadAsync(files[r], 0, MutableByteSpan(states[r]));
+    auto io = client->ReadAsync(
+        files[r], {{0, states[r].size(), MutableByteSpan(states[r])}});
     if (!io.ok()) {
       errors.Record(io.status());
       continue;
@@ -513,7 +513,8 @@ Result<CheckpointStats> PfsSharedFile::Run(pfs::PfsRuntime& runtime,
   };
   for (std::uint32_t r = 0; r < nranks; ++r) {
     while (writes.size() >= pfs::kIoWindow) retire();
-    auto io = clients[r]->WriteAsync(*file, offsets[r], ByteSpan(states[r]));
+    auto io = clients[r]->WriteAsync(
+        *file, {{offsets[r], util::SharedSlice::External(states[r])}});
     if (!io.ok()) {
       errors.Record(io.status());
       continue;
@@ -544,9 +545,13 @@ Result<std::vector<Buffer>> PfsSharedFile::Restore(
   std::uint64_t offset = 0;
   for (std::size_t r = 0; r < sizes.size(); ++r) {
     Buffer data(sizes[r], 0);
-    auto n = client->Read(*file, offset, MutableByteSpan(data));
+    auto n = core::Await(
+        client->ReadAsync(*file, {{offset, data.size(),
+                                   MutableByteSpan(data)}}));
     if (!n.ok()) return n.status();
-    if (*n != sizes[r]) return DataLoss("short read restoring shared file");
+    if (n->bytes != sizes[r]) {
+      return DataLoss("short read restoring shared file");
+    }
     states[r] = std::move(data);
     offset += sizes[r];
   }

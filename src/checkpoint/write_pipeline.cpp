@@ -230,25 +230,16 @@ driver::Step WritePipeline::Poll(driver::Context& ctx) {
             rep_writes_.pop_front();
             if (!n.ok()) return Fail(n.status());
           }
-          const bool sliced = spec_.payload_slice.owned();
-          const std::uint64_t total =
-              sliced ? spec_.payload_slice.size() : spec_.payload.size();
+          const std::uint64_t total = spec_.payload.size();
           const std::uint64_t chunk = spec_.chunk_bytes == 0
                                           ? kReplicatedChunkBytes
                                           : spec_.chunk_bytes;
           while (offset_ < total && rep_writes_.size() < spec_.window) {
             const std::uint64_t n = std::min(chunk, total - offset_);
-            // Spec::payload stays valid until kDone, so a borrowed External
-            // slice is safe for the unsliced path.
-            util::SharedSlice piece =
-                sliced ? spec_.payload_slice.Slice(
-                             static_cast<std::size_t>(offset_),
-                             static_cast<std::size_t>(n))
-                       : util::SharedSlice::External(spec_.payload.subspan(
-                             static_cast<std::size_t>(offset_),
-                             static_cast<std::size_t>(n)));
             auto io = spec_.client->WriteReplicatedSliceAsync(
-                cap_, chain_, offset_, piece);
+                cap_, chain_, offset_,
+                spec_.payload.Slice(static_cast<std::size_t>(offset_),
+                                    static_cast<std::size_t>(n)));
             if (!io.ok()) return Fail(io.status());
             rep_writes_.push_back(RepWrite{std::move(*io), 0});
             RepWrite& back = rep_writes_.back();
@@ -264,33 +255,26 @@ driver::Step WritePipeline::Poll(driver::Context& ctx) {
         }
         // Retire completed chunk writes from the front of the window.
         while (!writes_.empty()) {
-          Result<std::uint64_t> n = std::uint64_t{0};
+          Result<core::IoResult> n = core::IoResult{};
           if (!writes_.front().TryAwait(&n)) break;
           writes_.pop_front();
           if (!n.ok()) return Fail(n.status());
         }
         // Refill the window.
-        const bool sliced = spec_.payload_slice.owned();
-        const std::uint64_t total =
-            sliced ? spec_.payload_slice.size() : spec_.payload.size();
+        const std::uint64_t total = spec_.payload.size();
         const std::uint64_t chunk =
             spec_.chunk_bytes == 0 ? total : spec_.chunk_bytes;
         while (offset_ < total && writes_.size() < spec_.window) {
           const std::uint64_t n = std::min(chunk, total - offset_);
-          auto io =
-              sliced ? spec_.client->WriteObjectSliceAsync(
-                           spec_.server, cap_, oid_, offset_,
-                           spec_.payload_slice.Slice(
-                               static_cast<std::size_t>(offset_),
-                               static_cast<std::size_t>(n)))
-                     : spec_.client->WriteObjectAsync(
-                           spec_.server, cap_, oid_, offset_,
-                           spec_.payload.subspan(
-                               static_cast<std::size_t>(offset_),
-                               static_cast<std::size_t>(n)));
+          auto io = spec_.client->WriteObjectAsync(
+              spec_.server, cap_, oid_,
+              {{offset_, spec_.payload.Slice(static_cast<std::size_t>(offset_),
+                                             static_cast<std::size_t>(n))}});
           if (!io.ok()) return Fail(io.status());
           writes_.push_back(std::move(*io));
-          ctx.WakeOnComplete(writes_.back().handle());
+          for (rpc::CallHandle& h : writes_.back().handles()) {
+            ctx.WakeOnComplete(h);
+          }
           offset_ += n;
         }
         if (!writes_.empty()) return driver::Step::kBlocked;
@@ -314,10 +298,7 @@ driver::Step WritePipeline::Poll(driver::Context& ctx) {
           }
           return Fail(attr.status());
         }
-        const std::uint64_t expect = spec_.payload_slice.owned()
-                                         ? spec_.payload_slice.size()
-                                         : spec_.payload.size();
-        if (attr->size < expect) {
+        if (attr->size < spec_.payload.size()) {
           return Fail(DataLoss("dump verification: object short"));
         }
         stage_ = Stage::kDone;

@@ -71,12 +71,11 @@ class WritePipeline final : public driver::LogicalClient {
     std::uint32_t replication_factor = 0;
 
     txn::TxnId txid = 0;              // create joins this transaction
-    ByteSpan payload{};               // must stay valid until kDone
-    /// Zero-copy alternative to `payload`: an owned ref-counted slice.
-    /// Chunks go out as O(1) sub-slices registered by reference, the slice
-    /// keeps the state buffer alive, and the server's store-medium copy is
-    /// the only copy.  Takes precedence over `payload` when owned().
-    util::SharedSlice payload_slice{};
+    /// Chunks go out as O(1) sub-slices.  An owned slice is registered by
+    /// reference and keeps the state buffer alive (the server's
+    /// store-medium copy is the only copy); a borrowed (External) one must
+    /// stay valid until kDone.
+    util::SharedSlice payload{};
     std::uint64_t chunk_bytes = 0;    // 0 = whole payload in one write
                                       // (replicated: kReplicatedChunkBytes)
     std::size_t window = 1;           // outstanding chunk writes per rank

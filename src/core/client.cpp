@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "core/wire.h"
 #include "naming/shard_map.h"
@@ -52,59 +53,81 @@ Result<util::SharedSlice> ResolveSliceRead(const rpc::CallHandle& handle,
   return bulk;
 }
 
+/// An issue failure mid-list: drain what already went out (a borrowed
+/// payload or landing span must be quiescent before the caller can free
+/// it), then report the failure.
+Status DrainAfter(PendingIo& io, Status error) {
+  for (rpc::CallHandle& handle : io.handles()) (void)handle.Await();
+  return error;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // PendingIo / PendingCreate / Batch
 // ---------------------------------------------------------------------------
 
-Result<std::uint64_t> PendingIo::Resolve(Result<Buffer> reply) {
+Result<IoResult> PendingIo::Resolve() {
+  // Every call is waited for before any error is reported.
+  Status first_error = OkStatus();
+  IoResult result;
   if (!is_read_) {
-    if (!reply.ok()) return reply.status();
-    return written_;
+    for (rpc::CallHandle& handle : handles_) {
+      Status s = handle.Await().status();
+      if (first_error.ok()) first_error = std::move(s);
+    }
+    if (!first_error.ok()) return first_error;
+    result.bytes = written_;
+    return result;
   }
-  auto slice = ResolveSliceRead(handle_, std::move(reply));
-  if (!slice.ok()) return slice.status();
-  if (slice->size() > out_.size()) {
-    return DataLoss("read returned more bytes than asked for");
+  result.slices.resize(extents_.size());
+  Buffer joined;  // the parts so far of an extent split over requests
+  for (std::size_t i = 0; i < handles_.size(); ++i) {
+    const Part& part = parts_[i];
+    const ReadExtent& extent = extents_[part.extent];
+    auto slice = ResolveSliceRead(handles_[i], handles_[i].Await());
+    if (slice.ok() && slice->size() > extent.length - part.at) {
+      slice = DataLoss("read returned more bytes than asked for");
+    }
+    if (!slice.ok() && first_error.ok()) first_error = slice.status();
+    if (!first_error.ok()) continue;
+    const ByteSpan bytes = slice->span();
+    result.bytes += bytes.size();
+    if (!extent.out.empty()) {
+      // The span adapter's one copy: the reply slice into the caller's
+      // span, counted as staging — span reads cost what they always have.
+      if (!bytes.empty()) {
+        std::memcpy(extent.out.data() + part.at, bytes.data(), bytes.size());
+        LWFS_COUNT_COPY(util::CopyKind::kStage, bytes.size());
+      }
+    } else if (extent.length <= storage::kMaxReadBytes) {
+      result.slices[part.extent] = std::move(*slice);
+    } else {
+      // A split extent joins its parts: one delivery copy per byte.
+      joined.insert(joined.end(), bytes.begin(), bytes.end());
+      LWFS_COUNT_COPY(util::CopyKind::kDeliver, bytes.size());
+      if (i + 1 == handles_.size() || parts_[i + 1].extent != part.extent) {
+        result.slices[part.extent] =
+            util::SharedSlice::FromBuffer(std::exchange(joined, Buffer{}));
+      }
+    }
   }
-  // The span adapter's one copy: the reply slice into the caller's span,
-  // counted as staging — span reads cost what they always have.
-  if (!slice->empty()) {
-    std::memcpy(out_.data(), slice->data(), slice->size());
-    LWFS_COUNT_COPY(util::CopyKind::kStage, slice->size());
-  }
-  return slice->size();
+  if (!first_error.ok()) return first_error;
+  return result;
 }
 
-Result<std::uint64_t> PendingIo::Await() {
-  if (!handle_.valid()) {
-    return FailedPrecondition("awaiting an empty io handle");
+Result<IoResult> PendingIo::Await() {
+  if (!issued_) return FailedPrecondition("awaiting an empty io handle");
+  return Resolve();
+}
+
+bool PendingIo::TryAwait(Result<IoResult>* out) {
+  if (!issued_) return false;
+  for (rpc::CallHandle& handle : handles_) {
+    if (!handle.TryAwait(nullptr)) return false;
   }
-  return Resolve(handle_.Await());
-}
-
-bool PendingIo::TryAwait(Result<std::uint64_t>* out) {
-  if (!handle_.valid()) return false;
-  Result<Buffer> reply = Buffer{};
-  if (!handle_.TryAwait(&reply)) return false;
-  Result<std::uint64_t> n = Resolve(std::move(reply));
-  if (out != nullptr) *out = std::move(n);
-  return true;
-}
-
-Result<util::SharedSlice> PendingSliceIo::Await() {
-  if (!handle_.valid()) {
-    return FailedPrecondition("awaiting an empty io handle");
-  }
-  return ResolveSliceRead(handle_, handle_.Await());
-}
-
-bool PendingSliceIo::TryAwait(Result<util::SharedSlice>* out) {
-  if (!handle_.valid()) return false;
-  Result<Buffer> reply = Buffer{};
-  if (!handle_.TryAwait(&reply)) return false;
-  if (out != nullptr) *out = ResolveSliceRead(handle_, std::move(reply));
+  Result<IoResult> done = Resolve();
+  if (out != nullptr) *out = std::move(done);
   return true;
 }
 
@@ -135,78 +158,43 @@ bool PendingCreate::TryAwait(Result<storage::ObjectId>* out) {
 Status Batch::RetireOldest() {
   Op op = std::move(inflight_.front());
   inflight_.pop_front();
-  if (op.slice_io.valid()) {
-    auto slice = op.slice_io.Await();
-    if (!slice.ok()) {
-      if (first_error_.ok()) first_error_ = slice.status();
-      return slice.status();
-    }
-    if (op.slice_out != nullptr) *op.slice_out = std::move(*slice);
-    return OkStatus();
+  auto done = op.io.Await();
+  if (!done.ok()) {
+    if (first_error_.ok()) first_error_ = done.status();
+    return done.status();
   }
-  auto n = op.io.Await();
-  if (!n.ok()) {
-    if (first_error_.ok()) first_error_ = n.status();
-    return n.status();
-  }
-  if (op.bytes_read != nullptr) *op.bytes_read = *n;
+  if (op.out != nullptr) *op.out = std::move(*done);
   return OkStatus();
 }
 
-template <typename IssueFn>
-Status Batch::Issue(IssueFn&& fn) {
+Status Batch::MakeRoom() {
   if (!first_error_.ok()) return first_error_;
   while (inflight_.size() >= window_) (void)RetireOldest();
-  if (!first_error_.ok()) return first_error_;
-  Op op;
-  Status issued = fn(op);
+  return first_error_;
+}
+
+Status Batch::Keep(Result<PendingIo> issued, IoResult* out) {
   if (!issued.ok()) {
-    if (first_error_.ok()) first_error_ = issued;
-    return issued;
+    if (first_error_.ok()) first_error_ = issued.status();
+    return issued.status();
   }
-  inflight_.push_back(std::move(op));
+  inflight_.push_back(Op{std::move(*issued), out});
   return OkStatus();
 }
 
 Status Batch::Write(std::uint32_t server, const security::Capability& cap,
-                    storage::ObjectId oid, std::uint64_t offset,
-                    ByteSpan data) {
-  return WriteSlice(server, cap, oid, offset, util::SharedSlice::External(data));
-}
-
-Status Batch::WriteSlice(std::uint32_t server, const security::Capability& cap,
-                         storage::ObjectId oid, std::uint64_t offset,
-                         const util::SharedSlice& data) {
-  return Issue([&](Op& op) -> Status {
-    auto io = client_->WriteObjectSliceAsync(server, cap, oid, offset, data);
-    if (!io.ok()) return io.status();
-    op.io = std::move(*io);
-    return OkStatus();
-  });
+                    storage::ObjectId oid, std::vector<WritePiece> pieces) {
+  LWFS_RETURN_IF_ERROR(MakeRoom());
+  return Keep(client_->WriteObjectAsync(server, cap, oid, std::move(pieces)),
+              nullptr);
 }
 
 Status Batch::Read(std::uint32_t server, const security::Capability& cap,
-                   storage::ObjectId oid, std::uint64_t offset,
-                   MutableByteSpan out, std::uint64_t* bytes_read) {
-  return Issue([&](Op& op) -> Status {
-    auto io = client_->ReadObjectAsync(server, cap, oid, offset, out);
-    if (!io.ok()) return io.status();
-    op.io = std::move(*io);
-    op.bytes_read = bytes_read;
-    return OkStatus();
-  });
-}
-
-Status Batch::ReadSlice(std::uint32_t server, const security::Capability& cap,
-                        storage::ObjectId oid, std::uint64_t offset,
-                        std::uint64_t length, util::SharedSlice* out) {
-  return Issue([&](Op& op) -> Status {
-    auto io = client_->ReadObjectSliceAsync(server, cap, oid, offset, length);
-    if (!io.ok()) return io.status();
-    op.slice_io = std::move(*io);
-    op.slice_out = out;
-    return OkStatus();
-  });
+                   storage::ObjectId oid, std::vector<ReadExtent> extents,
+                   IoResult* out) {
+  LWFS_RETURN_IF_ERROR(MakeRoom());
+  return Keep(client_->ReadObjectAsync(server, cap, oid, std::move(extents)),
+              out);
 }
 
 Status Batch::Drain() {
@@ -376,12 +364,18 @@ Status RemoteObjectStore::Write(storage::ObjectId oid, std::uint64_t offset,
 Result<Buffer> RemoteObjectStore::Read(storage::ObjectId oid,
                                        std::uint64_t offset,
                                        std::uint64_t length) {
-  return client_->ReadObjectAlloc(server_, cap_, oid, offset, length);
+  auto slice = ReadSlice(oid, offset, length);
+  if (!slice.ok()) return slice.status();
+  // Same single staging copy as a span read, sized to the bytes read.
+  return slice->ToBuffer(util::CopyKind::kStage);
 }
 Result<util::SharedSlice> RemoteObjectStore::ReadSlice(storage::ObjectId oid,
                                                        std::uint64_t offset,
                                                        std::uint64_t length) {
-  return client_->ReadObjectSlice(server_, cap_, oid, offset, length);
+  auto done = Await(client_->ReadObjectAsync(server_, cap_, oid,
+                                             {{offset, length}}));
+  if (!done.ok()) return done.status();
+  return std::move(done->slices.front());
 }
 Status RemoteObjectStore::Truncate(storage::ObjectId oid, std::uint64_t size) {
   return client_->TruncateObject(server_, cap_, oid, size);
@@ -647,51 +641,83 @@ Result<PendingCreate> Client::CreateObjectAsync(std::uint32_t server,
   return PendingCreate(std::move(*handle));
 }
 
+Result<PendingIo> Client::WriteObjectAsync(std::uint32_t server,
+                                           const security::Capability& cap,
+                                           storage::ObjectId oid,
+                                           std::vector<WritePiece> pieces) {
+  auto nid = StorageNid(server);
+  if (!nid.ok()) return nid.status();
+  PendingIo io;
+  io.issued_ = true;
+  io.handles_.reserve(pieces.size());
+  for (const WritePiece& piece : pieces) {
+    // An owned slice is registered by reference; the NIC match entry holds
+    // a ref until the call completes, so the bytes survive even if the
+    // caller drops the slice.
+    rpc::CallOptions options;
+    SetBulkOut(options, piece.data);
+    auto handle = rpc::CallTypedAsync(
+        rpc_, *nid, kOpObjWrite, wire::ObjWriteReq{cap, oid.value,
+                                                   piece.offset},
+        options);
+    if (!handle.ok()) return DrainAfter(io, handle.status());
+    io.handles_.push_back(std::move(*handle));
+    io.written_ += piece.data.size();
+  }
+  return io;
+}
+
+Result<PendingIo> Client::ReadObjectAsync(std::uint32_t server,
+                                          const security::Capability& cap,
+                                          storage::ObjectId oid,
+                                          std::vector<ReadExtent> extents) {
+  for (const ReadExtent& extent : extents) {
+    if (!extent.out.empty() && extent.out.size() != extent.length) {
+      return InvalidArgument("read extent's landing span is not its length");
+    }
+    // The servers refuse such an extent too; refusing it here keeps it
+    // from being split into requests first.
+    if (extent.offset > storage::kMaxObjectBytes ||
+        extent.length > storage::kMaxObjectBytes - extent.offset) {
+      return InvalidArgument("extent ends past the largest object size");
+    }
+  }
+  auto nid = StorageNid(server);
+  if (!nid.ok()) return nid.status();
+  PendingIo io;
+  io.issued_ = true;
+  io.is_read_ = true;
+  io.extents_ = std::move(extents);
+  io.handles_.reserve(io.extents_.size());
+  io.parts_.reserve(io.extents_.size());
+  for (std::size_t e = 0; e < io.extents_.size(); ++e) {
+    const ReadExtent& extent = io.extents_[e];
+    // No bulk_in region: the payload rides the reply frame as store-owned
+    // slices.  One request per kMaxReadBytes of the extent (at least one).
+    std::uint64_t at = 0;
+    do {
+      const std::uint64_t n =
+          std::min(extent.length - at, storage::kMaxReadBytes);
+      auto handle = rpc::CallTypedAsync(
+          rpc_, *nid, kOpObjRead,
+          wire::ObjReadReq{cap, oid.value, extent.offset + at, n});
+      if (!handle.ok()) return DrainAfter(io, handle.status());
+      io.handles_.push_back(std::move(*handle));
+      io.parts_.push_back(PendingIo::Part{e, at});
+      at += n;
+    } while (at < extent.length);
+  }
+  return io;
+}
+
 Status Client::WriteObject(std::uint32_t server,
                            const security::Capability& cap,
                            storage::ObjectId oid, std::uint64_t offset,
                            ByteSpan data) {
   // Borrowed view is safe here: the span outlives the synchronous Await.
-  return WriteObjectSlice(server, cap, oid, offset,
-                          util::SharedSlice::External(data));
-}
-
-Result<PendingIo> Client::WriteObjectAsync(std::uint32_t server,
-                                           const security::Capability& cap,
-                                           storage::ObjectId oid,
-                                           std::uint64_t offset,
-                                           ByteSpan data) {
-  return WriteObjectSliceAsync(server, cap, oid, offset,
-                               util::SharedSlice::External(data));
-}
-
-Result<PendingIo> Client::WriteObjectSliceAsync(std::uint32_t server,
-                                                const security::Capability& cap,
-                                                storage::ObjectId oid,
-                                                std::uint64_t offset,
-                                                const util::SharedSlice& data) {
-  auto nid = StorageNid(server);
-  if (!nid.ok()) return nid.status();
-  // An owned slice is registered by reference; the NIC match entry holds a
-  // ref until the call completes, so the bytes survive even if the caller
-  // drops the slice.
-  rpc::CallOptions options;
-  SetBulkOut(options, data);
-  auto handle = rpc::CallTypedAsync(
-      rpc_, *nid, kOpObjWrite, wire::ObjWriteReq{cap, oid.value, offset},
-      options);
-  if (!handle.ok()) return handle.status();
-  return PendingIo(std::move(*handle), data.size());
-}
-
-Status Client::WriteObjectSlice(std::uint32_t server,
-                                const security::Capability& cap,
-                                storage::ObjectId oid, std::uint64_t offset,
-                                const util::SharedSlice& data) {
-  auto io = WriteObjectSliceAsync(server, cap, oid, offset, data);
-  if (!io.ok()) return io.status();
-  auto n = io->Await();
-  return n.ok() ? OkStatus() : n.status();
+  return Await(WriteObjectAsync(server, cap, oid,
+                                {{offset, util::SharedSlice::External(data)}}))
+      .status();
 }
 
 Result<std::uint64_t> Client::ReadObject(std::uint32_t server,
@@ -699,55 +725,10 @@ Result<std::uint64_t> Client::ReadObject(std::uint32_t server,
                                          storage::ObjectId oid,
                                          std::uint64_t offset,
                                          MutableByteSpan out) {
-  auto io = ReadObjectAsync(server, cap, oid, offset, out);
-  if (!io.ok()) return io.status();
-  return io->Await();
-}
-
-Result<PendingIo> Client::ReadObjectAsync(std::uint32_t server,
-                                          const security::Capability& cap,
-                                          storage::ObjectId oid,
-                                          std::uint64_t offset,
-                                          MutableByteSpan out) {
-  auto io = ReadObjectSliceAsync(server, cap, oid, offset, out.size());
-  if (!io.ok()) return io.status();
-  return PendingIo(std::move(io->handle()), out);
-}
-
-Result<PendingSliceIo> Client::ReadObjectSliceAsync(
-    std::uint32_t server, const security::Capability& cap,
-    storage::ObjectId oid, std::uint64_t offset, std::uint64_t length) {
-  auto nid = StorageNid(server);
-  if (!nid.ok()) return nid.status();
-  // No bulk_in region: the payload rides the reply frame as store-owned
-  // slices and surfaces through PendingSliceIo::Await as a ref-counted
-  // alias of the received bytes.
-  auto handle = rpc::CallTypedAsync(
-      rpc_, *nid, kOpObjRead,
-      wire::ObjReadReq{cap, oid.value, offset, length});
-  if (!handle.ok()) return handle.status();
-  return PendingSliceIo(std::move(*handle));
-}
-
-Result<util::SharedSlice> Client::ReadObjectSlice(std::uint32_t server,
-                                                  const security::Capability& cap,
-                                                  storage::ObjectId oid,
-                                                  std::uint64_t offset,
-                                                  std::uint64_t length) {
-  auto io = ReadObjectSliceAsync(server, cap, oid, offset, length);
-  if (!io.ok()) return io.status();
-  return io->Await();
-}
-
-Result<Buffer> Client::ReadObjectAlloc(std::uint32_t server,
-                                       const security::Capability& cap,
-                                       storage::ObjectId oid,
-                                       std::uint64_t offset,
-                                       std::uint64_t length) {
-  auto slice = ReadObjectSlice(server, cap, oid, offset, length);
-  if (!slice.ok()) return slice.status();
-  // Same single staging copy as a span read, sized to the bytes read.
-  return slice->ToBuffer(util::CopyKind::kStage);
+  auto done =
+      Await(ReadObjectAsync(server, cap, oid, {{offset, out.size(), out}}));
+  if (!done.ok()) return done.status();
+  return done->bytes;
 }
 
 Status Client::RemoveObject(std::uint32_t server,
@@ -975,34 +956,7 @@ Status Client::WriteReplicatedSlice(const security::Capability& cap,
                                     const ReplicaChain& chain,
                                     std::uint64_t offset,
                                     const util::SharedSlice& data) {
-  auto io = WriteReplicatedSliceAsync(cap, chain, offset, data);
-  if (!io.ok()) return io.status();
-  auto n = io->Await();
-  return n.ok() ? OkStatus() : n.status();
-}
-
-Status Client::WriteReplicated(const security::Capability& cap,
-                               const ReplicaChain& chain, std::uint64_t offset,
-                               ByteSpan data) {
-  // Borrowed view is safe here: the span outlives the synchronous Await.
-  return WriteReplicatedSlice(cap, chain, offset,
-                              util::SharedSlice::External(data));
-}
-
-Result<std::uint64_t> Client::ReadReplicated(const security::Capability& cap,
-                                             const ReplicaChain& chain,
-                                             std::uint64_t offset,
-                                             MutableByteSpan out) {
-  auto slice = ReadReplicatedSlice(cap, chain, offset, out.size());
-  if (!slice.ok()) return slice.status();
-  // Final delivery into the caller's span — outside the kStage+kStore
-  // budget, like the RPC layer's own gather fallbacks.
-  const std::size_t n = std::min<std::size_t>(slice->size(), out.size());
-  if (n > 0) {
-    std::memcpy(out.data(), slice->span().data(), n);
-    LWFS_COUNT_COPY(util::CopyKind::kDeliver, n);
-  }
-  return n;
+  return Await(WriteReplicatedSliceAsync(cap, chain, offset, data)).status();
 }
 
 Result<util::SharedSlice> Client::ReadReplicatedSlice(
@@ -1014,9 +968,9 @@ Result<util::SharedSlice> Client::ReadReplicatedSlice(
   if (chain.servers.size() == 1 || hedge_after_us_ == 0) {
     Status last = OkStatus();
     for (std::size_t i = 0; i < chain.servers.size(); ++i) {
-      auto got =
-          ReadObjectSlice(chain.servers[i], cap, chain.oid, offset, length);
-      if (got.ok()) return got;
+      auto got = Await(ReadObjectAsync(chain.servers[i], cap, chain.oid,
+                                       {{offset, length}}));
+      if (got.ok()) return std::move(got->slices.front());
       last = got.status();
       if (!FailoverWorthy(last)) return last;
       read_failovers_.Add();
@@ -1030,7 +984,7 @@ Result<util::SharedSlice> Client::ReadReplicatedSlice(
   // (abandoned) reply lands, the completion callback tallies the payload
   // into hedge_loser_bytes and the slice's refcount drops on the spot.
   struct Attempt {
-    PendingSliceIo io;
+    PendingIo io;
     bool is_hedge = false;
     bool dead = false;
   };
@@ -1042,7 +996,7 @@ Result<util::SharedSlice> Client::ReadReplicatedSlice(
   auto issue = [&](bool is_hedge) -> bool {
     while (next_member < chain.servers.size()) {
       const std::uint32_t member = chain.servers[next_member++];
-      auto io = ReadObjectSliceAsync(member, cap, chain.oid, offset, length);
+      auto io = ReadObjectAsync(member, cap, chain.oid, {{offset, length}});
       if (!io.ok()) {
         last = io.status();
         if (!FailoverWorthy(last)) return false;
@@ -1065,12 +1019,14 @@ Result<util::SharedSlice> Client::ReadReplicatedSlice(
   // until the one-shot callback is extracted and destroyed at completion
   // — at which point the loser's bulk slice is released too.
   auto abandon = [this](Attempt& a) {
-    rpc::CallHandle h = a.io.handle();
-    // `keep` holds the counter's registry: the call may outlive the client.
-    h.OnComplete([h, keep = metrics_, tally = hedge_loser_bytes_](
-                     const Result<Buffer>&) {
-      tally.Add(h.ReplyBulk().size());
-    });
+    for (rpc::CallHandle h : a.io.handles()) {
+      // `keep` holds the counter's registry: the call may outlive the
+      // client.
+      h.OnComplete([h, keep = metrics_, tally = hedge_loser_bytes_](
+                       const Result<Buffer>&) {
+        tally.Add(h.ReplyBulk().size());
+      });
+    }
   };
 
   if (!issue(/*is_hedge=*/false)) return last;
@@ -1095,7 +1051,7 @@ Result<util::SharedSlice> Client::ReadReplicatedSlice(
     std::size_t live = 0;
     for (Attempt& a : attempts) {
       if (a.dead) continue;
-      Result<util::SharedSlice> got = util::SharedSlice();
+      Result<IoResult> got = IoResult{};
       if (!a.io.TryAwait(&got)) {
         ++live;
         continue;
@@ -1105,7 +1061,7 @@ Result<util::SharedSlice> Client::ReadReplicatedSlice(
           if (&b != &a && !b.dead) abandon(b);
         }
         if (a.is_hedge) hedge_wins_.Add();
-        return std::move(*got);
+        return std::move(got->slices.front());
       }
       a.dead = true;
       last = got.status();

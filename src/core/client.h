@@ -59,72 +59,78 @@ class Client;
 /// member, so failing over on them only hides bugs.
 bool FailoverWorthy(const Status& status);
 
-/// Completion handle for an asynchronous object read or write (issued via
-/// Client::WriteObjectAsync / ReadObjectAsync).  The data span handed in at
-/// issue time must remain valid until Await()/TryAwait() reports
-/// completion: a write's span stays registered with the fabric until the
-/// completion event, and a read's span receives the reply slice's bytes
-/// when the read resolves — one counted staging copy, the only difference
-/// from a slice read.
+/// One piece of a list write: `data` lands at `offset`.  An owned slice
+/// is registered by reference for the server's pull; a borrowed (External)
+/// one registers as a span the fabric stages once, and must stay valid
+/// until the write resolves.
+struct WritePiece {
+  std::uint64_t offset = 0;
+  util::SharedSlice data;
+};
+
+/// One extent of a list read: `length` bytes at `offset`.  With `out`
+/// empty the extent resolves to a slice (IoResult::slices); otherwise
+/// `out.size()` must equal `length` and the bytes land there — one counted
+/// staging copy — so `out` must stay valid until the read resolves.
+struct ReadExtent {
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+  MutableByteSpan out{};
+};
+
+/// What a list I/O resolved to.
+struct IoResult {
+  /// Bytes moved over every piece: a write's payload, or the bytes read
+  /// (each extent short at EOF).
+  std::uint64_t bytes = 0;
+  /// Reads: one slice per extent, in list order — the bytes read for an
+  /// extent without a landing span, empty for one with.
+  std::vector<util::SharedSlice> slices;
+};
+
+/// The synchronous form of every async call in the client stacks
+/// (PendingIo, pfs::StripedIo, PendingReplicatedWrite, PendingCreate):
+/// wait for what `issued` started, or pass its issue error through.
+template <typename Handle>
+auto Await(Result<Handle> issued) -> decltype(issued->Await()) {
+  if (!issued.ok()) return issued.status();
+  return issued->Await();
+}
+
+/// Completion handle for an object list read or write (Client::
+/// WriteObjectAsync / ReadObjectAsync): one RPC per piece, all issued at
+/// once (a read extent longer than storage::kMaxReadBytes goes out as
+/// several).  Await() waits for every one of them, then reports the first
+/// error or the IoResult.
 class PendingIo {
  public:
   PendingIo() = default;
 
-  [[nodiscard]] bool valid() const { return handle_.valid(); }
+  [[nodiscard]] bool valid() const { return issued_; }
 
-  /// Wait for the completion event.  Writes resolve to the number of bytes
-  /// written; reads to the number of bytes actually read (short at EOF).
-  Result<std::uint64_t> Await();
+  Result<IoResult> Await();
+  /// Non-blocking variant; true once every call has completed.
+  bool TryAwait(Result<IoResult>* out);
 
-  /// Non-blocking variant; true once the call has completed.
-  bool TryAwait(Result<std::uint64_t>* out);
-
-  /// The underlying call handle — logical clients arm completion wakes on
-  /// it (driver::Context::WakeOnComplete) instead of blocking in Await.
-  [[nodiscard]] rpc::CallHandle& handle() { return handle_; }
+  /// The calls in flight — logical clients arm a completion wake on each
+  /// (driver::Context::WakeOnComplete) instead of blocking in Await.
+  [[nodiscard]] std::vector<rpc::CallHandle>& handles() { return handles_; }
 
  private:
   friend class Client;
-  /// A write of `written` payload bytes.
-  PendingIo(rpc::CallHandle handle, std::uint64_t written)
-      : handle_(std::move(handle)), written_(written) {}
-  /// A slice read whose bytes are copied into `out` when it resolves.
-  PendingIo(rpc::CallHandle handle, MutableByteSpan out)
-      : handle_(std::move(handle)), is_read_(true), out_(out) {}
-  Result<std::uint64_t> Resolve(Result<Buffer> reply);
+  /// Which extent (and where in it) a read call's bytes belong to.
+  struct Part {
+    std::size_t extent = 0;
+    std::uint64_t at = 0;
+  };
+  Result<IoResult> Resolve();
 
-  rpc::CallHandle handle_;
+  std::vector<rpc::CallHandle> handles_;
+  std::vector<Part> parts_;          // reads: parallel to handles_
+  std::vector<ReadExtent> extents_;  // reads only
   bool is_read_ = false;
-  MutableByteSpan out_{};      // reads: the caller's landing span
-  std::uint64_t written_ = 0;  // writes: payload size
-};
-
-/// Completion handle for a zero-copy object read (issued via
-/// Client::ReadObjectSliceAsync).  Resolves to a ref-counted slice aliasing
-/// the reply frame's received bytes — the client registers no landing
-/// buffer, so there is no span-lifetime discipline to keep and an abandoned
-/// read costs a refcount drop instead of a pinned buffer.
-class PendingSliceIo {
- public:
-  PendingSliceIo() = default;
-
-  [[nodiscard]] bool valid() const { return handle_.valid(); }
-
-  /// The object bytes (short at EOF, empty past it).  The slice stays
-  /// valid for as long as the caller holds it, independent of the handle.
-  Result<util::SharedSlice> Await();
-
-  /// Non-blocking variant; true once the call has completed.
-  bool TryAwait(Result<util::SharedSlice>* out);
-
-  [[nodiscard]] rpc::CallHandle& handle() { return handle_; }
-
- private:
-  friend class Client;
-  explicit PendingSliceIo(rpc::CallHandle handle)
-      : handle_(std::move(handle)) {}
-
-  rpc::CallHandle handle_;
+  bool issued_ = false;
+  std::uint64_t written_ = 0;        // writes: payload size
 };
 
 /// Completion handle for an asynchronous object create.
@@ -207,15 +213,15 @@ class PendingReplicatedWrite {
   std::vector<std::uint32_t> applied_;
 };
 
-/// Issues object I/O through a bounded in-flight window and gathers the
-/// statuses — the client-side "outstanding requests" knob of Figure 6's
-/// flow-control argument.  Write()/Read() return immediately while the
+/// Issues object list I/O through a bounded in-flight window and gathers
+/// the statuses — the client-side "outstanding requests" knob of Figure
+/// 6's flow-control argument.  Write()/Read() return immediately while the
 /// window has room and otherwise retire the oldest operation first.  The
 /// first error seen anywhere in the batch is sticky: subsequent issues
 /// return it without sending, so issue loops bail out naturally, and
 /// Drain() reports it after retiring everything in flight.
 ///
-/// Spans handed to Write()/Read() (and any `bytes_read` out-pointer) must
+/// Borrowed write slices, read landing spans and any `out` pointer must
 /// stay valid until the operation retires.  Not thread-safe: use one Batch
 /// per issuing thread.
 class Batch {
@@ -229,23 +235,12 @@ class Batch {
   Batch(const Batch&) = delete;
   Batch& operator=(const Batch&) = delete;
 
-  /// Span write: the span must stay valid until the op retires.
   Status Write(std::uint32_t server, const security::Capability& cap,
-               storage::ObjectId oid, std::uint64_t offset, ByteSpan data);
-  /// Zero-copy variant: an owned slice keeps the payload alive until the
-  /// op retires, so the caller needs no span-lifetime discipline.
-  Status WriteSlice(std::uint32_t server, const security::Capability& cap,
-                    storage::ObjectId oid, std::uint64_t offset,
-                    const util::SharedSlice& data);
+               storage::ObjectId oid, std::vector<WritePiece> pieces);
+  /// `*out` receives the read's IoResult when the op retires.
   Status Read(std::uint32_t server, const security::Capability& cap,
-              storage::ObjectId oid, std::uint64_t offset, MutableByteSpan out,
-              std::uint64_t* bytes_read = nullptr);
-  /// Zero-copy read: `*out` receives a store-backed slice when the op
-  /// retires (short at EOF).  `out` must stay valid until then; no landing
-  /// buffer is registered.
-  Status ReadSlice(std::uint32_t server, const security::Capability& cap,
-                   storage::ObjectId oid, std::uint64_t offset,
-                   std::uint64_t length, util::SharedSlice* out);
+              storage::ObjectId oid, std::vector<ReadExtent> extents,
+              IoResult* out = nullptr);
 
   /// Retire everything in flight; returns the first error seen across the
   /// whole batch.
@@ -257,17 +252,14 @@ class Batch {
 
  private:
   Status RetireOldest();
-  /// Window bookkeeping shared by every issue call: retire down to the
-  /// window, then issue through `fn` (which fills `op`) unless an error is
-  /// already sticky.
-  template <typename IssueFn>
-  Status Issue(IssueFn&& fn);
+  /// Retire down to the window before an issue; the sticky error, if any.
+  Status MakeRoom();
+  /// Keep an issued op in the window, or make its issue error sticky.
+  Status Keep(Result<PendingIo> issued, IoResult* out);
 
   struct Op {
     PendingIo io;
-    std::uint64_t* bytes_read = nullptr;
-    PendingSliceIo slice_io;               // slice reads only
-    util::SharedSlice* slice_out = nullptr;
+    IoResult* out = nullptr;
   };
   Client* client_;
   std::size_t window_;
@@ -400,70 +392,41 @@ class Client : public metrics::Instrumented {
   Status RevokeCap(const security::Credential& cred, std::uint64_t cap_id);
 
   // ---- Object storage (direct to storage servers) -------------------------
-  // The *Async variants issue the small request and return a completion
-  // handle immediately; a data span must stay valid until the handle
-  // resolves.  The synchronous calls are thin issue+Await wrappers.  There
-  // is one server data path per direction: span writes and slice writes
-  // are the same pull, span reads are slice reads plus one copy into the
-  // caller's span.
+  // One async list call per direction; core::Await is the synchronous
+  // form.  There is one server data path per direction: a borrowed-slice
+  // write is the same pull as an owned one, and a read extent with a
+  // landing span is a slice read plus one copy into it.
   Result<storage::ObjectId> CreateObject(std::uint32_t server,
                                          const security::Capability& cap,
                                          txn::TxnId txid = 0);
   Result<PendingCreate> CreateObjectAsync(std::uint32_t server,
                                           const security::Capability& cap,
                                           txn::TxnId txid = 0);
-  Status WriteObject(std::uint32_t server, const security::Capability& cap,
-                     storage::ObjectId oid, std::uint64_t offset,
-                     ByteSpan data);
+  /// List write: one kOpObjWrite per piece, all in flight at once.  An
+  /// owned piece is never staged on either side (the store-medium copy at
+  /// the server is the only copy) and stays alive until the call retires
+  /// even if the caller drops its reference.
   Result<PendingIo> WriteObjectAsync(std::uint32_t server,
                                      const security::Capability& cap,
                                      storage::ObjectId oid,
-                                     std::uint64_t offset, ByteSpan data);
-  /// Zero-copy write: registers an owned ref-counted slice for the server's
-  /// pull, so the payload is never staged on either side (the store-medium
-  /// copy at the server is the only copy) and stays alive until the call
-  /// retires even if the caller drops its reference.  A borrowed
-  /// (External) slice registers as a span instead — the fabric stages
-  /// those bytes once, exactly like WriteObjectAsync.
-  Result<PendingIo> WriteObjectSliceAsync(std::uint32_t server,
-                                          const security::Capability& cap,
-                                          storage::ObjectId oid,
-                                          std::uint64_t offset,
-                                          const util::SharedSlice& data);
-  Status WriteObjectSlice(std::uint32_t server, const security::Capability& cap,
-                          storage::ObjectId oid, std::uint64_t offset,
-                          const util::SharedSlice& data);
-  /// Slice read of out.size() bytes, copied into `out` when the handle
-  /// resolves.
+                                     std::vector<WritePiece> pieces);
+  /// List read: one kOpObjRead per extent (per storage::kMaxReadBytes of
+  /// it), all in flight at once.  The reply frame carries each extent's
+  /// bytes as store-owned slices, so a slice extent's bytes land exactly
+  /// once (the store's medium copy) — no registered region, no push.
   Result<PendingIo> ReadObjectAsync(std::uint32_t server,
                                     const security::Capability& cap,
                                     storage::ObjectId oid,
-                                    std::uint64_t offset, MutableByteSpan out);
-  /// Read into caller memory; returns bytes actually read (short at EOF).
+                                    std::vector<ReadExtent> extents);
+  /// Span adapters: one piece, awaited.
+  Status WriteObject(std::uint32_t server, const security::Capability& cap,
+                     storage::ObjectId oid, std::uint64_t offset,
+                     ByteSpan data);
+  /// Returns bytes actually read (short at EOF).
   Result<std::uint64_t> ReadObject(std::uint32_t server,
                                    const security::Capability& cap,
                                    storage::ObjectId oid, std::uint64_t offset,
                                    MutableByteSpan out);
-  /// Slice read plus one copy of the bytes actually read (short at EOF,
-  /// empty past it) — `length` is an upper bound, not an allocation size.
-  Result<Buffer> ReadObjectAlloc(std::uint32_t server,
-                                 const security::Capability& cap,
-                                 storage::ObjectId oid, std::uint64_t offset,
-                                 std::uint64_t length);
-  /// Zero-copy read — the primitive every read API adapts: the reply frame
-  /// carries the payload as store-owned slices, so the bytes land exactly
-  /// once (the store's medium copy) and arrive as a ref-counted alias — no
-  /// registered region, no push, no client-side landing buffer.
-  Result<PendingSliceIo> ReadObjectSliceAsync(std::uint32_t server,
-                                              const security::Capability& cap,
-                                              storage::ObjectId oid,
-                                              std::uint64_t offset,
-                                              std::uint64_t length);
-  Result<util::SharedSlice> ReadObjectSlice(std::uint32_t server,
-                                            const security::Capability& cap,
-                                            storage::ObjectId oid,
-                                            std::uint64_t offset,
-                                            std::uint64_t length);
   Status RemoveObject(std::uint32_t server, const security::Capability& cap,
                       storage::ObjectId oid, txn::TxnId txid = 0);
   Result<storage::ObjAttr> GetAttr(std::uint32_t server,
@@ -539,9 +502,6 @@ class Client : public metrics::Instrumented {
   Status WriteReplicatedSlice(const security::Capability& cap,
                               const ReplicaChain& chain, std::uint64_t offset,
                               const util::SharedSlice& data);
-  Status WriteReplicated(const security::Capability& cap,
-                         const ReplicaChain& chain, std::uint64_t offset,
-                         ByteSpan data);
 
   /// Read-from-any with hedging: issues to the chain head, then fires a
   /// second request to the next member if the head's circuit breaker is open
@@ -549,11 +509,6 @@ class Client : public metrics::Instrumented {
   /// First successful reply wins; transport failures fail over through the
   /// rest of the chain.  With hedging off (hedge_after_us == 0) this is a
   /// plain read with sequential failover.
-  Result<std::uint64_t> ReadReplicated(const security::Capability& cap,
-                                       const ReplicaChain& chain,
-                                       std::uint64_t offset,
-                                       MutableByteSpan out);
-  /// Slice form of the hedged read — the primitive ReadReplicated wraps.
   /// Attempts carry no landing buffer: each reply arrives as a ref-counted
   /// slice in its own call state, so a losing hedge releases its payload
   /// with a refcount drop (tallied in hedge_loser_bytes) instead of

@@ -78,6 +78,14 @@ Status CheckExtent(std::uint64_t offset, std::uint64_t length) {
   }
   return OkStatus();
 }
+
+/// A read extent must also fit one request's materialization bound.
+Status CheckReadExtent(std::uint64_t offset, std::uint64_t length) {
+  if (length > storage::kMaxReadBytes) {
+    return InvalidArgument("read longer than one request may materialize");
+  }
+  return CheckExtent(offset, length);
+}
 }  // namespace
 
 StorageServer::StorageServer(std::shared_ptr<portals::Nic> nic,
@@ -309,14 +317,14 @@ Result<std::uint64_t> StorageServer::ScheduledWrite(rpc::ServerContext& ctx,
   return moved;
 }
 
-Result<std::uint64_t> StorageServer::ScheduledReadSlice(
-    rpc::ServerContext& ctx, storage::ObjectId oid, std::uint64_t offset,
-    std::uint64_t length, std::uint64_t size) {
+Result<util::SharedSlice> StorageServer::ScheduledReadSlice(
+    storage::ObjectId oid, std::uint64_t offset, std::uint64_t length,
+    std::uint64_t size) {
   // Only the bytes the object holds are materialized, so only those are
   // reserved: a read into an oversized buffer must not hold the pool.
   const std::uint64_t want =
       offset >= size ? 0 : std::min<std::uint64_t>(length, size - offset);
-  if (want == 0) return std::uint64_t{0};
+  if (want == 0) return util::SharedSlice{};
   // Flow control: reserve staging for the materialized read (Acquire
   // clamps oversized requests to pool capacity) while the medium services
   // it.  Blocking here is safe — this worker holds no reservation yet.
@@ -331,9 +339,16 @@ Result<std::uint64_t> StorageServer::ScheduledReadSlice(
         return store->ReadSlice(oid, off, len);
       });
   LWFS_RETURN_IF_ERROR(ticket->Await());
-  util::SharedSlice slice = ticket->TakeSlice();
-  const std::uint64_t moved = slice.size();
-  if (moved > 0) LWFS_RETURN_IF_ERROR(ctx.PushBulkSlice(std::move(slice)));
+  return ticket->TakeSlice();
+}
+
+Result<std::uint64_t> StorageServer::ReplyWithScheduledRead(
+    rpc::ServerContext& ctx, storage::ObjectId oid, std::uint64_t offset,
+    std::uint64_t length, std::uint64_t size) {
+  auto slice = ScheduledReadSlice(oid, offset, length, size);
+  if (!slice.ok()) return slice.status();
+  const std::uint64_t moved = slice->size();
+  if (moved > 0) LWFS_RETURN_IF_ERROR(ctx.PushBulkSlice(std::move(*slice)));
   return moved;
 }
 
@@ -390,9 +405,10 @@ void StorageServer::RegisterDataHandlers() {
              wire::ObjReadReq& req) -> Result<wire::IoMovedRep> {
         auto attr = CheckObject(req.cap, storage::ObjectId{req.oid});
         if (!attr.ok()) return attr.status();
-        LWFS_RETURN_IF_ERROR(CheckExtent(req.offset, req.length));
-        auto moved = ScheduledReadSlice(ctx, storage::ObjectId{req.oid},
-                                        req.offset, req.length, attr->size);
+        LWFS_RETURN_IF_ERROR(CheckReadExtent(req.offset, req.length));
+        auto moved = ReplyWithScheduledRead(ctx, storage::ObjectId{req.oid},
+                                            req.offset, req.length,
+                                            attr->size);
         if (!moved.ok()) return moved.status();
         return wire::IoMovedRep{*moved};
       });
@@ -443,12 +459,14 @@ void StorageServer::RegisterDataHandlers() {
              wire::ObjFilterReq& req) -> Result<wire::ObjFilterRep> {
         auto attr = CheckObject(req.cap, storage::ObjectId{req.oid});
         if (!attr.ok()) return attr.status();
+        LWFS_RETURN_IF_ERROR(CheckReadExtent(req.offset, req.length));
         // The whole point: the data is read and reduced *here*; only the
-        // result crosses the network.
-        auto data =
-            store_->Read(storage::ObjectId{req.oid}, req.offset, req.length);
+        // result crosses the network.  The read takes the same scheduled
+        // path as obj_read.
+        auto data = ScheduledReadSlice(storage::ObjectId{req.oid},
+                                       req.offset, req.length, attr->size);
         if (!data.ok()) return data.status();
-        auto result = ApplyFilter(req.spec, ByteSpan(*data));
+        auto result = ApplyFilter(req.spec, data->span());
         if (!result.ok()) return result.status();
         if (result->size() > ctx.bulk_in_size()) {
           return ResourceExhausted("client result region too small");
@@ -551,11 +569,12 @@ void StorageServer::RegisterControlHandlers() {
       [this](rpc::ServerContext& ctx,
              wire::RepairReadReq& req) -> Result<wire::RepairReadRep> {
         const storage::ObjectId oid{req.oid};
-        LWFS_RETURN_IF_ERROR(CheckExtent(req.offset, req.length));
+        LWFS_RETURN_IF_ERROR(CheckReadExtent(req.offset, req.length));
         auto attr = store_->GetAttr(oid);
         if (!attr.ok()) return attr.status();
         auto moved =
-            ScheduledReadSlice(ctx, oid, req.offset, req.length, attr->size);
+            ReplyWithScheduledRead(ctx, oid, req.offset, req.length,
+                                   attr->size);
         if (!moved.ok()) return moved.status();
         return wire::RepairReadRep{*moved, attr->version, attr->size};
       });

@@ -211,16 +211,23 @@ class StorageServer : public metrics::Instrumented {
                                        std::uint64_t offset,
                                        std::uint64_t total);
 
-  /// The read data path: submits ONE extent for the request, clamped to
-  /// the object's `size`; the scheduler services the run containing it
-  /// with a single store ReadSlice and hands back this request's
-  /// sub-slice, which rides the reply frame (PushBulkSlice).  The store's
-  /// medium copy is the only copy.  Returns the bytes read.
-  Result<std::uint64_t> ScheduledReadSlice(rpc::ServerContext& ctx,
-                                           storage::ObjectId oid,
-                                           std::uint64_t offset,
-                                           std::uint64_t length,
-                                           std::uint64_t size);
+  /// The one read data path: submits ONE extent for the request, clamped
+  /// to the object's `size`, under a staging reservation; the scheduler
+  /// services the run containing it with a single store ReadSlice and
+  /// hands back this request's sub-slice.  The store's medium copy is the
+  /// only copy.  obj_filter reduces the slice in place.
+  Result<util::SharedSlice> ScheduledReadSlice(storage::ObjectId oid,
+                                               std::uint64_t offset,
+                                               std::uint64_t length,
+                                               std::uint64_t size);
+  /// ScheduledReadSlice whose slice rides the reply frame
+  /// (PushBulkSlice), for obj_read and repair_read.  Returns the bytes
+  /// read.
+  Result<std::uint64_t> ReplyWithScheduledRead(rpc::ServerContext& ctx,
+                                               storage::ObjectId oid,
+                                               std::uint64_t offset,
+                                               std::uint64_t length,
+                                               std::uint64_t size);
 
   const std::uint32_t server_id_;
   util::Clock* const clock_;

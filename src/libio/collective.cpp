@@ -1,7 +1,6 @@
 #include "libio/collective.h"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 
 namespace lwfs::io {
@@ -12,13 +11,6 @@ struct Placed {
   std::uint64_t offset;
   ByteSpan data;
   bool operator<(const Placed& other) const { return offset < other.offset; }
-};
-
-/// A coalesced run in flight: the collective buffer must stay alive until
-/// the write retires.
-struct PendingWrite {
-  Buffer cb;
-  fs::FileIo io;
 };
 
 }  // namespace
@@ -59,17 +51,9 @@ Result<CollectiveStats> CollectiveWrite(
                                      options.aggregators);
 
   // Phase 2: per domain, coalesce adjacent fragments into runs bounded by
-  // the collective buffer, and push each run through a bounded window of
-  // async writes — the aggregators' flushes overlap instead of taking
-  // turns.  (If a retire fails, the deque's FileIo destructors drain the
-  // rest before the buffers go away.)
-  const std::size_t window = options.io_window == 0 ? 1 : options.io_window;
-  std::deque<PendingWrite> inflight;
-  auto retire = [&]() -> Status {
-    auto n = inflight.front().io.Await();
-    inflight.pop_front();
-    return n.ok() ? OkStatus() : n.status();
-  };
+  // the collective buffer; every run goes out in one striped list write,
+  // so the aggregators' flushes overlap instead of taking turns.
+  std::vector<core::WritePiece> runs;
   std::size_t i = 0;
   while (i < all.size()) {
     const std::uint64_t domain_end =
@@ -77,24 +61,18 @@ Result<CollectiveStats> CollectiveWrite(
     Buffer cb;
     std::uint64_t run_start = all[i].offset;
     std::uint64_t run_end = run_start;
-    auto flush = [&]() -> Status {
-      if (cb.empty()) return OkStatus();
-      while (inflight.size() >= window) LWFS_RETURN_IF_ERROR(retire());
-      PendingWrite p{std::move(cb), fs::FileIo{}};
-      auto io = fs.WriteAsync(file, run_start, ByteSpan(p.cb));
-      if (!io.ok()) return io.status();
-      p.io = std::move(*io);
-      inflight.push_back(std::move(p));
+    auto flush = [&] {
+      if (cb.empty()) return;
+      runs.push_back({run_start, util::SharedSlice::FromBuffer(std::move(cb))});
       ++stats.writes_issued;
       cb = Buffer{};
-      return OkStatus();
     };
     while (i < all.size() && all[i].offset < domain_end) {
       const Placed& frag = all[i];
       const bool adjacent = cb.empty() || frag.offset == run_end;
       const bool fits = cb.size() + frag.data.size() <= options.cb_buffer_bytes;
       if (!adjacent || !fits) {
-        LWFS_RETURN_IF_ERROR(flush());
+        flush();
         run_start = frag.offset;
         run_end = frag.offset;
       }
@@ -102,9 +80,10 @@ Result<CollectiveStats> CollectiveWrite(
       run_end = frag.offset + frag.data.size();
       ++i;
     }
-    LWFS_RETURN_IF_ERROR(flush());
+    flush();
   }
-  while (!inflight.empty()) LWFS_RETURN_IF_ERROR(retire());
+  LWFS_RETURN_IF_ERROR(core::Await(fs.WriteAsync(file,
+                                                 std::move(runs))).status());
   return stats;
 }
 
@@ -115,7 +94,11 @@ Result<CollectiveStats> IndependentWrite(
   for (const auto& rank : per_rank) {
     for (const WriteFragment& frag : rank) {
       if (frag.data.empty()) continue;
-      LWFS_RETURN_IF_ERROR(fs.Write(file, frag.offset, ByteSpan(frag.data)));
+      LWFS_RETURN_IF_ERROR(
+          core::Await(fs.WriteAsync(
+                          file, {{frag.offset,
+                                  util::SharedSlice::External(frag.data)}}))
+              .status());
       ++stats.fragments_in;
       ++stats.writes_issued;
       stats.bytes += frag.data.size();

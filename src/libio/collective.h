@@ -28,8 +28,6 @@ struct CollectiveOptions {
   std::uint32_t aggregators = 4;
   /// Cap on a single coalesced write (collective buffer size).
   std::uint64_t cb_buffer_bytes = 16ull << 20;
-  /// Outstanding async coalesced writes (aggregators flush in parallel).
-  std::size_t io_window = 4;
 };
 
 struct CollectiveStats {
@@ -46,7 +44,8 @@ Result<CollectiveStats> CollectiveWrite(
     std::vector<std::vector<WriteFragment>> per_rank,
     const CollectiveOptions& options = {});
 
-/// Baseline for the ablation: every rank writes its fragments one by one.
+/// Baseline for the ablation: every rank writes its fragments one by one,
+/// one write call per fragment.
 Result<CollectiveStats> IndependentWrite(
     fs::LwfsFs& fs, fs::FileHandle& file,
     const std::vector<std::vector<WriteFragment>>& per_rank);

@@ -1,7 +1,6 @@
 #include "libio/dataset.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace lwfs::io {
 
@@ -82,7 +81,10 @@ Result<Dataset> Dataset::Create(fs::LwfsFs* fs, const std::string& path,
       {ds.attributes_.begin(), ds.attributes_.end()}});
   auto header = fs->Create(HeaderPath(path));
   if (!header.ok()) return header.status();
-  LWFS_RETURN_IF_ERROR(fs->Write(*header, 0, ByteSpan(bytes)));
+  LWFS_RETURN_IF_ERROR(
+      core::Await(fs->WriteAsync(
+                      *header, {{0, util::SharedSlice::External(bytes)}}))
+          .status());
   LWFS_RETURN_IF_ERROR(fs->Flush(*header));
 
   auto file = fs->Create(path);
@@ -97,11 +99,10 @@ Result<Dataset> Dataset::Open(fs::LwfsFs* fs, const std::string& path) {
   if (!header.ok()) return header.status();
   auto size = fs->Size(*header);
   if (!size.ok()) return size.status();
-  Buffer raw(static_cast<std::size_t>(*size), 0);
-  auto n = fs->Read(*header, 0, MutableByteSpan(raw));
-  if (!n.ok()) return n.status();
+  auto raw = core::Await(fs->ReadAsync(*header, {{0, *size}}));
+  if (!raw.ok()) return raw.status();
 
-  Decoder dec(raw);
+  Decoder dec(raw->slices.front().span());
   auto h = DatasetHeader::Decode(dec);
   if (!h.ok()) return DataLoss("corrupt dataset header for " + path);
   if (h->magic != kDatasetMagic) {
@@ -119,121 +120,46 @@ Result<Dataset> Dataset::Open(fs::LwfsFs* fs, const std::string& path) {
 
 Status Dataset::WriteSlab(std::span<const std::uint64_t> start,
                           std::span<const std::uint64_t> count,
-                          ByteSpan data) {
-  auto runs = MapHyperslab(spec_, start, count);
-  if (!runs.ok()) return runs.status();
-  std::uint64_t consumed = 0;
-  for (const SlabRun& run : *runs) consumed += run.length;
-  if (consumed != data.size()) {
-    return InvalidArgument("data size does not match hyperslab");
-  }
-  std::uint64_t pos = 0;
-  for (const SlabRun& run : *runs) {
-    LWFS_RETURN_IF_ERROR(fs_->Write(
-        file_, run.file_offset,
-        data.subspan(static_cast<std::size_t>(pos),
-                     static_cast<std::size_t>(run.length))));
-    pos += run.length;
-  }
-  return OkStatus();
-}
-
-Status Dataset::WriteSlabSlice(std::span<const std::uint64_t> start,
-                               std::span<const std::uint64_t> count,
-                               const util::SharedSlice& data) {
-  auto runs = MapHyperslab(spec_, start, count);
-  if (!runs.ok()) return runs.status();
-  std::uint64_t consumed = 0;
-  for (const SlabRun& run : *runs) consumed += run.length;
-  if (consumed != data.size()) {
-    return InvalidArgument("data size does not match hyperslab");
-  }
-  std::uint64_t pos = 0;
-  for (const SlabRun& run : *runs) {
-    LWFS_RETURN_IF_ERROR(fs_->WriteSlice(
-        file_, run.file_offset,
-        data.Slice(static_cast<std::size_t>(pos),
-                   static_cast<std::size_t>(run.length))));
-    pos += run.length;
-  }
-  return OkStatus();
-}
-
-Result<Buffer> Dataset::ReadSlab(std::span<const std::uint64_t> start,
-                                 std::span<const std::uint64_t> count) {
+                          const util::SharedSlice& data) {
   auto runs = MapHyperslab(spec_, start, count);
   if (!runs.ok()) return runs.status();
   std::uint64_t total = 0;
   for (const SlabRun& run : *runs) total += run.length;
-  Buffer out(static_cast<std::size_t>(total), 0);
-
-  // Pipeline the per-run reads: a bounded window of async file handles
-  // keeps runs on different stripes in flight together instead of paying
-  // one full round trip per run.  Retire in issue order; every handle is
-  // drained even after an error so `out` is quiescent on return.
-  std::deque<fs::FileIo> inflight;
-  Status error = OkStatus();
-  std::uint64_t pos = 0;
-  std::size_t next = 0;
-  auto retire = [&] {
-    auto n = inflight.front().Await();
-    inflight.pop_front();
-    if (!n.ok() && error.ok()) error = n.status();
-  };
-  while (error.ok() && next < runs->size()) {
-    if (inflight.size() >= pfs::kIoWindow) {
-      retire();
-      continue;
-    }
-    const SlabRun& run = (*runs)[next++];
-    auto span = MutableByteSpan(out).subspan(
-        static_cast<std::size_t>(pos), static_cast<std::size_t>(run.length));
-    pos += run.length;
-    auto io = fs_->ReadAsync(file_, run.file_offset, span);
-    if (!io.ok()) {
-      error = io.status();
-      break;
-    }
-    inflight.push_back(std::move(*io));
+  if (total != data.size()) {
+    return InvalidArgument("data size does not match hyperslab");
   }
-  while (!inflight.empty()) retire();
-  if (!error.ok()) return error;
-  return out;
+  std::vector<core::WritePiece> pieces;
+  pieces.reserve(runs->size());
+  std::uint64_t pos = 0;
+  for (const SlabRun& run : *runs) {
+    pieces.push_back({run.file_offset,
+                      data.Slice(static_cast<std::size_t>(pos),
+                                 static_cast<std::size_t>(run.length))});
+    pos += run.length;
+  }
+  return core::Await(fs_->WriteAsync(file_, std::move(pieces))).status();
 }
 
-Result<util::SharedSlice> Dataset::ReadSlabSlice(
+Result<util::SharedSlice> Dataset::ReadSlab(
     std::span<const std::uint64_t> start,
     std::span<const std::uint64_t> count) {
   auto runs = MapHyperslab(spec_, start, count);
   if (!runs.ok()) return runs.status();
   std::uint64_t total = 0;
   for (const SlabRun& run : *runs) total += run.length;
-
-  // Contiguous slab: the file system's slice comes straight through, so a
-  // full-dataset restore holds exactly one store-owned payload.
-  if (runs->size() == 1) {
-    const SlabRun& run = runs->front();
-    auto got = fs_->ReadSlice(file_, run.file_offset, run.length);
-    if (!got.ok()) return got.status();
-    if (got->size() == run.length) return got;
-    Buffer padded(static_cast<std::size_t>(run.length), std::uint8_t{0});
-    std::copy(got->span().begin(), got->span().end(), padded.begin());
-    LWFS_COUNT_COPY(util::CopyKind::kDeliver, got->size());
-    return util::SharedSlice::FromBuffer(std::move(padded));
-  }
-
-  // Fragmented slab: gather per-run slices into one allocation (a single
-  // delivery copy per byte); short runs leave zeros.
   Buffer out(static_cast<std::size_t>(total), std::uint8_t{0});
+  std::vector<core::ReadExtent> extents;
+  extents.reserve(runs->size());
   std::uint64_t pos = 0;
   for (const SlabRun& run : *runs) {
-    auto got = fs_->ReadSlice(file_, run.file_offset, run.length);
-    if (!got.ok()) return got.status();
-    std::copy(got->span().begin(), got->span().end(),
-              out.begin() + static_cast<std::ptrdiff_t>(pos));
-    LWFS_COUNT_COPY(util::CopyKind::kDeliver, got->size());
+    extents.push_back({run.file_offset, run.length,
+                       MutableByteSpan(out).subspan(
+                           static_cast<std::size_t>(pos),
+                           static_cast<std::size_t>(run.length))});
     pos += run.length;
   }
+  auto done = core::Await(fs_->ReadAsync(file_, std::move(extents)));
+  if (!done.ok()) return done.status();
   return util::SharedSlice::FromBuffer(std::move(out));
 }
 

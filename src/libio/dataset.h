@@ -70,30 +70,19 @@ class Dataset {
   static Result<Dataset> Open(fs::LwfsFs* fs, const std::string& path);
 
   /// Write the hyperslab [start, start+count); `data` holds the slab
-  /// row-major and must be exactly the slab's byte size.
+  /// row-major and must be exactly the slab's byte size.  Every contiguous
+  /// run goes out in one striped list write, as an O(1) sub-slice of
+  /// `data` (an owned slice is never staged and keeps the slab alive until
+  /// every run retires).
   Status WriteSlab(std::span<const std::uint64_t> start,
-                   std::span<const std::uint64_t> count, ByteSpan data);
+                   std::span<const std::uint64_t> count,
+                   const util::SharedSlice& data);
 
-  /// Zero-copy WriteSlab: each contiguous run goes out as an O(1)
-  /// sub-slice of `data` (no staging copy on either side), and the slice
-  /// keeps the slab alive until every run retires.  Non-owned slices fall
-  /// back to the span path.
-  Status WriteSlabSlice(std::span<const std::uint64_t> start,
-                        std::span<const std::uint64_t> count,
-                        const util::SharedSlice& data);
-
-  /// Read the hyperslab into a freshly allocated buffer.  Per-run file
-  /// reads are pipelined through a bounded window of async handles (like
-  /// the striped write path), so runs on different stripes overlap.
-  Result<Buffer> ReadSlab(std::span<const std::uint64_t> start,
-                          std::span<const std::uint64_t> count);
-
-  /// Zero-copy ReadSlab: a slab that maps to one contiguous run returns
-  /// the file system's store-owned slice unchanged (no dataset-layer
-  /// copy); fragmented slabs gather per-run slices into one freshly
-  /// allocated slice.  Holes read as zero; always exactly the slab size.
-  Result<util::SharedSlice> ReadSlabSlice(std::span<const std::uint64_t> start,
-                                          std::span<const std::uint64_t> count);
+  /// Read the hyperslab into one freshly allocated slice of exactly the
+  /// slab's size: every run lands in its part of it through one striped
+  /// list read.  Holes and bytes past the end of the file read as zero.
+  Result<util::SharedSlice> ReadSlab(std::span<const std::uint64_t> start,
+                                     std::span<const std::uint64_t> count);
 
   [[nodiscard]] const DatasetSpec& spec() const { return spec_; }
   [[nodiscard]] const std::map<std::string, std::string>& attributes() const {

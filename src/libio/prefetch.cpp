@@ -16,7 +16,7 @@ Status PrefetchReader::Fill(std::uint64_t offset) {
     auto n = io.Await();
     if (!n.ok()) return n.status();
     window_.swap(ahead_buf_);
-    got = *n;
+    got = n->bytes;
     ++stats_.readaheads;
   } else {
     if (ahead_.valid()) {
@@ -24,9 +24,10 @@ Status PrefetchReader::Fill(std::uint64_t offset) {
       fs::FileIo io = std::move(ahead_);
       (void)io.Await();
     }
-    auto n = fs_->Read(file_, offset, MutableByteSpan(window_));
+    auto n = core::Await(fs_->ReadAsync(
+        file_, {{offset, window_.size(), MutableByteSpan(window_)}}));
     if (!n.ok()) return n.status();
-    got = *n;
+    got = n->bytes;
   }
   window_offset_ = offset;
   window_len_ = got;
@@ -41,7 +42,8 @@ Status PrefetchReader::Fill(std::uint64_t offset) {
 void PrefetchReader::StartReadAhead() {
   ahead_offset_ = window_offset_ + window_len_;
   ahead_buf_.resize(window_.size());
-  auto io = fs_->ReadAsync(file_, ahead_offset_, MutableByteSpan(ahead_buf_));
+  auto io = fs_->ReadAsync(
+      file_, {{ahead_offset_, ahead_buf_.size(), MutableByteSpan(ahead_buf_)}});
   if (io.ok()) ahead_ = std::move(*io);  // best effort: failure just means no read-ahead
 }
 
@@ -79,12 +81,12 @@ Result<std::uint64_t> PrefetchReader::Read(std::uint64_t offset,
       if (window_len_ == 0) break;  // EOF
     } else {
       auto span = out.subspan(static_cast<std::size_t>(served));
-      auto n = fs_->Read(file_, pos, span);
+      auto n = core::Await(fs_->ReadAsync(file_, {{pos, span.size(), span}}));
       if (!n.ok()) return n.status();
       ++stats_.fetches;
-      stats_.bytes_fetched += *n;
-      stats_.bytes_served += *n;
-      served += *n;
+      stats_.bytes_fetched += n->bytes;
+      stats_.bytes_served += n->bytes;
+      served += n->bytes;
       break;  // direct reads never loop (short read = EOF)
     }
   }

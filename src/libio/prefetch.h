@@ -38,7 +38,8 @@ class PrefetchReader {
                  PrefetchOptions options = {})
       : fs_(fs), file_(std::move(file)), options_(options) {}
 
-  /// Same contract as LwfsFs::Read.
+  /// Read into `out`; returns the bytes read (short at EOF), like a span
+  /// extent of LwfsFs::ReadAsync.
   Result<std::uint64_t> Read(std::uint64_t offset, MutableByteSpan out);
 
   [[nodiscard]] const PrefetchStats& stats() const { return stats_; }

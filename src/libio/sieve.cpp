@@ -37,12 +37,6 @@ struct Run {
   [[nodiscard]] bool sieved() const { return last - first > 1; }
 };
 
-struct PendingRun {
-  Run run;
-  Buffer window;  // sieved runs read here, then extract
-  fs::FileIo io;
-};
-
 }  // namespace
 
 Result<SieveStats> SievedRead(fs::LwfsFs& fs, fs::FileHandle& file,
@@ -86,50 +80,38 @@ Result<SieveStats> SievedRead(fs::LwfsFs& fs, fs::FileHandle& file,
     i = j;
   }
 
-  // Issue the runs through a bounded window of async reads; extraction
-  // happens as each run retires.  (If a retire fails, the deque's FileIo
-  // destructors drain the rest before the buffers go away.)
-  const std::size_t window = options.io_window == 0 ? 1 : options.io_window;
-  std::deque<PendingRun> inflight;
-  auto retire = [&]() -> Status {
-    PendingRun p = std::move(inflight.front());
-    inflight.pop_front();
-    auto n = p.io.Await();
-    if (!n.ok()) return n.status();
-    if (p.run.sieved()) {
-      std::uint64_t pos = p.run.out_pos;
-      for (std::size_t k = p.run.first; k < p.run.last; ++k) {
-        const std::uint64_t rel = fragments[k].first - p.run.offset;
-        std::memcpy(out.data() + pos, p.window.data() + rel,
-                    static_cast<std::size_t>(fragments[k].second));
-        pos += fragments[k].second;
-      }
-    }
-    return OkStatus();
-  };
-
-  for (const Run& run : runs) {
-    while (inflight.size() >= window) LWFS_RETURN_IF_ERROR(retire());
-    PendingRun p;
-    p.run = run;
-    Result<fs::FileIo> io = FailedPrecondition("unissued");
+  // One list read: a sieve window lands in its own buffer and is
+  // extracted afterwards, a lone fragment lands straight in place.
+  std::vector<Buffer> windows(runs.size());
+  std::vector<core::ReadExtent> extents;
+  extents.reserve(runs.size());
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const Run& run = runs[r];
+    MutableByteSpan into;
     if (run.sieved()) {
-      // Sieve: one spanning read, extracted on retire.
-      p.window.resize(static_cast<std::size_t>(run.length));
-      io = fs.ReadAsync(file, run.offset, MutableByteSpan(p.window));
+      windows[r].resize(static_cast<std::size_t>(run.length));
+      into = MutableByteSpan(windows[r]);
     } else {
-      // Lone/sparse fragment: read it directly into place.
-      io = fs.ReadAsync(file, run.offset,
-                        out.subspan(static_cast<std::size_t>(run.out_pos),
-                                    static_cast<std::size_t>(run.length)));
+      into = out.subspan(static_cast<std::size_t>(run.out_pos),
+                         static_cast<std::size_t>(run.length));
     }
-    if (!io.ok()) return io.status();
-    p.io = std::move(*io);
+    extents.push_back({run.offset, run.length, into});
     ++stats.requests;
     stats.bytes_transferred += run.length;
-    inflight.push_back(std::move(p));
   }
-  while (!inflight.empty()) LWFS_RETURN_IF_ERROR(retire());
+  LWFS_RETURN_IF_ERROR(
+      core::Await(fs.ReadAsync(file, std::move(extents))).status());
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const Run& run = runs[r];
+    if (!run.sieved()) continue;
+    std::uint64_t pos = run.out_pos;
+    for (std::size_t k = run.first; k < run.last; ++k) {
+      const std::uint64_t rel = fragments[k].first - run.offset;
+      std::memcpy(out.data() + pos, windows[r].data() + rel,
+                  static_cast<std::size_t>(fragments[k].second));
+      pos += fragments[k].second;
+    }
+  }
   return stats;
 }
 
@@ -148,9 +130,10 @@ Result<SieveStats> DirectRead(fs::LwfsFs& fs, fs::FileHandle& file,
   std::uint64_t out_pos = 0;
   for (const Fragment& frag : fragments) {
     while (inflight.size() >= kWindow) LWFS_RETURN_IF_ERROR(retire());
-    auto io = fs.ReadAsync(file, frag.first,
-                           out.subspan(static_cast<std::size_t>(out_pos),
-                                       static_cast<std::size_t>(frag.second)));
+    auto io = fs.ReadAsync(
+        file, {{frag.first, frag.second,
+                out.subspan(static_cast<std::size_t>(out_pos),
+                            static_cast<std::size_t>(frag.second))}});
     if (!io.ok()) return io.status();
     inflight.push_back(std::move(*io));
     ++stats.requests;

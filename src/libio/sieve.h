@@ -23,8 +23,6 @@ struct SieveOptions {
   double density_threshold = 0.25;
   /// Never read a sieve window larger than this.
   std::uint64_t max_window_bytes = 8ull << 20;
-  /// Outstanding async window reads (bounds buffered window memory).
-  std::size_t io_window = 4;
 };
 
 struct SieveStats {
@@ -43,13 +41,15 @@ struct SieveStats {
 using Fragment = std::pair<std::uint64_t, std::uint64_t>;
 
 /// Read `fragments` (must be sorted, non-overlapping) into `out`
-/// back-to-back, sieving windows where profitable.
+/// back-to-back, sieving windows where profitable.  Every planned read
+/// goes out in one striped list read.
 Result<SieveStats> SievedRead(fs::LwfsFs& fs, fs::FileHandle& file,
                               std::span<const Fragment> fragments,
                               MutableByteSpan out,
                               const SieveOptions& options = {});
 
-/// Baseline: one read per fragment.
+/// Baseline: one read call per fragment — what the sieving ablation
+/// measures against.
 Result<SieveStats> DirectRead(fs::LwfsFs& fs, fs::FileHandle& file,
                               std::span<const Fragment> fragments,
                               MutableByteSpan out);

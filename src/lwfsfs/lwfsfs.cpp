@@ -85,10 +85,10 @@ Result<FileHandle> LwfsFs::DecodeInode(const std::string& path,
                                        const storage::ObjectRef& ref) {
   auto attr = client_->GetAttr(ref.server_index, cap_, ref.oid);
   if (!attr.ok()) return attr.status();
-  auto raw = client_->ReadObjectAlloc(ref.server_index, cap_, ref.oid, 0,
-                                      attr->size);
+  auto raw = core::Await(client_->ReadObjectAsync(ref.server_index, cap_,
+                                                  ref.oid, {{0, attr->size}}));
   if (!raw.ok()) return raw.status();
-  Decoder dec(*raw);
+  Decoder dec(raw->slices.front().span());
   auto inode = Inode::Decode(dec);
   if (!inode.ok()) return DataLoss("corrupt inode for " + path);
   if (inode->magic != kInodeMagic) {
@@ -190,87 +190,43 @@ Status LwfsFs::Remove(const std::string& path) {
                                file->inode.oid);
 }
 
-Status LwfsFs::Write(FileHandle& file, std::uint64_t offset, ByteSpan data) {
-  auto io = WriteAsync(file, offset, data);
-  if (!io.ok()) return io.status();
-  auto n = io->Await();
-  return n.ok() ? OkStatus() : n.status();
-}
-
-Result<std::uint64_t> LwfsFs::Read(FileHandle& file, std::uint64_t offset,
-                                   MutableByteSpan out) {
-  auto io = ReadAsync(file, offset, out);
-  if (!io.ok()) return io.status();
-  return io->Await();
-}
-
 pfs::StripedFile LwfsFs::Striped(const FileHandle& file) const {
   return pfs::StripedFile{client_, cap_, file.stripe_size, file.stripes};
 }
 
-pfs::StripedPolicy LwfsFs::Policy(FileHandle& file, std::uint64_t offset,
-                                  std::uint64_t length, bool is_read) {
+pfs::StripedPolicy LwfsFs::Policy(FileHandle& file, bool is_read) {
   pfs::StripedPolicy policy;
   if (options_.consistency == FsConsistency::kPosix) {
     const auto mode =
         is_read ? txn::LockMode::kShared : txn::LockMode::kExclusive;
-    policy.lock = [this, &file, offset, length, mode] {
-      return client_->LockBlocking(FileLockKey(cap_, file.inode),
-                                   {offset, offset + length}, mode);
+    policy.lock = [this, &file, mode](std::uint64_t start, std::uint64_t end) {
+      return client_->LockBlocking(FileLockKey(cap_, file.inode), {start, end},
+                                   mode);
     };
     policy.unlock = [this](txn::LockId id) { return client_->Unlock(id); };
   }
   if (is_read) {
     // Reads end at the file size (observed under the shared lock in
     // kPosix); a short chunk inside that extent is a hole.
-    policy.read_extent = [this, &file,
-                          offset](std::uint64_t n) -> Result<std::uint64_t> {
-      auto size = Size(file);
-      if (!size.ok()) return size.status();
-      return offset >= *size ? 0 : std::min(n, *size - offset);
-    };
-    policy.end = [](std::uint64_t moved, std::uint64_t) { return moved; };
+    policy.size = [this, &file] { return Size(file); };
   } else {
-    policy.end = [&file, offset](std::uint64_t moved, std::uint64_t) {
-      file.size = std::max(file.size, offset + moved);
-      return moved;
+    policy.written = [&file](std::uint64_t end) {
+      file.size = std::max(file.size, end);
     };
   }
   return policy;
 }
 
-Result<FileIo> LwfsFs::WriteAsync(FileHandle& file, std::uint64_t offset,
-                                  ByteSpan data) {
-  return WriteSliceAsync(file, offset, util::SharedSlice::External(data));
+Result<FileIo> LwfsFs::WriteAsync(FileHandle& file,
+                                  std::vector<core::WritePiece> pieces) {
+  return pfs::StripedIo::Write(Striped(file), std::move(pieces),
+                               Policy(file, false));
 }
 
-Status LwfsFs::WriteSlice(FileHandle& file, std::uint64_t offset,
-                          const util::SharedSlice& data) {
-  auto io = WriteSliceAsync(file, offset, data);
-  if (!io.ok()) return io.status();
-  auto n = io->Await();
-  return n.ok() ? OkStatus() : n.status();
-}
-
-Result<FileIo> LwfsFs::WriteSliceAsync(FileHandle& file, std::uint64_t offset,
-                                       const util::SharedSlice& data) {
-  return pfs::StripedIo::Write(Striped(file), offset, data,
-                               Policy(file, offset, data.size(), false));
-}
-
-Result<FileIo> LwfsFs::ReadAsync(FileHandle& file, std::uint64_t offset,
-                                 MutableByteSpan out) {
-  return pfs::StripedIo::Read(Striped(file), offset, out,
-                              Policy(file, offset, out.size(), true));
-}
-
-Result<util::SharedSlice> LwfsFs::ReadSlice(FileHandle& file,
-                                            std::uint64_t offset,
-                                            std::uint64_t length) {
-  auto io = pfs::StripedIo::ReadSlice(Striped(file), offset, length,
-                                      Policy(file, offset, length, true));
-  if (!io.ok()) return io.status();
-  return io->AwaitSlice();
+Result<FileIo> LwfsFs::ReadAsync(FileHandle& file,
+                                 std::vector<core::ReadExtent> extents) {
+  return pfs::StripedIo::Read(Striped(file), std::move(extents),
+                              Policy(file, true));
 }
 
 Status LwfsFs::Truncate(FileHandle& file, std::uint64_t size) {

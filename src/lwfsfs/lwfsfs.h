@@ -64,13 +64,13 @@ struct FileHandle {
   std::uint64_t size = 0;       // as of open/last flush
 };
 
-/// A pending file write or read on the shared striped engine (window of
-/// pfs::kIoWindow object calls).  Under kPosix the byte-range lock is
-/// acquired inside Await() before any chunk goes out and released after
-/// the drain, so a caller pipelining several FileIo handles never
-/// deadlocks against its own window.  Writes resolve to bytes written;
-/// reads to bytes read (clamped to the file size, holes zero-filled).  The
-/// FileHandle and the data span must stay valid until Await() returns (the
+/// A pending file list write or read on the shared striped engine (window
+/// of pfs::kIoWindow object calls).  Under kPosix one byte-range lock over
+/// the list's hull is acquired inside Await() before any chunk goes out
+/// and released after the drain, so a caller pipelining several FileIo
+/// handles never deadlocks against its own window.  Read extents end at
+/// the file size, holes read as zero.  The FileHandle, borrowed write
+/// slices and landing spans must stay valid until Await() returns (the
 /// destructor drains as a backstop).
 using FileIo = pfs::StripedIo;
 
@@ -106,32 +106,15 @@ class LwfsFs {
   Status Remove(const std::string& path);
 
   // ---- Data ------------------------------------------------------------------
-  /// Thin WriteAsync/ReadAsync + Await wrappers.
-  Status Write(FileHandle& file, std::uint64_t offset, ByteSpan data);
-  Result<std::uint64_t> Read(FileHandle& file, std::uint64_t offset,
-                             MutableByteSpan out);
-  /// Asynchronous striped I/O: per-stripe object calls flow through a
-  /// window of pfs::kIoWindow outstanding requests.  Under kPosix,
-  /// issuance is deferred to FileIo::Await(), which takes the byte-range
-  /// lock first.
-  Result<FileIo> WriteAsync(FileHandle& file, std::uint64_t offset,
-                            ByteSpan data);
-  /// Zero-copy write: each per-stripe chunk registers an O(1) sub-slice of
-  /// `data` for the storage server's pull, and the slice keeps the payload
-  /// alive past caller scope.  Non-owned slices fall back to the span path.
-  Status WriteSlice(FileHandle& file, std::uint64_t offset,
-                    const util::SharedSlice& data);
-  Result<FileIo> WriteSliceAsync(FileHandle& file, std::uint64_t offset,
-                                 const util::SharedSlice& data);
-  Result<FileIo> ReadAsync(FileHandle& file, std::uint64_t offset,
-                           MutableByteSpan out);
-  /// Zero-copy read: an extent inside one stripe returns the storage
-  /// server's store-owned slice unchanged — no client-side landing buffer
-  /// at all.  Extents spanning stripes gather per-stripe slices (fetched
-  /// through the same bounded window) into one freshly allocated slice;
-  /// holes read as zero.  Short at EOF.
-  Result<util::SharedSlice> ReadSlice(FileHandle& file, std::uint64_t offset,
-                                      std::uint64_t length);
+  /// Striped list I/O: per-stripe object calls flow through a window of
+  /// pfs::kIoWindow outstanding requests; core::Await is the synchronous
+  /// form.  Under kPosix, issuance is deferred to FileIo::Await(), which
+  /// takes the byte-range lock first.  A successful write grows
+  /// `file.size` to the end of the list's hull.
+  Result<FileIo> WriteAsync(FileHandle& file,
+                            std::vector<core::WritePiece> pieces);
+  Result<FileIo> ReadAsync(FileHandle& file,
+                           std::vector<core::ReadExtent> extents);
   Status Truncate(FileHandle& file, std::uint64_t size);
   /// Publish the current size to the inode object (POSIX close/fsync
   /// semantics); refreshes `file.size`.
@@ -182,9 +165,7 @@ class LwfsFs {
   [[nodiscard]] pfs::StripedFile Striped(const FileHandle& file) const;
   /// kPosix byte-range locking (shared for reads); reads clamp to the size
   /// seen under the lock and read holes as zero, writes grow `file.size`.
-  [[nodiscard]] pfs::StripedPolicy Policy(FileHandle& file,
-                                          std::uint64_t offset,
-                                          std::uint64_t length, bool is_read);
+  [[nodiscard]] pfs::StripedPolicy Policy(FileHandle& file, bool is_read);
 
   core::Client* client_;
   security::Capability cap_;

@@ -98,63 +98,33 @@ Status PfsClient::UnlockExtent(txn::LockId id) {
       .status();
 }
 
-Status PfsClient::Write(const OpenFile& file, std::uint64_t offset,
-                        ByteSpan data) {
-  auto io = WriteAsync(file, offset, data);
-  if (!io.ok()) return io.status();
-  auto n = io->Await();
-  return n.ok() ? OkStatus() : n.status();
-}
-
-Result<std::uint64_t> PfsClient::Read(const OpenFile& file,
-                                      std::uint64_t offset,
-                                      MutableByteSpan out) {
-  auto io = ReadAsync(file, offset, out);
-  if (!io.ok()) return io.status();
-  return io->Await();
-}
-
 StripedFile PfsClient::Striped(const OpenFile& file) const {
   return StripedFile{core_.get(), file.cap, file.attr.layout.stripe_size,
                      file.attr.layout.stripes};
 }
 
-StripedPolicy PfsClient::Policy(const OpenFile& file, std::uint64_t offset,
-                                std::uint64_t length) {
+StripedPolicy PfsClient::Policy(const OpenFile& file) {
+  // The MDS learns sizes only at Sync, so the policy leaves the size
+  // unknown: a short stripe chunk is EOF.
   StripedPolicy policy;
   if (mode_ == ConsistencyMode::kPosixLocking) {
-    policy.lock = [this, ino = file.attr.ino, offset, length] {
-      return LockExtent(ino, offset, offset + length);
+    policy.lock = [this, ino = file.attr.ino](std::uint64_t start,
+                                              std::uint64_t end) {
+      return LockExtent(ino, start, end);
     };
     policy.unlock = [this](txn::LockId id) { return UnlockExtent(id); };
   }
-  // The MDS learns sizes only at Sync, so a short stripe chunk is EOF.
-  policy.end = [](std::uint64_t, std::uint64_t first_short) {
-    return first_short;
-  };
   return policy;
 }
 
-Result<PfsIo> PfsClient::WriteAsync(const OpenFile& file, std::uint64_t offset,
-                                    ByteSpan data) {
-  return StripedIo::Write(Striped(file), offset,
-                          util::SharedSlice::External(data),
-                          Policy(file, offset, data.size()));
+Result<PfsIo> PfsClient::WriteAsync(const OpenFile& file,
+                                    std::vector<core::WritePiece> pieces) {
+  return StripedIo::Write(Striped(file), std::move(pieces), Policy(file));
 }
 
-Result<PfsIo> PfsClient::ReadAsync(const OpenFile& file, std::uint64_t offset,
-                                   MutableByteSpan out) {
-  return StripedIo::Read(Striped(file), offset, out,
-                         Policy(file, offset, out.size()));
-}
-
-Result<util::SharedSlice> PfsClient::ReadSlice(const OpenFile& file,
-                                               std::uint64_t offset,
-                                               std::uint64_t length) {
-  auto io = StripedIo::ReadSlice(Striped(file), offset, length,
-                                 Policy(file, offset, length));
-  if (!io.ok()) return io.status();
-  return io->AwaitSlice();
+Result<PfsIo> PfsClient::ReadAsync(const OpenFile& file,
+                                   std::vector<core::ReadExtent> extents) {
+  return StripedIo::Read(Striped(file), std::move(extents), Policy(file));
 }
 
 Status PfsClient::Sync(const OpenFile& file, std::uint64_t size_hint) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/client.h"
 #include "pfs/mds.h"
@@ -50,13 +51,13 @@ struct OpenFile {
   security::Capability cap;
 };
 
-/// A pending striped file write or read.  In kPosixLocking mode the
-/// extent lock is acquired inside Await() (before any chunk goes out) and
-/// released after the drain — deferring the lock keeps a driver that
-/// pipelines many handles from deadlocking against its own window, at the
-/// price of serializing locked I/O, which is the consistency cost the
-/// paper measures.  Reads end short at the first short stripe chunk.  The
-/// PfsClient must outlive the handle.
+/// A pending striped list write or read.  In kPosixLocking mode one
+/// extent lock over the list's hull is acquired inside Await() (before any
+/// chunk goes out) and released after the drain — deferring the lock keeps
+/// a driver that pipelines many handles from deadlocking against its own
+/// window, at the price of serializing locked I/O, which is the
+/// consistency cost the paper measures.  A read extent ends short at its
+/// first short stripe chunk.  The PfsClient must outlive the handle.
 using PfsIo = StripedIo;
 
 class PfsClient {
@@ -71,27 +72,13 @@ class PfsClient {
   Status Unlink(const std::string& path);
   Result<FileAttr> GetAttr(const std::string& path);
 
-  /// Write `data` at `offset`, striping across storage servers.
-  /// Takes/releases the extent lock in kPosixLocking mode.  Thin
-  /// WriteAsync+Await wrapper.
-  Status Write(const OpenFile& file, std::uint64_t offset, ByteSpan data);
-
-  /// Read into `out`; returns bytes read.  Thin ReadAsync+Await wrapper.
-  Result<std::uint64_t> Read(const OpenFile& file, std::uint64_t offset,
-                             MutableByteSpan out);
-
-  /// Asynchronous striped I/O through a window of kIoWindow object calls.
-  /// In kPosixLocking mode issuance is deferred to PfsIo::Await(), which
-  /// takes the extent lock first.
-  Result<PfsIo> WriteAsync(const OpenFile& file, std::uint64_t offset,
-                           ByteSpan data);
-  Result<PfsIo> ReadAsync(const OpenFile& file, std::uint64_t offset,
-                          MutableByteSpan out);
-  /// Zero-copy read: no client landing buffer is registered; the payload
-  /// arrives as store-owned slices in the storage servers' reply frames.
-  Result<util::SharedSlice> ReadSlice(const OpenFile& file,
-                                      std::uint64_t offset,
-                                      std::uint64_t length);
+  /// Striped list I/O through a window of kIoWindow object calls;
+  /// core::Await is the synchronous form.  In kPosixLocking mode issuance
+  /// is deferred to PfsIo::Await(), which takes the extent lock first.
+  Result<PfsIo> WriteAsync(const OpenFile& file,
+                           std::vector<core::WritePiece> pieces);
+  Result<PfsIo> ReadAsync(const OpenFile& file,
+                          std::vector<core::ReadExtent> extents);
 
   /// Publish the file size to the MDS (close/sync semantics).
   Status Sync(const OpenFile& file, std::uint64_t size_hint);
@@ -115,9 +102,7 @@ class PfsClient {
   Status UnlockExtent(txn::LockId id);
   [[nodiscard]] StripedFile Striped(const OpenFile& file) const;
   /// The extent lock in kPosixLocking mode; a short chunk is EOF.
-  [[nodiscard]] StripedPolicy Policy(const OpenFile& file,
-                                     std::uint64_t offset,
-                                     std::uint64_t length);
+  [[nodiscard]] StripedPolicy Policy(const OpenFile& file);
 
   std::unique_ptr<core::Client> core_;
   PfsDeployment deployment_;

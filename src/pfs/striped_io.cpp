@@ -4,44 +4,49 @@
 #include <deque>
 #include <limits>
 #include <optional>
-#include <vector>
+#include <utility>
 
 namespace lwfs::pfs {
 
 struct StripedIo::State {
-  enum class Op { kWrite, kRead, kReadSlice };
-  Op op = Op::kWrite;
+  bool is_read = false;
   StripedPolicy policy;
-  util::SharedSlice data;  // kWrite payload
-  MutableByteSpan out{};   // kRead destination
+  std::vector<core::WritePiece> pieces;   // writes
+  std::vector<core::ReadExtent> extents;  // reads
 
   core::Client* client = nullptr;
   security::Capability cap;
   std::uint32_t stripe_size = 0;
   std::vector<StripeTarget> stripes;
-  std::uint64_t offset = 0;
-  std::uint64_t extent = 0;  // bytes to move; a read's is final after Begin
 
-  std::vector<StripeChunk> chunks;
+  /// Bytes to move per list entry; a read's are final after Begin.
+  std::vector<std::uint64_t> want;
+  struct Chunk {
+    std::size_t entry = 0;
+    StripeChunk map;
+  };
+  std::vector<Chunk> chunks;  // every entry's chunks, in list order
   std::size_t next = 0;
   bool begun = false;
   std::optional<txn::LockId> lock;
 
   struct Issued {
     std::size_t chunk = 0;
-    core::PendingIo io;             // writes and span reads
-    core::PendingSliceIo slice_io;  // slice reads
+    core::PendingIo io;
   };
   std::deque<Issued> inflight;
-  // Slice reads: (offset within the extent, bytes), in extent order.
-  std::vector<std::pair<std::uint64_t, util::SharedSlice>> pieces;
-  std::optional<std::uint64_t> first_short;
+  // Reads, per extent: the slice chunks (offset within the extent, bytes)
+  // in extent order, and the extent-relative end of its first short chunk.
+  std::vector<std::vector<std::pair<std::uint64_t, util::SharedSlice>>> got;
+  std::vector<std::uint64_t> first_short;
 
   bool completed = false;
-  Result<std::uint64_t> result = std::uint64_t{0};
-  util::SharedSlice slice;  // kReadSlice result
+  Result<core::IoResult> result = core::IoResult{};
 
-  /// Take the lock, settle a read's extent, plan the chunks.
+  [[nodiscard]] std::uint64_t Offset(std::size_t i) const {
+    return is_read ? extents[i].offset : pieces[i].offset;
+  }
+  /// Take the lock over the hull, settle a read's extents, plan the chunks.
   Status Begin();
   Status IssueNext();
   /// Issue chunks until the window is full or none are left.
@@ -49,50 +54,62 @@ struct StripedIo::State {
   void RetireFront(Status& error);
   /// Issue and retire every remaining chunk, then settle the result.
   void Run(Status error);
-  [[nodiscard]] util::SharedSlice Gather(std::uint64_t end) const;
+  [[nodiscard]] util::SharedSlice Gather(std::size_t extent,
+                                         std::uint64_t end) const;
 };
 
 Status StripedIo::State::Begin() {
   begun = true;
-  if (policy.lock) {
-    auto id = policy.lock();
+  if (policy.lock && !want.empty()) {
+    std::uint64_t start = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t end = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      start = std::min(start, Offset(i));
+      end = std::max(end, Offset(i) + want[i]);
+    }
+    auto id = policy.lock(start, end);
     if (!id.ok()) return id.status();
     lock = *id;
   }
-  if (op != Op::kWrite && policy.read_extent) {
-    auto n = policy.read_extent(extent);
-    if (!n.ok()) return n.status();
-    extent = std::min(extent, *n);
+  if (is_read && policy.size) {
+    auto size = policy.size();
+    if (!size.ok()) return size.status();
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      want[i] = Offset(i) >= *size ? 0 : std::min(want[i], *size - Offset(i));
+    }
   }
-  chunks = MapExtent(stripe_size, static_cast<std::uint32_t>(stripes.size()),
-                     offset, extent);
+  const auto count = static_cast<std::uint32_t>(stripes.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    for (const StripeChunk& c :
+         MapExtent(stripe_size, count, Offset(i), want[i])) {
+      chunks.push_back(Chunk{i, c});
+    }
+  }
+  first_short = want;
+  got.resize(extents.size());
   return OkStatus();
 }
 
 Status StripedIo::State::IssueNext() {
   const std::size_t index = next++;
-  const StripeChunk& c = chunks[index];
-  const StripeTarget& target = stripes[c.stripe_index];
-  const auto at = static_cast<std::size_t>(c.file_offset - offset);
-  const auto length = static_cast<std::size_t>(c.length);
-  Issued issued{index, {}, {}};
-  if (op == Op::kReadSlice) {
-    auto io = client->ReadObjectSliceAsync(target.server, cap, target.oid,
-                                           c.object_offset, c.length);
-    if (!io.ok()) return io.status();
-    issued.slice_io = std::move(*io);
+  const Chunk& c = chunks[index];
+  const StripeTarget& target = stripes[c.map.stripe_index];
+  const auto at = static_cast<std::size_t>(c.map.file_offset - Offset(c.entry));
+  const auto length = static_cast<std::size_t>(c.map.length);
+  Result<core::PendingIo> io = core::PendingIo{};
+  if (is_read) {
+    const MutableByteSpan out = extents[c.entry].out;
+    io = client->ReadObjectAsync(
+        target.server, cap, target.oid,
+        {{c.map.object_offset, c.map.length,
+          out.empty() ? MutableByteSpan{} : out.subspan(at, length)}});
   } else {
-    auto io = op == Op::kWrite
-                  ? client->WriteObjectSliceAsync(target.server, cap,
-                                                  target.oid, c.object_offset,
-                                                  data.Slice(at, length))
-                  : client->ReadObjectAsync(target.server, cap, target.oid,
-                                            c.object_offset,
-                                            out.subspan(at, length));
-    if (!io.ok()) return io.status();
-    issued.io = std::move(*io);
+    io = client->WriteObjectAsync(
+        target.server, cap, target.oid,
+        {{c.map.object_offset, pieces[c.entry].data.Slice(at, length)}});
   }
-  inflight.push_back(std::move(issued));
+  if (!io.ok()) return io.status();
+  inflight.push_back(Issued{index, std::move(*io)});
   return OkStatus();
 }
 
@@ -106,32 +123,28 @@ Status StripedIo::State::Fill() {
 void StripedIo::State::RetireFront(Status& error) {
   Issued issued = std::move(inflight.front());
   inflight.pop_front();
-  const StripeChunk& c = chunks[issued.chunk];
-  const std::uint64_t at = c.file_offset - offset;
-  std::uint64_t got = 0;
-  if (op == Op::kReadSlice) {
-    auto bytes = issued.slice_io.Await();
-    if (!bytes.ok()) {
-      if (error.ok()) error = bytes.status();
-      return;
-    }
-    got = bytes->size();
-    pieces.emplace_back(at, std::move(*bytes));
-  } else {
-    auto n = issued.io.Await();
-    if (!n.ok()) {
-      if (error.ok()) error = n.status();
-      return;
-    }
-    got = *n;
-    if (op == Op::kRead && got < c.length) {
-      auto hole = out.subspan(static_cast<std::size_t>(at + got),
-                              static_cast<std::size_t>(c.length - got));
-      std::fill(hole.begin(), hole.end(), 0);
-    }
+  auto done = issued.io.Await();
+  if (!done.ok()) {
+    if (error.ok()) error = done.status();
+    return;
   }
-  // Chunks retire in extent order, so the first short one seen is first.
-  if (got < c.length && !first_short) first_short = at + got;
+  if (!is_read) return;
+  const Chunk& c = chunks[issued.chunk];
+  const core::ReadExtent& extent = extents[c.entry];
+  const std::uint64_t at = c.map.file_offset - extent.offset;
+  const std::uint64_t n = done->bytes;
+  if (extent.out.empty()) {
+    if (n > 0) got[c.entry].emplace_back(at, std::move(done->slices.front()));
+  } else if (n < c.map.length) {
+    auto hole = extent.out.subspan(static_cast<std::size_t>(at + n),
+                                   static_cast<std::size_t>(c.map.length - n));
+    std::fill(hole.begin(), hole.end(), 0);
+  }
+  // An extent's chunks retire in order, so the first short one seen is
+  // first.
+  if (n < c.map.length) {
+    first_short[c.entry] = std::min(first_short[c.entry], at + n);
+  }
 }
 
 void StripedIo::State::Run(Status error) {
@@ -140,30 +153,47 @@ void StripedIo::State::Run(Status error) {
     if (inflight.empty()) break;
     RetireFront(error);
   }
-  if (error.ok()) result = policy.end(extent, first_short.value_or(extent));
+  core::IoResult done;
+  if (error.ok() && is_read) {
+    done.slices.resize(extents.size());
+    for (std::size_t i = 0; i < extents.size(); ++i) {
+      const std::uint64_t end = policy.size ? want[i] : first_short[i];
+      done.bytes += end;
+      if (extents[i].out.empty()) done.slices[i] = Gather(i, end);
+    }
+  } else if (error.ok()) {
+    std::uint64_t end = 0;
+    for (const core::WritePiece& piece : pieces) {
+      done.bytes += piece.data.size();
+      end = std::max(end, piece.offset + piece.data.size());
+    }
+    if (policy.written) policy.written(end);
+  }
   if (lock) {
     Status unlocked = policy.unlock(*lock);
     lock.reset();
     if (error.ok()) error = unlocked;
   }
   completed = true;
-  if (!error.ok()) {
+  if (error.ok()) {
+    result = std::move(done);
+  } else {
     result = error;
-  } else if (op == Op::kReadSlice) {
-    slice = Gather(*result);
   }
 }
 
-util::SharedSlice StripedIo::State::Gather(std::uint64_t end) const {
+util::SharedSlice StripedIo::State::Gather(std::size_t extent,
+                                           std::uint64_t end) const {
   if (end == 0) return {};
+  const auto& parts = got[extent];
   // One chunk that is exactly the result: the server's slice passes through.
-  if (pieces.size() == 1 && pieces[0].second.size() == end) {
-    return pieces[0].second;
+  if (parts.size() == 1 && parts[0].second.size() == end) {
+    return parts[0].second;
   }
   // Gather into one fresh slice; holes stay zero.  One delivery copy per
   // byte — final delivery, outside the staging budget.
   Buffer gathered(static_cast<std::size_t>(end), std::uint8_t{0});
-  for (const auto& [at, bytes] : pieces) {
+  for (const auto& [at, bytes] : parts) {
     if (at >= end) break;
     const auto n = static_cast<std::size_t>(
         std::min<std::uint64_t>(bytes.size(), end - at));
@@ -179,24 +209,24 @@ StripedIo::StripedIo(StripedIo&&) noexcept = default;
 StripedIo& StripedIo::operator=(StripedIo&&) noexcept = default;
 
 StripedIo::~StripedIo() {
-  // Drain so the caller's span is quiescent before it can be freed.
+  // Drain so the caller's spans are quiescent before they can be freed.
   if (state_ && !state_->completed) (void)Await();
 }
 
 Result<StripedIo> StripedIo::Start(std::unique_ptr<State> state,
-                                   const StripedFile& file,
-                                   std::uint64_t offset) {
+                                   const StripedFile& file) {
+  State& s = *state;
   // A wrapping extent would map onto the file's first bytes: refuse it
   // before anything is locked or sent.
-  if (state->extent > std::numeric_limits<std::uint64_t>::max() - offset) {
-    return InvalidArgument("extent end overflows the file offset space");
+  for (std::size_t i = 0; i < s.want.size(); ++i) {
+    if (s.want[i] > std::numeric_limits<std::uint64_t>::max() - s.Offset(i)) {
+      return InvalidArgument("extent end overflows the file offset space");
+    }
   }
-  State& s = *state;
   s.client = file.client;
   s.cap = file.cap;
   s.stripe_size = file.stripe_size;
   s.stripes.assign(file.stripes.begin(), file.stripes.end());
-  s.offset = offset;
   StripedIo io;
   io.state_ = std::move(state);
   if (!s.policy.lock) {
@@ -213,49 +243,38 @@ Result<StripedIo> StripedIo::Start(std::unique_ptr<State> state,
 }
 
 Result<StripedIo> StripedIo::Write(const StripedFile& file,
-                                   std::uint64_t offset, util::SharedSlice data,
+                                   std::vector<core::WritePiece> pieces,
                                    StripedPolicy policy) {
   auto state = std::make_unique<State>();
-  state->op = State::Op::kWrite;
-  state->extent = data.size();
-  state->data = std::move(data);
+  for (const core::WritePiece& piece : pieces) {
+    state->want.push_back(piece.data.size());
+  }
+  state->pieces = std::move(pieces);
   state->policy = std::move(policy);
-  return Start(std::move(state), file, offset);
+  return Start(std::move(state), file);
 }
 
 Result<StripedIo> StripedIo::Read(const StripedFile& file,
-                                  std::uint64_t offset, MutableByteSpan out,
+                                  std::vector<core::ReadExtent> extents,
                                   StripedPolicy policy) {
   auto state = std::make_unique<State>();
-  state->op = State::Op::kRead;
-  state->extent = out.size();
-  state->out = out;
+  for (const core::ReadExtent& extent : extents) {
+    if (!extent.out.empty() && extent.out.size() != extent.length) {
+      return InvalidArgument("read extent's landing span is not its length");
+    }
+    state->want.push_back(extent.length);
+  }
+  state->is_read = true;
+  state->extents = std::move(extents);
   state->policy = std::move(policy);
-  return Start(std::move(state), file, offset);
+  return Start(std::move(state), file);
 }
 
-Result<StripedIo> StripedIo::ReadSlice(const StripedFile& file,
-                                       std::uint64_t offset,
-                                       std::uint64_t length,
-                                       StripedPolicy policy) {
-  auto state = std::make_unique<State>();
-  state->op = State::Op::kReadSlice;
-  state->extent = length;
-  state->policy = std::move(policy);
-  return Start(std::move(state), file, offset);
-}
-
-Result<std::uint64_t> StripedIo::Await() {
+Result<core::IoResult> StripedIo::Await() {
   if (!state_) return FailedPrecondition("awaiting an empty striped io handle");
   State& s = *state_;
   if (!s.completed) s.Run(s.begun ? OkStatus() : s.Begin());
   return s.result;
-}
-
-Result<util::SharedSlice> StripedIo::AwaitSlice() {
-  auto n = Await();
-  if (!n.ok()) return n.status();
-  return std::move(state_->slice);
 }
 
 }  // namespace lwfs::pfs

@@ -41,6 +41,11 @@ namespace lwfs::storage {
 /// offset touched, so one tiny request far past EOF must not get to them.
 inline constexpr std::uint64_t kMaxObjectBytes = 1ull << 40;  // 1 TiB
 
+/// Most bytes one read request may ask a storage server for: the server
+/// materializes a read whole before it replies, so a longer request is
+/// refused and the client splits long reads into requests of this size.
+inline constexpr std::uint64_t kMaxReadBytes = 64ull << 20;  // 64 MiB
+
 /// Per-object attributes.
 struct ObjAttr {
   ContainerId cid;

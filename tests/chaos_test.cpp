@@ -29,6 +29,7 @@
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/shared_buffer.h"
+#include "test_io.h"
 
 namespace lwfs {
 namespace {
@@ -357,9 +358,10 @@ TEST_F(ChaosTest, TwoPhaseCommitSoakAppliesExactlyOnce) {
       }
       if (ref.ok()) {
         auto back =
-            client_->ReadObjectAlloc(1, cap_, *oid, 0, payload.size());
+            testio::ReadObjectBytes(*client_, 1, cap_, *oid, 0, payload.size());
         for (int attempt = 0; attempt < 5 && !back.ok(); ++attempt) {
-          back = client_->ReadObjectAlloc(1, cap_, *oid, 0, payload.size());
+          back = testio::ReadObjectBytes(*client_, 1, cap_, *oid, 0,
+                                         payload.size());
         }
         ASSERT_TRUE(back.ok()) << back.status().ToString();
         EXPECT_EQ(*back, payload);  // applied exactly once, byte-exact
@@ -464,7 +466,7 @@ TEST_F(ChaosTest, StorageCrashMidTxnRecoversViaJournalReplay) {
   ASSERT_TRUE((*txn2)->Commit().ok());
   auto ref = client.LookupName("/txn/after");
   ASSERT_TRUE(ref.ok());
-  auto back = client.ReadObjectAlloc(1, cap_, *oid2, 0, data.size());
+  auto back = testio::ReadObjectBytes(client, 1, cap_, *oid2, 0, data.size());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, data);
 }

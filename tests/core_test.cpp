@@ -11,6 +11,7 @@
 #include "core/runtime.h"
 #include "util/clock.h"
 #include "util/shared_buffer.h"
+#include "test_io.h"
 
 namespace lwfs::core {
 namespace {
@@ -66,7 +67,7 @@ TEST_F(CoreTest, ObjectCrudRoundTrip) {
   ASSERT_TRUE(attr.ok());
   EXPECT_EQ(attr->size, data.size());
   EXPECT_EQ(attr->cid, cid_);
-  auto back = client_->ReadObjectAlloc(0, cap_, *oid, 0, data.size());
+  auto back = testio::ReadObjectBytes(*client_, 0, cap_, *oid, 0, data.size());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, data);
   ASSERT_TRUE(client_->RemoveObject(0, cap_, *oid).ok());
@@ -83,7 +84,8 @@ TEST_F(CoreTest, LargeWriteMovesInChunks) {
   ASSERT_TRUE(oid.ok());
   Buffer data = PatternBuffer((1 << 20) + 123, 4);  // not chunk-aligned
   ASSERT_TRUE(client_->WriteObject(1, cap_, *oid, 0, ByteSpan(data)).ok());
-  auto back = client_->ReadObjectAlloc(1, cap_, *oid, 0, data.size() + 50);
+  auto back = testio::ReadObjectBytes(*client_, 1, cap_, *oid, 0,
+                                      data.size() + 50);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, data);
 }
@@ -111,7 +113,8 @@ TEST_F(CoreTest, CapabilityOpsAreEnforced) {
   Buffer data = {1, 2, 3};
   EXPECT_EQ(client_->WriteObject(0, *read_only, *oid, 0, ByteSpan(data)).code(),
             ErrorCode::kPermissionDenied);
-  EXPECT_TRUE(client_->ReadObjectAlloc(0, *read_only, *oid, 0, 1).ok());
+  EXPECT_TRUE(testio::ReadObjectBytes(*client_, 0, *read_only, *oid, 0,
+                                      1).ok());
 }
 
 TEST_F(CoreTest, ForgedCapabilityRejectedOverTheWire) {
@@ -138,7 +141,8 @@ TEST_F(CoreTest, CrossContainerAccessDenied) {
   ASSERT_TRUE(other_cid.ok());
   auto other_cap = client_->GetCap(cred_, *other_cid, security::kOpAll);
   ASSERT_TRUE(other_cap.ok());
-  EXPECT_EQ(client_->ReadObjectAlloc(0, *other_cap, *oid, 0, 1).status().code(),
+  EXPECT_EQ(testio::ReadObjectBytes(*client_, 0, *other_cap, *oid, 0,
+                                    1).status().code(),
             ErrorCode::kNotFound);
 }
 
@@ -189,7 +193,8 @@ TEST_F(CoreTest, ChmodRevokesImmediatelyAcrossTheWire) {
   // Warm both caps into server 0's cache.
   auto oid = carol_client->CreateObject(0, *write_cap);
   ASSERT_TRUE(oid.ok());
-  ASSERT_TRUE(carol_client->ReadObjectAlloc(0, *read_cap, *oid, 0, 1).ok());
+  ASSERT_TRUE(testio::ReadObjectBytes(*carol_client, 0, *read_cap, *oid, 0,
+                                      1).ok());
 
   // Alice chmods carol to read-only: the server's cached write cap must be
   // invalidated before SetGrant returns ("immediate revocation", §2.4).
@@ -199,7 +204,8 @@ TEST_F(CoreTest, ChmodRevokesImmediatelyAcrossTheWire) {
       carol_client->WriteObject(0, *write_cap, *oid, 0, ByteSpan(data)).code(),
       ErrorCode::kPermissionDenied);
   // Partial revocation: the read capability still works.
-  EXPECT_TRUE(carol_client->ReadObjectAlloc(0, *read_cap, *oid, 0, 1).ok());
+  EXPECT_TRUE(testio::ReadObjectBytes(*carol_client, 0, *read_cap, *oid, 0,
+                                      1).ok());
 }
 
 TEST_F(CoreTest, RefreshCapOverRpc) {
@@ -277,7 +283,8 @@ TEST_F(CoreTest, TransactionCommitPublishesName) {
   ASSERT_TRUE((*txn)->Commit().ok());
   auto ref = client_->LookupName("/ckpt/run");
   ASSERT_TRUE(ref.ok());
-  auto back = client_->ReadObjectAlloc(ref->server_index, cap_, ref->oid, 0, 3);
+  auto back = testio::ReadObjectBytes(*client_, ref->server_index, cap_,
+                                      ref->oid, 0, 3);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, data);
   EXPECT_EQ(*(*txn)->journal()->Outcome((*txn)->id()), txn::TxnOutcome::kFinished);
@@ -332,7 +339,7 @@ TEST_F(CoreTest, BlockBackendWorksEndToEnd) {
   ASSERT_TRUE(oid.ok());
   Buffer data = PatternBuffer(100000, 2);
   ASSERT_TRUE(client_->WriteObject(0, cap_, *oid, 0, ByteSpan(data)).ok());
-  auto back = client_->ReadObjectAlloc(0, cap_, *oid, 0, data.size());
+  auto back = testio::ReadObjectBytes(*client_, 0, cap_, *oid, 0, data.size());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, data);
 }
@@ -374,7 +381,8 @@ TEST_F(CoreTest, ConcurrentClientsOnDistinctServers) {
         failures.fetch_add(1);
         return;
       }
-      auto back = c->ReadObjectAlloc(server, cap_, *oid, 0, data.size());
+      auto back = testio::ReadObjectBytes(*c, server, cap_, *oid, 0,
+                                          data.size());
       if (!back.ok() || *back != data) failures.fetch_add(1);
     });
   }
@@ -409,7 +417,7 @@ TEST_F(CoreTest, ConcurrentSliceReadersShareOneStoreBuffer) {
         const std::uint64_t offset =
             static_cast<std::uint64_t>((t * 13 + i * 7) % 128) << 10;
         const std::uint64_t length = 64 << 10;
-        auto slice = c->ReadObjectSlice(0, cap_, *oid, offset, length);
+        auto slice = testio::ReadObjectSlice(*c, 0, cap_, *oid, offset, length);
         if (!slice.ok() || slice->size() != length ||
             !std::equal(slice->span().begin(), slice->span().end(),
                         data.begin() + static_cast<std::ptrdiff_t>(offset))) {
@@ -445,10 +453,11 @@ TEST_F(CoreTest, BatchPipelinesWritesAndReadsAcrossServers) {
   {
     Batch batch(client_.get(), /*window=*/4);
     for (std::uint32_t i = 0; i < kObjects; ++i) {
-      ASSERT_TRUE(batch
-                      .Write(objects[i].first, cap_, objects[i].second, 0,
-                             ByteSpan(payloads[i]))
-                      .ok());
+      ASSERT_TRUE(
+          batch
+              .Write(objects[i].first, cap_, objects[i].second,
+                     {{0, util::SharedSlice::External(payloads[i])}})
+              .ok());
       EXPECT_LE(batch.inflight(), batch.window());
     }
     ASSERT_TRUE(batch.Drain().ok()) << batch.first_error().ToString();
@@ -459,20 +468,21 @@ TEST_F(CoreTest, BatchPipelinesWritesAndReadsAcrossServers) {
   // written so the short-read counts prove each retire decoded its own
   // reply (not a neighbour's).
   std::vector<Buffer> back(kObjects);
-  std::vector<std::uint64_t> bytes_read(kObjects, 0);
+  std::vector<IoResult> reads(kObjects);
   {
     Batch batch(client_.get(), /*window=*/4);
     for (std::uint32_t i = 0; i < kObjects; ++i) {
       back[i] = Buffer(kBytes + 100);
       ASSERT_TRUE(batch
-                      .Read(objects[i].first, cap_, objects[i].second, 0,
-                            MutableByteSpan(back[i]), &bytes_read[i])
+                      .Read(objects[i].first, cap_, objects[i].second,
+                            {{0, back[i].size(), MutableByteSpan(back[i])}},
+                            &reads[i])
                       .ok());
     }
     ASSERT_TRUE(batch.Drain().ok()) << batch.first_error().ToString();
   }
   for (std::uint32_t i = 0; i < kObjects; ++i) {
-    EXPECT_EQ(bytes_read[i], kBytes) << "object " << i;
+    EXPECT_EQ(reads[i].bytes, kBytes) << "object " << i;
     back[i].resize(kBytes);
     EXPECT_EQ(back[i], payloads[i]) << "object " << i;
   }
@@ -486,18 +496,23 @@ TEST_F(CoreTest, BatchStickyErrorStopsIssuingButStillDrains) {
   Buffer data = PatternBuffer(1000, 3);
 
   Batch batch(client_.get(), /*window=*/2);
-  ASSERT_TRUE(batch.Write(0, cap_, *oid, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(
+      batch.Write(0, cap_, *oid, {{0, util::SharedSlice::External(data)}})
+          .ok());
   // Writing a nonexistent object surfaces the error either at issue (when
   // the window forces a retire) or at Drain(); it must stick either way.
   storage::ObjectId bogus{0xdeadbeef};
   for (int i = 0; i < 4; ++i) {
-    if (!batch.Write(0, cap_, bogus, 0, ByteSpan(data)).ok()) break;
+    if (!batch.Write(0, cap_, bogus, {{0, util::SharedSlice::External(data)}})
+             .ok()) {
+      break;
+    }
   }
   EXPECT_FALSE(batch.Drain().ok());
   EXPECT_FALSE(batch.first_error().ok());
   EXPECT_EQ(batch.inflight(), 0u);
   // The first (valid) write still landed.
-  auto back = client_->ReadObjectAlloc(0, cap_, *oid, 0, data.size());
+  auto back = testio::ReadObjectBytes(*client_, 0, cap_, *oid, 0, data.size());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, data);
 }
@@ -528,30 +543,30 @@ TEST_F(CoreTest, AsyncHandlesRetireInAnyOrder) {
   std::vector<PendingIo> writes;
   for (std::uint32_t s = 0; s < 4; ++s) {
     payloads.push_back(PatternBuffer(30000, 40 + s));
-    auto io = client_->WriteObjectAsync(s, cap_, oids[s], 0,
-                                        ByteSpan(payloads[s]));
+    auto io = client_->WriteObjectAsync(
+        s, cap_, oids[s], {{0, util::SharedSlice::External(payloads[s])}});
     ASSERT_TRUE(io.ok()) << io.status().ToString();
     writes.push_back(std::move(*io));
   }
   for (std::uint32_t s = 4; s-- > 0;) {
     auto n = writes[s].Await();
     ASSERT_TRUE(n.ok()) << n.status().ToString();
-    EXPECT_EQ(*n, payloads[s].size());
+    EXPECT_EQ(n->bytes, payloads[s].size());
   }
 
   std::vector<Buffer> back(4);
   std::vector<PendingIo> reads;
   for (std::uint32_t s = 0; s < 4; ++s) {
     back[s] = Buffer(payloads[s].size());
-    auto io =
-        client_->ReadObjectAsync(s, cap_, oids[s], 0, MutableByteSpan(back[s]));
+    auto io = client_->ReadObjectAsync(
+        s, cap_, oids[s], {{0, back[s].size(), MutableByteSpan(back[s])}});
     ASSERT_TRUE(io.ok()) << io.status().ToString();
     reads.push_back(std::move(*io));
   }
   for (std::uint32_t s = 4; s-- > 0;) {
     auto n = reads[s].Await();
     ASSERT_TRUE(n.ok()) << n.status().ToString();
-    EXPECT_EQ(*n, payloads[s].size());
+    EXPECT_EQ(n->bytes, payloads[s].size());
     EXPECT_EQ(back[s], payloads[s]);
   }
 }
@@ -605,10 +620,10 @@ TEST_F(SpanReadTest, BufferLargerThanTheObjectGetsTheWholeObject) {
 }
 
 TEST_F(SpanReadTest, AllocWithOversizedLengthReturnsExactlyTheObject) {
-  auto back = client_->ReadObjectAlloc(0, cap_, oid_, 0, 64 << 20);
+  auto back = testio::ReadObjectBytes(*client_, 0, cap_, oid_, 0, 64 << 20);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(*back, data_);
-  auto tail = client_->ReadObjectAlloc(0, cap_, oid_, 9990, 64 << 20);
+  auto tail = testio::ReadObjectBytes(*client_, 0, cap_, oid_, 9990, 64 << 20);
   ASSERT_TRUE(tail.ok());
   EXPECT_EQ(*tail, Buffer(data_.begin() + 9990, data_.end()));
 }
@@ -616,29 +631,31 @@ TEST_F(SpanReadTest, AllocWithOversizedLengthReturnsExactlyTheObject) {
 TEST_F(SpanReadTest, BatchInterleavesSpanAndSliceReads) {
   constexpr std::size_t kPiece = 1000;
   std::vector<Buffer> spans(5, Buffer(kPiece, 0));
-  std::vector<std::uint64_t> span_n(5, 0);
-  std::vector<util::SharedSlice> slices(5);
+  std::vector<IoResult> span_reads(5);
+  std::vector<IoResult> slice_reads(5);
   {
     Batch batch(client_.get(), 3);
     for (std::size_t i = 0; i < 5; ++i) {
       const std::uint64_t at = 2 * i * kPiece;
       ASSERT_TRUE(batch
-                      .Read(0, cap_, oid_, at, MutableByteSpan(spans[i]),
-                            &span_n[i])
+                      .Read(0, cap_, oid_,
+                            {{at, kPiece, MutableByteSpan(spans[i])}},
+                            &span_reads[i])
                       .ok());
       ASSERT_TRUE(
-          batch.ReadSlice(0, cap_, oid_, at + kPiece, kPiece, &slices[i])
+          batch.Read(0, cap_, oid_, {{at + kPiece, kPiece}}, &slice_reads[i])
               .ok());
     }
     ASSERT_TRUE(batch.Drain().ok());
   }
   for (std::size_t i = 0; i < 5; ++i) {
     const auto at = static_cast<std::ptrdiff_t>(2 * i * kPiece);
-    EXPECT_EQ(span_n[i], kPiece);
+    EXPECT_EQ(span_reads[i].bytes, kPiece);
+    const util::SharedSlice& slice = slice_reads[i].slices.front();
     EXPECT_TRUE(std::equal(spans[i].begin(), spans[i].end(),
                            data_.begin() + at));
-    ASSERT_EQ(slices[i].size(), kPiece);
-    EXPECT_TRUE(std::equal(slices[i].span().begin(), slices[i].span().end(),
+    ASSERT_EQ(slice.size(), kPiece);
+    EXPECT_TRUE(std::equal(slice.span().begin(), slice.span().end(),
                            data_.begin() + at + static_cast<std::ptrdiff_t>(kPiece)));
   }
 }

@@ -315,7 +315,7 @@ TEST(DriverEngine, WritePipelineRunsFullAuthCreateStreamVerifyPath) {
     spec.secret = "pw";
     spec.cid = *cid;
     spec.cap_ops = security::kOpAll;
-    spec.payload = ByteSpan(payload);
+    spec.payload = util::SharedSlice::External(payload);
     spec.chunk_bytes = 4096;  // 3 chunks, windowed 2 deep
     spec.window = 2;
     spec.verify_attr = true;

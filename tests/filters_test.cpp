@@ -165,7 +165,8 @@ TEST_F(ActiveFilterTest, RemoteReductionMatchesLocal) {
   FilterSpec spec;
   spec.kind = FilterKind::kMinMaxSumCount;
   auto result =
-      client_->FilterObjectAlloc(0, read_cap_, oid_, 0, values_.size() * 8, spec);
+      client_->FilterObjectAlloc(0, read_cap_, oid_, 0, values_.size() * 8,
+                                 spec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto remote = BytesToDoubles(*result);
 
@@ -181,12 +182,31 @@ TEST_F(ActiveFilterTest, RemoteReductionMatchesLocal) {
   EXPECT_DOUBLE_EQ(remote[3], static_cast<double>(values_.size()));
 }
 
+// A filter reads through the server's one scheduled read path (staging
+// reservation, elevator, modeled medium): one scheduler request per filter.
+TEST_F(ActiveFilterTest, FilterReadsThroughTheScheduler) {
+  FilterSpec spec;
+  spec.kind = FilterKind::kMinMaxSumCount;
+  const std::uint64_t before =
+      runtime_->storage_server(0).metrics()->Snapshot().Get("sched.requests");
+  auto result =
+      client_->FilterObjectAlloc(0, read_cap_, oid_, 0, values_.size() * 8,
+                                 spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::uint64_t after =
+      runtime_->storage_server(0).metrics()->Snapshot().Get("sched.requests");
+  EXPECT_EQ(after - before, 1u);
+  EXPECT_DOUBLE_EQ(BytesToDoubles(*result)[3],
+                   static_cast<double>(values_.size()));
+}
+
 TEST_F(ActiveFilterTest, OnlyTheResultCrossesTheWire) {
   FilterSpec spec;
   spec.kind = FilterKind::kMinMaxSumCount;
   runtime_->fabric().metrics()->Reset();
   auto result =
-      client_->FilterObjectAlloc(0, read_cap_, oid_, 0, values_.size() * 8, spec);
+      client_->FilterObjectAlloc(0, read_cap_, oid_, 0, values_.size() * 8,
+                                 spec);
   ASSERT_TRUE(result.ok());
   const metrics::Snapshot stats = runtime_->fabric().metrics()->Snapshot();
   // 800 KB reduced to 32 bytes: total wire traffic stays tiny.

@@ -10,6 +10,7 @@
 #include "libio/prefetch.h"
 #include "libio/sieve.h"
 #include "util/rng.h"
+#include "test_io.h"
 
 namespace lwfs::io {
 namespace {
@@ -132,17 +133,18 @@ TEST_F(LibIoTest, HyperslabWriteReadRoundTrip) {
   Buffer all = PatternBuffer(static_cast<std::size_t>(spec.ByteSize()), 5);
   std::uint64_t zero[] = {0, 0};
   std::uint64_t full[] = {8, 8};
-  ASSERT_TRUE(ds.WriteSlab(zero, full, ByteSpan(all)).ok());
+  ASSERT_TRUE(
+      ds.WriteSlab(zero, full, util::SharedSlice::External(all)).ok());
   std::uint64_t start[] = {2, 3};
   std::uint64_t count[] = {3, 4};
-  auto slab = ds.ReadSlab(start, count).value();
+  const util::SharedSlice slab = ds.ReadSlab(start, count).value();
   ASSERT_EQ(slab.size(), 3u * 4 * 8);
   for (std::uint64_t r = 0; r < 3; ++r) {
     for (std::uint64_t c = 0; c < 4; ++c) {
       const std::uint64_t src = ((r + 2) * 8 + (c + 3)) * 8;
       const std::uint64_t dst = (r * 4 + c) * 8;
       for (int b = 0; b < 8; ++b) {
-        ASSERT_EQ(slab[dst + static_cast<std::uint64_t>(b)],
+        ASSERT_EQ(slab.data()[dst + static_cast<std::uint64_t>(b)],
                   all[src + static_cast<std::uint64_t>(b)]);
       }
     }
@@ -155,22 +157,27 @@ TEST_F(LibIoTest, ReadSlabSliceMatchesReadSlab) {
   Buffer all = PatternBuffer(static_cast<std::size_t>(spec.ByteSize()), 6);
   std::uint64_t zero[] = {0, 0};
   std::uint64_t full[] = {8, 8};
-  ASSERT_TRUE(ds.WriteSlab(zero, full, ByteSpan(all)).ok());
+  ASSERT_TRUE(
+      ds.WriteSlab(zero, full, util::SharedSlice::FromBuffer(Buffer(all)))
+          .ok());
 
-  // Fragmented interior slab: one run per row, gathered into one slice.
+  // Fragmented interior slab: one run per row, all in one list read.
   std::uint64_t start[] = {2, 3};
   std::uint64_t count[] = {3, 4};
-  auto slab = ds.ReadSlab(start, count).value();
-  auto slice = ds.ReadSlabSlice(start, count);
+  auto slice = ds.ReadSlab(start, count);
   ASSERT_TRUE(slice.ok()) << slice.status().ToString();
-  ASSERT_EQ(slice->size(), slab.size());
-  EXPECT_TRUE(std::equal(slab.begin(), slab.end(), slice->span().begin()));
+  ASSERT_EQ(slice->size(), 3u * 4 * 8);
+  for (std::uint64_t r = 0; r < 3; ++r) {
+    EXPECT_TRUE(std::equal(
+        all.begin() + static_cast<std::ptrdiff_t>(((r + 2) * 8 + 3) * 8),
+        all.begin() + static_cast<std::ptrdiff_t>(((r + 2) * 8 + 7) * 8),
+        slice->span().begin() + static_cast<std::ptrdiff_t>(r * 4 * 8)));
+  }
 
-  // Contiguous slab (full trailing dimension): single run, so the file
-  // system's store-owned slice passes straight through.
+  // Contiguous slab (full trailing dimension): a single run.
   std::uint64_t rows_start[] = {1, 0};
   std::uint64_t rows_count[] = {4, 8};
-  auto rows = ds.ReadSlabSlice(rows_start, rows_count);
+  auto rows = ds.ReadSlab(rows_start, rows_count);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 4u * 8 * 8);
   EXPECT_TRUE(std::equal(rows->span().begin(), rows->span().end(),
@@ -181,7 +188,10 @@ TEST_F(LibIoTest, SlabSizeMismatchRejected) {
   auto ds = Dataset::Create(fs_.get(), "/strict", DatasetSpec{{4, 4}, 4}).value();
   std::uint64_t start[] = {0, 0};
   std::uint64_t count[] = {2, 2};
-  EXPECT_EQ(ds.WriteSlab(start, count, ByteSpan(Buffer(15, 0))).code(),
+  const Buffer short_slab(15, 0);
+  EXPECT_EQ(
+      ds.WriteSlab(start, count,
+                   util::SharedSlice::External(short_slab)).code(),
             ErrorCode::kInvalidArgument);
 }
 
@@ -216,8 +226,8 @@ TEST_F(LibIoTest, CollectiveMatchesIndependentContent) {
 
   Buffer out_c(kRanks * kBlocksPerRank * kBlock, 0);
   Buffer out_i(out_c.size(), 0);
-  ASSERT_TRUE(fs_->Read(file_c, 0, MutableByteSpan(out_c)).ok());
-  ASSERT_TRUE(fs_->Read(file_i, 0, MutableByteSpan(out_i)).ok());
+  ASSERT_TRUE(testio::ReadAt(*fs_, file_c, 0, MutableByteSpan(out_c)).ok());
+  ASSERT_TRUE(testio::ReadAt(*fs_, file_i, 0, MutableByteSpan(out_i)).ok());
   EXPECT_EQ(out_c, out_i);
 }
 
@@ -255,7 +265,7 @@ TEST_F(LibIoTest, CollectiveEmptyIsNoop) {
 TEST_F(LibIoTest, SievedReadMatchesDirectRead) {
   auto file = fs_->Create("/sieve").value();
   Buffer data = PatternBuffer(256 << 10, 7);
-  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(data)).ok());
   ASSERT_TRUE(fs_->Flush(file).ok());
 
   // Dense strided pattern: 256 bytes of every 1 KiB.
@@ -277,7 +287,7 @@ TEST_F(LibIoTest, SievedReadMatchesDirectRead) {
 TEST_F(LibIoTest, SparseFragmentsAreNotSieved) {
   auto file = fs_->Create("/sparse-sieve").value();
   Buffer data = PatternBuffer(1 << 20, 8);
-  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(data)).ok());
   ASSERT_TRUE(fs_->Flush(file).ok());
 
   // 64 bytes out of every 64 KiB: density ~0.1% — sieving would waste the
@@ -310,7 +320,7 @@ TEST_F(LibIoTest, SieveValidatesInput) {
 TEST_F(LibIoTest, SequentialScanHitsThePrefetchWindow) {
   auto file = fs_->Create("/scan").value();
   Buffer data = PatternBuffer(1 << 20, 9);
-  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(data)).ok());
   ASSERT_TRUE(fs_->Flush(file).ok());
 
   PrefetchOptions options;
@@ -335,7 +345,7 @@ TEST_F(LibIoTest, SequentialScanHitsThePrefetchWindow) {
 TEST_F(LibIoTest, RandomSmallReadsBypassTheWindow) {
   auto file = fs_->Create("/random").value();
   Buffer data = PatternBuffer(1 << 20, 10);
-  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(data)).ok());
   ASSERT_TRUE(fs_->Flush(file).ok());
 
   PrefetchReader reader(fs_.get(), fs_->Open("/random").value(), {});

@@ -8,6 +8,7 @@
 #include "core/runtime.h"
 #include "lwfsfs/lwfsfs.h"
 #include "util/rng.h"
+#include "test_io.h"
 
 namespace lwfs::fs {
 namespace {
@@ -63,7 +64,7 @@ TEST_P(LwfsFsModelTest, RandomOpsMatchReferenceModel) {
       // Random write.
       const std::uint64_t offset = rng.NextBelow(kMaxOffset);
       Buffer data = PatternBuffer(1 + rng.NextBelow(8000), rng.NextU64());
-      ASSERT_TRUE(fs_->Write(file, offset, ByteSpan(data)).ok())
+      ASSERT_TRUE(testio::WriteAt(*fs_, file, offset, ByteSpan(data)).ok())
           << "step " << step;
       if (model.size() < offset + data.size()) {
         model.resize(offset + data.size(), 0);
@@ -75,7 +76,7 @@ TEST_P(LwfsFsModelTest, RandomOpsMatchReferenceModel) {
       const std::uint64_t offset = rng.NextBelow(kMaxOffset + 5000);
       const std::uint64_t len = 1 + rng.NextBelow(10000);
       Buffer out(len, 0xEE);
-      auto n = fs_->Read(file, offset, MutableByteSpan(out));
+      auto n = testio::ReadAt(*fs_, file, offset, MutableByteSpan(out));
       ASSERT_TRUE(n.ok()) << "step " << step;
       Buffer expect;
       if (offset < model.size()) {
@@ -103,7 +104,7 @@ TEST_P(LwfsFsModelTest, RandomOpsMatchReferenceModel) {
   // Final: full-content equality.
   ASSERT_TRUE(fs_->Flush(file).ok());
   Buffer out(model.size() + 100, 0);
-  auto n = fs_->Read(file, 0, MutableByteSpan(out));
+  auto n = testio::ReadAt(*fs_, file, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok());
   ASSERT_EQ(*n, model.size());
   out.resize(model.size());
@@ -153,9 +154,9 @@ TEST_F(PlacementTest, ExplicitPlacementIsHonoured) {
   EXPECT_EQ(reopened.stripes[2].server, 3u);
   // I/O still works with repeated servers in the layout.
   Buffer data = PatternBuffer(50000, 1);
-  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(data)).ok());
   Buffer out(50000, 0);
-  auto n = fs_->Read(file, 0, MutableByteSpan(out));
+  auto n = testio::ReadAt(*fs_, file, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(out, data);
 }

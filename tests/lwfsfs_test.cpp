@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "core/runtime.h"
 #include "lwfsfs/lwfsfs.h"
+#include "test_io.h"
 
 namespace lwfs::fs {
 namespace {
@@ -71,9 +74,9 @@ TEST_F(LwfsFsTest, WriteReadAcrossStripes) {
   auto file = fs_->Create("/striped");
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   Buffer data = PatternBuffer(10000, 3);
-  ASSERT_TRUE(fs_->Write(*file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, *file, 0, ByteSpan(data)).ok());
   Buffer back(10000, 0);
-  auto n = fs_->Read(*file, 0, MutableByteSpan(back));
+  auto n = testio::ReadAt(*fs_, *file, 0, MutableByteSpan(back));
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(*n, 10000u);
   EXPECT_EQ(back, data);
@@ -94,13 +97,13 @@ TEST_F(LwfsFsTest, WriteReadAcrossStripes) {
 TEST_F(LwfsFsTest, ReadAtEofAndBeyond) {
   Mount();
   auto file = fs_->Create("/small").value();
-  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(Buffer(100, 7))).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(Buffer(100, 7))).ok());
   ASSERT_TRUE(fs_->Flush(file).ok());
   Buffer out(200, 0xFF);
-  auto n = fs_->Read(file, 0, MutableByteSpan(out));
+  auto n = testio::ReadAt(*fs_, file, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 100u);  // clamped at EOF
-  auto beyond = fs_->Read(file, 500, MutableByteSpan(out));
+  auto beyond = testio::ReadAt(*fs_, file, 500, MutableByteSpan(out));
   ASSERT_TRUE(beyond.ok());
   EXPECT_EQ(*beyond, 0u);
 }
@@ -109,28 +112,28 @@ TEST_F(LwfsFsTest, ReadSliceRoundTripsAcrossStripesAndAtEof) {
   Mount(FsConsistency::kPosix, /*stripe_size=*/512);
   auto file = fs_->Create("/sliced").value();
   Buffer data = PatternBuffer(10000, 3);
-  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(data)).ok());
   ASSERT_TRUE(fs_->Flush(file).ok());
 
   // Spanning read: per-extent slices gathered into one, byte-equal to the
   // span path.
-  auto whole = fs_->ReadSlice(file, 0, data.size());
+  auto whole = testio::ReadSliceAt(*fs_, file, 0, data.size());
   ASSERT_TRUE(whole.ok()) << whole.status().ToString();
   ASSERT_EQ(whole->size(), data.size());
   EXPECT_TRUE(std::equal(data.begin(), data.end(), whole->span().begin()));
 
   // Single-extent read: the store-owned slice passes through unchanged.
-  auto one = fs_->ReadSlice(file, 512, 256);
+  auto one = testio::ReadSliceAt(*fs_, file, 512, 256);
   ASSERT_TRUE(one.ok()) << one.status().ToString();
   ASSERT_EQ(one->size(), 256u);
   EXPECT_TRUE(std::equal(data.begin() + 512, data.begin() + 768,
                          one->span().begin()));
 
   // Short at EOF, empty past it — same clamping as the span Read.
-  auto tail = fs_->ReadSlice(file, 9000, 5000);
+  auto tail = testio::ReadSliceAt(*fs_, file, 9000, 5000);
   ASSERT_TRUE(tail.ok());
   EXPECT_EQ(tail->size(), 1000u);
-  auto beyond = fs_->ReadSlice(file, 50000, 100);
+  auto beyond = testio::ReadSliceAt(*fs_, file, 50000, 100);
   ASSERT_TRUE(beyond.ok());
   EXPECT_EQ(beyond->size(), 0u);
 }
@@ -139,13 +142,114 @@ TEST_F(LwfsFsTest, ReadSliceFillsHolesWithZeros) {
   Mount(FsConsistency::kRelaxed, 512);
   auto file = fs_->Create("/sparseslice").value();
   Buffer data = {1, 2, 3};
-  ASSERT_TRUE(fs_->Write(file, 5000, ByteSpan(data)).ok());
-  auto got = fs_->ReadSlice(file, 0, 5003);
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 5000, ByteSpan(data)).ok());
+  auto got = testio::ReadSliceAt(*fs_, file, 0, 5003);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_EQ(got->size(), 5003u);
   for (std::size_t i = 0; i < 5000; ++i) ASSERT_EQ(got->span()[i], 0) << i;
   EXPECT_EQ(got->span()[5000], 1);
   EXPECT_EQ(got->span()[5002], 3);
+}
+
+// LwfsFs knows the file size, so every extent of a list ends at it and a
+// hole inside it reads as zero, in slice and span extents alike.
+TEST_F(LwfsFsTest, ListReadZeroFillsHolesAndEndsAtEof) {
+  Mount(FsConsistency::kPosix, 512);
+  auto file = fs_->Create("/holes").value();
+  const Buffer head = PatternBuffer(100, 1);
+  const Buffer tail = PatternBuffer(100, 2);
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(head)).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 5000, ByteSpan(tail)).ok());
+  ASSERT_TRUE(fs_->Flush(file).ok());
+
+  Buffer hole_span(100, 0xEE);
+  auto done = core::Await(fs_->ReadAsync(
+      file, {{50, 100},
+             {2000, 100, MutableByteSpan(hole_span)},
+             {5050, 100},
+             {9000, 10},
+             {0, 10}}));
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  ASSERT_EQ(done->slices.size(), 5u);
+  const ByteSpan first = done->slices[0].span();
+  ASSERT_EQ(first.size(), 100u);  // 50 written bytes, then a hole
+  EXPECT_TRUE(std::ranges::equal(first.first(50), ByteSpan(head).subspan(50)));
+  EXPECT_TRUE(std::ranges::all_of(first.subspan(50),
+                                  [](std::uint8_t b) { return b == 0; }));
+  EXPECT_TRUE(done->slices[1].empty());  // landed in the span
+  EXPECT_EQ(hole_span, Buffer(100, 0));
+  EXPECT_TRUE(std::ranges::equal(done->slices[2].span(),
+                                 ByteSpan(tail).subspan(50)));  // short at EOF
+  EXPECT_TRUE(done->slices[3].empty());                         // past EOF
+  EXPECT_TRUE(std::ranges::equal(done->slices[4].span(),
+                                 ByteSpan(head).first(10)));
+  EXPECT_EQ(done->bytes, 100u + 100 + 50 + 0 + 10);
+}
+
+// A chunk that fails mid-list stops further issue, but the list reports the
+// error only once every chunk already in flight has come back, so borrowed
+// payloads can be freed the moment Await returns (checked under ASan).
+TEST_F(LwfsFsTest, FailingExtentMidListDrainsBeforeReporting) {
+  Mount(FsConsistency::kRelaxed, 4096, 4);
+  auto file = fs_->Create("/failing").value();
+  ASSERT_TRUE(client_
+                  ->RemoveObject(file.stripes[0].server, cap_,
+                                 file.stripes[0].oid)
+                  .ok());
+  // 12 one-stripe pieces; the first lands on the removed object.
+  std::vector<std::unique_ptr<Buffer>> payloads;
+  std::vector<core::WritePiece> pieces;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    payloads.push_back(std::make_unique<Buffer>(PatternBuffer(4096, i)));
+    pieces.push_back({i * 4096, util::SharedSlice::External(*payloads.back())});
+  }
+  const auto calls = [&] {
+    return client_->metrics()->Snapshot().Get("rpc.op.31.calls");
+  };
+  const auto served = [&] {
+    return runtime_->metrics()->Snapshot().Sum("storage.**.op.obj_write.calls");
+  };
+  const std::uint64_t calls_before = calls();
+  const std::uint64_t served_before = served();
+  auto done = core::Await(fs_->WriteAsync(file, std::move(pieces)));
+  payloads.clear();
+  EXPECT_EQ(done.status().code(), ErrorCode::kNotFound);
+  // The window (pfs::kIoWindow) was full when the failure retired; nothing
+  // more went out, and everything that did was served.
+  EXPECT_EQ(calls() - calls_before, pfs::kIoWindow);
+  EXPECT_EQ(served() - served_before, pfs::kIoWindow);
+}
+
+// Under kPosix one list takes one byte-range lock over its hull.
+TEST_F(LwfsFsTest, PosixListTakesOneLockRoundTrip) {
+  Mount(FsConsistency::kPosix, 512);
+  auto file = fs_->Create("/locked").value();
+  const Buffer data = PatternBuffer(300, 4);
+  const auto lock_calls = [&] {
+    const metrics::Snapshot snap = client_->metrics()->Snapshot();
+    return std::make_pair(snap.Get("rpc.op.80.calls"),
+                          snap.Get("rpc.op.81.calls"));
+  };
+  auto before = lock_calls();
+  std::vector<core::WritePiece> pieces;
+  for (std::uint64_t at : {0, 1000, 4000, 9000}) {
+    pieces.push_back({at, util::SharedSlice::External(data)});
+  }
+  ASSERT_TRUE(core::Await(fs_->WriteAsync(file, std::move(pieces))).ok());
+  auto after = lock_calls();
+  EXPECT_EQ(after.first - before.first, 1u);
+  EXPECT_EQ(after.second - before.second, 1u);
+
+  before = after;
+  auto read = core::Await(
+      fs_->ReadAsync(file, {{0, 300}, {1000, 300}, {4000, 300}, {9000, 300}}));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  for (const util::SharedSlice& slice : read->slices) {
+    EXPECT_TRUE(std::ranges::equal(slice.span(), data));
+  }
+  after = lock_calls();
+  EXPECT_EQ(after.first - before.first, 1u);
+  EXPECT_EQ(after.second - before.second, 1u);
 }
 
 // Regression: a 200-byte write at 2^64 - 100 returned kInvalidArgument but
@@ -155,14 +259,15 @@ TEST_F(LwfsFsTest, WrappingWriteLeavesTheFileUntouched) {
   Mount(FsConsistency::kRelaxed, 512);
   auto file = fs_->Create("/wrap").value();
   const Buffer head = PatternBuffer(100, 1);
-  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(head)).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(head)).ok());
   const Buffer payload = PatternBuffer(200, 2);
-  EXPECT_EQ(fs_->Write(file, std::numeric_limits<std::uint64_t>::max() - 99,
+  EXPECT_EQ(testio::WriteAt(*fs_, file,
+                            std::numeric_limits<std::uint64_t>::max() - 99,
                        ByteSpan(payload))
                 .code(),
             ErrorCode::kInvalidArgument);
   Buffer back(head.size(), 0);
-  auto n = fs_->Read(file, 0, MutableByteSpan(back));
+  auto n = testio::ReadAt(*fs_, file, 0, MutableByteSpan(back));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, head.size());
   EXPECT_EQ(back, head);
@@ -172,9 +277,9 @@ TEST_F(LwfsFsTest, SparseWriteReadsZeros) {
   Mount(FsConsistency::kRelaxed, 512);
   auto file = fs_->Create("/sparse").value();
   Buffer data = {1, 2, 3};
-  ASSERT_TRUE(fs_->Write(file, 5000, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 5000, ByteSpan(data)).ok());
   Buffer out(5003, 0xFF);
-  auto n = fs_->Read(file, 0, MutableByteSpan(out));
+  auto n = testio::ReadAt(*fs_, file, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 5003u);
   for (std::size_t i = 0; i < 5000; ++i) ASSERT_EQ(out[i], 0) << i;
@@ -185,7 +290,7 @@ TEST_F(LwfsFsTest, SparseWriteReadsZeros) {
 TEST_F(LwfsFsTest, PosixSizeVisibleAfterFlush) {
   Mount(FsConsistency::kPosix);
   auto writer = fs_->Create("/shared-size").value();
-  ASSERT_TRUE(fs_->Write(writer, 0, ByteSpan(Buffer(1234, 1))).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, writer, 0, ByteSpan(Buffer(1234, 1))).ok());
   // Another opener sees size 0 until the writer flushes.
   auto reader = fs_->Open("/shared-size").value();
   EXPECT_EQ(fs_->Size(reader).value(), 0u);
@@ -196,7 +301,7 @@ TEST_F(LwfsFsTest, PosixSizeVisibleAfterFlush) {
 TEST_F(LwfsFsTest, RelaxedSizeDerivedFromStripes) {
   Mount(FsConsistency::kRelaxed, 512);
   auto file = fs_->Create("/derived").value();
-  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(Buffer(3000, 1))).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(Buffer(3000, 1))).ok());
   // No flush: another opener still sees the size from stripe attributes.
   auto other = fs_->Open("/derived").value();
   EXPECT_EQ(fs_->Size(other).value(), 3000u);
@@ -206,16 +311,16 @@ TEST_F(LwfsFsTest, TruncateShrinkAndGrow) {
   Mount(FsConsistency::kPosix, 512);
   auto file = fs_->Create("/trunc").value();
   Buffer data = PatternBuffer(4000, 9);
-  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(data)).ok());
   ASSERT_TRUE(fs_->Truncate(file, 1500).ok());
   EXPECT_EQ(fs_->Size(file).value(), 1500u);
   Buffer out(4000, 0xFF);
-  auto n = fs_->Read(file, 0, MutableByteSpan(out));
+  auto n = testio::ReadAt(*fs_, file, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 1500u);
   EXPECT_TRUE(std::equal(out.begin(), out.begin() + 1500, data.begin()));
   ASSERT_TRUE(fs_->Truncate(file, 2000).ok());
-  auto regrown = fs_->Read(file, 1500, MutableByteSpan(out));
+  auto regrown = testio::ReadAt(*fs_, file, 1500, MutableByteSpan(out));
   ASSERT_TRUE(regrown.ok());
   EXPECT_EQ(*regrown, 500u);
   for (int i = 0; i < 500; ++i) ASSERT_EQ(out[static_cast<std::size_t>(i)], 0);
@@ -231,7 +336,7 @@ TEST_F(LwfsFsTest, RemoveReleasesAllObjects) {
     return n;
   }();
   auto file = fs_->Create("/gone").value();
-  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(Buffer(100, 1))).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(Buffer(100, 1))).ok());
   ASSERT_TRUE(fs_->Remove("/gone").ok());
   EXPECT_FALSE(fs_->Exists("/gone"));
   std::uint64_t after = 0;
@@ -266,7 +371,8 @@ TEST_F(LwfsFsTest, PosixConcurrentOverlappingWritesAreAtomic) {
     auto handle = fs->Open("/atomic").value();
     Buffer data(kLen, fill);
     for (int i = 0; i < 3; ++i) {
-      if (!fs->Write(handle, 0, ByteSpan(data)).ok()) failures.fetch_add(1);
+      if (!testio::WriteAt(*fs, handle, 0,
+                           ByteSpan(data)).ok()) failures.fetch_add(1);
     }
   };
   std::thread t1(writer, 0xAA), t2(writer, 0xBB);
@@ -274,8 +380,9 @@ TEST_F(LwfsFsTest, PosixConcurrentOverlappingWritesAreAtomic) {
   t2.join();
   EXPECT_EQ(failures.load(), 0);
   Buffer out(kLen, 0);
-  ASSERT_TRUE(fs_->Write(file, kLen, ByteSpan(Buffer{0})).ok());  // extend
-  auto n = fs_->Read(file, 0, MutableByteSpan(out));
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, kLen,
+                              ByteSpan(Buffer{0})).ok());  // extend
+  auto n = testio::ReadAt(*fs_, file, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok());
   // POSIX locking: the overlap is one writer's bytes, never interleaved.
   for (std::size_t i = 1; i < kLen; ++i) {
@@ -298,7 +405,7 @@ TEST_F(LwfsFsTest, RelaxedDisjointParallelWrites) {
                     .value();
       auto handle = fs->Open("/parallel").value();
       Buffer data = PatternBuffer(kSlice, static_cast<std::uint64_t>(r));
-      if (!fs->Write(handle, static_cast<std::uint64_t>(r) * kSlice,
+      if (!testio::WriteAt(*fs, handle, static_cast<std::uint64_t>(r) * kSlice,
                      ByteSpan(data))
                .ok()) {
         failures.fetch_add(1);
@@ -308,7 +415,7 @@ TEST_F(LwfsFsTest, RelaxedDisjointParallelWrites) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
   Buffer out(kRanks * kSlice, 0);
-  auto n = fs_->Read(file, 0, MutableByteSpan(out));
+  auto n = testio::ReadAt(*fs_, file, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, kRanks * kSlice);
   for (int r = 0; r < kRanks; ++r) {
@@ -324,9 +431,9 @@ TEST_F(LwfsFsTest, StripeCountOneStaysOnOneServer) {
   auto file = fs_->Create("/one-stripe", 1).value();
   EXPECT_EQ(file.stripes.size(), 1u);
   Buffer data = PatternBuffer(9000, 1);
-  ASSERT_TRUE(fs_->Write(file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, file, 0, ByteSpan(data)).ok());
   Buffer out(9000, 0);
-  auto n = fs_->Read(file, 0, MutableByteSpan(out));
+  auto n = testio::ReadAt(*fs_, file, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(out, data);
 }

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <functional>
 #include <limits>
+#include <map>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "core/runtime.h"
@@ -14,6 +16,7 @@
 #include "pfs/pfs_runtime.h"
 #include "util/clock.h"
 #include "util/rng.h"
+#include "test_io.h"
 
 namespace lwfs::pfs {
 namespace {
@@ -166,9 +169,9 @@ TEST_P(PfsStripingTest, WriteReadRoundTripAcrossStripes) {
   auto file = client->Create("/striped", stripe_count);
   ASSERT_TRUE(file.ok());
   Buffer data = PatternBuffer(total_bytes, 42);
-  ASSERT_TRUE(client->Write(*file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*client, *file, 0, ByteSpan(data)).ok());
   Buffer back(total_bytes, 0);
-  auto n = client->Read(*file, 0, MutableByteSpan(back));
+  auto n = testio::ReadAt(*client, *file, 0, MutableByteSpan(back));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, total_bytes);
   EXPECT_EQ(back, data);
@@ -190,9 +193,9 @@ TEST_F(PfsTest, WriteAtOffsetAndSparseRead) {
   auto file = client->Create("/sparse", 2);
   ASSERT_TRUE(file.ok());
   Buffer data = PatternBuffer(3000, 7);
-  ASSERT_TRUE(client->Write(*file, 5000, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*client, *file, 5000, ByteSpan(data)).ok());
   Buffer back(3000, 0);
-  auto n = client->Read(*file, 5000, MutableByteSpan(back));
+  auto n = testio::ReadAt(*client, *file, 5000, MutableByteSpan(back));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 3000u);
   EXPECT_EQ(back, data);
@@ -208,25 +211,149 @@ TEST_F(PfsTest, ReadSliceRoundTripsAndClampsAtEof) {
   auto file = client->Create("/slices", 4);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   Buffer data = PatternBuffer(100000, 23);
-  ASSERT_TRUE(client->Write(*file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*client, *file, 0, ByteSpan(data)).ok());
 
   // Striped read: per-OST slices gather into one payload.
-  auto whole = client->ReadSlice(*file, 0, data.size());
+  auto whole = testio::ReadSliceAt(*client, *file, 0, data.size());
   ASSERT_TRUE(whole.ok()) << whole.status().ToString();
   ASSERT_EQ(whole->size(), data.size());
   EXPECT_TRUE(std::equal(data.begin(), data.end(), whole->span().begin()));
 
   // Single-stripe read: the OST's store-owned slice passes through.
-  auto one = client->ReadSlice(*file, 4096, 2048);
+  auto one = testio::ReadSliceAt(*client, *file, 4096, 2048);
   ASSERT_TRUE(one.ok()) << one.status().ToString();
   ASSERT_EQ(one->size(), 2048u);
   EXPECT_TRUE(std::equal(data.begin() + 4096, data.begin() + 4096 + 2048,
                          one->span().begin()));
 
   // Short at EOF, like the span Read.
-  auto tail = client->ReadSlice(*file, 99000, 5000);
+  auto tail = testio::ReadSliceAt(*client, *file, 99000, 5000);
   ASSERT_TRUE(tail.ok());
   EXPECT_EQ(tail->size(), 1000u);
+}
+
+/// Per-op call counts (`rpc.op.<opcode>.calls`) in a client registry.
+std::map<std::string, std::uint64_t> OpCalls(const metrics::Snapshot& snap) {
+  std::map<std::string, std::uint64_t> calls;
+  for (const auto& [name, value] : snap.cells()) {
+    if (name.starts_with("rpc.op.") && name.ends_with(".calls")) {
+      calls[name] = value.value;
+    }
+  }
+  return calls;
+}
+
+/// The per-op call counts `run` adds to `client`'s registry.
+std::map<std::string, std::uint64_t> OpCallsDuring(
+    PfsClient& client, const std::function<void()>& run) {
+  const auto before = OpCalls(client.metrics()->Snapshot());
+  run();
+  auto delta = OpCalls(client.metrics()->Snapshot());
+  for (auto& [name, n] : delta) {
+    const auto it = before.find(name);
+    if (it != before.end()) n -= it->second;
+  }
+  std::erase_if(delta, [](const auto& cell) { return cell.second == 0; });
+  return delta;
+}
+
+TEST_F(PfsTest, ListIoMatchesSingleCalls) {
+  PfsRuntimeOptions options;
+  options.mds.default_stripe_size = 1024;
+  StartRuntime(options);
+  auto client = runtime_->MakeClient(ConsistencyMode::kRelaxed);
+  auto list_file = client->Create("/list", 4);
+  auto single_file = client->Create("/single", 4);
+  ASSERT_TRUE(list_file.ok() && single_file.ok());
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> extents = {
+      {0, 700}, {1500, 1200}, {5000, 100}, {7000, 3000}, {20000, 50}};
+  std::vector<Buffer> data;
+  std::vector<core::WritePiece> pieces;
+  for (std::size_t i = 0; i < extents.size(); ++i) {
+    data.push_back(PatternBuffer(extents[i].second, 60 + i));
+  }
+  for (std::size_t i = 0; i < extents.size(); ++i) {
+    pieces.push_back(
+        {extents[i].first, util::SharedSlice::External(data[i])});
+  }
+
+  const auto list_writes = OpCallsDuring(*client, [&] {
+    auto done = core::Await(client->WriteAsync(*list_file, pieces));
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    EXPECT_EQ(done->bytes, 700u + 1200 + 100 + 3000 + 50);
+  });
+  const auto single_writes = OpCallsDuring(*client, [&] {
+    for (std::size_t i = 0; i < extents.size(); ++i) {
+      ASSERT_TRUE(testio::WriteAt(*client, *single_file, extents[i].first,
+                                  ByteSpan(data[i]))
+                      .ok());
+    }
+  });
+  EXPECT_EQ(list_writes, single_writes);
+  EXPECT_FALSE(list_writes.empty());
+
+  // Odd extents land in caller spans, even ones resolve to slices.
+  std::vector<Buffer> spans;
+  for (const auto& extent : extents) spans.emplace_back(extent.second, 0);
+  std::vector<core::ReadExtent> reads;
+  for (std::size_t i = 0; i < extents.size(); ++i) {
+    const MutableByteSpan out =
+        i % 2 == 1 ? MutableByteSpan(spans[i]) : MutableByteSpan{};
+    reads.push_back({extents[i].first, extents[i].second, out});
+  }
+  core::IoResult listed;
+  const auto list_reads = OpCallsDuring(*client, [&] {
+    auto done = core::Await(client->ReadAsync(*list_file, reads));
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    listed = std::move(*done);
+  });
+  const auto single_reads = OpCallsDuring(*client, [&] {
+    for (std::size_t i = 0; i < extents.size(); ++i) {
+      auto got = testio::ReadSliceAt(*client, *single_file, extents[i].first,
+                                     extents[i].second);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(std::ranges::equal(got->span(), data[i])) << i;
+    }
+  });
+  EXPECT_EQ(list_reads, single_reads);
+  EXPECT_EQ(listed.bytes, 700u + 1200 + 100 + 3000 + 50);
+  ASSERT_EQ(listed.slices.size(), extents.size());
+  for (std::size_t i = 0; i < extents.size(); ++i) {
+    if (i % 2 == 1) {
+      EXPECT_TRUE(listed.slices[i].empty()) << i;
+      EXPECT_EQ(spans[i], data[i]) << i;
+    } else {
+      EXPECT_TRUE(std::ranges::equal(listed.slices[i].span(), data[i])) << i;
+    }
+  }
+}
+
+// pfs learns sizes only at Sync, so each extent of a list ends at its own
+// first short stripe chunk — a hole in a stripe object ends it like EOF.
+TEST_F(PfsTest, ListReadEndsEachExtentAtItsFirstShortChunk) {
+  PfsRuntimeOptions options;
+  options.mds.default_stripe_size = 1024;
+  StartRuntime(options);
+  auto client = runtime_->MakeClient(ConsistencyMode::kRelaxed);
+  auto file = client->Create("/holes", 4);
+  ASSERT_TRUE(file.ok());
+  const Buffer head = PatternBuffer(100, 1);
+  const Buffer far = PatternBuffer(100, 2);
+  ASSERT_TRUE(testio::WriteAt(*client, *file, 0, ByteSpan(head)).ok());
+  ASSERT_TRUE(testio::WriteAt(*client, *file, 2048, ByteSpan(far)).ok());
+
+  auto done = core::Await(client->ReadAsync(
+      *file, {{50, 100}, {1024, 10}, {2048, 100}, {0, 10}}));
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  ASSERT_EQ(done->slices.size(), 4u);
+  EXPECT_EQ(done->slices[0].size(), 50u);  // short inside stripe 0
+  EXPECT_TRUE(std::ranges::equal(done->slices[0].span(),
+                                 ByteSpan(head).subspan(50)));
+  EXPECT_EQ(done->slices[1].size(), 0u);   // stripe 1 holds nothing
+  EXPECT_TRUE(std::ranges::equal(done->slices[2].span(), far));
+  EXPECT_TRUE(std::ranges::equal(done->slices[3].span(),
+                                 ByteSpan(head).first(10)));
+  EXPECT_EQ(done->bytes, 50u + 0 + 100 + 10);
 }
 
 TEST_F(PfsTest, SyncPublishesSize) {
@@ -234,7 +361,8 @@ TEST_F(PfsTest, SyncPublishesSize) {
   auto client = runtime_->MakeClient();
   auto file = client->Create("/sized", 1);
   ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(client->Write(*file, 0, ByteSpan(Buffer(500, 1))).ok());
+  ASSERT_TRUE(
+      testio::WriteAt(*client, *file, 0, ByteSpan(Buffer(500, 1))).ok());
   ASSERT_TRUE(client->Sync(*file, 500).ok());
   auto attr = client->GetAttr("/sized");
   ASSERT_TRUE(attr.ok());
@@ -269,7 +397,8 @@ TEST_F(PfsTest, PosixLockingSerializesOverlappingRegions) {
     auto c = runtime_->MakeClient(ConsistencyMode::kPosixLocking);
     Buffer data(200000, fill);
     for (int i = 0; i < 3; ++i) {
-      if (!c->Write(*file, 0, ByteSpan(data)).ok()) failures.fetch_add(1);
+      if (!testio::WriteAt(*c, *file, 0,
+                           ByteSpan(data)).ok()) failures.fetch_add(1);
     }
   };
   std::thread t1(writer, 0xAA), t2(writer, 0xBB);
@@ -277,7 +406,8 @@ TEST_F(PfsTest, PosixLockingSerializesOverlappingRegions) {
   t2.join();
   EXPECT_EQ(failures.load(), 0);
   Buffer back(200000, 0);
-  auto n = runtime_->MakeClient()->Read(*file, 0, MutableByteSpan(back));
+  auto n = testio::ReadAt(*runtime_->MakeClient(), *file, 0,
+                          MutableByteSpan(back));
   ASSERT_TRUE(n.ok());
   EXPECT_TRUE(back[0] == 0xAA || back[0] == 0xBB);
   for (std::size_t i = 1; i < back.size(); ++i) {
@@ -314,7 +444,8 @@ TEST_F(PfsTest, RelaxedModeSkipsLockTraffic) {
   auto file = client->Create("/relaxed", 2);
   ASSERT_TRUE(file.ok());
   const std::uint64_t ops_before = runtime_->mds().metadata_ops();
-  ASSERT_TRUE(client->Write(*file, 0, ByteSpan(Buffer(1000, 1))).ok());
+  ASSERT_TRUE(
+      testio::WriteAt(*client, *file, 0, ByteSpan(Buffer(1000, 1))).ok());
   // No lock acquire/release round trips hit the MDS.
   EXPECT_EQ(runtime_->mds().metadata_ops(), ops_before);
 }
@@ -347,15 +478,15 @@ TEST_F(PfsTest, WrappingWriteLeavesTheFileUntouched) {
   auto file = client->Create("/wrap", 4);
   ASSERT_TRUE(file.ok());
   const Buffer head = PatternBuffer(100, 1);
-  ASSERT_TRUE(client->Write(*file, 0, ByteSpan(head)).ok());
+  ASSERT_TRUE(testio::WriteAt(*client, *file, 0, ByteSpan(head)).ok());
   const Buffer payload = PatternBuffer(200, 2);
-  EXPECT_EQ(client
-                ->Write(*file, std::numeric_limits<std::uint64_t>::max() - 99,
-                        ByteSpan(payload))
+  EXPECT_EQ(testio::WriteAt(*client, *file,
+                            std::numeric_limits<std::uint64_t>::max() - 99,
+                            ByteSpan(payload))
                 .code(),
             ErrorCode::kInvalidArgument);
   Buffer back(head.size(), 0);
-  auto n = client->Read(*file, 0, MutableByteSpan(back));
+  auto n = testio::ReadAt(*client, *file, 0, MutableByteSpan(back));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, head.size());
   EXPECT_EQ(back, head);
@@ -373,7 +504,8 @@ TEST_F(PfsTest, StripeObjectsAreProtectedByTheMdsCapability) {
   auto client = runtime_->MakeClient(ConsistencyMode::kRelaxed);
   auto file = client->Create("/guarded", 2);
   ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(client->Write(*file, 0, ByteSpan(Buffer(5000, 9))).ok());
+  ASSERT_TRUE(
+      testio::WriteAt(*client, *file, 0, ByteSpan(Buffer(5000, 9))).ok());
 
   core_->AddUser("other", "pw", 7);
   auto other = core_->MakeClient();
@@ -390,9 +522,9 @@ TEST_F(PfsTest, StripeObjectsAreProtectedByTheMdsCapability) {
     ASSERT_TRUE(attr.ok());
     EXPECT_EQ(attr->cid, file->cap.cid);
     EXPECT_FALSE(
-        other->ReadObjectSlice(stripe.server, *cap, stripe.oid, 0, 100)
+        testio::ReadObjectSlice(*other, stripe.server, *cap, stripe.oid, 0, 100)
             .ok());
-    auto granted = other->ReadObjectSlice(stripe.server, file->cap,
+    auto granted = testio::ReadObjectSlice(*other, stripe.server, file->cap,
                                           stripe.oid, 0, 100);
     ASSERT_TRUE(granted.ok()) << granted.status().ToString();
     EXPECT_EQ(granted->size(), 100u);
@@ -415,16 +547,16 @@ TEST(PfsCapabilityTest, MdsRenewsItsCapabilityPastTheTtl) {
   const Buffer data = PatternBuffer(10000, 5);
   auto before = client->Create("/before", 2);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
-  ASSERT_TRUE(client->Write(*before, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*client, *before, 0, ByteSpan(data)).ok());
 
   now_us = options.authz.capability_ttl_us + 1;
   auto after = client->Create("/after", 2);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_GT(after->cap.expires_us, now_us.load());
-  Status wrote = client->Write(*after, 0, ByteSpan(data));
+  Status wrote = testio::WriteAt(*client, *after, 0, ByteSpan(data));
   ASSERT_TRUE(wrote.ok()) << wrote.ToString();
   Buffer back(data.size());
-  auto read = client->Read(*after, 0, MutableByteSpan(back));
+  auto read = testio::ReadAt(*client, *after, 0, MutableByteSpan(back));
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(back, data);
 }
@@ -444,15 +576,15 @@ TEST(PfsCapabilityTest, MdsRenewsItsCredentialPastTheTtl) {
   const Buffer data = PatternBuffer(10000, 6);
   auto before = client->Create("/before", 2);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
-  ASSERT_TRUE(client->Write(*before, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*client, *before, 0, ByteSpan(data)).ok());
 
   now_us = 2 * options.authn.credential_ttl_us;
   auto after = client->Create("/after", 2);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  Status wrote = client->Write(*after, 0, ByteSpan(data));
+  Status wrote = testio::WriteAt(*client, *after, 0, ByteSpan(data));
   ASSERT_TRUE(wrote.ok()) << wrote.ToString();
   Buffer back(data.size());
-  auto read = client->Read(*after, 0, MutableByteSpan(back));
+  auto read = testio::ReadAt(*client, *after, 0, MutableByteSpan(back));
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(back, data);
   EXPECT_EQ(
@@ -500,7 +632,8 @@ TEST(PfsOverCoreTest, RelaxedWriteCostsWhatAnLwfsWriteCosts) {
     return lwfs->WriteObject(0, *cap, *oid, 0, ByteSpan(data));
   });
   const auto [pfs_stats, pfs_time] =
-      measure([&] { return client->Write(*file, 0, ByteSpan(data)); });
+      measure([&] { return testio::WriteAt(*client, *file, 0,
+                                           ByteSpan(data)); });
 
   EXPECT_EQ(lwfs_stats.Get("sched.requests"), 1u);
   for (const char* cell : {"sched.requests", "sched.runs", "sched.merges",

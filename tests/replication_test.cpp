@@ -25,6 +25,7 @@
 #include "storage/ids.h"
 #include "util/clock.h"
 #include "util/shared_buffer.h"
+#include "test_io.h"
 
 namespace lwfs {
 namespace {
@@ -131,11 +132,13 @@ TEST_F(ReplicationTest, ChainWriteReachesEveryMember) {
   ASSERT_EQ(chain->servers.size(), 3u);
 
   Buffer data = PatternBuffer(96 << 10, 42);
-  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteReplicated(*client_, cap_, *chain, 0,
+                                      ByteSpan(data)).ok());
   ExpectAllMembersHold(*chain, data);
 
   Buffer out(data.size(), 0);
-  auto n = client_->ReadReplicated(cap_, *chain, 0, MutableByteSpan(out));
+  auto n = testio::ReadReplicated(*client_, cap_, *chain, 0,
+                                  MutableByteSpan(out));
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(*n, data.size());
   EXPECT_EQ(out, data);
@@ -163,9 +166,11 @@ TEST_F(ReplicationTest, ChainWritesApplyOnceUnderDuplicateDelivery) {
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   Buffer first = PatternBuffer(4096, 1);
   Buffer second = PatternBuffer(4096, 2);
-  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(first)).ok());
+  ASSERT_TRUE(testio::WriteReplicated(*client_, cap_, *chain, 0,
+                                      ByteSpan(first)).ok());
   ASSERT_TRUE(
-      client_->WriteReplicated(cap_, *chain, first.size(), ByteSpan(second))
+      testio::WriteReplicated(*client_, cap_, *chain, first.size(),
+                              ByteSpan(second))
           .ok());
   Buffer whole = first;
   whole.insert(whole.end(), second.begin(), second.end());
@@ -209,7 +214,8 @@ TEST_F(ReplicationTest, RestartReRegistersHoldingsWithRegistry) {
   auto chain = client_->CreateReplicatedObject(cap_, 0, 3);
   ASSERT_TRUE(chain.ok());
   Buffer data = PatternBuffer(8192, 5);
-  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteReplicated(*client_, cap_, *chain, 0,
+                                      ByteSpan(data)).ok());
 
   const auto member = static_cast<int>(chain->servers.front());
   ASSERT_TRUE(runtime_->replica_map()
@@ -239,7 +245,8 @@ TEST_F(ReplicationTest, RepairRestoresReplicaLostAcrossRestart) {
   // Three repair chunks at the fixture's 64 KiB repair_chunk_bytes, so the
   // final-chunk version stamp is exercised.
   Buffer data = PatternBuffer(192 << 10, 9);
-  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteReplicated(*client_, cap_, *chain, 0,
+                                      ByteSpan(data)).ok());
 
   const auto victim = static_cast<int>(chain->servers.back());
   ASSERT_TRUE(runtime_->store(victim).Remove(chain->oid).ok());
@@ -272,7 +279,8 @@ TEST_F(ReplicationTest, RepairScanStagesNoBytes) {
   auto chain = client_->CreateReplicatedObject(cap_, 1, 3);
   ASSERT_TRUE(chain.ok());
   Buffer data = PatternBuffer(192 << 10, 12);
-  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteReplicated(*client_, cap_, *chain, 0,
+                                      ByteSpan(data)).ok());
   const auto victim = static_cast<int>(chain->servers.back());
   ASSERT_TRUE(runtime_->store(victim).Remove(chain->oid).ok());
   runtime_->storage_server(victim).Restart();
@@ -297,7 +305,8 @@ TEST_F(ReplicationTest, WrappingChainWriteIsRejected) {
   Buffer data = PatternBuffer(64 << 10, 13);
   const std::uint64_t wrapping = ~std::uint64_t{0} - 100;
   EXPECT_EQ(
-      client_->WriteReplicated(cap_, *chain, wrapping, ByteSpan(data)).code(),
+      testio::WriteReplicated(*client_, cap_, *chain, wrapping,
+                              ByteSpan(data)).code(),
       ErrorCode::kInvalidArgument);
   for (std::uint32_t s : chain->servers) {
     auto attr = runtime_->store(static_cast<int>(s)).GetAttr(chain->oid);
@@ -315,7 +324,8 @@ TEST_F(ReplicationTest, DegradedWriteReportsStaleAndRepairCatchesUp) {
   auto chain = client_->CreateReplicatedObject(cap_, 0, 3);
   ASSERT_TRUE(chain.ok());
   Buffer first = PatternBuffer(4096, 10);
-  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(first)).ok());
+  ASSERT_TRUE(testio::WriteReplicated(*client_, cap_, *chain, 0,
+                                      ByteSpan(first)).ok());
 
   // The tail goes dark mid-object: the next write still succeeds (degraded)
   // and reports the unreachable member to the registry.
@@ -324,7 +334,8 @@ TEST_F(ReplicationTest, DegradedWriteReportsStaleAndRepairCatchesUp) {
   runtime_->fabric().SetNodeDown(victim_nid, true);
   Buffer second = PatternBuffer(4096, 11);
   ASSERT_TRUE(
-      client_->WriteReplicated(cap_, *chain, first.size(), ByteSpan(second))
+      testio::WriteReplicated(*client_, cap_, *chain, first.size(),
+                              ByteSpan(second))
           .ok());
   const metrics::Snapshot stats = client_->metrics()->Snapshot();
   EXPECT_GT(stats.Get("replication.degraded_writes"), 0u);
@@ -372,7 +383,8 @@ TEST_F(ReplicationTest, DeadMiddleHopIsSkippedNotSevered) {
   runtime_->fabric().SetNodeDown(runtime_->deployment().storage[middle], true);
 
   Buffer data = PatternBuffer(32 << 10, 31);
-  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteReplicated(*client_, cap_, *chain, 0,
+                                      ByteSpan(data)).ok());
 
   // The tail holds the full bytes even though the hop before it was dark.
   auto held = runtime_->store(static_cast<int>(tail))
@@ -401,7 +413,8 @@ TEST_F(ReplicationTest, DeploymentTotalsCoverTheReplicaEndpoint) {
                                         portals::FaultSpec{.corrupt = 1.0});
 
   const Buffer data = PatternBuffer(256 << 10, 92);
-  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteReplicated(*client_, cap_, *chain, 0,
+                                      ByteSpan(data)).ok());
   const metrics::Snapshot snap = runtime_->metrics()->Snapshot();
   const std::uint64_t at_replica = snap.Get(
       "storage." + std::to_string(middle) + ".rpc.replica.bulk_crc_failures");
@@ -429,7 +442,8 @@ TEST_F(ReplicationTest, ForwardedCrcStillRejectsCorruptionOnTheNextHop) {
   injector.SetLink(from, to, portals::FaultSpec{.corrupt = 1.0});
 
   const Buffer data = PatternBuffer(256 << 10, 91);
-  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteReplicated(*client_, cap_, *chain, 0,
+                                      ByteSpan(data)).ok());
   EXPECT_GT(injector.metrics()->Snapshot().Get("corruptions"), 0u);
   EXPECT_GT(runtime_->storage_server(middle).metrics()->Snapshot().Get(
                 "rpc.replica.bulk_crc_failures"),
@@ -444,7 +458,8 @@ TEST_F(ReplicationTest, ForwardedCrcStillRejectsCorruptionOnTheNextHop) {
   }
 
   injector.ClearFaults();
-  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteReplicated(*client_, cap_, *chain, 0,
+                                      ByteSpan(data)).ok());
   ExpectAllMembersHold(*chain, data);
 }
 
@@ -457,7 +472,8 @@ TEST_F(ReplicationTest, ReadsSurviveDownHeadViaFailoverAndHedging) {
   auto chain = client_->CreateReplicatedObject(cap_, 0, 3);
   ASSERT_TRUE(chain.ok());
   Buffer data = PatternBuffer(16 << 10, 21);
-  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteReplicated(*client_, cap_, *chain, 0,
+                                      ByteSpan(data)).ok());
 
   const std::uint32_t head = chain->servers.front();
   const portals::Nid head_nid = runtime_->deployment().storage[head];
@@ -468,7 +484,8 @@ TEST_F(ReplicationTest, ReadsSurviveDownHeadViaFailoverAndHedging) {
   runtime_->fabric().injector().SetNode(head_nid,
                                         {.delay = 1.0, .delay_us = 5000});
   Buffer out(data.size(), 0);
-  auto n = client_->ReadReplicated(cap_, *chain, 0, MutableByteSpan(out));
+  auto n = testio::ReadReplicated(*client_, cap_, *chain, 0,
+                                  MutableByteSpan(out));
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(*n, data.size());
   EXPECT_EQ(out, data);
@@ -480,7 +497,7 @@ TEST_F(ReplicationTest, ReadsSurviveDownHeadViaFailoverAndHedging) {
   // Dead head: the read fails over to a surviving member.
   runtime_->fabric().SetNodeDown(head_nid, true);
   std::fill(out.begin(), out.end(), 0);
-  n = client_->ReadReplicated(cap_, *chain, 0, MutableByteSpan(out));
+  n = testio::ReadReplicated(*client_, cap_, *chain, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(out, data);
   stats = client_->metrics()->Snapshot();
@@ -494,7 +511,7 @@ TEST_F(ReplicationTest, ReadsSurviveDownHeadViaFailoverAndHedging) {
   ASSERT_TRUE(client_->BreakerOpen(head_nid));
   const std::uint64_t hedged_before = stats.Get("replication.hedged_reads");
   std::fill(out.begin(), out.end(), 0);
-  n = client_->ReadReplicated(cap_, *chain, 0, MutableByteSpan(out));
+  n = testio::ReadReplicated(*client_, cap_, *chain, 0, MutableByteSpan(out));
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(out, data);
   stats = client_->metrics()->Snapshot();
@@ -511,7 +528,8 @@ TEST_F(ReplicationTest, LosingHedgeReplyIsTalliedAndReleased) {
   auto chain = client_->CreateReplicatedObject(cap_, 0, 3);
   ASSERT_TRUE(chain.ok());
   Buffer data = PatternBuffer(32 << 10, 23);
-  ASSERT_TRUE(client_->WriteReplicated(cap_, *chain, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteReplicated(*client_, cap_, *chain, 0,
+                                      ByteSpan(data)).ok());
 
   // The head still answers, just 5 ms late: the hedge wins the race and the
   // head's full-payload reply lands as a loser after the read returned.

@@ -4,12 +4,16 @@
 // clients; one buggy client must not take it down.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "core/protocol.h"
+#include "core/wire.h"
+#include "rpc/service.h"
 #include "core/runtime.h"
 #include "pfs/pfs_runtime.h"
 #include "util/rng.h"
+#include "test_io.h"
 
 namespace lwfs {
 namespace {
@@ -72,14 +76,47 @@ TEST_F(RobustnessTest, WrappingExtentsAreRejected) {
                 .status()
                 .code(),
             ErrorCode::kInvalidArgument);
-  EXPECT_EQ(client_->ReadObjectSlice(0, cap_, oid, wrapping, 64 << 10)
+  EXPECT_EQ(testio::ReadObjectSlice(*client_, 0, cap_, oid, wrapping, 64 << 10)
                 .status()
                 .code(),
             ErrorCode::kInvalidArgument);
   // The object is intact.
-  auto back = client_->ReadObjectAlloc(0, cap_, oid, 0, 1 << 20);
+  auto back = testio::ReadObjectBytes(*client_, 0, cap_, oid, 0, 1 << 20);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, head);
+}
+
+// One read request materializes at most storage::kMaxReadBytes at the
+// server; the client read call splits a longer extent into requests of
+// that size.  (Regression: a single request could ask for a whole 1 TiB
+// object.)
+TEST_F(RobustnessTest, ReadRequestsAreBoundedAndClientReadsSplit) {
+  constexpr std::uint64_t kLength = storage::kMaxReadBytes + 1;
+  auto oid = client_->CreateObject(0, cap_).value();
+  ASSERT_TRUE(client_->TruncateObject(0, cap_, oid, kLength).ok());
+
+  auto raw = rpc::CallTyped<core::wire::IoMovedRep>(
+      *rpc_, storage_nid(), core::kOpObjRead,
+      core::wire::ObjReadReq{cap_, oid.value, 0, kLength});
+  EXPECT_EQ(raw.status().code(), ErrorCode::kInvalidArgument);
+  Buffer result(64, 0);
+  EXPECT_EQ(client_
+                ->FilterObject(0, cap_, oid, 0, kLength, core::FilterSpec{},
+                               MutableByteSpan(result))
+                .status()
+                .code(),
+            ErrorCode::kInvalidArgument);
+
+  const std::uint64_t calls_before =
+      client_->metrics()->Snapshot().Get("rpc.op.32.calls");
+  auto split = testio::ReadObjectSlice(*client_, 0, cap_, oid, 0, kLength);
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  EXPECT_EQ(client_->metrics()->Snapshot().Get("rpc.op.32.calls") -
+                calls_before,
+            2u);
+  ASSERT_EQ(split->size(), kLength);
+  EXPECT_TRUE(std::all_of(split->span().begin(), split->span().end(),
+                          [](std::uint8_t b) { return b == 0; }));
 }
 
 // No request may reach past storage::kMaxObjectBytes.  (Regression: one
@@ -96,14 +133,14 @@ TEST_F(RobustnessTest, ExtentsPastTheMaximumObjectSizeAreRejected) {
                                  ByteSpan(one))
                 .code(),
             ErrorCode::kInvalidArgument);
-  EXPECT_EQ(client_->ReadObjectSlice(0, cap_, oid, 0, 1ull << 62)
+  EXPECT_EQ(testio::ReadObjectSlice(*client_, 0, cap_, oid, 0, 1ull << 62)
                 .status()
                 .code(),
             ErrorCode::kInvalidArgument);
 
   // The server still serves.
   ASSERT_TRUE(client_->WriteObject(0, cap_, oid, 0, ByteSpan(one)).ok());
-  auto back = client_->ReadObjectAlloc(0, cap_, oid, 0, 16);
+  auto back = testio::ReadObjectBytes(*client_, 0, cap_, oid, 0, 16);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(*back, one);
 

@@ -10,6 +10,7 @@
 #include "core/io_scheduler.h"
 #include "core/runtime.h"
 #include "util/clock.h"
+#include "test_io.h"
 
 namespace lwfs {
 namespace {
@@ -274,7 +275,9 @@ TEST(SchedServerTest, ConcurrentStridedWritesRoundTripThroughScheduler) {
         // Interleaved stride: consecutive offsets come from different
         // threads, so only server-side coalescing can join them.
         const std::uint64_t offset = (i * kThreads + t) * kExtent;
-        if (!batch.Write(0, cap, oid, offset, ByteSpan(payload)).ok()) {
+        if (!batch.Write(0, cap, oid,
+                         {{offset, util::SharedSlice::External(payload)}})
+                 .ok()) {
           failures.fetch_add(1);
           return;
         }
@@ -289,7 +292,8 @@ TEST(SchedServerTest, ConcurrentStridedWritesRoundTripThroughScheduler) {
   for (std::uint32_t i = 0; i < kPerThread; ++i) {
     for (std::uint32_t t = 0; t < kThreads; ++t) {
       const std::uint64_t offset = (i * kThreads + t) * kExtent;
-      auto back = client->ReadObjectAlloc(0, cap, oid, offset, kExtent);
+      auto back = testio::ReadObjectBytes(*client, 0, cap, oid, offset,
+                                          kExtent);
       ASSERT_TRUE(back.ok());
       ASSERT_EQ(back->size(), kExtent);
       for (std::uint8_t byte : *back) {
@@ -332,13 +336,14 @@ TEST(SchedServerTest, SchedulerOffPathStillRoundTrips) {
     core::Batch batch(client.get(), 8);
     for (std::size_t at = 0; at < payload.size(); at += kExtent) {
       ASSERT_TRUE(batch
-                      .Write(0, cap, oid, at,
-                             ByteSpan(payload.data() + at, kExtent))
+                      .Write(0, cap, oid,
+                             {{at, util::SharedSlice::External(ByteSpan(
+                                       payload.data() + at, kExtent))}})
                       .ok());
     }
     ASSERT_TRUE(batch.Drain().ok());
   }
-  auto back = client->ReadObjectAlloc(0, cap, oid, 0, payload.size());
+  auto back = testio::ReadObjectBytes(*client, 0, cap, oid, 0, payload.size());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, payload);
 
@@ -367,7 +372,7 @@ TEST(SchedServerTest, LargeWriteSurvivesTinyStagingPool) {
 
   const Buffer payload = PatternBuffer(64 << 10, 7);  // 16 chunks
   ASSERT_TRUE(client->WriteObject(0, cap, oid, 0, ByteSpan(payload)).ok());
-  auto back = client->ReadObjectAlloc(0, cap, oid, 0, payload.size());
+  auto back = testio::ReadObjectBytes(*client, 0, cap, oid, 0, payload.size());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, payload);
 }
@@ -401,7 +406,8 @@ TEST(SchedServerTest, ConcurrentLargeReadsSurviveTinyStagingPool) {
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       auto worker = runtime->MakeClient();
-      auto back = worker->ReadObjectAlloc(0, cap, oid, 0, payload.size());
+      auto back = testio::ReadObjectBytes(*worker, 0, cap, oid, 0,
+                                          payload.size());
       if (back.ok() && *back == payload) intact.fetch_add(1);
     });
   }

@@ -25,6 +25,7 @@
 #include "txn/journal.h"
 #include "util/clock.h"
 #include "util/shared_buffer.h"
+#include "test_io.h"
 
 namespace lwfs {
 namespace {
@@ -503,7 +504,8 @@ void ExerciseCopyBudget(util::Clock* clock) {
 
   // Zero-copy write: the store-medium copy is the only budgeted copy.
   util::CopySnapshot base = util::CopyStats::Snapshot();
-  ASSERT_TRUE(client->WriteObjectSlice(0, *cap, *oid, 0, payload).ok());
+  ASSERT_TRUE(testio::WriteObjectSlice(*client, 0, *cap, *oid, 0,
+                                       payload).ok());
   util::CopySnapshot d = util::CopyStats::Snapshot().Since(base);
   EXPECT_EQ(d.bytes_of(util::CopyKind::kStage), 0u) << "write path staged";
   EXPECT_EQ(d.bytes_of(util::CopyKind::kStore), n);
@@ -512,7 +514,7 @@ void ExerciseCopyBudget(util::Clock* clock) {
   // Slice read: medium -> store slice is the only budgeted copy; the
   // reply frame hands those same bytes to the client by reference.
   base = util::CopyStats::Snapshot();
-  auto slice_read = client->ReadObjectSlice(0, *cap, *oid, 0, n);
+  auto slice_read = testio::ReadObjectSlice(*client, 0, *cap, *oid, 0, n);
   ASSERT_TRUE(slice_read.ok());
   ASSERT_EQ(slice_read->size(), n);
   d = util::CopyStats::Snapshot().Since(base);

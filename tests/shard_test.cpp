@@ -30,6 +30,7 @@
 #include "storage/ids.h"
 #include "txn/two_phase.h"
 #include "util/clock.h"
+#include "test_io.h"
 
 namespace lwfs {
 namespace {
@@ -508,7 +509,7 @@ TEST(MdsFailoverTest, StandbyServesCommittedNamespaceAfterPrimaryDeath) {
     files.push_back(*file);
   }
   const Buffer payload = PatternBuffer(256, 3);
-  ASSERT_TRUE(client->Write(files[0], 0, ByteSpan(payload)).ok());
+  ASSERT_TRUE(testio::WriteAt(*client, files[0], 0, ByteSpan(payload)).ok());
   ASSERT_TRUE(client->Sync(files[0], payload.size()).ok());
 
   // Kill the primary MDS: metadata ops time out there, fail over to the
@@ -538,7 +539,7 @@ TEST(MdsFailoverTest, StandbyServesCommittedNamespaceAfterPrimaryDeath) {
   Buffer back(payload.size());
   auto reopened = client->Open("/f0");
   ASSERT_TRUE(reopened.ok());
-  auto n = client->Read(*reopened, 0, MutableByteSpan(back));
+  auto n = testio::ReadAt(*client, *reopened, 0, MutableByteSpan(back));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, payload.size());
   EXPECT_EQ(back, payload);

@@ -8,6 +8,7 @@
 
 #include "core/runtime.h"
 #include "pfs/pfs_runtime.h"
+#include "test_io.h"
 
 namespace lwfs {
 namespace {
@@ -93,7 +94,7 @@ TEST_F(LwfsProtocolTest, ReadReturnsPayloadInOneReplyFrame) {
   Buffer data = PatternBuffer(bytes, 2);
   ASSERT_TRUE(client_->WriteObject(0, cap_, *oid, 0, ByteSpan(data)).ok());
   runtime_->fabric().metrics()->Reset();
-  auto back = client_->ReadObjectAlloc(0, cap_, *oid, 0, bytes);
+  auto back = testio::ReadObjectBytes(*client_, 0, cap_, *oid, 0, bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, data);
   const metrics::Snapshot stats = runtime_->fabric().metrics()->Snapshot();
@@ -143,7 +144,7 @@ TEST_F(PfsProtocolTest, RelaxedWriteTouchesOnlyOsts) {
   ASSERT_TRUE(file.ok());
   Buffer data = PatternBuffer(100000, 1);
   fabric_.metrics()->Reset();
-  ASSERT_TRUE(client->Write(*file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*client, *file, 0, ByteSpan(data)).ok());
   const metrics::Snapshot stats = fabric_.metrics()->Snapshot();
   EXPECT_EQ(stats.Get("puts"), 2u);  // OST req/reply
   EXPECT_EQ(stats.Get("gets"), 1u);  // one pull (single chunk)
@@ -155,7 +156,7 @@ TEST_F(PfsProtocolTest, PosixWriteAddsTwoMdsLockRoundTrips) {
   ASSERT_TRUE(file.ok());
   Buffer data = PatternBuffer(1000, 1);
   fabric_.metrics()->Reset();
-  ASSERT_TRUE(client->Write(*file, 0, ByteSpan(data)).ok());
+  ASSERT_TRUE(testio::WriteAt(*client, *file, 0, ByteSpan(data)).ok());
   const metrics::Snapshot stats = fabric_.metrics()->Snapshot();
   // lock try + reply, OST write + reply, unlock + reply — the 2-extra-MDS-
   // round-trips-per-write the simulator charges the shared-file model.

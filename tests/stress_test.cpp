@@ -13,6 +13,7 @@
 #include "lwfsfs/lwfsfs.h"
 #include "util/clock.h"
 #include "util/rng.h"
+#include "test_io.h"
 
 namespace lwfs {
 namespace {
@@ -58,7 +59,8 @@ TEST(StressTest, MixedWorkloadAcrossAllServices) {
           continue;
         }
         auto back =
-            client->ReadObjectAlloc(server, owner_cap, *oid, 0, data.size());
+            testio::ReadObjectBytes(*client, server, owner_cap, *oid, 0,
+                                    data.size());
         if (!back.ok() || *back != data) hard_failures.fetch_add(1);
         (void)client->RemoveObject(server, owner_cap, *oid);
       }
@@ -122,12 +124,12 @@ TEST(StressTest, MixedWorkloadAcrossAllServices) {
         continue;
       }
       Buffer data = PatternBuffer(1 + rng.NextBelow(30000), rng.NextU64());
-      if (!fs->Write(*file, 0, ByteSpan(data)).ok()) {
+      if (!testio::WriteAt(*fs, *file, 0, ByteSpan(data)).ok()) {
         hard_failures.fetch_add(1);
         continue;
       }
       Buffer out(data.size(), 0);
-      auto n = fs->Read(*file, 0, MutableByteSpan(out));
+      auto n = testio::ReadAt(*fs, *file, 0, MutableByteSpan(out));
       if (!n.ok() || *n != data.size() || out != data) {
         hard_failures.fetch_add(1);
       }
@@ -221,7 +223,10 @@ TEST(StressTest, WindowedWriteBurstWireCountsAreExact) {
   {
     core::Batch batch(client.get(), /*window=*/8);
     for (const auto& [server, oid] : objects) {
-      ASSERT_TRUE(batch.Write(server, cap, oid, 0, ByteSpan(payload)).ok());
+      ASSERT_TRUE(batch
+                      .Write(server, cap, oid,
+                             {{0, util::SharedSlice::External(payload)}})
+                      .ok());
     }
     ASSERT_TRUE(batch.Drain().ok()) << batch.first_error().ToString();
   }
@@ -233,7 +238,7 @@ TEST(StressTest, WindowedWriteBurstWireCountsAreExact) {
 
   // And the data really landed.
   for (std::uint32_t i = 0; i < kWrites; ++i) {
-    auto back = client->ReadObjectAlloc(objects[i].first, cap,
+    auto back = testio::ReadObjectBytes(*client, objects[i].first, cap,
                                         objects[i].second, 0, kBytes);
     ASSERT_TRUE(back.ok());
     ASSERT_EQ(*back, payload);
@@ -301,11 +306,13 @@ TEST(StressTest, ConcurrentExtentWritesAreNeverTorn) {
         const storage::ObjectId oid =
             use_shared ? shared[server] : private_oids[t];
         const std::uint64_t offset = rng.NextBelow(kSlots) * kExtent;
-        Status s = rng.NextBelow(3) == 0
-                       ? batch.Read(server, cap, oid, offset,
-                                    MutableByteSpan(read_back[i % kWindow]))
-                       : batch.Write(server, cap, oid, offset,
-                                     ByteSpan(payload));
+        Buffer& slot = read_back[i % kWindow];
+        Status s =
+            rng.NextBelow(3) == 0
+                ? batch.Read(server, cap, oid,
+                             {{offset, slot.size(), MutableByteSpan(slot)}})
+                : batch.Write(server, cap, oid,
+                              {{offset, util::SharedSlice::External(payload)}});
         if (!s.ok()) {
           hard_failures.fetch_add(1);
           break;
@@ -321,7 +328,8 @@ TEST(StressTest, ConcurrentExtentWritesAreNeverTorn) {
   for (std::uint32_t s = 0; s < kServers; ++s) {
     for (std::uint64_t slot = 0; slot < kSlots; ++slot) {
       auto back =
-          owner->ReadObjectAlloc(s, cap, shared[s], slot * kExtent, kExtent);
+          testio::ReadObjectBytes(*owner, s, cap, shared[s], slot * kExtent,
+                                  kExtent);
       ASSERT_TRUE(back.ok()) << back.status().ToString();
       if (back->empty()) continue;  // slot never written (short object)
       const std::uint8_t first = (*back)[0];
@@ -334,7 +342,8 @@ TEST(StressTest, ConcurrentExtentWritesAreNeverTorn) {
   // Private extents: exactly the owner's fill everywhere they exist.
   for (std::uint32_t t = 0; t < kThreads; ++t) {
     auto attr = owner->GetAttr(t % kServers, cap, private_oids[t]).value();
-    auto back = owner->ReadObjectAlloc(t % kServers, cap, private_oids[t], 0,
+    auto back = testio::ReadObjectBytes(*owner, t % kServers, cap,
+                                        private_oids[t], 0,
                                        attr.size);
     ASSERT_TRUE(back.ok());
     const std::uint8_t fill = static_cast<std::uint8_t>(1 + t);

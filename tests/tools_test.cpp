@@ -6,6 +6,7 @@
 #include "core/cap_holder.h"
 #include "core/runtime.h"
 #include "lwfsfs/lwfsfs.h"
+#include "test_io.h"
 
 namespace lwfs {
 namespace {
@@ -107,7 +108,7 @@ class FsckTest : public ::testing::Test {
 TEST_F(FsckTest, CleanFileSystemIsClean) {
   ASSERT_TRUE(fs_->Mkdir("/d").ok());
   auto a = fs_->Create("/d/a").value();
-  ASSERT_TRUE(fs_->Write(a, 0, ByteSpan(Buffer(1000, 1))).ok());
+  ASSERT_TRUE(testio::WriteAt(*fs_, a, 0, ByteSpan(Buffer(1000, 1))).ok());
   ASSERT_TRUE(fs_->Create("/b").ok());
   auto report = fs_->Fsck().value();
   EXPECT_EQ(report.files, 2u);

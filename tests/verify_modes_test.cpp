@@ -6,6 +6,7 @@
 
 #include "core/runtime.h"
 #include "security/siphash.h"
+#include "test_io.h"
 
 namespace lwfs::core {
 namespace {
@@ -37,7 +38,7 @@ TEST_P(VerifyModesTest, HappyPathAuthorizesIdentically) {
   ASSERT_TRUE(oid.ok());
   Buffer data = PatternBuffer(1000, 1);
   EXPECT_TRUE(alice_->WriteObject(0, alice_cap_, *oid, 0, ByteSpan(data)).ok());
-  auto back = alice_->ReadObjectAlloc(0, alice_cap_, *oid, 0, 1000);
+  auto back = testio::ReadObjectBytes(*alice_, 0, alice_cap_, *oid, 0, 1000);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, data);
 }
