@@ -20,70 +20,80 @@ NamingServer::NamingServer(std::shared_ptr<portals::Nic> nic,
       active_(!shard_.standby) {
   metrics_->Attach("rpc", server_.metrics());
   metrics_->Attach("op", ops_.metrics());
+  // The namespace ops declared inline (core/wire.h) run on the delivering
+  // thread unless the shard charges a modeled op cost, which sleeps.
+  auto dispatch = [&](rpc::OpDef def) {
+    return shard_.op_delay ? rpc::Queued(def) : def;
+  };
   ops_.On<wire::MkdirReq, rpc::Void>(
-      wire::kNameMkdirOp,
-      [this](rpc::ServerContext&, wire::MkdirReq& req) -> Result<rpc::Void> {
-        LWFS_RETURN_IF_ERROR(Admit(nullptr));  // dirs live on every shard
+      dispatch(wire::kNameMkdirOp),
+      [this](rpc::ServerContext& ctx,
+             wire::MkdirReq& req) -> Result<rpc::Void> {
+        LWFS_RETURN_IF_ERROR(Admit(ctx, nullptr));  // dirs live on every shard
         LWFS_RETURN_IF_ERROR(service_->Mkdir(req.path, req.recursive));
         return rpc::Void{};
       });
 
   ops_.On<wire::LinkReq, rpc::Void>(
-      wire::kNameLinkOp,
-      [this](rpc::ServerContext&, wire::LinkReq& req) -> Result<rpc::Void> {
-        LWFS_RETURN_IF_ERROR(Admit(&req.path));
+      dispatch(wire::kNameLinkOp),
+      [this](rpc::ServerContext& ctx,
+             wire::LinkReq& req) -> Result<rpc::Void> {
+        LWFS_RETURN_IF_ERROR(Admit(ctx, &req.path));
         LWFS_RETURN_IF_ERROR(service_->Link(req.path, req.ref));
         return rpc::Void{};
       });
 
   ops_.On<wire::StageLinkReq, rpc::Void>(
-      wire::kNameStageLinkOp,
-      [this](rpc::ServerContext&,
+      dispatch(wire::kNameStageLinkOp),
+      [this](rpc::ServerContext& ctx,
              wire::StageLinkReq& req) -> Result<rpc::Void> {
-        LWFS_RETURN_IF_ERROR(Admit(&req.path));
+        LWFS_RETURN_IF_ERROR(Admit(ctx, &req.path));
         LWFS_RETURN_IF_ERROR(service_->StageLink(req.txid, req.path, req.ref));
         return rpc::Void{};
       });
 
   ops_.On<wire::StageUnlinkReq, rpc::Void>(
-      wire::kNameStageUnlinkOp,
-      [this](rpc::ServerContext&,
+      dispatch(wire::kNameStageUnlinkOp),
+      [this](rpc::ServerContext& ctx,
              wire::StageUnlinkReq& req) -> Result<rpc::Void> {
-        LWFS_RETURN_IF_ERROR(Admit(&req.path));
+        LWFS_RETURN_IF_ERROR(Admit(ctx, &req.path));
         LWFS_RETURN_IF_ERROR(service_->StageUnlink(req.txid, req.path));
         return rpc::Void{};
       });
 
   ops_.On<wire::PathReq, wire::ObjectRefRep>(
-      wire::kNameLookupOp,
-      [this](rpc::ServerContext&,
+      dispatch(wire::kNameLookupOp),
+      [this](rpc::ServerContext& ctx,
              wire::PathReq& req) -> Result<wire::ObjectRefRep> {
-        LWFS_RETURN_IF_ERROR(Admit(&req.path));
+        LWFS_RETURN_IF_ERROR(Admit(ctx, &req.path));
         auto ref = service_->Lookup(req.path);
         if (!ref.ok()) return ref.status();
         return wire::ObjectRefRep{*ref};
       });
 
   ops_.On<wire::PathReq, rpc::Void>(
-      wire::kNameUnlinkOp,
-      [this](rpc::ServerContext&, wire::PathReq& req) -> Result<rpc::Void> {
-        LWFS_RETURN_IF_ERROR(Admit(&req.path));
+      dispatch(wire::kNameUnlinkOp),
+      [this](rpc::ServerContext& ctx,
+             wire::PathReq& req) -> Result<rpc::Void> {
+        LWFS_RETURN_IF_ERROR(Admit(ctx, &req.path));
         LWFS_RETURN_IF_ERROR(service_->Unlink(req.path));
         return rpc::Void{};
       });
 
   ops_.On<wire::PathReq, rpc::Void>(
       wire::kNameRmdirOp,
-      [this](rpc::ServerContext&, wire::PathReq& req) -> Result<rpc::Void> {
-        LWFS_RETURN_IF_ERROR(Admit(nullptr));  // dirs live on every shard
+      [this](rpc::ServerContext& ctx,
+             wire::PathReq& req) -> Result<rpc::Void> {
+        LWFS_RETURN_IF_ERROR(Admit(ctx, nullptr));  // dirs live on every shard
         LWFS_RETURN_IF_ERROR(service_->Rmdir(req.path));
         return rpc::Void{};
       });
 
   ops_.On<wire::RenameReq, rpc::Void>(
       wire::kNameRenameOp,
-      [this](rpc::ServerContext&, wire::RenameReq& req) -> Result<rpc::Void> {
-        LWFS_RETURN_IF_ERROR(Admit(nullptr));
+      [this](rpc::ServerContext& ctx,
+             wire::RenameReq& req) -> Result<rpc::Void> {
+        LWFS_RETURN_IF_ERROR(Admit(ctx, nullptr));
         if (shard_.shard_map != nullptr &&
             shard_.shard_map->shard_count() > 1) {
           // Partitioned namespace: a directory rename cannot be atomic on
@@ -105,9 +115,9 @@ NamingServer::NamingServer(std::shared_ptr<portals::Nic> nic,
 
   ops_.On<wire::PathReq, wire::ListNamesRep>(
       wire::kNameListOp,
-      [this](rpc::ServerContext&,
+      [this](rpc::ServerContext& ctx,
              wire::PathReq& req) -> Result<wire::ListNamesRep> {
-        LWFS_RETURN_IF_ERROR(Admit(nullptr));  // clients merge across shards
+        LWFS_RETURN_IF_ERROR(Admit(ctx, nullptr));  // clients merge across shards
         auto entries = service_->List(req.path);
         if (!entries.ok()) return entries.status();
         return wire::ListNamesRep{std::move(*entries)};
@@ -139,9 +149,9 @@ NamingServer::NamingServer(std::shared_ptr<portals::Nic> nic,
   if (replicas_ != nullptr) {
     ops_.On<wire::ReplicaPlaceReq, wire::ReplicaChainRep>(
         wire::kReplicaPlaceOp,
-        [this](rpc::ServerContext&,
+        [this](rpc::ServerContext& ctx,
                wire::ReplicaPlaceReq& req) -> Result<wire::ReplicaChainRep> {
-          LWFS_RETURN_IF_ERROR(Admit(nullptr));
+          LWFS_RETURN_IF_ERROR(Admit(ctx, nullptr));
           auto placement = replicas_->Place(storage::ContainerId{req.cid},
                                             req.preferred, req.factor);
           if (!placement.ok()) return placement.status();
@@ -174,8 +184,9 @@ NamingServer::NamingServer(std::shared_ptr<portals::Nic> nic,
 
     ops_.On<rpc::Void, wire::ReplicaAuditRep>(
         wire::kReplicaAuditOp,
-        [this](rpc::ServerContext&, rpc::Void&) -> Result<wire::ReplicaAuditRep> {
-          LWFS_RETURN_IF_ERROR(Admit(nullptr, /*charge=*/false));
+        [this](rpc::ServerContext& ctx,
+               rpc::Void&) -> Result<wire::ReplicaAuditRep> {
+          LWFS_RETURN_IF_ERROR(Admit(ctx, nullptr, /*charge=*/false));
           const naming::ReplicaAuditCounts counts = replicas_->Audit();
           return wire::ReplicaAuditRep{counts.objects, counts.fully_replicated,
                                        counts.under_replicated,
@@ -188,31 +199,35 @@ NamingServer::NamingServer(std::shared_ptr<portals::Nic> nic,
   // the modeled op cost — votes are not metadata ops.
   ops_.On<wire::TxnReq, wire::TxnVoteRep>(
       wire::kTxnPrepareOp,
-      [this](rpc::ServerContext&,
+      [this](rpc::ServerContext& ctx,
              wire::TxnReq& req) -> Result<wire::TxnVoteRep> {
-        LWFS_RETURN_IF_ERROR(Admit(nullptr, /*charge=*/false));
+        LWFS_RETURN_IF_ERROR(Admit(ctx, nullptr, /*charge=*/false));
         auto vote = service_->participant()->Prepare(req.txid);
         if (!vote.ok()) return vote.status();
         return wire::TxnVoteRep{*vote};
       });
   ops_.On<wire::TxnReq, rpc::Void>(
       wire::kTxnCommitOp,
-      [this](rpc::ServerContext&, wire::TxnReq& req) -> Result<rpc::Void> {
-        LWFS_RETURN_IF_ERROR(Admit(nullptr, /*charge=*/false));
+      [this](rpc::ServerContext& ctx, wire::TxnReq& req) -> Result<rpc::Void> {
+        LWFS_RETURN_IF_ERROR(Admit(ctx, nullptr, /*charge=*/false));
         LWFS_RETURN_IF_ERROR(service_->participant()->Commit(req.txid));
         return rpc::Void{};
       });
   ops_.On<wire::TxnReq, rpc::Void>(
       wire::kTxnAbortOp,
-      [this](rpc::ServerContext&, wire::TxnReq& req) -> Result<rpc::Void> {
-        LWFS_RETURN_IF_ERROR(Admit(nullptr, /*charge=*/false));
+      [this](rpc::ServerContext& ctx, wire::TxnReq& req) -> Result<rpc::Void> {
+        LWFS_RETURN_IF_ERROR(Admit(ctx, nullptr, /*charge=*/false));
         LWFS_RETURN_IF_ERROR(service_->participant()->Abort(req.txid));
         return rpc::Void{};
       });
 }
 
-Status NamingServer::Admit(const std::string* leaf_path, bool charge) {
+Status NamingServer::Admit(rpc::ServerContext& ctx,
+                           const std::string* leaf_path, bool charge) {
   if (shard_.shard_map != nullptr) {
+    // A passive server's first request may be the takeover, which replays
+    // the op log and re-reads every store: a worker's job.
+    if (ctx.inline_dispatch() && !active_.load()) return ctx.Defer();
     {
       std::lock_guard<std::mutex> lock(takeover_mutex_);
       LWFS_RETURN_IF_ERROR(EnsureActiveLocked());

@@ -16,6 +16,7 @@
 // append to the log before acking (see naming/op_log.h).
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -96,8 +97,10 @@ class NamingServer : public metrics::Instrumented {
   /// activates a standby on first contact (log replay + promote), fences a
   /// deposed primary, and rejects leaf paths this shard does not own —
   /// all with kWrongShard so clients refresh their epoch-stamped map.
-  /// `charge` applies the modeled per-op cost (metadata ops only).
-  Status Admit(const std::string* leaf_path, bool charge = true);
+  /// `charge` applies the modeled per-op cost (metadata ops only).  On
+  /// the delivering thread a passive server defers to a worker.
+  Status Admit(rpc::ServerContext& ctx, const std::string* leaf_path,
+               bool charge = true);
 
   /// Admit a registry op for a replicated oid (shard ownership decodes
   /// from the oid itself).
@@ -112,7 +115,9 @@ class NamingServer : public metrics::Instrumented {
   rpc::Service ops_;
 
   std::mutex takeover_mutex_;
-  bool active_ = true;  // standbys start passive; set under takeover_mutex_
+  /// Standbys start passive.  Written under takeover_mutex_; read without
+  /// it only to keep a takeover off a delivering thread.
+  std::atomic<bool> active_{true};
   metrics::Counter takeovers_ = metrics_->counter("takeovers");
   metrics::Counter replayed_ = metrics_->counter("replayed");
   metrics::Counter replay_errors_ = metrics_->counter("replay_errors");

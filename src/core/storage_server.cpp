@@ -121,18 +121,18 @@ StorageServer::StorageServer(std::shared_ptr<portals::Nic> nic,
   metrics_->Attach("sched", scheduler_.metrics());
   // Every capability-gated data op authorizes against the container the
   // capability itself names; the middleware runs this before any handler.
-  data_ops_.SetAuthorizer([this](rpc::ServerContext&,
+  data_ops_.SetAuthorizer([this](rpc::ServerContext& ctx,
                                  const security::Capability& cap,
                                  std::uint32_t needed_ops) {
-    return Authorize(cap, needed_ops, cap.cid);
+    return Authorize(ctx, cap, needed_ops, cap.cid);
   });
   // Forwarded chain hops carry the client's own capability (capabilities
   // are transferable, §3.1.2), so the replica portal authorizes exactly
   // like the data portal.
-  replica_ops_.SetAuthorizer([this](rpc::ServerContext&,
+  replica_ops_.SetAuthorizer([this](rpc::ServerContext& ctx,
                                     const security::Capability& cap,
                                     std::uint32_t needed_ops) {
-    return Authorize(cap, needed_ops, cap.cid);
+    return Authorize(ctx, cap, needed_ops, cap.cid);
   });
   RegisterDataHandlers();
   RegisterControlHandlers();
@@ -189,7 +189,8 @@ void StorageServer::Restart() {
   replica_server_.ResetReplyCache();
 }
 
-Status StorageServer::Authorize(const security::Capability& cap,
+Status StorageServer::Authorize(rpc::ServerContext& ctx,
+                                const security::Capability& cap,
                                 std::uint32_t needed_ops,
                                 storage::ContainerId target_cid) {
   // Cheap structural checks first: the capability must name the container
@@ -215,13 +216,16 @@ Status StorageServer::Authorize(const security::Capability& cap,
     return OkStatus();
   }
 
-  // Verified before?  (Figure 4-b: cache hit skips step 2 entirely.)
+  // Verified before?  (Figure 4-b: cache hit skips step 2 entirely.)  An
+  // inline miss is counted by the worker that takes the request over.
   if (options_.verify_mode == VerifyMode::kAuthzWithCache &&
-      cap_cache_.Lookup(cap, now_())) {
+      cap_cache_.Lookup(cap, now_(), /*count_miss=*/!ctx.inline_dispatch())) {
     return OkStatus();
   }
   // Miss: one verify round trip to the authorization service, which also
-  // records the back pointer for revocation.
+  // records the back pointer for revocation.  A delivering thread never
+  // makes it: nothing has happened yet, so a worker takes the request.
+  if (ctx.inline_dispatch()) return ctx.Defer();
   remote_verifies_.Add();
   auto reply = rpc::CallTyped<rpc::Void>(authz_client_, authz_nid_,
                                          kOpVerifyCap,
@@ -355,8 +359,12 @@ Result<std::uint64_t> StorageServer::ReplyWithScheduledRead(
 void StorageServer::RegisterDataHandlers() {
   // Authorization for every capability-gated op below runs in the service
   // middleware (required_ops in each OpDef), before the handler body.
+  // Create, remove and getattr are declared inline (core/wire.h); a modeled
+  // create cost sleeps out the create arm's slot, so then only a worker may
+  // run a create.
   data_ops_.On<wire::ObjCreateReq, wire::ObjCreateRep>(
-      wire::kObjCreateOp,
+      options_.modeled_create_latency_us > 0 ? rpc::Queued(wire::kObjCreateOp)
+                                             : wire::kObjCreateOp,
       [this](rpc::ServerContext&,
              wire::ObjCreateReq& req) -> Result<wire::ObjCreateRep> {
         ChargeModeledUs(options_.modeled_create_latency_us);

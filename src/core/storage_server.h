@@ -190,9 +190,9 @@ class StorageServer : public metrics::Instrumented {
                     util::SharedSlice chunk);
 
   /// Authorize `cap` for `needed_ops`: structural checks, cache lookup,
-  /// remote verify on miss, then op/container check.
-  Status Authorize(const security::Capability& cap, std::uint32_t needed_ops,
-                   storage::ContainerId target_cid);
+  /// remote verify on miss — which an inline dispatch defers to a worker.
+  Status Authorize(rpc::ServerContext& ctx, const security::Capability& cap,
+                   std::uint32_t needed_ops, storage::ContainerId target_cid);
 
   /// Check that `oid` exists and belongs to `cap`'s container; returns the
   /// attribute.

@@ -8,8 +8,11 @@
 // never reorder.
 //
 // The OpDef constants beside the messages declare each op's opcode, metric
-// name, required security::OpMask bits, and bulk direction; servers register
-// handlers against these and the middleware enforces the rest.
+// name, required security::OpMask bits, bulk direction, and — for the
+// wait-free metadata ops — rpc::Dispatch::kInline, which lets the server run
+// them on the thread that delivered the request (README "Ops served
+// inline"); servers register handlers against these and the middleware
+// enforces the rest.
 #pragma once
 
 #include <cstdint>
@@ -201,7 +204,9 @@ struct ObjTruncateReq {
 };
 
 inline constexpr rpc::OpDef kObjCreateOp{kOpObjCreate, "obj_create",
-                                         security::kOpCreate};
+                                         security::kOpCreate,
+                                         rpc::BulkDir::kNone,
+                                         rpc::Dispatch::kInline};
 inline constexpr rpc::OpDef kObjWriteOp{kOpObjWrite, "obj_write",
                                         security::kOpWrite,
                                         rpc::BulkDir::kPull};
@@ -211,9 +216,13 @@ inline constexpr rpc::OpDef kObjReadOp{kOpObjRead, "obj_read",
                                        security::kOpRead,
                                        rpc::BulkDir::kReply};
 inline constexpr rpc::OpDef kObjRemoveOp{kOpObjRemove, "obj_remove",
-                                         security::kOpRemove};
+                                         security::kOpRemove,
+                                         rpc::BulkDir::kNone,
+                                         rpc::Dispatch::kInline};
 inline constexpr rpc::OpDef kObjGetAttrOp{kOpObjGetAttr, "obj_getattr",
-                                          security::kOpRead};
+                                          security::kOpRead,
+                                          rpc::BulkDir::kNone,
+                                          rpc::Dispatch::kInline};
 inline constexpr rpc::OpDef kObjListOp{kOpObjList, "obj_list",
                                        security::kOpRead};
 inline constexpr rpc::OpDef kObjFilterOp{kOpObjFilter, "obj_filter",
@@ -435,17 +444,29 @@ struct ShardMapRep {
   LWFS_CODEC(ShardMapRep, epoch, shards)
 };
 
-inline constexpr rpc::OpDef kNameMkdirOp{kOpNameMkdir, "name_mkdir"};
-inline constexpr rpc::OpDef kNameLinkOp{kOpNameLink, "name_link"};
+inline constexpr rpc::OpDef kNameMkdirOp{kOpNameMkdir, "name_mkdir", 0,
+                                         rpc::BulkDir::kNone,
+                                         rpc::Dispatch::kInline};
+inline constexpr rpc::OpDef kNameLinkOp{kOpNameLink, "name_link", 0,
+                                        rpc::BulkDir::kNone,
+                                        rpc::Dispatch::kInline};
 inline constexpr rpc::OpDef kNameStageLinkOp{kOpNameStageLink,
-                                             "name_stage_link"};
-inline constexpr rpc::OpDef kNameLookupOp{kOpNameLookup, "name_lookup"};
-inline constexpr rpc::OpDef kNameUnlinkOp{kOpNameUnlink, "name_unlink"};
+                                             "name_stage_link", 0,
+                                             rpc::BulkDir::kNone,
+                                             rpc::Dispatch::kInline};
+inline constexpr rpc::OpDef kNameLookupOp{kOpNameLookup, "name_lookup", 0,
+                                          rpc::BulkDir::kNone,
+                                          rpc::Dispatch::kInline};
+inline constexpr rpc::OpDef kNameUnlinkOp{kOpNameUnlink, "name_unlink", 0,
+                                          rpc::BulkDir::kNone,
+                                          rpc::Dispatch::kInline};
 inline constexpr rpc::OpDef kNameRmdirOp{kOpNameRmdir, "name_rmdir"};
 inline constexpr rpc::OpDef kNameRenameOp{kOpNameRename, "name_rename"};
 inline constexpr rpc::OpDef kNameListOp{kOpNameList, "name_list"};
 inline constexpr rpc::OpDef kNameStageUnlinkOp{kOpNameStageUnlink,
-                                               "name_stage_unlink"};
+                                               "name_stage_unlink", 0,
+                                               rpc::BulkDir::kNone,
+                                               rpc::Dispatch::kInline};
 inline constexpr rpc::OpDef kNameShardMapOp{kOpNameShardMap,
                                             "name_shard_map"};
 

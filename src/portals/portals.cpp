@@ -64,8 +64,8 @@ Result<MeHandle> Nic::AttachInline(PortalIndex portal, MatchBits match_bits,
                                    const MeOptions& options,
                                    std::shared_ptr<const EventHandler> handler,
                                    std::uint64_t user_data) {
-  if (!options.message_mode || !options.unlink_on_use || !options.allow_put) {
-    return InvalidArgument("inline entry must be a single-use message put");
+  if (!options.message_mode || !options.allow_put) {
+    return InvalidArgument("inline entry must be a message-mode put entry");
   }
   if (!handler || !*handler) {
     return InvalidArgument("inline entry needs a handler");
@@ -185,23 +185,41 @@ Status Nic::PutParts(Nid target, PortalIndex portal, MatchBits match_bits,
   // count must already be visible.  Undone on failure.
   fabric_->puts_.Add();
   fabric_->put_bytes_.Add(total);
+  InlineDelivery delivery;
   Status s = dest->AcceptPut(nid_, portal, match_bits, parts, total,
-                             remote_offset, hdr_data);
-  if (!s.ok()) {
-    fabric_->puts_.Sub(1);
-    fabric_->put_bytes_.Sub(total);
-    if (s.code() == ErrorCode::kResourceExhausted) fabric_->rejected_.Add();
-  } else if (plan.duplicate) {
+                             remote_offset, hdr_data, &delivery);
+  InlineDelivery dup_delivery;
+  bool dup_accepted = false;
+  if (s.ok() && plan.duplicate) {
     fabric_->puts_.Add();
     fabric_->put_bytes_.Add(total);
-    Status dup = dest->AcceptPut(nid_, portal, match_bits, parts, total,
-                                 remote_offset, hdr_data);
-    if (!dup.ok()) {
+    dup_accepted = dest->AcceptPut(nid_, portal, match_bits, parts, total,
+                                   remote_offset, hdr_data, &dup_delivery)
+                       .ok();
+    if (!dup_accepted) {
       fabric_->puts_.Sub(1);
       fabric_->put_bytes_.Sub(total);
     }
   }
   if (plan.crash_after) fabric_->SetNodeDown(target, true);
+  // Inline handlers run last, once the whole fault plan is in effect — the
+  // order a queued event's consumer sees: the duplicate after the original,
+  // and a crash-after target already down when the handler replies.
+  if (s.ok() && delivery.handler) {
+    s = (*delivery.handler)(std::move(delivery.event));
+  }
+  if (dup_accepted && dup_delivery.handler &&
+      (!s.ok() || !(*dup_delivery.handler)(std::move(dup_delivery.event))
+                       .ok())) {
+    // The copy of a refused Put is never delivered either.
+    fabric_->puts_.Sub(1);
+    fabric_->put_bytes_.Sub(total);
+  }
+  if (!s.ok()) {
+    fabric_->puts_.Sub(1);
+    fabric_->put_bytes_.Sub(total);
+    if (s.code() == ErrorCode::kResourceExhausted) fabric_->rejected_.Add();
+  }
   return s;
 }
 
@@ -289,8 +307,8 @@ Result<util::SharedSlice> Nic::GetSlice(Nid target, PortalIndex portal,
 Status Nic::AcceptPut(Nid initiator, PortalIndex portal, MatchBits match_bits,
                       std::span<const util::SharedSlice> parts,
                       std::size_t total, std::size_t offset,
-                      std::uint64_t hdr_data) {
-  std::unique_lock<std::mutex> lock(mutex_);
+                      std::uint64_t hdr_data, InlineDelivery* delivery) {
+  std::lock_guard<std::mutex> lock(mutex_);
   MatchEntry* me =
       FindLocked(portal, match_bits, /*want_put=*/true, initiator);
   if (me == nullptr) {
@@ -307,7 +325,6 @@ Status Nic::AcceptPut(Nid initiator, PortalIndex portal, MatchBits match_bits,
   ev.length = total;
   ev.user_data = me->user_data;
 
-  std::shared_ptr<const EventHandler> handler;
   if (me->options.message_mode) {
     const bool all_owned =
         std::all_of(parts.begin(), parts.end(),
@@ -333,9 +350,12 @@ Status Nic::AcceptPut(Nid initiator, PortalIndex portal, MatchBits match_bits,
       ev.payload = util::SharedSlice::FromBuffer(std::move(flat));
     }
     if (me->handler) {
-      // Single-use (AttachInline checked): the entry unlinks below, so
-      // take its reference instead of copying it.
-      handler = std::move(me->handler);
+      // The initiator runs it outside this lock (the handler may re-enter
+      // this NIC) and after the fault plan.  A single-use entry unlinks
+      // below, so its reference moves instead of being copied.
+      delivery->handler = me->options.unlink_on_use ? std::move(me->handler)
+                                                    : me->handler;
+      delivery->event = std::move(ev);
     } else if (!me->eq->Deliver(std::move(ev))) {
       // Bounded event queue full: the I/O node's request buffer overflowed.
       return ResourceExhausted("event queue full");
@@ -358,10 +378,6 @@ Status Nic::AcceptPut(Nid initiator, PortalIndex portal, MatchBits match_bits,
     }
   }
   if (me->options.unlink_on_use) UnlinkLocked(portal, me->handle);
-  // Outside the NIC lock: the handler may re-enter this NIC (Detach,
-  // Attach), and a slow handler must not stall unrelated deliveries.
-  lock.unlock();
-  if (handler) (*handler)(std::move(ev));
   return OkStatus();
 }
 

@@ -15,8 +15,10 @@
 // Delivery is via in-memory queues between threads; a transfer is a memcpy
 // performed by the initiating thread while holding the target NIC lock,
 // which also models the serialization a real NIC DMA engine imposes.  A
-// single-use entry may instead carry an inline handler, which the
-// initiating thread runs once the NIC lock is released (RPC replies).
+// message-mode entry may instead carry an inline handler, which the
+// initiating thread runs once the NIC lock is released and the Put's fault
+// plan is applied: single-use for RPC replies, persistent for an RPC
+// server's request portal.
 #pragma once
 
 #include <cstdint>
@@ -108,10 +110,16 @@ class EventQueue {
 };
 
 /// Inline delivery target of a match entry (Nic::AttachInline).  Runs on
-/// the *initiator's* thread, with no NIC lock held, so it may call back into
-/// the NIC (e.g. Detach).  It delays the initiator until it returns, so it
-/// must not block.
-using EventHandler = std::function<void(Event)>;
+/// the *initiator's* thread — whichever thread called Put — with no NIC lock
+/// held, so it may call back into the NIC (Detach, or a Put of its own, e.g.
+/// an RPC reply).  It runs after the fabric applied the Put's whole fault
+/// plan: a duplicated Put runs it twice, in order, and a crash-after target
+/// is already down.  Its status is the Put's: OK when it took the event, an
+/// error to refuse it — kResourceExhausted when a request it must queue finds
+/// the queue full, so the initiator backs off and resends exactly as against
+/// a full event queue.  It delays the initiator until it returns, so it must
+/// not block.
+using EventHandler = std::function<Status(Event)>;
 
 /// Behaviour of an attached match entry.
 struct MeOptions {
@@ -166,13 +174,14 @@ class Nic {
                                EventQueue* eq = nullptr,
                                std::uint64_t user_data = 0);
 
-  /// Register a single-use message-mode entry (`options` must set
-  /// allow_put, message_mode and unlink_on_use) whose delivery runs
-  /// `handler` instead of queueing an event.  AcceptPut unlinks the entry,
-  /// releases the NIC lock, and only then runs the handler on the
-  /// initiator's thread — the Put returns after the handler does.  The
-  /// entry holds a reference to the handler, and so does a delivery in
-  /// progress.
+  /// Register a message-mode entry (`options` must set allow_put and
+  /// message_mode) whose delivery runs `handler` instead of queueing an
+  /// event.  With unlink_on_use the first matching Put consumes it (RPC
+  /// reply slots); without, it serves every matching Put (an RPC server's
+  /// request portal).  The handler runs on the initiator's thread after the
+  /// NIC lock is released and the fault plan applied, and the Put returns
+  /// its status.  The entry holds a reference to the handler, and so does a
+  /// delivery in progress — Detach does not wait for one.
   Result<MeHandle> AttachInline(PortalIndex portal, MatchBits match_bits,
                                 MatchBits ignore_bits, const MeOptions& options,
                                 std::shared_ptr<const EventHandler> handler,
@@ -245,10 +254,19 @@ class Nic {
                   std::span<const util::SharedSlice> parts, std::size_t total,
                   std::size_t remote_offset, std::uint64_t hdr_data);
 
-  // Target-side entry points, called by the initiating NIC.
+  /// A Put accepted by an inline entry, not yet handed to its handler.
+  struct InlineDelivery {
+    std::shared_ptr<const EventHandler> handler;
+    Event event;
+  };
+
+  // Target-side entry points, called by the initiating NIC.  An inline
+  // entry's event is returned in `*delivery` for the initiator to run once
+  // the fault plan is applied.
   Status AcceptPut(Nid initiator, PortalIndex portal, MatchBits match_bits,
                    std::span<const util::SharedSlice> parts, std::size_t total,
-                   std::size_t offset, std::uint64_t hdr_data);
+                   std::size_t offset, std::uint64_t hdr_data,
+                   InlineDelivery* delivery);
   Status AcceptGet(Nid initiator, PortalIndex portal, MatchBits match_bits,
                    MutableByteSpan out, std::size_t offset);
   Result<util::SharedSlice> AcceptGetSlice(Nid initiator, PortalIndex portal,

@@ -300,34 +300,21 @@ RpcClient::RpcClient(std::shared_ptr<portals::Nic> nic, ClientOptions options)
     : nic_(std::move(nic)),
       options_(options),
       clock_(util::OrReal(options.clock)),
-      gate_(std::make_shared<detail::ReplyGate>()) {
-  gate_->client = this;
-  gate_->clock = clock_;
+      gate_(std::make_shared<detail::InlineGate<RpcClient>>(clock_)) {
+  gate_->Open(this);
   reply_handler_ = std::make_shared<const portals::EventHandler>(
       [gate = gate_](portals::Event event) {
-        RpcClient* client = nullptr;
-        {
-          std::lock_guard<std::mutex> lock(gate->mutex);
-          client = gate->client;
-          if (client == nullptr) return;  // client shutting down: drop
-          ++gate->running;
-        }
-        client->CompleteReply(std::move(event));
-        std::lock_guard<std::mutex> lock(gate->mutex);
-        if (--gate->running == 0 && gate->client == nullptr) {
-          gate->clock->NotifyAll(gate->idle);
-        }
+        // A client shutting down drops the reply (the gate is closed).
+        (void)gate->Run(
+            [&](RpcClient* client) { client->CompleteReply(std::move(event)); });
+        return OkStatus();
       });
 }
 
 RpcClient::~RpcClient() {
   // Close the reply gate first: a reply may be completing inline on a
   // server thread right now, and it uses this client until it leaves.
-  {
-    std::unique_lock<std::mutex> lock(gate_->mutex);
-    gate_->client = nullptr;
-    clock_->Wait(gate_->idle, lock, [&] { return gate_->running == 0; });
-  }
+  gate_->Close();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
@@ -936,12 +923,15 @@ RpcServer::RpcServer(std::shared_ptr<portals::Nic> nic, ServerOptions options)
     : nic_(std::move(nic)),
       options_(options),
       clock_(util::OrReal(options.clock)),
-      request_eq_(options.request_queue_depth, clock_) {}
+      request_queue_(options.request_queue_depth, clock_),
+      gate_(std::make_shared<detail::InlineGate<RpcServer>>(clock_)) {}
 
 RpcServer::~RpcServer() { Stop(); }
 
-Status RpcServer::RegisterHandler(Opcode opcode, Handler handler) {
-  auto [it, inserted] = handlers_.emplace(opcode, std::move(handler));
+Status RpcServer::RegisterHandler(Opcode opcode, Handler handler,
+                                  Dispatch dispatch) {
+  auto [it, inserted] =
+      handlers_.emplace(opcode, Registered{std::move(handler), dispatch});
   if (!inserted) {
     Status collision =
         AlreadyExists("duplicate handler for opcode " + std::to_string(opcode));
@@ -954,7 +944,7 @@ Status RpcServer::RegisterHandler(Opcode opcode, Handler handler) {
 std::vector<Opcode> RpcServer::RegisteredOpcodes() const {
   std::vector<Opcode> opcodes;
   opcodes.reserve(handlers_.size());
-  for (const auto& [opcode, handler] : handlers_) opcodes.push_back(opcode);
+  for (const auto& [opcode, registered] : handlers_) opcodes.push_back(opcode);
   std::sort(opcodes.begin(), opcodes.end());
   return opcodes;
 }
@@ -965,8 +955,21 @@ Status RpcServer::Start() {
   portals::MeOptions opts;
   opts.allow_put = true;
   opts.message_mode = true;
-  auto me = nic_->Attach(options_.request_portal, 0, ~0ULL, {}, opts,
-                         &request_eq_);
+  // Every request is handed to Deliver on the thread whose Put carried it;
+  // Deliver runs an inline op in place and queues the rest.
+  auto deliver = std::make_shared<const portals::EventHandler>(
+      [gate = gate_](portals::Event event) {
+        Status delivered = OkStatus();
+        if (!gate->Run([&](RpcServer* server) {
+              delivered = server->Deliver(std::move(event));
+            })) {
+          return ResourceExhausted("rpc server stopped");
+        }
+        return delivered;
+      });
+  gate_->Open(this);
+  auto me = nic_->AttachInline(options_.request_portal, 0, ~0ULL, opts,
+                               std::move(deliver));
   if (!me.ok()) return me.status();
   request_me_ = *me;
   for (int i = 0; i < options_.worker_threads; ++i) {
@@ -979,7 +982,11 @@ Status RpcServer::Start() {
 void RpcServer::Stop() {
   if (!started_) return;
   (void)nic_->Detach(request_me_);
-  request_eq_.Close();
+  // The server twin of the client's reply gate: a delivering thread may be
+  // inside a handler (or queueing) right now; wait for it to leave before
+  // the queue closes and the workers go.
+  gate_->Close();
+  request_queue_.Close();
   for (std::thread& t : workers_) {
     if (t.joinable()) clock_->Join(t);
   }
@@ -1005,13 +1012,38 @@ void RpcServer::EraseCacheEntryLocked(const DedupKey& key) {
 
 void RpcServer::WorkerLoop() {
   for (;;) {
-    auto event = request_eq_.Wait();
+    auto event = request_queue_.Pop();
     if (!event) return;  // queue closed
-    Dispatch(*event);
+    (void)Serve(*event, /*inline_dispatch=*/false);
   }
 }
 
-void RpcServer::Dispatch(const portals::Event& event) {
+Status RpcServer::Deliver(portals::Event event) {
+  if (IsInlineOp(event) && Serve(event, /*inline_dispatch=*/true)) {
+    return OkStatus();
+  }
+  if (!request_queue_.TryPush(std::move(event))) {
+    // The I/O node's request buffer overflowed: the client resends.
+    return ResourceExhausted("request queue full");
+  }
+  return OkStatus();
+}
+
+bool RpcServer::IsInlineOp(const portals::Event& event) const {
+  // The opcode leads the header.  Read before the CRC check, it only picks
+  // the path: a damaged frame is dropped by Serve on either one.
+  const util::SharedSlice& frame = event.payload;
+  if (frame.size() < sizeof(Opcode)) return false;
+  const std::uint8_t* b = frame.data();
+  const Opcode opcode = static_cast<Opcode>(b[0]) |
+                        static_cast<Opcode>(b[1]) << 8 |
+                        static_cast<Opcode>(b[2]) << 16 |
+                        static_cast<Opcode>(b[3]) << 24;
+  auto it = handlers_.find(opcode);
+  return it != handlers_.end() && it->second.dispatch == Dispatch::kInline;
+}
+
+bool RpcServer::Serve(const portals::Event& event, bool inline_dispatch) {
   // The frame slice aliases the delivered payload (zero-copy), so every
   // TakeSlice() a typed codec performs below shares the same owner.
   util::SharedSlice frame;
@@ -1021,13 +1053,13 @@ void RpcServer::Dispatch(const portals::Event& event) {
     crc_drops_.Add();
     LWFS_DEBUG << "dropping corrupt request frame from nid "
                << event.initiator;
-    return;
+    return true;
   }
   Decoder dec(frame);
   auto header = DecodeHeader(dec);
   if (!header.ok()) {
     LWFS_WARN << "dropping malformed request from nid " << event.initiator;
-    return;
+    return true;
   }
   if (header->client != event.initiator) {
     // The header names a node other than the sender.  Honouring it would
@@ -1035,7 +1067,7 @@ void RpcServer::Dispatch(const portals::Event& event) {
     // a forged frame could complete or poison another client's call.
     LWFS_WARN << "dropping request from nid " << event.initiator
               << " that claims nid " << header->client;
-    return;
+    return true;
   }
 
   const DedupKey key{header->client, header->request_id};
@@ -1062,7 +1094,7 @@ void RpcServer::Dispatch(const portals::Event& event) {
         // The original delivery is still executing; drop the duplicate —
         // the client's next retransmit will find the cached reply.
         dedup_hits_.Add();
-        return;
+        return true;
       }
     }
     if (have_cached) {
@@ -1073,14 +1105,9 @@ void RpcServer::Dispatch(const portals::Event& event) {
         LWFS_DEBUG << "cached reply to nid " << header->client
                    << " dropped: " << resent.ToString();
       }
-      return;
+      return true;
     }
   }
-
-  // Only requests that reach a handler count as served: retransmits the
-  // dedup cache absorbed and corrupt frames do not inflate the count, so
-  // tests can pin served == unique requests even when timeouts retransmit.
-  served_.Add();
 
   Result<Buffer> result = Buffer{};
   std::uint32_t push_crc = 0;
@@ -1093,8 +1120,17 @@ void RpcServer::Dispatch(const portals::Event& event) {
   } else {
     ServerContext ctx(nic_.get(), header->client, header->request_id,
                       header->bulk_out_len, header->bulk_in_len,
-                      header->bulk_out_crc);
-    result = it->second(ctx, dec);
+                      header->bulk_out_crc, inline_dispatch);
+    result = it->second.handler(ctx, dec);
+    if (ctx.deferred()) {
+      // Nothing happened yet: release the dedup slot and let a worker run
+      // it (a duplicate that arrives meanwhile is queued behind it).
+      if (dedup) {
+        std::lock_guard<std::mutex> lock(cache_mutex_);
+        in_progress_.erase(key);
+      }
+      return false;
+    }
     if (ctx.pulled_crc_failed()) {
       bulk_crc_failures_.Add();
     }
@@ -1108,6 +1144,12 @@ void RpcServer::Dispatch(const portals::Event& event) {
       reply_bulk = ctx.TakeReplyBulk();
     }
   }
+  // Only requests that reach a handler count as served: retransmits the
+  // dedup cache absorbed, corrupt frames and deferrals do not inflate the
+  // count, so tests can pin served == unique requests even when timeouts
+  // retransmit.
+  served_.Add();
+  if (inline_dispatch) inline_.Add();
 
   // Assemble the reply as a scatter-gather frame: the handler's body buffer
   // and any PushBulkSlice payload are adopted as slices and never re-copied
@@ -1164,6 +1206,7 @@ void RpcServer::Dispatch(const portals::Event& event) {
     LWFS_DEBUG << "reply to nid " << header->client
                << " dropped: " << sent.ToString();
   }
+  return true;
 }
 
 }  // namespace lwfs::rpc

@@ -17,7 +17,24 @@
 // completes its call on the thread that delivers it: each call's reply
 // slot is an inline portals entry, so the server's Put verifies, routes
 // and resolves the reply and wakes the caller, with no client thread in
-// between.  One engine thread per RpcClient keeps only the timers —
+// between.
+//
+// The server side mirrors it.  The request portal is an inline entry too:
+// the thread whose Put delivers a request — a caller inside CallAsync, a
+// client's engine thread on a resend, a driver carrier, another server's
+// worker — runs an op registered Dispatch::kInline itself, with no queue
+// and no worker wake-up, and its reply Put completes the call on that same
+// thread, so CallAsync returns with the call already done.  Such a handler
+// must not wait: it pulls and pushes no bulk, enters no scheduler, sleeps
+// nothing and makes no nested call.  When it finds it would have to (a
+// capability only the authorization service can settle, a standby's
+// takeover), it calls ServerContext::Defer() before any effect and the
+// request goes to the bounded queue like every other op, where a server
+// worker runs it; a full queue still refuses the Put with
+// kResourceExhausted.  RpcServer::Stop() waits for inline dispatches
+// already running.
+//
+// One engine thread per RpcClient keeps only the timers —
 // resend backoff after a rejected send (decorrelated jitter), reply
 // deadlines, retransmits, and the failures they produce — and is woken
 // only when a new call is due before its planned wake-up.  That lets any
@@ -63,6 +80,7 @@
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/sync_queue.h"
 
 namespace lwfs::rpc {
 
@@ -221,17 +239,52 @@ struct CallState {
   std::function<void(const Result<Buffer>&)> on_complete;
 };
 
-/// Lifetime latch between an RpcClient and the replies its reply entries
-/// run inline on delivering threads.  The reply handler holds a reference,
-/// so a delivery that already left the NIC can still find the gate after
-/// the client is gone: it enters only while `client` is set, and the
-/// client's destructor clears it and waits for `running` to drain.
-struct ReplyGate {
-  std::mutex mutex;
-  std::condition_variable idle;
-  RpcClient* client = nullptr;  // null once closed
-  util::Clock* clock = nullptr;
-  int running = 0;  // deliveries inside the client
+/// Lifetime latch between an endpoint and the deliveries its inline portals
+/// entries run on other threads: an RpcClient's replies and an RpcServer's
+/// requests.  The entry's handler holds a reference, so a delivery that
+/// already left the NIC can still find the gate after the endpoint is gone:
+/// it enters only while the gate is open, and Close() waits for the
+/// deliveries inside to drain.
+template <typename Owner>
+class InlineGate {
+ public:
+  explicit InlineGate(util::Clock* clock) : clock_(clock) {}
+
+  void Open(Owner* owner) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    owner_ = owner;
+  }
+
+  /// Runs `fn(owner)` inside the gate; false (and `fn` not run) once it is
+  /// closed.
+  template <typename Fn>
+  bool Run(Fn&& fn) {
+    Owner* owner = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (owner_ == nullptr) return false;
+      owner = owner_;
+      ++running_;
+    }
+    fn(owner);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--running_ == 0 && owner_ == nullptr) clock_->NotifyAll(idle_);
+    return true;
+  }
+
+  /// Close the gate and wait until no delivery is inside.
+  void Close() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    owner_ = nullptr;
+    clock_->Wait(idle_, lock, [&] { return running_ == 0; });
+  }
+
+ private:
+  util::Clock* const clock_;
+  std::mutex mutex_;
+  std::condition_variable idle_;
+  Owner* owner_ = nullptr;  // null while closed
+  int running_ = 0;         // deliveries inside
 };
 
 }  // namespace detail
@@ -268,10 +321,14 @@ class CallHandle {
   ///       RPC worker that sent it);
   ///     * the client's engine thread, for timeouts and transport
   ///       failures;
-  ///     * the calling thread, inline, if the call is already done.
+  ///     * the calling thread, inside this OnComplete, if the call is
+  ///       already done.  For an op the server runs inline
+  ///       (Dispatch::kInline) that is the usual case: the whole round
+  ///       trip ran inside CallAsync, on the caller's own thread, so hold
+  ///       no lock here that `fn` takes.
   ///    Either way, TryAwait() inside (or after) the callback succeeds.
   ///  - `fn` must be fast and must not block or issue blocking calls: it
-  ///    delays the replying server's worker or every timer of the client.
+  ///    delays the replying thread or every timer of the client.
   ///    Typical use is "flip a flag under a mutex and Notify a condition
   ///    variable" or "bump an atomic".
   ///  - At most one callback per call; a second OnComplete replaces an
@@ -342,7 +399,7 @@ class RpcClient : public metrics::Instrumented {
   /// parked past `due` and must be notified; an engine mid-pass is flagged
   /// to re-plan before it parks.
   bool KickEngineLocked(util::Clock::TimePoint due);
-  /// The inline reply handler (ReplyGate entered): verify the frame, route
+  /// The inline reply handler (gate_ entered): verify the frame, route
   /// it to its call, and either finish the call or, for a corrupt frame,
   /// re-arm the slot and schedule a retransmit.
   void CompleteReply(portals::Event event);
@@ -377,7 +434,7 @@ class RpcClient : public metrics::Instrumented {
   std::shared_ptr<portals::Nic> nic_;
   ClientOptions options_;
   util::Clock* clock_;
-  std::shared_ptr<detail::ReplyGate> gate_;
+  std::shared_ptr<detail::InlineGate<RpcClient>> gate_;
   /// Shared by every reply entry; runs CompleteReply through gate_.
   std::shared_ptr<const portals::EventHandler> reply_handler_;
 
@@ -433,13 +490,31 @@ class ServerContext {
  public:
   ServerContext(portals::Nic* nic, portals::Nid client,
                 std::uint64_t request_id, std::uint64_t bulk_out_len,
-                std::uint64_t bulk_in_len, std::uint32_t bulk_out_crc = 0)
+                std::uint64_t bulk_in_len, std::uint32_t bulk_out_crc = 0,
+                bool inline_dispatch = false)
       : nic_(nic),
         client_(client),
         request_id_(request_id),
         bulk_out_len_(bulk_out_len),
         bulk_in_len_(bulk_in_len),
-        bulk_out_crc_(bulk_out_crc) {}
+        bulk_out_crc_(bulk_out_crc),
+        inline_dispatch_(inline_dispatch) {}
+
+  /// True while the handler runs on the thread that delivered the request
+  /// (an op registered Dispatch::kInline) rather than on a server worker.
+  /// That thread belongs to someone else — a caller inside CallAsync, a
+  /// client's engine, a driver carrier — so the handler must not wait.
+  [[nodiscard]] bool inline_dispatch() const { return inline_dispatch_; }
+  /// Inline dispatch only, and only before the handler had any effect:
+  /// hand the request to a server worker instead, because serving it here
+  /// would wait (e.g. a capability verify round trip).  The handler
+  /// returns the status this returns; the dispatcher discards it, counts
+  /// nothing, and queues the request.
+  Status Defer() {
+    deferred_ = true;
+    return Unavailable("deferred to a server worker");
+  }
+  [[nodiscard]] bool deferred() const { return deferred_; }
 
   [[nodiscard]] portals::Nid client() const { return client_; }
   [[nodiscard]] std::uint64_t request_id() const { return request_id_; }
@@ -526,6 +601,8 @@ class ServerContext {
   std::uint64_t bulk_out_len_;
   std::uint64_t bulk_in_len_;
   std::uint32_t bulk_out_crc_;
+  bool inline_dispatch_;
+  bool deferred_ = false;
   Crc32Accumulator pulled_;
   bool pulled_in_order_ = true;
   bool pulled_crc_failed_ = false;
@@ -541,6 +618,18 @@ class ServerContext {
 /// movement), return status + reply body.
 using Handler =
     std::function<Result<Buffer>(ServerContext& ctx, Decoder& request)>;
+
+/// Which thread runs a registered handler.
+enum class Dispatch : std::uint8_t {
+  /// A server worker, from the bounded request queue.
+  kQueued,
+  /// Wait-free: the thread whose Put delivered the request, with no queue
+  /// and no worker wake-up (see the file comment).  Only for a handler that
+  /// moves no bulk data, never enters an I/O scheduler or staging pool,
+  /// sleeps nothing and calls no other server; it may still Defer() to a
+  /// worker before any effect.
+  kInline,
+};
 
 struct ServerOptions {
   /// Bound on queued requests; overflow rejects the Put (client resends).
@@ -568,7 +657,8 @@ struct ServerOptions {
   util::Clock* clock = nullptr;
 };
 
-/// Serves RPCs on a NIC.  Start() spawns workers; Stop() drains and joins.
+/// Serves RPCs on a NIC.  Start() spawns workers; Stop() waits for inline
+/// dispatches already running, then drains and joins the workers.
 class RpcServer : public metrics::Instrumented {
  public:
   RpcServer(std::shared_ptr<portals::Nic> nic, ServerOptions options = {});
@@ -581,7 +671,8 @@ class RpcServer : public metrics::Instrumented {
   /// wiring bug, never a feature: the collision is rejected with
   /// kAlreadyExists and recorded so Start() refuses to run a half-wired
   /// server.
-  Status RegisterHandler(Opcode opcode, Handler handler);
+  Status RegisterHandler(Opcode opcode, Handler handler,
+                         Dispatch dispatch = Dispatch::kQueued);
 
   /// Opcodes with a registered handler, ascending.
   [[nodiscard]] std::vector<Opcode> RegisteredOpcodes() const;
@@ -602,8 +693,21 @@ class RpcServer : public metrics::Instrumented {
   /// Dedup key: (client nid, request id).
   using DedupKey = std::pair<std::uint64_t, std::uint64_t>;
 
+  struct Registered {
+    Handler handler;
+    Dispatch dispatch = Dispatch::kQueued;
+  };
+
   void WorkerLoop();
-  void Dispatch(const portals::Event& event);
+  /// The request entry's handler (gate_ entered, on the delivering thread):
+  /// run an inline op in place, or queue the request.
+  Status Deliver(portals::Event event);
+  /// True when the frame names an opcode registered Dispatch::kInline.
+  [[nodiscard]] bool IsInlineOp(const portals::Event& event) const;
+  /// Verify, dedup, run the handler and reply.  Returns false only when an
+  /// inline handler deferred: nothing was counted or cached, and the
+  /// caller queues the request.
+  bool Serve(const portals::Event& event, bool inline_dispatch);
   /// Drop one cached reply, returning its pinned bulk bytes to the bound.
   /// No-op if the other eviction path already removed it.
   void EraseCacheEntryLocked(const DedupKey& key);
@@ -611,12 +715,16 @@ class RpcServer : public metrics::Instrumented {
   std::shared_ptr<portals::Nic> nic_;
   ServerOptions options_;
   util::Clock* clock_;
-  portals::EventQueue request_eq_;
+  /// Bounded: a request that must be queued and finds it full is refused.
+  SyncQueue<portals::Event> request_queue_;
+  std::shared_ptr<detail::InlineGate<RpcServer>> gate_;
   portals::MeHandle request_me_ = portals::kInvalidMeHandle;
-  std::unordered_map<Opcode, Handler> handlers_;
+  std::unordered_map<Opcode, Registered> handlers_;
   Status registration_error_ = OkStatus();  // first duplicate, sticky
   std::vector<std::thread> workers_;
   metrics::Counter served_ = metrics_->counter("served");
+  /// Of those, served on the delivering thread (never queued).
+  metrics::Counter inline_ = metrics_->counter("inline");
   metrics::Counter dedup_hits_ = metrics_->counter("dedup_hits");
   metrics::Counter crc_drops_ = metrics_->counter("crc_drops");
   metrics::Counter bulk_crc_failures_ = metrics_->counter("bulk_crc_failures");

@@ -12,7 +12,10 @@
 //                    InvalidArgument("malformed <op> request"); a handler
 //                    never sees a truncated Decoder.
 //   2. authorize   — ops whose OpDef requires capability bits run the
-//                    service's Authorizer *before* the handler body.
+//                    service's Authorizer *before* the handler body.  An
+//                    op the OpDef declares Dispatch::kInline runs on the
+//                    thread that delivered it; the authorizer or handler
+//                    may Defer() it to a worker before any effect.
 //   3. execute     — the typed handler: Result<Rep>(ServerContext&, Req&).
 //   4. encode      — the reply struct is encoded by its own codec.
 //   5. account     — per-op metrics: calls, errors, malformed rejections,
@@ -133,13 +136,40 @@ enum class BulkDir : std::uint8_t {
 };
 
 /// Declarative description of one op: everything the middleware needs that
-/// is not encoded in the request/reply types themselves.
+/// is not encoded in the request/reply types themselves.  Built only at
+/// compile time, so a contradictory declaration — an inline op that moves
+/// bulk data — is a compile error, not a runtime surprise.
 struct OpDef {
-  Opcode opcode = 0;
-  std::string_view name;           // e.g. "obj_write" (metrics + messages)
-  std::uint32_t required_ops = 0;  // security::OpMask bits; 0 = no cap gate
-  BulkDir bulk = BulkDir::kNone;
+  consteval OpDef(Opcode opcode, std::string_view name,
+                  std::uint32_t required_ops = 0,
+                  BulkDir bulk = BulkDir::kNone,
+                  Dispatch dispatch = Dispatch::kQueued)
+      : opcode(opcode),
+        name(name),
+        required_ops(required_ops),
+        bulk(bulk),
+        dispatch(dispatch) {
+    // A bulk transfer is a round trip to the client: only a worker may
+    // wait for one.  Reaching the throw makes the declaration ill-formed.
+    if (dispatch == Dispatch::kInline && bulk != BulkDir::kNone) {
+      throw "an inline op must be BulkDir::kNone";
+    }
+  }
+
+  Opcode opcode;
+  std::string_view name;        // e.g. "obj_write" (metrics + messages)
+  std::uint32_t required_ops;   // security::OpMask bits; 0 = no cap gate
+  BulkDir bulk;
+  /// Which thread runs it (rpc.h): kInline declares the handler wait-free.
+  Dispatch dispatch;
 };
+
+/// `def` served by a worker: for a deployment whose handler for an inline
+/// op would wait (e.g. a modeled service cost that sleeps).
+constexpr OpDef Queued(OpDef def) {
+  def.dispatch = Dispatch::kQueued;
+  return def;
+}
 
 /// Human-readable bulk direction ("none" / "pull" / "push").
 std::string_view BulkDirName(BulkDir dir);
@@ -221,7 +251,8 @@ class Service : public metrics::Instrumented {
                               def.required_ops,
                               "malformed " + std::string(def.name) +
                                   " request",
-                              std::move(handler))));
+                              std::move(handler)),
+        def.dispatch));
   }
 
   /// First registration error, if any (checked before RpcServer::Start —
@@ -264,13 +295,17 @@ class Service : public metrics::Instrumented {
                        /*was_denied=*/false);
       }
 
-      // 2. authorize: capability checks run before any handler effect.
+      // 2. authorize: capability checks run before any handler effect.  On
+      // the delivering thread an authorizer that cannot settle the check
+      // locally defers the request to a worker; so may the handler.  A
+      // deferred request is not a call yet: nothing is accounted.
       if (required_ops != 0) {
         if constexpr (CapabilityBearing<Req>) {
           Status admitted =
               *authorizer
                   ? (*authorizer)(ctx, req->cap, required_ops)
                   : PermissionDenied("no authorizer installed for service");
+          if (ctx.deferred()) return admitted;
           if (!admitted.ok()) {
             return account(std::move(admitted), /*was_rejected=*/false,
                            /*was_denied=*/true);
@@ -280,6 +315,7 @@ class Service : public metrics::Instrumented {
 
       // 3. execute + 4. encode.
       Result<Rep> reply = handler(ctx, *req);
+      if (ctx.deferred()) return reply.status();
       if (!reply.ok()) {
         return account(reply.status(), /*was_rejected=*/false,
                        /*was_denied=*/false);

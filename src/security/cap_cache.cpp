@@ -2,11 +2,12 @@
 
 namespace lwfs::security {
 
-bool CapCache::Lookup(const Capability& cap, std::int64_t now_us) {
+bool CapCache::Lookup(const Capability& cap, std::int64_t now_us,
+                      bool count_miss) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(cap.cap_id);
   if (it == entries_.end()) {
-    ++misses_;
+    if (count_miss) ++misses_;
     return false;
   }
   const Capability& cached = it->second;
@@ -17,7 +18,7 @@ bool CapCache::Lookup(const Capability& cap, std::int64_t now_us) {
                          cached.tag == cap.tag;
   if (!identical || cap.expires_us <= now_us) {
     if (cap.expires_us <= now_us && identical) entries_.erase(it);
-    ++misses_;
+    if (count_miss) ++misses_;
     return false;
   }
   ++hits_;

@@ -21,8 +21,11 @@ namespace lwfs::security {
 class CapCache {
  public:
   /// True iff `cap` is byte-identical to a cached, verified capability and
-  /// is not expired at `now_us`.
-  bool Lookup(const Capability& cap, std::int64_t now_us);
+  /// is not expired at `now_us`.  A caller that will look the same
+  /// capability up again on a miss (a request deferred to a worker) passes
+  /// `count_miss = false`, so that miss is counted once.
+  bool Lookup(const Capability& cap, std::int64_t now_us,
+              bool count_miss = true);
 
   /// Record a capability that the authorization service just verified.
   void Insert(const Capability& cap);

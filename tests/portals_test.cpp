@@ -195,6 +195,7 @@ TEST_F(PortalsTest, InlineEntryRunsHandlerOnInitiatorWithoutNicLock) {
     // The target NIC's lock is already released (a second Put takes it),
     // and the single-use entry is already unlinked (that Put finds none).
     reentrant_put = src->Put(dst->nid(), 0, 6, ByteSpan(data));
+    return OkStatus();
   });
   ASSERT_TRUE(dst->AttachInline(0, 6, 0, opts, handler, 9).ok());
 
@@ -205,18 +206,83 @@ TEST_F(PortalsTest, InlineEntryRunsHandlerOnInitiatorWithoutNicLock) {
   EXPECT_EQ(reentrant_put.code(), ErrorCode::kResourceExhausted);
 }
 
-TEST_F(PortalsTest, InlineEntryMustBeSingleUseMessagePut) {
+TEST_F(PortalsTest, InlineEntryMustBeMessagePut) {
   auto dst = fabric_.CreateNic();
-  auto handler = std::make_shared<const EventHandler>([](Event) {});
+  auto handler =
+      std::make_shared<const EventHandler>([](Event) { return OkStatus(); });
+  MeOptions opts;
+  opts.allow_put = true;
+  EXPECT_EQ(dst->AttachInline(0, 1, 0, opts, handler).status().code(),
+            ErrorCode::kInvalidArgument);  // not message_mode
+  opts.message_mode = true;
+  opts.allow_put = false;
+  opts.allow_get = true;
+  EXPECT_EQ(dst->AttachInline(0, 1, 0, opts, handler).status().code(),
+            ErrorCode::kInvalidArgument);  // not a put entry
+  opts.allow_put = true;
+  opts.allow_get = false;
+  EXPECT_EQ(dst->AttachInline(0, 1, 0, opts, nullptr).status().code(),
+            ErrorCode::kInvalidArgument);  // no handler
+  // Single-use (a reply slot) and persistent (a request portal) both work.
+  EXPECT_TRUE(dst->AttachInline(0, 1, 0, opts, handler).ok());
+  opts.unlink_on_use = true;
+  EXPECT_TRUE(dst->AttachInline(0, 1, 0, opts, handler).ok());
+}
+
+TEST_F(PortalsTest, PersistentInlineEntryServesEveryPutAndRefusesWithItsStatus) {
+  auto src = fabric_.CreateNic();
+  auto dst = fabric_.CreateNic();
   MeOptions opts;
   opts.allow_put = true;
   opts.message_mode = true;
-  EXPECT_EQ(dst->AttachInline(0, 1, 0, opts, handler).status().code(),
-            ErrorCode::kInvalidArgument);  // not unlink_on_use
-  opts.unlink_on_use = true;
-  EXPECT_EQ(dst->AttachInline(0, 1, 0, opts, nullptr).status().code(),
-            ErrorCode::kInvalidArgument);
-  EXPECT_TRUE(dst->AttachInline(0, 1, 0, opts, handler).ok());
+  int taken = 0;
+  bool refuse = false;
+  auto handler = std::make_shared<const EventHandler>([&](Event ev) {
+    if (refuse) return ResourceExhausted("queue full");
+    EXPECT_EQ(ev.payload.size(), 1u);
+    ++taken;
+    return OkStatus();
+  });
+  ASSERT_TRUE(dst->AttachInline(0, 2, 0, opts, handler).ok());
+  const Buffer data = {7};
+  EXPECT_TRUE(src->Put(dst->nid(), 0, 2, ByteSpan(data)).ok());
+  EXPECT_TRUE(src->Put(dst->nid(), 0, 2, ByteSpan(data)).ok());
+  EXPECT_EQ(taken, 2);
+  // The handler's refusal is the Put's: the initiator sees the full queue,
+  // and the fabric counts neither the put nor its bytes.
+  const auto before = fabric_.metrics()->Snapshot();
+  refuse = true;
+  EXPECT_EQ(src->Put(dst->nid(), 0, 2, ByteSpan(data)).code(),
+            ErrorCode::kResourceExhausted);
+  const auto after = fabric_.metrics()->Snapshot();
+  EXPECT_EQ(after.Get("puts"), before.Get("puts"));
+  EXPECT_EQ(after.Get("put_bytes"), before.Get("put_bytes"));
+  EXPECT_EQ(after.Get("rejected"), before.Get("rejected") + 1);
+}
+
+TEST_F(PortalsTest, InlineHandlerRunsAfterTheFaultPlan) {
+  auto src = fabric_.CreateNic();
+  auto dst = fabric_.CreateNic();
+  MeOptions opts;
+  opts.allow_put = true;
+  opts.message_mode = true;
+  std::vector<bool> target_down_when_run;
+  auto handler = std::make_shared<const EventHandler>([&](Event) {
+    target_down_when_run.push_back(fabric_.IsNodeDown(dst->nid()));
+    return OkStatus();
+  });
+  ASSERT_TRUE(dst->AttachInline(0, 3, 0, opts, handler).ok());
+  const Buffer data = {1, 2};
+  // A duplicated Put runs the handler twice, after the original.
+  fabric_.injector().SetLink(src->nid(), dst->nid(), {.duplicate = 1.0});
+  ASSERT_TRUE(src->Put(dst->nid(), 0, 3, ByteSpan(data)).ok());
+  EXPECT_EQ(target_down_when_run, (std::vector<bool>{false, false}));
+  // A crash-after target is already down when the handler runs.
+  fabric_.injector().ClearFaults();
+  fabric_.injector().CrashAfterDelivery(dst->nid());
+  target_down_when_run.clear();
+  ASSERT_TRUE(src->Put(dst->nid(), 0, 3, ByteSpan(data)).ok());
+  EXPECT_EQ(target_down_when_run, (std::vector<bool>{true}));
 }
 
 TEST_F(PortalsTest, SourceFilteredEntryIgnoresOtherInitiators) {

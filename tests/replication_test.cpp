@@ -78,7 +78,9 @@ TEST(ReplicaMapTest, PlacementIsDeterministicAndRackAware) {
 class ReplicationTest : public ::testing::Test {
  protected:
   void StartRuntime(int servers, std::uint32_t factor,
-                    std::uint64_t hedge_after_us = 0) {
+                    std::uint64_t hedge_after_us = 0,
+                    std::chrono::milliseconds breaker_cooldown =
+                        rpc::ClientOptions{}.breaker_cooldown) {
     core::RuntimeOptions options;
     options.storage_servers = servers;
     options.replication.replication_factor = factor;
@@ -88,6 +90,7 @@ class ReplicationTest : public ::testing::Test {
     options.replication.repair_chunk_bytes = 64 << 10;
     options.client_options.default_timeout = std::chrono::milliseconds(100);
     options.client_options.max_retransmits = 4;
+    options.client_options.breaker_cooldown = breaker_cooldown;
     auto rt = core::ServiceRuntime::Start(options);
     ASSERT_TRUE(rt.ok()) << rt.status().ToString();
     client_.reset();
@@ -468,7 +471,11 @@ TEST_F(ReplicationTest, ForwardedCrcStillRejectsCorruptionOnTheNextHop) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ReplicationTest, ReadsSurviveDownHeadViaFailoverAndHedging) {
-  StartRuntime(/*servers=*/4, /*factor=*/3, /*hedge_after_us=*/500);
+  // The last phase trips the dead head's breaker and expects the next read
+  // to see it open; a cooldown far longer than the test keeps a slow host
+  // from half-opening it in between.
+  StartRuntime(/*servers=*/4, /*factor=*/3, /*hedge_after_us=*/500,
+               /*breaker_cooldown=*/std::chrono::minutes(1));
   auto chain = client_->CreateReplicatedObject(cap_, 0, 3);
   ASSERT_TRUE(chain.ok());
   Buffer data = PatternBuffer(16 << 10, 21);
@@ -492,6 +499,13 @@ TEST_F(ReplicationTest, ReadsSurviveDownHeadViaFailoverAndHedging) {
   metrics::Snapshot stats = client_->metrics()->Snapshot();
   EXPECT_GT(stats.Get("replication.hedged_reads"), 0u);
   EXPECT_GT(stats.Get("replication.hedge_wins"), 0u);
+  // Let the head's late losing reply land first: arriving after the last
+  // phase tripped the breaker, that reply would close it again.
+  for (int i = 0; i < 2000 && client_->metrics()->Snapshot().Get(
+                                  "replication.hedge_loser_bytes") == 0;
+       ++i) {
+    util::RealClockInstance()->SleepFor(std::chrono::milliseconds(1));
+  }
   runtime_->fabric().injector().Reset();
 
   // Dead head: the read fails over to a surviving member.

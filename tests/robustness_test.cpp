@@ -43,6 +43,32 @@ class RobustnessTest : public ::testing::Test {
   std::unique_ptr<rpc::RpcClient> rpc_;
 };
 
+TEST_F(RobustnessTest, CrashAfterDeliveryOfACreateAppliesItAndLosesTheReply) {
+  const portals::Nid nid = storage_nid();
+  storage::ObjectStore& store = runtime_->store(0);
+  rpc::CallOptions once;
+  once.timeout = std::chrono::milliseconds(100);
+  once.max_retransmits = 0;
+  auto create = [&] {
+    return rpc::CallTyped<core::wire::ObjCreateRep>(
+        *rpc_, nid, core::kOpObjCreate, core::wire::ObjCreateReq{cap_, 0},
+        once);
+  };
+  // Warm the server's capability cache: the next create needs nothing but
+  // the store, so the server may serve it on the delivering thread.
+  ASSERT_TRUE(create().ok());
+  const std::size_t before = store.List(cap_.cid)->size();
+
+  // The server crashes right after the request reaches it: the create
+  // still happens, but its reply is lost with the node.
+  runtime_->fabric().injector().CrashAfterDelivery(nid);
+  auto lost = create();
+  EXPECT_FALSE(lost.ok());
+  EXPECT_TRUE(runtime_->fabric().IsNodeDown(nid));
+  runtime_->fabric().SetNodeDown(nid, false);
+  EXPECT_EQ(store.List(cap_.cid)->size(), before + 1);
+}
+
 TEST_F(RobustnessTest, EmptyRequestBodiesRejectedCleanly) {
   for (rpc::Opcode op : {core::kOpObjCreate, core::kOpObjWrite,
                          core::kOpObjRead, core::kOpObjRemove,

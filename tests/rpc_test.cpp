@@ -1217,5 +1217,230 @@ TEST_F(RpcTest, ForgedClientNidCannotPoisonTheDedupCache) {
   EXPECT_EQ(server_->metrics()->Snapshot().Get("served"), 3u);
 }
 
+// ---------------------------------------------------------------------------
+// Inline dispatch: wait-free ops run on the thread that delivers them.
+// ---------------------------------------------------------------------------
+
+constexpr Opcode kInlineOp = 40;
+constexpr Opcode kQueuedOp = 41;
+
+TEST_F(RpcTest, InlineOpRunsOnTheCallersThreadAndSkipsTheQueue) {
+  auto nic = fabric_.CreateNic();
+  RpcServer server(nic);
+  std::thread::id inline_ran_on;
+  std::thread::id queued_ran_on;
+  ASSERT_TRUE(server
+                  .RegisterHandler(
+                      kInlineOp,
+                      [&](ServerContext& ctx, Decoder&) -> Result<Buffer> {
+                        EXPECT_TRUE(ctx.inline_dispatch());
+                        inline_ran_on = std::this_thread::get_id();
+                        return Buffer{1};
+                      },
+                      Dispatch::kInline)
+                  .ok());
+  // The raw two-argument form keeps meaning "queued".
+  ASSERT_TRUE(server
+                  .RegisterHandler(
+                      kQueuedOp,
+                      [&](ServerContext& ctx, Decoder&) -> Result<Buffer> {
+                        EXPECT_FALSE(ctx.inline_dispatch());
+                        queued_ran_on = std::this_thread::get_id();
+                        return Buffer{2};
+                      })
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  RpcClient client(fabric_.CreateNic());
+
+  // The whole round trip ran inside CallAsync: the handle is already done,
+  // and OnComplete fires right here, on this thread.
+  auto call = client.CallAsync(nic->nid(), kInlineOp, {});
+  ASSERT_TRUE(call.ok());
+  Result<Buffer> done = Buffer{};
+  EXPECT_TRUE(call->TryAwait(&done));
+  std::thread::id callback_ran_on;
+  call->OnComplete([&](const Result<Buffer>&) {
+    callback_ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(callback_ran_on, std::this_thread::get_id());
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(*done, Buffer{1});
+  EXPECT_EQ(inline_ran_on, std::this_thread::get_id());
+
+  auto queued = client.Call(nic->nid(), kQueuedOp, {});
+  ASSERT_TRUE(queued.ok());
+  EXPECT_NE(queued_ran_on, std::this_thread::get_id());
+
+  const metrics::Snapshot stats = server.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("served"), 2u);
+  EXPECT_EQ(stats.Get("inline"), 1u);
+}
+
+TEST_F(RpcTest, DuplicatedInlineRequestRunsTheHandlerOnce) {
+  auto nic = fabric_.CreateNic();
+  RpcServer server(nic);
+  int executed = 0;  // inline: only ever touched on this thread
+  ASSERT_TRUE(server
+                  .RegisterHandler(
+                      kInlineOp,
+                      [&](ServerContext&, Decoder&) -> Result<Buffer> {
+                        ++executed;
+                        return Buffer{};
+                      },
+                      Dispatch::kInline)
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  RpcClient client(fabric_.CreateNic());
+  // Every request Put is delivered twice.  The fabric hands the copy over
+  // only after the original ran and replied, so it finds the cached reply.
+  fabric_.injector().SetLink(client.nid(), nic->nid(), {.duplicate = 1.0});
+  ASSERT_TRUE(client.Call(nic->nid(), kInlineOp, {}).ok());
+  fabric_.injector().ClearFaults();
+  EXPECT_EQ(executed, 1);
+  const metrics::Snapshot stats = server.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("served"), 1u);
+  EXPECT_EQ(stats.Get("inline"), 1u);
+  EXPECT_EQ(stats.Get("dedup_hits"), 1u);
+}
+
+TEST_F(RpcTest, DeferredInlineOpIsServedOnceByAWorker) {
+  auto nic = fabric_.CreateNic();
+  RpcServer server(nic);
+  std::atomic<int> attempts{0};
+  std::atomic<int> executed{0};
+  std::thread::id ran_on;
+  ASSERT_TRUE(server
+                  .RegisterHandler(
+                      kInlineOp,
+                      [&](ServerContext& ctx, Decoder&) -> Result<Buffer> {
+                        attempts.fetch_add(1);
+                        // Would wait here: hand it to a worker first.
+                        if (ctx.inline_dispatch()) return ctx.Defer();
+                        executed.fetch_add(1);
+                        ran_on = std::this_thread::get_id();
+                        return Buffer{3};
+                      },
+                      Dispatch::kInline)
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  RpcClient client(fabric_.CreateNic());
+  auto reply = client.Call(nic->nid(), kInlineOp, {});
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(*reply, Buffer{3});
+  EXPECT_EQ(attempts.load(), 2);
+  EXPECT_EQ(executed.load(), 1);
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+  const metrics::Snapshot stats = server.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("served"), 1u);
+  EXPECT_EQ(stats.Get("inline"), 0u);
+  EXPECT_EQ(stats.Get("dedup_hits"), 0u);
+}
+
+TEST_F(RpcTest, FullQueueRefusesQueuedOpsWhileInlineOpsAreServed) {
+  auto nic = fabric_.CreateNic();
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.request_queue_depth = 1;
+  RpcServer server(nic, options);
+  std::promise<void> release;
+  std::shared_future<void> workers_blocked(release.get_future());
+  std::atomic<int> entered{0};
+  ASSERT_TRUE(server
+                  .RegisterHandler(kQueuedOp,
+                                   [&](ServerContext&, Decoder&)
+                                       -> Result<Buffer> {
+                                     entered.fetch_add(1);
+                                     workers_blocked.wait();
+                                     return Buffer{};
+                                   })
+                  .ok());
+  ASSERT_TRUE(server
+                  .RegisterHandler(
+                      kInlineOp,
+                      [](ServerContext&, Decoder&) -> Result<Buffer> {
+                        return Buffer{9};
+                      },
+                      Dispatch::kInline)
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  RpcClient client(fabric_.CreateNic());
+
+  // The only worker blocks in the first call; the second fills the queue.
+  auto first = client.CallAsync(nic->nid(), kQueuedOp, {});
+  ASSERT_TRUE(first.ok());
+  while (entered.load() == 0) std::this_thread::yield();
+  auto second = client.CallAsync(nic->nid(), kQueuedOp, {});
+  ASSERT_TRUE(second.ok());
+
+  // A third queued request is refused — the bounded request portal still
+  // pushes back...
+  CallOptions no_resend;
+  no_resend.max_resends = 0;
+  auto third = client.Call(nic->nid(), kQueuedOp, {}, no_resend);
+  EXPECT_EQ(third.status().code(), ErrorCode::kResourceExhausted);
+  // ...while an inline op never waits for the queue.
+  auto lookup = client.Call(nic->nid(), kInlineOp, {}, no_resend);
+  ASSERT_TRUE(lookup.ok()) << lookup.status().ToString();
+  EXPECT_EQ(*lookup, Buffer{9});
+
+  release.set_value();
+  EXPECT_TRUE(first->Await().ok());
+  EXPECT_TRUE(second->Await().ok());
+  const metrics::Snapshot stats = server.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("served"), 3u);
+  EXPECT_EQ(stats.Get("inline"), 1u);
+}
+
+TEST_F(RpcTest, StopWaitsForAnInlineDispatchAlreadyRunning) {
+  auto nic = fabric_.CreateNic();
+  auto server = std::make_unique<RpcServer>(nic);
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released(release.get_future());
+  std::atomic<bool> handler_done{false};
+  // Blocking breaks the inline contract on purpose: it holds a delivering
+  // thread inside the server for as long as the test needs.
+  ASSERT_TRUE(server
+                  ->RegisterHandler(
+                      kInlineOp,
+                      [&](ServerContext&, Decoder&) -> Result<Buffer> {
+                        entered.set_value();
+                        released.wait();
+                        handler_done.store(true);
+                        return Buffer{5};
+                      },
+                      Dispatch::kInline)
+                  .ok());
+  ASSERT_TRUE(server->Start().ok());
+  RpcClient client(fabric_.CreateNic());
+
+  std::thread caller([&] {
+    auto reply = client.Call(nic->nid(), kInlineOp, {});
+    // The reply was sent before Stop let the server go.
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  });
+  entered.get_future().wait();
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    server->Stop();
+    EXPECT_TRUE(handler_done.load());
+    stopped.store(true);
+  });
+  util::RealClockInstance()->SleepFor(std::chrono::milliseconds(20));
+  EXPECT_FALSE(stopped.load());  // still inside the handler
+  release.set_value();
+  stopper.join();
+  EXPECT_TRUE(stopped.load());
+  // Destroying the stopped server leaves nothing behind for the caller's
+  // thread to touch (run under AddressSanitizer).
+  server.reset();
+  caller.join();
+  // A late request finds no server: refused, never run.
+  CallOptions no_resend;
+  no_resend.max_resends = 0;
+  EXPECT_EQ(client.Call(nic->nid(), kInlineOp, {}, no_resend).status().code(),
+            ErrorCode::kResourceExhausted);
+}
+
 }  // namespace
 }  // namespace lwfs::rpc

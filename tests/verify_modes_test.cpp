@@ -4,7 +4,14 @@
 // trust.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <mutex>
+#include <thread>
+#include <vector>
+
 #include "core/runtime.h"
+#include "core/storage_server.h"
+#include "core/wire.h"
 #include "security/siphash.h"
 #include "test_io.h"
 
@@ -140,6 +147,87 @@ TEST(SharedKeyTrustTest, KeyHolderCanMintCapabilities) {
   minted2.cid = lwfs_cid;
   minted2.tag = security::SipTag(leaked, ByteSpan(minted2.SignedBytes()));
   EXPECT_FALSE(lwfs_client->CreateObject(0, minted2).ok());
+}
+
+// Inline dispatch meets the capability cache.  obj_create is declared
+// inline, but only a cached verdict settles its capability on the
+// delivering thread; a cold cache sends it to a worker, which makes the
+// verify round trip — and a revoked capability is still denied.
+TEST(InlineVerifyTest, ColdCapCacheFallsBackToAWorkerAndRevocationDenies) {
+  portals::Fabric fabric;
+  // Stand-in authorization service.  Its verify op runs inline, so it
+  // records the thread that made the verify round trip.
+  rpc::RpcServer authz(fabric.CreateNic());
+  std::mutex mu;
+  std::vector<std::thread::id> verifiers;
+  bool revoked = false;
+  ASSERT_TRUE(authz
+                  .RegisterHandler(
+                      kOpVerifyCap,
+                      [&](rpc::ServerContext&, Decoder&) -> Result<Buffer> {
+                        std::lock_guard<std::mutex> lock(mu);
+                        verifiers.push_back(std::this_thread::get_id());
+                        if (revoked) return PermissionDenied("revoked");
+                        return Buffer{};
+                      },
+                      rpc::Dispatch::kInline)
+                  .ok());
+  ASSERT_TRUE(authz.Start().ok());
+  storage::MemObjectStore store;
+  StorageServer server(fabric.CreateNic(), 0, &store, authz.nid(),
+                       security::SystemNowUs);
+  ASSERT_TRUE(server.Start().ok());
+
+  rpc::RpcClient client(fabric.CreateNic());
+  security::Capability cap;
+  cap.cap_id = 7;
+  cap.cid = storage::ContainerId{1};
+  cap.ops = security::kOpAll;
+  cap.expires_us = std::numeric_limits<std::int64_t>::max();
+  auto create = [&] {
+    return rpc::CallTyped<wire::ObjCreateRep>(client, server.nid(),
+                                              kOpObjCreate,
+                                              wire::ObjCreateReq{cap, 0});
+  };
+  auto data_stat = [&](const char* name) {
+    return server.metrics()->Snapshot().Get(std::string("rpc.data.") + name);
+  };
+  auto verifier_threads = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return verifiers;
+  };
+
+  // Cold cache: a worker served the create and made the verify call; the
+  // calling thread never did.
+  ASSERT_TRUE(create().ok());
+  EXPECT_EQ(data_stat("served"), 1u);
+  EXPECT_EQ(data_stat("inline"), 0u);
+  ASSERT_EQ(verifier_threads().size(), 1u);
+  EXPECT_NE(verifier_threads()[0], std::this_thread::get_id());
+  EXPECT_EQ(server.cap_cache().misses(), 1u);  // counted once, not twice
+
+  // Warm cache: served on this thread, no verify.
+  ASSERT_TRUE(create().ok());
+  EXPECT_EQ(data_stat("served"), 2u);
+  EXPECT_EQ(data_stat("inline"), 1u);
+  EXPECT_EQ(verifier_threads().size(), 1u);
+  EXPECT_EQ(server.cap_cache().hits(), 1u);
+
+  // Revocation: the back-pointer invalidation empties the cache, so the
+  // next create falls back to a worker, re-verifies, and is denied.
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    revoked = true;
+  }
+  const std::uint64_t ids[] = {cap.cap_id};
+  server.cap_cache().Invalidate(ids);
+  EXPECT_EQ(create().status().code(), ErrorCode::kPermissionDenied);
+  EXPECT_EQ(data_stat("inline"), 1u);
+  ASSERT_EQ(verifier_threads().size(), 2u);
+  EXPECT_NE(verifier_threads()[1], std::this_thread::get_id());
+  EXPECT_EQ(store.List(cap.cid)->size(), 2u);
+  server.Stop();
+  authz.Stop();
 }
 
 }  // namespace
