@@ -58,17 +58,12 @@ Status IoTicket::Await() {
   return status_;
 }
 
-util::SharedSlice IoTicket::TakeSlice() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::move(slice_);
-}
-
 Status StagingPool::Acquire(std::size_t n) {
   if (n > capacity_) n = capacity_;  // chunking should prevent this
   std::unique_lock<std::mutex> lock(mutex_);
   if (closed_) return Unavailable("staging pool closed");
   if (free_ < n) {
-    waits_.fetch_add(1, std::memory_order_relaxed);
+    waits_.Add();
     clock_->Wait(cv_, lock, [&] { return closed_ || free_ >= n; });
     if (closed_) return Unavailable("staging pool closed");
   }
@@ -124,42 +119,74 @@ void IoScheduler::Stop() {
 }
 
 std::shared_ptr<IoTicket> IoScheduler::Submit(storage::ObjectId oid,
-                                              bool is_write,
                                               std::uint64_t offset,
                                               std::uint64_t length,
                                               ServiceFn fn) {
-  if (!is_write) {
-    auto ticket = std::make_shared<IoTicket>();
-    Complete(*ticket, InvalidArgument("reads go through SubmitSliceRead"));
-    return ticket;
-  }
   return Enqueue(QueuedIo{PendingExtent{oid, true, offset, length},
-                          std::move(fn), nullptr, nullptr});
+                          std::move(fn), nullptr, nullptr},
+                 /*may_inline=*/false);
 }
 
-std::shared_ptr<IoTicket> IoScheduler::SubmitSliceRead(storage::ObjectId oid,
-                                                       std::uint64_t offset,
-                                                       std::uint64_t length,
-                                                       SliceReadFn reader) {
-  return Enqueue(QueuedIo{PendingExtent{oid, false, offset, length}, nullptr,
-                          std::move(reader), nullptr});
+Status IoScheduler::Write(storage::ObjectId oid, std::uint64_t offset,
+                          std::uint64_t length, ServiceFn fn) {
+  return Enqueue(QueuedIo{PendingExtent{oid, true, offset, length},
+                          std::move(fn), nullptr, nullptr},
+                 /*may_inline=*/true)
+      ->Await();
 }
 
-std::shared_ptr<IoTicket> IoScheduler::Enqueue(QueuedIo io) {
+Result<util::SharedSlice> IoScheduler::Read(storage::ObjectId oid,
+                                            std::uint64_t offset,
+                                            std::uint64_t length,
+                                            SliceReadFn reader) {
+  auto ticket = Enqueue(QueuedIo{PendingExtent{oid, false, offset, length},
+                                 nullptr, std::move(reader), nullptr},
+                        /*may_inline=*/true);
+  LWFS_RETURN_IF_ERROR(ticket->Await());
+  // Await observed the completion, which published the slice with it.
+  return std::move(ticket->slice_);
+}
+
+std::shared_ptr<IoTicket> IoScheduler::Enqueue(QueuedIo io, bool may_inline) {
   auto ticket = std::make_shared<IoTicket>();
   ticket->clock_ = clock_;
   io.ticket = ticket;
+  bool serve_here = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!running_ || stopping_) {
       Complete(*ticket, Unavailable("io scheduler stopped"));
       return ticket;
     }
-    queue_.push_back(std::move(io));
     requests_.Add();
-    queue_depth_.Set(queue_.size());
+    serve_here =
+        may_inline && !charges_medium_ && !in_service_ && queue_.empty();
+    if (serve_here) {
+      in_service_ = true;
+      inline_.Add();
+    } else {
+      queue_.push_back(std::move(io));
+      queue_depth_.Set(queue_.size());
+    }
   }
-  clock_->NotifyAll(cv_);
+  if (!serve_here) {
+    clock_->NotifyAll(cv_);
+    return ticket;
+  }
+  // Nothing to plan against and nothing to wait for: service the run here,
+  // through the same path a batch takes.
+  std::vector<QueuedIo> batch;
+  batch.push_back(std::move(io));
+  ServiceBatch(std::move(batch));
+  bool queued_meanwhile = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    in_service_ = false;
+    queued_meanwhile = !queue_.empty();
+  }
+  // Only arrivals during the run need the scheduler thread; waking it for
+  // nothing would cost the very handoff this path exists to skip.
+  if (queued_meanwhile) clock_->NotifyAll(cv_);
   return ticket;
 }
 
@@ -171,14 +198,22 @@ void IoScheduler::Loop() {
       // Nothing queued: the medium goes idle, and the next run's charge
       // starts from whenever that run arrives.
       if (queue_.empty()) medium_idle_ = true;
-      clock_->Wait(cv_, lock, [&] { return stopping_ || !queue_.empty(); });
+      // A batch waits out an inline run in service; stopping with nothing
+      // queued ends the loop even while an inline run finishes.
+      clock_->Wait(cv_, lock, [&] {
+        return (!queue_.empty() && !in_service_) ||
+               (stopping_ && queue_.empty());
+      });
       if (queue_.empty()) return;  // stopping and drained
       batch.swap(queue_);
       queue_depth_.Set(0);
+      in_service_ = true;
     }
-    // Everything that queued while the previous batch held the medium is
+    // Everything that queued while the previous run held the medium is
     // planned together — that accumulation is where coalescing comes from.
     ServiceBatch(std::move(batch));
+    std::lock_guard<std::mutex> lock(mutex_);
+    in_service_ = false;
   }
 }
 

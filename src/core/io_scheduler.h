@@ -1,19 +1,29 @@
 // Server-side I/O scheduler (§3.2: the server *directs* data movement).
 //
 // The storage server's data plane runs several RPC workers; each worker
-// queues its extents here instead of touching the modeled medium directly,
-// and every medium access of the server — client, chain-replica and repair
-// traffic alike — runs on this one executor.  A single scheduler thread
-// drains the queue in batches, merges adjacent/overlapping extents on the
-// same object into contiguous *runs*, services each object's runs in
-// ascending offset order (an elevator pass), and charges the modeled medium
-// once per run — one seek/op cost (`modeled_op_latency_us`) plus the run's
-// bytes at `modeled_disk_mb_s`.  Merging queued small strided accesses into
-// large contiguous ones is the dominant server-side win the
+// hands its extents to this scheduler instead of touching the modeled
+// medium directly, and every medium access of the server — client,
+// chain-replica and repair traffic alike — runs through this one
+// executor, one run at a time.  Extents that queue are drained by the
+// scheduler thread in batches: it merges adjacent/overlapping extents on
+// the same object into contiguous *runs*, services each object's runs in
+// ascending offset order (an elevator pass), and charges the modeled
+// medium once per run — one seek/op cost (`modeled_op_latency_us`) plus
+// the run's bytes at `modeled_disk_mb_s`.  Merging queued small strided
+// accesses into large contiguous ones is the dominant server-side win the
 // noncontiguous-I/O literature reports, and it is only possible because
 // requests queue at the server rather than being pushed through it in
 // arrival order.  With `coalesce` off the same executor services every
 // extent as its own run in arrival order — the per-request FIFO baseline.
+//
+// Queueing only pays when there is something to queue behind.  A
+// synchronous Write or Read that finds the queue empty, no run in
+// service, and no modeled medium time to charge is serviced on the
+// calling worker itself, as a one-member batch through the same
+// ServiceBatch (counted `inline`): no handoff to the scheduler thread and
+// none back.  One run is in service at a time, inline or batched, so
+// whatever arrives meanwhile still queues and is planned together; a
+// modeled medium always queues, so virtual-time results do not move.
 //
 // Staging memory is bounded by a StagingPool: a worker cannot pull bulk
 // bytes from a client (or materialize a read) until it has reserved pool
@@ -24,17 +34,17 @@
 // has.
 //
 // Two invariants keep the pool deadlock- and hang-free:
-//   1. No thread ever blocks in Acquire while holding a reservation.  The
-//      scheduler thread never acquires at all; a write worker's pipelined
-//      reservations are owned by its queued service fns (which the
-//      scheduler releases), and a read worker holds exactly one
-//      reservation, taken while it held none.
+//   1. No thread ever blocks in Acquire while holding a reservation.
+//      Servicing never acquires: the scheduler thread releases queued
+//      service fns' reservations, and an inline servicer holds only the
+//      reservation of the run it services.  A write worker's pipelined
+//      reservations are owned by its queued service fns, and a read
+//      worker holds exactly one reservation, taken while it held none.
 //   2. Close() wakes every blocked Acquire with kUnavailable, so shutdown
 //      can never hang on a waiter (StorageServer::Stop closes the pool
 //      before joining its data workers).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -83,16 +93,11 @@ std::vector<MergedRun> PlanRuns(std::span<const PendingExtent> batch,
                                 bool coalesce = true);
 
 /// Completion handle for one submitted extent.  The scheduler publishes the
-/// service status; the submitting worker blocks in Await.
+/// service status (and, for a read, the extent's sub-slice); the
+/// submitting worker blocks in Await.
 class IoTicket {
  public:
   Status Await();
-
-  /// Read submissions only: the extent's bytes as a ref-counted sub-slice
-  /// of the run's single store read.  Valid (possibly shorter than asked —
-  /// EOF — or empty) once Await returned OkStatus; moves the slice out, so
-  /// call it once.
-  [[nodiscard]] util::SharedSlice TakeSlice();
 
  private:
   friend class IoScheduler;
@@ -112,7 +117,7 @@ class IoTicket {
 /// reservation (see the deadlock invariant in the file comment); a caller
 /// that already holds one can only take more with the non-blocking
 /// TryAcquire.
-class StagingPool {
+class StagingPool : public metrics::Instrumented {
  public:
   explicit StagingPool(std::size_t capacity, util::Clock* clock = nullptr)
       : capacity_(capacity), clock_(util::OrReal(clock)), free_(capacity) {}
@@ -131,10 +136,6 @@ class StagingPool {
   void Close();
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// Times an Acquire had to wait — each is a burst the pool absorbed.
-  [[nodiscard]] std::uint64_t waits() const {
-    return waits_.load(std::memory_order_relaxed);
-  }
 
  private:
   const std::size_t capacity_;
@@ -143,7 +144,8 @@ class StagingPool {
   std::condition_variable cv_;
   std::size_t free_;
   bool closed_ = false;
-  std::atomic<std::uint64_t> waits_{0};
+  /// Times an Acquire had to wait — each is a burst the pool absorbed.
+  metrics::Counter waits_ = metrics_->counter("waits");
 };
 
 /// RAII releaser for a StagingPool reservation the caller has already
@@ -191,7 +193,10 @@ class IoScheduler : public metrics::Instrumented {
       std::uint64_t offset, std::uint64_t length)>;
 
   explicit IoScheduler(IoSchedulerOptions options)
-      : options_(options), clock_(util::OrReal(options.clock)) {}
+      : options_(options),
+        clock_(util::OrReal(options.clock)),
+        charges_medium_(options.modeled_disk_mb_s > 0 ||
+                        options.modeled_op_latency_us > 0) {}
   ~IoScheduler() { Stop(); }
 
   IoScheduler(const IoScheduler&) = delete;
@@ -203,21 +208,24 @@ class IoScheduler : public metrics::Instrumented {
   void Stop();
 
   /// Queue one WRITE extent; `fn` runs on the scheduler thread in elevator
-  /// order and the returned ticket resolves to its status.  Reads go
-  /// through SubmitSliceRead: a read submitted here fails with
-  /// kInvalidArgument.
-  std::shared_ptr<IoTicket> Submit(storage::ObjectId oid, bool is_write,
-                                   std::uint64_t offset, std::uint64_t length,
-                                   ServiceFn fn);
+  /// order and the returned ticket resolves to its status.  For a write
+  /// whose caller keeps later extents in flight behind it.
+  std::shared_ptr<IoTicket> Submit(storage::ObjectId oid, std::uint64_t offset,
+                                   std::uint64_t length, ServiceFn fn);
 
-  /// Queue one READ extent whose result is a store-owned slice.  `reader`
-  /// runs once per merged run and each member's ticket receives its
-  /// clamped sub-slice (TakeSlice).  A short run read (EOF inside the run)
-  /// yields correspondingly short or empty member slices.
-  std::shared_ptr<IoTicket> SubmitSliceRead(storage::ObjectId oid,
-                                            std::uint64_t offset,
-                                            std::uint64_t length,
-                                            SliceReadFn reader);
+  /// Service one WRITE extent and return its status.  An idle scheduler
+  /// with no modeled medium runs `fn` on the calling thread; otherwise the
+  /// extent queues exactly as Submit's and the caller waits for it.
+  Status Write(storage::ObjectId oid, std::uint64_t offset,
+               std::uint64_t length, ServiceFn fn);
+
+  /// Service one READ extent and return its bytes as a store-owned slice.
+  /// `reader` runs once per merged run and this extent gets its clamped
+  /// sub-slice, so a short run read (EOF inside the run) yields a short or
+  /// empty slice.  Serviced on the calling thread under the same
+  /// conditions as Write.
+  Result<util::SharedSlice> Read(storage::ObjectId oid, std::uint64_t offset,
+                                 std::uint64_t length, SliceReadFn reader);
 
  private:
   struct QueuedIo {
@@ -227,7 +235,11 @@ class IoScheduler : public metrics::Instrumented {
     std::shared_ptr<IoTicket> ticket;
   };
 
-  std::shared_ptr<IoTicket> Enqueue(QueuedIo io);
+  /// Admit one extent: queue it for the scheduler thread, or — when
+  /// `may_inline` and nothing is queued, in service or charged — service
+  /// it on the calling thread before returning.  Either way the ticket
+  /// resolves to the extent's result.
+  std::shared_ptr<IoTicket> Enqueue(QueuedIo io, bool may_inline);
   void Loop();
   void ServiceBatch(std::vector<QueuedIo> batch);
   /// Sleep out one run's modeled medium time.
@@ -236,19 +248,26 @@ class IoScheduler : public metrics::Instrumented {
 
   const IoSchedulerOptions options_;
   util::Clock* const clock_;
+  /// A run sleeps out modeled medium time; such a run always queues.
+  const bool charges_medium_;
 
   std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<QueuedIo> queue_;
   bool running_ = false;
   bool stopping_ = false;
+  /// A run (a batch on the scheduler thread, or an inline run on a
+  /// worker) holds the medium; nothing else starts until it clears.
+  bool in_service_ = false;
   std::thread thread_;
-  /// The modeled medium's busy horizon; scheduler thread only.
+  /// The modeled medium's busy horizon; scheduler thread only (an
+  /// inline run charges nothing).
   util::Clock::TimePoint medium_free_at_{};
   bool medium_idle_ = true;
 
   metrics::Counter requests_ = metrics_->counter("requests");
   metrics::Counter runs_ = metrics_->counter("runs");
+  metrics::Counter inline_ = metrics_->counter("inline");
   metrics::Counter merges_ = metrics_->counter("merges");
   metrics::Counter coalesced_bytes_ = metrics_->counter("coalesced_bytes");
   metrics::Gauge queue_depth_ = metrics_->gauge("queue_depth");

@@ -119,12 +119,13 @@ StorageServer::StorageServer(std::shared_ptr<portals::Nic> nic,
   metrics_->Attach("op", control_ops_.metrics());
   metrics_->Attach("replica_op", replica_ops_.metrics());
   metrics_->Attach("sched", scheduler_.metrics());
+  metrics_->Attach("staging", staging_.metrics());
   // Every capability-gated data op authorizes against the container the
   // capability itself names; the middleware runs this before any handler.
   data_ops_.SetAuthorizer([this](rpc::ServerContext& ctx,
                                  const security::Capability& cap,
                                  std::uint32_t needed_ops) {
-    return Authorize(ctx, cap, needed_ops, cap.cid);
+    return Authorize(ctx, cap, needed_ops);
   });
   // Forwarded chain hops carry the client's own capability (capabilities
   // are transferable, §3.1.2), so the replica portal authorizes exactly
@@ -132,7 +133,7 @@ StorageServer::StorageServer(std::shared_ptr<portals::Nic> nic,
   replica_ops_.SetAuthorizer([this](rpc::ServerContext& ctx,
                                     const security::Capability& cap,
                                     std::uint32_t needed_ops) {
-    return Authorize(ctx, cap, needed_ops, cap.cid);
+    return Authorize(ctx, cap, needed_ops);
   });
   RegisterDataHandlers();
   RegisterControlHandlers();
@@ -191,13 +192,9 @@ void StorageServer::Restart() {
 
 Status StorageServer::Authorize(rpc::ServerContext& ctx,
                                 const security::Capability& cap,
-                                std::uint32_t needed_ops,
-                                storage::ContainerId target_cid) {
-  // Cheap structural checks first: the capability must name the container
-  // and grant the operation class.
-  if (cap.cid != target_cid) {
-    return PermissionDenied("capability is for a different container");
-  }
+                                std::uint32_t needed_ops) {
+  // Cheap structural check first: the capability must grant the operation
+  // class.  Handlers act only on the container it names (CheckObject).
   if ((needed_ops & ~cap.ops) != 0) {
     return PermissionDenied("capability does not grant operation");
   }
@@ -304,13 +301,21 @@ Result<std::uint64_t> StorageServer::ScheduledWrite(rpc::ServerContext& ctx,
       if (first_error.ok()) first_error = pulled.status();
       break;
     }
-    pipeline.push_back(scheduler_.Submit(
-        oid, /*is_write=*/true, at, n,
-        [store = store_, oid, at, chunk = std::move(*pulled),
-         reservation]() -> Status {
-          return store->WriteSlice(oid, at, chunk);
-        }));
+    auto service = [store = store_, oid, at, chunk = std::move(*pulled),
+                    reservation]() -> Status {
+      return store->WriteSlice(oid, at, chunk);
+    };
     moved += n;
+    if (moved == total && pipeline.empty()) {
+      // Nothing of this request is left in flight: the last chunk needs no
+      // pipelining, so an idle server services it on this worker.
+      // Non-final chunks keep queueing, so the pull of chunk N+1 overlaps
+      // the store copy of chunk N.
+      Status s = scheduler_.Write(oid, at, n, std::move(service));
+      if (!s.ok() && first_error.ok()) first_error = std::move(s);
+      break;
+    }
+    pipeline.push_back(scheduler_.Submit(oid, at, n, std::move(service)));
     while (pipeline.size() >= kRequestPipelineDepth && first_error.ok()) {
       retire_oldest();
     }
@@ -336,14 +341,12 @@ Result<util::SharedSlice> StorageServer::ScheduledReadSlice(
   // and reply cache is bounded by the cache's eviction, not the pool.
   LWFS_RETURN_IF_ERROR(staging_.Acquire(static_cast<std::size_t>(want)));
   StagingReservation reservation(&staging_, static_cast<std::size_t>(want));
-  auto ticket = scheduler_.SubmitSliceRead(
+  return scheduler_.Read(
       oid, offset, want,
       [store = store_, oid](std::uint64_t off,
                             std::uint64_t len) -> Result<util::SharedSlice> {
         return store->ReadSlice(oid, off, len);
       });
-  LWFS_RETURN_IF_ERROR(ticket->Await());
-  return ticket->TakeSlice();
 }
 
 Result<std::uint64_t> StorageServer::ReplyWithScheduledRead(
@@ -652,12 +655,11 @@ Result<rpc::Void> StorageServer::HandleObjCreateAt(wire::ObjCreateAtReq& req) {
 Status StorageServer::ApplyChunk(storage::ObjectId oid, std::uint64_t offset,
                                  util::SharedSlice chunk) {
   const std::size_t n = chunk.size();
-  auto ticket = scheduler_.Submit(
-      oid, /*is_write=*/true, offset, n,
+  return scheduler_.Write(
+      oid, offset, n,
       [store = store_, oid, offset, chunk = std::move(chunk)]() -> Status {
         return store->WriteSlice(oid, offset, chunk);
       });
-  return ticket->Await();
 }
 
 Result<wire::ReplicaWriteRep> StorageServer::HandleReplicaWrite(

@@ -151,11 +151,6 @@ class StorageServer : public metrics::Instrumented {
   [[nodiscard]] txn::StagedParticipant& participant() { return participant_; }
   [[nodiscard]] storage::ObjectStore* store() { return store_; }
 
-  /// Times a data worker stalled waiting for staging memory.
-  [[nodiscard]] std::uint64_t staging_waits() const {
-    return staging_.waits();
-  }
-
   [[nodiscard]] std::vector<rpc::Opcode> registered_data_opcodes() const {
     return data_server_.RegisteredOpcodes();
   }
@@ -192,7 +187,7 @@ class StorageServer : public metrics::Instrumented {
   /// Authorize `cap` for `needed_ops`: structural checks, cache lookup,
   /// remote verify on miss — which an inline dispatch defers to a worker.
   Status Authorize(rpc::ServerContext& ctx, const security::Capability& cap,
-                   std::uint32_t needed_ops, storage::ContainerId target_cid);
+                   std::uint32_t needed_ops);
 
   /// Check that `oid` exists and belongs to `cap`'s container; returns the
   /// attribute.
@@ -205,16 +200,18 @@ class StorageServer : public metrics::Instrumented {
 
   /// The write data path: pull chunks as slices under staging
   /// reservations, submit one extent per chunk, retire a bounded
-  /// in-request pipeline.
+  /// in-request pipeline.  A final chunk with nothing in flight ahead of
+  /// it (every single-chunk write) goes through the synchronous
+  /// IoScheduler::Write instead.
   Result<std::uint64_t> ScheduledWrite(rpc::ServerContext& ctx,
                                        storage::ObjectId oid,
                                        std::uint64_t offset,
                                        std::uint64_t total);
 
-  /// The one read data path: submits ONE extent for the request, clamped
-  /// to the object's `size`, under a staging reservation; the scheduler
-  /// services the run containing it with a single store ReadSlice and
-  /// hands back this request's sub-slice.  The store's medium copy is the
+  /// The one read data path: reads ONE extent for the request, clamped
+  /// to the object's `size`, under a staging reservation through
+  /// IoScheduler::Read, which services the run containing it with a
+  /// single store ReadSlice and hands back this request's sub-slice.  The store's medium copy is the
   /// only copy.  obj_filter reduces the slice in place.
   Result<util::SharedSlice> ScheduledReadSlice(storage::ObjectId oid,
                                                std::uint64_t offset,

@@ -1,7 +1,8 @@
 // Server-side I/O scheduler: extent-merge planning (adjacent, overlapping,
 // out-of-order, cross-object), per-run medium accounting pinned through the
-// scheduler counters, staging-pool flow control, and the scheduled data
-// path end to end on a live runtime.
+// scheduler counters, which thread services a synchronous run (the caller
+// when idle and unmodeled, else the scheduler thread), staging-pool flow
+// control, and the scheduled data path end to end on a live runtime.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -114,7 +115,7 @@ TEST(IoSchedulerTest, ChargesMediumOncePerMergedRun) {
   std::promise<void> started;
   std::promise<void> release;
   auto released = release.get_future().share();
-  auto first = sched.Submit(storage::ObjectId{1}, true, 0, 64, [&] {
+  auto first = sched.Submit(storage::ObjectId{1}, 0, 64, [&] {
     started.set_value();
     released.wait();
     return OkStatus();
@@ -132,10 +133,10 @@ TEST(IoSchedulerTest, ChargesMediumOncePerMergedRun) {
   };
   // Three touching extents on object 2, submitted out of order, plus one
   // disjoint extent on object 3 — batch 2 must plan two runs.
-  auto a = sched.Submit(storage::ObjectId{2}, true, 8192, 4096, tracked(8192));
-  auto b = sched.Submit(storage::ObjectId{2}, true, 0, 4096, tracked(0));
-  auto c = sched.Submit(storage::ObjectId{2}, true, 4096, 4096, tracked(4096));
-  auto d = sched.Submit(storage::ObjectId{3}, true, 0, 4096, tracked(0));
+  auto a = sched.Submit(storage::ObjectId{2}, 8192, 4096, tracked(8192));
+  auto b = sched.Submit(storage::ObjectId{2}, 0, 4096, tracked(0));
+  auto c = sched.Submit(storage::ObjectId{2}, 4096, 4096, tracked(4096));
+  auto d = sched.Submit(storage::ObjectId{3}, 0, 4096, tracked(0));
   release.set_value();
 
   EXPECT_TRUE(first->Await().ok());
@@ -166,7 +167,7 @@ TEST(IoSchedulerTest, ChargesMediumOncePerMergedRun) {
 TEST(IoSchedulerTest, ResetStatsZeroesCountersIncludingHighWaterMark) {
   IoScheduler sched(core::IoSchedulerOptions{});
   sched.Start();
-  auto ticket = sched.Submit(storage::ObjectId{1}, true, 0, 10,
+  auto ticket = sched.Submit(storage::ObjectId{1}, 0, 10,
                              [] { return OkStatus(); });
   EXPECT_TRUE(ticket->Await().ok());
   EXPECT_GT(sched.metrics()->Snapshot().Get("requests"), 0u);
@@ -185,7 +186,7 @@ TEST(IoSchedulerTest, StopDrainsQueuedExtentsAndRejectsNewOnes) {
   std::atomic<int> serviced{0};
   std::vector<std::shared_ptr<core::IoTicket>> tickets;
   for (int i = 0; i < 16; ++i) {
-    tickets.push_back(sched->Submit(storage::ObjectId{1}, true,
+    tickets.push_back(sched->Submit(storage::ObjectId{1},
                                     static_cast<std::uint64_t>(i) * 10, 10,
                                     [&] {
                                       serviced.fetch_add(1);
@@ -195,9 +196,221 @@ TEST(IoSchedulerTest, StopDrainsQueuedExtentsAndRejectsNewOnes) {
   sched->Stop();
   for (auto& t : tickets) EXPECT_TRUE(t->Await().ok());
   EXPECT_EQ(serviced.load(), 16);
-  auto late = sched->Submit(storage::ObjectId{1}, true, 0, 10,
+  auto late = sched->Submit(storage::ObjectId{1}, 0, 10,
                             [] { return OkStatus(); });
   EXPECT_EQ(late->Await().code(), ErrorCode::kUnavailable);
+}
+
+// An idle scheduler with no modeled medium has nothing to plan and nothing
+// to charge: a synchronous write runs on the caller, as one counted run.
+TEST(IoSchedulerTest, IdleUnmodeledWriteRunsOnTheCallingThread) {
+  IoScheduler sched(core::IoSchedulerOptions{});
+  sched.Start();
+  std::thread::id serviced_on;
+  EXPECT_TRUE(sched
+                  .Write(storage::ObjectId{1}, 0, 64,
+                         [&] {
+                           serviced_on = std::this_thread::get_id();
+                           return OkStatus();
+                         })
+                  .ok());
+  EXPECT_EQ(serviced_on, std::this_thread::get_id());
+  const metrics::Snapshot stats = sched.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("requests"), 1u);
+  EXPECT_EQ(stats.Get("runs"), 1u);
+  EXPECT_EQ(stats.Get("inline"), 1u);
+  EXPECT_EQ(stats.Total("queue_depth").high_water, 0u);
+  sched.Stop();
+}
+
+TEST(IoSchedulerTest, IdleUnmodeledReadRunsOnTheCallingThread) {
+  IoScheduler sched(core::IoSchedulerOptions{});
+  sched.Start();
+  const Buffer stored = PatternBuffer(256, 3);
+  std::thread::id serviced_on;
+  auto slice = sched.Read(
+      storage::ObjectId{1}, 64, 128,
+      [&](std::uint64_t off, std::uint64_t len) -> Result<util::SharedSlice> {
+        serviced_on = std::this_thread::get_id();
+        return util::SharedSlice::External(
+            ByteSpan(stored.data() + off, static_cast<std::size_t>(len)));
+      });
+  ASSERT_TRUE(slice.ok());
+  EXPECT_EQ(serviced_on, std::this_thread::get_id());
+  EXPECT_EQ(Buffer(slice->span().begin(), slice->span().end()),
+            Buffer(stored.begin() + 64, stored.begin() + 192));
+  const metrics::Snapshot stats = sched.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("runs"), 1u);
+  EXPECT_EQ(stats.Get("inline"), 1u);
+  sched.Stop();
+}
+
+// A run that charges modeled medium time always queues, so the medium's
+// busy horizon stays with the one scheduler thread.
+TEST(IoSchedulerTest, ModeledMediumRunsOnTheSchedulerThread) {
+  core::IoSchedulerOptions options;
+  options.modeled_op_latency_us = 1;
+  IoScheduler sched(options);
+  sched.Start();
+  std::thread::id wrote_on;
+  std::thread::id read_on;
+  EXPECT_TRUE(sched
+                  .Write(storage::ObjectId{1}, 0, 64,
+                         [&] {
+                           wrote_on = std::this_thread::get_id();
+                           return OkStatus();
+                         })
+                  .ok());
+  EXPECT_TRUE(sched
+                  .Read(storage::ObjectId{1}, 0, 64,
+                        [&](std::uint64_t, std::uint64_t)
+                            -> Result<util::SharedSlice> {
+                          read_on = std::this_thread::get_id();
+                          return util::SharedSlice{};
+                        })
+                  .ok());
+  EXPECT_NE(wrote_on, std::thread::id{});
+  EXPECT_NE(wrote_on, std::this_thread::get_id());
+  EXPECT_EQ(read_on, wrote_on);
+  const metrics::Snapshot stats = sched.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("runs"), 2u);
+  EXPECT_EQ(stats.Get("inline"), 0u);
+  sched.Stop();
+}
+
+// Synchronous runs that arrive while a batch holds the medium queue behind
+// it and are planned together: touching writes merge into one run, and
+// touching reads share one store read.
+TEST(IoSchedulerTest, SynchronousRunsQueueBehindABatchInServiceAndMerge) {
+  IoScheduler sched(core::IoSchedulerOptions{});
+  sched.Start();
+
+  std::promise<void> started;
+  std::promise<void> release;
+  auto released = release.get_future().share();
+  auto first = sched.Submit(storage::ObjectId{1}, 0, 64, [&] {
+    started.set_value();
+    released.wait();
+    return OkStatus();
+  });
+  started.get_future().wait();  // scheduler is now inside batch 1
+
+  std::mutex order_mutex;
+  std::vector<std::uint64_t> service_order;
+  std::atomic<int> store_reads{0};
+  const Buffer stored = PatternBuffer(8192, 9);
+  std::vector<std::thread> writers;
+  for (std::uint64_t offset : {8192u, 0u, 4096u}) {
+    writers.emplace_back([&, offset] {
+      EXPECT_TRUE(sched
+                      .Write(storage::ObjectId{2}, offset, 4096,
+                             [&, offset] {
+                               std::lock_guard<std::mutex> lock(order_mutex);
+                               service_order.push_back(offset);
+                               return OkStatus();
+                             })
+                      .ok());
+    });
+  }
+  std::vector<std::promise<Result<util::SharedSlice>>> read_results(2);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < read_results.size(); ++r) {
+    readers.emplace_back([&, r] {
+      read_results[r].set_value(sched.Read(
+          storage::ObjectId{3}, r * 4096, 4096,
+          [&](std::uint64_t off,
+              std::uint64_t len) -> Result<util::SharedSlice> {
+            store_reads.fetch_add(1);
+            return util::SharedSlice::External(ByteSpan(
+                stored.data() + off, static_cast<std::size_t>(len)));
+          }));
+    });
+  }
+  // All five queue behind the stalled batch before it ends.
+  while (sched.metrics()->Snapshot().Get("queue_depth") < 5) {
+    util::RealClockInstance()->SleepFor(std::chrono::milliseconds(1));
+  }
+  release.set_value();
+  for (auto& t : writers) t.join();
+  for (auto& t : readers) t.join();
+  EXPECT_TRUE(first->Await().ok());
+
+  for (std::size_t r = 0; r < read_results.size(); ++r) {
+    auto slice = read_results[r].get_future().get();
+    ASSERT_TRUE(slice.ok());
+    const auto at = static_cast<std::ptrdiff_t>(r * 4096);
+    EXPECT_EQ(Buffer(slice->span().begin(), slice->span().end()),
+              Buffer(stored.begin() + at, stored.begin() + at + 4096));
+  }
+  EXPECT_EQ(store_reads.load(), 1);
+  const metrics::Snapshot stats = sched.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("requests"), 6u);
+  EXPECT_EQ(stats.Get("inline"), 0u);
+  // Batch 1, the merged object-2 writes, the merged object-3 reads.
+  EXPECT_EQ(stats.Get("runs"), 3u);
+  EXPECT_EQ(stats.Get("merges"), 3u);
+  {
+    std::lock_guard<std::mutex> lock(order_mutex);
+    EXPECT_EQ(service_order, (std::vector<std::uint64_t>{0, 4096, 8192}));
+  }
+  sched.Stop();
+}
+
+// Stop while a worker services an inline run: what queued behind the run
+// is still serviced once it ends, then the scheduler thread joins and
+// later runs are refused.
+TEST(IoSchedulerTest, StopDuringAnInlineRunDrainsTheQueueAndJoins) {
+  IoScheduler sched(core::IoSchedulerOptions{});
+  sched.Start();
+
+  std::promise<void> started;
+  std::promise<void> release;
+  auto released = release.get_future().share();
+  std::promise<Status> inline_status;
+  std::thread servicer([&] {
+    inline_status.set_value(sched.Write(storage::ObjectId{1}, 0, 64, [&] {
+      started.set_value();
+      released.wait();
+      return OkStatus();
+    }));
+  });
+  started.get_future().wait();  // the worker is inside its inline run
+
+  std::atomic<int> serviced{0};
+  std::vector<std::shared_ptr<core::IoTicket>> queued;
+  for (int i = 0; i < 4; ++i) {
+    queued.push_back(sched.Submit(storage::ObjectId{2},
+                                  static_cast<std::uint64_t>(i) * 10, 10,
+                                  [&] {
+                                    serviced.fetch_add(1);
+                                    return OkStatus();
+                                  }));
+  }
+  std::atomic<bool> stop_called{false};
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    stop_called.store(true);
+    sched.Stop();
+    stopped.store(true);
+  });
+  while (!stop_called.load()) std::this_thread::yield();
+  util::RealClockInstance()->SleepFor(std::chrono::milliseconds(20));
+  // The queue cannot drain while the inline run holds the medium.
+  EXPECT_FALSE(stopped.load());
+  EXPECT_EQ(serviced.load(), 0);
+
+  release.set_value();
+  stopper.join();
+  servicer.join();
+  EXPECT_TRUE(inline_status.get_future().get().ok());
+  for (auto& t : queued) EXPECT_TRUE(t->Await().ok());
+  EXPECT_EQ(serviced.load(), 4);
+  const metrics::Snapshot stats = sched.metrics()->Snapshot();
+  EXPECT_EQ(stats.Get("inline"), 1u);
+  EXPECT_EQ(stats.Get("runs"), 2u);  // the inline run, the merged batch
+  EXPECT_EQ(sched.Write(storage::ObjectId{1}, 0, 10, [] { return OkStatus(); })
+                .code(),
+            ErrorCode::kUnavailable);
 }
 
 TEST(StagingPoolTest, AcquireBlocksUntilSpaceIsReleased) {
@@ -213,7 +426,7 @@ TEST(StagingPoolTest, AcquireBlocksUntilSpaceIsReleased) {
   pool.Release(80);
   waiter.join();
   EXPECT_TRUE(acquired.load());
-  EXPECT_EQ(pool.waits(), 1u);
+  EXPECT_EQ(pool.metrics()->Snapshot().Get("waits"), 1u);
   pool.Release(50);
 }
 
@@ -353,6 +566,47 @@ TEST(SchedServerTest, SchedulerOffPathStillRoundTrips) {
   EXPECT_EQ(stats.Get("sched.runs"), stats.Get("sched.requests"));
   EXPECT_EQ(stats.Get("sched.merges"), 0u);
   EXPECT_EQ(stats.Get("sched.coalesced_bytes"), 0u);
+}
+
+// On an idle server with no modeled medium a single-chunk write and a read
+// are each serviced on their worker, while a multi-chunk write keeps every
+// chunk queued so the pull of chunk N+1 overlaps the store copy of chunk N.
+TEST(SchedServerTest, SingleChunkRunsServiceInlineMultiChunkWritesQueue) {
+  core::RuntimeOptions options;
+  options.storage_servers = 1;
+  options.storage.bulk_chunk_bytes = 64 << 10;
+  auto runtime = core::ServiceRuntime::Start(options).value();
+  runtime->AddUser("u", "pw", 1);
+  auto client = runtime->MakeClient();
+  auto cred = client->Login("u", "pw").value();
+  auto cid = client->CreateContainer(cred).value();
+  auto cap = client->GetCap(cred, cid, security::kOpAll).value();
+  auto oid = client->CreateObject(0, cap).value();
+  const auto& sched = runtime->storage_server(0).metrics();
+
+  // Nothing has queued yet, so the scheduler thread holds no run.
+  const Buffer small = PatternBuffer(64 << 10, 11);
+  ASSERT_TRUE(client->WriteObject(0, cap, oid, 0, ByteSpan(small)).ok());
+  metrics::Snapshot stats = sched->Snapshot();
+  EXPECT_EQ(stats.Get("sched.requests"), 1u);
+  EXPECT_EQ(stats.Get("sched.inline"), 1u);
+  auto back = testio::ReadObjectBytes(*client, 0, cap, oid, 0, small.size());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, small);
+  stats = sched->Snapshot();
+  EXPECT_EQ(stats.Get("sched.requests"), 2u);
+  EXPECT_EQ(stats.Get("sched.inline"), 2u);
+  EXPECT_EQ(stats.Total("sched.queue_depth").high_water, 0u);
+
+  const Buffer large = PatternBuffer(4 * (64 << 10), 12);  // 4 chunks
+  ASSERT_TRUE(client->WriteObject(0, cap, oid, 0, ByteSpan(large)).ok());
+  stats = sched->Snapshot();
+  EXPECT_EQ(stats.Get("sched.requests"), 6u);
+  EXPECT_EQ(stats.Get("sched.inline"), 2u);
+  EXPECT_GE(stats.Total("sched.queue_depth").high_water, 1u);
+  back = testio::ReadObjectBytes(*client, 0, cap, oid, 0, large.size());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, large);
 }
 
 // Multi-chunk requests squeeze through a staging pool clamped to the
