@@ -8,13 +8,17 @@
 // the workload uses.
 //
 // Reports, per payload size: bytes-copied-per-byte (the CopyStats budget:
-// staging + store copies) in each direction, per-kind copy bytes, and
-// end-to-end write/read throughput.  Emits BENCH_zerocopy.json.
+// staging + store copies) in each direction, per-kind copy bytes, payload
+// bytes streamed through a standalone CRC (one not fused into a copy) per
+// byte on the client and on the server, and end-to-end write/read
+// throughput.  Emits BENCH_zerocopy.json.
 //
 // `--smoke` shrinks the workload to sanitizer-CI scale and doubles as the
 // bench-regression gate: the process exits nonzero if a slice path's
 // copies-per-byte exceeds its budget (a copy snuck back into the data
-// path) or if the span path stops costing measurably more.
+// path), if the span path stops costing measurably more, or if the server
+// runs a standalone CRC over a slice write made of whole extents (its
+// check belongs inside the store copy).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +27,7 @@
 
 #include "bench_util.h"
 #include "core/runtime.h"
+#include "storage/object_store.h"
 #include "util/clock.h"
 #include "util/shared_buffer.h"
 
@@ -36,6 +41,10 @@ constexpr double kWriteCopyBudget = 1.25;
 // Same bound on the read side: the slice read's only budgeted copy is the
 // medium-store one; the reply frame hands the same bytes to the client.
 constexpr double kReadCopyBudget = 1.25;
+// A slice write whose pieces are whole extents is checked inside the
+// store's copy: no standalone CRC pass on the server.  (A partial-extent
+// piece is checked first and then copied, one pass more.)
+constexpr double kWholeExtentServerCrcBudget = 0.0;
 
 struct SizeResult {
   std::size_t payload_bytes = 0;
@@ -49,7 +58,15 @@ struct SizeResult {
   std::uint64_t store_bytes[2] = {0, 0};
   std::uint64_t read_stage_bytes[2] = {0, 0};
   std::uint64_t read_store_bytes[2] = {0, 0};
+  // Standalone-CRC bytes per payload byte: [mode][side], side 0 = client.
+  double write_crc[2][2] = {{0, 0}, {0, 0}};
+  double read_crc[2][2] = {{0, 0}, {0, 0}};
 };
+
+double CrcPerByte(const util::CopySnapshot& d, util::CrcSide side,
+                  double total) {
+  return static_cast<double>(d.crc_bytes_of(side)) / total;
+}
 
 struct ModeSetup {
   const char* name;
@@ -104,6 +121,8 @@ Result<SizeResult> RunSize(std::size_t payload_bytes, int iters) {
     r.write_mb_s[mode] = total / 1e6 / write_s;
     r.stage_bytes[mode] = wd.bytes_of(util::CopyKind::kStage);
     r.store_bytes[mode] = wd.bytes_of(util::CopyKind::kStore);
+    r.write_crc[mode][0] = CrcPerByte(wd, util::CrcSide::kClient, total);
+    r.write_crc[mode][1] = CrcPerByte(wd, util::CrcSide::kServer, total);
 
     // Read phase A/B: both modes issue the same slice read; the span mode
     // then copies the reply slice into its buffer, while the slice mode
@@ -151,6 +170,8 @@ Result<SizeResult> RunSize(std::size_t payload_bytes, int iters) {
     r.read_mb_s[mode] = total / 1e6 / read_s;
     r.read_stage_bytes[mode] = rd.bytes_of(util::CopyKind::kStage);
     r.read_store_bytes[mode] = rd.bytes_of(util::CopyKind::kStore);
+    r.read_crc[mode][0] = CrcPerByte(rd, util::CrcSide::kClient, total);
+    r.read_crc[mode][1] = CrcPerByte(rd, util::CrcSide::kServer, total);
     if (!kModes[mode].slice_api && out != pattern) {
       return DataLoss("bench read back wrong bytes");
     }
@@ -185,12 +206,15 @@ void DumpJson(const std::vector<SizeResult>& results, bool smoke) {
       std::fprintf(out,
                    "      \"%s\": {\n"
                    "        \"write_copies_per_byte\": %.3f,\n"
+                   "        \"write_client_crc_per_byte\": %.3f,\n"
+                   "        \"write_server_crc_per_byte\": %.3f,\n"
                    "        \"write_mb_s\": %.1f,\n"
                    "        \"read_mb_s\": %.1f,\n"
                    "        \"stage_bytes\": %llu,\n"
                    "        \"store_bytes\": %llu\n"
                    "      },\n",
-                   kModes[m].name, r.write_cpb[m], r.write_mb_s[m],
+                   kModes[m].name, r.write_cpb[m], r.write_crc[m][0],
+                   r.write_crc[m][1], r.write_mb_s[m],
                    r.read_mb_s[m],
                    static_cast<unsigned long long>(r.stage_bytes[m]),
                    static_cast<unsigned long long>(r.store_bytes[m]));
@@ -201,11 +225,14 @@ void DumpJson(const std::vector<SizeResult>& results, bool smoke) {
       std::fprintf(out,
                    "        \"%s\": {\n"
                    "          \"copies_per_byte\": %.3f,\n"
+                   "          \"client_crc_per_byte\": %.3f,\n"
+                   "          \"server_crc_per_byte\": %.3f,\n"
                    "          \"mb_s\": %.1f,\n"
                    "          \"stage_bytes\": %llu,\n"
                    "          \"store_bytes\": %llu\n"
                    "        }%s\n",
-                   kModes[m].name, r.read_cpb[m], r.read_mb_s[m],
+                   kModes[m].name, r.read_cpb[m], r.read_crc[m][0],
+                   r.read_crc[m][1], r.read_mb_s[m],
                    static_cast<unsigned long long>(r.read_stage_bytes[m]),
                    static_cast<unsigned long long>(r.read_store_bytes[m]),
                    m == 0 ? "," : "");
@@ -239,8 +266,9 @@ int main(int argc, char** argv) {
 
   bench::PrintHeader(
       "Zero-copy data path: span API vs slice API, one server path");
-  std::printf("%10s %10s | %-8s %11s %11s %11s %11s\n", "payload", "iters",
-              "mode", "w copies/B", "write MB/s", "r copies/B", "read MB/s");
+  std::printf("%10s %10s | %-8s %11s %13s %11s %11s %13s %11s\n", "payload",
+              "iters", "mode", "w copies/B", "w crc/B c|s", "write MB/s",
+              "r copies/B", "r crc/B c|s", "read MB/s");
 
   std::vector<SizeResult> results;
   for (const SizeSpec& s : sizes) {
@@ -250,9 +278,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (int m = 0; m < 2; ++m) {
-      std::printf("%10zu %10d | %-8s %11.3f %11.1f %11.3f %11.1f\n", s.bytes,
-                  s.iters, kModes[m].name, r->write_cpb[m], r->write_mb_s[m],
-                  r->read_cpb[m], r->read_mb_s[m]);
+      std::printf(
+          "%10zu %10d | %-8s %11.3f   %5.3f|%5.3f %11.1f %11.3f   %5.3f|%5.3f "
+          "%11.1f\n",
+          s.bytes, s.iters, kModes[m].name, r->write_cpb[m],
+          r->write_crc[m][0], r->write_crc[m][1], r->write_mb_s[m],
+          r->read_cpb[m], r->read_crc[m][0], r->read_crc[m][1],
+          r->read_mb_s[m]);
     }
     results.push_back(*r);
   }
@@ -280,6 +312,16 @@ int main(int argc, char** argv) {
                      r.write_cpb[0], r.write_cpb[1], r.payload_bytes);
         return 1;
       }
+      if (r.payload_bytes % storage::kExtentBytes == 0 &&
+          r.write_crc[1][1] > kWholeExtentServerCrcBudget) {
+        std::fprintf(stderr,
+                     "FAIL: the server streamed %.3f bytes per byte of a "
+                     "whole-extent slice write at %zu B through a standalone "
+                     "CRC (budget %.3f) — the check left the store copy\n",
+                     r.write_crc[1][1], r.payload_bytes,
+                     kWholeExtentServerCrcBudget);
+        return 1;
+      }
       if (r.read_cpb[1] > kReadCopyBudget) {
         std::fprintf(stderr,
                      "FAIL: slice read path copies %.3f bytes per byte read "
@@ -299,8 +341,9 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "copy budget check: slice write within %.2f and slice read "
-        "within %.2f copies/byte\n",
-        kWriteCopyBudget, kReadCopyBudget);
+        "within %.2f copies/byte; whole-extent slice write server CRC "
+        "within %.3f bytes/byte\n",
+        kWriteCopyBudget, kReadCopyBudget, kWholeExtentServerCrcBudget);
   }
   return 0;
 }

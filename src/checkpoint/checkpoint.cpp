@@ -1,5 +1,6 @@
 #include "checkpoint/checkpoint.h"
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <optional>
@@ -150,18 +151,22 @@ Result<CheckpointStats> LwfsCheckpoint::Run(
 
   // CHECKPOINT() body (Figure 8 lines 2-3): every rank creates and dumps
   // its own object on server r % m.  Each rank is a WritePipeline state
-  // machine (create → stream → done); one carrier thread drives them all
-  // over the asynchronous RPC engine with `window` armed completions in
-  // flight — the blocking API is a thin wrapper over the same event-driven
-  // path the petascale harness scales to a million ranks.
+  // machine (create → stream → done) driven over the asynchronous RPC
+  // engine — the blocking API is a thin wrapper over the same event-driven
+  // path the petascale harness scales to a million ranks.  The ranks run
+  // on min(ranks, window) carriers, rank r on carrier r % carriers, so a
+  // rank's per-byte work (its write's checksum pass) runs on its own
+  // thread, as on its own compute node.  The window is split across the
+  // carriers, so it still bounds the outstanding requests in total, and
+  // window 1 is one carrier with one request in flight: a serial dump.
   std::vector<storage::ObjectId> oids(nranks);
   std::vector<std::uint32_t> heads(nranks, 0);  // metadata server_index
   std::vector<bool> dumped(nranks, false);
   auto t_creates_done = t_start;
 
   driver::EngineOptions eng_options;
-  eng_options.carriers = 1;
-  eng_options.max_inflight_per_carrier = window;
+  eng_options.carriers = std::min<std::size_t>(nranks, window);
+  eng_options.max_inflight_per_carrier = window / eng_options.carriers;
   eng_options.clock = clock;
   driver::Engine engine(eng_options);
   std::vector<WritePipeline*> machines;
@@ -196,6 +201,7 @@ Result<CheckpointStats> LwfsCheckpoint::Run(
     errors.Record(m.result());
   }
   errors.Record(engine_status);  // carrier-level failures (stalled machine)
+  const driver::EngineStats engine_stats = engine.stats();
   const double create_phase_s = Seconds(t_start, t_creates_done);
 
   // Metadata gather (Figure 8 line 7): each rank contributes its
@@ -283,6 +289,8 @@ Result<CheckpointStats> LwfsCheckpoint::Run(
   stats.dump_seconds = stats.seconds - stats.create_seconds;
   for (const util::SharedSlice& s : states) stats.bytes += s.size();
   stats.creates = created;
+  stats.carriers = static_cast<std::uint32_t>(engine_stats.carriers);
+  stats.peak_requests = engine_stats.peak_inflight;
   return stats;
 }
 

@@ -43,6 +43,10 @@ struct CheckpointStats {
   double dump_seconds = 0;     // data dump phase only
   std::uint64_t bytes = 0;     // application bytes written
   std::uint64_t creates = 0;   // files/objects created
+  /// LWFS checkpoints only: threads that drove the ranks, and the most
+  /// rank requests (creates and writes) that were in flight at once.
+  std::uint32_t carriers = 0;
+  std::uint64_t peak_requests = 0;
   [[nodiscard]] double throughput_mb_s() const {
     return seconds > 0 ? static_cast<double>(bytes) / 1e6 / seconds : 0;
   }

@@ -5,8 +5,8 @@
 // driver::LogicalClient so that one carrier thread can interleave
 // thousands of ranks' pipelines over the asynchronous RPC engine.  The
 // blocking LwfsCheckpoint::Run is a thin wrapper: it builds one pipeline
-// per rank and drives them on a single-carrier engine whose in-flight cap
-// is the checkpoint window.
+// per rank and drives them on min(ranks, window) carriers that share the
+// checkpoint window as their in-flight cap.
 //
 // Stages (each entered only when the previous one's reply resolved):
 //

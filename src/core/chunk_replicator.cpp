@@ -44,7 +44,7 @@ Result<RepairScanSummary> ChunkReplicator::RunScan() {
     if (registry != nullptr) ScanRegistry(registry, &sum);
   }
 
-  ++scans_;
+  scans_.Add();
   totals_.entries += sum.entries;
   totals_.stale_members += sum.stale_members;
   totals_.repaired += sum.repaired;

@@ -35,6 +35,7 @@
 #include "naming/replica_map.h"
 #include "rpc/rpc.h"
 #include "util/bytes.h"
+#include "util/metrics.h"
 #include "util/status.h"
 
 namespace lwfs::core {
@@ -55,7 +56,8 @@ struct RepairScanSummary {
   std::uint64_t bytes_copied = 0;   // survivor bytes moved
 };
 
-class ChunkReplicator {
+/// Counts its scans in the registry cell `scans`.
+class ChunkReplicator : public metrics::Instrumented {
  public:
   /// `registry` must outlive the replicator; `storage_nids[i]` is server
   /// index i's nid (same indexing as the replica chains).
@@ -76,7 +78,7 @@ class ChunkReplicator {
   /// one scan at a time.
   Result<RepairScanSummary> RunScan();
 
-  [[nodiscard]] std::uint64_t scans() const { return scans_; }
+  [[nodiscard]] std::uint64_t scans() const { return scans_.value(); }
   [[nodiscard]] const RepairScanSummary& totals() const { return totals_; }
   [[nodiscard]] const ChunkReplicatorOptions& options() const {
     return options_;
@@ -94,7 +96,7 @@ class ChunkReplicator {
   ChunkReplicatorOptions options_;
   rpc::RpcClient rpc_;
 
-  std::uint64_t scans_ = 0;
+  metrics::Counter scans_ = metrics_->counter("scans");
   RepairScanSummary totals_;
 };
 

@@ -25,18 +25,6 @@ bool FailoverWorthy(const Status& status) {
 
 namespace {
 
-/// Registers `data` for the server's pull: an owned slice by reference (no
-/// staging anywhere), a borrowed (External) one as a raw span — the portals
-/// layer only exposes owned slices by reference, so the fabric stages
-/// those bytes once.
-void SetBulkOut(rpc::CallOptions& options, const util::SharedSlice& data) {
-  if (data.owned()) {
-    options.bulk_out_slice = data;
-  } else {
-    options.bulk_out = data.span();
-  }
-}
-
 /// A read reply's bytes: the count comes from the body, the bytes from the
 /// bulk that rode the reply frame.
 Result<util::SharedSlice> ResolveSliceRead(const rpc::CallHandle& handle,
@@ -235,7 +223,7 @@ Status PendingReplicatedWrite::Issue() {
     // one stays pinned by `data_` until the call (and any failover
     // reissue) completes.
     rpc::CallOptions options;
-    SetBulkOut(options, data_);
+    options.bulk_out_slice = data_;
     auto handle = rpc::CallTypedAsync(client_->rpc_, *head, kOpReplicaWrite,
                                       req, options);
     if (handle.ok()) {
@@ -645,21 +633,42 @@ Result<PendingIo> Client::WriteObjectAsync(std::uint32_t server,
                                            const security::Capability& cap,
                                            storage::ObjectId oid,
                                            std::vector<WritePiece> pieces) {
+  for (const WritePiece& piece : pieces) {
+    // The servers refuse such a piece too; refusing it here keeps its
+    // piece checksums from being cut at a wrapped offset.
+    if (piece.offset > storage::kMaxObjectBytes ||
+        piece.data.size() > storage::kMaxObjectBytes - piece.offset) {
+      return InvalidArgument("extent ends past the largest object size");
+    }
+  }
   auto nid = StorageNid(server);
   if (!nid.ok()) return nid.status();
   PendingIo io;
   io.issued_ = true;
   io.handles_.reserve(pieces.size());
   for (const WritePiece& piece : pieces) {
+    // The write's one checksum pass, on the issuing thread: a CRC per
+    // storage::kExtentBytes piece for the server's store to verify, folded
+    // into the header checksum, which then costs no second pass.  A
+    // single-piece payload that carries a cached CRC costs none at all.
+    wire::ObjWriteReq req{cap, oid.value, piece.offset, {}};
+    util::SharedSlice data = piece.data;
+    const std::size_t n = data.size();
+    if (storage::PieceCount(piece.offset, n) == 1 && data.has_cached_crc()) {
+      req.piece_crcs = {data.cached_crc()};
+    } else if (n > 0) {
+      LWFS_COUNT_CRC(util::CrcSide::kClient, n);
+      req.piece_crcs = storage::PieceCrcs(piece.offset, data.span());
+      data.SetCachedCrc(
+          storage::CombinePieceCrcs(piece.offset, n, req.piece_crcs));
+    }
     // An owned slice is registered by reference; the NIC match entry holds
     // a ref until the call completes, so the bytes survive even if the
-    // caller drops the slice.
+    // caller drops the slice.  A borrowed one registers as a raw span, and
+    // the fabric stages its bytes once.
     rpc::CallOptions options;
-    SetBulkOut(options, piece.data);
-    auto handle = rpc::CallTypedAsync(
-        rpc_, *nid, kOpObjWrite, wire::ObjWriteReq{cap, oid.value,
-                                                   piece.offset},
-        options);
+    options.bulk_out_slice = data;
+    auto handle = rpc::CallTypedAsync(rpc_, *nid, kOpObjWrite, req, options);
     if (!handle.ok()) return DrainAfter(io, handle.status());
     io.handles_.push_back(std::move(*handle));
     io.written_ += piece.data.size();

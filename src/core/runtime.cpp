@@ -232,16 +232,23 @@ Result<std::unique_ptr<ServiceRuntime>> ServiceRuntime::Start(
   metrics::Registry& tree = *rt->metrics_;
   tree.Attach("fabric", rt->fabric_.metrics());
   tree.Attach("authn", rt->authn_server_->metrics());
+  tree.Attach("authn", rt->authn_service_->metrics());
   tree.Attach("authz", rt->authz_server_->metrics());
   tree.Attach("authz", rt->authz_service_->metrics());
   tree.Attach("locks", rt->lock_server_->metrics());
+  tree.Attach("locks", rt->lock_table_.metrics());
+  tree.Attach("replicator", rt->replicator_->metrics());
   for (std::uint32_t i = 0; i < rt->naming_servers_.size(); ++i) {
     tree.Attach("naming." + std::to_string(i),
                 rt->naming_servers_[i]->metrics());
+    tree.Attach("naming." + std::to_string(i) + ".replica_map",
+                rt->replica_maps_[i]->metrics());
   }
   for (std::uint32_t i = 0; i < rt->standby_servers_.size(); ++i) {
     tree.Attach("naming_standby." + std::to_string(i),
                 rt->standby_servers_[i]->metrics());
+    tree.Attach("naming_standby." + std::to_string(i) + ".replica_map",
+                rt->standby_replica_maps_[i]->metrics());
   }
   for (std::size_t i = 0; i < rt->storage_servers_.size(); ++i) {
     tree.Attach("storage." + std::to_string(i),

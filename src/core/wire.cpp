@@ -75,8 +75,9 @@ std::vector<rpc::CodecCase> CoreWireCases() {
   // Storage data plane.
   cases.push_back(rpc::MakeCodecCase("obj_create_req", ObjCreateReq{cap, 12}));
   cases.push_back(rpc::MakeCodecCase("obj_create_rep", ObjCreateRep{907}));
-  cases.push_back(
-      rpc::MakeCodecCase("obj_write_req", ObjWriteReq{cap, 907, 4096}));
+  cases.push_back(rpc::MakeCodecCase(
+      "obj_write_req",
+      ObjWriteReq{cap, 907, 4096, {0xDEADBEEF, 0x01020304}}));
   cases.push_back(rpc::MakeCodecCase("io_moved_rep", IoMovedRep{65536}));
   cases.push_back(
       rpc::MakeCodecCase("obj_read_req", ObjReadReq{cap, 907, 0, 65536}));

@@ -132,11 +132,16 @@ struct ObjCreateRep {
   LWFS_CODEC(ObjCreateRep, oid)
 };
 
+/// The payload rides the bulk pull.  `piece_crcs` holds one CRC per
+/// storage::kExtentBytes piece of it (storage::PieceCrcs), folded into the
+/// request header's payload checksum; the server's store verifies each
+/// piece inside its copy and publishes nothing that fails.
 struct ObjWriteReq {
   security::Capability cap;
   std::uint64_t oid = 0;
   std::uint64_t offset = 0;
-  LWFS_CODEC(ObjWriteReq, cap, oid, offset)
+  std::vector<std::uint32_t> piece_crcs;
+  LWFS_CODEC(ObjWriteReq, cap, oid, offset, piece_crcs)
 };
 
 /// Bytes actually moved through the bulk path (writes and reads).

@@ -30,6 +30,14 @@ void Context::WakeOnComplete(rpc::CallHandle& handle) const {
     ++c.inflight;
     ++c.clients[local_].pending_wakes;
   }
+  const std::uint64_t now_inflight =
+      engine_->inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
+  std::uint64_t peak =
+      engine_->peak_inflight_.load(std::memory_order_relaxed);
+  while (peak < now_inflight &&
+         !engine_->peak_inflight_.compare_exchange_weak(
+             peak, now_inflight, std::memory_order_relaxed)) {
+  }
   // Outside the carrier lock: the callback may run inline (call already
   // complete) and CompletionWake takes the lock itself.
   handle.OnComplete([engine = engine_, ci = carrier_,
@@ -90,7 +98,10 @@ void Engine::CompletionWake(std::size_t ci, std::uint32_t local) {
   {
     std::lock_guard<std::mutex> g(c.mu);
     ClientRec& rec = c.clients[local];
-    if (c.inflight > 0) --c.inflight;
+    if (c.inflight > 0) {
+      --c.inflight;
+      inflight_.fetch_sub(1, std::memory_order_relaxed);
+    }
     if (rec.pending_wakes > 0) --rec.pending_wakes;
     ++c.completion_wakes;
     if (!rec.queued && !rec.done) {
@@ -211,6 +222,8 @@ Status Engine::Run() {
 EngineStats Engine::stats() const {
   // Valid once Run() returned (carriers joined — no concurrent writers).
   EngineStats s;
+  s.carriers = carriers_.size();
+  s.peak_inflight = peak_inflight_.load(std::memory_order_relaxed);
   for (const auto& c : carriers_) {
     s.clients += c->clients.size();
     s.done += c->done_count;

@@ -25,6 +25,7 @@
 // RPC engine's per-tick bookkeeping.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -118,6 +119,10 @@ struct EngineStats {
   std::uint64_t completion_wakes = 0;
   std::uint64_t timer_fires = 0;
   std::uint64_t clients_per_carrier = 0;  // largest shard
+  std::uint64_t carriers = 0;
+  /// Most completion wakes armed at once across every carrier — the peak
+  /// number of outstanding requests the machines had in flight.
+  std::uint64_t peak_inflight = 0;
 };
 
 /// Carrier-pool scheduler.  Add() all clients, then Run() once: it spawns
@@ -178,6 +183,8 @@ class Engine {
   EngineOptions options_;
   util::Clock* clock_;
   std::vector<std::unique_ptr<Carrier>> carriers_;
+  std::atomic<std::uint64_t> inflight_{0};  // armed wakes, all carriers
+  std::atomic<std::uint64_t> peak_inflight_{0};
   std::uint64_t next_id_ = 0;
   bool ran_ = false;
 };

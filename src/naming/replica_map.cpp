@@ -101,7 +101,7 @@ Result<ReplicaPlacement> ReplicaMap::Lookup(storage::ObjectId oid) const {
                           [&](std::uint32_t member) {
                             return it->second.stale.count(member) == 0;
                           });
-    if (placement.chain != it->second.chain) ++stale_demotions_;
+    if (placement.chain != it->second.chain) stale_demotions_.Add();
   }
   return placement;
 }
@@ -216,8 +216,7 @@ std::vector<ReplicaPlacement> ReplicaMap::Snapshot() const {
 }
 
 std::uint64_t ReplicaMap::stale_demotions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stale_demotions_;
+  return stale_demotions_.value();
 }
 
 Status ReplicaMap::Replay(const OpRecord& record) {

@@ -26,6 +26,7 @@
 
 #include "naming/op_log.h"
 #include "storage/ids.h"
+#include "util/metrics.h"
 #include "util/status.h"
 
 namespace lwfs::naming {
@@ -64,7 +65,9 @@ struct ReplicaAuditCounts {
   std::uint64_t stale_members = 0;
 };
 
-class ReplicaMap {
+/// Counts read-path stale demotions in the registry cell
+/// `stale_demotions`.
+class ReplicaMap : public metrics::Instrumented {
  public:
   /// `oplog`, when set, records every committed registry mutation before
   /// the mutating call returns (see NamingService: commit-before-ack, so a
@@ -138,7 +141,7 @@ class ReplicaMap {
   std::uint64_t next_seq_ = 1;
   std::map<storage::ObjectId, Entry> entries_;
   OpLog* oplog_ = nullptr;  // guarded by mutex_; appended under the lock
-  mutable std::uint64_t stale_demotions_ = 0;
+  metrics::Counter stale_demotions_ = metrics_->counter("stale_demotions");
 };
 
 }  // namespace lwfs::naming

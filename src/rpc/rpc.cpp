@@ -536,17 +536,17 @@ Result<CallHandle> RpcClient::CallAsync(portals::Nid server, Opcode opcode,
   const ByteSpan bulk_out = options.bulk_out_slice.empty()
                                 ? options.bulk_out
                                 : options.bulk_out_slice.span();
-  if (!options.bulk_out_slice.empty()) {
+  if (options.bulk_out_slice.owned()) {
     auto me = nic_->AttachSlice(kBulkPortal, request_id, 0,
                                 options.bulk_out_slice, nullptr);
     if (!me.ok()) return me.status();
     state->out_region = portals::RegisteredRegion(nic_, *me);
-  } else if (!options.bulk_out.empty()) {
+  } else if (!bulk_out.empty()) {
     portals::MeOptions opts;
     opts.allow_get = true;
     // Attach treats the span as mutable but a get-only entry never writes.
-    MutableByteSpan span(const_cast<std::uint8_t*>(options.bulk_out.data()),
-                         options.bulk_out.size());
+    MutableByteSpan span(const_cast<std::uint8_t*>(bulk_out.data()),
+                         bulk_out.size());
     auto me = nic_->Attach(kBulkPortal, request_id, 0, span, opts, nullptr);
     if (!me.ok()) return me.status();
     state->out_region = portals::RegisteredRegion(nic_, *me);
@@ -560,13 +560,15 @@ Result<CallHandle> RpcClient::CallAsync(portals::Nid server, Opcode opcode,
     state->in_region = portals::RegisteredRegion(nic_, *me);
   }
 
-  // A slice's producer-cached CRC (e.g. a chain hop forwarding bytes it
-  // just verified) stands in for re-streaming the payload.
+  // A slice's producer-cached CRC (a writer's folded piece CRCs, a chain
+  // hop forwarding the checksum it was sent) stands in for re-streaming
+  // the payload.
   std::uint32_t bulk_out_crc = 0;
   if (!options.bulk_out_slice.empty() &&
       options.bulk_out_slice.has_cached_crc()) {
     bulk_out_crc = options.bulk_out_slice.cached_crc();
   } else if (!bulk_out.empty()) {
+    LWFS_COUNT_CRC(util::CrcSide::kClient, bulk_out.size());
     bulk_out_crc = Crc32(bulk_out);
   }
   Encoder enc;
@@ -655,6 +657,11 @@ Result<Buffer> RpcClient::ResolveReply(
   if (*bulk_len > 0) {
     auto bulk = cur.TakeSlice(static_cast<std::size_t>(*bulk_len));
     if (!bulk.ok()) return Internal("malformed rpc reply bulk");
+    // A bulk part without its producer's cached CRC was streamed through
+    // the trailer check.
+    if (!bulk->has_cached_crc()) {
+      LWFS_COUNT_CRC(util::CrcSide::kClient, bulk->size());
+    }
     state.reply_bulk = std::move(*bulk);
   }
   auto push_crc = cur.GetU32();
@@ -673,6 +680,7 @@ Result<Buffer> RpcClient::ResolveReply(
       bulk_crc_failures_.Add();
       return DataLoss("reply claims more pushed bytes than registered");
     }
+    LWFS_COUNT_CRC(util::CrcSide::kClient, *push_bytes);
     const std::uint32_t got =
         Crc32(ByteSpan(state.bulk_in.data(), *push_bytes));
     if (got != *push_crc) {
@@ -845,11 +853,6 @@ Status ServerContext::PullBulk(MutableByteSpan out, std::size_t offset) {
   // PullBulkSlice is the uncounted (zero-copy) alternative.
   LWFS_COUNT_COPY(util::CopyKind::kStage, out.size());
   total_pulled_ += out.size();
-  if (pulled_in_order_ && offset == pulled_.bytes()) {
-    pulled_.Update(ByteSpan(out.data(), out.size()));
-  } else {
-    pulled_in_order_ = false;
-  }
   return s;
 }
 
@@ -865,11 +868,6 @@ Result<util::SharedSlice> ServerContext::PullBulkSlice(std::size_t length,
   }
   if (!got.ok()) return got.status();
   total_pulled_ += length;
-  if (pulled_in_order_ && offset == pulled_.bytes()) {
-    pulled_.Update(got->span());
-  } else {
-    pulled_in_order_ = false;
-  }
   return got;
 }
 
@@ -885,6 +883,7 @@ Status ServerContext::PushBulk(ByteSpan data, std::size_t offset) {
   LWFS_COUNT_COPY(util::CopyKind::kStage, data.size());
   total_pushed_ += data.size();
   if (pushed_in_order_ && offset == pushed_.bytes()) {
+    LWFS_COUNT_CRC(util::CrcSide::kServer, data.size());
     pushed_.Update(data);
   } else {
     pushed_in_order_ = false;
@@ -900,18 +899,6 @@ Status ServerContext::PushBulkSlice(util::SharedSlice data) {
   total_pushed_ += data.size();
   reply_bulk_bytes_ += data.size();
   reply_bulk_.push_back(std::move(data));
-  return OkStatus();
-}
-
-Status ServerContext::VerifyPulledPayload() {
-  if (bulk_out_len_ == 0) return OkStatus();
-  if (!pulled_in_order_ || pulled_.bytes() != bulk_out_len_) {
-    return DataLoss("bulk payload not fully pulled in order, cannot verify");
-  }
-  if (pulled_.value() != bulk_out_crc_) {
-    pulled_crc_failed_ = true;
-    return DataLoss("bulk write payload failed checksum");
-  }
   return OkStatus();
 }
 
@@ -1142,6 +1129,13 @@ bool RpcServer::Serve(const portals::Event& event, bool inline_dispatch) {
       // bulk_len 0 — so the client never aliases bytes of a failed read.
       reply_bulk_bytes = ctx.reply_bulk_bytes();
       reply_bulk = ctx.TakeReplyBulk();
+      // The frame trailer folds a part's cached CRC in; one without it is
+      // streamed through the checksum once more.
+      for (const util::SharedSlice& part : reply_bulk) {
+        if (!part.has_cached_crc()) {
+          LWFS_COUNT_CRC(util::CrcSide::kServer, part.size());
+        }
+      }
     }
   }
   // Only requests that reach a handler count as served: retransmits the

@@ -164,7 +164,10 @@ struct CallOptions {
   /// server pull.  The NIC holds a reference for the life of the call, and
   /// the server's PullBulkSlice gets sub-slices of these very bytes — no
   /// staging copy, and the payload stays valid even if the call times out
-  /// while the server is still reading.  Takes precedence over bulk_out.
+  /// while the server is still reading.  A borrowed (External) slice
+  /// registers as a raw span, like bulk_out.  Either way its cached CRC,
+  /// if any, is the request header's payload checksum.  Takes precedence
+  /// over bulk_out.
   util::SharedSlice bulk_out_slice{};
   /// Registered for server *push* (a read destination).
   MutableByteSpan bulk_in{};
@@ -526,8 +529,9 @@ class ServerContext {
   /// Server-directed *pull*: fetch [offset, offset+out.size()) of the
   /// client's registered write payload into server memory.  Gets are
   /// idempotent, so injected losses (kTimeout) are retried a few times
-  /// before surfacing.  Sequential pulls from offset 0 are CRC-accumulated
-  /// for VerifyPulledPayload().
+  /// before surfacing.  A pull does not checksum: the handler checks the
+  /// bytes against bulk_out_crc() where it uses them — the storage server
+  /// inside its store copy (storage::ObjectStore::Stage).
   Status PullBulk(MutableByteSpan out, std::size_t offset = 0);
 
   /// Zero-copy pull: when the client registered an owned slice
@@ -535,7 +539,7 @@ class ServerContext {
   /// client's own payload bytes — no staging buffer, no copy, and the
   /// reference keeps the bytes alive however long the server holds them.
   /// A raw-span registration degrades to one counted staging copy.  Same
-  /// retry and CRC-accumulation semantics as PullBulk.
+  /// retry semantics as PullBulk, and no checksum either.
   Result<util::SharedSlice> PullBulkSlice(std::size_t length,
                                           std::size_t offset = 0);
 
@@ -565,15 +569,12 @@ class ServerContext {
     return reply_bulk_bytes_;
   }
 
-  /// After pulling the client's entire payload: check it against the
-  /// checksum the client sent in the request header.  Corruption on the
-  /// bulk wire surfaces as kDataLoss (the client application retries).
-  [[nodiscard]] Status VerifyPulledPayload();
-  /// The checksum the client sent for its payload; once
-  /// VerifyPulledPayload() passed, the CRC of the pulled bytes too.
+  /// The checksum the client sent for its whole payload (0 = none).
   [[nodiscard]] std::uint32_t bulk_out_crc() const { return bulk_out_crc_; }
-  /// True once VerifyPulledPayload() found the pulled bytes did not match
-  /// that checksum (the server's bulk_crc_failures).
+  /// The handler found the pulled bytes did not match their checksum: the
+  /// server counts it in bulk_crc_failures (the client sees the handler's
+  /// kDataLoss and retries).
+  void NotePayloadCorrupt() { pulled_crc_failed_ = true; }
   [[nodiscard]] bool pulled_crc_failed() const { return pulled_crc_failed_; }
 
   /// Checksum/length of everything pushed so far, in push order (0/0 when
@@ -603,8 +604,6 @@ class ServerContext {
   std::uint32_t bulk_out_crc_;
   bool inline_dispatch_;
   bool deferred_ = false;
-  Crc32Accumulator pulled_;
-  bool pulled_in_order_ = true;
   bool pulled_crc_failed_ = false;
   Crc32Accumulator pushed_;
   bool pushed_in_order_ = true;

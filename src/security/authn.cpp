@@ -63,10 +63,7 @@ Result<Credential> AuthnService::Login(const std::string& principal,
 }
 
 Result<Uid> AuthnService::Verify(const Credential& cred) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++verify_count_;
-  }
+  verify_count_.Add();
   if (cred.instance != instance_) {
     return Unauthenticated("credential from a different service instance");
   }
@@ -128,8 +125,7 @@ void AuthnService::SetRevocationObserver(
 }
 
 std::uint64_t AuthnService::verify_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return verify_count_;
+  return verify_count_.value();
 }
 
 }  // namespace lwfs::security

@@ -15,6 +15,7 @@
 #include <unordered_set>
 
 #include "security/types.h"
+#include "util/metrics.h"
 #include "util/status.h"
 
 namespace lwfs::security {
@@ -58,8 +59,9 @@ struct AuthnOptions {
   NowFn now = SystemNowUs;
 };
 
-/// Issues and verifies credentials.  Thread-safe.
-class AuthnService {
+/// Issues and verifies credentials.  Thread-safe.  Counts its verifies
+/// in the registry cell `verifies`.
+class AuthnService : public metrics::Instrumented {
  public:
   AuthnService(ExternalAuthenticator* external, SipKey key,
                AuthnOptions options = {});
@@ -93,7 +95,7 @@ class AuthnService {
 
   mutable std::mutex mutex_;
   std::uint64_t next_cred_id_ = 1;
-  std::uint64_t verify_count_ = 0;
+  metrics::Counter verify_count_ = metrics_->counter("verifies");
   std::unordered_map<std::uint64_t, Uid> live_;  // cred_id -> uid
   std::unordered_set<std::uint64_t> revoked_;
   std::function<void(std::uint64_t)> revocation_observer_;

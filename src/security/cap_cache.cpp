@@ -7,7 +7,7 @@ bool CapCache::Lookup(const Capability& cap, std::int64_t now_us,
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(cap.cap_id);
   if (it == entries_.end()) {
-    if (count_miss) ++misses_;
+    if (count_miss) misses_.Add();
     return false;
   }
   const Capability& cached = it->second;
@@ -18,10 +18,10 @@ bool CapCache::Lookup(const Capability& cap, std::int64_t now_us,
                          cached.tag == cap.tag;
   if (!identical || cap.expires_us <= now_us) {
     if (cap.expires_us <= now_us && identical) entries_.erase(it);
-    if (count_miss) ++misses_;
+    if (count_miss) misses_.Add();
     return false;
   }
-  ++hits_;
+  hits_.Add();
   return true;
 }
 
@@ -40,14 +40,8 @@ void CapCache::Clear() {
   entries_.clear();
 }
 
-std::uint64_t CapCache::hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-std::uint64_t CapCache::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
+std::uint64_t CapCache::hits() const { return hits_.value(); }
+std::uint64_t CapCache::misses() const { return misses_.value(); }
 std::size_t CapCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();

@@ -15,10 +15,13 @@
 #include <unordered_map>
 
 #include "security/types.h"
+#include "util/metrics.h"
 
 namespace lwfs::security {
 
-class CapCache {
+/// Its hit and miss tallies are the cells `hits` and `misses` of its
+/// registry (the storage server mounts it as `cap_cache`).
+class CapCache : public metrics::Instrumented {
  public:
   /// True iff `cap` is byte-identical to a cached, verified capability and
   /// is not expired at `now_us`.  A caller that will look the same
@@ -43,8 +46,8 @@ class CapCache {
  private:
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, Capability> entries_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  metrics::Counter hits_ = metrics_->counter("hits");
+  metrics::Counter misses_ = metrics_->counter("misses");
 };
 
 }  // namespace lwfs::security

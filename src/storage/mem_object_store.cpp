@@ -3,6 +3,7 @@
 
 #include "storage/object_store.h"
 #include "util/buffer_pool.h"
+#include "util/crc32.h"
 
 namespace lwfs::storage {
 
@@ -61,13 +62,26 @@ MemObjectStore::ExtentMem MemObjectStore::TakeExtentLocked() {
   return mem;
 }
 
+void MemObjectStore::RetireExtentLocked(ExtentMem mem) {
+  if (mem && free_extents_.size() < kMaxFreeExtents) {
+    free_extents_.push_back(std::move(mem));
+  }
+}
+
 void MemObjectStore::ReleaseExtentsLocked(Object& obj, std::size_t first) {
   for (std::size_t i = first; i < obj.extents.size(); ++i) {
-    if (obj.extents[i].mem && free_extents_.size() < kMaxFreeExtents) {
-      free_extents_.push_back(std::move(obj.extents[i].mem));
-    }
+    RetireExtentLocked(std::move(obj.extents[i].mem));
   }
   if (first < obj.extents.size()) obj.extents.resize(first);
+}
+
+void MemObjectStore::CopyIntoLocked(ExtentSlot& ext, std::size_t lo,
+                                    const std::uint8_t* src, std::size_t len) {
+  if (!ext.mem) ext.mem = TakeExtentLocked();
+  // A gap between the defined prefix and this write must read as zero.
+  if (lo > ext.valid) std::memset(ext.mem.get() + ext.valid, 0, lo - ext.valid);
+  std::memcpy(ext.mem.get() + lo, src, len);
+  ext.valid = std::max(ext.valid, lo + len);
 }
 
 std::vector<ByteSpan> MemObjectStore::GatherLocked(const Object& obj,
@@ -106,21 +120,96 @@ Status MemObjectStore::Write(ObjectId oid, std::uint64_t offset,
     LWFS_COUNT_COPY(util::CopyKind::kStore, data.size());
     const std::uint8_t* src = data.data();
     for (std::uint64_t pos = offset; pos < end;) {
-      const auto lo = static_cast<std::size_t>(pos % kExtentBytes);
-      const auto len = static_cast<std::size_t>(
-          std::min<std::uint64_t>(kExtentBytes - lo, end - pos));
-      ExtentSlot& ext =
-          obj.extents[static_cast<std::size_t>(pos / kExtentBytes)];
-      if (!ext.mem) ext.mem = TakeExtentLocked();
-      // A gap between the defined prefix and this write must read as zero.
-      if (lo > ext.valid) {
-        std::memset(ext.mem.get() + ext.valid, 0, lo - ext.valid);
-      }
-      std::memcpy(ext.mem.get() + lo, src, len);
-      ext.valid = std::max(ext.valid, lo + len);
+      const auto len = static_cast<std::size_t>(PieceLength(pos, end));
+      CopyIntoLocked(obj.extents[static_cast<std::size_t>(pos / kExtentBytes)],
+                     static_cast<std::size_t>(pos % kExtentBytes), src, len);
       src += len;
       pos += len;
     }
+  }
+  obj.size = std::max(obj.size, end);
+  ++obj.version;
+  return OkStatus();
+}
+
+Result<StagedWrite> MemObjectStore::Stage(
+    ObjectId oid, std::uint64_t offset, const util::SharedSlice& data,
+    std::span<const std::uint32_t> crcs) {
+  LWFS_RETURN_IF_ERROR(detail::CheckPieceCrcs(offset, data.size(), crcs));
+  StagedWrite staged{oid, offset, data, {}};
+  const std::uint64_t end = offset + data.size();
+  // Whole-extent pieces: one extent each, taken up front.
+  std::size_t whole = 0;
+  for (std::uint64_t pos = offset; pos < end;) {
+    const std::uint64_t len = PieceLength(pos, end);
+    if (len == kExtentBytes) ++whole;
+    pos += len;
+  }
+  if (whole > 0) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < whole; ++i) {
+      staged.extents.push_back(TakeExtentLocked());
+    }
+  }
+
+  // Outside the lock, one pass per byte: a whole extent is copied into its
+  // unpublished extent with the CRC fused into the copy; a partial piece
+  // is only checksummed here, and Publish copies it in place.
+  std::vector<std::uint32_t> have;
+  have.reserve(PieceCount(offset, data.size()));
+  const std::uint8_t* src = data.data();
+  std::size_t next = 0;
+  for (std::uint64_t pos = offset; pos < end;) {
+    const auto len = static_cast<std::size_t>(PieceLength(pos, end));
+    if (len == kExtentBytes) {
+      have.push_back(Crc32Final(Crc32CopyUpdate(
+          Crc32Init(), staged.extents[next++].get(), src, len)));
+    } else {
+      LWFS_COUNT_CRC(util::CrcSide::kServer, len);
+      have.push_back(Crc32(ByteSpan(src, len)));
+    }
+    src += len;
+    pos += len;
+  }
+  Status verified = detail::MatchPieceCrcs(offset, data.size(), have, crcs);
+  if (!verified.ok()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (ExtentMem& mem : staged.extents) RetireExtentLocked(std::move(mem));
+    return verified;
+  }
+  return staged;
+}
+
+Status MemObjectStore::Publish(StagedWrite staged) {
+  if (staged.data.empty()) return Write(staged.oid, staged.offset, {});
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = objects_.find(staged.oid);
+  if (it == objects_.end()) {
+    for (ExtentMem& mem : staged.extents) RetireExtentLocked(std::move(mem));
+    return NotFound("no such object");
+  }
+  Object& obj = it->second;
+  const std::uint64_t end = staged.offset + staged.data.size();
+  const auto last = static_cast<std::size_t>((end - 1) / kExtentBytes);
+  if (obj.extents.size() <= last) obj.extents.resize(last + 1);
+  // The store-medium copy: the write path's one budgeted copy (for whole
+  // extents it ran in Stage, fused with the check).
+  LWFS_COUNT_COPY(util::CopyKind::kStore, staged.data.size());
+  const std::uint8_t* src = staged.data.data();
+  std::size_t next = 0;
+  for (std::uint64_t pos = staged.offset; pos < end;) {
+    const auto len = static_cast<std::size_t>(PieceLength(pos, end));
+    ExtentSlot& ext = obj.extents[static_cast<std::size_t>(pos / kExtentBytes)];
+    if (len == kExtentBytes) {
+      RetireExtentLocked(std::move(ext.mem));
+      ext.mem = std::move(staged.extents[next++]);
+      ext.valid = kExtentBytes;
+    } else {
+      CopyIntoLocked(ext, static_cast<std::size_t>(pos % kExtentBytes), src,
+                     len);
+    }
+    src += len;
+    pos += len;
   }
   obj.size = std::max(obj.size, end);
   ++obj.version;

@@ -32,7 +32,7 @@ Result<LockId> LockTable::TryAcquire(const LockKey& key,
   LockId id = next_lock_id_++;
   state.held.push_back(Held{id, range, mode, owner});
   lock_index_[id] = key;
-  ++grants_;
+  grants_.Add();
   return id;
 }
 
@@ -55,7 +55,7 @@ LockId LockTable::AcquireBlocking(const LockKey& key, const LockRange& range,
   LockId id = next_lock_id_++;
   s.held.push_back(Held{id, range, mode, owner});
   lock_index_[id] = key;
-  ++grants_;
+  grants_.Add();
   // Another waiter may now be grantable (e.g. a shared reader behind us).
   cv_.notify_all();
   return id;
@@ -112,9 +112,6 @@ std::size_t LockTable::waiting_count() const {
   return n;
 }
 
-std::uint64_t LockTable::grants() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return grants_;
-}
+std::uint64_t LockTable::grants() const { return grants_.value(); }
 
 }  // namespace lwfs::txn

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "storage/ids.h"
+#include "util/metrics.h"
 #include "util/status.h"
 
 namespace lwfs::txn {
@@ -40,7 +41,8 @@ inline constexpr LockRange kWholeResource{0, ~0ULL};
 using LockId = std::uint64_t;
 using LockOwner = std::uint64_t;  // client identity (nid or uid)
 
-class LockTable {
+/// Counts its grants in the registry cell `grants`.
+class LockTable : public metrics::Instrumented {
  public:
   /// Grant immediately or fail with kResourceExhausted ("would block").
   /// Fairness: fails when earlier waiters are queued on the same key, even
@@ -91,7 +93,7 @@ class LockTable {
   std::condition_variable cv_;
   std::uint64_t next_lock_id_ = 1;
   std::uint64_t next_ticket_ = 1;
-  std::uint64_t grants_ = 0;
+  metrics::Counter grants_ = metrics_->counter("grants");
   std::map<LockKey, KeyState> keys_;
   std::unordered_map<LockId, LockKey> lock_index_;
 };

@@ -14,8 +14,6 @@
 // itself alive until the last outstanding slice dies.
 #pragma once
 
-#include <algorithm>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -42,7 +40,7 @@ class ReadBufferPool : public std::enable_shared_from_this<ReadBufferPool> {
   /// copy as `kind`.  When the last reference drops — on any thread — the
   /// block returns to the pool.
   ///
-  /// The copy is fused with a CRC pass in cache-sized chunks: the checksum
+  /// The copy is fused with a CRC pass (Crc32CopyUpdate): the checksum
   /// reads bytes the memcpy just wrote while they are still warm, and the
   /// result is attached to the slice (SetCachedCrc) so the reply frame's
   /// trailer can Crc32Combine it instead of re-streaming the payload from
@@ -63,14 +61,9 @@ class ReadBufferPool : public std::enable_shared_from_this<ReadBufferPool> {
     Block blk = Take(total);
     std::uint8_t* dst = blk.mem.get();
     std::uint32_t crc = Crc32Init();
-    constexpr std::size_t kFuseChunk = 128u << 10;  // well inside L2
     for (ByteSpan part : parts) {
-      for (std::size_t off = 0; off < part.size(); off += kFuseChunk) {
-        const std::size_t n = std::min(kFuseChunk, part.size() - off);
-        std::memcpy(dst, part.data() + off, n);
-        crc = Crc32Update(crc, dst, n);
-        dst += n;
-      }
+      crc = Crc32CopyUpdate(crc, dst, part.data(), part.size());
+      dst += part.size();
     }
     LWFS_COUNT_COPY(kind, total);
     const std::uint8_t* data = blk.mem.get();

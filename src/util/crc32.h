@@ -253,6 +253,24 @@ inline std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
   return crc_a ^ crc_b;
 }
 
+/// Copy `size` bytes from `src` to `dst` and extend `crc` (state form, as
+/// Crc32Update) over them in the same pass: the copy runs in cache-sized
+/// chunks and the checksum reads each chunk from `dst` while it is still
+/// warm, so the bytes stream from memory once instead of twice.  This is
+/// the one fused kernel behind the store's write and the read pool's copy
+/// out; `dst` and `src` must not overlap.
+inline std::uint32_t Crc32CopyUpdate(std::uint32_t crc, std::uint8_t* dst,
+                                     const std::uint8_t* src,
+                                     std::size_t size) {
+  constexpr std::size_t kFuseChunk = 128u << 10;  // well inside L2
+  for (std::size_t off = 0; off < size; off += kFuseChunk) {
+    const std::size_t n = size - off < kFuseChunk ? size - off : kFuseChunk;
+    std::memcpy(dst + off, src + off, n);
+    crc = Crc32Update(crc, dst + off, n);
+  }
+  return crc;
+}
+
 /// Streaming accumulator for data that arrives in ordered chunks (the
 /// server's sequential bulk pulls/pushes).
 class Crc32Accumulator {

@@ -129,6 +129,11 @@ struct Counter {
   void Sub(std::uint64_t n) const {
     cell_->a.fetch_sub(n, std::memory_order_relaxed);
   }
+  /// The running total: a component's own accessor reads the same cell a
+  /// Snapshot does.
+  [[nodiscard]] std::uint64_t value() const {
+    return cell_->a.load(std::memory_order_relaxed);
+  }
 
   detail::Cell* cell_;  // owned by a Registry
 };

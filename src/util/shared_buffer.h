@@ -14,7 +14,10 @@
 //
 // `CopyStats` counts every payload memcpy the process performs, by
 // category, so tests can assert the paper's "at most one copy" budget and
-// the bench-regression smoke can fail when a copy sneaks back in.  Call
+// the bench-regression smoke can fail when a copy sneaks back in.  Beside
+// the copies it counts the payload bytes streamed through a *standalone*
+// CRC — a checksum pass not fused into a copy, which reads the bytes from
+// memory once more — by the side of the transfer that ran it.  Call
 // sites compile to nothing unless LWFS_COUNT_COPIES is defined (the default
 // build defines it; see the top-level CMakeLists option).
 #pragma once
@@ -50,16 +53,30 @@ enum class CopyKind : int {
 };
 inline constexpr int kCopyKinds = 5;
 
+/// Which end of a bulk transfer ran a standalone payload CRC: the client
+/// (the side that registered the payload or the read region) or the
+/// server (the side that pulls, stores or pushes it).
+enum class CrcSide : int {
+  kClient = 0,
+  kServer = 1,
+};
+inline constexpr int kCrcSides = 2;
+
 /// Snapshot of the process-global copy counters.
 struct CopySnapshot {
   std::uint64_t copies[kCopyKinds] = {};
   std::uint64_t bytes[kCopyKinds] = {};
+  /// Payload bytes streamed through a standalone CRC, per side.
+  std::uint64_t crc_bytes[kCrcSides] = {};
 
   [[nodiscard]] std::uint64_t copies_of(CopyKind k) const {
     return copies[static_cast<int>(k)];
   }
   [[nodiscard]] std::uint64_t bytes_of(CopyKind k) const {
     return bytes[static_cast<int>(k)];
+  }
+  [[nodiscard]] std::uint64_t crc_bytes_of(CrcSide side) const {
+    return crc_bytes[static_cast<int>(side)];
   }
   /// Bytes charged against the bulk-path copy budget: staging + store
   /// copies.  (Encode/deliver cover small control frames; injected copies
@@ -73,6 +90,9 @@ struct CopySnapshot {
     for (int i = 0; i < kCopyKinds; ++i) {
       d.copies[i] = copies[i] - base.copies[i];
       d.bytes[i] = bytes[i] - base.bytes[i];
+    }
+    for (int i = 0; i < kCrcSides; ++i) {
+      d.crc_bytes[i] = crc_bytes[i] - base.crc_bytes[i];
     }
     return d;
   }
@@ -89,12 +109,20 @@ class CopyStats {
                                                std::memory_order_relaxed);
   }
 
+  static void CountCrc(CrcSide side, std::size_t bytes) {
+    Instance().crc_bytes_[static_cast<int>(side)].fetch_add(
+        bytes, std::memory_order_relaxed);
+  }
+
   [[nodiscard]] static CopySnapshot Snapshot() {
     auto& s = Instance();
     CopySnapshot out;
     for (int i = 0; i < kCopyKinds; ++i) {
       out.copies[i] = s.copies_[i].load(std::memory_order_relaxed);
       out.bytes[i] = s.bytes_[i].load(std::memory_order_relaxed);
+    }
+    for (int i = 0; i < kCrcSides; ++i) {
+      out.crc_bytes[i] = s.crc_bytes_[i].load(std::memory_order_relaxed);
     }
     return out;
   }
@@ -104,6 +132,9 @@ class CopyStats {
     for (int i = 0; i < kCopyKinds; ++i) {
       s.copies_[i].store(0, std::memory_order_relaxed);
       s.bytes_[i].store(0, std::memory_order_relaxed);
+    }
+    for (int i = 0; i < kCrcSides; ++i) {
+      s.crc_bytes_[i].store(0, std::memory_order_relaxed);
     }
   }
 
@@ -120,13 +151,18 @@ class CopyStats {
   static CopyStats& Instance();
   std::atomic<std::uint64_t> copies_[kCopyKinds] = {};
   std::atomic<std::uint64_t> bytes_[kCopyKinds] = {};
+  std::atomic<std::uint64_t> crc_bytes_[kCrcSides] = {};
 };
 
 #ifdef LWFS_COUNT_COPIES
 #define LWFS_COUNT_COPY(kind, n) ::lwfs::util::CopyStats::Count((kind), (n))
+#define LWFS_COUNT_CRC(side, n) ::lwfs::util::CopyStats::CountCrc((side), (n))
 #else
 #define LWFS_COUNT_COPY(kind, n) \
   do {                           \
+  } while (false)
+#define LWFS_COUNT_CRC(side, n) \
+  do {                          \
   } while (false)
 #endif
 

@@ -63,6 +63,37 @@ TEST_F(LwfsCheckpointTest, CheckpointRestoreRoundTrip) {
   }
 }
 
+// Config::window bounds the rank requests in flight across every carrier.
+// Window 1 is one carrier with one request at a time — a serial dump.  A
+// wider window drives the ranks from min(ranks, window) carriers, rank r on
+// carrier r % carriers, so 4 ranks under window 8 issue their writes (and
+// checksum their bytes) on 4 threads, 2 requests per carrier at most.
+TEST_F(LwfsCheckpointTest, WindowBoundsRequestsAcrossRankCarriers) {
+  Start(4);
+  const auto states = MakeStates(4, 3u << 20);
+  struct Case {
+    std::uint32_t window;
+    std::uint32_t carriers;
+  };
+  for (const Case c : {Case{1, 1}, Case{2, 2}, Case{6, 4}, Case{8, 4}}) {
+    SCOPED_TRACE("window " + std::to_string(c.window));
+    config_.window = c.window;
+    config_.path = "/ckpt/window" + std::to_string(c.window);
+    auto stats = LwfsCheckpoint::Run(*runtime_, config_, states);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->carriers, c.carriers);
+    EXPECT_GE(stats->peak_requests, 1u);
+    EXPECT_LE(stats->peak_requests, c.window);
+    if (c.window == 1) {
+      EXPECT_EQ(stats->peak_requests, 1u);
+    }
+    auto restored =
+        LwfsCheckpoint::Restore(*runtime_, config_.cap, config_.path);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(*restored, states);
+  }
+}
+
 TEST_F(LwfsCheckpointTest, ObjectsSpreadAcrossServers) {
   Start(4);
   auto states = MakeStates(8, 1000);

@@ -119,7 +119,7 @@ const std::map<std::string, std::string>& PinnedHex() {
       {"obj_create_rep",
        "8b03000000000000"},
       {"obj_write_req",
-       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a8b030000000000000010000000000000"},
+       "00ffeeddccbbaa99697a000000000000030000009210000000000000030000000000000001401e18240a0600cefaedfecefaedfe5a5a5a5a5a5a5a5a8b03000000000000001000000000000002000000efbeadde04030201"},
       {"io_moved_rep",
        "0000010000000000"},
       {"obj_read_req",
